@@ -1,9 +1,10 @@
 """Scattering solver and verification lab for mean-field phase oscillators.
 
 Constructs solutions of the kinetic mean-field phase equation with
-prescribed large-time data by iterating backward-characteristic Picard
-solves against order-parameter quadrature, then certifies the resulting
-decay and cross-validates against a direct finite ensemble.
+prescribed large-time data by one joint Picard iteration of
+backward-characteristic sweeps and order-parameter quadrature, then
+certifies the resulting decay and cross-validates against a direct
+finite ensemble.
 """
 
 from .spectral_state import (

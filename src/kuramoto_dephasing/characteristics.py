@@ -44,7 +44,7 @@ __all__ = [
     "GammaField",
     "filon_weights",
     "deviation_sweep",
-    "apply_F",
+    "picard_sweep",
     "solve_fixed_point",
     "backward_ode_oracle",
     "gamma_field",
@@ -98,7 +98,8 @@ class CharacteristicField:
         return weighted_norm(self.grid.times(), self.deviation, weight, deviation=True)
 
     def sup(self) -> float:
-        return float(np.max(np.abs(self.deviation)))
+        # max and -min instead of max|D|: no field-sized temporary
+        return float(np.maximum(self.deviation.max(), -self.deviation.min()))
 
 
 @dataclass
@@ -121,7 +122,6 @@ class ContractionReport:
     tol: float = 0.0
     floor: float = 0.0
     tail_remainder: float = 0.0
-    warm_started: bool = False
 
     def as_dict(self) -> dict:
         return {
@@ -133,7 +133,6 @@ class ContractionReport:
             "tol": self.tol,
             "floor": self.floor,
             "tail_remainder": self.tail_remainder,
-            "warm_started": self.warm_started,
         }
 
 
@@ -225,10 +224,9 @@ def _block_integral(times, omega_block, z, dev_block, use_poly):
 def deviation_sweep(times, theta, omega, z, deviation, mu, use_poly=False):
     """One application of the backward-integral map to a deviation field.
 
-    Operates on raw arrays so alternative node sets can be pushed through
-    (the grid-facing wrapper is ``apply_F``).  Returns the new deviation,
-    mu * Im(e^{i theta} I), blocked over frequency columns to bound the
-    complex working set.
+    Operates on raw arrays so alternative node sets can be pushed through.
+    Returns the new deviation, mu * Im(e^{i theta} I), blocked over
+    frequency columns to bound the complex working set.
     """
     times = np.asarray(times, dtype=float)
     z = np.asarray(z, dtype=complex)
@@ -249,11 +247,58 @@ def deviation_sweep(times, theta, omega, z, deviation, mu, use_poly=False):
     return out
 
 
-def apply_F(field: CharacteristicField, z) -> CharacteristicField:
-    """Grid-facing single sweep: field |-> F(field) under the path z."""
-    g = field.grid
-    new = deviation_sweep(g.times(), g.theta(), g.omega_nodes, z, field.deviation, field.mu)
-    return CharacteristicField(g, new, field.mu, field.iterate + 1)
+def _open_report(grid: Grid, z, mu: float, weight: WeightSpec, tol: float):
+    # certified gain and deviation scale of the map F_z; refuses kappa >= 1
+    r_norm = weighted_norm(grid.times(), z, weight)
+    bound = mu * r_norm * weight.unit_contraction_gain
+    if not bound < 1.0:
+        raise NonContractiveError(bound)
+    dev_scale = mu * r_norm * weight.unit_deviation_gain
+    report = ContractionReport(
+        bound=bound,
+        tol=tol,
+        floor=max(tol, 1e-14 * max(1.0, dev_scale)),
+        tail_remainder=mu * r_norm * weight.tail_integral(grid.t_max),
+    )
+    return report, dev_scale
+
+
+def picard_sweep(
+    grid: Grid,
+    z,
+    mu: float,
+    weight: WeightSpec,
+    field: CharacteristicField | None = None,
+):
+    """One sweep D |-> F_z(D) of the backward map from an arbitrary field.
+
+    ``field`` defaults to D = 0.  Refuses a gain >= 1 like
+    ``solve_fixed_point``.  The report carries the single residual
+    ||F_z(D) - D||_w and no ratios, and is never ``converged``: one sweep
+    does not solve the fixed point.  A zero gain (mu = 0 or z = 0) makes
+    F_z identically zero, so the zero field is returned without a sweep;
+    that report is ``converged``, since the zero field is then exact.
+
+    Returns (CharacteristicField, ContractionReport).
+    """
+    times = grid.times()
+    z = np.asarray(z, dtype=complex)
+    report, dev_scale = _open_report(grid, z, mu, weight, 0.0)
+    if report.bound == 0.0:
+        report.converged = True
+        report.residuals.append(field.deviation_norm(weight) if field is not None else 0.0)
+        return CharacteristicField(grid, np.zeros(grid.shape()), mu, 0), report
+    if field is None:
+        dev, iterate, sup_in = np.zeros(grid.shape()), 0, 0.0
+    else:
+        dev, iterate, sup_in = field.deviation, field.iterate, field.sup()
+    # the quartic phase factor is evaluated on the input field, so both
+    # the input and the output scale must be certified small
+    use_poly = max(dev_scale, sup_in) <= _POLY_THRESHOLD
+    new = deviation_sweep(times, grid.theta(), grid.omega_nodes, z, dev, mu, use_poly)
+    report.residuals.append(weighted_norm(times, new - dev, weight, deviation=True))
+    report.sweeps = 1
+    return CharacteristicField(grid, new, mu, iterate + 1), report
 
 
 def solve_fixed_point(
@@ -263,40 +308,26 @@ def solve_fixed_point(
     weight: WeightSpec,
     tol: float = 1e-12,
     max_sweeps: int = 60,
-    warm_start: CharacteristicField | None = None,
 ):
     """Iterate the backward map to its fixed point for a frozen path z.
 
-    Refuses to start when the certified gain mu * ||R||_w * unit_gain is
-    >= 1 (NonContractiveError); raises MaxSweepsExceededError if the
-    residual stalls above ``tol``.  ``warm_start`` sets the initial field
-    (the fixed point is unique, so this only shortens the trail).
+    Starts from D = 0, so every iterate obeys the deviation bound and the
+    residual trail certifies the per-sweep contraction.  Refuses to start
+    when the certified gain mu * ||R||_w * unit_gain is >= 1
+    (NonContractiveError); raises MaxSweepsExceededError if the residual
+    stalls above ``tol``.
 
     Returns (CharacteristicField, ContractionReport).
     """
     times = grid.times()
     z = np.asarray(z, dtype=complex)
-    r_norm = weighted_norm(times, z, weight)
-    bound = mu * r_norm * weight.unit_contraction_gain
-    if not bound < 1.0:
-        raise NonContractiveError(bound)
+    report, dev_scale = _open_report(grid, z, mu, weight, tol)
     if mu == 0.0:
         # the backward map is identically zero: the fixed point is exact
-        report = ContractionReport(
-            bound=0.0, sweeps=0, converged=True, tol=tol,
-            warm_started=warm_start is not None,
-        )
+        report = ContractionReport(bound=0.0, sweeps=0, converged=True, tol=tol)
         return CharacteristicField(grid, np.zeros(grid.shape()), 0.0, 0), report
-    dev_scale = mu * r_norm * weight.unit_deviation_gain
     use_poly = dev_scale <= _POLY_THRESHOLD
-    report = ContractionReport(
-        bound=bound,
-        tol=tol,
-        floor=max(tol, 1e-14 * max(1.0, dev_scale)),
-        tail_remainder=mu * r_norm * weight.tail_integral(grid.t_max),
-        warm_started=warm_start is not None,
-    )
-    dev = warm_start.deviation if warm_start is not None else np.zeros(grid.shape())
+    dev = np.zeros(grid.shape())
     theta, omega = grid.theta(), grid.omega_nodes
     for sweep in range(1, max_sweeps + 1):
         new = deviation_sweep(times, theta, omega, z, dev, mu, use_poly)
@@ -312,7 +343,7 @@ def solve_fixed_point(
     else:
         raise MaxSweepsExceededError(
             f"residual {report.residuals[-1]:.3e} > tol {tol:.1e} "
-            f"after {max_sweeps} sweeps (bound {bound:.3g})"
+            f"after {max_sweeps} sweeps (bound {report.bound:.3g})"
         )
     return CharacteristicField(grid, dev, mu, report.sweeps), report
 

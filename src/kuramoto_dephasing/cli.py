@@ -97,6 +97,27 @@ def _require(cfg: dict, key: str):
     return cfg[key]
 
 
+def _section(cfg: dict, key: str, required: bool = True):
+    # an optional section may be absent or null
+    sec = cfg.get(key)
+    if sec is None:
+        if required:
+            raise ConfigError(f"config is missing required key {key!r}")
+        return None
+    if not isinstance(sec, dict):
+        raise ConfigError(
+            f"config section {key!r} must be a JSON object, got {type(sec).__name__}"
+        )
+    return sec
+
+
+def _finite(name: str, v) -> float:
+    x = float(v)
+    if not math.isfinite(x):
+        raise ConfigError(f"{name} must be finite, got {v!r}")
+    return x
+
+
 def _as_complex(v) -> complex:
     if isinstance(v, (int, float)):
         return complex(v)
@@ -109,9 +130,10 @@ def load_config(path, output_dir_override=None) -> RunConfig:
     """Parse and validate a JSON run config.
 
     Raises ConfigError for anything the run cannot start from: JSON
-    syntax, missing keys, invalid state or grid parameters, tolerances
-    that are not positive.  A weight class that disagrees with the
-    state's declared decay class is legal but logged as a warning.
+    syntax, missing keys, a section that is not an object, non-finite
+    numbers, invalid state or grid parameters, tolerances that are not
+    positive.  A weight class that disagrees with the state's declared
+    decay class is legal but logged as a warning.
     """
     try:
         raw = json.loads(Path(path).read_text())
@@ -122,25 +144,23 @@ def load_config(path, output_dir_override=None) -> RunConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
     try:
-        pspec = _require(raw, "profile")
+        pspec = _section(raw, "profile")
         profile = FrequencyProfile(
             kind=str(_require(pspec, "kind")), scale=float(_require(pspec, "scale"))
         )
-        modes = {
-            int(k): _as_complex(v) for k, v in _require(raw, "modes").items()
-        }
-        dspec = _require(raw, "decay")
+        modes = {int(k): _as_complex(v) for k, v in _section(raw, "modes").items()}
+        dspec = _section(raw, "decay")
         state = AsymptoticState(
             profile=profile,
             modes=modes,
             decay_kind=str(_require(dspec, "kind")),
             decay_rate=float(_require(dspec, "rate")),
         )
-        gspec = _require(raw, "grid")
+        gspec = _section(raw, "grid")
         grid = build_grid(
             profile,
-            t_max=float(_require(gspec, "t_max")),
-            dt=float(_require(gspec, "dt")),
+            t_max=_finite("grid t_max", _require(gspec, "t_max")),
+            dt=_finite("grid dt", _require(gspec, "dt")),
             n_theta=int(_require(gspec, "n_theta")),
             n_omega=int(gspec["n_omega"]) if "n_omega" in gspec else None,
         )
@@ -148,7 +168,7 @@ def load_config(path, output_dir_override=None) -> RunConfig:
         if not (mu >= 0.0 and math.isfinite(mu)):
             raise ConfigError("mu must be finite and >= 0")
 
-        wspec = raw.get("weight")
+        wspec = _section(raw, "weight", required=False)
         if wspec is None:
             weight = WeightSpec(state.decay_kind, state.decay_rate)
         else:
@@ -163,7 +183,7 @@ def load_config(path, output_dir_override=None) -> RunConfig:
                 state.decay_kind,
             )
 
-        tols = raw.get("tolerances", {})
+        tols = _section(raw, "tolerances", required=False) or {}
         tol_picard = float(tols.get("tol_picard", 1e-12))
         tol_outer = float(tols.get("tol_outer", 1e-10))
         tail_budget = tols.get("tail_budget")
@@ -177,11 +197,11 @@ def load_config(path, output_dir_override=None) -> RunConfig:
             if val is not None and not (val > 0.0 and math.isfinite(val)):
                 raise ConfigError(f"tolerance {name} must be finite and > 0")
 
-        particles = raw.get("particles")
+        particles = _section(raw, "particles", required=False)
         if particles is not None:
             particles = {
                 "n": int(_require(particles, "n")),
-                "dt": float(_require(particles, "dt")),
+                "dt": _finite("particles dt", _require(particles, "dt")),
                 # default matches the pinned acceptance realization
                 "seed": int(particles.get("seed", 1)),
             }
@@ -191,9 +211,11 @@ def load_config(path, output_dir_override=None) -> RunConfig:
         out = output_dir_override or os.environ.get(OUTPUT_DIR_ENV) or raw.get(
             "output_dir", "."
         )
+        if not isinstance(out, str):
+            raise ConfigError(f"output_dir must be a string, got {out!r}")
     except ConfigError:
         raise
-    except (InvalidStateError, GridError, ValueError, TypeError) as e:
+    except (InvalidStateError, GridError, ValueError, TypeError, OverflowError) as e:
         raise ConfigError(f"invalid config: {e}") from e
     return RunConfig(
         state=state,

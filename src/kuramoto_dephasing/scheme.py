@@ -1,11 +1,20 @@
-"""Outer iteration: alternate characteristic solves with order-parameter
-quadrature, starting from the zero path.
+"""Joint iteration: advance the characteristic field and the order
+parameter together, starting from the zero path and the zero field.
 
-Iterate n solves the backward fixed point driven by z_{n-1}, then recovers
+The solution is a fixed point of the coupled map (D, z) -> (F_z(D), Q(D)).
+Joint iterate n sweeps once, D_n = F_{z_{n-1}}(D_{n-1}), then recovers
 
     z_n(t) = Int e^{i Theta_n(t, theta, omega)} f_inf(theta, omega) dtheta domega
 
-by splitting off the free part: with D the deviation field,
+from it, so no inner work is spent against a path that is still moving.
+Once successive paths differ by at most tol_outer, one certification
+iterate solves the inner fixed point D = F_{z_n}(D) from zero to
+tol_picard and integrates the order parameter once more; that field and
+path are the result, and the residual trail of the cold solve is the
+per-sweep contraction certificate.
+
+The order parameter is computed by splitting off the free part: with D the
+deviation field,
 
     z_n(t) = fhat_inf(-1, -t) + Int (e^{i D} - 1) e^{i(theta + omega t)} f_inf.
 
@@ -17,9 +26,10 @@ subtraction is evaluated as (-2 sin^2(D/2), sin D) to keep full relative
 precision long after |D| has dropped below the rounding unit, which is what
 lets weighted Cauchy increments be resolved down to 1e-10 and beyond.
 
-Every outer step appends one record to a diagnostics ledger: weighted
-norms, Cauchy increments and ratios, the inner contraction report, the
-measured deviation-bound quotient, a boundedness ratio for the
+Every iterate, the certification iterate included, appends one record to
+a diagnostics ledger: weighted norms, Cauchy increments and ratios, the
+contraction report of its sweep or solve, the measured deviation-bound
+quotient, the step between successive fields, a boundedness ratio for the
 norm-propagation estimate, and the certified truncation tails.  The ledger
 is what the lemma verifier and the command line consume; it must stay
 finite (no NaN/Inf) even on refused or diverging runs.
@@ -27,7 +37,9 @@ finite (no NaN/Inf) even on refused or diverging runs.
 
 from __future__ import annotations
 
+import logging
 import math
+import time
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -37,6 +49,7 @@ from .characteristics import (
     MaxSweepsExceededError,
     NonContractiveError,
     gamma_field,
+    picard_sweep,
     solve_fixed_point,
 )
 from .norms_grids import Grid, WeightSpec, weighted_norm
@@ -57,6 +70,8 @@ __all__ = [
 ]
 
 _BLOCK_ELEMENTS = 4_000_000
+
+log = logging.getLogger(__name__)
 
 # admissible phase error (radians) from truncating the coupling integral at
 # t_max; polynomial tails cannot reach the exponential budget at any
@@ -198,13 +213,18 @@ def outer_solve(
     max_sweeps: int = 60,
     tail_budget: float | None = None,
 ) -> SolveResult:
-    """Run the outer iteration from the zero path until Cauchy increments
-    fall below tol_outer.
+    """Run the joint iteration from the zero path until Cauchy increments
+    fall below tol_outer, then certify the final path.
 
-    The weight defaults to the decay class the state declares.  Raises
-    TailBudgetError when the certified truncation tail at t_max exceeds
-    the budget, and NotConvergingError (with the partial ledger attached)
-    when the inner solve refuses, stalls, or the outer budget runs out.
+    Each of at most ``n_max`` joint iterates advances the field by one
+    sweep under the previous path and re-integrates the order parameter.
+    The certification iterate then solves the inner fixed point at the
+    final path from zero to ``tol_picard`` (within ``max_sweeps``); its
+    field and path are returned.  The weight defaults to the decay class
+    the state declares.  Raises TailBudgetError when the certified
+    truncation tail at t_max exceeds the budget, and NotConvergingError
+    (with the partial ledger attached) when an iterate refuses, stalls,
+    or the budget runs out.
     """
     if weight is None:
         weight = WeightSpec(state.decay_kind, state.decay_rate)
@@ -229,21 +249,27 @@ def outer_solve(
     tail_unit = weight.tail_integral(grid.t_max)
     z_prev = np.zeros(grid.n_times, dtype=complex)
     r_prev = 0.0
-    warm = None
-    prev_dev = None
+    fld = None  # D_0 = 0
     prev_dz = None
     prev_ratio = None
-    for n in range(1, n_max + 1):
+    certifying = False
+    n = 0
+    while certifying or n < n_max:
+        n += 1
+        t0 = time.perf_counter()
         # refusal to contract dominates: no horizon fixes kappa >= 1
         kappa_pred = mu * r_prev * weight.unit_contraction_gain
         if kappa_pred >= 1.0:
             ledger.status = f"non-contractive at n={n}: bound {kappa_pred:.6g} >= 1"
             raise NotConvergingError(ledger.status, ledger)
-        tail_phase = mu * r_prev * tail_unit
+        prev_fld = fld
         try:
-            fld, rep = solve_fixed_point(
-                grid, z_prev, mu, weight, tol_picard, max_sweeps, warm_start=warm
-            )
+            if certifying:
+                # frozen-path pass at the final path, cold so that its
+                # residual trail measures the per-sweep contraction
+                fld, rep = solve_fixed_point(grid, z_prev, mu, weight, tol_picard, max_sweeps)
+            else:
+                fld, rep = picard_sweep(grid, z_prev, mu, weight, fld)
         except (NonContractiveError, MaxSweepsExceededError) as exc:
             ledger.status = f"inner solve failed at n={n}: {exc}"
             raise NotConvergingError(str(exc), ledger) from exc
@@ -253,6 +279,12 @@ def outer_solve(
             raise NotConvergingError("nonfinite order parameter", ledger)
         dz = weighted_norm(times, path.values - z_prev, weight)
         dev_norm = fld.deviation_norm(weight)
+        if certifying:
+            theta_diff = weighted_norm(
+                times, fld.deviation - prev_fld.deviation, weight, deviation=True
+            )
+        else:
+            theta_diff = rep.residuals[-1]
         kappa = rep.bound
         floor = 1e-14 * max(1.0, path.norm)
         denom = mu * weight.unit_deviation_gain * r_prev
@@ -268,34 +300,41 @@ def outer_solve(
             "lemma23_ratio": (
                 path.norm / (r_prev + free_norm) if r_prev + free_norm > 0.0 else 0.0
             ),
-            "theta_diff_norm": (
-                weighted_norm(times, fld.deviation - prev_dev, weight, deviation=True)
-                if prev_dev is not None
-                else None
-            ),
+            "theta_diff_norm": theta_diff,
             "kappa": kappa,
-            "tail_bound": tail_phase,
+            "tail_bound": mu * r_prev * tail_unit,
             "contraction": rep.as_dict(),
         }
         ledger.add(record)
-        # kappa == 0 makes the next characteristic solve identical to this
-        # one (the map no longer depends on z), so iterate n is the fixed
-        # point exactly; this is the mu = 0 and uniform-state exit
-        next_kappa = mu * path.norm * weight.unit_contraction_gain
-        converged = dz <= tol_outer or next_kappa == 0.0
-        if converged:
-            # certification gate: the returned field was solved against
-            # z_{n-1}, so its truncation tail must fit the budget
-            if tail_phase > tail_budget:
-                ledger.status = "tail budget exceeded"
-                raise TailBudgetError(
-                    f"certified tail {tail_phase:.3e} rad > budget "
-                    f"{tail_budget:.1e}; increase t_max"
-                )
+        log.debug(
+            "outer n=%d%s dz=%.3e kappa=%.3e sweeps=%d %.3fs",
+            n, " (certification)" if certifying else "", dz, kappa, rep.sweeps,
+            time.perf_counter() - t0,
+        )
+        if certifying:
             ledger.status = "converged"
             return SolveResult(state, grid, mu, weight, path, fld, ledger, n, True)
+        # a zero gain now and next makes both maps identically zero, so
+        # (D_n, z_n) = (0, free path) is the fixed point exactly; this is
+        # the mu = 0 and uniform-state exit, and it needs no certification
+        next_kappa = mu * path.norm * weight.unit_contraction_gain
+        exact = kappa == 0.0 and next_kappa == 0.0
         ratio = record["cauchy_ratio"]
-        if (
+        if exact or dz <= tol_outer:
+            # the returned field is the fixed point for z_n, so its
+            # truncation tail must fit the budget
+            tail_next = mu * path.norm * tail_unit
+            if tail_next > tail_budget:
+                ledger.status = "tail budget exceeded"
+                raise TailBudgetError(
+                    f"certified tail {tail_next:.3e} rad > budget "
+                    f"{tail_budget:.1e}; increase t_max"
+                )
+            if exact:
+                ledger.status = "converged"
+                return SolveResult(state, grid, mu, weight, path, fld, ledger, n, True)
+            certifying = True
+        elif (
             ratio is not None
             and prev_ratio is not None
             and ratio >= 1.0
@@ -306,8 +345,7 @@ def outer_solve(
             )
             raise NotConvergingError(ledger.status, ledger)
         prev_ratio = ratio
-        z_prev, r_prev = path.values, path.norm
-        warm, prev_dev, prev_dz = fld, fld.deviation, dz
+        z_prev, r_prev, prev_dz = path.values, path.norm, dz
     ledger.status = f"no convergence in {n_max} outer iterations"
     raise NotConvergingError(ledger.status, ledger)
 
@@ -422,12 +460,12 @@ def verify_lemmas(ledger: DiagnosticsLedger, weight: WeightSpec, mu: float) -> d
 
     Estimates with fully explicit constants are asserted with 5% slack:
     the per-sweep contraction ratios against mu ||R|| times the weight's
-    unit gain, the deviation-norm bound, and the two-path Lipschitz bound
-    on successive characteristic fields.  Estimates whose constants the
-    analysis leaves generic are reported as measured ratio sequences and
-    flagged only when they trend upward: least-squares slope above 0.01,
-    scaled by the sequence level when that level exceeds one so the flag
-    is insensitive to the units of the generic constant.
+    unit gain, the deviation-norm bound, and the Lipschitz bound on the
+    step between successive characteristic fields.  Estimates whose
+    constants the analysis leaves generic are reported as measured ratio
+    sequences and flagged only when they trend upward: least-squares slope
+    above 0.01, scaled by the sequence level when that level exceeds one
+    so the flag is insensitive to the units of the generic constant.
     """
     recs = ledger.records
     slack = 1.05
@@ -452,12 +490,20 @@ def verify_lemmas(ledger: DiagnosticsLedger, weight: WeightSpec, mu: float) -> d
         "ratios": est,
     }
 
+    # successive fields: one sweep gives ||D_k - D_{k-1}|| <=
+    # mu g_dev dz_{k-1} + kappa_k ||D_{k-1} - D_{k-2}||; a solved field
+    # (the certification iterate) adds kappa_k times its last residual and
+    # the factor 1 / (1 - kappa_k)
     lip = []
     lip_ok = True
+    gain = mu * weight.unit_deviation_gain
     for prev, cur in zip(recs, recs[1:]):
-        if cur["theta_diff_norm"] is None:
-            continue
-        denom = mu * weight.unit_deviation_gain * prev["dz_norm"] / (1.0 - cur["kappa"])
+        kappa = cur["kappa"]
+        denom = gain * prev["dz_norm"] + kappa * prev["theta_diff_norm"]
+        rep = cur["contraction"]
+        if rep["converged"]:
+            last = rep["residuals"][-1] if rep["residuals"] else 0.0
+            denom = (denom + kappa * last) / (1.0 - kappa)
         if denom > 1e-14:
             q = cur["theta_diff_norm"] / denom
             lip.append(q)

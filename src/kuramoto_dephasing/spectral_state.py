@@ -147,7 +147,10 @@ class AsymptoticState:
                 raise InvalidStateError("mode k=0 is fixed by normalization")
             if k < 0:
                 raise InvalidStateError("specify only k > 0 modes; k < 0 follows by conjugation")
-            clean[k] = complex(a)
+            a = complex(a)
+            if not (math.isfinite(a.real) and math.isfinite(a.imag)):
+                raise InvalidStateError(f"mode amplitude a_{k} = {a} is not finite")
+            clean[k] = a
         object.__setattr__(self, "modes", clean)
         # sufficient condition for pointwise nonnegativity of the angular factor
         total = 2.0 * sum(abs(a) for a in clean.values())
@@ -157,6 +160,8 @@ class AsymptoticState:
             )
         if self.decay_kind not in _DECAY_KINDS:
             raise InvalidStateError(f"unknown decay kind {self.decay_kind!r}")
+        if not math.isfinite(self.decay_rate):
+            raise InvalidStateError(f"decay rate {self.decay_rate} is not finite")
         if self.decay_kind == "exponential":
             if not (0.0 < self.decay_rate):
                 raise InvalidStateError("exponential decay rate must be positive")

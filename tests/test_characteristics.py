@@ -26,7 +26,7 @@ from kuramoto_dephasing import (
     gamma_field,
     solve_fixed_point,
 )
-from kuramoto_dephasing.characteristics import deviation_sweep, filon_weights
+from kuramoto_dephasing.characteristics import deviation_sweep, filon_weights, picard_sweep
 
 MU = 0.05
 PROFILE = FrequencyProfile("lorentzian", 1.0)
@@ -112,6 +112,26 @@ def test_mu_zero_fixed_point_is_exact(grid, zpath):
     field, report = solve_fixed_point(grid, zpath, 0.0, WEIGHT)
     assert report.converged and report.bound == 0.0
     assert field.sup() == 0.0
+
+
+def test_picard_sweep_steps_the_frozen_path_solve(grid, zpath, solved):
+    field, report = solved
+    _, rep = picard_sweep(grid, zpath, MU, WEIGHT)
+    assert rep.sweeps == 1 and not rep.converged and rep.ratios == []
+    assert rep.bound == report.bound
+    assert rep.residuals == [pytest.approx(report.residuals[0], rel=1e-12)]
+    # from the solved field one more sweep moves by kappa * last residual
+    again, rep = picard_sweep(grid, zpath, MU, WEIGHT, field)
+    assert rep.residuals[0] <= report.bound * report.residuals[-1] * 1.05 + 1e-15
+    assert np.max(np.abs(again.deviation - field.deviation)) <= 1e-12
+
+
+def test_picard_sweep_zero_gain_is_exact_without_a_sweep(grid, zpath, solved):
+    field, _ = solved
+    zero, rep = picard_sweep(grid, zpath, 0.0, WEIGHT, field)
+    assert rep.converged and rep.sweeps == 0
+    assert zero.sup() == 0.0
+    assert rep.residuals == [pytest.approx(field.deviation_norm(WEIGHT), rel=1e-15)]
 
 
 def test_fixed_point_matches_rk4_oracle(grid, zpath, solved):

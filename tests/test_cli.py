@@ -7,6 +7,7 @@ import json
 import numpy as np
 import pytest
 
+from kuramoto_dephasing import WeightSpec
 from kuramoto_dephasing.cli import ConfigError, load_config, main
 
 SUMMARY_KEYS = {
@@ -202,3 +203,57 @@ def test_weight_mismatch_warns_but_loads(tmp_path, caplog):
 def test_negative_mu_rejected(tmp_path):
     with pytest.raises(ConfigError):
         load_config(write_config(tmp_path / "cfg.json", base_config(mu=-0.1)))
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"modes": [[0.05, 0.0]]},
+        {"tolerances": [1e-12, 1e-10]},
+        {"modes": {"1": float("nan")}},
+        {"profile": ["lorentzian", 1.0]},
+        {"decay": "exponential"},
+        {"grid": [16.0, 0.05, 32]},
+        {"weight": ["exponential", 0.9]},
+        {"particles": [2000, 0.02]},
+        {"decay": {"kind": "exponential", "rate": float("nan")}},
+        {"grid": {"t_max": float("inf"), "dt": 0.05, "n_theta": 32}},
+        {"grid": {"t_max": 16.0, "dt": 0.05, "n_theta": float("inf")}},
+        {"output_dir": 5},
+    ],
+    ids=[
+        "modes_list", "tolerances_list", "mode_nan", "profile_list", "decay_string",
+        "grid_list", "weight_list", "particles_list", "decay_rate_nan",
+        "t_max_inf", "n_theta_inf", "output_dir_number",
+    ],
+)
+def test_malformed_config_exits_2_with_one_line(tmp_path, monkeypatch, caplog, overrides):
+    # no --output-dir, so the config's own output_dir is validated too
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("KURAMOTO_DEPHASING_OUTPUT", raising=False)
+    cfg = write_config(tmp_path / "cfg.json", base_config(**overrides))
+    with caplog.at_level("ERROR", logger="kuramoto_dephasing"):
+        code = main(["solve", "--config", cfg])
+    assert code == 2
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 1 and "\n" not in errors[0]
+
+
+def test_null_optional_sections_take_defaults(tmp_path):
+    raw = base_config(weight=None, tolerances=None, particles=None)
+    cfg = load_config(write_config(tmp_path / "cfg.json", raw))
+    assert cfg.weight == WeightSpec("exponential", 0.9)
+    assert cfg.tol_picard == 1e-12 and cfg.particles is None
+
+
+def test_verbose_logs_one_line_per_outer_iterate(solve_run, tmp_path, caplog):
+    cfg = write_config(tmp_path / "cfg.json", base_config())
+    with caplog.at_level("DEBUG", logger="kuramoto_dephasing"):
+        assert main(["-v", "solve", "--config", cfg, "--output-dir", str(tmp_path)]) == 0
+    lines = [r.getMessage() for r in caplog.records if r.name == "kuramoto_dephasing.scheme"]
+    ledger = json.loads((solve_run[1] / "ledger.json").read_text())
+    assert len(lines) == len(ledger["records"])
+    for line, rec in zip(lines, ledger["records"]):
+        assert line.startswith(f"outer n={rec['n']}")
+        assert f"sweeps={rec['contraction']['sweeps']}" in line
+    assert "certification" in lines[-1]

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kuramoto_dephasing import (
     DecayModel,
@@ -78,6 +80,33 @@ def test_envelope_monotone_under_weaker_rate():
             window=base.window, residual=base.residual, n_points=base.n_points,
         )
         assert certify_envelope(T, vals, weaker).passed
+
+
+def _model(kind, rate, t_max, n):
+    return DecayModel(
+        kind=kind, rate=rate, amplitude=1.0,
+        window=(0.0, t_max), residual=0.0, n_points=n,
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    kind=st.sampled_from(["exponential", "polynomial"]),
+    rate=st.floats(min_value=0.0, max_value=5.0),
+    shrink=st.floats(min_value=0.0, max_value=1.0),
+    t_max=st.floats(min_value=0.5, max_value=40.0),
+    values=st.lists(
+        st.floats(min_value=0.0, max_value=1e6), min_size=4, max_size=60
+    ),
+)
+def test_envelope_pass_is_monotone_in_rate(kind, rate, shrink, t_max, values):
+    # the docstring's claim: a certificate that passes at one rate passes
+    # at every smaller rate of the same class
+    vals = np.asarray(values)
+    t = np.linspace(0.0, t_max, vals.size)
+    if certify_envelope(t, vals, _model(kind, rate, t_max, vals.size)).passed:
+        weaker = _model(kind, rate * shrink, t_max, vals.size)
+        assert certify_envelope(t, vals, weaker).passed
 
 
 def test_class_discrimination_by_residual():

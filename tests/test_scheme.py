@@ -21,6 +21,7 @@ from kuramoto_dephasing import (
     reconstruct,
     solve_fixed_point,
     verify_lemmas,
+    weighted_norm,
 )
 from kuramoto_dephasing.scheme import order_parameter_of
 
@@ -81,6 +82,38 @@ def test_ledger_record_schema(result):
     for rec in recs:
         assert set(rec) == RECORD_KEYS
     assert result.ledger.all_finite()
+
+
+def _nested_reference(state, grid, tol_outer=1e-10, tol_picard=1e-12, n_max=25):
+    # the nested iteration: every outer iterate solves the inner fixed
+    # point at the previous path to tol_picard
+    z = np.zeros(grid.n_times, dtype=complex)
+    for _ in range(n_max):
+        field, _ = solve_fixed_point(grid, z, MU, WEIGHT, tol_picard)
+        path = order_parameter_of(field, state, WEIGHT)
+        dz = weighted_norm(grid.times(), path.values - z, WEIGHT)
+        z = path.values
+        if dz <= tol_outer:
+            return field, path
+    raise AssertionError("nested reference did not converge")
+
+
+def test_joint_loop_matches_nested_reference(state, grid, result):
+    field, path = _nested_reference(state, grid)
+    assert np.max(np.abs(result.path.values - path.values)) <= 1e-10
+    assert np.max(np.abs(result.field.deviation - field.deviation)) <= 1e-10
+
+
+def test_certification_iterate_closes_the_ledger(result):
+    *joint, cert = result.ledger.records
+    # a cold frozen-path pass: enough sweeps for c02 to check contraction
+    assert cert["contraction"]["converged"]
+    assert len(cert["contraction"]["ratios"]) >= 2
+    # joint iterates advance the field by at most one sweep each
+    assert all(rec["contraction"]["sweeps"] <= 1 for rec in joint)
+    assert all(rec["contraction"]["ratios"] == [] for rec in joint)
+    assert joint[-1]["dz_norm"] <= 1e-10
+    assert cert["r_norm_prev"] == joint[-1]["r_norm"]
 
 
 def test_first_iterate_is_free_path(state, grid):
@@ -152,6 +185,7 @@ def test_reconstruct_rejects_offgrid_time(result):
 def test_mu_zero_is_free_transport(state, grid):
     res = outer_solve(state, grid, 0.0, WEIGHT)
     assert res.converged and res.n_outer == 1
+    assert res.ledger.records[0]["contraction"]["sweeps"] == 0
     free = free_order_parameter(state, grid.times())
     assert np.max(np.abs(res.path.values - free)) == 0.0
     rec = reconstruct(res, times=(0.0,))
@@ -162,6 +196,7 @@ def test_uniform_state_stays_uniform(grid):
     state = AsymptoticState(PROFILE, {}, "exponential", 0.9)
     res = outer_solve(state, grid, MU, WEIGHT)
     assert res.n_outer == 1
+    assert res.ledger.records[0]["contraction"]["sweeps"] == 0
     assert np.max(res.path.r()) == 0.0
 
 
