@@ -50,8 +50,8 @@ __all__ = [
     "gamma_field",
 ]
 
-# keep the widest per-block slab of complex cells near ~64 MB
-_BLOCK_ELEMENTS = 4_000_000
+# cells per omega block: each complex block buffer stays near 16 MB
+_BLOCK_CELLS = 1 << 20
 # below this deviation amplitude a quartic polynomial evaluates e^{iD}
 # with error < 1e-11, at roughly a third of the cost of np.exp
 _POLY_THRESHOLD = 0.1
@@ -100,6 +100,13 @@ class CharacteristicField:
     def sup(self) -> float:
         # max and -min instead of max|D|: no field-sized temporary
         return float(np.maximum(self.deviation.max(), -self.deviation.min()))
+
+    def distance(self, other: "CharacteristicField", weight: WeightSpec) -> float:
+        """||D - D_other|| in the deviation weight, one omega block at a time."""
+        rows = np.zeros(self.grid.n_times)
+        for sl in omega_blocks(self.deviation.shape):
+            _fold_row_sup(rows, self.deviation[:, :, sl] - other.deviation[:, :, sl])
+        return weighted_norm(self.grid.times(), rows, weight, deviation=True)
 
 
 @dataclass
@@ -191,59 +198,124 @@ def filon_weights(w):
     return alpha, beta
 
 
-def _phase_factor(dev_block, use_poly: bool):
-    # e^{iD}; quartic fast path is valid only when callers have certified
-    # sup|D| <= _POLY_THRESHOLD for the whole solve
+def omega_blocks(shape):
+    """Slices of the frequency axis of a (time, angle, frequency) field.
+
+    Each block covers about _BLOCK_CELLS cells; the last may be narrower.
+    Every blocked loop over a field walks these slices, so one constant
+    bounds all per-block working sets.
+    """
+    width = _block_width(shape)
+    n_omega = shape[2]
+    for lo in range(0, n_omega, width):
+        yield slice(lo, min(lo + width, n_omega))
+
+
+def _block_width(shape):
+    n_t, n_th, n_omega = shape
+    return min(n_omega, max(1, _BLOCK_CELLS // (n_t * n_th)))
+
+
+def block_buffer(shape):
+    """One complex buffer sized for the widest block of ``omega_blocks(shape)``.
+
+    Returns ``view(sl)``: a C-contiguous (n_t, n_theta, width) array over
+    that buffer, so a loop over blocks allocates its scratch once.
+    """
+    n_t, n_th, _ = shape
+    flat = np.empty(n_t * n_th * _block_width(shape), dtype=complex)
+
+    def view(sl):
+        width = sl.stop - sl.start
+        return flat[: n_t * n_th * width].reshape(n_t, n_th, width)
+
+    return view
+
+
+def _fold_row_sup(acc, block):
+    # acc[i] <- max(acc[i], sup_i |block[i]|) through max and -min: exact,
+    # NaN-propagating, and free of a block-sized |block| temporary
+    np.maximum(acc, block.max(axis=(1, 2)), out=acc)
+    np.maximum(acc, -block.min(axis=(1, 2)), out=acc)
+
+
+def _phase_factor(dev_block, use_poly: bool, out):
+    # e^{iD} written into ``out``; the quartic fast path is valid only when
+    # callers have certified sup|D| <= _POLY_THRESHOLD for the whole solve
+    re, im = out.real, out.imag
     if use_poly:
-        d2 = dev_block * dev_block
-        return (1.0 - 0.5 * d2) + 1j * (dev_block * (1.0 - d2 / 6.0))
-    return np.exp(1j * dev_block)
+        d2 = np.multiply(dev_block, dev_block, out=re)
+        np.divide(d2, 6.0, out=im)
+        np.subtract(1.0, im, out=im)
+        im *= dev_block
+        d2 *= 0.5
+        np.subtract(1.0, d2, out=re)
+    else:
+        np.cos(dev_block, out=re)
+        np.sin(dev_block, out=im)
 
 
-def _block_integral(times, omega_block, z, dev_block, use_poly):
-    # I(t_i) = Int_{t_i}^{t_max} c(s) e^{i omega s} ds for one omega block,
-    # cellwise alpha/beta weights, accumulated from the far end backward
+def _integral_blocks(times, omega, z, deviation, use_poly):
+    """Backward integrals of one field, one omega block at a time.
+
+    Yields (sl, integral, spare) per block of ``omega_blocks``, where
+    integral(t_i) = Int_{t_i}^{t_max} c(s) e^{i omega s} ds with cellwise
+    alpha/beta weights, accumulated from the far end backward.  Both
+    arrays are views into two complex buffers that every block reuses:
+    they hold only until the next block is drawn, and ``spare`` is free
+    scratch of the block's shape.
+    """
     dt = float(times[1] - times[0])
-    w = omega_block * dt
-    alpha, beta = filon_weights(w)
-    # the right node of each cell carries phase e^{i omega s_{j+1}}: fold the
-    # extra e^{i w} into the beta weight so both terms use node phases
-    beta_eff = beta * np.exp(-1j * w)
-    chat = _phase_factor(dev_block, use_poly)
-    chat *= np.conj(z)[:, None, None]
-    chat *= np.exp(1j * np.outer(times, omega_block))[:, None, :]
-    cells = (dt * alpha)[None, None, :] * chat[:-1]
-    cells += (dt * beta_eff)[None, None, :] * chat[1:]
-    out = np.empty_like(chat)
-    out[-1] = 0.0
-    np.cumsum(cells[::-1], axis=0, out=cells[::-1])
-    out[:-1] = cells
-    return out
+    conj_z = np.conj(z)[:, None]
+    phases = block_buffer(deviation.shape)
+    cells = block_buffer(deviation.shape)
+    for sl in omega_blocks(deviation.shape):
+        w = omega[sl] * dt
+        alpha, beta = filon_weights(w)
+        # node factor conj(z(s_j)) e^{i omega s_j} times the cell weight the
+        # node carries as a left (alpha) or right (beta) end; the right node
+        # already has phase e^{i omega s_{j+1}}, so beta loses its e^{i w}
+        right = np.exp(1j * np.outer(times, omega[sl]))
+        right *= conj_z
+        left = right * (dt * alpha)
+        right *= dt * (beta * np.exp(-1j * w))
+        e, c = phases(sl), cells(sl)
+        _phase_factor(deviation[:, :, sl], use_poly, e)
+        np.multiply(e[:-1], left[:-1, None, :], out=c[:-1])
+        e[1:] *= right[1:, None, :]
+        c[:-1] += e[1:]
+        c[-1] = 0.0
+        np.cumsum(c[::-1], axis=0, out=c[::-1])
+        yield sl, c, e
 
 
-def deviation_sweep(times, theta, omega, z, deviation, mu, use_poly=False):
+def deviation_sweep(times, theta, omega, z, deviation, mu, use_poly=False, row_residual=None):
     """One application of the backward-integral map to a deviation field.
 
     Operates on raw arrays so alternative node sets can be pushed through.
     Returns the new deviation, mu * Im(e^{i theta} I), blocked over
-    frequency columns to bound the complex working set.
+    frequency columns to bound the complex working set.  A given
+    ``row_residual`` (shape (n_times,)) receives the sup over each time
+    row of |new - deviation| from the same pass.
     """
     times = np.asarray(times, dtype=float)
     z = np.asarray(z, dtype=complex)
     if z.shape != times.shape:
         raise ValueError("z must be sampled on the time grid")
-    n_t, n_th = len(times), len(theta)
     out = np.empty_like(deviation)
-    cos_t, sin_t = np.cos(theta), np.sin(theta)
-    block = max(1, _BLOCK_ELEMENTS // (n_t * n_th))
-    for lo in range(0, len(omega), block):
-        sl = slice(lo, min(lo + block, len(omega)))
-        ib = _block_integral(times, omega[sl], z, deviation[:, :, sl], use_poly)
-        # Im(e^{i theta} I) without forming the complex product
-        out[:, :, sl] = ib.imag
-        out[:, :, sl] *= cos_t[None, :, None]
-        out[:, :, sl] += sin_t[None, :, None] * ib.real
-    out *= mu
+    # mu * Im(e^{i theta} I) = (mu cos theta) Im I + (mu sin theta) Re I
+    mu_cos = (mu * np.cos(theta))[None, :, None]
+    mu_sin = (mu * np.sin(theta))[None, :, None]
+    if row_residual is not None:
+        row_residual[:] = 0.0
+    for sl, ib, spare in _integral_blocks(times, omega, z, deviation, use_poly):
+        new, scratch = out[:, :, sl], spare.real
+        np.multiply(ib.imag, mu_cos, out=new)
+        np.multiply(ib.real, mu_sin, out=scratch)
+        new += scratch
+        if row_residual is not None:
+            np.subtract(new, deviation[:, :, sl], out=scratch)
+            _fold_row_sup(row_residual, scratch)
     return out
 
 
@@ -295,8 +367,11 @@ def picard_sweep(
     # the quartic phase factor is evaluated on the input field, so both
     # the input and the output scale must be certified small
     use_poly = max(dev_scale, sup_in) <= _POLY_THRESHOLD
-    new = deviation_sweep(times, grid.theta(), grid.omega_nodes, z, dev, mu, use_poly)
-    report.residuals.append(weighted_norm(times, new - dev, weight, deviation=True))
+    rows = np.empty(grid.n_times)
+    new = deviation_sweep(
+        times, grid.theta(), grid.omega_nodes, z, dev, mu, use_poly, row_residual=rows
+    )
+    report.residuals.append(weighted_norm(times, rows, weight, deviation=True))
     report.sweeps = 1
     return CharacteristicField(grid, new, mu, iterate + 1), report
 
@@ -329,14 +404,15 @@ def solve_fixed_point(
     use_poly = dev_scale <= _POLY_THRESHOLD
     dev = np.zeros(grid.shape())
     theta, omega = grid.theta(), grid.omega_nodes
+    rows = np.empty(grid.n_times)
     for sweep in range(1, max_sweeps + 1):
-        new = deviation_sweep(times, theta, omega, z, dev, mu, use_poly)
-        res = weighted_norm(times, new - dev, weight, deviation=True)
+        # the residual ||F(D) - D||_w comes from the sweep's own row sups
+        dev = deviation_sweep(times, theta, omega, z, dev, mu, use_poly, row_residual=rows)
+        res = weighted_norm(times, rows, weight, deviation=True)
         if report.residuals and report.residuals[-1] > report.floor:
             report.ratios.append(res / report.residuals[-1])
         report.residuals.append(res)
         report.sweeps = sweep
-        dev = new
         if res <= tol:
             report.converged = True
             break
@@ -429,19 +505,23 @@ def gamma_field(field: CharacteristicField, z) -> GammaField:
     g = field.grid
     times, theta, omega = g.times(), g.theta(), g.omega_nodes
     z = np.asarray(z, dtype=complex)
-    n_t, n_th = len(times), len(theta)
+    n_t = len(times)
     sin_part = np.empty(g.shape())
     cos_part = np.empty(g.shape())
-    cos_t, sin_t = np.cos(theta), np.sin(theta)
-    block = max(1, _BLOCK_ELEMENTS // (n_t * n_th))
-    for lo in range(0, len(omega), block):
-        sl = slice(lo, min(lo + block, len(omega)))
-        ib = _block_integral(times, omega[sl], z, field.deviation[:, :, sl], False)
-        sin_part[:, :, sl] = cos_t[None, :, None] * ib.imag + sin_t[None, :, None] * ib.real
-        cos_part[:, :, sl] = cos_t[None, :, None] * ib.real - sin_t[None, :, None] * ib.imag
+    cos_t, sin_t = np.cos(theta)[None, :, None], np.sin(theta)[None, :, None]
+    rows = np.zeros(n_t)
+    for sl, ib, spare in _integral_blocks(times, omega, z, field.deviation, False):
+        sp, cp, scratch = sin_part[:, :, sl], cos_part[:, :, sl], spare.real
+        np.multiply(ib.imag, cos_t, out=sp)
+        np.multiply(ib.real, sin_t, out=scratch)
+        sp += scratch
+        np.multiply(ib.real, cos_t, out=cp)
+        np.multiply(ib.imag, sin_t, out=scratch)
+        cp -= scratch
+        _fold_row_sup(rows, sp)
     r = np.abs(z)
     dt = g.dt
     beta = np.zeros(n_t)
     beta[:-1] = np.cumsum((0.5 * dt * (r[:-1] + r[1:]))[::-1])[::-1]
-    margin = float(np.max(np.abs(sin_part).reshape(n_t, -1).max(axis=1) - beta))
+    margin = float(np.max(rows - beta))
     return GammaField(g, sin_part, cos_part, beta, margin)

@@ -113,6 +113,21 @@ class WeightSpec:
             return np.exp(self.rate * t)
         return (1.0 + t * t) ** (0.5 * (self.rate - 1.0))
 
+    def check_finite(self, t_max: float):
+        """Raise GridError unless the weights at t_max and the unit gains are finite.
+
+        Both weights grow with t, so finite values at t_max keep every
+        weighted norm of finite data on [0, t_max] finite; an overflow
+        would turn the bounds into inf * 0 = NaN.
+        """
+        with np.errstate(over="ignore", invalid="ignore"):
+            top = max(self.values(t_max), self.deviation_values(t_max))
+            gains = (self.unit_contraction_gain, self.unit_deviation_gain)
+        if not np.isfinite(top):
+            raise GridError(f"weight {self.label()} overflows at t_max = {t_max:g}")
+        if not all(map(math.isfinite, gains)):
+            raise GridError(f"weight {self.label()} has no finite unit gains")
+
     def tail_integral(self, t_from: float) -> float:
         """Int_{t_from}^inf 1/w(s) ds, in closed form."""
         if self.kind == "exponential":
@@ -150,7 +165,12 @@ def weighted_norm(times, values, spec: WeightSpec, deviation: bool = False) -> f
     if times.size == 0:
         raise ValueError("empty time grid")
     w = spec.deviation_values(times) if deviation else spec.values(times)
-    mags = np.abs(values).reshape(times.size, -1).max(axis=1)
+    rows = values.reshape(times.size, -1)
+    if np.iscomplexobj(rows):
+        mags = np.abs(rows).max(axis=1)
+    else:
+        # max and -min give max|x| exactly, NaN included, with no |x| copy
+        mags = np.maximum(rows.max(axis=1), -rows.min(axis=1))
     return float(np.max(w * mags))
 
 
@@ -169,8 +189,23 @@ def _lorentzian_rule(scale: float, n: int):
     weights = h * (scale * scale + nodes * nodes) / scale
     return nodes, weights
 
+
+def _laplace_order(n: int) -> int:
+    # Gauss points per panel for a target of n nodes over both sides
+    return max(4, int(round(n / (2 * _LAPLACE_PANELS))))
+
+
+def rule_size(kind: str, n_omega: int | None = None) -> int:
+    """Node count of the frequency rule ``build_grid`` makes for a target."""
+    if n_omega is None:
+        n_omega = DEFAULT_N_OMEGA[kind]
+    if kind == "laplace":
+        return 2 * _LAPLACE_PANELS * _laplace_order(n_omega)
+    return int(n_omega)
+
+
 def _laplace_rule(scale: float, n: int):
-    q = max(4, int(round(n / (2 * _LAPLACE_PANELS))))
+    q = _laplace_order(n)
     x, w = np.polynomial.legendre.leggauss(q)
     nodes, weights = [], []
     for j in range(_LAPLACE_PANELS):

@@ -48,7 +48,9 @@ from .characteristics import (
     CharacteristicField,
     MaxSweepsExceededError,
     NonContractiveError,
+    block_buffer,
     gamma_field,
+    omega_blocks,
     picard_sweep,
     solve_fixed_point,
 )
@@ -68,8 +70,6 @@ __all__ = [
     "verify_lemmas",
     "DEFAULT_TAIL_BUDGET",
 ]
-
-_BLOCK_ELEMENTS = 4_000_000
 
 log = logging.getLogger(__name__)
 
@@ -180,16 +180,18 @@ def _order_parameter_values(field: CharacteristicField, state: AsymptoticState):
     # finite-mode factor, so the only quadrature left is over frequency
     u = state.angular_factor(theta) * np.exp(1j * theta) / g.n_theta
     z = free_order_parameter(state, times).astype(complex)
-    block = max(1, _BLOCK_ELEMENTS // (g.n_times * g.n_theta))
-    for lo in range(0, g.n_omega, block):
-        sl = slice(lo, min(lo + block, g.n_omega))
+    buf = block_buffer(g.shape())
+    for sl in omega_blocks(g.shape()):
         dev = field.deviation[:, :, sl]
         # e^{iD} - 1 without cancellation: (-2 sin^2(D/2), sin D)
-        em1 = np.empty(dev.shape, dtype=complex)
-        em1.real = np.sin(0.5 * dev)
-        em1.real *= -2.0 * em1.real
-        em1.imag = np.sin(dev)
-        s = np.einsum("j,tjk->tk", u, em1)
+        em1 = buf(sl)
+        half = em1.real
+        np.multiply(dev, 0.5, out=half)
+        np.sin(half, out=half)
+        np.multiply(half, half, out=half)
+        half *= -2.0
+        np.sin(dev, out=em1.imag)
+        s = np.matmul(u, em1)
         e = np.exp(1j * np.outer(times, omega[sl]))
         z += np.einsum("tk,tk,k->t", e, s, g.prob_weights[sl])
     return z
@@ -221,13 +223,15 @@ def outer_solve(
     The certification iterate then solves the inner fixed point at the
     final path from zero to ``tol_picard`` (within ``max_sweeps``); its
     field and path are returned.  The weight defaults to the decay class
-    the state declares.  Raises TailBudgetError when the certified
+    the state declares.  Raises GridError when the weight overflows at
+    t_max or has no finite gains, TailBudgetError when the certified
     truncation tail at t_max exceeds the budget, and NotConvergingError
     (with the partial ledger attached) when an iterate refuses, stalls,
     or the budget runs out.
     """
     if weight is None:
         weight = WeightSpec(state.decay_kind, state.decay_rate)
+    weight.check_finite(grid.t_max)
     if tail_budget is None:
         tail_budget = DEFAULT_TAIL_BUDGET[weight.kind]
     times = grid.times()
@@ -280,9 +284,7 @@ def outer_solve(
         dz = weighted_norm(times, path.values - z_prev, weight)
         dev_norm = fld.deviation_norm(weight)
         if certifying:
-            theta_diff = weighted_norm(
-                times, fld.deviation - prev_fld.deviation, weight, deviation=True
-            )
+            theta_diff = fld.distance(prev_fld, weight)
         else:
             theta_diff = rep.residuals[-1]
         kappa = rep.bound
@@ -421,9 +423,7 @@ def reconstruct(result: SolveResult, times=(0.0, 5.0, 10.0)) -> ReconstructedDen
 
     # sup_t |f_inf e^{-mu Gamma_cos} - f_inf(theta + D)| along characteristics
     dist = np.zeros(g.n_times)
-    block = max(1, _BLOCK_ELEMENTS // (g.n_times * g.n_theta))
-    for lo in range(0, g.n_omega, block):
-        sl = slice(lo, min(lo + block, g.n_omega))
+    for sl in omega_blocks(g.shape()):
         diff = state.angular_factor(
             theta[None, :, None] + result.field.deviation[:, :, sl]
         )

@@ -9,12 +9,14 @@ D = mu * Gamma) are asserted at their provable tolerances.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from kuramoto_dephasing import (
     AsymptoticState,
+    CharacteristicField,
     FrequencyProfile,
     Grid,
     MaxSweepsExceededError,
@@ -24,9 +26,13 @@ from kuramoto_dephasing import (
     backward_ode_oracle,
     build_grid,
     gamma_field,
+    outer_solve,
     solve_fixed_point,
+    weighted_norm,
 )
+from kuramoto_dephasing import characteristics, scheme
 from kuramoto_dephasing.characteristics import deviation_sweep, filon_weights, picard_sweep
+from kuramoto_dephasing.spectral_state import free_order_parameter
 
 MU = 0.05
 PROFILE = FrequencyProfile("lorentzian", 1.0)
@@ -240,3 +246,172 @@ def test_deviation_scales_linearly_in_small_mu(grid, zpath):
     ratio = f2.deviation / np.where(np.abs(f1.deviation) > 1e-18, f1.deviation, 1.0)
     mask = np.abs(f1.deviation) > 1e-9
     assert np.allclose(ratio[mask], 2.0, rtol=1e-3)
+
+
+# -- reference: the single-slab kernel the blocked in-place sweep replaced ----
+
+_SEED_BLOCK_ELEMENTS = 4_000_000
+
+
+def _seed_phase_factor(dev_block, use_poly):
+    if use_poly:
+        d2 = dev_block * dev_block
+        return (1.0 - 0.5 * d2) + 1j * (dev_block * (1.0 - d2 / 6.0))
+    return np.exp(1j * dev_block)
+
+
+def _seed_block_integral(times, omega_block, z, dev_block, use_poly):
+    dt = float(times[1] - times[0])
+    w = omega_block * dt
+    alpha, beta = filon_weights(w)
+    beta_eff = beta * np.exp(-1j * w)
+    chat = _seed_phase_factor(dev_block, use_poly)
+    chat *= np.conj(z)[:, None, None]
+    chat *= np.exp(1j * np.outer(times, omega_block))[:, None, :]
+    cells = (dt * alpha)[None, None, :] * chat[:-1]
+    cells += (dt * beta_eff)[None, None, :] * chat[1:]
+    out = np.empty_like(chat)
+    out[-1] = 0.0
+    np.cumsum(cells[::-1], axis=0, out=cells[::-1])
+    out[:-1] = cells
+    return out
+
+
+def _seed_deviation_sweep(times, theta, omega, z, deviation, mu, use_poly=False):
+    times = np.asarray(times, dtype=float)
+    z = np.asarray(z, dtype=complex)
+    n_t, n_th = len(times), len(theta)
+    out = np.empty_like(deviation)
+    cos_t, sin_t = np.cos(theta), np.sin(theta)
+    block = max(1, _SEED_BLOCK_ELEMENTS // (n_t * n_th))
+    for lo in range(0, len(omega), block):
+        sl = slice(lo, min(lo + block, len(omega)))
+        ib = _seed_block_integral(times, omega[sl], z, deviation[:, :, sl], use_poly)
+        out[:, :, sl] = ib.imag
+        out[:, :, sl] *= cos_t[None, :, None]
+        out[:, :, sl] += sin_t[None, :, None] * ib.real
+    out *= mu
+    return out
+
+
+def _seed_sweep_with_residual(times, theta, omega, z, deviation, mu, use_poly=False,
+                              row_residual=None):
+    # the seed sweep under the new signature, its residual from new - dev
+    new = _seed_deviation_sweep(times, theta, omega, z, deviation, mu, use_poly)
+    if row_residual is not None:
+        row_residual[:] = np.abs(new - deviation).reshape(len(times), -1).max(axis=1)
+    return new
+
+
+def _seed_order_parameter_values(field, state):
+    g = field.grid
+    times, theta, omega = g.times(), g.theta(), g.omega_nodes
+    u = state.angular_factor(theta) * np.exp(1j * theta) / g.n_theta
+    z = free_order_parameter(state, times).astype(complex)
+    dev = field.deviation
+    em1 = np.empty(dev.shape, dtype=complex)
+    em1.real = np.sin(0.5 * dev)
+    em1.real *= -2.0 * em1.real
+    em1.imag = np.sin(dev)
+    s = np.einsum("j,tjk->tk", u, em1)
+    e = np.exp(1j * np.outer(times, omega))
+    z += np.einsum("tk,tk,k->t", e, s, g.prob_weights)
+    return z
+
+
+# sup distance allowed between the blocked in-place kernel and the seed's:
+# the products are regrouped, so they differ by rounding only
+SEED_TOL = 1e-14
+# columns per forced block: 65 columns split 20, 20, 20, 5
+FORCED_WIDTH = 20
+
+
+@pytest.fixture
+def forced_blocks(grid, monkeypatch):
+    n_t, n_th, _ = grid.shape()
+    monkeypatch.setattr(characteristics, "_BLOCK_CELLS", n_t * n_th * FORCED_WIDTH)
+    widths = [sl.stop - sl.start for sl in characteristics.omega_blocks(grid.shape())]
+    assert len(widths) >= 3 and widths[-1] < widths[0]
+    return widths
+
+
+@pytest.mark.parametrize("use_poly,amplitude", [(True, 0.1), (False, 1.5)],
+                         ids=["quartic", "exact"])
+def test_blocked_sweep_matches_seed_kernel(grid, forced_blocks, use_poly, amplitude):
+    rng = np.random.default_rng(11)
+    times, theta, omega = grid.times(), grid.theta(), grid.omega_nodes
+    z = 0.3 * np.exp(-0.5 * times + 0.4j * times)
+    dev = rng.uniform(-amplitude, amplitude, grid.shape())
+    new = deviation_sweep(times, theta, omega, z, dev, 0.5, use_poly)
+    ref = _seed_deviation_sweep(times, theta, omega, z, dev, 0.5, use_poly)
+    assert np.max(np.abs(ref)) > 1e-3
+    assert np.max(np.abs(new - ref)) <= SEED_TOL
+
+
+def test_fused_residual_equals_the_difference_norm(grid, zpath, solved, forced_blocks):
+    times, theta, omega = grid.times(), grid.theta(), grid.omega_nodes
+    dev = solved[0].deviation * 3.0
+    rows = np.empty(grid.n_times)
+    new = deviation_sweep(times, theta, omega, zpath, dev, MU, row_residual=rows)
+    assert np.array_equal(rows, np.abs(new - dev).reshape(grid.n_times, -1).max(axis=1))
+    fused = weighted_norm(times, rows, WEIGHT, deviation=True)
+    assert fused == weighted_norm(times, new - dev, WEIGHT, deviation=True)
+    # the reports of both solvers carry that exact value
+    field = CharacteristicField(grid, dev, MU)
+    swept, rep = picard_sweep(grid, zpath, MU, WEIGHT, field)
+    assert rep.residuals == [weighted_norm(times, swept.deviation - dev, WEIGHT, deviation=True)]
+    assert swept.distance(field, WEIGHT) == rep.residuals[0]
+
+
+def test_gamma_field_blocked_margin_is_exact(grid, zpath, solved, forced_blocks):
+    gam = gamma_field(solved[0], zpath)
+    rows = np.abs(gam.sin_part).reshape(grid.n_times, -1).max(axis=1)
+    assert gam.margin == float(np.max(rows - gam.beta))
+
+
+def test_kinetic_answer_matches_seed_kernel(grid, forced_blocks, monkeypatch):
+    state = AsymptoticState(PROFILE, {1: 0.05}, "exponential", 0.9)
+    # t_max = 8 cannot certify the default 1e-8 rad tail; the comparison
+    # needs only the iteration
+    new = outer_solve(state, grid, MU, tail_budget=1e-3)
+    monkeypatch.setattr(characteristics, "deviation_sweep", _seed_sweep_with_residual)
+    monkeypatch.setattr(scheme, "_order_parameter_values", _seed_order_parameter_values)
+    ref = outer_solve(state, grid, MU, tail_budget=1e-3)
+    assert [r["contraction"]["sweeps"] for r in new.ledger.records] == [
+        r["contraction"]["sweeps"] for r in ref.ledger.records
+    ]
+    assert np.max(np.abs(new.path.values - ref.path.values)) <= SEED_TOL
+    assert np.max(np.abs(new.field.deviation - ref.field.deviation)) <= SEED_TOL
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_working_set_is_three_fields_and_block_slabs(grid, zpath, solved, monkeypatch):
+    # numpy reports its buffers to tracemalloc; four or more blocks make a
+    # complex block slab much smaller than a field, so field-sized
+    # temporaries cannot hide inside the slab allowance
+    n_t, n_th, _ = grid.shape()
+    width = 8
+    monkeypatch.setattr(characteristics, "_BLOCK_CELLS", n_t * n_th * width)
+    assert len(list(characteristics.omega_blocks(grid.shape()))) >= 4
+    budget = 3 * solved[0].deviation.nbytes + 3 * 16 * n_t * n_th * width
+
+    def certification_solve():
+        # the joint loop's last field stays alive through this solve
+        previous = solved[0].deviation.copy()
+        fld, _ = solve_fixed_point(grid, zpath, MU, WEIGHT)
+        return previous, fld
+
+    def coupling_integrals():
+        field = CharacteristicField(grid, solved[0].deviation.copy(), MU)
+        return gamma_field(field, zpath)
+
+    assert _traced_peak(certification_solve) <= budget
+    assert _traced_peak(coupling_integrals) <= budget

@@ -220,11 +220,19 @@ def test_negative_mu_rejected(tmp_path):
         {"grid": {"t_max": float("inf"), "dt": 0.05, "n_theta": 32}},
         {"grid": {"t_max": 16.0, "dt": 0.05, "n_theta": float("inf")}},
         {"output_dir": 5},
+        # e^{0.9 * 800} overflows: weighted norms of the zero path were NaN
+        {"grid": {"t_max": 800, "dt": 0.05, "n_theta": 8, "n_omega": 16}},
+        # finite weight at t_max, but its unit gains were NaN
+        {"weight": {"kind": "polynomial", "rate": 200.0}},
+        # finite but far larger than memory; refused before any allocation
+        {"grid": {"t_max": 1e300, "dt": 0.05, "n_theta": 32}},
+        {"grid": {"t_max": 16.0, "dt": 0.05, "n_theta": 32, "n_omega": 10**15}},
     ],
     ids=[
         "modes_list", "tolerances_list", "mode_nan", "profile_list", "decay_string",
         "grid_list", "weight_list", "particles_list", "decay_rate_nan",
-        "t_max_inf", "n_theta_inf", "output_dir_number",
+        "t_max_inf", "n_theta_inf", "output_dir_number", "exp_weight_overflow",
+        "poly_weight_gain_nan", "t_max_huge", "n_omega_huge",
     ],
 )
 def test_malformed_config_exits_2_with_one_line(tmp_path, monkeypatch, caplog, overrides):
@@ -257,3 +265,16 @@ def test_verbose_logs_one_line_per_outer_iterate(solve_run, tmp_path, caplog):
         assert line.startswith(f"outer n={rec['n']}")
         assert f"sweeps={rec['contraction']['sweeps']}" in line
     assert "certification" in lines[-1]
+
+
+@pytest.mark.parametrize(
+    "grid, message",
+    [
+        ({"t_max": 1e300, "dt": 0.05, "n_theta": 32}, "exceeds physical memory"),
+        ({"t_max": 800, "dt": 0.05, "n_theta": 8, "n_omega": 16}, "overflows at t_max"),
+    ],
+    ids=["huge_grid", "weight_overflow"],
+)
+def test_boundary_refusals_name_their_cause(tmp_path, grid, message):
+    with pytest.raises(ConfigError, match=message):
+        load_config(write_config(tmp_path / "cfg.json", base_config(grid=grid)))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy import integrate
 
 from kuramoto_dephasing.norms_grids import (
@@ -175,3 +176,39 @@ def test_corrupted_weights_fail_mass_check():
             omega_nodes=g.omega_nodes,
             omega_weights=bad,
         )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    values=hnp.arrays(
+        np.float64,
+        hnp.array_shapes(min_dims=1, max_dims=3, max_side=6),
+        elements=st.floats(allow_nan=True, allow_infinity=True),
+    ),
+    kind=st.sampled_from(["exponential", "polynomial"]),
+    deviation=st.booleans(),
+)
+def test_weighted_norm_real_path_equals_abs_path(values, kind, deviation):
+    # real arrays take max|x| as max(max x, -min x): exact, NaN included
+    t = np.linspace(0.0, 4.0, values.shape[0])
+    spec = WeightSpec(kind, 2.5)
+    w = spec.deviation_values(t) if deviation else spec.values(t)
+    with np.errstate(over="ignore"):  # w * 1e308 overflows the same on both paths
+        ref = float(np.max(w * np.abs(values).reshape(t.size, -1).max(axis=1)))
+        got = weighted_norm(t, values, spec, deviation=deviation)
+    assert got == ref or (math.isnan(got) and math.isnan(ref))
+
+
+def test_weight_overflow_at_horizon_is_refused():
+    WeightSpec("exponential", 0.9).check_finite(700.0)
+    with pytest.raises(GridError, match="overflows"):
+        WeightSpec("exponential", 0.9).check_finite(800.0)
+    # <t>^103.2 overflows at t = 1e3 while the deviation weight <t>^102.2
+    # stays finite: either weight overflowing is refused
+    spec = WeightSpec("polynomial", 103.2)
+    assert np.isfinite(spec.deviation_values(1e3))
+    with pytest.raises(GridError, match="overflows"):
+        spec.check_finite(1e3)
+    # finite at t_max = 16, but the gain sup over t in [0, 400] is inf * 0
+    with pytest.raises(GridError, match="no finite unit gains"):
+        WeightSpec("polynomial", 200.0).check_finite(16.0)

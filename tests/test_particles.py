@@ -124,15 +124,19 @@ def test_zero_deviation_field_initializes_identically(state, grid, free_result):
 
 
 def test_seed_determinism(state, coupled_result):
-    ens1, _ = init_from_solution(coupled_result.field, state, 1024, seed=42)
-    ens2, _ = init_from_solution(coupled_result.field, state, 1024, seed=42)
+    ens1, r1 = init_from_solution(coupled_result.field, state, 1024, seed=42)
+    ens2, r2 = init_from_solution(coupled_result.field, state, 1024, seed=42)
     ens3, _ = init_from_solution(coupled_result.field, state, 1024, seed=43)
     _, z1, f1 = simulate(ens1, dt=0.02, n_steps=100)
     _, z2, f2 = simulate(ens2, dt=0.02, n_steps=100)
     assert np.array_equal(ens1.phases, ens2.phases)
+    assert np.array_equal(ens1.freqs, ens2.freqs)
+    # the redraws of labels outside the frequency rule repeat too
+    assert r1 == r2 > 0
     assert np.array_equal(z1, z2)
     assert np.array_equal(f1.phases, f2.phases)
     assert not np.array_equal(ens1.phases, ens3.phases)
+    assert not np.array_equal(ens1.freqs, ens3.freqs)
 
 
 def test_step_matches_single_simulate_step():

@@ -219,3 +219,14 @@ def test_inner_refusal_wrapped(state, grid):
     # mu * ||free z|| * gain >= 1 already on the second outer step
     with pytest.raises(NotConvergingError):
         outer_solve(state, grid, 60.0, WEIGHT)
+
+
+def test_weight_overflowing_at_t_max_is_a_grid_error():
+    # e^{0.9 * 800} is inf, so every weighted norm of the zero path would
+    # be inf * 0 = NaN and the refusal would blame the physics
+    from kuramoto_dephasing import GridError
+
+    state = AsymptoticState(PROFILE, {1: 0.05}, "exponential", 0.9)
+    grid = build_grid(PROFILE, t_max=800.0, dt=1.0, n_theta=8, n_omega=8)
+    with pytest.raises(GridError, match="overflows"):
+        outer_solve(state, grid, MU)

@@ -126,11 +126,13 @@ def test_sample_labels_moments(eps_state):
     se = 1.0 / math.sqrt(n)
     assert abs(np.mean(np.exp(1j * th)) - 0.05) < 5 * se
     assert abs(np.mean(np.exp(1j * om)) - math.exp(-1.0)) < 5 * se
-    # reproducible for a fixed (n, seed) pair
+    # reproducible for a fixed (n, seed) pair, through a seed or a generator
     th2, om2 = sample_labels(eps_state, n, seed=7)
     assert np.array_equal(th2, th) and np.array_equal(om2, om)
-    th3, _ = sample_labels(eps_state, n, seed=8)
-    assert not np.array_equal(th3, th)
+    th2, om2 = sample_labels(eps_state, n, rng=np.random.Generator(np.random.PCG64(7)))
+    assert np.array_equal(th2, th) and np.array_equal(om2, om)
+    th3, om3 = sample_labels(eps_state, n, seed=8)
+    assert not np.array_equal(th3, th) and not np.array_equal(om3, om)
 
 
 def test_decay_bound_report(eps_state):
