@@ -435,9 +435,20 @@ def backward_ode_oracle(
 
     Integrates psi' (s) = -mu Im(conj(z(s)) e^{i(theta + omega s + psi)})
     backward from psi(t_max) = 0, with z interpolated by a cubic spline.
-    Each frequency column is sub-stepped so |omega| h <= phase_step_cap,
-    keeping the local error uniformly small; columns whose requirement
-    exceeds ``max_substeps`` are rejected rather than silently degraded.
+    Each frequency column takes m = ceil(|omega| dt / phase_step_cap)
+    sub-steps of h = dt / m per cell, keeping the local error uniformly
+    small; columns whose requirement exceeds ``max_substeps`` are rejected
+    rather than silently degraded.
+
+    All columns march backward through the cells in lockstep.  Inside a
+    cell, inner step k advances every column with m > k by its sub-step
+    i = m - k; with the columns sorted by m, largest first, those form a
+    prefix of the (column, angle) state, so one pass over the cells
+    serves every sub-step count.  Each column sees the same arithmetic,
+    in the same order, as a loop over its own m alone would do, so the
+    result does not depend on which other columns share the grid.  The
+    working set is the output field, the spline samples of z and per-cell
+    scratch the size of the (sub-step, angle) state.
 
     Shares nothing with the cell-weight quadrature route: different
     integrator, different interpolation, different error mechanism.
@@ -447,7 +458,7 @@ def backward_ode_oracle(
     if z.shape != times.shape:
         raise ValueError("z must be sampled on the time grid")
     dt = grid.dt
-    theta = grid.theta()[:, None]
+    theta = grid.theta()
     omega = grid.omega_nodes
     need = np.ceil(np.abs(omega) * dt / phase_step_cap).astype(int)
     need = np.maximum(need, 1)
@@ -458,37 +469,83 @@ def backward_ode_oracle(
         )
     spline = CubicSpline(times, z)
     n_t = grid.n_times
+    order = np.argsort(-need, kind="stable")
+    m = need[order]
+    h = dt / m
+    active = [int(np.count_nonzero(m > k)) for k in range(int(m[0]))]
+    starts = np.cumsum([0] + active)
+    # one slot per (inner step k, active column c), k-major; the slot's
+    # sub-step is i = m_c - k and its stage times are t_j + h i,
+    # t_j + h (i - 1/2) and t_j + h (i - 1)
+    col = np.concatenate([np.arange(n) for n in active])
+    i = m[col] - np.repeat(np.arange(len(active)), active)
+    hc = h[col]
+    offsets = np.stack([hc * i, hc * (i - 0.5), hc * (i - 1)])
+    om = omega[order][col]
+    # z at half-substep resolution across each cell, one block of 2m + 1
+    # samples per sub-step count; stage r of a slot reads sample 2i - r
+    counts = np.unique(m)
+    widths = 2 * counts + 1
+    first = dict(zip(counts.tolist(), (np.cumsum(widths) - widths).tolist()))
+    zc = np.empty((n_t - 1, int(widths.sum())), dtype=complex)
+    for mv, lo in first.items():
+        offs = 0.5 * (dt / mv) * np.arange(2 * mv + 1)
+        zc[:, lo:lo + offs.size] = spline(times[:-1, None] + offs[None, :])
+    sample = np.array([first[v] for v in m[col].tolist()], dtype=np.intp) + 2 * i
+    sample = np.stack([sample, sample - 1, sample - 2])
+
+    # per-cell scratch: omega s, theta + omega s and z for every slot; the
+    # views each inner step uses are cut once, here
+    omega_s = np.empty(offsets.shape)
+    base = np.empty(offsets.shape + (theta.size,))
+    zs = np.empty(offsets.shape, dtype=complex)
+    psi, arg, phase, k1, k2, k3, k4 = np.zeros((7, m.size, theta.size))
+    steps = [
+        (
+            base[:, lo:hi], zs.real[:, lo:hi, None], zs.imag[:, lo:hi, None],
+            (0.5 * h[:n])[:, None], h[:n, None], (h[:n] / 6.0)[:, None],
+            psi[:n], arg[:n], phase[:n], k1[:n], k2[:n], k3[:n], k4[:n],
+        )
+        for n, lo, hi in zip(active, starts[:-1], starts[1:])
+    ]
+
+    def rate(base_r, zr, zi, at, x, out):
+        # out = -mu (Re z sin x - Im z cos x) with x = theta + omega s + at
+        np.add(base_r, at, out=x)
+        np.sin(x, out=out)
+        out *= zr
+        np.cos(x, out=x)
+        x *= zi
+        out -= x
+        out *= -mu
+
     dev = np.empty(grid.shape())
     dev[-1] = 0.0
-    for m in np.unique(need):
-        cols = np.flatnonzero(need == m)
-        om = omega[cols][None, :]
-        h = dt / m
-        # z at half-substep resolution across each cell, shared by all cells
-        offs = 0.5 * h * np.arange(2 * m + 1)
-        zc = spline(times[:-1, None] + offs[None, :])  # (n_t-1, 2m+1)
-        psi = np.zeros((grid.n_theta, cols.size))
-        buf = np.empty((n_t - 1, grid.n_theta, cols.size))
-
-        def rhs(s_val, zval, psi_val):
-            x = theta + om * s_val + psi_val
-            return -mu * (zval.real * np.sin(x) - zval.imag * np.cos(x))
-
-        for j in range(n_t - 2, -1, -1):
-            for i in range(m, 0, -1):
-                s2, s1, s0 = (
-                    times[j] + h * i,
-                    times[j] + h * (i - 0.5),
-                    times[j] + h * (i - 1),
-                )
-                z2, z1, z0 = zc[j, 2 * i], zc[j, 2 * i - 1], zc[j, 2 * i - 2]
-                k1 = rhs(s2, z2, psi)
-                k2 = rhs(s1, z1, psi - 0.5 * h * k1)
-                k3 = rhs(s1, z1, psi - 0.5 * h * k2)
-                k4 = rhs(s0, z0, psi - h * k3)
-                psi -= (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            buf[j] = psi
-        dev[:-1, :, cols] = buf
+    for j in range(n_t - 2, -1, -1):
+        np.add(times[j], offsets, out=omega_s)
+        omega_s *= om
+        np.add(omega_s[:, :, None], theta, out=base)
+        np.take(zc[j], sample, out=zs)
+        for b, zr, zi, half, hk, sixth, p, a, x, r1, r2, r3, r4 in steps:
+            rate(b[0], zr[0], zi[0], p, x, r1)
+            np.multiply(half, r1, out=a)
+            np.subtract(p, a, out=a)
+            rate(b[1], zr[1], zi[1], a, x, r2)
+            np.multiply(half, r2, out=a)
+            np.subtract(p, a, out=a)
+            rate(b[1], zr[1], zi[1], a, x, r3)
+            np.multiply(hk, r3, out=a)
+            np.subtract(p, a, out=a)
+            rate(b[2], zr[2], zi[2], a, x, r4)
+            # (h/6) (k1 + 2 k2 + 2 k3 + k4), summed left to right
+            r2 *= 2.0
+            r3 *= 2.0
+            r1 += r2
+            r1 += r3
+            r1 += r4
+            r1 *= sixth
+            p -= r1
+        dev[j][:, order] = psi.T
     return CharacteristicField(grid, dev, mu)
 
 

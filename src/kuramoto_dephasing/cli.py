@@ -43,7 +43,7 @@ from .decay import (
     certify_envelope,
     fit_decay,
 )
-from .norms_grids import Grid, GridError, WeightSpec, build_grid, rule_size
+from .norms_grids import Grid, GridError, WeightSpec, build_grid
 from .particles import empirical_order_parameter, init_from_solution, simulate
 from .scheme import (
     NotConvergingError,
@@ -126,23 +126,6 @@ def _as_complex(v) -> complex:
     raise ConfigError(f"mode amplitude must be a number or [re, im], got {v!r}")
 
 
-def _refuse_oversized_field(t_max: float, dt: float, n_theta: int, n_omega: int):
-    # one float64 field larger than physical memory cannot be solved: refuse
-    # it before the grid allocates anything (the grid reports bad steps)
-    if not (dt > 0.0 and t_max > 0.0):
-        return
-    try:
-        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    except (AttributeError, ValueError, OSError):
-        return
-    need = 8 * (round(t_max / dt) + 1) * n_theta * n_omega
-    if need > memory:
-        raise ConfigError(
-            f"grid field of {need / 1e9:.3g} GB exceeds physical memory "
-            f"({memory / 1e9:.3g} GB)"
-        )
-
-
 def load_config(path, output_dir_override=None) -> RunConfig:
     """Parse and validate a JSON run config.
 
@@ -180,7 +163,6 @@ def load_config(path, output_dir_override=None) -> RunConfig:
         dt = _finite("grid dt", _require(gspec, "dt"))
         n_theta = int(_require(gspec, "n_theta"))
         n_omega = int(gspec["n_omega"]) if "n_omega" in gspec else None
-        _refuse_oversized_field(t_max, dt, n_theta, rule_size(profile.kind, n_omega))
         grid = build_grid(profile, t_max=t_max, dt=dt, n_theta=n_theta, n_omega=n_omega)
         mu = float(_require(raw, "mu"))
         if not (mu >= 0.0 and math.isfinite(mu)):

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -195,10 +196,8 @@ def _laplace_order(n: int) -> int:
     return max(4, int(round(n / (2 * _LAPLACE_PANELS))))
 
 
-def rule_size(kind: str, n_omega: int | None = None) -> int:
+def rule_size(kind: str, n_omega: int) -> int:
     """Node count of the frequency rule ``build_grid`` makes for a target."""
-    if n_omega is None:
-        n_omega = DEFAULT_N_OMEGA[kind]
     if kind == "laplace":
         return 2 * _LAPLACE_PANELS * _laplace_order(n_omega)
     return int(n_omega)
@@ -253,8 +252,8 @@ class Grid:
     prob_weights: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if not (self.dt > 0.0 and self.t_max > 0.0):
-            raise GridError("need dt > 0 and t_max > 0")
+        if not (0.0 < self.dt < math.inf and 0.0 < self.t_max < math.inf):
+            raise GridError("need finite dt > 0 and t_max > 0")
         steps = self.t_max / self.dt
         if abs(steps - round(steps)) > 1e-9 * max(1.0, steps):
             raise GridError(f"t_max = {self.t_max} is not a multiple of dt = {self.dt}")
@@ -298,6 +297,25 @@ class Grid:
         return (self.n_times, self.n_theta, self.n_omega)
 
 
+def _refuse_oversized_field(t_max: float, dt: float, n_theta: int, n_omega: int):
+    # a field that cannot fit in memory cannot be solved: refuse it from the
+    # grid numbers alone (Grid itself reports steps that are not positive
+    # and finite)
+    if not (0.0 < dt < math.inf and 0.0 < t_max < math.inf):
+        return
+    try:
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return
+    steps = t_max / dt
+    need = 8 * (round(steps) + 1) * n_theta * n_omega if math.isfinite(steps) else math.inf
+    if need > memory:
+        raise GridError(
+            f"grid field of {need / 1e9:.3g} GB exceeds physical memory "
+            f"({memory / 1e9:.3g} GB)"
+        )
+
+
 def build_grid(
     profile: FrequencyProfile,
     t_max: float,
@@ -310,12 +328,15 @@ def build_grid(
 
     ``n_omega`` is a target: the laplace rule rounds it to a whole number
     of Gauss panels.  Omitting it picks a per-family default that resolves
-    oscillations e^{i omega t} accurately through t ~ 40.
+    oscillations e^{i omega t} accurately through t ~ 40.  Raises
+    GridError before anything is allocated when one float64 field of the
+    grid would exceed physical memory.
     """
     if n_omega is None:
         n_omega = DEFAULT_N_OMEGA[profile.kind]
     if n_omega < 8:
         raise GridError("need at least 8 frequency nodes")
+    _refuse_oversized_field(t_max, dt, n_theta, rule_size(profile.kind, int(n_omega)))
     nodes, weights = _RULES[profile.kind](profile.scale, int(n_omega))
     return Grid(
         profile=profile,

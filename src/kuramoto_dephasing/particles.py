@@ -116,6 +116,24 @@ def _rk4_step(th, freqs, mu, dt, k, arg, acc):
     th += acc
 
 
+def _wrap_phases(th):
+    """th <- np.mod(th, 2 pi) in place, with the same result.
+
+    On [-2 pi, 4 pi) the remainder is th - 2 pi, th or th + 2 pi, and
+    each is what np.mod returns: fmod is exact, th - 2 pi is exact there
+    (Sterbenz), and th + 2 pi is the same single rounding np.mod applies
+    to a negative remainder.  One RK4 step moves a wrapped phase far less
+    than 2 pi, so two masked passes replace the division; anything else
+    (including inf and NaN) goes through np.mod.  A -0.0 input stays
+    -0.0 where np.mod gives +0.0; the two compare equal.
+    """
+    if -_TWO_PI <= th.min() and th.max() < 2.0 * _TWO_PI:
+        np.subtract(th, _TWO_PI, out=th, where=th >= _TWO_PI)
+        np.add(th, _TWO_PI, out=th, where=th < 0.0)
+    else:
+        np.mod(th, _TWO_PI, out=th)
+
+
 def step(ens: ParticleEnsemble, dt: float) -> ParticleEnsemble:
     """One RK4 step of the coupled system; the mean field is a function
     of the stage phases, so it is recomputed inside every stage."""
@@ -142,7 +160,7 @@ def simulate(ens: ParticleEnsemble, dt: float, n_steps: int, record_every: int =
     path = [_mean_field(th)]
     for j in range(1, n_steps + 1):
         _rk4_step(th, freqs, mu, dt, *scratch)
-        np.mod(th, _TWO_PI, out=th)
+        _wrap_phases(th)
         if j % record_every == 0 or j == n_steps:
             times.append(ens.t + j * dt)
             path.append(_mean_field(th))

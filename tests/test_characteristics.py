@@ -415,3 +415,99 @@ def test_working_set_is_three_fields_and_block_slabs(grid, zpath, solved, monkey
 
     assert _traced_peak(certification_solve) <= budget
     assert _traced_peak(coupling_integrals) <= budget
+
+
+# -- reference: the per-group RK4 oracle the lockstep pass replaced -----------
+
+def _seed_backward_ode_oracle(grid, z, mu, phase_step_cap=0.125):
+    # one backward loop of (n_t - 1) * m sub-steps per sub-step count m
+    from scipy.interpolate import CubicSpline
+
+    times = grid.times()
+    z = np.asarray(z, dtype=complex)
+    dt = grid.dt
+    theta = grid.theta()[:, None]
+    omega = grid.omega_nodes
+    need = np.maximum(np.ceil(np.abs(omega) * dt / phase_step_cap).astype(int), 1)
+    spline = CubicSpline(times, z)
+    n_t = grid.n_times
+    dev = np.empty(grid.shape())
+    dev[-1] = 0.0
+    for m in np.unique(need):
+        cols = np.flatnonzero(need == m)
+        om = omega[cols][None, :]
+        h = dt / m
+        offs = 0.5 * h * np.arange(2 * m + 1)
+        zc = spline(times[:-1, None] + offs[None, :])
+        psi = np.zeros((grid.n_theta, cols.size))
+        buf = np.empty((n_t - 1, grid.n_theta, cols.size))
+
+        def rhs(s_val, zval, psi_val):
+            x = theta + om * s_val + psi_val
+            return -mu * (zval.real * np.sin(x) - zval.imag * np.cos(x))
+
+        for j in range(n_t - 2, -1, -1):
+            for i in range(m, 0, -1):
+                s2, s1, s0 = times[j] + h * i, times[j] + h * (i - 0.5), times[j] + h * (i - 1)
+                z2, z1, z0 = zc[j, 2 * i], zc[j, 2 * i - 1], zc[j, 2 * i - 2]
+                k1 = rhs(s2, z2, psi)
+                k2 = rhs(s1, z1, psi - 0.5 * h * k1)
+                k3 = rhs(s1, z1, psi - 0.5 * h * k2)
+                k4 = rhs(s0, z0, psi - h * k3)
+                psi -= (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            buf[j] = psi
+        dev[:-1, :, cols] = buf
+    return dev
+
+
+def _grid_with_nodes(nodes):
+    # equal probability weight on arbitrary, unsorted frequency nodes
+    nodes = np.asarray(nodes, dtype=float)
+    weights = 1.0 / (nodes.size * PROFILE.density(nodes))
+    return Grid(PROFILE, 4.0, 0.05, 16, nodes, weights)
+
+
+def _substeps(grid, phase_step_cap=0.125):
+    omega = grid.omega_nodes
+    return np.maximum(np.ceil(np.abs(omega) * grid.dt / phase_step_cap).astype(int), 1)
+
+
+# sub-step counts 1, 3, 9, 1, 2, 5, 1, 1, 2: groups of four, two and three
+# single columns, interleaved so the lockstep order differs from the input
+MIXED_NODES = [0.3, -6.0, 21.0, -1.7, 3.3, -11.0, 0.0, 2.4, -4.2]
+# every column within one sub-step of the cell
+SINGLE_NODES = [-2.0, -0.5, 0.0, 0.7, 1.9, 2.4]
+
+
+def test_oracle_comparison_grids_cover_the_group_layouts():
+    _, sizes = np.unique(_substeps(_grid_with_nodes(MIXED_NODES)), return_counts=True)
+    assert sizes.size >= 3 and np.any(sizes == 1)
+    assert np.all(_substeps(_grid_with_nodes(SINGLE_NODES)) == 1)
+
+
+@pytest.mark.parametrize(
+    "nodes, cap",
+    [(MIXED_NODES, 0.125), (MIXED_NODES, 0.04), (SINGLE_NODES, 0.125), (None, 0.125)],
+    ids=["mixed_groups", "mixed_groups_fine_cap", "one_group", "lorentzian_rule"],
+)
+def test_lockstep_oracle_is_bit_identical_to_per_group_loop(grid, nodes, cap):
+    g = grid if nodes is None else _grid_with_nodes(nodes)
+    times = g.times()
+    z = 0.3 * np.exp(-0.5 * times + 0.4j * times)
+    new = backward_ode_oracle(g, z, 0.5, phase_step_cap=cap).deviation
+    ref = _seed_backward_ode_oracle(g, z, 0.5, phase_step_cap=cap)
+    assert np.max(np.abs(ref)) > 1e-3
+    assert np.array_equal(new, ref)
+
+
+def test_oracle_working_set_is_one_field_and_small_tables(grid, zpath):
+    # the per-group loop held a (n_t - 1, n_theta, columns) buffer for the
+    # largest sub-step group next to the field: 1.9 fields on this grid
+    need = _substeps(grid)
+    n_t, n_th, n_om = grid.shape()
+    field = 8 * n_t * n_th * n_om
+    z_samples = 16 * (n_t - 1) * int(np.sum(2 * np.unique(need) + 1))
+    cell_scratch = 8 * n_th * (3 * int(need.sum()) + 7 * n_om)
+    assert z_samples + cell_scratch < 0.25 * field
+    peak = _traced_peak(lambda: backward_ode_oracle(grid, zpath, MU))
+    assert peak <= 1.25 * field + z_samples + cell_scratch

@@ -1,11 +1,18 @@
 """Command-line contract tests: exit codes, artifact schemas, and
 bit-for-bit reproducibility of the kinetic outputs."""
 
+import copy
 import filecmp
 import json
+import math
+import os
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from kuramoto_dephasing import WeightSpec
 from kuramoto_dephasing.cli import ConfigError, load_config, main
@@ -278,3 +285,74 @@ def test_verbose_logs_one_line_per_outer_iterate(solve_run, tmp_path, caplog):
 def test_boundary_refusals_name_their_cause(tmp_path, grid, message):
     with pytest.raises(ConfigError, match=message):
         load_config(write_config(tmp_path / "cfg.json", base_config(grid=grid)))
+
+
+# -- fuzzing: one leaf of a tiny valid config replaced by any JSON value ------
+
+# solves in well under a second; every section and every optional key is set,
+# so each of them can be mutated (output_dir is left out: --output-dir wins)
+TINY_CONFIG = {
+    "profile": {"kind": "lorentzian", "scale": 1.0},
+    "modes": {"1": [0.05, 0.0]},
+    "decay": {"kind": "exponential", "rate": 0.9},
+    "grid": {"t_max": 2.0, "dt": 0.25, "n_theta": 8, "n_omega": 16},
+    "mu": 0.05,
+    "weight": {"kind": "exponential", "rate": 0.9},
+    "tolerances": {"tol_picard": 1e-12, "tol_outer": 1e-10, "tail_budget": 1.0},
+    "particles": {"n": 100, "dt": 0.1, "seed": 1},
+}
+# the field-size refusal reads physical memory; a 16 MB machine keeps every
+# grid a mutation can produce small enough to solve here in moments
+FUZZ_MEMORY = 16 << 20
+
+
+def _leaf_paths(node, prefix=()):
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return [prefix]
+    return [p for k, v in items for p in _leaf_paths(v, prefix + (k,))]
+
+
+# the boundary values a config check most often misses, drawn often
+_edge_values = st.sampled_from([math.inf, -math.inf, math.nan, 0, -1, 1e-300, 10**30, ""])
+_json_values = st.recursive(
+    _edge_values
+    | st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=5,
+)
+
+
+def _fake_sysconf(name):
+    return {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": FUZZ_MEMORY // 4096}[name]
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(path=st.sampled_from(_leaf_paths(TINY_CONFIG)), value=_json_values)
+def test_fuzzed_config_never_crashes(caplog, capsys, path, value):
+    cfg = copy.deepcopy(TINY_CONFIG)
+    node = cfg
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    caplog.clear()
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(os, "sysconf", _fake_sysconf)
+        cfg_path = write_config(Path(tmp) / "cfg.json", cfg)
+        with caplog.at_level("INFO", logger="kuramoto_dephasing"):
+            code = main(["solve", "--config", cfg_path, "--output-dir", str(Path(tmp) / "out")])
+    out, err = capsys.readouterr()
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in out + err
+    assert not any(r.exc_info for r in caplog.records)
+    if code == 2:
+        errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert len(errors) == 1 and "\n" not in errors[0]

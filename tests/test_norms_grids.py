@@ -161,6 +161,24 @@ def test_grid_validation_errors():
         build_grid(pr, 20.0, 0.05, 64, n_omega=4)
     with pytest.raises(GridError):
         build_grid(pr, -1.0, 0.05, 64)
+    with pytest.raises(GridError, match="finite"):
+        build_grid(pr, math.inf, 0.05, 64)
+
+
+@pytest.mark.parametrize(
+    "kind, t_max, dt, n_omega",
+    [
+        ("lorentzian", 1e300, 0.05, None),
+        ("lorentzian", 1e300, 1e-10, None),  # t_max / dt overflows to inf
+        ("lorentzian", 16.0, 0.05, 10**15),
+        ("laplace", 16.0, 0.05, 10**12),  # sized by the panel-rounded rule
+    ],
+)
+def test_build_grid_refuses_a_field_larger_than_memory(kind, t_max, dt, n_omega):
+    # refused from the grid numbers, before numpy is asked for the times
+    # (which raised its own ValueError) or the frequency rule is built
+    with pytest.raises(GridError, match="exceeds physical memory"):
+        build_grid(FrequencyProfile(kind, 1.0), t_max=t_max, dt=dt, n_omega=n_omega)
 
 
 def test_corrupted_weights_fail_mass_check():

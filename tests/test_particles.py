@@ -3,6 +3,8 @@ Monte Carlo agreement with the kinetic solver at CLT accuracy."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kuramoto_dephasing import (
     AsymptoticState,
@@ -16,6 +18,7 @@ from kuramoto_dephasing import (
     simulate,
     step,
 )
+from kuramoto_dephasing import particles
 
 TWO_PI = 2.0 * np.pi
 PROFILE = FrequencyProfile("lorentzian", 1.0)
@@ -171,3 +174,51 @@ def test_record_cadence_and_endpoint():
     times, z, _ = simulate(ens, dt=0.1, n_steps=7, record_every=3)
     assert np.allclose(times, [0.0, 0.3, 0.6, 0.7])
     assert z.shape == times.shape
+
+
+# -- in-place phase wrap -------------------------------------------------------
+
+_WRAP_EDGES = (-TWO_PI, 0.0, TWO_PI, 2.0 * TWO_PI)
+_in_range = st.floats(-TWO_PI, 2.0 * TWO_PI, exclude_max=True)
+_near_edge = st.one_of(
+    st.sampled_from(_WRAP_EDGES),
+    st.sampled_from(_WRAP_EDGES).flatmap(lambda c: st.floats(c - 1e-12, c + 1e-12)),
+    st.floats(-1e-300, 1e-300),
+)
+_anything = st.floats(allow_nan=True, allow_infinity=True)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.one_of(
+        st.lists(_in_range | _near_edge.filter(lambda v: -TWO_PI <= v < 2.0 * TWO_PI),
+                 min_size=1, max_size=64),
+        st.lists(_in_range | _near_edge | _anything, min_size=1, max_size=64),
+    )
+)
+def test_wrap_equals_np_mod(values):
+    arr = np.array(values, dtype=float)
+    got = arr.copy()
+    with np.errstate(invalid="ignore"):
+        particles._wrap_phases(got)
+        want = np.mod(arr, TWO_PI)
+    assert np.array_equal(got, want, equal_nan=True)
+    # bit for bit, except that -0.0 stays -0.0 where np.mod gives +0.0
+    if not np.any((arr == 0.0) & np.signbit(arr)):
+        assert got.tobytes() == want.tobytes()
+
+
+def test_simulate_path_is_unchanged_by_the_wrap(monkeypatch):
+    rng = np.random.default_rng(17)
+    # fast columns of both signs cross 0 and 2 pi many times
+    ens = ParticleEnsemble(rng.uniform(0.0, TWO_PI, 512), rng.normal(0.0, 8.0, 512), mu=0.4)
+    times, z, fin = simulate(ens, dt=0.05, n_steps=200, record_every=3)
+
+    def wrap_by_mod(th):
+        np.mod(th, TWO_PI, out=th)
+
+    monkeypatch.setattr(particles, "_wrap_phases", wrap_by_mod)
+    times_ref, z_ref, fin_ref = simulate(ens, dt=0.05, n_steps=200, record_every=3)
+    assert np.array_equal(times, times_ref)
+    assert z.tobytes() == z_ref.tobytes()
+    assert fin.phases.tobytes() == fin_ref.phases.tobytes()
