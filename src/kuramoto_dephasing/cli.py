@@ -43,7 +43,7 @@ from .decay import (
     certify_envelope,
     fit_decay,
 )
-from .norms_grids import Grid, GridError, WeightSpec, build_grid
+from .norms_grids import Grid, GridError, WeightSpec, build_grid, physical_memory
 from .particles import empirical_order_parameter, init_from_solution, simulate
 from .scheme import (
     NotConvergingError,
@@ -69,6 +69,9 @@ __all__ = [
 SCHEMA_VERSION = 1
 OUTPUT_DIR_ENV = "KURAMOTO_DEPHASING_OUTPUT"
 _CSV_FMT = "%.16e"
+# float64 arrays of length n a particle run holds at once: labels, phases,
+# frequencies and the RK4 scratch
+_ENSEMBLE_ARRAYS = 6
 
 log = logging.getLogger("kuramoto_dephasing")
 
@@ -111,31 +114,50 @@ def _section(cfg: dict, key: str, required: bool = True):
     return sec
 
 
+def _number(name: str, v, cast=float):
+    # JSON true/false would pass float() and int() as 1 and 0
+    if isinstance(v, bool):
+        raise ConfigError(f"{name} must be a number, got {json.dumps(v)}")
+    return cast(v)
+
+
 def _finite(name: str, v) -> float:
-    x = float(v)
+    x = _number(name, v)
     if not math.isfinite(x):
         raise ConfigError(f"{name} must be finite, got {v!r}")
     return x
 
 
 def _as_complex(v) -> complex:
-    if isinstance(v, (int, float)):
+    if isinstance(v, (int, float)) and not isinstance(v, bool):
         return complex(v)
     if isinstance(v, (list, tuple)) and len(v) == 2:
-        return complex(float(v[0]), float(v[1]))
+        return complex(_number("mode amplitude", v[0]), _number("mode amplitude", v[1]))
     raise ConfigError(f"mode amplitude must be a number or [re, im], got {v!r}")
+
+
+def _refuse_oversized_ensemble(n: int):
+    # an ensemble that cannot fit in memory cannot be run: refuse it before
+    # the solve, from the particle count alone
+    memory = physical_memory()
+    need = 8 * _ENSEMBLE_ARRAYS * n
+    if memory is not None and need > memory:
+        raise ConfigError(
+            f"particle ensemble of {need / 1e9:.3g} GB exceeds physical memory "
+            f"({memory / 1e9:.3g} GB)"
+        )
 
 
 def load_config(path, output_dir_override=None) -> RunConfig:
     """Parse and validate a JSON run config.
 
     Raises ConfigError for anything the run cannot start from: JSON
-    syntax, missing keys, a section that is not an object, non-finite
-    numbers, invalid state or grid parameters, a float64 field larger than
-    physical memory, a weight that overflows at t_max or has no finite
-    gains, tolerances that are not positive.  A weight class that
-    disagrees with the state's declared decay class is legal but logged
-    as a warning.
+    syntax, missing keys, a section that is not an object, a boolean
+    where a number belongs, non-finite numbers, invalid state or grid
+    parameters, a float64 field or a particle ensemble larger than physical
+    memory, a weight that overflows at t_max or has no finite gains,
+    tolerances that are not positive.  A weight class that disagrees with
+    the state's declared decay class is legal but logged as a warning.
     """
     try:
         raw = json.loads(Path(path).read_text())
@@ -148,7 +170,8 @@ def load_config(path, output_dir_override=None) -> RunConfig:
     try:
         pspec = _section(raw, "profile")
         profile = FrequencyProfile(
-            kind=str(_require(pspec, "kind")), scale=float(_require(pspec, "scale"))
+            kind=str(_require(pspec, "kind")),
+            scale=_number("profile scale", _require(pspec, "scale")),
         )
         modes = {int(k): _as_complex(v) for k, v in _section(raw, "modes").items()}
         dspec = _section(raw, "decay")
@@ -156,15 +179,15 @@ def load_config(path, output_dir_override=None) -> RunConfig:
             profile=profile,
             modes=modes,
             decay_kind=str(_require(dspec, "kind")),
-            decay_rate=float(_require(dspec, "rate")),
+            decay_rate=_number("decay rate", _require(dspec, "rate")),
         )
         gspec = _section(raw, "grid")
         t_max = _finite("grid t_max", _require(gspec, "t_max"))
         dt = _finite("grid dt", _require(gspec, "dt"))
-        n_theta = int(_require(gspec, "n_theta"))
-        n_omega = int(gspec["n_omega"]) if "n_omega" in gspec else None
+        n_theta = _number("grid n_theta", _require(gspec, "n_theta"), int)
+        n_omega = _number("grid n_omega", gspec["n_omega"], int) if "n_omega" in gspec else None
         grid = build_grid(profile, t_max=t_max, dt=dt, n_theta=n_theta, n_omega=n_omega)
-        mu = float(_require(raw, "mu"))
+        mu = _number("mu", _require(raw, "mu"))
         if not (mu >= 0.0 and math.isfinite(mu)):
             raise ConfigError("mu must be finite and >= 0")
 
@@ -173,7 +196,7 @@ def load_config(path, output_dir_override=None) -> RunConfig:
             weight = WeightSpec(state.decay_kind, state.decay_rate)
         else:
             weight = WeightSpec(
-                str(_require(wspec, "kind")), float(_require(wspec, "rate"))
+                str(_require(wspec, "kind")), _number("weight rate", _require(wspec, "rate"))
             )
         if weight.kind != state.decay_kind:
             log.warning(
@@ -185,11 +208,11 @@ def load_config(path, output_dir_override=None) -> RunConfig:
         weight.check_finite(grid.t_max)
 
         tols = _section(raw, "tolerances", required=False) or {}
-        tol_picard = float(tols.get("tol_picard", 1e-12))
-        tol_outer = float(tols.get("tol_outer", 1e-10))
+        tol_picard = _number("tol_picard", tols.get("tol_picard", 1e-12))
+        tol_outer = _number("tol_outer", tols.get("tol_outer", 1e-10))
         tail_budget = tols.get("tail_budget")
         if tail_budget is not None:
-            tail_budget = float(tail_budget)
+            tail_budget = _number("tail_budget", tail_budget)
         for name, val in (
             ("tol_picard", tol_picard),
             ("tol_outer", tol_outer),
@@ -201,13 +224,14 @@ def load_config(path, output_dir_override=None) -> RunConfig:
         particles = _section(raw, "particles", required=False)
         if particles is not None:
             particles = {
-                "n": int(_require(particles, "n")),
+                "n": _number("particles n", _require(particles, "n"), int),
                 "dt": _finite("particles dt", _require(particles, "dt")),
                 # default matches the pinned acceptance realization
-                "seed": int(particles.get("seed", 1)),
+                "seed": _number("particles seed", particles.get("seed", 1), int),
             }
             if particles["n"] < 1 or particles["dt"] <= 0.0:
                 raise ConfigError("particles need n >= 1 and dt > 0")
+            _refuse_oversized_ensemble(particles["n"])
 
         out = output_dir_override or os.environ.get(OUTPUT_DIR_ENV) or raw.get(
             "output_dir", "."

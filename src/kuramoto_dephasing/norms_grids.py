@@ -297,15 +297,22 @@ class Grid:
         return (self.n_times, self.n_theta, self.n_omega)
 
 
+def physical_memory() -> int | None:
+    """Bytes of physical memory, or None where the platform does not say."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
 def _refuse_oversized_field(t_max: float, dt: float, n_theta: int, n_omega: int):
     # a field that cannot fit in memory cannot be solved: refuse it from the
     # grid numbers alone (Grid itself reports steps that are not positive
     # and finite)
     if not (0.0 < dt < math.inf and 0.0 < t_max < math.inf):
         return
-    try:
-        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    except (AttributeError, ValueError, OSError):
+    memory = physical_memory()
+    if memory is None:
         return
     steps = t_max / dt
     need = 8 * (round(steps) + 1) * n_theta * n_omega if math.isfinite(steps) else math.inf

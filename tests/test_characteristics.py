@@ -417,6 +417,56 @@ def test_working_set_is_three_fields_and_block_slabs(grid, zpath, solved, monkey
     assert _traced_peak(coupling_integrals) <= budget
 
 
+def test_quadrature_scratch_fits_in_the_sweep_slabs(grid, solved, monkeypatch):
+    # the order-parameter quadrature keeps (cos D - 1, sin D) and D^2 in
+    # three real block buffers, inside the two complex slabs of a sweep;
+    # the rest is a few (n_t, width) rows and the path itself
+    n_t, n_th, _ = grid.shape()
+    width = 8
+    monkeypatch.setattr(characteristics, "_BLOCK_CELLS", n_t * n_th * width)
+    state = AsymptoticState(PROFILE, {1: 0.05}, "exponential", 0.9)
+    field = solved[0]
+    assert field.sup() <= characteristics._POLY_THRESHOLD
+    slabs = 2 * 16 * n_t * n_th * width
+    rows = 16 * n_t * (8 * width + 4)
+    peak = _traced_peak(lambda: scheme._order_parameter_values(field, state))
+    assert peak <= slabs + rows
+
+
+# -- the row-wise backward sum against the np.cumsum it replaced ---------------
+
+def _cumsum_backward_sum(c):
+    np.cumsum(c[::-1], axis=0, out=c[::-1])
+
+
+def _kernel_outputs(grid, z, dev, use_poly):
+    times, theta, omega = grid.times(), grid.theta(), grid.omega_nodes
+    blocks = [
+        ib.copy() for _, ib, _ in characteristics._integral_blocks(times, omega, z, dev, use_poly)
+    ]
+    rows = np.empty(grid.n_times)
+    new = deviation_sweep(times, theta, omega, z, dev, 0.5, use_poly, row_residual=rows)
+    gam = gamma_field(CharacteristicField(grid, dev, 0.5), z)
+    return blocks, [new, rows, gam.sin_part, gam.cos_part, np.array(gam.margin)]
+
+
+@pytest.mark.parametrize("use_poly,amplitude", [(True, 0.1), (False, 1.5)],
+                         ids=["quartic", "exact"])
+def test_row_backward_sum_is_bit_identical_to_cumsum(grid, forced_blocks, monkeypatch,
+                                                     use_poly, amplitude):
+    rng = np.random.default_rng(5)
+    times = grid.times()
+    z = 0.3 * np.exp(-0.5 * times + 0.4j * times)
+    dev = rng.uniform(-amplitude, amplitude, grid.shape())
+    blocks, outputs = _kernel_outputs(grid, z, dev, use_poly)
+    monkeypatch.setattr(characteristics, "_backward_sum", _cumsum_backward_sum)
+    ref_blocks, ref_outputs = _kernel_outputs(grid, z, dev, use_poly)
+    # the last forced block is ragged
+    assert [b.shape[2] for b in blocks] == forced_blocks
+    assert all(np.array_equal(b, r) for b, r in zip(blocks, ref_blocks))
+    assert all(np.array_equal(o, r) for o, r in zip(outputs, ref_outputs))
+
+
 # -- reference: the per-group RK4 oracle the lockstep pass replaced -----------
 
 def _seed_backward_ode_oracle(grid, z, mu, phase_step_cap=0.125):

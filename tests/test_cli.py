@@ -234,12 +234,28 @@ def test_negative_mu_rejected(tmp_path):
         # finite but far larger than memory; refused before any allocation
         {"grid": {"t_max": 1e300, "dt": 0.05, "n_theta": 32}},
         {"grid": {"t_max": 16.0, "dt": 0.05, "n_theta": 32, "n_omega": 10**15}},
+        # JSON booleans passed float() and int() as 1 and 0
+        {"mu": True},
+        {"profile": {"kind": "lorentzian", "scale": True}},
+        {"modes": {"1": True}},
+        {"modes": {"1": [0.05, False]}},
+        {"decay": {"kind": "exponential", "rate": True}},
+        {"grid": {"t_max": True, "dt": 0.05, "n_theta": 32}},
+        {"grid": {"t_max": 16.0, "dt": 0.05, "n_theta": 32, "n_omega": True}},
+        {"weight": {"kind": "exponential", "rate": True}},
+        {"tolerances": {"tol_picard": 1e-12, "tol_outer": True}},
+        {"tolerances": {"tail_budget": True}},
+        {"particles": {"n": True, "dt": 0.02}},
+        {"particles": {"n": 2000, "dt": 0.02, "seed": False}},
     ],
     ids=[
         "modes_list", "tolerances_list", "mode_nan", "profile_list", "decay_string",
         "grid_list", "weight_list", "particles_list", "decay_rate_nan",
         "t_max_inf", "n_theta_inf", "output_dir_number", "exp_weight_overflow",
         "poly_weight_gain_nan", "t_max_huge", "n_omega_huge",
+        "mu_true", "scale_true", "mode_true", "mode_part_false", "decay_rate_true",
+        "t_max_true", "n_omega_true", "weight_rate_true", "tol_outer_true",
+        "tail_budget_true", "particles_n_true", "particles_seed_false",
     ],
 )
 def test_malformed_config_exits_2_with_one_line(tmp_path, monkeypatch, caplog, overrides):
@@ -356,3 +372,26 @@ def test_fuzzed_config_never_crashes(caplog, capsys, path, value):
     if code == 2:
         errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
         assert len(errors) == 1 and "\n" not in errors[0]
+
+
+@pytest.mark.parametrize(
+    "n, refused",
+    [(3.59e16, True), (FUZZ_MEMORY // 48 + 1, True), (FUZZ_MEMORY // 48, False)],
+    ids=["fuzz_find", "one_over", "at_limit"],
+)
+def test_particle_ensemble_larger_than_memory_is_refused(tmp_path, monkeypatch, caplog,
+                                                          n, refused):
+    # six float64 arrays of length n must fit in (faked) physical memory
+    monkeypatch.setattr(os, "sysconf", _fake_sysconf)
+    cfg = write_config(tmp_path / "cfg.json", dict(TINY_CONFIG, particles={"n": n, "dt": 0.1}))
+    if not refused:
+        assert load_config(cfg).particles["n"] == n
+        return
+    with pytest.raises(ConfigError, match="particle ensemble .* exceeds physical memory"):
+        load_config(cfg)
+    with caplog.at_level("ERROR", logger="kuramoto_dephasing"):
+        code = main(["simulate", "--config", cfg, "--output-dir", str(tmp_path / "out")])
+    assert code == 2
+    assert not (tmp_path / "out").exists()
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 1 and "\n" not in errors[0]

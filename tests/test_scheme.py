@@ -7,6 +7,8 @@ cases exercise degenerate inputs and the documented failure modes.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kuramoto_dephasing import (
     AsymptoticState,
@@ -23,6 +25,8 @@ from kuramoto_dephasing import (
     verify_lemmas,
     weighted_norm,
 )
+from kuramoto_dephasing import CharacteristicField, scheme
+from kuramoto_dephasing.characteristics import _POLY_THRESHOLD
 from kuramoto_dephasing.scheme import order_parameter_of
 
 MU = 0.05
@@ -230,3 +234,69 @@ def test_weight_overflowing_at_t_max_is_a_grid_error():
     grid = build_grid(PROFILE, t_max=800.0, dt=1.0, n_theta=8, n_omega=8)
     with pytest.raises(GridError, match="overflows"):
         outer_solve(state, grid, MU)
+
+
+# -- the order-parameter quadrature's two routes to e^{iD} - 1 ----------------
+
+# sup distance allowed between the polynomial and the trig route of a solve:
+# both are within a few units in the last place of e^{iD} - 1
+ROUTE_TOL = 1e-14
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(-_POLY_THRESHOLD, _POLY_THRESHOLD), min_size=1, max_size=32))
+def test_polynomial_phase_minus_one_matches_the_trig_form(values):
+    dev = np.array(values)
+    poly, trig = np.empty((2, dev.size)), np.empty((2, dev.size))
+    scratch = np.empty(dev.size)
+    scheme._phase_minus_one(dev, True, poly[0], poly[1], scratch)
+    scheme._phase_minus_one(dev, False, trig[0], trig[1], scratch)
+    # four units in the last place of the trig value (np.spacing is the
+    # subnormal step near zero)
+    assert np.all(np.abs(poly - trig) <= 4.0 * np.abs(np.spacing(trig)))
+    assert np.all(poly[0] <= 0.0)
+    assert np.array_equal(np.sign(poly[1]), np.sign(dev))
+    assert np.all(poly[:, dev == 0.0] == 0.0)
+
+
+def _quadrature_routes(field, state, monkeypatch):
+    # the use_poly flag of every block, and the order parameter
+    routes = []
+    phase_minus_one = scheme._phase_minus_one
+
+    def spy(dev, use_poly, *scratch):
+        routes.append(use_poly)
+        phase_minus_one(dev, use_poly, *scratch)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(scheme, "_phase_minus_one", spy)
+        z = scheme._order_parameter_values(field, state)
+    return set(routes), z
+
+
+def test_polynomial_route_solve_matches_the_trig_route(state, grid, result, monkeypatch):
+    assert result.field.sup() <= _POLY_THRESHOLD
+    # no field's sup lies below -1: every quadrature takes the trig route
+    monkeypatch.setattr(scheme, "_POLY_THRESHOLD", -1.0)
+    trig = outer_solve(state, grid, MU, WEIGHT)
+    assert [r["contraction"]["sweeps"] for r in trig.ledger.records] == [
+        r["contraction"]["sweeps"] for r in result.ledger.records
+    ]
+    assert np.max(np.abs(result.path.values - trig.path.values)) <= ROUTE_TOL
+    assert np.max(np.abs(result.field.deviation - trig.field.deviation)) <= ROUTE_TOL
+
+
+def test_quadrature_route_follows_the_exact_sup(state, grid, result, monkeypatch):
+    dev = result.field.deviation
+    at = CharacteristicField(grid, dev * (_POLY_THRESHOLD / result.field.sup()), MU)
+    above = CharacteristicField(grid, dev * (1.5 / result.field.sup()), MU)
+    assert at.sup() <= _POLY_THRESHOLD < above.sup()
+    routes, z_poly = _quadrature_routes(at, state, monkeypatch)
+    assert routes == {True}
+    assert _quadrature_routes(above, state, monkeypatch)[0] == {False}
+    # at the threshold, where the truncated Taylor terms weigh most, the
+    # polynomial still agrees with the trig route
+    monkeypatch.setattr(scheme, "_POLY_THRESHOLD", -1.0)
+    routes, z_trig = _quadrature_routes(at, state, monkeypatch)
+    assert routes == {False}
+    assert np.max(np.abs(z_poly - z_trig)) <= ROUTE_TOL
