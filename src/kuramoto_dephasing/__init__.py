@@ -51,7 +51,6 @@ from .particles import (
     empirical_order_parameter,
     init_from_solution,
     simulate,
-    step,
 )
 
 __version__ = "0.1.0"

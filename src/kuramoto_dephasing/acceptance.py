@@ -119,9 +119,7 @@ class AcceptanceContext:
         gaps = []
         for res in (self.exp_result(), self.poly_result()):
             oracle = backward_ode_oracle(res.grid, res.path.values, res.mu)
-            gaps.append(
-                float(np.max(np.abs(oracle.deviation - res.field.deviation)))
-            )
+            gaps.append(oracle.sup_distance(res.field))
         return gaps
 
     @_cached

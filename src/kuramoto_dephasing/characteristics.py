@@ -27,6 +27,7 @@ serves as the independent route for cross-validation.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -52,10 +53,18 @@ __all__ = [
 
 # cells per omega block: each complex block buffer stays near 8 MB
 _BLOCK_CELLS = 1 << 19
-# below this deviation amplitude a quartic polynomial evaluates the sweep's
-# e^{iD} with error < 1e-11, at roughly a third of the cost of np.exp, and
-# the order-parameter quadrature takes e^{iD} - 1 from Taylor polynomials
-_POLY_THRESHOLD = 0.1
+# largest sup|D| at which phase_minus_one takes Taylor polynomials; there it
+# needs 9 terms, still cheaper per cell than np.sin, and above it the trig
+# form (-2 sin^2(D/2), sin D) serves
+_POLY_CAP = 1.0
+# Taylor coefficients of (cos D - 1) / D^2 and sin D / D in powers of D^2;
+# entry k is the first term omitted when k terms are kept, and 9 terms
+# reach the cap
+_COS_M1_OVER_D2 = tuple((-1) ** (k + 1) / math.factorial(2 * k + 2) for k in range(10))
+_SIN_OVER_D = tuple((-1) ** k / math.factorial(2 * k + 1) for k in range(10))
+# the RK4 oracle's cap on sub-steps per cell, also the finest particle time
+# step the command line accepts relative to the grid's
+MAX_SUBSTEPS = 4096
 
 
 class NonContractiveError(RuntimeError):
@@ -99,15 +108,22 @@ class CharacteristicField:
         return weighted_norm(self.grid.times(), self.deviation, weight, deviation=True)
 
     def sup(self) -> float:
-        # max and -min instead of max|D|: no field-sized temporary
-        return float(np.maximum(self.deviation.max(), -self.deviation.min()))
+        return _sup(self.deviation)
 
     def distance(self, other: "CharacteristicField", weight: WeightSpec) -> float:
         """||D - D_other|| in the deviation weight, one omega block at a time."""
+        return weighted_norm(self.grid.times(), self._row_gaps(other), weight, deviation=True)
+
+    def sup_distance(self, other: "CharacteristicField") -> float:
+        """sup |D - D_other|, one omega block at a time; NaN propagates."""
+        return float(self._row_gaps(other).max())
+
+    def _row_gaps(self, other):
+        # sup over each time row of |D - D_other|, with block-sized temporaries
         rows = np.zeros(self.grid.n_times)
         for sl in omega_blocks(self.deviation.shape):
             _fold_row_sup(rows, self.deviation[:, :, sl] - other.deviation[:, :, sl])
-        return weighted_norm(self.grid.times(), rows, weight, deviation=True)
+        return rows
 
 
 @dataclass
@@ -240,20 +256,91 @@ def _fold_row_sup(acc, block):
     np.maximum(acc, -block.min(axis=(1, 2)), out=acc)
 
 
-def _phase_factor(dev_block, use_poly: bool, out):
-    # e^{iD} written into ``out``; the quartic fast path is valid only when
-    # callers have certified sup|D| <= _POLY_THRESHOLD for the whole solve
-    re, im = out.real, out.imag
-    if use_poly:
-        d2 = np.multiply(dev_block, dev_block, out=re)
-        np.divide(d2, 6.0, out=im)
-        np.subtract(1.0, im, out=im)
-        im *= dev_block
-        d2 *= 0.5
-        np.subtract(1.0, d2, out=re)
-    else:
-        np.cos(dev_block, out=re)
-        np.sin(dev_block, out=im)
+def _sup(a) -> float:
+    # sup|a| as max and -min: exact, NaN-propagating, no |a| temporary
+    return float(np.maximum(a.max(), -a.min()))
+
+
+def _taylor_terms(sup):
+    """Terms k of each Taylor series phase_minus_one keeps at sup|D| = sup.
+
+    The smallest k for which both first omitted terms, D^{2k+2} / (2k+2)!
+    of cos D - 1 and D^{2k+1} / (2k+1)! of sin D, are at most 2^-53
+    relative to the leading terms D^2 / 2 and D at |D| = sup.  None above
+    _POLY_CAP (NaN and inf included): the trig form serves there.
+    """
+    if not sup <= _POLY_CAP:
+        return None
+    s2 = sup * sup
+    for k in range(1, len(_SIN_OVER_D)):
+        omitted = max(2.0 * abs(_COS_M1_OVER_D2[k]), abs(_SIN_OVER_D[k])) * s2**k
+        if omitted <= 2.0**-53:
+            return k
+    return None
+
+
+def _horner(x, coeffs, out):
+    # out <- coeffs[0] + coeffs[1] x + ... + coeffs[-1] x^(n-1), in place
+    if len(coeffs) == 1:
+        out[...] = coeffs[0]
+        return
+    np.multiply(x, coeffs[-1], out=out)
+    for c in coeffs[-2:0:-1]:
+        out += c
+        out *= x
+    out += coeffs[0]
+
+
+def phase_minus_one(dev, sup, cos_m1, sin_d, d2):
+    """(cos D - 1, sin D) of ``dev`` into ``cos_m1`` and ``sin_d``.
+
+    ``sup`` must bound |dev|; the callers pass the exact sup of the field
+    the block belongs to.  Up to _POLY_CAP the pair is D^2 Q_k(D^2) and
+    D P_k(D^2) by Horner's rule, with k from ``_taylor_terms(sup)``, so the
+    truncation stays below the rounding unit; ``d2`` is scratch for D^2.
+    Above the cap it is (-2 sin^2(D/2), sin D).  Both forms keep full
+    relative precision as D -> 0 and map 0 to 0.  Every e^{iD} of the
+    package comes from here: the sweep, gamma_field and the
+    order-parameter quadrature.
+    """
+    k = _taylor_terms(sup)
+    if k is None:
+        np.multiply(dev, 0.5, out=cos_m1)
+        np.sin(cos_m1, out=cos_m1)
+        np.multiply(cos_m1, cos_m1, out=cos_m1)
+        cos_m1 *= -2.0
+        np.sin(dev, out=sin_d)
+        return
+    np.multiply(dev, dev, out=d2)
+    _horner(d2, _COS_M1_OVER_D2[:k], cos_m1)
+    cos_m1 *= d2
+    _horner(d2, _SIN_OVER_D[:k], sin_d)
+    sin_d *= dev
+
+
+def oscillation_table(times, omega):
+    """e^{i omega t} on the (time, frequency) grid, as a read-only array.
+
+    Every omega block of every sweep, quadrature and gamma_field slices
+    this one table instead of rebuilding its columns.  One table is kept,
+    keyed on the exact bytes of (times, omega), so a solve reuses it and
+    any other node set replaces it; it is 2 / n_theta of a float64 field.
+    """
+    times = np.ascontiguousarray(times, dtype=float)
+    omega = np.ascontiguousarray(omega, dtype=float)
+    return _oscillation_table(times.tobytes(), omega.tobytes())
+
+
+@functools.lru_cache(maxsize=1)
+def _oscillation_table(times_bytes, omega_bytes):
+    table = np.exp(1j * np.outer(np.frombuffer(times_bytes), np.frombuffer(omega_bytes)))
+    table.flags.writeable = False
+    return table
+
+
+def _real_halves(a):
+    # the memory of a C-contiguous complex array as two real arrays of its shape
+    return a.reshape(-1).view(float).reshape((2,) + a.shape)
 
 
 def _backward_sum(c):
@@ -264,7 +351,7 @@ def _backward_sum(c):
         np.add(c[j], c[j + 1], out=c[j])
 
 
-def _integral_blocks(times, omega, z, deviation, use_poly):
+def _integral_blocks(times, omega, z, deviation):
     """Backward integrals of one field, one omega block at a time.
 
     Yields (sl, integral, spare) per block of ``omega_blocks``, where
@@ -276,6 +363,8 @@ def _integral_blocks(times, omega, z, deviation, use_poly):
     """
     dt = float(times[1] - times[0])
     conj_z = np.conj(z)[:, None]
+    table = oscillation_table(times, omega)
+    sup = _sup(deviation)
     phases = block_buffer(deviation.shape)
     cells = block_buffer(deviation.shape)
     for sl in omega_blocks(deviation.shape):
@@ -284,12 +373,17 @@ def _integral_blocks(times, omega, z, deviation, use_poly):
         # node factor conj(z(s_j)) e^{i omega s_j} times the cell weight the
         # node carries as a left (alpha) or right (beta) end; the right node
         # already has phase e^{i omega s_{j+1}}, so beta loses its e^{i w}
-        right = np.exp(1j * np.outer(times, omega[sl]))
-        right *= conj_z
+        right = table[:, sl] * conj_z
         left = right * (dt * alpha)
         right *= dt * (beta * np.exp(-1j * w))
         e, c = phases(sl), cells(sl)
-        _phase_factor(deviation[:, :, sl], use_poly, e)
+        # e^{iD} = 1 + (cos D - 1) + i sin D; until the cells form, the
+        # memory of c holds the pair and that of e holds D^2, as contiguous
+        # real arrays (twice as fast for the kernel as strided .real/.imag)
+        cos_m1, sin_d = _real_halves(c)
+        phase_minus_one(deviation[:, :, sl], sup, cos_m1, sin_d, _real_halves(e)[0])
+        np.add(cos_m1, 1.0, out=e.real)
+        np.copyto(e.imag, sin_d)
         np.multiply(e[:-1], left[:-1, None, :], out=c[:-1])
         e[1:] *= right[1:, None, :]
         c[:-1] += e[1:]
@@ -298,12 +392,13 @@ def _integral_blocks(times, omega, z, deviation, use_poly):
         yield sl, c, e
 
 
-def deviation_sweep(times, theta, omega, z, deviation, mu, use_poly=False, row_residual=None):
+def deviation_sweep(times, theta, omega, z, deviation, mu, row_residual=None):
     """One application of the backward-integral map to a deviation field.
 
     Operates on raw arrays so alternative node sets can be pushed through.
     Returns the new deviation, mu * Im(e^{i theta} I), blocked over
-    frequency columns to bound the complex working set.  A given
+    frequency columns to bound the complex working set; e^{iD} comes from
+    phase_minus_one at the exact sup of ``deviation``.  A given
     ``row_residual`` (shape (n_times,)) receives the sup over each time
     row of |new - deviation| from the same pass.
     """
@@ -317,7 +412,7 @@ def deviation_sweep(times, theta, omega, z, deviation, mu, use_poly=False, row_r
     mu_sin = (mu * np.sin(theta))[None, :, None]
     if row_residual is not None:
         row_residual[:] = 0.0
-    for sl, ib, spare in _integral_blocks(times, omega, z, deviation, use_poly):
+    for sl, ib, spare in _integral_blocks(times, omega, z, deviation):
         new, scratch = out[:, :, sl], spare.real
         np.multiply(ib.imag, mu_cos, out=new)
         np.multiply(ib.real, mu_sin, out=scratch)
@@ -329,19 +424,18 @@ def deviation_sweep(times, theta, omega, z, deviation, mu, use_poly=False, row_r
 
 
 def _open_report(grid: Grid, z, mu: float, weight: WeightSpec, tol: float):
-    # certified gain and deviation scale of the map F_z; refuses kappa >= 1
+    # an empty report for the map F_z with its certified gain; refuses kappa >= 1
     r_norm = weighted_norm(grid.times(), z, weight)
     bound = mu * r_norm * weight.unit_contraction_gain
     if not bound < 1.0:
         raise NonContractiveError(bound)
     dev_scale = mu * r_norm * weight.unit_deviation_gain
-    report = ContractionReport(
+    return ContractionReport(
         bound=bound,
         tol=tol,
         floor=max(tol, 1e-14 * max(1.0, dev_scale)),
         tail_remainder=mu * r_norm * weight.tail_integral(grid.t_max),
     )
-    return report, dev_scale
 
 
 def picard_sweep(
@@ -364,22 +458,17 @@ def picard_sweep(
     """
     times = grid.times()
     z = np.asarray(z, dtype=complex)
-    report, dev_scale = _open_report(grid, z, mu, weight, 0.0)
+    report = _open_report(grid, z, mu, weight, 0.0)
     if report.bound == 0.0:
         report.converged = True
         report.residuals.append(field.deviation_norm(weight) if field is not None else 0.0)
         return CharacteristicField(grid, np.zeros(grid.shape()), mu, 0), report
     if field is None:
-        dev, iterate, sup_in = np.zeros(grid.shape()), 0, 0.0
+        dev, iterate = np.zeros(grid.shape()), 0
     else:
-        dev, iterate, sup_in = field.deviation, field.iterate, field.sup()
-    # the quartic phase factor is evaluated on the input field, so both
-    # the input and the output scale must be certified small
-    use_poly = max(dev_scale, sup_in) <= _POLY_THRESHOLD
+        dev, iterate = field.deviation, field.iterate
     rows = np.empty(grid.n_times)
-    new = deviation_sweep(
-        times, grid.theta(), grid.omega_nodes, z, dev, mu, use_poly, row_residual=rows
-    )
+    new = deviation_sweep(times, grid.theta(), grid.omega_nodes, z, dev, mu, row_residual=rows)
     report.residuals.append(weighted_norm(times, rows, weight, deviation=True))
     report.sweeps = 1
     return CharacteristicField(grid, new, mu, iterate + 1), report
@@ -405,18 +494,17 @@ def solve_fixed_point(
     """
     times = grid.times()
     z = np.asarray(z, dtype=complex)
-    report, dev_scale = _open_report(grid, z, mu, weight, tol)
+    report = _open_report(grid, z, mu, weight, tol)
     if mu == 0.0:
         # the backward map is identically zero: the fixed point is exact
         report = ContractionReport(bound=0.0, sweeps=0, converged=True, tol=tol)
         return CharacteristicField(grid, np.zeros(grid.shape()), 0.0, 0), report
-    use_poly = dev_scale <= _POLY_THRESHOLD
     dev = np.zeros(grid.shape())
     theta, omega = grid.theta(), grid.omega_nodes
     rows = np.empty(grid.n_times)
     for sweep in range(1, max_sweeps + 1):
         # the residual ||F(D) - D||_w comes from the sweep's own row sups
-        dev = deviation_sweep(times, theta, omega, z, dev, mu, use_poly, row_residual=rows)
+        dev = deviation_sweep(times, theta, omega, z, dev, mu, row_residual=rows)
         res = weighted_norm(times, rows, weight, deviation=True)
         if report.residuals and report.residuals[-1] > report.floor:
             report.ratios.append(res / report.residuals[-1])
@@ -438,7 +526,7 @@ def backward_ode_oracle(
     z,
     mu: float,
     phase_step_cap: float = 0.125,
-    max_substeps: int = 4096,
+    max_substeps: int = MAX_SUBSTEPS,
 ) -> CharacteristicField:
     """Independent deviation solve: classical Runge-Kutta along each column.
 
@@ -572,11 +660,14 @@ def gamma_field(field: CharacteristicField, z) -> GammaField:
     times, theta, omega = g.times(), g.theta(), g.omega_nodes
     z = np.asarray(z, dtype=complex)
     n_t = len(times)
-    sin_part = np.empty(g.shape())
-    cos_part = np.empty(g.shape())
+    # both parts in one allocation: it is freed as one, and from 32 MB up
+    # (two fields of either reference grid) the C allocator maps it on its
+    # own, so dropping it returns the memory instead of leaving a hole in
+    # the heap that later allocations may or may not fill
+    sin_part, cos_part = np.empty((2,) + g.shape())
     cos_t, sin_t = np.cos(theta)[None, :, None], np.sin(theta)[None, :, None]
     rows = np.zeros(n_t)
-    for sl, ib, spare in _integral_blocks(times, omega, z, field.deviation, False):
+    for sl, ib, spare in _integral_blocks(times, omega, z, field.deviation):
         sp, cp, scratch = sin_part[:, :, sl], cos_part[:, :, sl], spare.real
         np.multiply(ib.imag, cos_t, out=sp)
         np.multiply(ib.real, sin_t, out=scratch)

@@ -36,6 +36,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .characteristics import MAX_SUBSTEPS
 from .decay import (
     DecayModel,
     InsufficientDataError,
@@ -155,8 +156,9 @@ def load_config(path, output_dir_override=None) -> RunConfig:
     syntax, missing keys, a section that is not an object, a boolean
     where a number belongs, non-finite numbers, invalid state or grid
     parameters, a float64 field or a particle ensemble larger than physical
-    memory, a weight that overflows at t_max or has no finite gains,
-    tolerances that are not positive.  A weight class that disagrees with
+    memory, a particle time step below grid dt / MAX_SUBSTEPS, a weight
+    that overflows at t_max or has no finite gains, tolerances that are
+    not positive.  A weight class that disagrees with
     the state's declared decay class is legal but logged as a warning.
     """
     try:
@@ -232,6 +234,12 @@ def load_config(path, output_dir_override=None) -> RunConfig:
             if particles["n"] < 1 or particles["dt"] <= 0.0:
                 raise ConfigError("particles need n >= 1 and dt > 0")
             _refuse_oversized_ensemble(particles["n"])
+            # t_max / dt RK4 steps: no finer than the oracle's finest sub-step
+            if particles["dt"] < grid.dt / MAX_SUBSTEPS:
+                raise ConfigError(
+                    f"particles dt {particles['dt']:.3g} is below grid dt / {MAX_SUBSTEPS} "
+                    f"= {grid.dt / MAX_SUBSTEPS:.3g}"
+                )
 
         out = output_dir_override or os.environ.get(OUTPUT_DIR_ENV) or raw.get(
             "output_dir", "."

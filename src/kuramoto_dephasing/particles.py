@@ -28,7 +28,6 @@ from .spectral_state import AsymptoticState, sample_labels
 __all__ = [
     "ParticleEnsemble",
     "empirical_order_parameter",
-    "step",
     "simulate",
     "init_from_solution",
 ]
@@ -132,17 +131,6 @@ def _wrap_phases(th):
         np.add(th, _TWO_PI, out=th, where=th < 0.0)
     else:
         np.mod(th, _TWO_PI, out=th)
-
-
-def step(ens: ParticleEnsemble, dt: float) -> ParticleEnsemble:
-    """One RK4 step of the coupled system; the mean field is a function
-    of the stage phases, so it is recomputed inside every stage."""
-    if dt <= 0.0:
-        raise ValueError("need dt > 0")
-    th = ens.phases.copy()
-    scratch = np.empty((3, th.size))
-    _rk4_step(th, ens.freqs, ens.mu, dt, *scratch)
-    return replace(ens, phases=th, t=ens.t + dt)
 
 
 def simulate(ens: ParticleEnsemble, dt: float, n_steps: int, record_every: int = 1):

@@ -24,11 +24,12 @@ coupling integral itself, so the oscillatory frequency quadrature only ever
 sees amplitudes that vanish where the oscillation gets fast.  The
 subtraction is evaluated as (cos D - 1, sin D), each with full relative
 precision long after |D| has dropped below the rounding unit, which is what
-lets weighted Cauchy increments be resolved down to 1e-10 and beyond.  When
-the field's sup|D| is at most _POLY_THRESHOLD the pair is D^2 Q(D^2) and
-D P(D^2), Taylor polynomials through D^10 and D^9 (within 2 units in the
-last place, for a few multiply-adds per cell); above it, the pair is
-(-2 sin^2(D/2), sin D).
+lets weighted Cauchy increments be resolved down to 1e-10 and beyond.  The
+pair comes from characteristics.phase_minus_one, the one phase kernel the
+sweeps share: Taylor polynomials D^2 Q_k(D^2) and D P_k(D^2) whose number
+of terms k is the smallest that puts the truncation below the rounding
+unit at the field's exact sup|D| (a few multiply-adds per cell), and
+(-2 sin^2(D/2), sin D) above sup|D| = 1.
 
 Every iterate, the certification iterate included, appends one record to
 a diagnostics ledger: weighted norms, Cauchy increments and ratios, the
@@ -49,13 +50,14 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .characteristics import (
-    _POLY_THRESHOLD,
     CharacteristicField,
     MaxSweepsExceededError,
     NonContractiveError,
     block_buffer,
     gamma_field,
     omega_blocks,
+    oscillation_table,
+    phase_minus_one,
     picard_sweep,
     solve_fixed_point,
 )
@@ -77,12 +79,6 @@ __all__ = [
 ]
 
 log = logging.getLogger(__name__)
-
-# Taylor coefficients of (cos D - 1) / D^2 and sin D / D in powers of D^2,
-# through D^10 and D^9: for |D| <= _POLY_THRESHOLD the first omitted terms
-# are below 3e-18 relative, far under the rounding unit
-_COS_M1_OVER_D2 = tuple((-1) ** (k + 1) / math.factorial(2 * k + 2) for k in range(5))
-_SIN_OVER_D = tuple((-1) ** k / math.factorial(2 * k + 1) for k in range(5))
 
 # admissible phase error (radians) from truncating the coupling integral at
 # t_max; polynomial tails cannot reach the exponential budget at any
@@ -184,33 +180,6 @@ class SolveResult:
     converged: bool
 
 
-def _horner(x, coeffs, out):
-    # out <- coeffs[0] + coeffs[1] x + ... + coeffs[-1] x^n, in place
-    np.multiply(x, coeffs[-1], out=out)
-    for c in coeffs[-2:0:-1]:
-        out += c
-        out *= x
-    out += coeffs[0]
-
-
-def _phase_minus_one(dev, use_poly: bool, cos_m1, sin_d, d2):
-    # (cos D - 1, sin D) into cos_m1 and sin_d by either route of the module
-    # docstring; the polynomial, valid only for sup|D| <= _POLY_THRESHOLD,
-    # keeps D^2 in the scratch d2
-    if use_poly:
-        np.multiply(dev, dev, out=d2)
-        _horner(d2, _COS_M1_OVER_D2, cos_m1)
-        cos_m1 *= d2
-        _horner(d2, _SIN_OVER_D, sin_d)
-        sin_d *= dev
-    else:
-        np.multiply(dev, 0.5, out=cos_m1)
-        np.sin(cos_m1, out=cos_m1)
-        np.multiply(cos_m1, cos_m1, out=cos_m1)
-        cos_m1 *= -2.0
-        np.sin(dev, out=sin_d)
-
-
 def _order_parameter_values(field: CharacteristicField, state: AsymptoticState):
     g = field.grid
     times, theta, omega = g.times(), g.theta(), g.omega_nodes
@@ -219,20 +188,20 @@ def _order_parameter_values(field: CharacteristicField, state: AsymptoticState):
     u = state.angular_factor(theta) * np.exp(1j * theta) / g.n_theta
     proj = np.stack([u.real, u.imag])
     z = free_order_parameter(state, times).astype(complex)
-    # e^{iD} - 1 as (cos D - 1, sin D) in contiguous real scratch; the
-    # polynomial needs the exact sup of this field, not a predicted scale
-    use_poly = field.sup() <= _POLY_THRESHOLD
+    # e^{iD} - 1 as (cos D - 1, sin D) in contiguous real scratch, at the
+    # exact sup of this field
+    sup = field.sup()
+    table = oscillation_table(times, omega)
     cos_buf, sin_buf, d2_buf = (block_buffer(g.shape(), float) for _ in range(3))
     for sl in omega_blocks(g.shape()):
         cos_m1, sin_d = cos_buf(sl), sin_buf(sl)
-        _phase_minus_one(field.deviation[:, :, sl], use_poly, cos_m1, sin_d, d2_buf(sl))
+        phase_minus_one(field.deviation[:, :, sl], sup, cos_m1, sin_d, d2_buf(sl))
         # u (cos D - 1 + i sin D) summed over angles, by real matmuls:
         # rows (Re u, Im u) of each projection
         pc = np.matmul(proj, cos_m1)
         ps = np.matmul(proj, sin_d)
         s = pc[:, 0] - ps[:, 1] + 1j * (pc[:, 1] + ps[:, 0])
-        e = np.exp(1j * np.outer(times, omega[sl]))
-        z += np.einsum("tk,tk,k->t", e, s, g.prob_weights[sl])
+        z += np.einsum("tk,tk,k->t", table[:, sl], s, g.prob_weights[sl])
     return z
 
 

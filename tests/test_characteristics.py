@@ -13,6 +13,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kuramoto_dephasing import (
     AsymptoticState,
@@ -31,7 +33,13 @@ from kuramoto_dephasing import (
     weighted_norm,
 )
 from kuramoto_dephasing import characteristics, scheme
-from kuramoto_dephasing.characteristics import deviation_sweep, filon_weights, picard_sweep
+from kuramoto_dephasing.characteristics import (
+    deviation_sweep,
+    filon_weights,
+    oscillation_table,
+    phase_minus_one,
+    picard_sweep,
+)
 from kuramoto_dephasing.spectral_state import free_order_parameter
 
 MU = 0.05
@@ -219,13 +227,16 @@ def test_gamma_running_bound_and_fixed_point_identity(grid, zpath, solved):
     assert np.max(np.abs(MU * gam.sin_part - field.deviation)) < 1e-9
 
 
-def test_polynomial_phase_fast_path_consistent(grid, zpath):
+def test_polynomial_phase_fast_path_consistent(grid, zpath, monkeypatch):
     times, theta, omega = grid.times(), grid.theta(), grid.omega_nodes
     dev0 = np.zeros(grid.shape())
-    exact = deviation_sweep(times, theta, omega, zpath, dev0, MU, use_poly=False)
-    fast = deviation_sweep(times, theta, omega, zpath, exact, MU, use_poly=True)
-    slow = deviation_sweep(times, theta, omega, zpath, exact, MU, use_poly=False)
-    assert np.max(np.abs(fast - slow)) < 1e-10
+    exact = deviation_sweep(times, theta, omega, zpath, dev0, MU)
+    assert characteristics._taylor_terms(characteristics._sup(exact)) is not None
+    fast = deviation_sweep(times, theta, omega, zpath, exact, MU)
+    # no sup lies below -1: the trig form serves every block
+    monkeypatch.setattr(characteristics, "_POLY_CAP", -1.0)
+    slow = deviation_sweep(times, theta, omega, zpath, exact, MU)
+    assert np.max(np.abs(fast - slow)) < 1e-14
 
 
 def test_theta_at_assembles_full_angle(grid, zpath, solved):
@@ -253,19 +264,13 @@ def test_deviation_scales_linearly_in_small_mu(grid, zpath):
 _SEED_BLOCK_ELEMENTS = 4_000_000
 
 
-def _seed_phase_factor(dev_block, use_poly):
-    if use_poly:
-        d2 = dev_block * dev_block
-        return (1.0 - 0.5 * d2) + 1j * (dev_block * (1.0 - d2 / 6.0))
-    return np.exp(1j * dev_block)
-
-
-def _seed_block_integral(times, omega_block, z, dev_block, use_poly):
+def _seed_block_integral(times, omega_block, z, dev_block):
+    # the seed's exact branch: e^{iD} by np.exp
     dt = float(times[1] - times[0])
     w = omega_block * dt
     alpha, beta = filon_weights(w)
     beta_eff = beta * np.exp(-1j * w)
-    chat = _seed_phase_factor(dev_block, use_poly)
+    chat = np.exp(1j * dev_block)
     chat *= np.conj(z)[:, None, None]
     chat *= np.exp(1j * np.outer(times, omega_block))[:, None, :]
     cells = (dt * alpha)[None, None, :] * chat[:-1]
@@ -277,7 +282,7 @@ def _seed_block_integral(times, omega_block, z, dev_block, use_poly):
     return out
 
 
-def _seed_deviation_sweep(times, theta, omega, z, deviation, mu, use_poly=False):
+def _seed_deviation_sweep(times, theta, omega, z, deviation, mu):
     times = np.asarray(times, dtype=float)
     z = np.asarray(z, dtype=complex)
     n_t, n_th = len(times), len(theta)
@@ -286,7 +291,7 @@ def _seed_deviation_sweep(times, theta, omega, z, deviation, mu, use_poly=False)
     block = max(1, _SEED_BLOCK_ELEMENTS // (n_t * n_th))
     for lo in range(0, len(omega), block):
         sl = slice(lo, min(lo + block, len(omega)))
-        ib = _seed_block_integral(times, omega[sl], z, deviation[:, :, sl], use_poly)
+        ib = _seed_block_integral(times, omega[sl], z, deviation[:, :, sl])
         out[:, :, sl] = ib.imag
         out[:, :, sl] *= cos_t[None, :, None]
         out[:, :, sl] += sin_t[None, :, None] * ib.real
@@ -294,10 +299,9 @@ def _seed_deviation_sweep(times, theta, omega, z, deviation, mu, use_poly=False)
     return out
 
 
-def _seed_sweep_with_residual(times, theta, omega, z, deviation, mu, use_poly=False,
-                              row_residual=None):
+def _seed_sweep_with_residual(times, theta, omega, z, deviation, mu, row_residual=None):
     # the seed sweep under the new signature, its residual from new - dev
-    new = _seed_deviation_sweep(times, theta, omega, z, deviation, mu, use_poly)
+    new = _seed_deviation_sweep(times, theta, omega, z, deviation, mu)
     if row_residual is not None:
         row_residual[:] = np.abs(new - deviation).reshape(len(times), -1).max(axis=1)
     return new
@@ -335,15 +339,21 @@ def forced_blocks(grid, monkeypatch):
     return widths
 
 
-@pytest.mark.parametrize("use_poly,amplitude", [(True, 0.1), (False, 1.5)],
-                         ids=["quartic", "exact"])
-def test_blocked_sweep_matches_seed_kernel(grid, forced_blocks, use_poly, amplitude):
+# deviation amplitudes of the kernel tests: Taylor polynomials (5 and 9
+# terms) at 0.1 and at the cap, the trig form above it
+AMPLITUDES = pytest.mark.parametrize("amplitude", [0.1, 1.5, 1.0],
+                                     ids=["quartic", "exact", "at_cap"])
+
+
+@AMPLITUDES
+def test_blocked_sweep_matches_seed_kernel(grid, forced_blocks, amplitude):
+    # against the seed's np.exp(1j * D) at every amplitude, polynomial or not
     rng = np.random.default_rng(11)
     times, theta, omega = grid.times(), grid.theta(), grid.omega_nodes
     z = 0.3 * np.exp(-0.5 * times + 0.4j * times)
     dev = rng.uniform(-amplitude, amplitude, grid.shape())
-    new = deviation_sweep(times, theta, omega, z, dev, 0.5, use_poly)
-    ref = _seed_deviation_sweep(times, theta, omega, z, dev, 0.5, use_poly)
+    new = deviation_sweep(times, theta, omega, z, dev, 0.5)
+    ref = _seed_deviation_sweep(times, theta, omega, z, dev, 0.5)
     assert np.max(np.abs(ref)) > 1e-3
     assert np.max(np.abs(new - ref)) <= SEED_TOL
 
@@ -402,6 +412,8 @@ def test_working_set_is_three_fields_and_block_slabs(grid, zpath, solved, monkey
     monkeypatch.setattr(characteristics, "_BLOCK_CELLS", n_t * n_th * width)
     assert len(list(characteristics.omega_blocks(grid.shape()))) >= 4
     budget = 3 * solved[0].deviation.nbytes + 3 * 16 * n_t * n_th * width
+    # the e^{i omega t} table is a grid constant, built once per grid
+    oscillation_table(grid.times(), grid.omega_nodes)
 
     def certification_solve():
         # the joint loop's last field stays alive through this solve
@@ -426,9 +438,11 @@ def test_quadrature_scratch_fits_in_the_sweep_slabs(grid, solved, monkeypatch):
     monkeypatch.setattr(characteristics, "_BLOCK_CELLS", n_t * n_th * width)
     state = AsymptoticState(PROFILE, {1: 0.05}, "exponential", 0.9)
     field = solved[0]
-    assert field.sup() <= characteristics._POLY_THRESHOLD
+    assert characteristics._taylor_terms(field.sup()) is not None
     slabs = 2 * 16 * n_t * n_th * width
     rows = 16 * n_t * (8 * width + 4)
+    # the e^{i omega t} table is a grid constant, built once per grid
+    oscillation_table(grid.times(), grid.omega_nodes)
     peak = _traced_peak(lambda: scheme._order_parameter_values(field, state))
     assert peak <= slabs + rows
 
@@ -439,28 +453,25 @@ def _cumsum_backward_sum(c):
     np.cumsum(c[::-1], axis=0, out=c[::-1])
 
 
-def _kernel_outputs(grid, z, dev, use_poly):
+def _kernel_outputs(grid, z, dev):
     times, theta, omega = grid.times(), grid.theta(), grid.omega_nodes
-    blocks = [
-        ib.copy() for _, ib, _ in characteristics._integral_blocks(times, omega, z, dev, use_poly)
-    ]
+    blocks = [ib.copy() for _, ib, _ in characteristics._integral_blocks(times, omega, z, dev)]
     rows = np.empty(grid.n_times)
-    new = deviation_sweep(times, theta, omega, z, dev, 0.5, use_poly, row_residual=rows)
+    new = deviation_sweep(times, theta, omega, z, dev, 0.5, row_residual=rows)
     gam = gamma_field(CharacteristicField(grid, dev, 0.5), z)
     return blocks, [new, rows, gam.sin_part, gam.cos_part, np.array(gam.margin)]
 
 
-@pytest.mark.parametrize("use_poly,amplitude", [(True, 0.1), (False, 1.5)],
-                         ids=["quartic", "exact"])
+@AMPLITUDES
 def test_row_backward_sum_is_bit_identical_to_cumsum(grid, forced_blocks, monkeypatch,
-                                                     use_poly, amplitude):
+                                                     amplitude):
     rng = np.random.default_rng(5)
     times = grid.times()
     z = 0.3 * np.exp(-0.5 * times + 0.4j * times)
     dev = rng.uniform(-amplitude, amplitude, grid.shape())
-    blocks, outputs = _kernel_outputs(grid, z, dev, use_poly)
+    blocks, outputs = _kernel_outputs(grid, z, dev)
     monkeypatch.setattr(characteristics, "_backward_sum", _cumsum_backward_sum)
-    ref_blocks, ref_outputs = _kernel_outputs(grid, z, dev, use_poly)
+    ref_blocks, ref_outputs = _kernel_outputs(grid, z, dev)
     # the last forced block is ragged
     assert [b.shape[2] for b in blocks] == forced_blocks
     assert all(np.array_equal(b, r) for b, r in zip(blocks, ref_blocks))
@@ -561,3 +572,164 @@ def test_oracle_working_set_is_one_field_and_small_tables(grid, zpath):
     assert z_samples + cell_scratch < 0.25 * field
     peak = _traced_peak(lambda: backward_ode_oracle(grid, zpath, MU))
     assert peak <= 1.25 * field + z_samples + cell_scratch
+
+
+# -- the one phase kernel: Taylor terms picked from the exact sup -------------
+
+def _largest_sup_for(k):
+    # the largest sup at which _taylor_terms keeps k terms
+    c = max(2.0 * abs(characteristics._COS_M1_OVER_D2[k]), abs(characteristics._SIN_OVER_D[k]))
+    s = min(characteristics._POLY_CAP, (2.0**-53 / c) ** (0.5 / k))
+    # the closed form lands within a few units in the last place
+    while characteristics._taylor_terms(s) != k:
+        s = math.nextafter(s, 0.0)
+    while characteristics._taylor_terms(math.nextafter(s, math.inf)) == k:
+        s = math.nextafter(s, math.inf)
+    return s
+
+
+MAX_TERMS = characteristics._taylor_terms(characteristics._POLY_CAP)
+
+
+def test_taylor_terms_are_the_smallest_below_the_rounding_unit():
+    assert MAX_TERMS == 9
+    assert characteristics._taylor_terms(0.0) == 1
+    for k in range(1, MAX_TERMS):
+        s = _largest_sup_for(k)
+        assert characteristics._taylor_terms(math.nextafter(s, math.inf)) == k + 1
+    above = math.nextafter(characteristics._POLY_CAP, math.inf)
+    for sup in (above, math.inf, math.nan):
+        assert characteristics._taylor_terms(sup) is None
+
+
+@pytest.mark.parametrize("k", range(1, 10))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_phase_kernel_matches_the_trig_form_at_every_degree(k, data):
+    sup = _largest_sup_for(k)
+    values = data.draw(st.lists(st.floats(-sup, sup), min_size=1, max_size=32))
+    # the sup itself, where the truncated terms weigh most, and zero
+    dev = np.array(values + [sup, -sup, 0.0])
+    poly, trig = np.empty((2, dev.size)), np.empty((2, dev.size))
+    scratch = np.empty(dev.size)
+    phase_minus_one(dev, sup, poly[0], poly[1], scratch)
+    phase_minus_one(dev, math.inf, trig[0], trig[1], scratch)
+    # four units in the last place of the trig value (np.spacing is the
+    # subnormal step near zero)
+    assert np.all(np.abs(poly - trig) <= 4.0 * np.abs(np.spacing(trig)))
+    assert np.all(poly[0] <= 0.0)
+    assert np.array_equal(np.sign(poly[1]), np.sign(dev))
+    assert np.all(poly[:, dev == 0.0] == 0.0)
+
+
+def test_quartic_route_fixed_point_matches_trig(monkeypatch):
+    # a1 = 0.3, mu = 0.3 on the 16-angle exponential grid: sup|D| near 0.1,
+    # where the sweep's old quadratic e^{iD} moved the fixed point by 3.4e-8
+    state = AsymptoticState(PROFILE, {1: 0.3}, "exponential", 0.9)
+    grid16 = build_grid(PROFILE, t_max=20.0, dt=0.05, n_theta=16)
+    poly = outer_solve(state, grid16, 0.3)
+    assert 0.05 < poly.field.sup() <= characteristics._POLY_CAP
+    monkeypatch.setattr(characteristics, "_POLY_CAP", -1.0)
+    trig = outer_solve(state, grid16, 0.3)
+    assert [r["contraction"]["sweeps"] for r in poly.ledger.records] == [
+        r["contraction"]["sweeps"] for r in trig.ledger.records
+    ]
+    assert np.max(np.abs(poly.field.deviation - trig.field.deviation)) <= 1e-14
+    assert np.max(np.abs(poly.path.values - trig.path.values)) <= 1e-14
+
+
+# -- the e^{i omega t} table against a per-block recomputation ----------------
+
+class _PerBlockTable:
+    """Stands in for the cached table: every slice is computed afresh."""
+
+    def __init__(self, times, omega):
+        self.times, self.omega = np.asarray(times, float), np.asarray(omega, float)
+
+    def __getitem__(self, index):
+        rows, sl = index
+        assert rows == slice(None)
+        return np.exp(1j * np.outer(self.times, self.omega[sl]))
+
+
+def _table_outputs(grid, z, dev, state):
+    times, theta, omega = grid.times(), grid.theta(), grid.omega_nodes
+    rows = np.empty(grid.n_times)
+    new = deviation_sweep(times, theta, omega, z, dev, 0.5, row_residual=rows)
+    field = CharacteristicField(grid, dev, 0.5)
+    gam = gamma_field(field, z)
+    quad = scheme._order_parameter_values(field, state)
+    return [new, rows, gam.sin_part, gam.cos_part, np.array(gam.margin), quad]
+
+
+def _per_block_outputs(grid, z, dev, state, monkeypatch):
+    with monkeypatch.context() as mp:
+        mp.setattr(characteristics, "oscillation_table", _PerBlockTable)
+        mp.setattr(scheme, "oscillation_table", _PerBlockTable)
+        return _table_outputs(grid, z, dev, state)
+
+
+# the benchmark grids: exp_ref, poly_ref and strong_coupling, with the
+# deviation amplitude of their solved fields
+TABLE_GRIDS = {
+    "exp_ref": (PROFILE, dict(t_max=20.0, dt=0.05, n_theta=64), 0.0025),
+    "poly_ref": (FrequencyProfile("laplace", 1.0),
+                 dict(t_max=40.0, dt=0.05, n_theta=8, n_omega=480), 0.004),
+    "strong_coupling": (PROFILE, dict(t_max=20.0, dt=0.05, n_theta=16), 0.14),
+}
+
+
+@pytest.mark.parametrize("name", list(TABLE_GRIDS))
+def test_table_slices_equal_per_block_recomputation(name, monkeypatch):
+    profile, spec, amplitude = TABLE_GRIDS[name]
+    g = build_grid(profile, **spec)
+    n_t, n_th, n_om = g.shape()
+    # 7 columns more than two thirds of the frequencies: a ragged last block
+    width = 2 * n_om // 3 + 7
+    monkeypatch.setattr(characteristics, "_BLOCK_CELLS", n_t * n_th * width)
+    widths = [sl.stop - sl.start for sl in characteristics.omega_blocks(g.shape())]
+    assert len(widths) == 2 and widths[1] < widths[0]
+    times = g.times()
+    z = 0.3 * np.exp(-0.5 * times + 0.4j * times)
+    dev = np.random.default_rng(3).uniform(-amplitude, amplitude, g.shape())
+    decay = ("polynomial", 2.0) if profile.kind == "laplace" else ("exponential", 0.9)
+    state = AsymptoticState(profile, {1: 0.05}, *decay)
+    cached = _table_outputs(g, z, dev, state)
+    fresh = _per_block_outputs(g, z, dev, state, monkeypatch)
+    assert all(np.array_equal(c, f) for c, f in zip(cached, fresh))
+
+
+def test_table_never_serves_another_node_set(forced_blocks, monkeypatch):
+    # two grids of one shape, different frequency nodes, swept in turn
+    g1 = _grid_with_nodes(MIXED_NODES)
+    g2 = _grid_with_nodes(np.array(MIXED_NODES) + 0.5)
+    assert g1.shape() == g2.shape()
+    state = AsymptoticState(PROFILE, {1: 0.05}, "exponential", 0.9)
+    rng = np.random.default_rng(8)
+    z = 0.3 * np.exp(-0.5 * g1.times() + 0.4j * g1.times())
+    dev = rng.uniform(-0.1, 0.1, g1.shape())
+    for g in (g1, g2, g1, g2):
+        cached = _table_outputs(g, z, dev, state)
+        fresh = _per_block_outputs(g, z, dev, state, monkeypatch)
+        assert all(np.array_equal(c, f) for c, f in zip(cached, fresh))
+    # an array changed in place keys a new table
+    omega = g1.omega_nodes.copy()
+    before = oscillation_table(g1.times(), omega)
+    assert oscillation_table(g1.times(), omega) is before
+    omega[0] += 1.0
+    after = oscillation_table(g1.times(), omega)
+    assert np.array_equal(after, np.exp(1j * np.outer(g1.times(), omega)))
+    assert not after.flags.writeable
+
+
+# -- the c07 gap, one block at a time ----------------------------------------
+
+def test_sup_distance_equals_the_field_sized_max(grid, zpath, solved, forced_blocks):
+    field = solved[0]
+    oracle = backward_ode_oracle(grid, zpath, MU)
+    gap = oracle.sup_distance(field)
+    assert gap > 0.0
+    assert gap == float(np.max(np.abs(oracle.deviation - field.deviation)))
+    broken = oracle.deviation.copy()
+    broken[3, 2, -1] = np.nan
+    assert math.isnan(CharacteristicField(grid, broken, MU).sup_distance(field))

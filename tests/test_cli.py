@@ -247,6 +247,9 @@ def test_negative_mu_rejected(tmp_path):
         {"tolerances": {"tail_budget": True}},
         {"particles": {"n": True, "dt": 0.02}},
         {"particles": {"n": 2000, "dt": 0.02, "seed": False}},
+        # t_max / dt = 1.6e13 RK4 steps
+        {"particles": {"n": 100, "dt": 1e-12}},
+        {"particles": {"n": 100, "dt": math.nextafter(0.05 / 4096, 0.0)}},
     ],
     ids=[
         "modes_list", "tolerances_list", "mode_nan", "profile_list", "decay_string",
@@ -256,6 +259,7 @@ def test_negative_mu_rejected(tmp_path):
         "mu_true", "scale_true", "mode_true", "mode_part_false", "decay_rate_true",
         "t_max_true", "n_omega_true", "weight_rate_true", "tol_outer_true",
         "tail_budget_true", "particles_n_true", "particles_seed_false",
+        "particles_dt_tiny", "particles_dt_below_limit",
     ],
 )
 def test_malformed_config_exits_2_with_one_line(tmp_path, monkeypatch, caplog, overrides):
@@ -268,6 +272,16 @@ def test_malformed_config_exits_2_with_one_line(tmp_path, monkeypatch, caplog, o
     assert code == 2
     errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
     assert len(errors) == 1 and "\n" not in errors[0]
+
+
+def test_particle_step_at_the_oracle_cap_still_loads(tmp_path):
+    # grid dt / 4096, the finest RK4 sub-step the oracle takes, is the limit
+    limit = 0.05 / 4096
+    raw = base_config(particles={"n": 100, "dt": limit})
+    assert load_config(write_config(tmp_path / "cfg.json", raw)).particles["dt"] == limit
+    raw = base_config(particles={"n": 100, "dt": math.nextafter(limit, 0.0)})
+    with pytest.raises(ConfigError, match="below grid dt / 4096"):
+        load_config(write_config(tmp_path / "cfg.json", raw))
 
 
 def test_null_optional_sections_take_defaults(tmp_path):

@@ -25,8 +25,8 @@ from kuramoto_dephasing import (
     verify_lemmas,
     weighted_norm,
 )
-from kuramoto_dephasing import CharacteristicField, scheme
-from kuramoto_dephasing.characteristics import _POLY_THRESHOLD
+from kuramoto_dephasing import CharacteristicField, characteristics, scheme
+from kuramoto_dephasing.characteristics import _POLY_CAP, _taylor_terms
 from kuramoto_dephasing.scheme import order_parameter_of
 
 MU = 0.05
@@ -236,7 +236,7 @@ def test_weight_overflowing_at_t_max_is_a_grid_error():
         outer_solve(state, grid, MU)
 
 
-# -- the order-parameter quadrature's two routes to e^{iD} - 1 ----------------
+# -- the two routes of the phase kernel to e^{iD} - 1 ------------------------
 
 # sup distance allowed between the polynomial and the trig route of a solve:
 # both are within a few units in the last place of e^{iD} - 1
@@ -244,13 +244,16 @@ ROUTE_TOL = 1e-14
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(st.floats(-_POLY_THRESHOLD, _POLY_THRESHOLD), min_size=1, max_size=32))
+@given(st.lists(st.floats(-_POLY_CAP, _POLY_CAP), min_size=1, max_size=32))
 def test_polynomial_phase_minus_one_matches_the_trig_form(values):
+    # the number of Taylor terms follows from the data's own sup
     dev = np.array(values)
+    sup = characteristics._sup(dev)
+    assert _taylor_terms(sup) is not None
     poly, trig = np.empty((2, dev.size)), np.empty((2, dev.size))
     scratch = np.empty(dev.size)
-    scheme._phase_minus_one(dev, True, poly[0], poly[1], scratch)
-    scheme._phase_minus_one(dev, False, trig[0], trig[1], scratch)
+    scheme.phase_minus_one(dev, sup, poly[0], poly[1], scratch)
+    scheme.phase_minus_one(dev, np.inf, trig[0], trig[1], scratch)
     # four units in the last place of the trig value (np.spacing is the
     # subnormal step near zero)
     assert np.all(np.abs(poly - trig) <= 4.0 * np.abs(np.spacing(trig)))
@@ -260,24 +263,26 @@ def test_polynomial_phase_minus_one_matches_the_trig_form(values):
 
 
 def _quadrature_routes(field, state, monkeypatch):
-    # the use_poly flag of every block, and the order parameter
+    # the Taylor terms of every block (None: the trig form), and the path
     routes = []
-    phase_minus_one = scheme._phase_minus_one
+    phase_minus_one = scheme.phase_minus_one
 
-    def spy(dev, use_poly, *scratch):
-        routes.append(use_poly)
-        phase_minus_one(dev, use_poly, *scratch)
+    def spy(dev, sup, *out):
+        assert sup == field.sup()
+        routes.append(characteristics._taylor_terms(sup))
+        phase_minus_one(dev, sup, *out)
 
     with monkeypatch.context() as mp:
-        mp.setattr(scheme, "_phase_minus_one", spy)
+        mp.setattr(scheme, "phase_minus_one", spy)
         z = scheme._order_parameter_values(field, state)
     return set(routes), z
 
 
 def test_polynomial_route_solve_matches_the_trig_route(state, grid, result, monkeypatch):
-    assert result.field.sup() <= _POLY_THRESHOLD
-    # no field's sup lies below -1: every quadrature takes the trig route
-    monkeypatch.setattr(scheme, "_POLY_THRESHOLD", -1.0)
+    assert _taylor_terms(result.field.sup()) is not None
+    # no field's sup lies below -1: every sweep, quadrature and coupling
+    # integral takes the trig route
+    monkeypatch.setattr(characteristics, "_POLY_CAP", -1.0)
     trig = outer_solve(state, grid, MU, WEIGHT)
     assert [r["contraction"]["sweeps"] for r in trig.ledger.records] == [
         r["contraction"]["sweeps"] for r in result.ledger.records
@@ -288,15 +293,18 @@ def test_polynomial_route_solve_matches_the_trig_route(state, grid, result, monk
 
 def test_quadrature_route_follows_the_exact_sup(state, grid, result, monkeypatch):
     dev = result.field.deviation
-    at = CharacteristicField(grid, dev * (_POLY_THRESHOLD / result.field.sup()), MU)
+    at = CharacteristicField(grid, dev * (_POLY_CAP / result.field.sup()), MU)
     above = CharacteristicField(grid, dev * (1.5 / result.field.sup()), MU)
-    assert at.sup() <= _POLY_THRESHOLD < above.sup()
+    assert at.sup() <= _POLY_CAP < above.sup()
+    assert _quadrature_routes(result.field, state, monkeypatch)[0] == {
+        _taylor_terms(result.field.sup())
+    }
     routes, z_poly = _quadrature_routes(at, state, monkeypatch)
-    assert routes == {True}
-    assert _quadrature_routes(above, state, monkeypatch)[0] == {False}
-    # at the threshold, where the truncated Taylor terms weigh most, the
-    # polynomial still agrees with the trig route
-    monkeypatch.setattr(scheme, "_POLY_THRESHOLD", -1.0)
+    assert routes == {9}
+    assert _quadrature_routes(above, state, monkeypatch)[0] == {None}
+    # at the cap, where the polynomials are longest, they still agree with
+    # the trig route
+    monkeypatch.setattr(characteristics, "_POLY_CAP", -1.0)
     routes, z_trig = _quadrature_routes(at, state, monkeypatch)
-    assert routes == {False}
+    assert routes == {None}
     assert np.max(np.abs(z_poly - z_trig)) <= ROUTE_TOL
