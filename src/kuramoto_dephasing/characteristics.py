@@ -53,7 +53,7 @@ __all__ = [
 
 # cells per omega block: each complex block buffer stays near 8 MB
 _BLOCK_CELLS = 1 << 19
-# largest sup|D| at which phase_minus_one takes Taylor polynomials; there it
+# largest sup|D| at which phase_kernel takes Taylor polynomials; there it
 # needs 9 terms, still cheaper per cell than np.sin, and above it the trig
 # form (-2 sin^2(D/2), sin D) serves
 _POLY_CAP = 1.0
@@ -262,7 +262,7 @@ def _sup(a) -> float:
 
 
 def _taylor_terms(sup):
-    """Terms k of each Taylor series phase_minus_one keeps at sup|D| = sup.
+    """Terms k of each Taylor series phase_kernel keeps at sup|D| = sup.
 
     The smallest k for which both first omitted terms, D^{2k+2} / (2k+2)!
     of cos D - 1 and D^{2k+1} / (2k+1)! of sin D, are at most 2^-53
@@ -291,31 +291,51 @@ def _horner(x, coeffs, out):
     out += coeffs[0]
 
 
-def phase_minus_one(dev, sup, cos_m1, sin_d, d2):
-    """(cos D - 1, sin D) of ``dev`` into ``cos_m1`` and ``sin_d``.
+def phase_kernel(sup):
+    """The map D -> (cos D - 1, sin D) for arrays with |D| <= ``sup``.
 
-    ``sup`` must bound |dev|; the callers pass the exact sup of the field
-    the block belongs to.  Up to _POLY_CAP the pair is D^2 Q_k(D^2) and
-    D P_k(D^2) by Horner's rule, with k from ``_taylor_terms(sup)``, so the
-    truncation stays below the rounding unit; ``d2`` is scratch for D^2.
-    Above the cap it is (-2 sin^2(D/2), sin D).  Both forms keep full
-    relative precision as D -> 0 and map 0 to 0.  Every e^{iD} of the
-    package comes from here: the sweep, gamma_field and the
-    order-parameter quadrature.
+    Returns ``kernel(dev, cos_m1, sin_d, d2)``, which writes the pair of
+    ``dev`` into ``cos_m1`` and ``sin_d``.  Up to _POLY_CAP the pair is
+    D^2 Q_k(D^2) and D P_k(D^2) by Horner's rule, with k from
+    ``_taylor_terms(sup)``, so the truncation stays below the rounding
+    unit; ``d2`` is scratch for D^2.  Above the cap it is
+    (-2 sin^2(D/2), sin D).  Both forms keep full relative precision as
+    D -> 0 and map 0 to 0.  The terms are picked once, here, so a caller
+    that applies one bound to many small arrays (the RK4 oracle's stages)
+    pays for the choice once.  Every e^{iD} of the package comes from this
+    kernel: the sweep, gamma_field, the order-parameter quadrature and
+    the RK4 oracle.
     """
     k = _taylor_terms(sup)
     if k is None:
-        np.multiply(dev, 0.5, out=cos_m1)
-        np.sin(cos_m1, out=cos_m1)
-        np.multiply(cos_m1, cos_m1, out=cos_m1)
-        cos_m1 *= -2.0
-        np.sin(dev, out=sin_d)
-        return
-    np.multiply(dev, dev, out=d2)
-    _horner(d2, _COS_M1_OVER_D2[:k], cos_m1)
-    cos_m1 *= d2
-    _horner(d2, _SIN_OVER_D[:k], sin_d)
-    sin_d *= dev
+        return _trig_phase
+    cos_coeffs, sin_coeffs = _COS_M1_OVER_D2[:k], _SIN_OVER_D[:k]
+
+    def taylor_phase(dev, cos_m1, sin_d, d2):
+        np.multiply(dev, dev, out=d2)
+        _horner(d2, cos_coeffs, cos_m1)
+        cos_m1 *= d2
+        _horner(d2, sin_coeffs, sin_d)
+        sin_d *= dev
+
+    return taylor_phase
+
+
+def _trig_phase(dev, cos_m1, sin_d, d2):
+    np.multiply(dev, 0.5, out=cos_m1)
+    np.sin(cos_m1, out=cos_m1)
+    np.multiply(cos_m1, cos_m1, out=cos_m1)
+    cos_m1 *= -2.0
+    np.sin(dev, out=sin_d)
+
+
+def phase_minus_one(dev, sup, cos_m1, sin_d, d2):
+    """(cos D - 1, sin D) of ``dev`` into ``cos_m1`` and ``sin_d``.
+
+    ``phase_kernel(sup)`` applied once; ``sup`` must bound |dev|, and the
+    blocked loops pass the exact sup of the field the block belongs to.
+    """
+    phase_kernel(sup)(dev, cos_m1, sin_d, d2)
 
 
 def oscillation_table(times, omega):
@@ -364,7 +384,7 @@ def _integral_blocks(times, omega, z, deviation):
     dt = float(times[1] - times[0])
     conj_z = np.conj(z)[:, None]
     table = oscillation_table(times, omega)
-    sup = _sup(deviation)
+    kernel = phase_kernel(_sup(deviation))
     phases = block_buffer(deviation.shape)
     cells = block_buffer(deviation.shape)
     for sl in omega_blocks(deviation.shape):
@@ -381,7 +401,7 @@ def _integral_blocks(times, omega, z, deviation):
         # memory of c holds the pair and that of e holds D^2, as contiguous
         # real arrays (twice as fast for the kernel as strided .real/.imag)
         cos_m1, sin_d = _real_halves(c)
-        phase_minus_one(deviation[:, :, sl], sup, cos_m1, sin_d, _real_halves(e)[0])
+        kernel(deviation[:, :, sl], cos_m1, sin_d, _real_halves(e)[0])
         np.add(cos_m1, 1.0, out=e.real)
         np.copyto(e.imag, sin_d)
         np.multiply(e[:-1], left[:-1, None, :], out=c[:-1])
@@ -398,7 +418,7 @@ def deviation_sweep(times, theta, omega, z, deviation, mu, row_residual=None):
     Operates on raw arrays so alternative node sets can be pushed through.
     Returns the new deviation, mu * Im(e^{i theta} I), blocked over
     frequency columns to bound the complex working set; e^{iD} comes from
-    phase_minus_one at the exact sup of ``deviation``.  A given
+    phase_kernel at the exact sup of ``deviation``.  A given
     ``row_residual`` (shape (n_times,)) receives the sup over each time
     row of |new - deviation| from the same pass.
     """
@@ -423,8 +443,19 @@ def deviation_sweep(times, theta, omega, z, deviation, mu, row_residual=None):
     return out
 
 
+def _refuse_nonfinite(z, mu):
+    # NaN or inf in the path or the coupling is bad input, to be named as
+    # such rather than reported as a gain >= 1 or a NaN field
+    if not math.isfinite(mu):
+        raise ValueError(f"mu must be finite, got {mu!r}")
+    if not np.all(np.isfinite(z)):
+        raise ValueError("z must be finite at every grid time")
+
+
 def _open_report(grid: Grid, z, mu: float, weight: WeightSpec, tol: float):
-    # an empty report for the map F_z with its certified gain; refuses kappa >= 1
+    # an empty report for the map F_z with its certified gain; refuses
+    # non-finite input and kappa >= 1
+    _refuse_nonfinite(z, mu)
     r_norm = weighted_norm(grid.times(), z, weight)
     bound = mu * r_norm * weight.unit_contraction_gain
     if not bound < 1.0:
@@ -447,12 +478,13 @@ def picard_sweep(
 ):
     """One sweep D |-> F_z(D) of the backward map from an arbitrary field.
 
-    ``field`` defaults to D = 0.  Refuses a gain >= 1 like
-    ``solve_fixed_point``.  The report carries the single residual
-    ||F_z(D) - D||_w and no ratios, and is never ``converged``: one sweep
-    does not solve the fixed point.  A zero gain (mu = 0 or z = 0) makes
-    F_z identically zero, so the zero field is returned without a sweep;
-    that report is ``converged``, since the zero field is then exact.
+    ``field`` defaults to D = 0.  Refuses non-finite ``z`` or ``mu``
+    (ValueError) and a gain >= 1 like ``solve_fixed_point``.  The report
+    carries the single residual ||F_z(D) - D||_w and no ratios, and is
+    never ``converged``: one sweep does not solve the fixed point.  A zero
+    gain (mu = 0 or z = 0) makes F_z identically zero, so the zero field is
+    returned without a sweep; that report is ``converged``, since the zero
+    field is then exact.
 
     Returns (CharacteristicField, ContractionReport).
     """
@@ -485,10 +517,10 @@ def solve_fixed_point(
     """Iterate the backward map to its fixed point for a frozen path z.
 
     Starts from D = 0, so every iterate obeys the deviation bound and the
-    residual trail certifies the per-sweep contraction.  Refuses to start
-    when the certified gain mu * ||R||_w * unit_gain is >= 1
-    (NonContractiveError); raises MaxSweepsExceededError if the residual
-    stalls above ``tol``.
+    residual trail certifies the per-sweep contraction.  Refuses non-finite
+    ``z`` or ``mu`` (ValueError), and refuses to start when the certified
+    gain mu * ||R||_w * unit_gain is >= 1 (NonContractiveError); raises
+    MaxSweepsExceededError if the residual stalls above ``tol``.
 
     Returns (CharacteristicField, ContractionReport).
     """
@@ -535,7 +567,17 @@ def backward_ode_oracle(
     Each frequency column takes m = ceil(|omega| dt / phase_step_cap)
     sub-steps of h = dt / m per cell, keeping the local error uniformly
     small; columns whose requirement exceeds ``max_substeps`` are rejected
-    rather than silently degraded.
+    rather than silently degraded.  Non-finite ``z`` or ``mu`` and a
+    ``phase_step_cap`` that is not positive are refused (ValueError).
+
+    The rate is evaluated as Im(P e^{i psi}) = P_i + P_i (cos psi - 1) +
+    P_r sin psi, with P = -mu conj(z(s)) e^{i(theta + omega s)} formed once
+    per cell for the three stage times of every sub-step.  The pair
+    (cos psi - 1, sin psi) comes from ``phase_kernel``, with its terms
+    chosen once from an a priori bound on every stage argument: each stage
+    rate is at most |mu| |z(sample)|, so |psi| stays below
+    |mu| dt sum over cells of the largest |z| among the samples the cell
+    reads.  The trigonometric work is then per cell, not per sub-step.
 
     All columns march backward through the cells in lockstep.  Inside a
     cell, inner step k advances every column with m > k by its sub-step
@@ -544,16 +586,24 @@ def backward_ode_oracle(
     serves every sub-step count.  Each column sees the same arithmetic,
     in the same order, as a loop over its own m alone would do, so the
     result does not depend on which other columns share the grid.  The
-    working set is the output field, the spline samples of z and per-cell
-    scratch the size of the (sub-step, angle) state.
+    working set is the output field, the spline samples of z, the two
+    real parts of P, each (3, sub-steps, angles), and per-cell scratch the
+    size of the (column, angle) state.
 
-    Shares nothing with the cell-weight quadrature route: different
-    integrator, different interpolation, different error mechanism.
+    Shares with the cell-weight quadrature route only the phase kernel,
+    which is exact to rounding (ulp-tested against the trig form).  The
+    integrator (RK4 against Filon cells), the interpolation of z (a cubic
+    spline against the grid values) and the resolution of the oscillation
+    (sub-stepping against exact cell weights) stay independent.
     """
     times = grid.times()
     z = np.asarray(z, dtype=complex)
     if z.shape != times.shape:
         raise ValueError("z must be sampled on the time grid")
+    _refuse_nonfinite(z, mu)
+    if not phase_step_cap > 0.0:
+        # 0, a negative cap or NaN would make every column one sub-step
+        raise ValueError(f"phase_step_cap must be positive, got {phase_step_cap!r}")
     dt = grid.dt
     theta = grid.theta()
     omega = grid.omega_nodes
@@ -590,50 +640,71 @@ def backward_ode_oracle(
         zc[:, lo:lo + offs.size] = spline(times[:-1, None] + offs[None, :])
     sample = np.array([first[v] for v in m[col].tolist()], dtype=np.intp) + 2 * i
     sample = np.stack([sample, sample - 1, sample - 2])
+    # every stage argument is below this bound, so one term count serves
+    kernel = phase_kernel(abs(mu) * dt * float(np.abs(zc).max(axis=1).sum()))
 
-    # per-cell scratch: omega s, theta + omega s and z for every slot; the
+    # per-cell scratch: omega s, e^{i omega s} and z for every slot, and
+    # P = (-mu e^{i theta}) conj(z) e^{i omega s} as two real arrays; the
     # views each inner step uses are cut once, here
-    omega_s = np.empty(offsets.shape)
-    base = np.empty(offsets.shape + (theta.size,))
+    mu_cos, mu_sin = -mu * np.cos(theta), -mu * np.sin(theta)
+    omega_s, cos_s, sin_s, w_re, w_im = np.empty((5,) + offsets.shape)
     zs = np.empty(offsets.shape, dtype=complex)
-    psi, arg, phase, k1, k2, k3, k4 = np.zeros((7, m.size, theta.size))
+    p_re, p_im = np.empty((2,) + offsets.shape + (theta.size,))
+    p_tmp = np.empty(offsets.shape[1:] + (theta.size,))
+    psi, arg, sin_x, x2, k1, k2, k3, k4 = np.zeros((8, m.size, theta.size))
     steps = [
         (
-            base[:, lo:hi], zs.real[:, lo:hi, None], zs.imag[:, lo:hi, None],
+            p_re[:, lo:hi], p_im[:, lo:hi],
             (0.5 * h[:n])[:, None], h[:n, None], (h[:n] / 6.0)[:, None],
-            psi[:n], arg[:n], phase[:n], k1[:n], k2[:n], k3[:n], k4[:n],
+            psi[:n], arg[:n], sin_x[:n], x2[:n], k1[:n], k2[:n], k3[:n], k4[:n],
         )
         for n, lo, hi in zip(active, starts[:-1], starts[1:])
     ]
 
-    def rate(base_r, zr, zi, at, x, out):
-        # out = -mu (Re z sin x - Im z cos x) with x = theta + omega s + at
-        np.add(base_r, at, out=x)
-        np.sin(x, out=out)
-        out *= zr
-        np.cos(x, out=x)
-        x *= zi
-        out -= x
-        out *= -mu
+    def rate(pr, pi, x, s, x2, out):
+        # out = Im(P e^{ix}) = P_i + P_i (cos x - 1) + P_r sin x
+        kernel(x, out, s, x2)
+        out *= pi
+        s *= pr
+        out += s
+        out += pi
 
     dev = np.empty(grid.shape())
     dev[-1] = 0.0
     for j in range(n_t - 2, -1, -1):
         np.add(times[j], offsets, out=omega_s)
         omega_s *= om
-        np.add(omega_s[:, :, None], theta, out=base)
+        np.cos(omega_s, out=cos_s)
+        np.sin(omega_s, out=sin_s)
         np.take(zc[j], sample, out=zs)
-        for b, zr, zi, half, hk, sixth, p, a, x, r1, r2, r3, r4 in steps:
-            rate(b[0], zr[0], zi[0], p, x, r1)
+        # conj(z) e^{i omega s} = (Re z cos + Im z sin) + i (Re z sin - Im z cos)
+        np.multiply(zs.real, cos_s, out=w_re)
+        np.multiply(zs.imag, sin_s, out=omega_s)
+        w_re += omega_s
+        np.multiply(zs.real, sin_s, out=w_im)
+        np.multiply(zs.imag, cos_s, out=omega_s)
+        w_im -= omega_s
+        for r in range(3):
+            # P_r = W_r (-mu cos theta) - W_i (-mu sin theta), and
+            # P_i = W_r (-mu sin theta) + W_i (-mu cos theta)
+            wr, wi = w_re[r, :, None], w_im[r, :, None]
+            np.multiply(wr, mu_cos, out=p_re[r])
+            np.multiply(wi, mu_sin, out=p_tmp)
+            p_re[r] -= p_tmp
+            np.multiply(wr, mu_sin, out=p_im[r])
+            np.multiply(wi, mu_cos, out=p_tmp)
+            p_im[r] += p_tmp
+        for pr, pi, half, hk, sixth, p, a, s, x2, r1, r2, r3, r4 in steps:
+            rate(pr[0], pi[0], p, s, x2, r1)
             np.multiply(half, r1, out=a)
             np.subtract(p, a, out=a)
-            rate(b[1], zr[1], zi[1], a, x, r2)
+            rate(pr[1], pi[1], a, s, x2, r2)
             np.multiply(half, r2, out=a)
             np.subtract(p, a, out=a)
-            rate(b[1], zr[1], zi[1], a, x, r3)
+            rate(pr[1], pi[1], a, s, x2, r3)
             np.multiply(hk, r3, out=a)
             np.subtract(p, a, out=a)
-            rate(b[2], zr[2], zi[2], a, x, r4)
+            rate(pr[2], pi[2], a, s, x2, r4)
             # (h/6) (k1 + 2 k2 + 2 k3 + k4), summed left to right
             r2 *= 2.0
             r3 *= 2.0

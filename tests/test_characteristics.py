@@ -478,10 +478,12 @@ def test_row_backward_sum_is_bit_identical_to_cumsum(grid, forced_blocks, monkey
     assert all(np.array_equal(o, r) for o, r in zip(outputs, ref_outputs))
 
 
-# -- reference: the per-group RK4 oracle the lockstep pass replaced -----------
+# -- references: the per-group RK4 loop the lockstep pass replaced ------------
 
-def _seed_backward_ode_oracle(grid, z, mu, phase_step_cap=0.125):
-    # one backward loop of (n_t - 1) * m sub-steps per sub-step count m
+def _trig_per_group_oracle(grid, z, mu, phase_step_cap=0.125):
+    # one backward loop of (n_t - 1) * m sub-steps per sub-step count m,
+    # with the rate -mu Im(conj(z) e^{i(theta + omega s + psi)}) from np.sin
+    # and np.cos at every stage
     from scipy.interpolate import CubicSpline
 
     times = grid.times()
@@ -521,6 +523,66 @@ def _seed_backward_ode_oracle(grid, z, mu, phase_step_cap=0.125):
     return dev
 
 
+def _spline_samples(grid, z, phase_step_cap=0.125):
+    # z at half-substep resolution across each cell, per sub-step count m
+    from scipy.interpolate import CubicSpline
+
+    times, dt = grid.times(), grid.dt
+    spline = CubicSpline(times, np.asarray(z, dtype=complex))
+    return {
+        int(m): spline(times[:-1, None] + 0.5 * (dt / m) * np.arange(2 * m + 1)[None, :])
+        for m in np.unique(_substeps(grid, phase_step_cap))
+    }
+
+
+def _stage_bound(grid, z, mu, phase_step_cap=0.125):
+    # |mu| dt sum over cells of the largest |z| among every sample the cell reads
+    samples = _spline_samples(grid, z, phase_step_cap).values()
+    row_max = np.max([np.abs(zc).max(axis=1) for zc in samples], axis=0)
+    return abs(mu) * grid.dt * float(row_max.sum())
+
+
+def _per_group_oracle(grid, z, mu, phase_step_cap=0.125):
+    # the trig loop above on the oracle's stage arithmetic: the rate is
+    # P_i + P_i (cos psi - 1) + P_r sin psi with P = -mu conj(z) e^{i(theta +
+    # omega s)}, and the pair comes from the phase kernel at _stage_bound
+    times, dt = grid.times(), grid.dt
+    theta = grid.theta()[:, None]
+    mu_cos, mu_sin = -mu * np.cos(theta), -mu * np.sin(theta)
+    omega = grid.omega_nodes
+    need = _substeps(grid, phase_step_cap)
+    kernel = characteristics.phase_kernel(_stage_bound(grid, z, mu, phase_step_cap))
+    dev = np.empty(grid.shape())
+    dev[-1] = 0.0
+    for m, zc in _spline_samples(grid, z, phase_step_cap).items():
+        cols = np.flatnonzero(need == m)
+        om = omega[cols][None, :]
+        h = dt / m
+        psi = np.zeros((grid.n_theta, cols.size))
+
+        def rhs(s_val, zval, psi_val):
+            ws = om * s_val
+            w_re = zval.real * np.cos(ws) + zval.imag * np.sin(ws)
+            w_im = zval.real * np.sin(ws) - zval.imag * np.cos(ws)
+            p_re = w_re * mu_cos - w_im * mu_sin
+            p_im = w_re * mu_sin + w_im * mu_cos
+            cos_m1, sin_psi, scratch = np.empty((3,) + psi_val.shape)
+            kernel(psi_val, cos_m1, sin_psi, scratch)
+            return p_im * cos_m1 + p_re * sin_psi + p_im
+
+        for j in range(grid.n_times - 2, -1, -1):
+            for i in range(m, 0, -1):
+                s2, s1, s0 = times[j] + h * i, times[j] + h * (i - 0.5), times[j] + h * (i - 1)
+                z2, z1, z0 = zc[j, 2 * i], zc[j, 2 * i - 1], zc[j, 2 * i - 2]
+                k1 = rhs(s2, z2, psi)
+                k2 = rhs(s1, z1, psi - 0.5 * h * k1)
+                k3 = rhs(s1, z1, psi - 0.5 * h * k2)
+                k4 = rhs(s0, z0, psi - h * k3)
+                psi -= (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            dev[j, :, cols] = psi.T
+    return dev
+
+
 def _grid_with_nodes(nodes):
     # equal probability weight on arbitrary, unsorted frequency nodes
     nodes = np.asarray(nodes, dtype=float)
@@ -546,19 +608,98 @@ def test_oracle_comparison_grids_cover_the_group_layouts():
     assert np.all(_substeps(_grid_with_nodes(SINGLE_NODES)) == 1)
 
 
-@pytest.mark.parametrize(
+ORACLE_GRIDS = pytest.mark.parametrize(
     "nodes, cap",
     [(MIXED_NODES, 0.125), (MIXED_NODES, 0.04), (SINGLE_NODES, 0.125), (None, 0.125)],
     ids=["mixed_groups", "mixed_groups_fine_cap", "one_group", "lorentzian_rule"],
 )
-def test_lockstep_oracle_is_bit_identical_to_per_group_loop(grid, nodes, cap):
+
+
+def _oracle_case(grid, nodes):
     g = grid if nodes is None else _grid_with_nodes(nodes)
     times = g.times()
-    z = 0.3 * np.exp(-0.5 * times + 0.4j * times)
+    return g, 0.3 * np.exp(-0.5 * times + 0.4j * times)
+
+
+@ORACLE_GRIDS
+def test_lockstep_oracle_is_bit_identical_to_per_group_loop(grid, nodes, cap):
+    g, z = _oracle_case(grid, nodes)
     new = backward_ode_oracle(g, z, 0.5, phase_step_cap=cap).deviation
-    ref = _seed_backward_ode_oracle(g, z, 0.5, phase_step_cap=cap)
+    ref = _per_group_oracle(g, z, 0.5, phase_step_cap=cap)
     assert np.max(np.abs(ref)) > 1e-3
     assert np.array_equal(new, ref)
+
+
+@ORACLE_GRIDS
+def test_oracle_stays_within_rounding_of_the_trig_loop(grid, nodes, cap):
+    # factoring e^{i(theta + omega s)} out of the stages moves only rounding
+    g, z = _oracle_case(grid, nodes)
+    new = backward_ode_oracle(g, z, 0.5, phase_step_cap=cap).deviation
+    ref = _trig_per_group_oracle(g, z, 0.5, phase_step_cap=cap)
+    assert np.max(np.abs(ref)) > 1e-3
+    assert np.max(np.abs(new - ref)) <= 1e-15
+
+
+@ORACLE_GRIDS
+def test_oracle_taylor_route_matches_the_trig_route(grid, nodes, cap, monkeypatch):
+    g, z = _oracle_case(grid, nodes)
+    assert characteristics._taylor_terms(_stage_bound(g, z, 0.5, cap)) is not None
+    taylor = backward_ode_oracle(g, z, 0.5, phase_step_cap=cap).deviation
+    # no bound lies below -1: the stages take (-2 sin^2(psi/2), sin psi)
+    monkeypatch.setattr(characteristics, "_POLY_CAP", -1.0)
+    trig = backward_ode_oracle(g, z, 0.5, phase_step_cap=cap).deviation
+    assert np.max(np.abs(taylor - trig)) <= 1e-15
+
+
+def _oracle_routes(g, z, mu, monkeypatch):
+    # the bound every phase kernel of one oracle call was built for
+    sups = []
+    phase_kernel = characteristics.phase_kernel
+
+    def spy(sup):
+        sups.append(sup)
+        return phase_kernel(sup)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(characteristics, "phase_kernel", spy)
+        dev = backward_ode_oracle(g, z, mu).deviation
+    return sups, dev
+
+
+@pytest.mark.parametrize("mu, terms", [(0.5, 6), (MU, 4), (2.0, None)])
+def test_oracle_phase_terms_follow_the_a_priori_bound(grid, monkeypatch, mu, terms):
+    g, z = _oracle_case(grid, MIXED_NODES)
+    bound = _stage_bound(g, z, mu)
+    sups, dev = _oracle_routes(g, z, mu, monkeypatch)
+    # one kernel per call, built for the bound: its terms are chosen once
+    assert sups == [bound]
+    assert characteristics._taylor_terms(bound) == terms
+    # the bound holds for the stored states, within a factor that keeps it
+    # from choosing more terms than needed
+    assert 0.5 * bound < characteristics._sup(dev) <= bound
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_nonfinite_inputs_are_refused_by_name(grid, zpath, bad):
+    broken = zpath.copy()
+    broken[7] = complex(0.0, bad)
+    calls = [
+        lambda z, mu: backward_ode_oracle(grid, z, mu),
+        lambda z, mu: picard_sweep(grid, z, mu, WEIGHT),
+        lambda z, mu: solve_fixed_point(grid, z, mu, WEIGHT),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="mu must be finite"):
+            call(zpath, bad)
+        with pytest.raises(ValueError, match="z must be finite"):
+            call(broken, MU)
+
+
+@pytest.mark.parametrize("cap", [0.0, -0.125, math.nan])
+def test_oracle_refuses_a_step_cap_that_is_not_positive(grid, zpath, cap):
+    # each of these once ran every column at one sub-step per cell
+    with pytest.raises(ValueError, match="phase_step_cap must be positive"):
+        backward_ode_oracle(grid, zpath, MU, phase_step_cap=cap)
 
 
 def test_oracle_working_set_is_one_field_and_small_tables(grid, zpath):
