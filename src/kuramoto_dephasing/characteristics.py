@@ -51,8 +51,8 @@ __all__ = [
     "gamma_field",
 ]
 
-# cells per omega block: each complex block buffer stays near 8 MB
-_BLOCK_CELLS = 1 << 19
+# cells per time-row tile: each complex tile slab stays near 2 MB
+_TILE_CELLS = 1 << 17
 # largest sup|D| at which phase_kernel takes Taylor polynomials; there it
 # needs 9 terms, still cheaper per cell than np.sin, and above it the trig
 # form (-2 sin^2(D/2), sin D) serves
@@ -111,18 +111,22 @@ class CharacteristicField:
         return _sup(self.deviation)
 
     def distance(self, other: "CharacteristicField", weight: WeightSpec) -> float:
-        """||D - D_other|| in the deviation weight, one omega block at a time."""
+        """||D - D_other|| in the deviation weight, one time tile at a time."""
         return weighted_norm(self.grid.times(), self._row_gaps(other), weight, deviation=True)
 
     def sup_distance(self, other: "CharacteristicField") -> float:
-        """sup |D - D_other|, one omega block at a time; NaN propagates."""
+        """sup |D - D_other|, one time tile at a time; NaN propagates."""
         return float(self._row_gaps(other).max())
 
     def _row_gaps(self, other):
-        # sup over each time row of |D - D_other|, with block-sized temporaries
-        rows = np.zeros(self.grid.n_times)
-        for sl in omega_blocks(self.deviation.shape):
-            _fold_row_sup(rows, self.deviation[:, :, sl] - other.deviation[:, :, sl])
+        # sup over each time row of |D - D_other|, in one tile slab
+        shape = self.deviation.shape
+        rows = np.empty(shape[0])
+        slab = tile_slab(shape, float)
+        for sl in time_tiles(shape):
+            gap = slab[: sl.stop - sl.start]
+            np.subtract(self.deviation[sl], other.deviation[sl], out=gap)
+            _row_sup(gap, rows[sl])
         return rows
 
 
@@ -215,45 +219,40 @@ def filon_weights(w):
     return alpha, beta
 
 
-def omega_blocks(shape):
-    """Slices of the frequency axis of a (time, angle, frequency) field.
+def time_tiles(shape):
+    """Row slices of a (time, angle, frequency) field, from t_max backward.
 
-    Each block covers about _BLOCK_CELLS cells; the last may be narrower.
-    Every blocked loop over a field walks these slices, so one constant
-    bounds all per-block working sets.
+    Each tile is a run of whole time rows, so it is one contiguous piece of
+    a C-ordered field, of at most _TILE_CELLS cells (one row if a row is
+    larger); the tiles start at the last row, and the tile at t = 0 may be
+    shorter.  Every tiled loop over a field walks these slices, so one
+    constant bounds all per-tile working sets, and the backward integral
+    carries its running sum from one tile to the next.
     """
-    width = _block_width(shape)
-    n_omega = shape[2]
-    for lo in range(0, n_omega, width):
-        yield slice(lo, min(lo + width, n_omega))
+    n_t = shape[0]
+    rows = _tile_rows(shape)
+    for hi in range(n_t, 0, -rows):
+        yield slice(max(0, hi - rows), hi)
 
 
-def _block_width(shape):
+def _tile_rows(shape):
     n_t, n_th, n_omega = shape
-    return min(n_omega, max(1, _BLOCK_CELLS // (n_t * n_th)))
+    return min(n_t, max(1, _TILE_CELLS // (n_th * n_omega)))
 
 
-def block_buffer(shape, dtype=complex):
-    """One buffer sized for the widest block of ``omega_blocks(shape)``.
+def tile_slab(shape, dtype=complex):
+    """One (rows, n_theta, n_omega) buffer for the largest tile of ``shape``.
 
-    Returns ``view(sl)``: a C-contiguous (n_t, n_theta, width) array over
-    that buffer, so a loop over blocks allocates its scratch once.
+    A loop over ``time_tiles(shape)`` takes ``slab[:sl.stop - sl.start]``
+    as its scratch, a C-contiguous leading part, so it allocates once.
     """
-    n_t, n_th, _ = shape
-    flat = np.empty(n_t * n_th * _block_width(shape), dtype=dtype)
-
-    def view(sl):
-        width = sl.stop - sl.start
-        return flat[: n_t * n_th * width].reshape(n_t, n_th, width)
-
-    return view
+    return np.empty((_tile_rows(shape),) + tuple(shape[1:]), dtype=dtype)
 
 
-def _fold_row_sup(acc, block):
-    # acc[i] <- max(acc[i], sup_i |block[i]|) through max and -min: exact,
-    # NaN-propagating, and free of a block-sized |block| temporary
-    np.maximum(acc, block.max(axis=(1, 2)), out=acc)
-    np.maximum(acc, -block.min(axis=(1, 2)), out=acc)
+def _row_sup(tile, out):
+    # out[i] <- sup_i |tile[i]| through max and -min: exact, NaN-propagating,
+    # and free of a tile-sized |tile| temporary
+    np.maximum(tile.max(axis=(1, 2)), -tile.min(axis=(1, 2)), out=out)
 
 
 def _sup(a) -> float:
@@ -333,7 +332,7 @@ def phase_minus_one(dev, sup, cos_m1, sin_d, d2):
     """(cos D - 1, sin D) of ``dev`` into ``cos_m1`` and ``sin_d``.
 
     ``phase_kernel(sup)`` applied once; ``sup`` must bound |dev|, and the
-    blocked loops pass the exact sup of the field the block belongs to.
+    tiled loops pass the exact sup of the field the tile belongs to.
     """
     phase_kernel(sup)(dev, cos_m1, sin_d, d2)
 
@@ -341,8 +340,8 @@ def phase_minus_one(dev, sup, cos_m1, sin_d, d2):
 def oscillation_table(times, omega):
     """e^{i omega t} on the (time, frequency) grid, as a read-only array.
 
-    Every omega block of every sweep, quadrature and gamma_field slices
-    this one table instead of rebuilding its columns.  One table is kept,
+    Every time tile of every sweep, quadrature and gamma_field slices
+    rows of this one table instead of rebuilding them.  One table is kept,
     keyed on the exact bytes of (times, omega), so a solve reuses it and
     any other node set replaces it; it is 2 / n_theta of a float64 field.
     """
@@ -372,43 +371,64 @@ def _backward_sum(c):
 
 
 def _integral_blocks(times, omega, z, deviation):
-    """Backward integrals of one field, one omega block at a time.
+    """Backward integrals of one field, one time tile at a time.
 
-    Yields (sl, integral, spare) per block of ``omega_blocks``, where
-    integral(t_i) = Int_{t_i}^{t_max} c(s) e^{i omega s} ds with cellwise
-    alpha/beta weights, accumulated from the far end backward.  Both
-    arrays are views into two complex buffers that every block reuses:
-    they hold only until the next block is drawn, and ``spare`` is free
-    scratch of the block's shape.
+    Yields (sl, integral, spare) per tile of ``time_tiles``, from t_max
+    backward, where integral(t_i) = Int_{t_i}^{t_max} c(s) e^{i omega s} ds
+    with cellwise alpha/beta weights, summed from the far end one time row
+    at a time.  A cell's right node is the first row of the tile above
+    when the cell straddles a tile boundary, so two (n_theta, n_omega)
+    rows carry across it: that row's right-node term e^{iD} times its
+    weight, and the running integral there.  Every cell thus sees the same
+    products and the same additions, in the same order, as one pass over
+    the whole field.  The Filon weights are computed once for all omega;
+    each tile slices rows of the e^{i omega t} table.  Both yielded arrays
+    are views into two complex slabs that every tile reuses: they hold only
+    until the next tile is drawn, and ``spare`` is free scratch of the
+    tile's shape.
     """
     dt = float(times[1] - times[0])
     conj_z = np.conj(z)[:, None]
     table = oscillation_table(times, omega)
     kernel = phase_kernel(_sup(deviation))
-    phases = block_buffer(deviation.shape)
-    cells = block_buffer(deviation.shape)
-    for sl in omega_blocks(deviation.shape):
-        w = omega[sl] * dt
-        alpha, beta = filon_weights(w)
-        # node factor conj(z(s_j)) e^{i omega s_j} times the cell weight the
-        # node carries as a left (alpha) or right (beta) end; the right node
-        # already has phase e^{i omega s_{j+1}}, so beta loses its e^{i w}
-        right = table[:, sl] * conj_z
-        left = right * (dt * alpha)
-        right *= dt * (beta * np.exp(-1j * w))
-        e, c = phases(sl), cells(sl)
+    w = omega * dt
+    alpha, beta = filon_weights(w)
+    # each node carries its cell weight as a left (alpha) or right (beta)
+    # end; the right node already has phase e^{i omega s_{j+1}}, so beta
+    # loses its e^{i w}
+    left_weight = dt * alpha
+    right_weight = dt * (beta * np.exp(-1j * w))
+    shape = deviation.shape
+    phases, cells = tile_slab(shape), tile_slab(shape)
+    # the right-node term and the running integral at the first row of the
+    # tile above, carried to the last row of the next one
+    edge, above = np.empty((2,) + shape[1:], dtype=complex)
+    for sl in time_tiles(shape):
+        n = sl.stop - sl.start
+        # node factor conj(z(s_j)) e^{i omega s_j} times its cell weight
+        right = table[sl] * conj_z[sl]
+        left = right * left_weight
+        right *= right_weight
+        e, c = phases[:n], cells[:n]
         # e^{iD} = 1 + (cos D - 1) + i sin D; until the cells form, the
         # memory of c holds the pair and that of e holds D^2, as contiguous
         # real arrays (twice as fast for the kernel as strided .real/.imag)
         cos_m1, sin_d = _real_halves(c)
-        kernel(deviation[:, :, sl], cos_m1, sin_d, _real_halves(e)[0])
+        kernel(deviation[sl], cos_m1, sin_d, _real_halves(e)[0])
         np.add(cos_m1, 1.0, out=e.real)
         np.copyto(e.imag, sin_d)
-        np.multiply(e[:-1], left[:-1, None, :], out=c[:-1])
-        e[1:] *= right[1:, None, :]
+        np.multiply(e, left[:, None, :], out=c)
+        e *= right[:, None, :]
         c[:-1] += e[1:]
-        c[-1] = 0.0
+        if sl.stop == shape[0]:
+            # the last row integrates over no cell
+            c[-1] = 0.0
+        else:
+            c[-1] += edge
+            c[-1] += above
         _backward_sum(c)
+        np.copyto(edge, e[0])
+        np.copyto(above, c[0])
         yield sl, c, e
 
 
@@ -416,11 +436,11 @@ def deviation_sweep(times, theta, omega, z, deviation, mu, row_residual=None):
     """One application of the backward-integral map to a deviation field.
 
     Operates on raw arrays so alternative node sets can be pushed through.
-    Returns the new deviation, mu * Im(e^{i theta} I), blocked over
-    frequency columns to bound the complex working set; e^{iD} comes from
-    phase_kernel at the exact sup of ``deviation``.  A given
-    ``row_residual`` (shape (n_times,)) receives the sup over each time
-    row of |new - deviation| from the same pass.
+    Returns the new deviation, mu * Im(e^{i theta} I), one time tile at a
+    time to bound the complex working set; e^{iD} comes from phase_kernel
+    at the exact sup of ``deviation``.  A given ``row_residual`` (shape
+    (n_times,)) receives the sup over each time row of |new - deviation|
+    from the same pass.
     """
     times = np.asarray(times, dtype=float)
     z = np.asarray(z, dtype=complex)
@@ -430,16 +450,14 @@ def deviation_sweep(times, theta, omega, z, deviation, mu, row_residual=None):
     # mu * Im(e^{i theta} I) = (mu cos theta) Im I + (mu sin theta) Re I
     mu_cos = (mu * np.cos(theta))[None, :, None]
     mu_sin = (mu * np.sin(theta))[None, :, None]
-    if row_residual is not None:
-        row_residual[:] = 0.0
     for sl, ib, spare in _integral_blocks(times, omega, z, deviation):
-        new, scratch = out[:, :, sl], spare.real
+        new, scratch = out[sl], _real_halves(spare)[0]
         np.multiply(ib.imag, mu_cos, out=new)
         np.multiply(ib.real, mu_sin, out=scratch)
         new += scratch
         if row_residual is not None:
-            np.subtract(new, deviation[:, :, sl], out=scratch)
-            _fold_row_sup(row_residual, scratch)
+            np.subtract(new, deviation[sl], out=scratch)
+            _row_sup(scratch, row_residual[sl])
     return out
 
 
@@ -737,16 +755,16 @@ def gamma_field(field: CharacteristicField, z) -> GammaField:
     # the heap that later allocations may or may not fill
     sin_part, cos_part = np.empty((2,) + g.shape())
     cos_t, sin_t = np.cos(theta)[None, :, None], np.sin(theta)[None, :, None]
-    rows = np.zeros(n_t)
+    rows = np.empty(n_t)
     for sl, ib, spare in _integral_blocks(times, omega, z, field.deviation):
-        sp, cp, scratch = sin_part[:, :, sl], cos_part[:, :, sl], spare.real
+        sp, cp, scratch = sin_part[sl], cos_part[sl], _real_halves(spare)[0]
         np.multiply(ib.imag, cos_t, out=sp)
         np.multiply(ib.real, sin_t, out=scratch)
         sp += scratch
         np.multiply(ib.real, cos_t, out=cp)
         np.multiply(ib.imag, sin_t, out=scratch)
         cp -= scratch
-        _fold_row_sup(rows, sp)
+        _row_sup(sp, rows[sl])
     r = np.abs(z)
     dt = g.dt
     beta = np.zeros(n_t)

@@ -53,13 +53,13 @@ from .characteristics import (
     CharacteristicField,
     MaxSweepsExceededError,
     NonContractiveError,
-    block_buffer,
     gamma_field,
-    omega_blocks,
     oscillation_table,
     phase_minus_one,
     picard_sweep,
     solve_fixed_point,
+    tile_slab,
+    time_tiles,
 )
 from .norms_grids import Grid, WeightSpec, weighted_norm
 from .spectral_state import AsymptoticState, free_order_parameter
@@ -181,6 +181,14 @@ class SolveResult:
 
 
 def _order_parameter_values(field: CharacteristicField, state: AsymptoticState):
+    """z(t) on the grid: the free part plus the quadrature of e^{iD} - 1.
+
+    One time tile at a time: (cos D - 1, sin D) and D^2 go into three real
+    tile slabs, are projected onto the angular weights by real matrix
+    products, and each time row then sums over every frequency at once
+    against its row of the e^{i omega t} table and the node weights.  A
+    row's sum does not depend on the tile it falls in.
+    """
     g = field.grid
     times, theta, omega = g.times(), g.theta(), g.omega_nodes
     # angular weights: trapezoid on the periodic grid is exact for the
@@ -192,16 +200,17 @@ def _order_parameter_values(field: CharacteristicField, state: AsymptoticState):
     # exact sup of this field
     sup = field.sup()
     table = oscillation_table(times, omega)
-    cos_buf, sin_buf, d2_buf = (block_buffer(g.shape(), float) for _ in range(3))
-    for sl in omega_blocks(g.shape()):
-        cos_m1, sin_d = cos_buf(sl), sin_buf(sl)
-        phase_minus_one(field.deviation[:, :, sl], sup, cos_m1, sin_d, d2_buf(sl))
+    cos_buf, sin_buf, d2_buf = (tile_slab(g.shape(), float) for _ in range(3))
+    for sl in time_tiles(g.shape()):
+        n = sl.stop - sl.start
+        cos_m1, sin_d = cos_buf[:n], sin_buf[:n]
+        phase_minus_one(field.deviation[sl], sup, cos_m1, sin_d, d2_buf[:n])
         # u (cos D - 1 + i sin D) summed over angles, by real matmuls:
         # rows (Re u, Im u) of each projection
         pc = np.matmul(proj, cos_m1)
         ps = np.matmul(proj, sin_d)
         s = pc[:, 0] - ps[:, 1] + 1j * (pc[:, 1] + ps[:, 0])
-        z += np.einsum("tk,tk,k->t", table[:, sl], s, g.prob_weights[sl])
+        z[sl] += np.einsum("tk,tk,k->t", table[sl], s, g.prob_weights)
     return z
 
 
@@ -371,6 +380,9 @@ class ReconstructedDensity:
     only holds if the two integrals the solver never compares directly are
     mutually consistent.  ``dephasing`` is the sup distance to the freely
     transported profile along characteristics, on the full time grid.
+    ``gamma_margin`` is max(|Gamma| - beta) of the coupling integrals the
+    density is built from: the running bound |Gamma(t)| <= Int_t R holds
+    to rounding when it is at most about 1e-12.
     """
 
     times: np.ndarray
@@ -380,6 +392,7 @@ class ReconstructedDensity:
     jacobian_min: np.ndarray
     min_value: float
     dephasing: np.ndarray
+    gamma_margin: float
 
     def mass_ok(self, tol: float = 1e-6) -> bool:
         return bool(np.all(np.abs(self.mass - 1.0) <= tol))
@@ -430,15 +443,13 @@ def reconstruct(result: SolveResult, times=(0.0, 5.0, 10.0)) -> ReconstructedDen
         )
 
     # sup_t |f_inf e^{-mu Gamma_cos} - f_inf(theta + D)| along characteristics
-    dist = np.zeros(g.n_times)
-    for sl in omega_blocks(g.shape()):
-        diff = state.angular_factor(
-            theta[None, :, None] + result.field.deviation[:, :, sl]
-        )
-        diff -= ang[None, :, :] * np.exp(-mu * gam.cos_part[:, :, sl])
+    dist = np.empty(g.n_times)
+    for sl in time_tiles(g.shape()):
+        diff = state.angular_factor(theta[None, :, None] + result.field.deviation[sl])
+        diff -= ang * np.exp(-mu * gam.cos_part[sl])
         np.abs(diff, out=diff)
-        diff *= gdens[None, :, sl]
-        np.maximum(dist, diff.reshape(g.n_times, -1).max(axis=1) / (2.0 * math.pi), out=dist)
+        diff *= gdens
+        dist[sl] = diff.reshape(len(diff), -1).max(axis=1) / (2.0 * math.pi)
 
     return ReconstructedDensity(
         times=tgrid[sel],
@@ -448,6 +459,7 @@ def reconstruct(result: SolveResult, times=(0.0, 5.0, 10.0)) -> ReconstructedDen
         jacobian_min=jac_min,
         min_value=float(values.min()),
         dephasing=dist,
+        gamma_margin=gam.margin,
     )
 
 

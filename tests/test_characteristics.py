@@ -8,6 +8,7 @@ running bound on the coupling integral, the fixed-point identity
 D = mu * Gamma) are asserted at their provable tolerances.
 """
 
+import functools
 import math
 import tracemalloc
 
@@ -23,12 +24,15 @@ from kuramoto_dephasing import (
     Grid,
     MaxSweepsExceededError,
     NonContractiveError,
+    OrderParameterPath,
+    SolveResult,
     StepRejectedError,
     WeightSpec,
     backward_ode_oracle,
     build_grid,
     gamma_field,
     outer_solve,
+    reconstruct,
     solve_fixed_point,
     weighted_norm,
 )
@@ -233,7 +237,7 @@ def test_polynomial_phase_fast_path_consistent(grid, zpath, monkeypatch):
     exact = deviation_sweep(times, theta, omega, zpath, dev0, MU)
     assert characteristics._taylor_terms(characteristics._sup(exact)) is not None
     fast = deviation_sweep(times, theta, omega, zpath, exact, MU)
-    # no sup lies below -1: the trig form serves every block
+    # no sup lies below -1: the trig form serves every tile
     monkeypatch.setattr(characteristics, "_POLY_CAP", -1.0)
     slow = deviation_sweep(times, theta, omega, zpath, exact, MU)
     assert np.max(np.abs(fast - slow)) < 1e-14
@@ -259,7 +263,7 @@ def test_deviation_scales_linearly_in_small_mu(grid, zpath):
     assert np.allclose(ratio[mask], 2.0, rtol=1e-3)
 
 
-# -- reference: the single-slab kernel the blocked in-place sweep replaced ----
+# -- reference: the single-slab kernel the in-place tiled sweep replaced -----
 
 _SEED_BLOCK_ELEMENTS = 4_000_000
 
@@ -323,20 +327,25 @@ def _seed_order_parameter_values(field, state):
     return z
 
 
-# sup distance allowed between the blocked in-place kernel and the seed's:
+# sup distance allowed between the tiled in-place kernel and the seed's:
 # the products are regrouped, so they differ by rounding only
 SEED_TOL = 1e-14
-# columns per forced block: 65 columns split 20, 20, 20, 5
-FORCED_WIDTH = 20
+# time rows per forced tile: 161 rows split 50, 50, 50, 11 from t_max back
+FORCED_ROWS = 50
+
+
+def _force_tile_rows(monkeypatch, shape, rows):
+    # _TILE_CELLS for tiles of ``rows`` whole time rows; returns the rows of
+    # every tile, from t_max backward
+    monkeypatch.setattr(characteristics, "_TILE_CELLS", rows * shape[1] * shape[2])
+    return [sl.stop - sl.start for sl in characteristics.time_tiles(shape)]
 
 
 @pytest.fixture
-def forced_blocks(grid, monkeypatch):
-    n_t, n_th, _ = grid.shape()
-    monkeypatch.setattr(characteristics, "_BLOCK_CELLS", n_t * n_th * FORCED_WIDTH)
-    widths = [sl.stop - sl.start for sl in characteristics.omega_blocks(grid.shape())]
-    assert len(widths) >= 3 and widths[-1] < widths[0]
-    return widths
+def forced_tiles(grid, monkeypatch):
+    rows = _force_tile_rows(monkeypatch, grid.shape(), FORCED_ROWS)
+    assert len(rows) >= 3 and rows[-1] < rows[0]
+    return rows
 
 
 # deviation amplitudes of the kernel tests: Taylor polynomials (5 and 9
@@ -346,7 +355,7 @@ AMPLITUDES = pytest.mark.parametrize("amplitude", [0.1, 1.5, 1.0],
 
 
 @AMPLITUDES
-def test_blocked_sweep_matches_seed_kernel(grid, forced_blocks, amplitude):
+def test_blocked_sweep_matches_seed_kernel(grid, forced_tiles, amplitude):
     # against the seed's np.exp(1j * D) at every amplitude, polynomial or not
     rng = np.random.default_rng(11)
     times, theta, omega = grid.times(), grid.theta(), grid.omega_nodes
@@ -358,7 +367,7 @@ def test_blocked_sweep_matches_seed_kernel(grid, forced_blocks, amplitude):
     assert np.max(np.abs(new - ref)) <= SEED_TOL
 
 
-def test_fused_residual_equals_the_difference_norm(grid, zpath, solved, forced_blocks):
+def test_fused_residual_equals_the_difference_norm(grid, zpath, solved, forced_tiles):
     times, theta, omega = grid.times(), grid.theta(), grid.omega_nodes
     dev = solved[0].deviation * 3.0
     rows = np.empty(grid.n_times)
@@ -373,13 +382,13 @@ def test_fused_residual_equals_the_difference_norm(grid, zpath, solved, forced_b
     assert swept.distance(field, WEIGHT) == rep.residuals[0]
 
 
-def test_gamma_field_blocked_margin_is_exact(grid, zpath, solved, forced_blocks):
+def test_gamma_field_blocked_margin_is_exact(grid, zpath, solved, forced_tiles):
     gam = gamma_field(solved[0], zpath)
     rows = np.abs(gam.sin_part).reshape(grid.n_times, -1).max(axis=1)
     assert gam.margin == float(np.max(rows - gam.beta))
 
 
-def test_kinetic_answer_matches_seed_kernel(grid, forced_blocks, monkeypatch):
+def test_kinetic_answer_matches_seed_kernel(grid, forced_tiles, monkeypatch):
     state = AsymptoticState(PROFILE, {1: 0.05}, "exponential", 0.9)
     # t_max = 8 cannot certify the default 1e-8 rad tail; the comparison
     # needs only the iteration
@@ -404,14 +413,18 @@ def _traced_peak(fn):
 
 
 def test_working_set_is_three_fields_and_block_slabs(grid, zpath, solved, monkeypatch):
-    # numpy reports its buffers to tracemalloc; four or more blocks make a
-    # complex block slab much smaller than a field, so field-sized
-    # temporaries cannot hide inside the slab allowance
-    n_t, n_th, _ = grid.shape()
-    width = 8
-    monkeypatch.setattr(characteristics, "_BLOCK_CELLS", n_t * n_th * width)
-    assert len(list(characteristics.omega_blocks(grid.shape()))) >= 4
-    budget = 3 * solved[0].deviation.nbytes + 3 * 16 * n_t * n_th * width
+    # numpy reports its buffers to tracemalloc; tiles of 20 of the 161 time
+    # rows make three complex tile slabs smaller than one field, so
+    # field-sized temporaries cannot hide inside the slab allowance (two
+    # slabs are the sweep's, the third covers the two carried rows and the
+    # per-tile weight rows)
+    _, n_th, n_om = grid.shape()
+    tile_rows = 20
+    tiles = _force_tile_rows(monkeypatch, grid.shape(), tile_rows)
+    assert len(tiles) >= 4 and tiles[-1] < tiles[0]
+    slab = 16 * tile_rows * n_th * n_om
+    assert 3 * slab < solved[0].deviation.nbytes
+    budget = 3 * solved[0].deviation.nbytes + 3 * slab
     # the e^{i omega t} table is a grid constant, built once per grid
     oscillation_table(grid.times(), grid.omega_nodes)
 
@@ -431,16 +444,17 @@ def test_working_set_is_three_fields_and_block_slabs(grid, zpath, solved, monkey
 
 def test_quadrature_scratch_fits_in_the_sweep_slabs(grid, solved, monkeypatch):
     # the order-parameter quadrature keeps (cos D - 1, sin D) and D^2 in
-    # three real block buffers, inside the two complex slabs of a sweep;
-    # the rest is a few (n_t, width) rows and the path itself
-    n_t, n_th, _ = grid.shape()
-    width = 8
-    monkeypatch.setattr(characteristics, "_BLOCK_CELLS", n_t * n_th * width)
+    # three real tile slabs, inside the two complex slabs of a sweep; the
+    # rest is a few complex (tile rows, n_omega) arrays and the path itself
+    n_t, n_th, n_om = grid.shape()
+    tile_rows = 20
+    tiles = _force_tile_rows(monkeypatch, grid.shape(), tile_rows)
+    assert len(tiles) >= 4 and tiles[-1] < tiles[0]
     state = AsymptoticState(PROFILE, {1: 0.05}, "exponential", 0.9)
     field = solved[0]
     assert characteristics._taylor_terms(field.sup()) is not None
-    slabs = 2 * 16 * n_t * n_th * width
-    rows = 16 * n_t * (8 * width + 4)
+    slabs = 2 * 16 * tile_rows * n_th * n_om
+    rows = 16 * (8 * tile_rows * n_om + 4 * n_t)
     # the e^{i omega t} table is a grid constant, built once per grid
     oscillation_table(grid.times(), grid.omega_nodes)
     peak = _traced_peak(lambda: scheme._order_parameter_values(field, state))
@@ -455,26 +469,26 @@ def _cumsum_backward_sum(c):
 
 def _kernel_outputs(grid, z, dev):
     times, theta, omega = grid.times(), grid.theta(), grid.omega_nodes
-    blocks = [ib.copy() for _, ib, _ in characteristics._integral_blocks(times, omega, z, dev)]
+    tiles = [ib.copy() for _, ib, _ in characteristics._integral_blocks(times, omega, z, dev)]
     rows = np.empty(grid.n_times)
     new = deviation_sweep(times, theta, omega, z, dev, 0.5, row_residual=rows)
     gam = gamma_field(CharacteristicField(grid, dev, 0.5), z)
-    return blocks, [new, rows, gam.sin_part, gam.cos_part, np.array(gam.margin)]
+    return tiles, [new, rows, gam.sin_part, gam.cos_part, np.array(gam.margin)]
 
 
 @AMPLITUDES
-def test_row_backward_sum_is_bit_identical_to_cumsum(grid, forced_blocks, monkeypatch,
+def test_row_backward_sum_is_bit_identical_to_cumsum(grid, forced_tiles, monkeypatch,
                                                      amplitude):
     rng = np.random.default_rng(5)
     times = grid.times()
     z = 0.3 * np.exp(-0.5 * times + 0.4j * times)
     dev = rng.uniform(-amplitude, amplitude, grid.shape())
-    blocks, outputs = _kernel_outputs(grid, z, dev)
+    tiles, outputs = _kernel_outputs(grid, z, dev)
     monkeypatch.setattr(characteristics, "_backward_sum", _cumsum_backward_sum)
-    ref_blocks, ref_outputs = _kernel_outputs(grid, z, dev)
-    # the last forced block is ragged
-    assert [b.shape[2] for b in blocks] == forced_blocks
-    assert all(np.array_equal(b, r) for b, r in zip(blocks, ref_blocks))
+    ref_tiles, ref_outputs = _kernel_outputs(grid, z, dev)
+    # the last forced tile is ragged
+    assert [b.shape[0] for b in tiles] == forced_tiles
+    assert all(np.array_equal(b, r) for b, r in zip(tiles, ref_tiles))
     assert all(np.array_equal(o, r) for o, r in zip(outputs, ref_outputs))
 
 
@@ -779,18 +793,17 @@ def test_quartic_route_fixed_point_matches_trig(monkeypatch):
     assert np.max(np.abs(poly.path.values - trig.path.values)) <= 1e-14
 
 
-# -- the e^{i omega t} table against a per-block recomputation ----------------
+# -- the e^{i omega t} table against a per-tile recomputation -----------------
 
-class _PerBlockTable:
-    """Stands in for the cached table: every slice is computed afresh."""
+class _PerTileTable:
+    """Stands in for the cached table: every row slice is computed afresh."""
 
     def __init__(self, times, omega):
         self.times, self.omega = np.asarray(times, float), np.asarray(omega, float)
 
-    def __getitem__(self, index):
-        rows, sl = index
-        assert rows == slice(None)
-        return np.exp(1j * np.outer(self.times, self.omega[sl]))
+    def __getitem__(self, rows):
+        assert isinstance(rows, slice)
+        return np.exp(1j * np.outer(self.times[rows], self.omega))
 
 
 def _table_outputs(grid, z, dev, state):
@@ -803,10 +816,10 @@ def _table_outputs(grid, z, dev, state):
     return [new, rows, gam.sin_part, gam.cos_part, np.array(gam.margin), quad]
 
 
-def _per_block_outputs(grid, z, dev, state, monkeypatch):
+def _per_tile_outputs(grid, z, dev, state, monkeypatch):
     with monkeypatch.context() as mp:
-        mp.setattr(characteristics, "oscillation_table", _PerBlockTable)
-        mp.setattr(scheme, "oscillation_table", _PerBlockTable)
+        mp.setattr(characteristics, "oscillation_table", _PerTileTable)
+        mp.setattr(scheme, "oscillation_table", _PerTileTable)
         return _table_outputs(grid, z, dev, state)
 
 
@@ -824,23 +837,20 @@ TABLE_GRIDS = {
 def test_table_slices_equal_per_block_recomputation(name, monkeypatch):
     profile, spec, amplitude = TABLE_GRIDS[name]
     g = build_grid(profile, **spec)
-    n_t, n_th, n_om = g.shape()
-    # 7 columns more than two thirds of the frequencies: a ragged last block
-    width = 2 * n_om // 3 + 7
-    monkeypatch.setattr(characteristics, "_BLOCK_CELLS", n_t * n_th * width)
-    widths = [sl.stop - sl.start for sl in characteristics.omega_blocks(g.shape())]
-    assert len(widths) == 2 and widths[1] < widths[0]
+    # 7 rows more than a third of the times: three tiles, the last ragged
+    rows = _force_tile_rows(monkeypatch, g.shape(), g.n_times // 3 + 7)
+    assert len(rows) == 3 and rows[-1] < rows[0]
     times = g.times()
     z = 0.3 * np.exp(-0.5 * times + 0.4j * times)
     dev = np.random.default_rng(3).uniform(-amplitude, amplitude, g.shape())
     decay = ("polynomial", 2.0) if profile.kind == "laplace" else ("exponential", 0.9)
     state = AsymptoticState(profile, {1: 0.05}, *decay)
     cached = _table_outputs(g, z, dev, state)
-    fresh = _per_block_outputs(g, z, dev, state, monkeypatch)
+    fresh = _per_tile_outputs(g, z, dev, state, monkeypatch)
     assert all(np.array_equal(c, f) for c, f in zip(cached, fresh))
 
 
-def test_table_never_serves_another_node_set(forced_blocks, monkeypatch):
+def test_table_never_serves_another_node_set(forced_tiles, monkeypatch):
     # two grids of one shape, different frequency nodes, swept in turn
     g1 = _grid_with_nodes(MIXED_NODES)
     g2 = _grid_with_nodes(np.array(MIXED_NODES) + 0.5)
@@ -851,7 +861,7 @@ def test_table_never_serves_another_node_set(forced_blocks, monkeypatch):
     dev = rng.uniform(-0.1, 0.1, g1.shape())
     for g in (g1, g2, g1, g2):
         cached = _table_outputs(g, z, dev, state)
-        fresh = _per_block_outputs(g, z, dev, state, monkeypatch)
+        fresh = _per_tile_outputs(g, z, dev, state, monkeypatch)
         assert all(np.array_equal(c, f) for c, f in zip(cached, fresh))
     # an array changed in place keys a new table
     omega = g1.omega_nodes.copy()
@@ -863,9 +873,9 @@ def test_table_never_serves_another_node_set(forced_blocks, monkeypatch):
     assert not after.flags.writeable
 
 
-# -- the c07 gap, one block at a time ----------------------------------------
+# -- the c07 gap, one tile at a time -----------------------------------------
 
-def test_sup_distance_equals_the_field_sized_max(grid, zpath, solved, forced_blocks):
+def test_sup_distance_equals_the_field_sized_max(grid, zpath, solved, forced_tiles):
     field = solved[0]
     oracle = backward_ode_oracle(grid, zpath, MU)
     gap = oracle.sup_distance(field)
@@ -874,3 +884,190 @@ def test_sup_distance_equals_the_field_sized_max(grid, zpath, solved, forced_blo
     broken = oracle.deviation.copy()
     broken[3, 2, -1] = np.nan
     assert math.isnan(CharacteristicField(grid, broken, MU).sup_distance(field))
+
+
+# -- the time tiles against the omega-blocked loops they replaced -------------
+
+# cells per omega block of the replaced loops
+_OMEGA_BLOCK_CELLS = 1 << 19
+# distance allowed between the tiled and the omega-blocked quadrature: each
+# time row now sums over all frequencies at once, so only the grouping of
+# the frequency sum changes
+QUADRATURE_TOL = 1e-15
+
+
+def _omega_blocks(shape):
+    n_t, n_th, n_om = shape
+    width = min(n_om, max(1, _OMEGA_BLOCK_CELLS // (n_t * n_th)))
+    for lo in range(0, n_om, width):
+        yield slice(lo, min(lo + width, n_om))
+
+
+def _fold_row_sup(acc, block):
+    np.maximum(acc, block.max(axis=(1, 2)), out=acc)
+    np.maximum(acc, -block.min(axis=(1, 2)), out=acc)
+
+
+def _omega_block_integrals(times, omega, z, deviation):
+    # the backward integral over whole frequency columns, each block summed
+    # from t_max in one pass
+    dt = float(times[1] - times[0])
+    conj_z = np.conj(z)[:, None]
+    table = oscillation_table(times, omega)
+    kernel = characteristics.phase_kernel(characteristics._sup(deviation))
+    for sl in _omega_blocks(deviation.shape):
+        w = omega[sl] * dt
+        alpha, beta = filon_weights(w)
+        right = table[:, sl] * conj_z
+        left = right * (dt * alpha)
+        right *= dt * (beta * np.exp(-1j * w))
+        e, c = np.empty((2,) + deviation[:, :, sl].shape, dtype=complex)
+        cos_m1, sin_d = characteristics._real_halves(c)
+        kernel(deviation[:, :, sl], cos_m1, sin_d, characteristics._real_halves(e)[0])
+        np.add(cos_m1, 1.0, out=e.real)
+        np.copyto(e.imag, sin_d)
+        np.multiply(e[:-1], left[:-1, None, :], out=c[:-1])
+        e[1:] *= right[1:, None, :]
+        c[:-1] += e[1:]
+        c[-1] = 0.0
+        characteristics._backward_sum(c)
+        yield sl, c
+
+
+def _omega_block_outputs(g, z, dev, mu, state, weight):
+    times, theta, omega = g.times(), g.theta(), g.omega_nodes
+    new = np.empty_like(dev)
+    residual = np.zeros(g.n_times)
+    sin_part, cos_part = np.empty((2,) + g.shape())
+    gamma_rows = np.zeros(g.n_times)
+    cos_t, sin_t = np.cos(theta)[None, :, None], np.sin(theta)[None, :, None]
+    for sl, ib in _omega_block_integrals(times, omega, z, dev):
+        out = new[:, :, sl]
+        np.multiply(ib.imag, mu * cos_t, out=out)
+        out += ib.real * (mu * sin_t)
+        _fold_row_sup(residual, out - dev[:, :, sl])
+        sp, cp = sin_part[:, :, sl], cos_part[:, :, sl]
+        np.multiply(ib.imag, cos_t, out=sp)
+        sp += ib.real * sin_t
+        np.multiply(ib.real, cos_t, out=cp)
+        cp -= ib.imag * sin_t
+        _fold_row_sup(gamma_rows, sp)
+    r = np.abs(z)
+    beta = np.zeros(g.n_times)
+    beta[:-1] = np.cumsum((0.5 * g.dt * (r[:-1] + r[1:]))[::-1])[::-1]
+    gaps = np.zeros(g.n_times)
+    for sl in _omega_blocks(g.shape()):
+        _fold_row_sup(gaps, new[:, :, sl] - dev[:, :, sl])
+    # the order-parameter quadrature, accumulated block by block
+    u = state.angular_factor(theta) * np.exp(1j * theta) / g.n_theta
+    proj = np.stack([u.real, u.imag])
+    quad = free_order_parameter(state, times).astype(complex)
+    table = oscillation_table(times, omega)
+    for sl in _omega_blocks(g.shape()):
+        cos_m1, sin_d, d2 = np.empty((3,) + dev[:, :, sl].shape)
+        phase_minus_one(dev[:, :, sl], characteristics._sup(dev), cos_m1, sin_d, d2)
+        pc, ps = np.matmul(proj, cos_m1), np.matmul(proj, sin_d)
+        s = pc[:, 0] - ps[:, 1] + 1j * (pc[:, 1] + ps[:, 0])
+        quad += np.einsum("tk,tk,k->t", table[:, sl], s, g.prob_weights[sl])
+    # reconstruct's dephasing distance, from the omega-blocked cos_part
+    ang = state.angular_factor(theta)[:, None]
+    gdens = state.profile.density(omega)[None, :]
+    dist = np.zeros(g.n_times)
+    for sl in _omega_blocks(g.shape()):
+        diff = state.angular_factor(theta[None, :, None] + dev[:, :, sl])
+        diff -= ang[None, :, :] * np.exp(-mu * cos_part[:, :, sl])
+        np.abs(diff, out=diff)
+        diff *= gdens[None, :, sl]
+        np.maximum(dist, diff.reshape(g.n_times, -1).max(axis=1) / (2.0 * math.pi), out=dist)
+    return {
+        "sweep": new, "row_residual": residual,
+        "sin_part": sin_part, "cos_part": cos_part,
+        "margin": np.array(float(np.max(gamma_rows - beta))),
+        "distance": np.array(weighted_norm(times, gaps, weight, deviation=True)),
+        "sup_distance": np.array(float(gaps.max())),
+        "dephasing": dist, "quadrature": quad,
+    }
+
+
+def _tiled_outputs(g, z, dev, mu, state, weight):
+    times, theta, omega = g.times(), g.theta(), g.omega_nodes
+    rows = np.empty(g.n_times)
+    new = deviation_sweep(times, theta, omega, z, dev, mu, row_residual=rows)
+    field = CharacteristicField(g, dev, mu)
+    gam = gamma_field(field, z)
+    swept = CharacteristicField(g, new, mu)
+    path = OrderParameterPath(g, z, weight)
+    result = SolveResult(state, g, mu, weight, path, field, None, 0, True)
+    return {
+        "sweep": new, "row_residual": rows,
+        "sin_part": gam.sin_part, "cos_part": gam.cos_part,
+        "margin": np.array(gam.margin),
+        "distance": np.array(swept.distance(field, weight)),
+        "sup_distance": np.array(swept.sup_distance(field)),
+        "dephasing": reconstruct(result, times=(0.0,)).dephasing,
+        "quadrature": scheme._order_parameter_values(field, state),
+    }
+
+
+def _benchmark_case(name):
+    profile, spec, amplitude = TABLE_GRIDS[name]
+    g = build_grid(profile, **spec)
+    z = 0.3 * np.exp(-0.5 * g.times() + 0.4j * g.times())
+    dev = np.random.default_rng(4).uniform(-amplitude, amplitude, g.shape())
+    decay = ("polynomial", 2.0) if profile.kind == "laplace" else ("exponential", 0.9)
+    return g, z, dev, 0.5, AsymptoticState(profile, {1: 0.05}, *decay), WeightSpec(*decay)
+
+
+@functools.cache
+def _omega_block_reference(name):
+    return _omega_block_outputs(*_benchmark_case(name))
+
+
+# tile heights: one time row, a ragged 37 rows (401 and 801 rows are not
+# multiples of 37), and the whole field in one tile
+TILE_HEIGHTS = {"one_row": lambda n_t: 1, "ragged": lambda n_t: 37, "whole": lambda n_t: n_t}
+
+
+@pytest.mark.parametrize("height", list(TILE_HEIGHTS))
+@pytest.mark.parametrize("name", list(TABLE_GRIDS))
+def test_tiled_loops_equal_the_omega_blocked_loops(name, height, monkeypatch):
+    case = _benchmark_case(name)
+    g = case[0]
+    rows = _force_tile_rows(monkeypatch, g.shape(), TILE_HEIGHTS[height](g.n_times))
+    if height == "ragged":
+        assert len(rows) >= 3 and rows[-1] < rows[0]
+    tiled = _tiled_outputs(*case)
+    ref = _omega_block_reference(name)
+    assert np.max(np.abs(ref["sweep"])) > 1e-3
+    for key in ref.keys() - {"quadrature"}:
+        assert np.array_equal(tiled[key], ref[key]), key
+    assert np.max(np.abs(tiled["quadrature"] - ref["quadrature"])) <= QUADRATURE_TOL
+    # a time row's frequency sum does not depend on the tile it falls in
+    monkeypatch.setattr(characteristics, "_TILE_CELLS", g.n_times * g.n_theta * g.n_omega)
+    whole = scheme._order_parameter_values(CharacteristicField(g, case[2], case[3]), case[4])
+    assert np.array_equal(tiled["quadrature"], whole)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    shape=st.tuples(st.integers(1, 500), st.integers(1, 64), st.integers(1, 600)),
+    cells=st.integers(1, 1 << 20),
+)
+def test_time_tiles_cover_every_row_once_from_t_max_backward(shape, cells):
+    n_t, n_th, n_om = shape
+    row = n_th * n_om
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(characteristics, "_TILE_CELLS", cells)
+        tiles = list(characteristics.time_tiles(shape))
+        slab_rows = characteristics._tile_rows(shape)
+    # contiguous, non-empty, from t_max down to t = 0: each row exactly once
+    assert tiles[0].stop == n_t and tiles[-1].start == 0
+    assert all(a.start == b.stop for a, b in zip(tiles, tiles[1:]))
+    heights = [sl.stop - sl.start for sl in tiles]
+    assert all(h >= 1 for h in heights) and all(sl.step is None for sl in tiles)
+    # no tile above the budget, unless one row alone exceeds it
+    assert all(h * row <= max(row, cells) for h in heights)
+    # the slab fits every tile; only the tile at t = 0 is short of it, and
+    # a longer tile would break the budget or run past the field
+    assert all(h == slab_rows for h in heights[:-1]) and heights[-1] <= slab_rows
+    assert slab_rows == n_t or (slab_rows + 1) * row > max(row, cells)

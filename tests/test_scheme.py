@@ -19,6 +19,7 @@ from kuramoto_dephasing import (
     build_grid,
     fit_decay,
     free_order_parameter,
+    gamma_field,
     outer_solve,
     reconstruct,
     solve_fixed_point,
@@ -171,6 +172,13 @@ def test_mass_jacobian_positivity(recon):
     assert np.all(recon.jacobian_min > 0.0)
     assert recon.min_value > 0.0
     assert np.array_equal(recon.times, [0.0, 5.0, 10.0])
+
+
+def test_reconstruct_reports_the_gamma_margin(result, recon):
+    # the running bound |Gamma| <= beta of the integrals the density is
+    # built from, as gamma_field computes it
+    assert recon.gamma_margin <= 1e-12
+    assert recon.gamma_margin == gamma_field(result.field, result.path.values).margin
 
 
 def test_dephasing_decays_by_fitted_factor(result, recon, grid):
