@@ -15,7 +15,7 @@ from .spectral_state import (
     sample_labels,
     spectral_transform,
 )
-from .norms_grids import Grid, GridError, WeightSpec, build_grid, tail_bound, weighted_norm
+from .norms_grids import Grid, GridError, WeightSpec, build_grid, weighted_norm
 from .characteristics import (
     CharacteristicField,
     ContractionReport,
@@ -48,7 +48,6 @@ from .decay import (
 )
 from .particles import (
     ParticleEnsemble,
-    empirical_order_parameter,
     init_from_solution,
     simulate,
 )

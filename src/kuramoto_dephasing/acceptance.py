@@ -105,10 +105,6 @@ class AcceptanceContext:
         return reconstruct(self.exp_result(), times=(0.0, 5.0, 10.0))
 
     @_cached
-    def poly_recon(self):
-        return reconstruct(self.poly_result(), times=(0.0, 5.0, 10.0))
-
-    @_cached
     def free_solves(self):
         r_exp = outer_solve(self.exp_state, self.exp_grid, 0.0)
         r_poly = outer_solve(self.poly_state, self.poly_grid, 0.0)

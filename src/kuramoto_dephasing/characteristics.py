@@ -90,19 +90,12 @@ class CharacteristicField:
     grid: Grid
     deviation: np.ndarray
     mu: float
-    iterate: int = 0
 
     def __post_init__(self):
         if self.deviation.shape != self.grid.shape():
             raise ValueError(
                 f"deviation shape {self.deviation.shape} != grid shape {self.grid.shape()}"
             )
-
-    def theta_at(self, time_index: int) -> np.ndarray:
-        """Full transported angle Theta(t_i) = theta + omega t_i + D(t_i)."""
-        g = self.grid
-        t = g.dt * time_index
-        return g.theta()[:, None] + t * g.omega_nodes[None, :] + self.deviation[time_index]
 
     def deviation_norm(self, weight: WeightSpec) -> float:
         return weighted_norm(self.grid.times(), self.deviation, weight, deviation=True)
@@ -151,18 +144,6 @@ class ContractionReport:
     floor: float = 0.0
     tail_remainder: float = 0.0
 
-    def as_dict(self) -> dict:
-        return {
-            "bound": self.bound,
-            "sweeps": self.sweeps,
-            "residuals": list(map(float, self.residuals)),
-            "ratios": list(map(float, self.ratios)),
-            "converged": self.converged,
-            "tol": self.tol,
-            "floor": self.floor,
-            "tail_remainder": self.tail_remainder,
-        }
-
 
 @dataclass(frozen=True, eq=False)
 class GammaField:
@@ -177,14 +158,10 @@ class GammaField:
     should never exceed rounding.
     """
 
-    grid: Grid
     sin_part: np.ndarray
     cos_part: np.ndarray
     beta: np.ndarray
     margin: float
-
-    def bound_holds(self, slack: float = 1e-12) -> bool:
-        return self.margin <= slack
 
 
 def filon_weights(w):
@@ -326,15 +303,6 @@ def _trig_phase(dev, cos_m1, sin_d, d2):
     np.multiply(cos_m1, cos_m1, out=cos_m1)
     cos_m1 *= -2.0
     np.sin(dev, out=sin_d)
-
-
-def phase_minus_one(dev, sup, cos_m1, sin_d, d2):
-    """(cos D - 1, sin D) of ``dev`` into ``cos_m1`` and ``sin_d``.
-
-    ``phase_kernel(sup)`` applied once; ``sup`` must bound |dev|, and the
-    tiled loops pass the exact sup of the field the tile belongs to.
-    """
-    phase_kernel(sup)(dev, cos_m1, sin_d, d2)
 
 
 def oscillation_table(times, omega):
@@ -512,16 +480,13 @@ def picard_sweep(
     if report.bound == 0.0:
         report.converged = True
         report.residuals.append(field.deviation_norm(weight) if field is not None else 0.0)
-        return CharacteristicField(grid, np.zeros(grid.shape()), mu, 0), report
-    if field is None:
-        dev, iterate = np.zeros(grid.shape()), 0
-    else:
-        dev, iterate = field.deviation, field.iterate
+        return CharacteristicField(grid, np.zeros(grid.shape()), mu), report
+    dev = np.zeros(grid.shape()) if field is None else field.deviation
     rows = np.empty(grid.n_times)
     new = deviation_sweep(times, grid.theta(), grid.omega_nodes, z, dev, mu, row_residual=rows)
     report.residuals.append(weighted_norm(times, rows, weight, deviation=True))
     report.sweeps = 1
-    return CharacteristicField(grid, new, mu, iterate + 1), report
+    return CharacteristicField(grid, new, mu), report
 
 
 def solve_fixed_point(
@@ -548,7 +513,7 @@ def solve_fixed_point(
     if mu == 0.0:
         # the backward map is identically zero: the fixed point is exact
         report = ContractionReport(bound=0.0, sweeps=0, converged=True, tol=tol)
-        return CharacteristicField(grid, np.zeros(grid.shape()), 0.0, 0), report
+        return CharacteristicField(grid, np.zeros(grid.shape()), 0.0), report
     dev = np.zeros(grid.shape())
     theta, omega = grid.theta(), grid.omega_nodes
     rows = np.empty(grid.n_times)
@@ -568,7 +533,7 @@ def solve_fixed_point(
             f"residual {report.residuals[-1]:.3e} > tol {tol:.1e} "
             f"after {max_sweeps} sweeps (bound {report.bound:.3g})"
         )
-    return CharacteristicField(grid, dev, mu, report.sweeps), report
+    return CharacteristicField(grid, dev, mu), report
 
 
 def backward_ode_oracle(
@@ -576,7 +541,6 @@ def backward_ode_oracle(
     z,
     mu: float,
     phase_step_cap: float = 0.125,
-    max_substeps: int = MAX_SUBSTEPS,
 ) -> CharacteristicField:
     """Independent deviation solve: classical Runge-Kutta along each column.
 
@@ -584,7 +548,7 @@ def backward_ode_oracle(
     backward from psi(t_max) = 0, with z interpolated by a cubic spline.
     Each frequency column takes m = ceil(|omega| dt / phase_step_cap)
     sub-steps of h = dt / m per cell, keeping the local error uniformly
-    small; columns whose requirement exceeds ``max_substeps`` are rejected
+    small; columns whose requirement exceeds MAX_SUBSTEPS are rejected
     rather than silently degraded.  Non-finite ``z`` or ``mu`` and a
     ``phase_step_cap`` that is not positive are refused (ValueError).
 
@@ -627,10 +591,10 @@ def backward_ode_oracle(
     omega = grid.omega_nodes
     need = np.ceil(np.abs(omega) * dt / phase_step_cap).astype(int)
     need = np.maximum(need, 1)
-    if int(need.max()) > max_substeps:
+    if int(need.max()) > MAX_SUBSTEPS:
         raise StepRejectedError(
             f"column |omega| = {np.abs(omega).max():.3g} needs {int(need.max())} "
-            f"sub-steps > cap {max_substeps}"
+            f"sub-steps > cap {MAX_SUBSTEPS}"
         )
     spline = CubicSpline(times, z)
     n_t = grid.n_times
@@ -770,4 +734,4 @@ def gamma_field(field: CharacteristicField, z) -> GammaField:
     beta = np.zeros(n_t)
     beta[:-1] = np.cumsum((0.5 * dt * (r[:-1] + r[1:]))[::-1])[::-1]
     margin = float(np.max(rows - beta))
-    return GammaField(g, sin_part, cos_part, beta, margin)
+    return GammaField(sin_part, cos_part, beta, margin)

@@ -45,7 +45,7 @@ from .decay import (
     fit_decay,
 )
 from .norms_grids import Grid, GridError, WeightSpec, build_grid, physical_memory
-from .particles import empirical_order_parameter, init_from_solution, simulate
+from .particles import init_from_solution, simulate
 from .scheme import (
     NotConvergingError,
     SolveResult,
@@ -116,9 +116,12 @@ def _section(cfg: dict, key: str, required: bool = True):
 
 
 def _number(name: str, v, cast=float):
-    # JSON true/false would pass float() and int() as 1 and 0
-    if isinstance(v, bool):
+    # JSON true/false would pass float() and int() as 1 and 0, a JSON string
+    # would pass them as its parsed value, and int() truncates a fraction
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ConfigError(f"{name} must be a number, got {json.dumps(v)}")
+    if cast is int and isinstance(v, float) and not v.is_integer():
+        raise ConfigError(f"{name} must be an integer, got {v!r}")
     return cast(v)
 
 
@@ -153,8 +156,9 @@ def load_config(path, output_dir_override=None) -> RunConfig:
     """Parse and validate a JSON run config.
 
     Raises ConfigError for anything the run cannot start from: JSON
-    syntax, missing keys, a section that is not an object, a boolean
-    where a number belongs, non-finite numbers, invalid state or grid
+    syntax, missing keys, a section that is not an object, a boolean or a
+    string where a number belongs, a fraction where a count or seed
+    belongs, non-finite numbers, invalid state or grid
     parameters, a float64 field or a particle ensemble larger than physical
     memory, a particle time step below grid dt / MAX_SUBSTEPS, a weight
     that overflows at t_max or has no finite gains, tolerances that are
@@ -231,8 +235,8 @@ def load_config(path, output_dir_override=None) -> RunConfig:
                 # default matches the pinned acceptance realization
                 "seed": _number("particles seed", particles.get("seed", 1), int),
             }
-            if particles["n"] < 1 or particles["dt"] <= 0.0:
-                raise ConfigError("particles need n >= 1 and dt > 0")
+            if particles["n"] < 1 or particles["dt"] <= 0.0 or particles["seed"] < 0:
+                raise ConfigError("particles need n >= 1, dt > 0 and seed >= 0")
             _refuse_oversized_ensemble(particles["n"])
             # t_max / dt RK4 steps: no finer than the oracle's finest sub-step
             if particles["dt"] < grid.dt / MAX_SUBSTEPS:
@@ -470,6 +474,13 @@ def run_fit(csv_path, column: str, kind: str, window=None) -> int:
         return 2
     times = data[:, 0]
     values = data[:, names.index(column)]
+    if window is not None and not (times[0] <= window[0] < window[1] <= times[-1] + 1e-12):
+        # nan and inf fail the comparison too
+        log.error(
+            "window %g %g is not an increasing pair inside the CSV's times [%g, %g]",
+            *window, times[0], times[-1],
+        )
+        return 2
     try:
         model = fit_decay(times, values, kind, window=window)
     except (InsufficientDataError, NonPositiveValuesError, ValueError) as e:

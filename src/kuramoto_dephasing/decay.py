@@ -33,6 +33,9 @@ __all__ = [
 _KINDS = ("exponential", "polynomial")
 DEFAULT_FLOOR = 1e-12
 DEFAULT_BURN_IN = 2.0
+MIN_POINTS = 10
+EARLY_FRACTION = 0.75
+ENVELOPE_SLACK = 1.05
 
 
 class InsufficientDataError(ValueError):
@@ -59,9 +62,6 @@ class DecayModel:
             return np.exp(self.rate * t)
         return (1.0 + t * t) ** (0.5 * self.rate)
 
-    def predict(self, t):
-        return self.amplitude / self.weight_values(t)
-
 
 @dataclass(frozen=True)
 class EnvelopeCertificate:
@@ -77,14 +77,13 @@ def fit_decay(
     values,
     kind: str,
     window: tuple | None = None,
-    floor: float = DEFAULT_FLOOR,
-    min_points: int = 10,
 ) -> DecayModel:
     """Least-squares decay fit of a positive path on a time window.
 
     The default window starts after the burn-in (t = 2), where envelope
-    constants rather than rates dominate.  Points at or below ``floor``
-    are dropped; negative points in the window are an error.
+    constants rather than rates dominate.  Points at or below
+    DEFAULT_FLOOR are dropped; negative points in the window, or fewer
+    than MIN_POINTS usable ones, are an error.
     """
     if kind not in _KINDS:
         raise ValueError(f"unknown decay kind {kind!r}")
@@ -102,11 +101,11 @@ def fit_decay(
         raise NonPositiveValuesError(
             f"{int(np.sum(values[mask] < 0))} negative values in window"
         )
-    usable = mask & (values > floor)
+    usable = mask & (values > DEFAULT_FLOOR)
     n = int(np.sum(usable))
-    if n < min_points:
+    if n < MIN_POINTS:
         raise InsufficientDataError(
-            f"only {n} usable points in window {window} (need {min_points})"
+            f"only {n} usable points in window {window} (need {MIN_POINTS})"
         )
     t = times[usable]
     y = np.log(values[usable])
@@ -130,14 +129,12 @@ def certify_envelope(
     times,
     values,
     model: DecayModel,
-    early_fraction: float = 0.75,
-    slack: float = 1.05,
 ) -> EnvelopeCertificate:
     """Certify values(t) <= C / w_model(t) on the full grid.
 
     C is the grid maximum of |values| * w_model.  The certificate passes
-    when C is finite and within ``slack`` of the maximum over the early
-    ``early_fraction`` of the grid: the envelope constant is then set by
+    when C is finite and within ENVELOPE_SLACK of the maximum over the
+    early EARLY_FRACTION of the grid: the envelope constant is then set by
     small times and stable under extending the horizon.  Shrinking the
     claimed rate only shifts weight toward early times, so a passing
     certificate cannot fail for any smaller rate.
@@ -147,7 +144,7 @@ def certify_envelope(
     prods = np.abs(values) * model.weight_values(times)
     i_max = int(np.argmax(prods))
     c_full = float(prods[i_max])
-    early = times <= early_fraction * times[-1]
+    early = times <= EARLY_FRACTION * times[-1]
     c_early = float(np.max(prods[early]))
     if c_full == 0.0:
         ratio = 1.0
@@ -155,7 +152,7 @@ def certify_envelope(
         ratio = math.inf
     else:
         ratio = c_full / c_early
-    passed = bool(math.isfinite(c_full) and ratio <= slack)
+    passed = bool(math.isfinite(c_full) and ratio <= ENVELOPE_SLACK)
     return EnvelopeCertificate(
         constant=c_full,
         attained_at=float(times[i_max]),

@@ -38,7 +38,6 @@ __all__ = [
     "GridError",
     "WeightSpec",
     "weighted_norm",
-    "tail_bound",
     "Grid",
     "build_grid",
     "DEFAULT_N_OMEGA",
@@ -175,13 +174,6 @@ def weighted_norm(times, values, spec: WeightSpec, deviation: bool = False) -> f
     return float(np.max(w * mags))
 
 
-def tail_bound(spec: WeightSpec, t_from: float, norm_value: float) -> float:
-    """Certified bound on Int_{t_from}^inf |h| ds given ||h||_w = norm_value."""
-    if norm_value < 0.0:
-        raise ValueError("norm must be nonnegative")
-    return norm_value * spec.tail_integral(t_from)
-
-
 def _lorentzian_rule(scale: float, n: int):
     h = math.pi / n
     u = -0.5 * math.pi + h * (np.arange(n) + 0.5)
@@ -283,10 +275,6 @@ class Grid:
     def n_omega(self) -> int:
         return self.omega_nodes.size
 
-    @property
-    def mass_defect(self) -> float:
-        return abs(float(self.prob_weights.sum()) - 1.0)
-
     def times(self):
         return self.dt * np.arange(self.n_times)
 
@@ -329,7 +317,6 @@ def build_grid(
     dt: float,
     n_theta: int = 64,
     n_omega: int | None = None,
-    mass_tol: float = 1e-8,
 ) -> Grid:
     """Construct a Grid with the frequency rule matched to the profile.
 
@@ -352,5 +339,4 @@ def build_grid(
         n_theta=int(n_theta),
         omega_nodes=nodes,
         omega_weights=weights,
-        mass_tol=float(mass_tol),
     )

@@ -27,7 +27,6 @@ from .spectral_state import AsymptoticState, sample_labels
 
 __all__ = [
     "ParticleEnsemble",
-    "empirical_order_parameter",
     "simulate",
     "init_from_solution",
 ]
@@ -57,10 +56,6 @@ class ParticleEnsemble:
     @property
     def n(self) -> int:
         return self.phases.size
-
-
-def empirical_order_parameter(ens: ParticleEnsemble) -> complex:
-    return _mean_field(ens.phases)
 
 
 def _mean_field(phases: np.ndarray) -> complex:

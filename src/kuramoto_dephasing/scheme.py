@@ -25,11 +25,11 @@ sees amplitudes that vanish where the oscillation gets fast.  The
 subtraction is evaluated as (cos D - 1, sin D), each with full relative
 precision long after |D| has dropped below the rounding unit, which is what
 lets weighted Cauchy increments be resolved down to 1e-10 and beyond.  The
-pair comes from characteristics.phase_minus_one, the one phase kernel the
-sweeps share: Taylor polynomials D^2 Q_k(D^2) and D P_k(D^2) whose number
-of terms k is the smallest that puts the truncation below the rounding
-unit at the field's exact sup|D| (a few multiply-adds per cell), and
-(-2 sin^2(D/2), sin D) above sup|D| = 1.
+pair comes from characteristics.phase_kernel, the one phase kernel the
+sweeps share, built once per quadrature: Taylor polynomials D^2 Q_k(D^2)
+and D P_k(D^2) whose number of terms k is the smallest that puts the
+truncation below the rounding unit at the field's exact sup|D| (a few
+multiply-adds per cell), and (-2 sin^2(D/2), sin D) above sup|D| = 1.
 
 Every iterate, the certification iterate included, appends one record to
 a diagnostics ledger: weighted norms, Cauchy increments and ratios, the
@@ -45,7 +45,7 @@ from __future__ import annotations
 import logging
 import math
 import time
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field
 
 import numpy as np
 
@@ -55,7 +55,7 @@ from .characteristics import (
     NonContractiveError,
     gamma_field,
     oscillation_table,
-    phase_minus_one,
+    phase_kernel,
     picard_sweep,
     solve_fixed_point,
     tile_slab,
@@ -84,6 +84,8 @@ log = logging.getLogger(__name__)
 # t_max; polynomial tails cannot reach the exponential budget at any
 # feasible horizon, so the default is per class
 DEFAULT_TAIL_BUDGET = {"exponential": 1e-8, "polynomial": 1e-3}
+# joint iterates before outer_solve gives up
+MAX_OUTER = 25
 
 
 class TailBudgetError(RuntimeError):
@@ -140,9 +142,6 @@ class DiagnosticsLedger:
     def add(self, record: dict):
         self.records.append(record)
 
-    def __len__(self):
-        return len(self.records)
-
     def to_dict(self) -> dict:
         return {
             "mu": self.mu,
@@ -198,13 +197,13 @@ def _order_parameter_values(field: CharacteristicField, state: AsymptoticState):
     z = free_order_parameter(state, times).astype(complex)
     # e^{iD} - 1 as (cos D - 1, sin D) in contiguous real scratch, at the
     # exact sup of this field
-    sup = field.sup()
+    kernel = phase_kernel(field.sup())
     table = oscillation_table(times, omega)
     cos_buf, sin_buf, d2_buf = (tile_slab(g.shape(), float) for _ in range(3))
     for sl in time_tiles(g.shape()):
         n = sl.stop - sl.start
         cos_m1, sin_d = cos_buf[:n], sin_buf[:n]
-        phase_minus_one(field.deviation[sl], sup, cos_m1, sin_d, d2_buf[:n])
+        kernel(field.deviation[sl], cos_m1, sin_d, d2_buf[:n])
         # u (cos D - 1 + i sin D) summed over angles, by real matmuls:
         # rows (Re u, Im u) of each projection
         pc = np.matmul(proj, cos_m1)
@@ -227,20 +226,18 @@ def outer_solve(
     mu: float,
     weight: WeightSpec | None = None,
     tol_outer: float = 1e-10,
-    n_max: int = 25,
     tol_picard: float = 1e-12,
-    max_sweeps: int = 60,
     tail_budget: float | None = None,
 ) -> SolveResult:
     """Run the joint iteration from the zero path until Cauchy increments
     fall below tol_outer, then certify the final path.
 
-    Each of at most ``n_max`` joint iterates advances the field by one
+    Each of at most MAX_OUTER joint iterates advances the field by one
     sweep under the previous path and re-integrates the order parameter.
     The certification iterate then solves the inner fixed point at the
-    final path from zero to ``tol_picard`` (within ``max_sweeps``); its
-    field and path are returned.  The weight defaults to the decay class
-    the state declares.  Raises GridError when the weight overflows at
+    final path from zero to ``tol_picard`` (within solve_fixed_point's
+    sweep budget); its field and path are returned.  The weight defaults
+    to the decay class the state declares.  Raises GridError when the weight overflows at
     t_max or has no finite gains, TailBudgetError when the certified
     truncation tail at t_max exceeds the budget, and NotConvergingError
     (with the partial ledger attached) when an iterate refuses, stalls,
@@ -275,7 +272,7 @@ def outer_solve(
     prev_ratio = None
     certifying = False
     n = 0
-    while certifying or n < n_max:
+    while certifying or n < MAX_OUTER:
         n += 1
         t0 = time.perf_counter()
         # refusal to contract dominates: no horizon fixes kappa >= 1
@@ -288,7 +285,7 @@ def outer_solve(
             if certifying:
                 # frozen-path pass at the final path, cold so that its
                 # residual trail measures the per-sweep contraction
-                fld, rep = solve_fixed_point(grid, z_prev, mu, weight, tol_picard, max_sweeps)
+                fld, rep = solve_fixed_point(grid, z_prev, mu, weight, tol_picard)
             else:
                 fld, rep = picard_sweep(grid, z_prev, mu, weight, fld)
         except (NonContractiveError, MaxSweepsExceededError) as exc:
@@ -322,7 +319,7 @@ def outer_solve(
             "theta_diff_norm": theta_diff,
             "kappa": kappa,
             "tail_bound": mu * r_prev * tail_unit,
-            "contraction": rep.as_dict(),
+            "contraction": asdict(rep),
         }
         ledger.add(record)
         log.debug(
@@ -365,7 +362,7 @@ def outer_solve(
             raise NotConvergingError(ledger.status, ledger)
         prev_ratio = ratio
         z_prev, r_prev, prev_dz = path.values, path.norm, dz
-    ledger.status = f"no convergence in {n_max} outer iterations"
+    ledger.status = f"no convergence in {MAX_OUTER} outer iterations"
     raise NotConvergingError(ledger.status, ledger)
 
 
@@ -387,7 +384,6 @@ class ReconstructedDensity:
 
     times: np.ndarray
     values: np.ndarray
-    free_values: np.ndarray
     mass: np.ndarray
     jacobian_min: np.ndarray
     min_value: float
@@ -418,7 +414,7 @@ def reconstruct(result: SolveResult, times=(0.0, 5.0, 10.0)) -> ReconstructedDen
     tgrid = g.times()
     idx = []
     for t in np.atleast_1d(np.asarray(times, dtype=float)):
-        j = int(round(t / g.dt))
+        j = int(round(t / g.dt)) if math.isfinite(t) else -1
         if j < 0 or j >= g.n_times or abs(tgrid[j] - t) > 1e-9 * max(1.0, t):
             raise ValueError(f"t = {t} is not a grid time")
         idx.append(j)
@@ -454,7 +450,6 @@ def reconstruct(result: SolveResult, times=(0.0, 5.0, 10.0)) -> ReconstructedDen
     return ReconstructedDensity(
         times=tgrid[sel],
         values=values,
-        free_values=f_inf,
         mass=mass,
         jacobian_min=jac_min,
         min_value=float(values.min()),

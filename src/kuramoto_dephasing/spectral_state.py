@@ -31,7 +31,6 @@ __all__ = [
     "spectral_transform",
     "free_order_parameter",
     "sample_labels",
-    "decay_bound_report",
 ]
 
 _PROFILE_KINDS = ("lorentzian", "gaussian", "laplace")
@@ -203,10 +202,6 @@ class AsymptoticState:
         """f_inf on a broadcast (theta, omega) label set."""
         return self.angular_factor(theta) * self.profile.density(omega) / (2.0 * math.pi)
 
-    @property
-    def max_harmonic(self) -> int:
-        return max(self.modes, default=0)
-
 
 def spectral_transform(state: AsymptoticState, k: int, eta):
     """fhat(k, eta) of the asymptotic density, in closed form.
@@ -251,45 +246,3 @@ def sample_labels(state: AsymptoticState, n: int, seed=None, rng=None):
         need = need[~keep]
     return theta, omega
 
-
-def decay_bound_report(state: AsymptoticState, eta_max: float = 60.0, n_eta: int = 4001):
-    """Measure the declared transform-decay class on a sampled (k, eta) set.
-
-    For each carried harmonic (k in {0, +-carried}) and eta on a symmetric
-    grid, evaluates |fhat(k, eta)| * w where w is e^{rate*|eta|} or
-    (1 + eta^2)^{rate/2} per the declared class, and reports the supremum
-    under both the frequency-only weight and the joint weight that also
-    penalizes k.  Finite, stable suprema certify the declaration; growth
-    toward the grid edge flags an inconsistent one.
-
-    Returns a dict with keys ``kind``, ``rate``, ``sup_frequency_weight``,
-    ``sup_joint_weight``, ``edge_ratio``, ``consistent``.
-    """
-    eta = np.linspace(-eta_max, eta_max, n_eta)
-    ks = sorted({0} | set(state.modes) | {-k for k in state.modes})
-    if state.decay_kind == "exponential":
-        w_eta = np.exp(state.decay_rate * np.abs(eta))
-    else:
-        w_eta = (1.0 + eta * eta) ** (state.decay_rate / 2.0)
-    sup_f = 0.0
-    sup_j = 0.0
-    interior = 0.0
-    for k in ks:
-        vals = np.abs(spectral_transform(state, k, eta)) * w_eta
-        if state.decay_kind == "exponential":
-            w_k = math.exp(state.decay_rate * abs(k))
-        else:
-            w_k = (1.0 + k * k) ** (state.decay_rate / 2.0)
-        sup_f = max(sup_f, float(vals.max()))
-        sup_j = max(sup_j, float(vals.max()) * w_k)
-        m = int(0.75 * n_eta)
-        interior = max(interior, float(vals[(n_eta - m) // 2 : (n_eta + m) // 2].max()))
-    edge_ratio = sup_f / interior if interior > 0 else math.inf
-    return {
-        "kind": state.decay_kind,
-        "rate": state.decay_rate,
-        "sup_frequency_weight": sup_f,
-        "sup_joint_weight": sup_j,
-        "edge_ratio": edge_ratio,
-        "consistent": bool(math.isfinite(sup_f) and edge_ratio <= 1.05),
-    }

@@ -1,0 +1,92 @@
+"""API-surface guard: every name a module exports has a caller.
+
+Each module under ``src/kuramoto_dephasing`` lists its public names in
+``__all__``.  A name counts as used when the package or the benchmark
+(``perfbench/``) reads it somewhere other than its own definition, the
+``__all__`` lists and the re-exports of ``__init__.py``: as a name, as an
+attribute (``scheme.outer_solve``), or as the attribute string of a
+``(module, "name")`` pair or a ``getattr``-style call, which is how the
+benchmark's span recorder looks its boundaries up.  An import alone is
+not a use, nor is a string elsewhere (a ledger key may share a name).
+Tests do not count as callers.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "kuramoto_dephasing"
+SOURCES = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+MODULES = {path.stem for path in PACKAGE.glob("*.py")}
+LOOKUPS = {"getattr", "setattr", "hasattr", "delattr"}
+
+
+def _is_all(node):
+    return isinstance(node, ast.Assign) and any(
+        isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+    )
+
+
+def _definitions(tree):
+    # top-level name -> (first line, last line) of its definition
+    spans = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            spans[node.name] = (node.lineno, node.end_lineno)
+        elif isinstance(node, ast.Assign) and not _is_all(node):
+            for t in node.targets:
+                if isinstance(t, ast.Name):
+                    spans[t.id] = (node.lineno, node.end_lineno)
+    return spans
+
+
+def _attribute_string(owner, attr):
+    # "name" of a (module, "name") pair or of getattr(module, "name")
+    if isinstance(owner, ast.Name) and owner.id in MODULES:
+        if isinstance(attr, ast.Constant) and isinstance(attr.value, str):
+            return attr.value
+    return None
+
+
+def _uses(tree):
+    # (name, line) for every read of a name or attribute, skipping the
+    # __all__ lists
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if _is_all(node):
+            continue
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.Tuple):
+            for owner, attr in zip(node.elts, node.elts[1:]):
+                if (name := _attribute_string(owner, attr)) is not None:
+                    yield name, node.lineno
+        elif isinstance(node, ast.Call) and len(node.args) >= 2:
+            if isinstance(node.func, ast.Name) and node.func.id in LOOKUPS:
+                if (name := _attribute_string(*node.args[:2])) is not None:
+                    yield name, node.lineno
+        stack.extend(ast.iter_child_nodes(node))
+
+
+def test_every_exported_name_has_a_caller():
+    trees = {path: ast.parse(path.read_text(), str(path)) for path in SOURCES}
+    uses = {}
+    for path, tree in trees.items():
+        if path.name == "__init__.py":
+            continue
+        for name, line in _uses(tree):
+            uses.setdefault(name, []).append((path, line))
+    orphans = []
+    for path, tree in trees.items():
+        if path.parent != PACKAGE:
+            continue
+        exported = [ast.literal_eval(n.value) for n in tree.body if _is_all(n)]
+        spans = _definitions(tree)
+        for name in (n for names in exported for n in names):
+            lo, hi = spans.get(name, (0, -1))
+            if not any(p != path or not lo <= line <= hi for p, line in uses.get(name, ())):
+                orphans.append(f"{path.stem}.{name}")
+    assert not orphans, f"exported but never used by the package or perfbench: {orphans}"

@@ -174,6 +174,31 @@ def test_fit_subcommand_round_trips(solve_run, capsys):
     assert payload["envelope"]["passed"] is True
 
 
+@pytest.mark.parametrize(
+    "column, window, code",
+    [
+        ("r", ("nan", "5"), 2),
+        ("r", ("2", "inf"), 2),
+        ("r", ("5", "2"), 2),
+        ("r", ("5", "5"), 2),
+        ("r", ("-1", "5"), 2),
+        ("r", ("2", "17"), 2),
+        # a window inside the data with too few points for a fit
+        ("r", ("15.8", "16"), 1),
+    ],
+    ids=["lo_nan", "hi_inf", "reversed", "empty", "before_start",
+         "past_end", "too_few_points"],
+)
+def test_fit_window_misuse_is_a_usage_error(solve_run, caplog, column, window, code):
+    _, out = solve_run
+    with caplog.at_level("ERROR", logger="kuramoto_dephasing"):
+        got = main(["fit", "--csv", str(out / "order_parameter.csv"), "--column", column,
+                    "--kind", "exponential", "--window", *window])
+    assert got == code
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 1 and "\n" not in errors[0]
+
+
 def test_fit_unknown_column_is_config_error(solve_run):
     _, out = solve_run
     code = main(
@@ -250,6 +275,18 @@ def test_negative_mu_rejected(tmp_path):
         # t_max / dt = 1.6e13 RK4 steps
         {"particles": {"n": 100, "dt": 1e-12}},
         {"particles": {"n": 100, "dt": math.nextafter(0.05 / 4096, 0.0)}},
+        # JSON strings passed float() and int(); int() truncated fractions
+        {"mu": "0.05"},
+        {"profile": {"kind": "lorentzian", "scale": "1.0"}},
+        {"modes": {"1": ["0.05", 0.0]}},
+        {"grid": {"t_max": 16.0, "dt": 0.05, "n_theta": 32, "n_omega": "32"}},
+        {"grid": {"t_max": 16.0, "dt": 0.05, "n_theta": 16.9}},
+        {"grid": {"t_max": 16.0, "dt": 0.05, "n_theta": 32, "n_omega": 64.5}},
+        {"particles": {"n": 2000.5, "dt": 0.02}},
+        {"particles": {"n": 2000, "dt": 0.02, "seed": 1.5}},
+        {"particles": {"n": 2000, "dt": 0.02, "seed": "1"}},
+        # the sampler's generator takes no negative seed: a traceback after the solve
+        {"particles": {"n": 2000, "dt": 0.02, "seed": -1}},
     ],
     ids=[
         "modes_list", "tolerances_list", "mode_nan", "profile_list", "decay_string",
@@ -260,6 +297,9 @@ def test_negative_mu_rejected(tmp_path):
         "t_max_true", "n_omega_true", "weight_rate_true", "tol_outer_true",
         "tail_budget_true", "particles_n_true", "particles_seed_false",
         "particles_dt_tiny", "particles_dt_below_limit",
+        "mu_string", "scale_string", "mode_part_string", "n_omega_string",
+        "n_theta_fraction", "n_omega_fraction", "particles_n_fraction",
+        "particles_seed_fraction", "particles_seed_string", "particles_seed_negative",
     ],
 )
 def test_malformed_config_exits_2_with_one_line(tmp_path, monkeypatch, caplog, overrides):
@@ -272,6 +312,17 @@ def test_malformed_config_exits_2_with_one_line(tmp_path, monkeypatch, caplog, o
     assert code == 2
     errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
     assert len(errors) == 1 and "\n" not in errors[0]
+
+
+def test_integral_floats_load_as_counts(tmp_path):
+    raw = base_config(
+        grid={"t_max": 16.0, "dt": 0.05, "n_theta": 32.0, "n_omega": 65.0},
+        particles={"n": 2000.0, "dt": 0.02, "seed": 3.0},
+    )
+    cfg = load_config(write_config(tmp_path / "cfg.json", raw))
+    assert (cfg.grid.n_theta, cfg.grid.n_omega) == (32, 65)
+    assert cfg.particles["n"] == 2000 and cfg.particles["seed"] == 3
+    assert all(type(v) is int for v in (cfg.particles["n"], cfg.particles["seed"]))
 
 
 def test_particle_step_at_the_oracle_cap_still_loads(tmp_path):

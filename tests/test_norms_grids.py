@@ -12,7 +12,6 @@ from kuramoto_dephasing.norms_grids import (
     GridError,
     WeightSpec,
     build_grid,
-    tail_bound,
     weighted_norm,
 )
 from kuramoto_dephasing.spectral_state import FrequencyProfile
@@ -109,25 +108,18 @@ def test_weighted_norm_homogeneity_subadditivity(scale, rate, seed):
     assert weighted_norm(t, a + b, w) <= na + nb + 1e-12 * (na + nb)
 
 
-def test_tail_bound_is_norm_times_tail():
-    w = WeightSpec("exponential", 0.9)
-    assert tail_bound(w, 20.0, 0.05) == pytest.approx(0.05 * math.exp(-18.0) / 0.9, rel=1e-14)
-    with pytest.raises(ValueError):
-        tail_bound(w, 1.0, -0.1)
-
-
 # ---------------------------------------------------------------- grids
 
 def test_build_grid_defaults_and_mass():
     for kind, n_def in [("lorentzian", 129), ("gaussian", 193), ("laplace", 960)]:
         g = build_grid(FrequencyProfile(kind, 1.0), 20.0, 0.05, 64)
         assert g.n_omega == n_def
-        assert g.mass_defect <= 1e-8
+        assert abs(g.prob_weights.sum() - 1.0) <= 1e-8
         assert g.shape() == (401, 64, n_def)
     # the tangent-midpoint rule is exactly unit mass, node weights all equal
     g = build_grid(FrequencyProfile("lorentzian", 2.0), 10.0, 0.1, 32, n_omega=65)
     assert np.allclose(g.prob_weights, 1.0 / 65.0, rtol=1e-14)
-    assert g.mass_defect < 1e-14
+    assert abs(g.prob_weights.sum() - 1.0) < 1e-14
 
 
 def test_grid_time_and_angle_axes():

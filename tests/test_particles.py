@@ -11,7 +11,6 @@ from kuramoto_dephasing import (
     FrequencyProfile,
     ParticleEnsemble,
     build_grid,
-    empirical_order_parameter,
     free_order_parameter,
     init_from_solution,
     outer_solve,
@@ -45,17 +44,17 @@ def coupled_result(state, grid):
 
 def test_single_particle_has_unit_modulus():
     ens = ParticleEnsemble(np.array([0.37]), np.array([1.1]), mu=0.5)
-    assert abs(empirical_order_parameter(ens)) == pytest.approx(1.0, abs=1e-15)
+    assert abs(particles._mean_field(ens.phases)) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_antipodal_pair_cancels():
     ens = ParticleEnsemble(np.array([0.2, 0.2 + np.pi]), np.zeros(2), mu=0.0)
-    assert abs(empirical_order_parameter(ens)) < 1e-15
+    assert abs(particles._mean_field(ens.phases)) < 1e-15
 
 
 def test_four_point_lattice_cancels():
     ens = ParticleEnsemble(np.arange(4) * (np.pi / 2), np.zeros(4), mu=0.0)
-    assert abs(empirical_order_parameter(ens)) < 1e-15
+    assert abs(particles._mean_field(ens.phases)) < 1e-15
 
 
 def test_mu_zero_flow_is_linear():
@@ -104,7 +103,7 @@ def test_free_ensemble_tracks_kinetic_order_parameter(state, free_result):
 
 def test_sampling_matches_coupled_solution_at_t0(state, coupled_result):
     ens, _ = init_from_solution(coupled_result.field, state, 10_000, seed=1)
-    gap = abs(empirical_order_parameter(ens) - coupled_result.path.values[0])
+    gap = abs(particles._mean_field(ens.phases) - coupled_result.path.values[0])
     assert gap < 3.0 / np.sqrt(10_000)
 
 
@@ -117,7 +116,7 @@ def test_heavy_tail_resampling_is_reported(state, coupled_result):
 def test_zero_deviation_field_initializes_identically(state, grid, free_result):
     from kuramoto_dephasing import CharacteristicField
 
-    blank = CharacteristicField(grid, np.zeros(grid.shape()), 0.0, 0)
+    blank = CharacteristicField(grid, np.zeros(grid.shape()), 0.0)
     a, ra = init_from_solution(free_result.field, state, 512, seed=7)
     b, rb = init_from_solution(blank, state, 512, seed=7)
     assert np.array_equal(a.phases, b.phases)

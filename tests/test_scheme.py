@@ -5,6 +5,8 @@ Lorentzian profile, mu = 0.05) is shared module-wide; the remaining
 cases exercise degenerate inputs and the documented failure modes.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -190,8 +192,10 @@ def test_dephasing_decays_by_fitted_factor(result, recon, grid):
 
 
 def test_reconstruct_rejects_offgrid_time(result):
-    with pytest.raises(ValueError, match="grid time"):
-        reconstruct(result, times=(0.025,))
+    # non-finite times are refused by name, not by a failed int conversion
+    for t in (0.025, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="is not a grid time"):
+            reconstruct(result, times=(t,))
 
 
 def test_mu_zero_is_free_transport(state, grid):
@@ -260,8 +264,8 @@ def test_polynomial_phase_minus_one_matches_the_trig_form(values):
     assert _taylor_terms(sup) is not None
     poly, trig = np.empty((2, dev.size)), np.empty((2, dev.size))
     scratch = np.empty(dev.size)
-    scheme.phase_minus_one(dev, sup, poly[0], poly[1], scratch)
-    scheme.phase_minus_one(dev, np.inf, trig[0], trig[1], scratch)
+    scheme.phase_kernel(sup)(dev, poly[0], poly[1], scratch)
+    scheme.phase_kernel(np.inf)(dev, trig[0], trig[1], scratch)
     # four units in the last place of the trig value (np.spacing is the
     # subnormal step near zero)
     assert np.all(np.abs(poly - trig) <= 4.0 * np.abs(np.spacing(trig)))
@@ -271,19 +275,20 @@ def test_polynomial_phase_minus_one_matches_the_trig_form(values):
 
 
 def _quadrature_routes(field, state, monkeypatch):
-    # the Taylor terms of every block (None: the trig form), and the path
+    # the Taylor terms of every kernel built (None: the trig form), and the
+    # path; one quadrature builds one kernel for all its tiles
     routes = []
-    phase_minus_one = scheme.phase_minus_one
+    phase_kernel = scheme.phase_kernel
 
-    def spy(dev, sup, *out):
+    def spy(sup):
         assert sup == field.sup()
         routes.append(characteristics._taylor_terms(sup))
-        phase_minus_one(dev, sup, *out)
+        return phase_kernel(sup)
 
     with monkeypatch.context() as mp:
-        mp.setattr(scheme, "phase_minus_one", spy)
+        mp.setattr(scheme, "phase_kernel", spy)
         z = scheme._order_parameter_values(field, state)
-    return set(routes), z
+    return routes, z
 
 
 def test_polynomial_route_solve_matches_the_trig_route(state, grid, result, monkeypatch):
@@ -304,15 +309,15 @@ def test_quadrature_route_follows_the_exact_sup(state, grid, result, monkeypatch
     at = CharacteristicField(grid, dev * (_POLY_CAP / result.field.sup()), MU)
     above = CharacteristicField(grid, dev * (1.5 / result.field.sup()), MU)
     assert at.sup() <= _POLY_CAP < above.sup()
-    assert _quadrature_routes(result.field, state, monkeypatch)[0] == {
+    assert _quadrature_routes(result.field, state, monkeypatch)[0] == [
         _taylor_terms(result.field.sup())
-    }
+    ]
     routes, z_poly = _quadrature_routes(at, state, monkeypatch)
-    assert routes == {9}
-    assert _quadrature_routes(above, state, monkeypatch)[0] == {None}
+    assert routes == [9]
+    assert _quadrature_routes(above, state, monkeypatch)[0] == [None]
     # at the cap, where the polynomials are longest, they still agree with
     # the trig route
     monkeypatch.setattr(characteristics, "_POLY_CAP", -1.0)
     routes, z_trig = _quadrature_routes(at, state, monkeypatch)
-    assert routes == {None}
+    assert routes == [None]
     assert np.max(np.abs(z_poly - z_trig)) <= ROUTE_TOL

@@ -8,7 +8,6 @@ from kuramoto_dephasing.spectral_state import (
     AsymptoticState,
     FrequencyProfile,
     InvalidStateError,
-    decay_bound_report,
     free_order_parameter,
     sample_labels,
     spectral_transform,
@@ -134,15 +133,3 @@ def test_sample_labels_moments(eps_state):
     th3, om3 = sample_labels(eps_state, n, seed=8)
     assert not np.array_equal(th3, th) and not np.array_equal(om3, om)
 
-
-def test_decay_bound_report(eps_state):
-    rep = decay_bound_report(eps_state)
-    assert rep["consistent"]
-    assert rep["sup_frequency_weight"] == pytest.approx(1.0, rel=1e-12)  # k=0 at eta=0
-    assert rep["sup_joint_weight"] >= rep["sup_frequency_weight"]
-
-    lap = AsymptoticState(FrequencyProfile("laplace", 1.0), {1: 0.05}, "polynomial", 2.0)
-    rep = decay_bound_report(lap)
-    assert rep["consistent"]
-    # (1+eta^2) exactly cancels the laplace transform, so the weighted sup is 1
-    assert rep["sup_frequency_weight"] == pytest.approx(1.0, rel=1e-12)
