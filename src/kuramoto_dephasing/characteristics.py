@@ -65,6 +65,8 @@ _SIN_OVER_D = tuple((-1) ** k / math.factorial(2 * k + 1) for k in range(10))
 # the RK4 oracle's cap on sub-steps per cell, also the finest particle time
 # step the command line accepts relative to the grid's
 MAX_SUBSTEPS = 4096
+# sweeps solve_fixed_point runs before it refuses a stalled residual
+MAX_SWEEPS = 60
 
 
 class NonContractiveError(RuntimeError):
@@ -400,15 +402,15 @@ def _integral_blocks(times, omega, z, deviation):
         yield sl, c, e
 
 
-def deviation_sweep(times, theta, omega, z, deviation, mu, row_residual=None):
+def deviation_sweep(times, theta, omega, z, deviation, mu, row_residual):
     """One application of the backward-integral map to a deviation field.
 
     Operates on raw arrays so alternative node sets can be pushed through.
     Returns the new deviation, mu * Im(e^{i theta} I), one time tile at a
     time to bound the complex working set; e^{iD} comes from phase_kernel
-    at the exact sup of ``deviation``.  A given ``row_residual`` (shape
-    (n_times,)) receives the sup over each time row of |new - deviation|
-    from the same pass.
+    at the exact sup of ``deviation``.  ``row_residual`` (shape (n_times,))
+    receives the sup over each time row of |new - deviation| from the same
+    pass.
     """
     times = np.asarray(times, dtype=float)
     z = np.asarray(z, dtype=complex)
@@ -423,9 +425,8 @@ def deviation_sweep(times, theta, omega, z, deviation, mu, row_residual=None):
         np.multiply(ib.imag, mu_cos, out=new)
         np.multiply(ib.real, mu_sin, out=scratch)
         new += scratch
-        if row_residual is not None:
-            np.subtract(new, deviation[sl], out=scratch)
-            _row_sup(scratch, row_residual[sl])
+        np.subtract(new, deviation[sl], out=scratch)
+        _row_sup(scratch, row_residual[sl])
     return out
 
 
@@ -455,6 +456,13 @@ def _open_report(grid: Grid, z, mu: float, weight: WeightSpec, tol: float):
     )
 
 
+def _zero_gain_field(grid: Grid, mu: float, report, residual: float):
+    # a zero gain (mu = 0 or z = 0) makes F_z identically zero: no sweep
+    report.converged = True
+    report.residuals.append(residual)
+    return CharacteristicField(grid, np.zeros(grid.shape()), mu), report
+
+
 def picard_sweep(
     grid: Grid,
     z,
@@ -478,9 +486,8 @@ def picard_sweep(
     z = np.asarray(z, dtype=complex)
     report = _open_report(grid, z, mu, weight, 0.0)
     if report.bound == 0.0:
-        report.converged = True
-        report.residuals.append(field.deviation_norm(weight) if field is not None else 0.0)
-        return CharacteristicField(grid, np.zeros(grid.shape()), mu), report
+        residual = field.deviation_norm(weight) if field is not None else 0.0
+        return _zero_gain_field(grid, mu, report, residual)
     dev = np.zeros(grid.shape()) if field is None else field.deviation
     rows = np.empty(grid.n_times)
     new = deviation_sweep(times, grid.theta(), grid.omega_nodes, z, dev, mu, row_residual=rows)
@@ -495,7 +502,6 @@ def solve_fixed_point(
     mu: float,
     weight: WeightSpec,
     tol: float = 1e-12,
-    max_sweeps: int = 60,
 ):
     """Iterate the backward map to its fixed point for a frozen path z.
 
@@ -503,21 +509,20 @@ def solve_fixed_point(
     residual trail certifies the per-sweep contraction.  Refuses non-finite
     ``z`` or ``mu`` (ValueError), and refuses to start when the certified
     gain mu * ||R||_w * unit_gain is >= 1 (NonContractiveError); raises
-    MaxSweepsExceededError if the residual stalls above ``tol``.
+    MaxSweepsExceededError if the residual is above ``tol`` after
+    MAX_SWEEPS sweeps.  A zero gain returns the zero field as picard_sweep.
 
     Returns (CharacteristicField, ContractionReport).
     """
     times = grid.times()
     z = np.asarray(z, dtype=complex)
     report = _open_report(grid, z, mu, weight, tol)
-    if mu == 0.0:
-        # the backward map is identically zero: the fixed point is exact
-        report = ContractionReport(bound=0.0, sweeps=0, converged=True, tol=tol)
-        return CharacteristicField(grid, np.zeros(grid.shape()), 0.0), report
+    if report.bound == 0.0:
+        return _zero_gain_field(grid, mu, report, 0.0)
     dev = np.zeros(grid.shape())
     theta, omega = grid.theta(), grid.omega_nodes
     rows = np.empty(grid.n_times)
-    for sweep in range(1, max_sweeps + 1):
+    for sweep in range(1, MAX_SWEEPS + 1):
         # the residual ||F(D) - D||_w comes from the sweep's own row sups
         dev = deviation_sweep(times, theta, omega, z, dev, mu, row_residual=rows)
         res = weighted_norm(times, rows, weight, deviation=True)
@@ -531,7 +536,7 @@ def solve_fixed_point(
     else:
         raise MaxSweepsExceededError(
             f"residual {report.residuals[-1]:.3e} > tol {tol:.1e} "
-            f"after {max_sweeps} sweeps (bound {report.bound:.3g})"
+            f"after {MAX_SWEEPS} sweeps (bound {report.bound:.3g})"
         )
     return CharacteristicField(grid, dev, mu), report
 
@@ -554,7 +559,7 @@ def backward_ode_oracle(
 
     The rate is evaluated as Im(P e^{i psi}) = P_i + P_i (cos psi - 1) +
     P_r sin psi, with P = -mu conj(z(s)) e^{i(theta + omega s)} formed once
-    per cell for the three stage times of every sub-step.  The pair
+    per cell for each (column, half-sub-step), sum(2m + 1) of them.  The pair
     (cos psi - 1, sin psi) comes from ``phase_kernel``, with its terms
     chosen once from an a priori bound on every stage argument: each stage
     rate is at most |mu| |z(sample)|, so |psi| stays below
@@ -568,9 +573,9 @@ def backward_ode_oracle(
     serves every sub-step count.  Each column sees the same arithmetic,
     in the same order, as a loop over its own m alone would do, so the
     result does not depend on which other columns share the grid.  The
-    working set is the output field, the spline samples of z, the two
-    real parts of P, each (3, sub-steps, angles), and per-cell scratch the
-    size of the (column, angle) state.
+    working set is the output field, the spline samples of z, P as
+    (2, sum(2m + 1), angles) real parts plus a temporary of one part, and
+    per-cell scratch the size of the (column, angle) state.
 
     Shares with the cell-weight quadrature route only the phase kernel,
     which is exact to rounding (ulp-tested against the trig form).  The
@@ -586,11 +591,8 @@ def backward_ode_oracle(
     if not phase_step_cap > 0.0:
         # 0, a negative cap or NaN would make every column one sub-step
         raise ValueError(f"phase_step_cap must be positive, got {phase_step_cap!r}")
-    dt = grid.dt
-    theta = grid.theta()
-    omega = grid.omega_nodes
-    need = np.ceil(np.abs(omega) * dt / phase_step_cap).astype(int)
-    need = np.maximum(need, 1)
+    dt, theta, omega = grid.dt, grid.theta(), grid.omega_nodes
+    need = np.maximum(np.ceil(np.abs(omega) * dt / phase_step_cap).astype(int), 1)
     if int(need.max()) > MAX_SUBSTEPS:
         raise StepRejectedError(
             f"column |omega| = {np.abs(omega).max():.3g} needs {int(need.max())} "
@@ -601,46 +603,45 @@ def backward_ode_oracle(
     order = np.argsort(-need, kind="stable")
     m = need[order]
     h = dt / m
-    active = [int(np.count_nonzero(m > k)) for k in range(int(m[0]))]
-    starts = np.cumsum([0] + active)
-    # one slot per (inner step k, active column c), k-major; the slot's
-    # sub-step is i = m_c - k and its stage times are t_j + h i,
-    # t_j + h (i - 1/2) and t_j + h (i - 1)
-    col = np.concatenate([np.arange(n) for n in active])
-    i = m[col] - np.repeat(np.arange(len(active)), active)
-    hc = h[col]
-    offsets = np.stack([hc * i, hc * (i - 0.5), hc * (i - 1)])
+    # P's rows are the half-sub-steps l = 0 .. 2 m_max: row l holds the
+    # columns with 2m >= l (a prefix) at time t_j + h q / 2, q = 2m - l.
+    # Inner step k advances the columns with m > k by sub-step i = m - k;
+    # its stages read rows 2k, 2k + 1 and 2k + 2 (q = 2i, 2i - 1, 2i - 2),
+    # and row 2k + 2 is stage 0 of step k + 1 too, so P is formed once
+    widths = [int(np.count_nonzero(2 * m >= row)) for row in range(2 * int(m[0]) + 1)]
+    starts = np.cumsum([0] + widths)
+    col = np.concatenate([np.arange(n) for n in widths])
+    q = 2 * m[col] - np.repeat(np.arange(len(widths)), widths)
+    offsets = h[col] * (q / 2)
     om = omega[order][col]
     # z at half-substep resolution across each cell, one block of 2m + 1
-    # samples per sub-step count; stage r of a slot reads sample 2i - r
+    # samples per sub-step count; a row entry reads sample q of its block
     counts = np.unique(m)
-    widths = 2 * counts + 1
-    first = dict(zip(counts.tolist(), (np.cumsum(widths) - widths).tolist()))
-    zc = np.empty((n_t - 1, int(widths.sum())), dtype=complex)
+    blocks = 2 * counts + 1
+    first = dict(zip(counts.tolist(), (np.cumsum(blocks) - blocks).tolist()))
+    zc = np.empty((n_t - 1, int(blocks.sum())), dtype=complex)
     for mv, lo in first.items():
         offs = 0.5 * (dt / mv) * np.arange(2 * mv + 1)
         zc[:, lo:lo + offs.size] = spline(times[:-1, None] + offs[None, :])
-    sample = np.array([first[v] for v in m[col].tolist()], dtype=np.intp) + 2 * i
-    sample = np.stack([sample, sample - 1, sample - 2])
+    sample = np.array([first[v] for v in m[col].tolist()], dtype=np.intp) + q
     # every stage argument is below this bound, so one term count serves
     kernel = phase_kernel(abs(mu) * dt * float(np.abs(zc).max(axis=1).sum()))
 
-    # per-cell scratch: omega s, e^{i omega s} and z for every slot, and
-    # P = (-mu e^{i theta}) conj(z) e^{i omega s} as two real arrays; the
-    # views each inner step uses are cut once, here
+    # per-cell scratch: omega s, e^{i omega s} and z for every row entry,
+    # and P = (-mu e^{i theta}) conj(z) e^{i omega s} as two real arrays;
+    # the views each inner step uses are cut once, here
     mu_cos, mu_sin = -mu * np.cos(theta), -mu * np.sin(theta)
-    omega_s, cos_s, sin_s, w_re, w_im = np.empty((5,) + offsets.shape)
-    zs = np.empty(offsets.shape, dtype=complex)
-    p_re, p_im = np.empty((2,) + offsets.shape + (theta.size,))
-    p_tmp = np.empty(offsets.shape[1:] + (theta.size,))
+    omega_s, cos_s, sin_s, w_re, w_im = np.empty((5, offsets.size))
+    zs = np.empty(offsets.size, dtype=complex)
+    p_re, p_im, p_tmp = np.empty((3, offsets.size, theta.size))
     psi, arg, sin_x, x2, k1, k2, k3, k4 = np.zeros((8, m.size, theta.size))
     steps = [
         (
-            p_re[:, lo:hi], p_im[:, lo:hi],
+            *(p[lo:lo + n] for lo in starts[2 * k:2 * k + 3] for p in (p_re, p_im)),
             (0.5 * h[:n])[:, None], h[:n, None], (h[:n] / 6.0)[:, None],
             psi[:n], arg[:n], sin_x[:n], x2[:n], k1[:n], k2[:n], k3[:n], k4[:n],
         )
-        for n, lo, hi in zip(active, starts[:-1], starts[1:])
+        for k, n in enumerate(widths[1::2])
     ]
 
     def rate(pr, pi, x, s, x2, out):
@@ -666,27 +667,25 @@ def backward_ode_oracle(
         np.multiply(zs.real, sin_s, out=w_im)
         np.multiply(zs.imag, cos_s, out=omega_s)
         w_im -= omega_s
-        for r in range(3):
-            # P_r = W_r (-mu cos theta) - W_i (-mu sin theta), and
-            # P_i = W_r (-mu sin theta) + W_i (-mu cos theta)
-            wr, wi = w_re[r, :, None], w_im[r, :, None]
-            np.multiply(wr, mu_cos, out=p_re[r])
-            np.multiply(wi, mu_sin, out=p_tmp)
-            p_re[r] -= p_tmp
-            np.multiply(wr, mu_sin, out=p_im[r])
-            np.multiply(wi, mu_cos, out=p_tmp)
-            p_im[r] += p_tmp
-        for pr, pi, half, hk, sixth, p, a, s, x2, r1, r2, r3, r4 in steps:
-            rate(pr[0], pi[0], p, s, x2, r1)
+        # P_r = W_r (-mu cos theta) - W_i (-mu sin theta), and
+        # P_i = W_r (-mu sin theta) + W_i (-mu cos theta), for every row
+        np.multiply(w_re[:, None], mu_cos, out=p_re)
+        np.multiply(w_im[:, None], mu_sin, out=p_tmp)
+        p_re -= p_tmp
+        np.multiply(w_re[:, None], mu_sin, out=p_im)
+        np.multiply(w_im[:, None], mu_cos, out=p_tmp)
+        p_im += p_tmp
+        for pr0, pi0, pr1, pi1, pr2, pi2, half, hk, sixth, p, a, s, x2, r1, r2, r3, r4 in steps:
+            rate(pr0, pi0, p, s, x2, r1)
             np.multiply(half, r1, out=a)
             np.subtract(p, a, out=a)
-            rate(pr[1], pi[1], a, s, x2, r2)
+            rate(pr1, pi1, a, s, x2, r2)
             np.multiply(half, r2, out=a)
             np.subtract(p, a, out=a)
-            rate(pr[1], pi[1], a, s, x2, r3)
+            rate(pr1, pi1, a, s, x2, r3)
             np.multiply(hk, r3, out=a)
             np.subtract(p, a, out=a)
-            rate(pr[2], pi[2], a, s, x2, r4)
+            rate(pr2, pi2, a, s, x2, r4)
             # (h/6) (k1 + 2 k2 + 2 k3 + k4), summed left to right
             r2 *= 2.0
             r3 *= 2.0

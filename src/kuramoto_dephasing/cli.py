@@ -31,6 +31,7 @@ import logging
 import math
 import os
 import sys
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -465,12 +466,21 @@ def run_fit(csv_path, column: str, kind: str, window=None) -> int:
     try:
         with open(csv_path) as fh:
             names = [c.strip() for c in fh.readline().split(",")]
-        data = np.loadtxt(csv_path, delimiter=",", skiprows=1, ndmin=2)
+        with warnings.catch_warnings():
+            # a header with no rows is refused below, in one line
+            warnings.simplefilter("ignore", UserWarning)
+            data = np.loadtxt(csv_path, delimiter=",", skiprows=1, ndmin=2)
     except (OSError, ValueError) as e:
         log.error("cannot read CSV %s: %s", csv_path, e)
         return 2
     if not names or names[0] != "t" or column not in names:
         log.error("CSV must have a 't' first column and a %r column", column)
+        return 2
+    if data.shape[0] == 0 or data.shape[1] != len(names):
+        log.error(
+            "CSV %s needs data rows of %d values, one per header name; found %d rows of %d",
+            csv_path, len(names), data.shape[0], data.shape[1],
+        )
         return 2
     times = data[:, 0]
     values = data[:, names.index(column)]

@@ -18,7 +18,7 @@ The frequency rules are deliberately different per family:
   (zero mass defect by construction).
 * laplace: per-side composite Gauss-Legendre panels of width ``scale``
   on [0, 20*scale], mirrored.  The truncated mass e^{-20}/2 per side is
-  far below the default mass tolerance.
+  far below the mass tolerance ``_MASS_TOL``.
 * gaussian: single Gauss-Legendre rule on [-6 sigma, 6 sigma].
 """
 
@@ -48,6 +48,7 @@ DEFAULT_N_OMEGA = {"lorentzian": 129, "gaussian": 193, "laplace": 960}
 _LAPLACE_PANELS = 20      # per side, unit width in units of scale
 _LAPLACE_RANGE = 20.0     # truncation in units of scale; mass defect ~ e^-20
 _GAUSS_RANGE = 6.0        # truncation in units of sigma
+_MASS_TOL = 1e-8          # largest |sum(prob_weights) - 1| a Grid accepts
 
 
 class GridError(ValueError):
@@ -231,7 +232,7 @@ class Grid:
     ``omega_weights`` are plain d-omega weights; ``prob_weights`` fold in
     the profile density, so sum(prob_weights * h(nodes)) approximates the
     g-average of h.  Construction validates step compatibility, angular
-    resolution, and the quadrature mass defect against ``mass_tol``.
+    resolution, and the quadrature mass defect against ``_MASS_TOL``.
     """
 
     profile: FrequencyProfile
@@ -240,7 +241,6 @@ class Grid:
     n_theta: int
     omega_nodes: np.ndarray
     omega_weights: np.ndarray
-    mass_tol: float = 1e-8
     prob_weights: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -262,9 +262,9 @@ class Grid:
         pw = weights * self.profile.density(nodes)
         object.__setattr__(self, "prob_weights", pw)
         defect = abs(float(pw.sum()) - 1.0)
-        if not defect <= self.mass_tol:
+        if not defect <= _MASS_TOL:
             raise GridError(
-                f"frequency rule mass defect {defect:.3e} exceeds tol {self.mass_tol:.1e}"
+                f"frequency rule mass defect {defect:.3e} exceeds tol {_MASS_TOL:.1e}"
             )
 
     @property

@@ -224,8 +224,8 @@ def free_order_parameter(state: AsymptoticState, t):
     return spectral_transform(state, -1, -np.asarray(t, dtype=float))
 
 
-def sample_labels(state: AsymptoticState, n: int, seed=None, rng=None):
-    """Draw n labels (theta, omega) ~ f_inf.
+def sample_labels(state: AsymptoticState, n: int, rng: np.random.Generator):
+    """Draw n labels (theta, omega) ~ f_inf from the generator ``rng``.
 
     omega by inverse CDF of the profile, theta by rejection against the
     flat envelope of the angular factor.  Returns (theta, omega) float
@@ -233,8 +233,6 @@ def sample_labels(state: AsymptoticState, n: int, seed=None, rng=None):
     """
     if n <= 0:
         raise ValueError("need n >= 1 samples")
-    if rng is None:
-        rng = np.random.Generator(np.random.PCG64(seed))
     omega = state.profile.inverse_cdf(rng.uniform(1e-300, 1.0 - 1e-16, size=n))
     bound = 1.0 + 2.0 * sum(abs(a) for a in state.modes.values())
     theta = np.empty(n, dtype=float)

@@ -9,9 +9,17 @@ attribute (``scheme.outer_solve``), or as the attribute string of a
 benchmark's span recorder looks its boundaries up.  An import alone is
 not a use, nor is a string elsewhere (a ledger key may share a name).
 Tests do not count as callers.
+
+The benchmark's span recorder (``perfbench/spans.py``) wraps the
+boundaries it lists in ``BOUNDARIES`` and reads work units from the
+arguments of each call, so those boundaries and argument names are part
+of the surface too: a cut that drops one would break only a traced run.
 """
 
 import ast
+import importlib.util
+import inspect
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -90,3 +98,40 @@ def test_every_exported_name_has_a_caller():
             if not any(p != path or not lo <= line <= hi for p, line in uses.get(name, ())):
                 orphans.append(f"{path.stem}.{name}")
     assert not orphans, f"exported but never used by the package or perfbench: {orphans}"
+
+
+def _spans_module(monkeypatch):
+    spec = importlib.util.spec_from_file_location("perfbench_spans", ROOT / "perfbench" / "spans.py")
+    module = importlib.util.module_from_spec(spec)
+    # its dataclass looks the module up by name while it is created
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _read_arguments(work):
+    # every key k of an args["k"] read in the work function's source
+    tree = ast.parse(inspect.getsource(work))
+    return {
+        node.slice.value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Subscript)
+        and isinstance(node.value, ast.Name) and node.value.id == "args"
+        and isinstance(node.slice, ast.Constant)
+    }
+
+
+def test_every_span_boundary_resolves_and_takes_what_its_work_reads(monkeypatch):
+    spans = _spans_module(monkeypatch)
+    read = set()
+    for module, attr, name, work in spans.BOUNDARIES:
+        fn = getattr(module, attr, None)
+        assert callable(fn), f"{module.__name__}.{attr} ({name}) is not a callable"
+        if work is None:
+            continue
+        names = _read_arguments(work[0])
+        params = set(inspect.signature(fn).parameters)
+        assert names <= params, f"{name} has no parameter {sorted(names - params)}"
+        read |= names
+    # the parse above finds every argument the work functions read
+    assert read == {"field", "deviation", "grid", "phase_step_cap", "ens", "n_steps"}

@@ -208,6 +208,22 @@ def test_fit_unknown_column_is_config_error(solve_run):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["t,r\n", "t,r\n0\n1\n"],
+    ids=["header_only", "rows_shorter_than_header"],
+)
+def test_fit_csv_without_full_rows_is_a_usage_error(tmp_path, caplog, text):
+    # both once ended in an IndexError traceback
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with caplog.at_level("ERROR", logger="kuramoto_dephasing"):
+        got = main(["fit", "--csv", str(path), "--column", "r"])
+    assert got == 2
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 1 and "\n" not in errors[0]
+
+
 def test_env_var_overrides_output_dir(tmp_path, monkeypatch):
     envdir = tmp_path / "from_env"
     monkeypatch.setenv("KURAMOTO_DEPHASING_OUTPUT", str(envdir))
