@@ -22,7 +22,11 @@ meaningful on the grid and not just in the limit.
 
 A classical Runge-Kutta integration of the same characteristic equation,
 sub-stepped so the phase advance omega * h stays small on every column,
-serves as the independent route for cross-validation.
+serves as the independent route for cross-validation.  It integrates the
+Moebius form of the flow: e^{i(theta + omega t + D)} is a Moebius image of
+e^{i theta}, whose 2x2 matrix obeys a linear equation that does not
+depend on theta, so the route steps one matrix per frequency column and
+shares no numerical code with the cell-weight quadrature.
 """
 
 from __future__ import annotations
@@ -82,7 +86,12 @@ class MaxSweepsExceededError(RuntimeError):
 
 
 class StepRejectedError(RuntimeError):
-    """A frequency column demanded more sub-steps than the refinement cap."""
+    """The RK4 oracle cannot take the steps asked of it.
+
+    Either a frequency column demands more sub-steps than the refinement
+    cap, or the a priori phase bound reaches 2 pi, where 2 arg N may leave
+    the branch of the deviation.
+    """
 
 
 @dataclass(frozen=True, eq=False)
@@ -156,8 +165,10 @@ class GammaField:
     exact angular Jacobian of the transported label map.  ``beta`` bounds
     |Gamma(t)| pointwise by Int_t^inf R, discretized with the same cell
     weights (|alpha| + |beta| <= 1 per cell makes the bound provable on the
-    grid, not merely asymptotic); ``margin`` is max(|Gamma| - beta), which
-    should never exceed rounding.
+    grid, not merely asymptotic).  ``margin`` is max(|Gamma| / beta) over
+    the rows with beta > 0 (0 when there are none): the bound holds when it
+    is at most 1 + 1e-12, and its distance below 1 is the headroom the
+    bound had.
     """
 
     sin_part: np.ndarray
@@ -279,10 +290,10 @@ def phase_kernel(sup):
     unit; ``d2`` is scratch for D^2.  Above the cap it is
     (-2 sin^2(D/2), sin D).  Both forms keep full relative precision as
     D -> 0 and map 0 to 0.  The terms are picked once, here, so a caller
-    that applies one bound to many small arrays (the RK4 oracle's stages)
-    pays for the choice once.  Every e^{iD} of the package comes from this
-    kernel: the sweep, gamma_field, the order-parameter quadrature and
-    the RK4 oracle.
+    that applies one bound to many tiles pays for the choice once.  Every
+    e^{iD} of the cell-weight route comes from this kernel: the sweep,
+    gamma_field and the order-parameter quadrature.  The RK4 oracle does
+    not use it.
     """
     k = _taylor_terms(sup)
     if k is None:
@@ -541,6 +552,95 @@ def solve_fixed_point(
     return CharacteristicField(grid, dev, mu), report
 
 
+def _rk4_step(g0, g1, g2):
+    """The classical RK4 step of the oracle's linear system, as a pair.
+
+    g_k = h b(s_k) at the bottom, middle and top of a sub-step of length h,
+    for [p, q]' = [[0, b], [conj(b), 0]] [p, q] stepped backward from the
+    top.  With A_k the matrix at s_k, the stages K_1 = A_2,
+    K_2 = A_1 (I - h K_1 / 2), K_3 = A_1 (I - h K_2 / 2), K_4 = A_0 (I - h K_3)
+    give R = I - (h / 6) (K_1 + 2 K_2 + 2 K_3 + K_4), whose pair is
+    alpha = 1 + (g_1 conj(g_2) + |g_1|^2 + g_0 conj(g_1)) / 6
+              + |g_1|^2 g_0 conj(g_2) / 24,
+    beta = -((2 + |g_1|^2) (g_0 + g_2) + 8 g_1) / 12.
+    """
+    s1 = g1.real * g1.real + g1.imag * g1.imag
+    alpha = g1 * np.conj(g2)
+    alpha += g0 * np.conj(g1)
+    alpha += s1
+    alpha += (s1 / 4.0) * g0 * np.conj(g2)
+    alpha /= 6.0
+    alpha += 1.0
+    beta = g0 + g2
+    beta *= -(2.0 + s1) / 12.0
+    beta -= g1 * (8.0 / 12.0)
+    return alpha, beta
+
+
+def _compose(a1, b1, a2, b2):
+    # the pair of [[a1, b1], [conj b1, conj a1]] [[a2, b2], [conj b2, conj a2]]
+    return a1 * a2 + b1 * np.conj(b2), a1 * b2 + b1 * np.conj(a2)
+
+
+def _step_rates(samples, osc, starts, omega_h, q):
+    # h b at s = t_j + q h / 2 per column, b = (mu / 2) z(s) e^{-i omega s}:
+    # sample q of the column's block, times osc = (mu / 2) h e^{-i omega t_j},
+    # times e^{-i omega q h / 2}
+    g = np.take(samples, starts + q, axis=1)
+    g *= osc
+    g *= np.exp(-0.5j * q * omega_h)
+    return g
+
+
+def _half_step_samples(times, dt, z, m):
+    """z by a cubic spline at t_j + q h / 2, q = 0 .. 2m, h = dt / m.
+
+    One block of 2m + 1 sample columns per distinct sub-step count m, for
+    every cell j; returns the (n_times - 1, sum of 2m + 1) samples and,
+    for every entry of ``m``, where its block starts.
+    """
+    spline = CubicSpline(times, z)
+    counts = np.unique(m)
+    blocks = 2 * counts + 1
+    first = np.cumsum(blocks) - blocks
+    samples = np.empty((len(times) - 1, int(blocks.sum())), dtype=complex)
+    for mv, lo, size in zip(counts.tolist(), first.tolist(), blocks.tolist()):
+        offs = 0.5 * (dt / mv) * np.arange(size)
+        samples[:, lo:lo + size] = spline(times[:-1, None] + offs[None, :])
+    return samples, first[np.searchsorted(counts, m)]
+
+
+def _cell_maps(times, dt, omega, m, mu, zc, starts):
+    """Pairs (alpha, beta) of each cell's RK4 map C_j = R_1 R_2 ... R_m.
+
+    ``omega`` and ``m`` are the columns sorted by sub-step count, largest
+    first, so the columns that take sub-step i (m >= i) are a prefix;
+    ``starts`` says where each column's block of ``zc`` starts.  One pass
+    per sub-step index i multiplies R_i into that prefix, on row blocks of
+    at most _TILE_CELLS / 16 (cell, column) entries, so the dozen complex
+    scratch arrays of a block fit in one complex tile slab.  Returns
+    (n_times, n_omega) arrays whose last row is left unset.
+    """
+    n_t = len(times)
+    h = dt / m
+    omega_h = omega * h
+    alpha, beta = np.empty((2, n_t, omega.size), dtype=complex)
+    for i in range(1, int(m[0]) + 1):
+        n = int(np.count_nonzero(m >= i))
+        rows = max(1, _TILE_CELLS // (16 * n))
+        for lo in range(0, n_t - 1, rows):
+            blk = slice(lo, min(lo + rows, n_t - 1))
+            osc = np.exp(-1j * np.outer(times[blk], omega[:n]))
+            osc *= 0.5 * mu * h[:n]
+            step = _rk4_step(*(
+                _step_rates(zc[blk], osc, starts[:n], omega_h[:n], q)
+                for q in (2 * i - 2, 2 * i - 1, 2 * i)
+            ))
+            ca, cb = alpha[blk, :n], beta[blk, :n]
+            ca[...], cb[...] = step if i == 1 else _compose(ca, cb, *step)
+    return alpha, beta
+
+
 def backward_ode_oracle(
     grid: Grid,
     z,
@@ -557,31 +657,35 @@ def backward_ode_oracle(
     rather than silently degraded.  Non-finite ``z`` or ``mu`` and a
     ``phase_step_cap`` that is not positive are refused (ValueError).
 
-    The rate is evaluated as Im(P e^{i psi}) = P_i + P_i (cos psi - 1) +
-    P_r sin psi, with P = -mu conj(z(s)) e^{i(theta + omega s)} formed once
-    per cell for each (column, half-sub-step), sum(2m + 1) of them.  The pair
-    (cos psi - 1, sin psi) comes from ``phase_kernel``, with its terms
-    chosen once from an a priori bound on every stage argument: each stage
-    rate is at most |mu| |z(sample)|, so |psi| stays below
-    |mu| dt sum over cells of the largest |z| among the samples the cell
-    reads.  The trigonometric work is then per cell, not per sub-step.
+    The steps act on the Moebius form of the flow, which has no angle
+    axis.  With Psi = theta + psi and a(s) = -mu conj(z(s)) e^{i omega s},
+    Psi' = Im(a e^{i Psi}), so w = e^{i Psi} obeys the Riccati equation
+    w' = (a w^2 - conj(a)) / 2, and w = p / q for the linear system
+    [p, q]' = [[0, b], [conj(b), 0]] [p, q] with b = -conj(a) / 2, the same
+    for every theta.  Each matrix met on the way has the form
+    [[alpha, beta], [conj(beta), conj(alpha)]] and is kept as the pair
+    (alpha, beta).  The classical RK4 step of the linear system over one
+    sub-step is the pair ``_rk4_step`` forms from b at the sub-step's
+    bottom, middle and top; a cell's map C_j is the product of its m steps
+    (``_cell_maps``), and the map from t_max back to t_j is
+    M_j = C_j M_{j+1}, on (n_times, n_omega) arrays.  From [e^{i theta}, 1]
+    at t_max, e^{i psi} = N / conj(N) with N = alpha + beta e^{-i theta},
+    so psi = 2 arg N, written one time tile at a time.
 
-    All columns march backward through the cells in lockstep.  Inside a
-    cell, inner step k advances every column with m > k by its sub-step
-    i = m - k; with the columns sorted by m, largest first, those form a
-    prefix of the (column, angle) state, so one pass over the cells
-    serves every sub-step count.  Each column sees the same arithmetic,
-    in the same order, as a loop over its own m alone would do, so the
-    result does not depend on which other columns share the grid.  The
-    working set is the output field, the spline samples of z, P as
-    (2, sum(2m + 1), angles) real parts plus a temporary of one part, and
-    per-cell scratch the size of the (column, angle) state.
+    2 arg N is psi only while |psi| < 2 pi (arg N is continuous from
+    N = 1 at t_max).  Every stage rate is at most |mu| |z(sample)|, so
+    |psi| stays below the a priori bound B = |mu| dt sum over cells of the
+    largest |z| among the spline samples the cell reads, and
+    StepRejectedError refuses B >= 2 pi by name.
 
-    Shares with the cell-weight quadrature route only the phase kernel,
-    which is exact to rounding (ulp-tested against the trig form).  The
-    integrator (RK4 against Filon cells), the interpolation of z (a cubic
-    spline against the grid values) and the resolution of the oscillation
-    (sub-stepping against exact cell weights) stay independent.
+    The working set is the output field, the spline samples of z, the
+    complex pairs (alpha, beta) on (n_times, n_omega), and one complex
+    tile slab's worth of scratch.  Apart from the tile walk and the input
+    checks, the oracle shares no code with the cell-weight quadrature
+    route: the integrator (RK4 against Filon cells), the interpolation of
+    z (a cubic spline against the grid values), the resolution of the
+    oscillation (sub-stepping against exact cell weights) and the phase
+    (2 arg N against the phase kernel) are separate.
     """
     times = grid.times()
     z = np.asarray(z, dtype=complex)
@@ -598,103 +702,42 @@ def backward_ode_oracle(
             f"column |omega| = {np.abs(omega).max():.3g} needs {int(need.max())} "
             f"sub-steps > cap {MAX_SUBSTEPS}"
         )
-    spline = CubicSpline(times, z)
-    n_t = grid.n_times
+    # columns sorted by sub-step count, largest first
     order = np.argsort(-need, kind="stable")
     m = need[order]
-    h = dt / m
-    # P's rows are the half-sub-steps l = 0 .. 2 m_max: row l holds the
-    # columns with 2m >= l (a prefix) at time t_j + h q / 2, q = 2m - l.
-    # Inner step k advances the columns with m > k by sub-step i = m - k;
-    # its stages read rows 2k, 2k + 1 and 2k + 2 (q = 2i, 2i - 1, 2i - 2),
-    # and row 2k + 2 is stage 0 of step k + 1 too, so P is formed once
-    widths = [int(np.count_nonzero(2 * m >= row)) for row in range(2 * int(m[0]) + 1)]
-    starts = np.cumsum([0] + widths)
-    col = np.concatenate([np.arange(n) for n in widths])
-    q = 2 * m[col] - np.repeat(np.arange(len(widths)), widths)
-    offsets = h[col] * (q / 2)
-    om = omega[order][col]
-    # z at half-substep resolution across each cell, one block of 2m + 1
-    # samples per sub-step count; a row entry reads sample q of its block
-    counts = np.unique(m)
-    blocks = 2 * counts + 1
-    first = dict(zip(counts.tolist(), (np.cumsum(blocks) - blocks).tolist()))
-    zc = np.empty((n_t - 1, int(blocks.sum())), dtype=complex)
-    for mv, lo in first.items():
-        offs = 0.5 * (dt / mv) * np.arange(2 * mv + 1)
-        zc[:, lo:lo + offs.size] = spline(times[:-1, None] + offs[None, :])
-    sample = np.array([first[v] for v in m[col].tolist()], dtype=np.intp) + q
-    # every stage argument is below this bound, so one term count serves
-    kernel = phase_kernel(abs(mu) * dt * float(np.abs(zc).max(axis=1).sum()))
-
-    # per-cell scratch: omega s, e^{i omega s} and z for every row entry,
-    # and P = (-mu e^{i theta}) conj(z) e^{i omega s} as two real arrays;
-    # the views each inner step uses are cut once, here
-    mu_cos, mu_sin = -mu * np.cos(theta), -mu * np.sin(theta)
-    omega_s, cos_s, sin_s, w_re, w_im = np.empty((5, offsets.size))
-    zs = np.empty(offsets.size, dtype=complex)
-    p_re, p_im, p_tmp = np.empty((3, offsets.size, theta.size))
-    psi, arg, sin_x, x2, k1, k2, k3, k4 = np.zeros((8, m.size, theta.size))
-    steps = [
-        (
-            *(p[lo:lo + n] for lo in starts[2 * k:2 * k + 3] for p in (p_re, p_im)),
-            (0.5 * h[:n])[:, None], h[:n, None], (h[:n] / 6.0)[:, None],
-            psi[:n], arg[:n], sin_x[:n], x2[:n], k1[:n], k2[:n], k3[:n], k4[:n],
+    zc, starts = _half_step_samples(times, dt, z, m)
+    bound = abs(mu) * dt * float(np.abs(zc).max(axis=1).sum())
+    if not bound < 2.0 * math.pi:
+        raise StepRejectedError(
+            f"phase bound B = {bound:.4g} >= 2 pi: 2 arg N could leave the branch of psi"
         )
-        for k, n in enumerate(widths[1::2])
-    ]
+    alpha, beta = _cell_maps(times, dt, omega[order], m, mu, zc, starts)
+    # M_j = C_j M_{j+1} from M = I at t_max, in place and in the input's
+    # column order
+    inverse = np.argsort(order)
+    alpha[-1], beta[-1] = 1.0, 0.0
+    for j in range(grid.n_times - 2, -1, -1):
+        alpha[j], beta[j] = _compose(alpha[j, inverse], beta[j, inverse], alpha[j + 1], beta[j + 1])
 
-    def rate(pr, pi, x, s, x2, out):
-        # out = Im(P e^{ix}) = P_i + P_i (cos x - 1) + P_r sin x
-        kernel(x, out, s, x2)
-        out *= pi
-        s *= pr
-        out += s
-        out += pi
-
+    # per time row, the real (n_theta, 4) matrices take (Re alpha, Im alpha,
+    # Re beta, Im beta) to Re N = Re alpha + Re beta cos theta + Im beta
+    # sin theta and Im N = Im alpha - Re beta sin theta + Im beta cos theta
+    cos_t, sin_t = np.cos(theta), np.sin(theta)
+    zero, one = np.zeros_like(theta), np.ones_like(theta)
+    to_re = np.stack([one, zero, cos_t, sin_t], axis=1)
+    to_im = np.stack([zero, one, -sin_t, cos_t], axis=1)
     dev = np.empty(grid.shape())
-    dev[-1] = 0.0
-    for j in range(n_t - 2, -1, -1):
-        np.add(times[j], offsets, out=omega_s)
-        omega_s *= om
-        np.cos(omega_s, out=cos_s)
-        np.sin(omega_s, out=sin_s)
-        np.take(zc[j], sample, out=zs)
-        # conj(z) e^{i omega s} = (Re z cos + Im z sin) + i (Re z sin - Im z cos)
-        np.multiply(zs.real, cos_s, out=w_re)
-        np.multiply(zs.imag, sin_s, out=omega_s)
-        w_re += omega_s
-        np.multiply(zs.real, sin_s, out=w_im)
-        np.multiply(zs.imag, cos_s, out=omega_s)
-        w_im -= omega_s
-        # P_r = W_r (-mu cos theta) - W_i (-mu sin theta), and
-        # P_i = W_r (-mu sin theta) + W_i (-mu cos theta), for every row
-        np.multiply(w_re[:, None], mu_cos, out=p_re)
-        np.multiply(w_im[:, None], mu_sin, out=p_tmp)
-        p_re -= p_tmp
-        np.multiply(w_re[:, None], mu_sin, out=p_im)
-        np.multiply(w_im[:, None], mu_cos, out=p_tmp)
-        p_im += p_tmp
-        for pr0, pi0, pr1, pi1, pr2, pi2, half, hk, sixth, p, a, s, x2, r1, r2, r3, r4 in steps:
-            rate(pr0, pi0, p, s, x2, r1)
-            np.multiply(half, r1, out=a)
-            np.subtract(p, a, out=a)
-            rate(pr1, pi1, a, s, x2, r2)
-            np.multiply(half, r2, out=a)
-            np.subtract(p, a, out=a)
-            rate(pr1, pi1, a, s, x2, r3)
-            np.multiply(hk, r3, out=a)
-            np.subtract(p, a, out=a)
-            rate(pr2, pi2, a, s, x2, r4)
-            # (h/6) (k1 + 2 k2 + 2 k3 + k4), summed left to right
-            r2 *= 2.0
-            r3 *= 2.0
-            r1 += r2
-            r1 += r3
-            r1 += r4
-            r1 *= sixth
-            p -= r1
-        dev[j][:, order] = psi.T
+    slab = tile_slab(dev.shape, float)
+    parts = np.empty((len(slab), 4, omega.size))
+    for sl in time_tiles(dev.shape):
+        n = sl.stop - sl.start
+        pairs, re_n, im_n = parts[:n], slab[:n], dev[sl]
+        for k, part in enumerate((alpha.real, alpha.imag, beta.real, beta.imag)):
+            pairs[:, k] = part[sl]
+        np.matmul(to_re, pairs, out=re_n)
+        np.matmul(to_im, pairs, out=im_n)
+        np.arctan2(im_n, re_n, out=im_n)
+        im_n *= 2.0
     return CharacteristicField(grid, dev, mu)
 
 
@@ -732,5 +775,6 @@ def gamma_field(field: CharacteristicField, z) -> GammaField:
     dt = g.dt
     beta = np.zeros(n_t)
     beta[:-1] = np.cumsum((0.5 * dt * (r[:-1] + r[1:]))[::-1])[::-1]
-    margin = float(np.max(rows - beta))
+    held = beta > 0.0
+    margin = float(np.max(rows[held] / beta[held], initial=0.0))
     return GammaField(sin_part, cos_part, beta, margin)

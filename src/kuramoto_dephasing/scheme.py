@@ -377,9 +377,9 @@ class ReconstructedDensity:
     only holds if the two integrals the solver never compares directly are
     mutually consistent.  ``dephasing`` is the sup distance to the freely
     transported profile along characteristics, on the full time grid.
-    ``gamma_margin`` is max(|Gamma| - beta) of the coupling integrals the
-    density is built from: the running bound |Gamma(t)| <= Int_t R holds
-    to rounding when it is at most about 1e-12.
+    ``gamma_margin`` is max(|Gamma| / beta) over the rows with beta > 0 of
+    the coupling integrals the density is built from: the running bound
+    |Gamma(t)| <= beta(t) = Int_t R holds when it is at most 1 + 1e-12.
     """
 
     times: np.ndarray
