@@ -648,6 +648,128 @@ def test_oracle_matches_angle_state_rk4(grid, nodes, cap, mu, tol):
         assert np.max(np.abs(new - ref)) <= tol
 
 
+# -- references: the Moebius form, one loop per sub-step count ---------------
+
+def _moebius_per_group_maps(grid, z, phase_step_cap, rate):
+    # the pairs of M_j from one loop over a cell's sub-steps per sub-step
+    # count m, in the input's column order and untiled; rate(zc, om, h, q)
+    # is h b at sample q of every cell for the group's columns om
+    need = _substeps(grid, phase_step_cap)
+    alpha, beta = np.empty((2, grid.n_times, need.size), dtype=complex)
+    for m, zc in _spline_samples(grid, z, phase_step_cap).items():
+        cols = np.flatnonzero(need == m)
+        g = functools.partial(rate, zc, grid.omega_nodes[cols], grid.dt / m)
+        for i in range(1, m + 1):
+            step = characteristics._rk4_step(g(2 * i - 2), g(2 * i - 1), g(2 * i))
+            ca, cb = step if i == 1 else characteristics._compose(ca, cb, *step)
+        alpha[:-1, cols], beta[:-1, cols] = ca, cb
+    alpha[-1], beta[-1] = 1.0, 0.0
+    for j in range(grid.n_times - 2, -1, -1):
+        alpha[j], beta[j] = characteristics._compose(alpha[j], beta[j], alpha[j + 1], beta[j + 1])
+    return alpha, beta
+
+
+def _moebius_per_group_oracle(grid, z, mu, phase_step_cap=0.125):
+    # the oracle's arithmetic entry by entry: h b as the sample times
+    # (mu / 2) h e^{-i omega t_j} times e^{-i omega q h / 2}, and psi from
+    # the real (n_theta, 4) products for (Re N, Im N)
+    times = grid.times()
+
+    def rate(zc, om, h, q):
+        osc = np.exp(-1j * np.outer(times[:-1], om))
+        osc *= 0.5 * mu * h
+        return zc[:, q, None] * osc * np.exp(-0.5j * q * (om * h))
+
+    alpha, beta = _moebius_per_group_maps(grid, z, phase_step_cap, rate)
+    theta = grid.theta()
+    cos_t, sin_t = np.cos(theta), np.sin(theta)
+    zero, one = np.zeros_like(theta), np.ones_like(theta)
+    pairs = np.stack([alpha.real, alpha.imag, beta.real, beta.imag], axis=1)
+    re_n = np.stack([one, zero, cos_t, sin_t], axis=1) @ pairs
+    im_n = np.stack([zero, one, -sin_t, cos_t], axis=1) @ pairs
+    return 2.0 * np.arctan2(im_n, re_n)
+
+
+def _trig_moebius_oracle(grid, z, mu, phase_step_cap=0.125):
+    # the loop above with h b from np.cos and np.sin of omega s at every
+    # stage, and psi = 2 arg N from np.angle of N = alpha + beta e^{-i theta}
+    times = grid.times()
+
+    def rate(zc, om, h, q):
+        ws = np.outer(times[:-1] + 0.5 * h * q, om)
+        return 0.5 * mu * h * zc[:, q, None] * (np.cos(ws) - 1j * np.sin(ws))
+
+    alpha, beta = _moebius_per_group_maps(grid, z, phase_step_cap, rate)
+    turn = np.exp(-1j * grid.theta())[None, :, None]
+    return 2.0 * np.angle(alpha[:, None, :] + beta[:, None, :] * turn)
+
+
+def _vector_rk4_oracle(grid, z, mu, phase_step_cap=0.125):
+    # RK4 on the vector [p, q] of every (angle, column), stepped backward
+    # from [e^{i theta}, 1]: no step pair and no product of maps
+    times, theta = grid.times(), grid.theta()[:, None]
+    need = _substeps(grid, phase_step_cap)
+    dev = np.empty(grid.shape())
+    dev[-1] = 0.0
+    for m, zc in _spline_samples(grid, z, phase_step_cap).items():
+        cols = np.flatnonzero(need == m)
+        om = grid.omega_nodes[cols][None, :]
+        h = grid.dt / m
+        p, q = np.exp(1j * theta) * np.ones(cols.size), np.ones((grid.n_theta, cols.size), complex)
+
+        def rhs(s_val, zval, pv, qv):
+            b = 0.5 * mu * zval * np.exp(-1j * om * s_val)
+            return b * qv, np.conj(b) * pv
+
+        for j in range(grid.n_times - 2, -1, -1):
+            for i in range(m, 0, -1):
+                s2, s1, s0 = times[j] + h * i, times[j] + h * (i - 0.5), times[j] + h * (i - 1)
+                z2, z1, z0 = zc[j, 2 * i], zc[j, 2 * i - 1], zc[j, 2 * i - 2]
+                k1 = rhs(s2, z2, p, q)
+                k2 = rhs(s1, z1, p - 0.5 * h * k1[0], q - 0.5 * h * k1[1])
+                k3 = rhs(s1, z1, p - 0.5 * h * k2[0], q - 0.5 * h * k2[1])
+                k4 = rhs(s0, z0, p - h * k3[0], q - h * k3[1])
+                p = p - (h / 6.0) * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
+                q = q - (h / 6.0) * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
+            # e^{i psi} = e^{-i theta} p / q, and |psi| < pi on these cases
+            dev[j, :, cols] = np.angle(np.exp(-1j * theta) * p * np.conj(q)).T
+    return dev
+
+
+@ORACLE_GRIDS
+def test_lockstep_oracle_is_bit_identical_to_per_group_loop(grid, nodes, cap):
+    # sorting the columns, one pass per sub-step index over a prefix, row
+    # blocks and time tiles move no bit
+    g, z = _oracle_case(grid, nodes)
+    new = backward_ode_oracle(g, z, 0.5, phase_step_cap=cap).deviation
+    ref = _moebius_per_group_oracle(g, z, 0.5, phase_step_cap=cap)
+    assert np.max(np.abs(ref)) > 0.2
+    assert np.array_equal(new, ref)
+
+
+@ORACLE_GRIDS
+def test_oracle_stays_within_rounding_of_the_trig_loop(grid, nodes, cap):
+    # factoring e^{-i omega s} into a per-cell and a per-sample phase, and
+    # writing arg N through real products, move only rounding
+    g, z = _oracle_case(grid, nodes)
+    new = backward_ode_oracle(g, z, 0.5, phase_step_cap=cap).deviation
+    ref = _trig_moebius_oracle(g, z, 0.5, phase_step_cap=cap)
+    assert np.max(np.abs(ref)) > 0.2
+    assert np.max(np.abs(new - ref)) <= 1e-15
+
+
+@ORACLE_GRIDS
+def test_oracle_step_pairs_are_rk4_on_the_vector(grid, nodes, cap):
+    # each pair is the matrix of one RK4 step of the linear system, so
+    # stepping [p, q] itself differs only by rounding, gathered over up to
+    # 17 * 160 sub-steps (measured 3.8e-15)
+    g, z = _oracle_case(grid, nodes)
+    new = backward_ode_oracle(g, z, 0.5, phase_step_cap=cap).deviation
+    ref = _vector_rk4_oracle(g, z, 0.5, phase_step_cap=cap)
+    assert np.max(np.abs(ref)) > 0.2
+    assert np.max(np.abs(new - ref)) <= 1e-14
+
+
 def test_oracle_matches_the_trig_loop_on_the_exponential_reference_grid():
     # the 401 x 64 x 129 grid of the exponential acceptance reference under
     # its free path at mu = 0.05, with sub-step counts 1 to 33: measured 7.5e-15
