@@ -158,21 +158,17 @@ class ContractionReport:
 
 @dataclass(frozen=True, eq=False)
 class GammaField:
-    """Coupling integrals along characteristics and their running bound.
+    """Running bound of the coupling integrals and the headroom it had.
 
-    ``sin_part`` is Gamma with D = mu * Gamma at the fixed point;
-    ``cos_part`` is the companion cosine integral whose exponential is the
-    exact angular Jacobian of the transported label map.  ``beta`` bounds
-    |Gamma(t)| pointwise by Int_t^inf R, discretized with the same cell
-    weights (|alpha| + |beta| <= 1 per cell makes the bound provable on the
-    grid, not merely asymptotic).  ``margin`` is max(|Gamma| / beta) over
-    the rows with beta > 0 (0 when there are none): the bound holds when it
-    is at most 1 + 1e-12, and its distance below 1 is the headroom the
-    bound had.
+    ``beta`` bounds |Gamma(t)| pointwise by Int_t^inf R, discretized with
+    the same cell weights (|alpha| + |beta| <= 1 per cell makes the bound
+    provable on the grid, not merely asymptotic).  ``margin`` is
+    max(|Gamma| / beta) over the rows with beta > 0 (0 when there are
+    none): the bound holds when it is at most 1 + 1e-12, and its distance
+    below 1 is the headroom the bound had.  The integrals themselves are
+    handed out tile by tile by ``gamma_field`` and not kept.
     """
 
-    sin_part: np.ndarray
-    cos_part: np.ndarray
     beta: np.ndarray
     margin: float
 
@@ -413,7 +409,7 @@ def _integral_blocks(times, omega, z, deviation):
         yield sl, c, e
 
 
-def deviation_sweep(times, theta, omega, z, deviation, mu, row_residual):
+def deviation_sweep(times, theta, omega, z, deviation, mu, row_residual, out=None):
     """One application of the backward-integral map to a deviation field.
 
     Operates on raw arrays so alternative node sets can be pushed through.
@@ -422,22 +418,31 @@ def deviation_sweep(times, theta, omega, z, deviation, mu, row_residual):
     at the exact sup of ``deviation``.  ``row_residual`` (shape (n_times,))
     receives the sup over each time row of |new - deviation| from the same
     pass.
+
+    The new field goes to ``out`` (a new array when None), which may be
+    ``deviation`` itself.  Each tile's new rows are formed in tile scratch
+    and copied into ``out`` once the row residual has been taken.  The
+    kernel is fixed from sup|D| before the first tile, a tile's rows of D
+    are read before the tile is yielded, and only the two carried rows
+    cross a tile boundary, so no tile reads a row already overwritten.
     """
     times = np.asarray(times, dtype=float)
     z = np.asarray(z, dtype=complex)
     if z.shape != times.shape:
         raise ValueError("z must be sampled on the time grid")
-    out = np.empty_like(deviation)
+    if out is None:
+        out = np.empty_like(deviation)
     # mu * Im(e^{i theta} I) = (mu cos theta) Im I + (mu sin theta) Re I
     mu_cos = (mu * np.cos(theta))[None, :, None]
     mu_sin = (mu * np.sin(theta))[None, :, None]
     for sl, ib, spare in _integral_blocks(times, omega, z, deviation):
-        new, scratch = out[sl], _real_halves(spare)[0]
+        new, scratch = _real_halves(spare)
         np.multiply(ib.imag, mu_cos, out=new)
         np.multiply(ib.real, mu_sin, out=scratch)
         new += scratch
         np.subtract(new, deviation[sl], out=scratch)
         _row_sup(scratch, row_residual[sl])
+        np.copyto(out[sl], new)
     return out
 
 
@@ -489,7 +494,8 @@ def picard_sweep(
     never ``converged``: one sweep does not solve the fixed point.  A zero
     gain (mu = 0 or z = 0) makes F_z identically zero, so the zero field is
     returned without a sweep; that report is ``converged``, since the zero
-    field is then exact.
+    field is then exact.  The swept field is a new array: ``field`` is left
+    as it is.
 
     Returns (CharacteristicField, ContractionReport).
     """
@@ -522,6 +528,8 @@ def solve_fixed_point(
     gain mu * ||R||_w * unit_gain is >= 1 (NonContractiveError); raises
     MaxSweepsExceededError if the residual is above ``tol`` after
     MAX_SWEEPS sweeps.  A zero gain returns the zero field as picard_sweep.
+    Every sweep overwrites the solve's one field in place, so the solve
+    holds one field plus the sweep's tile slabs.
 
     Returns (CharacteristicField, ContractionReport).
     """
@@ -535,7 +543,7 @@ def solve_fixed_point(
     rows = np.empty(grid.n_times)
     for sweep in range(1, MAX_SWEEPS + 1):
         # the residual ||F(D) - D||_w comes from the sweep's own row sups
-        dev = deviation_sweep(times, theta, omega, z, dev, mu, row_residual=rows)
+        deviation_sweep(times, theta, omega, z, dev, mu, row_residual=rows, out=dev)
         res = weighted_norm(times, rows, weight, deviation=True)
         if report.residuals and report.residuals[-1] > report.floor:
             report.ratios.append(res / report.residuals[-1])
@@ -741,40 +749,43 @@ def backward_ode_oracle(
     return CharacteristicField(grid, dev, mu)
 
 
-def gamma_field(field: CharacteristicField, z) -> GammaField:
+def gamma_field(field: CharacteristicField, z, on_tile) -> GammaField:
     """Coupling integrals of a (converged) field under its driving path.
 
-    Recomputes the backward integral once, keeping both projections:
-    sin_part recovers deviation / mu at a fixed point, cos_part feeds the
-    density reconstruction.  beta is the certified running bound
-    Int_t^{t_max} R via the same cell masses plus the weight-free tail
-    (zero here; callers add their own certified tail when they have a
-    weight in hand).
+    Recomputes the backward integral once and hands each time tile of both
+    projections to ``on_tile(sl, sin_tile, cos_tile)``, from t_max
+    backward: sin_tile is Gamma on the rows ``sl``, which recovers
+    deviation / mu at a fixed point, and cos_tile is the companion cosine
+    integral whose exponential is the exact angular Jacobian of the
+    transported label map, which feeds the density reconstruction.  The
+    tiles are views into scratch that the next tile reuses, so a consumer
+    copies what it keeps; no field-sized array is allocated.  beta is the
+    certified running bound Int_t^{t_max} R via the same cell masses plus
+    the weight-free tail (zero here; callers add their own certified tail
+    when they have a weight in hand).
     """
     g = field.grid
     times, theta, omega = g.times(), g.theta(), g.omega_nodes
     z = np.asarray(z, dtype=complex)
     n_t = len(times)
-    # both parts in one allocation: it is freed as one, and from 32 MB up
-    # (two fields of either reference grid) the C allocator maps it on its
-    # own, so dropping it returns the memory instead of leaving a hole in
-    # the heap that later allocations may or may not fill
-    sin_part, cos_part = np.empty((2,) + g.shape())
     cos_t, sin_t = np.cos(theta)[None, :, None], np.sin(theta)[None, :, None]
     rows = np.empty(n_t)
     for sl, ib, spare in _integral_blocks(times, omega, z, field.deviation):
-        sp, cp, scratch = sin_part[sl], cos_part[sl], _real_halves(spare)[0]
+        # both projections in the memory of spare; the last product goes
+        # into ib.imag, which nothing reads after it
+        sp, cp = _real_halves(spare)
         np.multiply(ib.imag, cos_t, out=sp)
-        np.multiply(ib.real, sin_t, out=scratch)
-        sp += scratch
+        np.multiply(ib.real, sin_t, out=cp)
+        sp += cp
         np.multiply(ib.real, cos_t, out=cp)
-        np.multiply(ib.imag, sin_t, out=scratch)
-        cp -= scratch
+        np.multiply(ib.imag, sin_t, out=ib.imag)
+        cp -= ib.imag
         _row_sup(sp, rows[sl])
+        on_tile(sl, sp, cp)
     r = np.abs(z)
     dt = g.dt
     beta = np.zeros(n_t)
     beta[:-1] = np.cumsum((0.5 * dt * (r[:-1] + r[1:]))[::-1])[::-1]
     held = beta > 0.0
     margin = float(np.max(rows[held] / beta[held], initial=0.0))
-    return GammaField(sin_part, cos_part, beta, margin)
+    return GammaField(beta, margin)

@@ -408,7 +408,10 @@ def reconstruct(result: SolveResult, times=(0.0, 5.0, 10.0)) -> ReconstructedDen
 
     Each requested time must lie on the grid (the representation is exact
     there; no interpolation is offered).  Also evaluates the dephasing
-    distance on the whole grid, reusing the same coupling integrals.
+    distance on the whole grid from the same coupling integrals, taken
+    tile by tile as gamma_field hands them out: only the cosine rows at
+    the requested times are kept, so beside its input field the working
+    set is gamma_field's tile scratch and those rows.
     """
     g = result.grid
     tgrid = g.times()
@@ -419,33 +422,44 @@ def reconstruct(result: SolveResult, times=(0.0, 5.0, 10.0)) -> ReconstructedDen
             raise ValueError(f"t = {t} is not a grid time")
         idx.append(j)
     state, mu = result.state, result.mu
-    gam = gamma_field(result.field, result.path.values)
     theta = g.theta()
     ang = state.angular_factor(theta)[:, None]
     gdens = state.profile.density(g.omega_nodes)[None, :]
     f_inf = ang * gdens / (2.0 * math.pi)
-
     sel = np.array(idx, dtype=int)
+    cos_rows = np.empty((sel.size, g.n_theta, g.n_omega))
+    # sup_t |f_inf e^{-mu Gamma_cos} - f_inf(theta + D)| along characteristics
+    dist = np.empty(g.n_times)
+
+    def on_tile(sl, sin_tile, cos_tile):
+        held = (sel >= sl.start) & (sel < sl.stop)
+        cos_rows[held] = cos_tile[sel[held] - sl.start]
+        # an eighth of the tile at a time, so the temporaries of the
+        # angular factor (about five arrays of the part) stay near a third
+        # of a tile slab
+        dev, out = result.field.deviation[sl], dist[sl]
+        step = -(-len(dev) // 8)
+        for lo in range(0, len(dev), step):
+            part = slice(lo, lo + step)
+            diff = state.angular_factor(theta[None, :, None] + dev[part])
+            diff -= ang * np.exp(-mu * cos_tile[part])
+            np.abs(diff, out=diff)
+            diff *= gdens
+            out[part] = diff.reshape(len(diff), -1).max(axis=1) / (2.0 * math.pi)
+
+    gam = gamma_field(result.field, result.path.values, on_tile)
+
     values = np.empty((sel.size, g.n_theta, g.n_omega))
     mass = np.empty(sel.size)
     jac_min = np.empty(sel.size)
     for i, j in enumerate(sel):
-        factor = np.exp(-mu * gam.cos_part[j])
+        factor = np.exp(-mu * cos_rows[i])
         values[i] = f_inf * factor
         jac = _spectral_jacobian(result.field.deviation[j])
         jac_min[i] = float(jac.min())
         mass[i] = float(
             np.sum(g.prob_weights[None, :] * ang * factor * jac) / g.n_theta
         )
-
-    # sup_t |f_inf e^{-mu Gamma_cos} - f_inf(theta + D)| along characteristics
-    dist = np.empty(g.n_times)
-    for sl in time_tiles(g.shape()):
-        diff = state.angular_factor(theta[None, :, None] + result.field.deviation[sl])
-        diff -= ang * np.exp(-mu * gam.cos_part[sl])
-        np.abs(diff, out=diff)
-        diff *= gdens
-        dist[sl] = diff.reshape(len(diff), -1).max(axis=1) / (2.0 * math.pi)
 
     return ReconstructedDensity(
         times=tgrid[sel],

@@ -135,3 +135,25 @@ def test_every_span_boundary_resolves_and_takes_what_its_work_reads(monkeypatch)
         read |= names
     # the parse above finds every argument the work functions read
     assert read == {"field", "deviation", "grid", "phase_step_cap", "ens", "n_steps"}
+
+
+def test_span_recorder_sees_the_streamed_coupling_integrals(monkeypatch):
+    # reconstruct consumes gamma_field's tiles inside one call, so a traced
+    # run records it once, with the work of the whole field
+    from kuramoto_dephasing import (
+        AsymptoticState, FrequencyProfile, WeightSpec, build_grid, outer_solve, scheme,
+    )
+
+    spans = _spans_module(monkeypatch)
+    profile = FrequencyProfile("lorentzian", 1.0)
+    state = AsymptoticState(profile, {1: 0.05}, "exponential", 0.9)
+    grid = build_grid(profile, t_max=4.0, dt=0.1, n_theta=8, n_omega=17)
+    result = outer_solve(state, grid, 0.05, WeightSpec("exponential", 0.9), tail_budget=1e-2)
+    recorder = spans.SpanRecorder()
+    with recorder.installed():
+        scheme.reconstruct(result, times=(0.0, 1.0))
+    (outer,) = [s for s in recorder.spans if s.name == "scheme.reconstruct"]
+    gamma = [s for s in recorder.spans if s.name == "characteristics.gamma_field"]
+    assert len(gamma) == 1
+    assert gamma[0].work == result.field.deviation.size
+    assert recorder.spans[gamma[0].parent] is outer

@@ -72,6 +72,16 @@ def _sweep(times, theta, omega, z, deviation, mu):
     return deviation_sweep(times, theta, omega, z, deviation, mu, np.empty(len(times)))
 
 
+def _gamma_parts(field, z):
+    # gamma_field with its streamed tiles gathered into two fields
+    sin_part, cos_part = np.empty((2,) + field.deviation.shape)
+
+    def keep(sl, sin_tile, cos_tile):
+        sin_part[sl], cos_part[sl] = sin_tile, cos_tile
+
+    return gamma_field(field, z, keep), sin_part, cos_part
+
+
 def test_filon_weights_bounded_by_half():
     w = np.concatenate(
         [
@@ -229,12 +239,19 @@ def test_oracle_step_rejection(grid, zpath):
 
 def test_gamma_running_bound_and_fixed_point_identity(grid, zpath, solved):
     field, _ = solved
-    gam = gamma_field(field, zpath)
+    gaps, covered = [], []
+
+    def identity_gap(sl, sin_tile, cos_tile):
+        # at the fixed point the deviation IS mu times the sine projection
+        gaps.append(np.max(np.abs(MU * sin_tile - field.deviation[sl])))
+        covered.append(sl)
+
+    gam = gamma_field(field, zpath, identity_gap)
     # max |Gamma| / beta over the rows with beta > 0: at most 1 while the
     # bound holds, and far from 0, so its headroom shows
     assert 0.5 < gam.margin <= 1.0 + 1e-12
-    # at the fixed point the deviation IS mu times the sine projection
-    assert np.max(np.abs(MU * gam.sin_part - field.deviation)) < 1e-9
+    assert covered == list(characteristics.time_tiles(grid.shape()))
+    assert max(gaps) < 1e-9
 
 
 def test_polynomial_phase_fast_path_consistent(grid, zpath, monkeypatch):
@@ -298,11 +315,14 @@ def _seed_deviation_sweep(times, theta, omega, z, deviation, mu):
     return out
 
 
-def _seed_sweep_with_residual(times, theta, omega, z, deviation, mu, row_residual):
+def _seed_sweep_with_residual(times, theta, omega, z, deviation, mu, row_residual, out=None):
     # the seed sweep under the new signature, its residual from new - dev
     new = _seed_deviation_sweep(times, theta, omega, z, deviation, mu)
     row_residual[:] = np.abs(new - deviation).reshape(len(times), -1).max(axis=1)
-    return new
+    if out is None:
+        return new
+    out[...] = new
+    return out
 
 
 def _seed_order_parameter_values(field, state):
@@ -377,8 +397,8 @@ def test_fused_residual_equals_the_difference_norm(grid, zpath, solved, forced_t
 
 
 def test_gamma_field_blocked_margin_is_exact(grid, zpath, solved, forced_tiles):
-    gam = gamma_field(solved[0], zpath)
-    rows = np.abs(gam.sin_part).reshape(grid.n_times, -1).max(axis=1)
+    gam, sin_part, _ = _gamma_parts(solved[0], zpath)
+    rows = np.abs(sin_part).reshape(grid.n_times, -1).max(axis=1)
     assert gam.beta[-1] == 0.0 and np.all(gam.beta[:-1] > 0.0)
     assert gam.margin == float(np.max(rows[:-1] / gam.beta[:-1]))
 
@@ -407,19 +427,24 @@ def _traced_peak(fn):
         tracemalloc.stop()
 
 
-def test_working_set_is_three_fields_and_block_slabs(grid, zpath, solved, monkeypatch):
+def test_working_set_is_two_fields_and_block_slabs(grid, zpath, solved, monkeypatch):
     # numpy reports its buffers to tracemalloc; tiles of 20 of the 161 time
     # rows make three complex tile slabs smaller than one field, so
     # field-sized temporaries cannot hide inside the slab allowance (two
-    # slabs are the sweep's, the third covers the two carried rows and the
-    # per-tile weight rows)
+    # slabs are the sweep's, the third covers the two carried rows, the
+    # per-tile weight rows and the parts of reconstruct's dephasing loop)
     _, n_th, n_om = grid.shape()
     tile_rows = 20
     tiles = _force_tile_rows(monkeypatch, grid.shape(), tile_rows)
     assert len(tiles) >= 4 and tiles[-1] < tiles[0]
+    field = solved[0].deviation.nbytes
     slab = 16 * tile_rows * n_th * n_om
-    assert 3 * slab < solved[0].deviation.nbytes
-    budget = 3 * solved[0].deviation.nbytes + 3 * slab
+    assert 3 * slab < field
+    # reconstruct keeps a cosine row and a density row per requested time
+    times = (0.0, 5.0, 7.0)
+    requested_rows = 2 * len(times) * 8 * n_th * n_om
+    state = AsymptoticState(PROFILE, {1: 0.05}, "exponential", 0.9)
+    path = OrderParameterPath(grid, zpath, WEIGHT)
     # the e^{i omega t} table is a grid constant, built once per grid
     oscillation_table(grid.times(), grid.omega_nodes)
 
@@ -431,10 +456,51 @@ def test_working_set_is_three_fields_and_block_slabs(grid, zpath, solved, monkey
 
     def coupling_integrals():
         field = CharacteristicField(grid, solved[0].deviation.copy(), MU)
-        return gamma_field(field, zpath)
+        return gamma_field(field, zpath, lambda sl, sin_tile, cos_tile: None)
 
-    assert _traced_peak(certification_solve) <= budget
-    assert _traced_peak(coupling_integrals) <= budget
+    def density():
+        field = CharacteristicField(grid, solved[0].deviation.copy(), MU)
+        result = SolveResult(state, grid, MU, WEIGHT, path, field, None, 0, True)
+        return reconstruct(result, times=times)
+
+    assert _traced_peak(certification_solve) <= 2 * field + 3 * slab
+    assert _traced_peak(coupling_integrals) <= field + 3 * slab
+    assert _traced_peak(density) <= field + 3 * slab + requested_rows
+
+
+@AMPLITUDES
+def test_in_place_sweep_equals_the_out_of_place_sweep(grid, forced_tiles, amplitude):
+    rng = np.random.default_rng(13)
+    times, theta, omega = grid.times(), grid.theta(), grid.omega_nodes
+    z = 0.3 * np.exp(-0.5 * times + 0.4j * times)
+    dev = rng.uniform(-amplitude, amplitude, grid.shape())
+    rows, in_place_rows = np.empty((2, grid.n_times))
+    new = deviation_sweep(times, theta, omega, z, dev, 0.5, row_residual=rows)
+    swept = dev.copy()
+    assert deviation_sweep(times, theta, omega, z, swept, 0.5, in_place_rows, out=swept) is swept
+    assert np.array_equal(swept, new)
+    assert np.array_equal(in_place_rows, rows)
+
+
+def test_in_place_solve_equals_an_out_of_place_loop(grid, zpath, forced_tiles):
+    field, report = solve_fixed_point(grid, zpath, MU, WEIGHT)
+    # solve_fixed_point's loop with a new field every sweep
+    times, theta, omega = grid.times(), grid.theta(), grid.omega_nodes
+    dev, rows = np.zeros(grid.shape()), np.empty(grid.n_times)
+    residuals, ratios = [], []
+    for _ in range(characteristics.MAX_SWEEPS):
+        dev = deviation_sweep(times, theta, omega, zpath, dev, MU, row_residual=rows)
+        res = weighted_norm(times, rows, WEIGHT, deviation=True)
+        if residuals and residuals[-1] > report.floor:
+            ratios.append(res / residuals[-1])
+        residuals.append(res)
+        if res <= report.tol:
+            break
+    assert report.converged and len(ratios) >= 3
+    assert report.residuals == residuals
+    assert report.ratios == ratios
+    assert report.sweeps == len(residuals)
+    assert np.array_equal(field.deviation, dev)
 
 
 def test_quadrature_scratch_fits_in_the_sweep_slabs(grid, solved, monkeypatch):
@@ -467,8 +533,8 @@ def _kernel_outputs(grid, z, dev):
     tiles = [ib.copy() for _, ib, _ in characteristics._integral_blocks(times, omega, z, dev)]
     rows = np.empty(grid.n_times)
     new = deviation_sweep(times, theta, omega, z, dev, 0.5, row_residual=rows)
-    gam = gamma_field(CharacteristicField(grid, dev, 0.5), z)
-    return tiles, [new, rows, gam.sin_part, gam.cos_part, np.array(gam.margin)]
+    gam, sin_part, cos_part = _gamma_parts(CharacteristicField(grid, dev, 0.5), z)
+    return tiles, [new, rows, sin_part, cos_part, np.array(gam.margin)]
 
 
 @AMPLITUDES
@@ -959,9 +1025,9 @@ def _table_outputs(grid, z, dev, state):
     rows = np.empty(grid.n_times)
     new = deviation_sweep(times, theta, omega, z, dev, 0.5, row_residual=rows)
     field = CharacteristicField(grid, dev, 0.5)
-    gam = gamma_field(field, z)
+    gam, sin_part, cos_part = _gamma_parts(field, z)
     quad = scheme._order_parameter_values(field, state)
-    return [new, rows, gam.sin_part, gam.cos_part, np.array(gam.margin), quad]
+    return [new, rows, sin_part, cos_part, np.array(gam.margin), quad]
 
 
 def _per_tile_outputs(grid, z, dev, state, monkeypatch):
@@ -1082,6 +1148,15 @@ def _omega_block_integrals(times, omega, z, deviation):
         yield sl, c
 
 
+# reconstruct's density times: the first time row, the last of the
+# exponential grids, and rows between, in different tiles
+DENSITY_TIMES = (0.0, 5.0, 10.0, 1.85, 20.0)
+
+
+def _rows_at(g, times):
+    return [int(round(t / g.dt)) for t in times]
+
+
 def _omega_block_outputs(g, z, dev, mu, state, weight):
     times, theta, omega = g.times(), g.theta(), g.omega_nodes
     new = np.empty_like(dev)
@@ -1117,9 +1192,12 @@ def _omega_block_outputs(g, z, dev, mu, state, weight):
         pc, ps = np.matmul(proj, cos_m1), np.matmul(proj, sin_d)
         s = pc[:, 0] - ps[:, 1] + 1j * (pc[:, 1] + ps[:, 0])
         quad += np.einsum("tk,tk,k->t", table[:, sl], s, g.prob_weights[sl])
-    # reconstruct's dephasing distance, from the omega-blocked cos_part
+    # reconstruct's dephasing distance and density rows, from the
+    # omega-blocked cos_part
     ang = state.angular_factor(theta)[:, None]
     gdens = state.profile.density(omega)[None, :]
+    f_inf = ang * gdens / (2.0 * math.pi)
+    values = np.stack([f_inf * np.exp(-mu * cos_part[j]) for j in _rows_at(g, DENSITY_TIMES)])
     dist = np.zeros(g.n_times)
     for sl in _omega_blocks(g.shape()):
         diff = state.angular_factor(theta[None, :, None] + dev[:, :, sl])
@@ -1133,7 +1211,7 @@ def _omega_block_outputs(g, z, dev, mu, state, weight):
         "margin": np.array(float(np.max(gamma_rows[beta > 0] / beta[beta > 0]))),
         "distance": np.array(weighted_norm(times, gaps, weight, deviation=True)),
         "sup_distance": np.array(float(gaps.max())),
-        "dephasing": dist, "quadrature": quad,
+        "dephasing": dist, "values": values, "quadrature": quad,
     }
 
 
@@ -1142,17 +1220,18 @@ def _tiled_outputs(g, z, dev, mu, state, weight):
     rows = np.empty(g.n_times)
     new = deviation_sweep(times, theta, omega, z, dev, mu, row_residual=rows)
     field = CharacteristicField(g, dev, mu)
-    gam = gamma_field(field, z)
+    gam, sin_part, cos_part = _gamma_parts(field, z)
     swept = CharacteristicField(g, new, mu)
     path = OrderParameterPath(g, z, weight)
     result = SolveResult(state, g, mu, weight, path, field, None, 0, True)
+    recon = reconstruct(result, times=DENSITY_TIMES)
     return {
         "sweep": new, "row_residual": rows,
-        "sin_part": gam.sin_part, "cos_part": gam.cos_part,
+        "sin_part": sin_part, "cos_part": cos_part,
         "margin": np.array(gam.margin),
         "distance": np.array(swept.distance(field, weight)),
         "sup_distance": np.array(swept.sup_distance(field)),
-        "dephasing": reconstruct(result, times=(0.0,)).dephasing,
+        "dephasing": recon.dephasing, "values": recon.values,
         "quadrature": scheme._order_parameter_values(field, state),
     }
 
