@@ -33,6 +33,8 @@ from __future__ import annotations
 
 import functools
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -71,6 +73,16 @@ _SIN_OVER_D = tuple((-1) ** k / math.factorial(2 * k + 1) for k in range(10))
 MAX_SUBSTEPS = 4096
 # sweeps solve_fixed_point runs before it refuses a stalled residual
 MAX_SWEEPS = 60
+# parts every heavy field loop splits into: one per CPU this process may
+# run on, fewer when the axis being split is shorter
+_PARTS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+# runs parts 1 .. P - 1 of those loops (part 0 runs on the calling thread);
+# its threads start on the first hand-off, so one CPU never starts one
+_POOL = ThreadPoolExecutor(max_workers=max(1, _PARTS - 1), thread_name_prefix="kuramoto-part")
+# elements of numpy's ufunc buffer while a part runs: a broadcasting product
+# allocates one per call, and P parts hold P at once; at numpy's default
+# (8192) that is 128 KB per part beside its slabs, at this size 16 KB
+_PART_BUFFER = 1024
 
 
 class NonContractiveError(RuntimeError):
@@ -213,7 +225,11 @@ def time_tiles(shape):
     larger); the tiles start at the last row, and the tile at t = 0 may be
     shorter.  Every tiled loop over a field walks these slices, so one
     constant bounds all per-tile working sets, and the backward integral
-    carries its running sum from one tile to the next.
+    carries its running sum from one tile to the next.  A loop split into
+    parts (``in_parts``) still walks the whole field's tiles: a part of
+    the angle axis takes its columns of every tile, a part of the rows its
+    share of every tile's rows, so the slabs of all parts together are the
+    size of one loop's.
     """
     n_t = shape[0]
     rows = _tile_rows(shape)
@@ -235,6 +251,49 @@ def tile_slab(shape, dtype=complex):
     return np.empty((_tile_rows(shape),) + tuple(shape[1:]), dtype=dtype)
 
 
+def part_count(n):
+    """Parts a loop over an axis of length ``n`` splits into.
+
+    One per CPU in the process's affinity mask, read at import, and at
+    most ``n``, so no part is empty.
+    """
+    return max(1, min(_PARTS, n))
+
+
+def split(lo, hi, parts):
+    """``parts`` contiguous slices covering lo .. hi in order, sizes within one."""
+    n = hi - lo
+    return [slice(lo + n * k // parts, lo + n * (k + 1) // parts) for k in range(parts)]
+
+
+def in_parts(work, parts):
+    """work(p) for every p in range(parts), side by side; results in order.
+
+    Part 0 runs on the calling thread, the others on the module's pool,
+    overlapping wherever numpy releases the interpreter lock.  Every part
+    has finished when this returns or raises, so no worker still touches a
+    caller's array afterwards; a failure is re-raised, part 0's first.  A
+    part must not call a split loop itself: the pool's workers would wait
+    on each other.
+    """
+    futures = [_POOL.submit(_run_part, work, p) for p in range(1, parts)]
+    try:
+        first = _run_part(work, 0)
+    finally:
+        wait(futures)
+    return [first] + [f.result() for f in futures]
+
+
+def _run_part(work, p):
+    # the buffer size is numpy's per-context setting, so this thread's alone;
+    # it moves no result, since no part's arithmetic depends on it
+    saved = np.setbufsize(_PART_BUFFER)
+    try:
+        return work(p)
+    finally:
+        np.setbufsize(saved)
+
+
 def _row_sup(tile, out):
     # out[i] <- sup_i |tile[i]| through max and -min: exact, NaN-propagating,
     # and free of a tile-sized |tile| temporary
@@ -242,8 +301,12 @@ def _row_sup(tile, out):
 
 
 def _sup(a) -> float:
-    # sup|a| as max and -min: exact, NaN-propagating, no |a| temporary
-    return float(np.maximum(a.max(), -a.min()))
+    # sup|a| as max and -min over parts of the first axis: the max of the
+    # parts' sups is the sup, exact and NaN-propagating, with no |a|
+    # temporary
+    rows = split(0, len(a), part_count(len(a)))
+    sups = in_parts(lambda p: np.maximum(a[rows[p]].max(), -a[rows[p]].min()), len(rows))
+    return float(np.max(sups))
 
 
 def _taylor_terms(sup):
@@ -347,22 +410,30 @@ def _backward_sum(c):
         np.add(c[j], c[j + 1], out=c[j])
 
 
-def _integral_blocks(times, omega, z, deviation):
-    """Backward integrals of one field, one time tile at a time.
+def _integral_parts(times, omega, z, deviation):
+    """Backward integrals of one field, in parts of the angle axis.
 
-    Yields (sl, integral, spare) per tile of ``time_tiles``, from t_max
-    backward, where integral(t_i) = Int_{t_i}^{t_max} c(s) e^{i omega s} ds
-    with cellwise alpha/beta weights, summed from the far end one time row
-    at a time.  A cell's right node is the first row of the tile above
-    when the cell straddles a tile boundary, so two (n_theta, n_omega)
-    rows carry across it: that row's right-node term e^{iD} times its
-    weight, and the running integral there.  Every cell thus sees the same
-    products and the same additions, in the same order, as one pass over
-    the whole field.  The Filon weights are computed once for all omega;
-    each tile slices rows of the e^{i omega t} table.  Both yielded arrays
-    are views into two complex slabs that every tile reuses: they hold only
-    until the next tile is drawn, and ``spare`` is free scratch of the
-    tile's shape.
+    Returns one (angles, tiles) pair per part of ``split`` over the angle
+    axis; ``tiles`` yields (sl, integral, spare) for the columns ``angles``
+    of each tile of ``time_tiles(deviation.shape)``, from t_max backward,
+    where integral(t_i) = Int_{t_i}^{t_max} c(s) e^{i omega s} ds with
+    cellwise alpha/beta weights, summed from the far end one time row at a
+    time.  A cell's right node is the first row of the tile above when the
+    cell straddles a tile boundary, so two rows carry across it: that
+    row's right-node term e^{iD} times its weight, and the running integral
+    there.  Every cell thus sees the same products and the same additions,
+    in the same order, as one pass over the whole field, whatever the part
+    count: only time carries, and no column depends on another.
+
+    The kernel is fixed here from the exact sup of the whole field, and
+    the Filon weights are computed once for all omega; each tile slices
+    rows of the e^{i omega t} table.  Each part's scratch (two complex
+    slabs of the whole field's tile rows over its columns, the carried
+    rows and one block of weighted node factors for a tile's rows) is
+    allocated here, on the calling thread, so the generators may run on
+    any thread.  Both yielded arrays are views into that scratch: they
+    hold only until the part's next tile is drawn, and ``spare`` is free
+    scratch of the tile's shape.
     """
     dt = float(times[1] - times[0])
     conj_z = np.conj(z)[:, None]
@@ -376,37 +447,52 @@ def _integral_blocks(times, omega, z, deviation):
     left_weight = dt * alpha
     right_weight = dt * (beta * np.exp(-1j * w))
     shape = deviation.shape
-    phases, cells = tile_slab(shape), tile_slab(shape)
-    # the right-node term and the running integral at the first row of the
-    # tile above, carried to the last row of the next one
-    edge, above = np.empty((2,) + shape[1:], dtype=complex)
-    for sl in time_tiles(shape):
-        n = sl.stop - sl.start
-        # node factor conj(z(s_j)) e^{i omega s_j} times its cell weight
-        right = table[sl] * conj_z[sl]
-        left = right * left_weight
-        right *= right_weight
-        e, c = phases[:n], cells[:n]
-        # e^{iD} = 1 + (cos D - 1) + i sin D; until the cells form, the
-        # memory of c holds the pair and that of e holds D^2, as contiguous
-        # real arrays (twice as fast for the kernel as strided .real/.imag)
-        cos_m1, sin_d = _real_halves(c)
-        kernel(deviation[sl], cos_m1, sin_d, _real_halves(e)[0])
-        np.add(cos_m1, 1.0, out=e.real)
-        np.copyto(e.imag, sin_d)
-        np.multiply(e, left[:, None, :], out=c)
-        e *= right[:, None, :]
-        c[:-1] += e[1:]
-        if sl.stop == shape[0]:
-            # the last row integrates over no cell
-            c[-1] = 0.0
-        else:
-            c[-1] += edge
-            c[-1] += above
-        _backward_sum(c)
-        np.copyto(edge, e[0])
-        np.copyto(above, c[0])
-        yield sl, c, e
+    tiles = list(time_tiles(shape))
+    n_rows = _tile_rows(shape)
+
+    def part_tiles(dev, phases, cells, edge, above, node_rows):
+        for sl in tiles:
+            n = sl.stop - sl.start
+            e, c, node = phases[:n], cells[:n], node_rows[:n]
+            # e^{iD} = 1 + (cos D - 1) + i sin D; until the cells form, the
+            # memory of c holds the pair and that of e holds D^2, as
+            # contiguous real arrays (twice as fast for the kernel as
+            # strided .real/.imag)
+            cos_m1, sin_d = _real_halves(c)
+            kernel(dev[sl], cos_m1, sin_d, _real_halves(e)[0])
+            np.add(cos_m1, 1.0, out=e.real)
+            np.copyto(e.imag, sin_d)
+            # node factor conj(z(s_j)) e^{i omega s_j} times its left cell
+            # weight, then times its right one: the factor is formed twice,
+            # so one row block per part serves both
+            np.multiply(table[sl], conj_z[sl], out=node)
+            node *= left_weight
+            np.multiply(e, node[:, None, :], out=c)
+            np.multiply(table[sl], conj_z[sl], out=node)
+            node *= right_weight
+            e *= node[:, None, :]
+            c[:-1] += e[1:]
+            if sl.stop == shape[0]:
+                # the last row integrates over no cell
+                c[-1] = 0.0
+            else:
+                c[-1] += edge
+                c[-1] += above
+            _backward_sum(c)
+            np.copyto(edge, e[0])
+            np.copyto(above, c[0])
+            yield sl, c, e
+
+    parts = []
+    # parts at least two angles wide: each holds a node-factor block of a
+    # tile's rows, so the blocks of all parts stay within half a slab
+    for angles in split(0, shape[1], part_count(shape[1] // 2)):
+        cols = (angles.stop - angles.start, shape[2])
+        slabs = np.empty((2, n_rows) + cols, dtype=complex)
+        carried = np.empty((2,) + cols, dtype=complex)
+        node_rows = np.empty((n_rows, shape[2]), dtype=complex)
+        parts.append((angles, part_tiles(deviation[:, angles], *slabs, *carried, node_rows)))
+    return parts
 
 
 def deviation_sweep(times, theta, omega, z, deviation, mu, row_residual, out=None):
@@ -419,12 +505,19 @@ def deviation_sweep(times, theta, omega, z, deviation, mu, row_residual, out=Non
     receives the sup over each time row of |new - deviation| from the same
     pass.
 
+    The angle axis is split into ``part_count(n_theta // 2)`` contiguous
+    parts, at least two angles wide, that run side by side (``in_parts``); each walks the whole field's time
+    tiles over its own columns, and the row residual is the max of the
+    parts' row sups.  No product or addition depends on the part count, so
+    the result is bit-identical for any.
+
     The new field goes to ``out`` (a new array when None), which may be
     ``deviation`` itself.  Each tile's new rows are formed in tile scratch
     and copied into ``out`` once the row residual has been taken.  The
-    kernel is fixed from sup|D| before the first tile, a tile's rows of D
-    are read before the tile is yielded, and only the two carried rows
-    cross a tile boundary, so no tile reads a row already overwritten.
+    kernel is fixed from sup|D| before the first tile, a part reads and
+    writes only its own columns, a tile's rows of D are read before the
+    tile is yielded, and only the two carried rows cross a tile boundary,
+    so no tile reads a row already overwritten.
     """
     times = np.asarray(times, dtype=float)
     z = np.asarray(z, dtype=complex)
@@ -435,14 +528,23 @@ def deviation_sweep(times, theta, omega, z, deviation, mu, row_residual, out=Non
     # mu * Im(e^{i theta} I) = (mu cos theta) Im I + (mu sin theta) Re I
     mu_cos = (mu * np.cos(theta))[None, :, None]
     mu_sin = (mu * np.sin(theta))[None, :, None]
-    for sl, ib, spare in _integral_blocks(times, omega, z, deviation):
-        new, scratch = _real_halves(spare)
-        np.multiply(ib.imag, mu_cos, out=new)
-        np.multiply(ib.real, mu_sin, out=scratch)
-        new += scratch
-        np.subtract(new, deviation[sl], out=scratch)
-        _row_sup(scratch, row_residual[sl])
-        np.copyto(out[sl], new)
+    parts = _integral_parts(times, omega, z, deviation)
+    rows = np.empty((len(parts), len(times)))
+
+    def sweep(p):
+        angles, tiles = parts[p]
+        part_cos, part_sin = mu_cos[:, angles], mu_sin[:, angles]
+        for sl, ib, spare in tiles:
+            new, scratch = _real_halves(spare)
+            np.multiply(ib.imag, part_cos, out=new)
+            np.multiply(ib.real, part_sin, out=scratch)
+            new += scratch
+            np.subtract(new, deviation[sl, angles], out=scratch)
+            _row_sup(scratch, rows[p, sl])
+            np.copyto(out[sl, angles], new)
+
+    in_parts(sweep, len(parts))
+    np.max(rows, axis=0, out=row_residual)
     return out
 
 
@@ -752,36 +854,53 @@ def backward_ode_oracle(
 def gamma_field(field: CharacteristicField, z, on_tile) -> GammaField:
     """Coupling integrals of a (converged) field under its driving path.
 
-    Recomputes the backward integral once and hands each time tile of both
-    projections to ``on_tile(sl, sin_tile, cos_tile)``, from t_max
-    backward: sin_tile is Gamma on the rows ``sl``, which recovers
+    Recomputes the backward integral once, in the angle parts of
+    ``deviation_sweep``, and hands each block of both projections to
+    ``on_tile(sl, angles, sin_tile, cos_tile)``: the time rows ``sl`` of
+    one tile, the angle columns ``angles`` of one part, from t_max backward
+    within each part.  sin_tile is Gamma on that block, which recovers
     deviation / mu at a fixed point, and cos_tile is the companion cosine
     integral whose exponential is the exact angular Jacobian of the
-    transported label map, which feeds the density reconstruction.  The
-    tiles are views into scratch that the next tile reuses, so a consumer
-    copies what it keeps; no field-sized array is allocated.  beta is the
-    certified running bound Int_t^{t_max} R via the same cell masses plus
-    the weight-free tail (zero here; callers add their own certified tail
-    when they have a weight in hand).
+    transported label map, which feeds the density reconstruction.
+
+    ``on_tile`` is called from the parts' threads, part 0 on the calling
+    thread and the others on the pool, on disjoint blocks that together
+    cover the field once.  It may write its blocks of shared arrays, but
+    anything else it shares needs a lock, and it must not call a split
+    loop of the package (a sweep, a quadrature or this function).  The
+    tiles are views into scratch that the part's next tile reuses, so a
+    consumer copies what it keeps; no field-sized array is allocated.
+    beta is the certified running bound Int_t^{t_max} R via the same cell
+    masses plus the weight-free tail (zero here; callers add their own
+    certified tail when they have a weight in hand); the margin is taken
+    from the max of the parts' row sups of |Gamma|.
     """
     g = field.grid
     times, theta, omega = g.times(), g.theta(), g.omega_nodes
     z = np.asarray(z, dtype=complex)
     n_t = len(times)
     cos_t, sin_t = np.cos(theta)[None, :, None], np.sin(theta)[None, :, None]
-    rows = np.empty(n_t)
-    for sl, ib, spare in _integral_blocks(times, omega, z, field.deviation):
-        # both projections in the memory of spare; the last product goes
-        # into ib.imag, which nothing reads after it
-        sp, cp = _real_halves(spare)
-        np.multiply(ib.imag, cos_t, out=sp)
-        np.multiply(ib.real, sin_t, out=cp)
-        sp += cp
-        np.multiply(ib.real, cos_t, out=cp)
-        np.multiply(ib.imag, sin_t, out=ib.imag)
-        cp -= ib.imag
-        _row_sup(sp, rows[sl])
-        on_tile(sl, sp, cp)
+    parts = _integral_parts(times, omega, z, field.deviation)
+    part_rows = np.empty((len(parts), n_t))
+
+    def project(p):
+        angles, tiles = parts[p]
+        part_cos, part_sin = cos_t[:, angles], sin_t[:, angles]
+        for sl, ib, spare in tiles:
+            # both projections in the memory of spare; the last product
+            # goes into ib.imag, which nothing reads after it
+            sp, cp = _real_halves(spare)
+            np.multiply(ib.imag, part_cos, out=sp)
+            np.multiply(ib.real, part_sin, out=cp)
+            sp += cp
+            np.multiply(ib.real, part_cos, out=cp)
+            np.multiply(ib.imag, part_sin, out=ib.imag)
+            cp -= ib.imag
+            _row_sup(sp, part_rows[p, sl])
+            on_tile(sl, angles, sp, cp)
+
+    in_parts(project, len(parts))
+    rows = part_rows.max(axis=0)
     r = np.abs(z)
     dt = g.dt
     beta = np.zeros(n_t)

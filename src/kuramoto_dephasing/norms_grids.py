@@ -63,6 +63,29 @@ def _poly_tail(p: float, t):
     return half * special.betaincc(0.5, 0.5 * (p - 1.0), x)
 
 
+def _log_poly_tail(p: float, t):
+    # log Int_t^inf (1+s^2)^(-p/2) ds for t > 0, from the closed form
+    # t (1+t^2)^(-p/2) 2F1(p/2, 1; (p+1)/2; 1/(1+t^2)) / (p-1), whose
+    # factors neither overflow nor underflow where the tail itself does
+    t = np.asarray(t, dtype=float)
+    x = 1.0 / (1.0 + t * t)
+    series = special.hyp2f1(0.5 * p, 1.0, 0.5 * (p + 1.0), x)
+    return np.log(t) - 0.5 * p * np.log1p(t * t) + np.log(series) - math.log(p - 1.0)
+
+
+def _weighted_tail_sup(gamma: float, p: float, t, wdev) -> float:
+    # sup over t of <t>^(gamma-1) * Int_t^inf <s>^(-p) ds; where the linear
+    # product is not finite (the weight overflows, or inf * 0 once the tail
+    # underflows too) the product is taken in log space instead
+    with np.errstate(invalid="ignore"):
+        prod = wdev * _poly_tail(p, t)
+    lost = ~np.isfinite(prod)
+    if lost.any():
+        tl = t[lost]
+        prod[lost] = np.exp(0.5 * (gamma - 1.0) * np.log1p(tl * tl) + _log_poly_tail(p, tl))
+    return float(np.max(prod))
+
+
 @functools.lru_cache(maxsize=None)
 def _poly_gains(gamma: float):
     # sup_t <t>^(gamma-1) * Int_t^inf <s>^(-p) ds for p = 2*gamma - 1 (the
@@ -70,9 +93,10 @@ def _poly_gains(gamma: float):
     # over a dense grid plus the exact t -> inf limit 1/(p-1) when the
     # exponents balance.
     t = np.linspace(0.0, 400.0, 40001)
-    wdev = (1.0 + t * t) ** (0.5 * (gamma - 1.0))
-    contr = float(np.max(wdev * _poly_tail(2.0 * gamma - 1.0, t)))
-    dev = float(np.max(wdev * _poly_tail(gamma, t)))
+    with np.errstate(over="ignore"):
+        wdev = (1.0 + t * t) ** (0.5 * (gamma - 1.0))
+    contr = _weighted_tail_sup(gamma, 2.0 * gamma - 1.0, t, wdev)
+    dev = _weighted_tail_sup(gamma, gamma, t, wdev)
     dev = max(dev, 1.0 / (gamma - 1.0))
     return contr, dev
 

@@ -54,11 +54,13 @@ from .characteristics import (
     MaxSweepsExceededError,
     NonContractiveError,
     gamma_field,
+    in_parts,
     oscillation_table,
+    part_count,
     phase_kernel,
     picard_sweep,
     solve_fixed_point,
-    tile_slab,
+    split,
     time_tiles,
 )
 from .norms_grids import Grid, WeightSpec, weighted_norm
@@ -183,10 +185,15 @@ def _order_parameter_values(field: CharacteristicField, state: AsymptoticState):
     """z(t) on the grid: the free part plus the quadrature of e^{iD} - 1.
 
     One time tile at a time: (cos D - 1, sin D) and D^2 go into three real
-    tile slabs, are projected onto the angular weights by real matrix
-    products, and each time row then sums over every frequency at once
-    against its row of the e^{i omega t} table and the node weights.  A
-    row's sum does not depend on the tile it falls in.
+    slabs, are projected onto the angular weights by real matrix products,
+    and each time row then sums over every frequency at once against its
+    row of the e^{i omega t} table and the node weights.  The angle sum is
+    a matrix product, so the loop is split by rows, not angles:
+    up to ``part_count(tile rows)`` parts run side by side (``in_parts``),
+    each taking its share of every tile's rows into slabs of tile rows /
+    parts (rounded up), allocated here on the calling thread, so the three
+    slabs keep their size.  A row's sum does not depend on the tile or
+    part it falls in, so z is bit-identical for any part count.
     """
     g = field.grid
     times, theta, omega = g.times(), g.theta(), g.omega_nodes
@@ -199,17 +206,30 @@ def _order_parameter_values(field: CharacteristicField, state: AsymptoticState):
     # exact sup of this field
     kernel = phase_kernel(field.sup())
     table = oscillation_table(times, omega)
-    cos_buf, sin_buf, d2_buf = (tile_slab(g.shape(), float) for _ in range(3))
-    for sl in time_tiles(g.shape()):
-        n = sl.stop - sl.start
-        cos_m1, sin_d = cos_buf[:n], sin_buf[:n]
-        kernel(field.deviation[sl], cos_m1, sin_d, d2_buf[:n])
-        # u (cos D - 1 + i sin D) summed over angles, by real matmuls:
-        # rows (Re u, Im u) of each projection
-        pc = np.matmul(proj, cos_m1)
-        ps = np.matmul(proj, sin_d)
-        s = pc[:, 0] - ps[:, 1] + 1j * (pc[:, 1] + ps[:, 0])
-        z[sl] += np.einsum("tk,tk,k->t", table[sl], s, g.prob_weights)
+    tiles = list(time_tiles(g.shape()))
+    # the first tile, at t_max, is the largest; parts of at most ``share``
+    # of its rows, so the parts' slabs add up to less than its rows plus
+    # one share
+    tile_rows = tiles[0].stop - tiles[0].start
+    share = -(-tile_rows // part_count(tile_rows))
+    parts = -(-tile_rows // share)
+    scratch = np.empty((parts, 3, share, g.n_theta, g.n_omega))
+
+    def quadrature(p):
+        cos_buf, sin_buf, d2_buf = scratch[p]
+        for sl in tiles:
+            rows = split(sl.start, sl.stop, parts)[p]
+            n = rows.stop - rows.start
+            cos_m1, sin_d = cos_buf[:n], sin_buf[:n]
+            kernel(field.deviation[rows], cos_m1, sin_d, d2_buf[:n])
+            # u (cos D - 1 + i sin D) summed over angles, by real matmuls:
+            # rows (Re u, Im u) of each projection
+            pc = np.matmul(proj, cos_m1)
+            ps = np.matmul(proj, sin_d)
+            s = pc[:, 0] - ps[:, 1] + 1j * (pc[:, 1] + ps[:, 0])
+            z[rows] += np.einsum("tk,tk,k->t", table[rows], s, g.prob_weights)
+
+    in_parts(quadrature, parts)
     return z
 
 
@@ -409,9 +429,10 @@ def reconstruct(result: SolveResult, times=(0.0, 5.0, 10.0)) -> ReconstructedDen
     Each requested time must lie on the grid (the representation is exact
     there; no interpolation is offered).  Also evaluates the dephasing
     distance on the whole grid from the same coupling integrals, taken
-    tile by tile as gamma_field hands them out: only the cosine rows at
-    the requested times are kept, so beside its input field the working
-    set is gamma_field's tile scratch and those rows.
+    block by block as gamma_field's parts hand them out: only the cosine
+    rows at the requested times and the per-angle row maxima of the
+    distance (n_theta, n_times) are kept, so beside its input field the
+    working set is gamma_field's tile scratch and those rows.
     """
     g = result.grid
     tgrid = g.times()
@@ -428,24 +449,28 @@ def reconstruct(result: SolveResult, times=(0.0, 5.0, 10.0)) -> ReconstructedDen
     f_inf = ang * gdens / (2.0 * math.pi)
     sel = np.array(idx, dtype=int)
     cos_rows = np.empty((sel.size, g.n_theta, g.n_omega))
-    # sup_t |f_inf e^{-mu Gamma_cos} - f_inf(theta + D)| along characteristics
-    dist = np.empty(g.n_times)
+    # sup_t |f_inf e^{-mu Gamma_cos} - f_inf(theta + D)| along
+    # characteristics, kept per angle as each block comes and maximized
+    # over the angles at the end: dividing by 2 pi is monotone, so that is
+    # the sup over each whole row
+    dist = np.empty((g.n_theta, g.n_times))
 
-    def on_tile(sl, sin_tile, cos_tile):
-        held = (sel >= sl.start) & (sel < sl.stop)
-        cos_rows[held] = cos_tile[sel[held] - sl.start]
-        # an eighth of the tile at a time, so the temporaries of the
-        # angular factor (about five arrays of the part) stay near a third
-        # of a tile slab
-        dev, out = result.field.deviation[sl], dist[sl]
+    def on_tile(sl, angles, sin_tile, cos_tile):
+        # called from gamma_field's parts, each on its own block
+        held = np.flatnonzero((sel >= sl.start) & (sel < sl.stop))
+        cos_rows[held, angles] = cos_tile[sel[held] - sl.start]
+        # an eighth of the block at a time, so the temporaries of the
+        # angular factor (about five arrays of the eighth) stay near a
+        # third of the block's slab
+        dev, out = result.field.deviation[sl, angles], dist[angles, sl]
         step = -(-len(dev) // 8)
         for lo in range(0, len(dev), step):
             part = slice(lo, lo + step)
-            diff = state.angular_factor(theta[None, :, None] + dev[part])
-            diff -= ang * np.exp(-mu * cos_tile[part])
+            diff = state.angular_factor(theta[None, angles, None] + dev[part])
+            diff -= ang[angles] * np.exp(-mu * cos_tile[part])
             np.abs(diff, out=diff)
             diff *= gdens
-            out[part] = diff.reshape(len(diff), -1).max(axis=1) / (2.0 * math.pi)
+            out[:, part] = diff.max(axis=2).T / (2.0 * math.pi)
 
     gam = gamma_field(result.field, result.path.values, on_tile)
 
@@ -467,7 +492,7 @@ def reconstruct(result: SolveResult, times=(0.0, 5.0, 10.0)) -> ReconstructedDen
         mass=mass,
         jacobian_min=jac_min,
         min_value=float(values.min()),
-        dephasing=dist,
+        dephasing=dist.max(axis=0),
         gamma_margin=gam.margin,
     )
 

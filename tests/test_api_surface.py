@@ -20,7 +20,10 @@ import ast
 import importlib.util
 import inspect
 import sys
+import threading
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "kuramoto_dephasing"
@@ -157,3 +160,66 @@ def test_span_recorder_sees_the_streamed_coupling_integrals(monkeypatch):
     assert len(gamma) == 1
     assert gamma[0].work == result.field.deviation.size
     assert recorder.spans[gamma[0].parent] is outer
+
+
+def _check_nesting(spans):
+    # every child inside its parent, and no two spans of one parent overlap
+    by_parent = {}
+    for idx, span in enumerate(spans):
+        assert span.end_ns >= span.start_ns > 0, span
+        if span.parent is not None:
+            parent = spans[span.parent]
+            assert span.parent < idx
+            assert parent.start_ns <= span.start_ns and span.end_ns <= parent.end_ns, span
+        by_parent.setdefault(span.parent, []).append(span)
+    for siblings in by_parent.values():
+        ordered = sorted(siblings, key=lambda s: s.start_ns)
+        assert all(a.end_ns <= b.start_ns for a, b in zip(ordered, ordered[1:]))
+
+
+def test_split_loops_enter_no_span_boundary_from_a_worker(monkeypatch):
+    # the span recorder's self times assume one thread of spans: the split
+    # loops' parts may run on pool threads, but only private helpers there
+    from kuramoto_dephasing import (
+        AsymptoticState, FrequencyProfile, WeightSpec, build_grid, characteristics, scheme,
+    )
+
+    spans = _spans_module(monkeypatch)
+    # three parts whatever the machine, so two of them run on the pool
+    monkeypatch.setattr(characteristics, "_PARTS", 3)
+    part_threads = set()
+    run_part = characteristics._run_part
+
+    def recorded_part(work, p):
+        part_threads.add(threading.get_ident())
+        return run_part(work, p)
+
+    monkeypatch.setattr(characteristics, "_run_part", recorded_part)
+    profile = FrequencyProfile("lorentzian", 1.0)
+    state = AsymptoticState(profile, {1: 0.05}, "exponential", 0.9)
+    grid = build_grid(profile, t_max=4.0, dt=0.1, n_theta=10, n_omega=17)
+    caller = threading.get_ident()
+    calls = []
+    recorder = spans.SpanRecorder()
+    with recorder.installed(), pytest.MonkeyPatch.context() as mp:
+        for module, attr, name, _ in spans.BOUNDARIES:
+            def checked(*args, _fn=getattr(module, attr), _name=name, **kwargs):
+                calls.append((_name, threading.get_ident()))
+                return _fn(*args, **kwargs)
+
+            mp.setattr(module, attr, checked)
+        result = scheme.outer_solve(state, grid, 0.05, WeightSpec("exponential", 0.9),
+                                    tail_budget=1e-2)
+        scheme.reconstruct(result, times=(0.0, 1.0))
+        characteristics.backward_ode_oracle(grid, result.path.values, 0.05)
+    assert len(part_threads) > 1 and caller in part_threads
+    names = {name for name, _ in calls}
+    assert {
+        "characteristics.deviation_sweep", "characteristics.gamma_field",
+        "scheme.order_parameter_of", "characteristics.solve_fixed_point",
+        "characteristics.backward_ode_oracle",
+    } <= names
+    assert all(ident == caller for _, ident in calls)
+    # the recorder saw every call, properly nested
+    assert sorted(s.name for s in recorder.spans) == sorted(name for name, _ in calls)
+    _check_nesting(recorder.spans)

@@ -76,8 +76,8 @@ def _gamma_parts(field, z):
     # gamma_field with its streamed tiles gathered into two fields
     sin_part, cos_part = np.empty((2,) + field.deviation.shape)
 
-    def keep(sl, sin_tile, cos_tile):
-        sin_part[sl], cos_part[sl] = sin_tile, cos_tile
+    def keep(sl, angles, sin_tile, cos_tile):
+        sin_part[sl, angles], cos_part[sl, angles] = sin_tile, cos_tile
 
     return gamma_field(field, z, keep), sin_part, cos_part
 
@@ -241,10 +241,11 @@ def test_gamma_running_bound_and_fixed_point_identity(grid, zpath, solved):
     field, _ = solved
     gaps, covered = [], []
 
-    def identity_gap(sl, sin_tile, cos_tile):
+    def identity_gap(sl, angles, sin_tile, cos_tile):
         # at the fixed point the deviation IS mu times the sine projection
-        gaps.append(np.max(np.abs(MU * sin_tile - field.deviation[sl])))
-        covered.append(sl)
+        gaps.append(np.max(np.abs(MU * sin_tile - field.deviation[sl, angles])))
+        if angles.start == 0:
+            covered.append(sl)
 
     gam = gamma_field(field, zpath, identity_gap)
     # max |Gamma| / beta over the rows with beta > 0: at most 1 while the
@@ -456,7 +457,7 @@ def test_working_set_is_two_fields_and_block_slabs(grid, zpath, solved, monkeypa
 
     def coupling_integrals():
         field = CharacteristicField(grid, solved[0].deviation.copy(), MU)
-        return gamma_field(field, zpath, lambda sl, sin_tile, cos_tile: None)
+        return gamma_field(field, zpath, lambda sl, angles, sin_tile, cos_tile: None)
 
     def density():
         field = CharacteristicField(grid, solved[0].deviation.copy(), MU)
@@ -530,7 +531,9 @@ def _cumsum_backward_sum(c):
 
 def _kernel_outputs(grid, z, dev):
     times, theta, omega = grid.times(), grid.theta(), grid.omega_nodes
-    tiles = [ib.copy() for _, ib, _ in characteristics._integral_blocks(times, omega, z, dev)]
+    parts = characteristics._integral_parts(times, omega, z, dev)
+    tiles = [np.concatenate([ib for _, ib, _ in blocks], axis=1)
+             for blocks in zip(*(part_tiles for _, part_tiles in parts))]
     rows = np.empty(grid.n_times)
     new = deviation_sweep(times, theta, omega, z, dev, 0.5, row_residual=rows)
     gam, sin_part, cos_part = _gamma_parts(CharacteristicField(grid, dev, 0.5), z)
@@ -1298,3 +1301,65 @@ def test_time_tiles_cover_every_row_once_from_t_max_backward(shape, cells):
     # a longer tile would break the budget or run past the field
     assert all(h == slab_rows for h in heights[:-1]) and heights[-1] <= slab_rows
     assert slab_rows == n_t or (slab_rows + 1) * row > max(row, cells)
+
+
+# -- the split loops against one part: bit-identical for any part count ------
+
+# (grid, part counts): the module grid in ragged forced tiles, and ten
+# angles, which split into 5 + 5, 3 + 3 + 4 and, at P = n_theta, the
+# narrowest angle parts, five of two
+PART_GRIDS = {
+    "theta16": (dict(t_max=8.0, dt=0.05, n_theta=16, n_omega=65), (1, 2, 3, 16)),
+    "theta10": (dict(t_max=8.0, dt=0.05, n_theta=10, n_omega=33), (1, 2, 3, 10)),
+}
+PART_CASES = [(name, parts) for name, (_, counts) in PART_GRIDS.items() for parts in counts]
+
+
+def _split_outputs(g, amplitude):
+    times, theta, omega = g.times(), g.theta(), g.omega_nodes
+    z = 0.3 * np.exp(-0.5 * times + 0.4j * times)
+    dev = np.random.default_rng(17).uniform(-amplitude, amplitude, g.shape())
+    rows, in_place_rows = np.empty((2, g.n_times))
+    swept = deviation_sweep(times, theta, omega, z, dev, 0.5, row_residual=rows)
+    in_place = dev.copy()
+    deviation_sweep(times, theta, omega, z, in_place, 0.5, in_place_rows, out=in_place)
+    field = CharacteristicField(g, dev, 0.5)
+    gam, sin_part, cos_part = _gamma_parts(field, z)
+    state = AsymptoticState(PROFILE, {1: 0.05}, "exponential", 0.9)
+    decaying = 0.05 * np.exp(-times) + 0.0j
+    solved, report = solve_fixed_point(g, decaying, MU, WEIGHT)
+    path = OrderParameterPath(g, decaying, WEIGHT)
+    recon = reconstruct(SolveResult(state, g, MU, WEIGHT, path, solved, None, 0, True),
+                        times=(0.0, 2.5, 8.0))
+    return {
+        "swept": swept, "rows": rows, "in_place": in_place, "in_place_rows": in_place_rows,
+        "sin_part": sin_part, "cos_part": cos_part, "margin": np.array(gam.margin),
+        "beta": gam.beta, "quadrature": scheme._order_parameter_values(field, state),
+        "solved": solved.deviation, "report": report,
+        "values": recon.values, "mass": recon.mass, "dephasing": recon.dephasing,
+        "gamma_margin": np.array(recon.gamma_margin),
+    }
+
+
+@AMPLITUDES
+@pytest.mark.parametrize("name,parts", PART_CASES, ids=[f"{n}-P{p}" for n, p in PART_CASES])
+def test_split_loops_are_bit_identical_for_any_part_count(name, parts, amplitude, monkeypatch):
+    spec, _ = PART_GRIDS[name]
+    g = build_grid(PROFILE, **spec)
+    # 50-row tiles: 161 rows split 50, 50, 50, 11 from t_max back
+    tiles = _force_tile_rows(monkeypatch, g.shape(), 50)
+    assert len(tiles) == 4 and tiles[-1] < tiles[0]
+    monkeypatch.setattr(characteristics, "_PARTS", 1)
+    ref = _split_outputs(g, amplitude)
+    monkeypatch.setattr(characteristics, "_PARTS", parts)
+    times = g.times()
+    angle_parts = characteristics._integral_parts(times, g.omega_nodes, times + 0j,
+                                                  np.zeros(g.shape()))
+    widths = [a.stop - a.start for a, _ in angle_parts]
+    assert len(widths) == min(parts, g.n_theta // 2) and sum(widths) == g.n_theta
+    assert max(widths) - min(widths) <= 1
+    got = _split_outputs(g, amplitude)
+    assert got.pop("report") == ref.pop("report")
+    assert np.max(np.abs(ref["swept"])) > 1e-3
+    for key, value in ref.items():
+        assert np.array_equal(got[key], value), key

@@ -100,6 +100,46 @@ def test_outputs_are_bit_identical_across_runs(solve_run, tmp_path):
         assert filecmp.cmp(solve_run[1] / name, out2 / name, shallow=False), name
 
 
+_AFFINITY = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
+
+# a solve in a fresh interpreter, pinned to one CPU (argv[1]) before the
+# package is imported, or left on the full mask ("")
+_PINNED_SOLVE = """
+import os, sys
+if sys.argv[1]:
+    os.sched_setaffinity(0, {int(sys.argv[1])})
+from kuramoto_dephasing import characteristics
+from kuramoto_dephasing.cli import main
+assert characteristics._PARTS == len(os.sched_getaffinity(0))
+sys.exit(main(sys.argv[2:]))
+"""
+
+
+@pytest.mark.skipif(len(_AFFINITY) < 2, reason="the affinity mask holds one CPU")
+def test_kinetic_artifacts_do_not_depend_on_the_cpus_a_run_may_use(tmp_path):
+    import subprocess
+    import sys
+
+    import kuramoto_dephasing
+
+    cfg = write_config(tmp_path / "cfg.json", base_config(
+        grid={"t_max": 16.0, "dt": 0.05, "n_theta": 10, "n_omega": 65}))
+    env = dict(os.environ)
+    package_root = str(Path(kuramoto_dephasing.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    outs = {}
+    for label, cpu in (("one_cpu", str(_AFFINITY[0])), ("all_cpus", "")):
+        outs[label] = tmp_path / label
+        run = subprocess.run(
+            [sys.executable, "-c", _PINNED_SOLVE, cpu,
+             "solve", "--config", cfg, "--output-dir", str(outs[label])],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert run.returncode == 0, run.stderr
+    for name in KINETIC_FILES:
+        assert filecmp.cmp(outs["one_cpu"] / name, outs["all_cpus"] / name, shallow=False), name
+
+
 def test_simulate_writes_particle_artifacts(tmp_path):
     cfg = write_config(
         tmp_path / "cfg.json",
@@ -270,8 +310,6 @@ def test_negative_mu_rejected(tmp_path):
         {"output_dir": 5},
         # e^{0.9 * 800} overflows: weighted norms of the zero path were NaN
         {"grid": {"t_max": 800, "dt": 0.05, "n_theta": 8, "n_omega": 16}},
-        # finite weight at t_max, but its unit gains were NaN
-        {"weight": {"kind": "polynomial", "rate": 200.0}},
         # finite but far larger than memory; refused before any allocation
         {"grid": {"t_max": 1e300, "dt": 0.05, "n_theta": 32}},
         {"grid": {"t_max": 16.0, "dt": 0.05, "n_theta": 32, "n_omega": 10**15}},
@@ -308,7 +346,7 @@ def test_negative_mu_rejected(tmp_path):
         "modes_list", "tolerances_list", "mode_nan", "profile_list", "decay_string",
         "grid_list", "weight_list", "particles_list", "decay_rate_nan",
         "t_max_inf", "n_theta_inf", "output_dir_number", "exp_weight_overflow",
-        "poly_weight_gain_nan", "t_max_huge", "n_omega_huge",
+        "t_max_huge", "n_omega_huge",
         "mu_true", "scale_true", "mode_true", "mode_part_false", "decay_rate_true",
         "t_max_true", "n_omega_true", "weight_rate_true", "tol_outer_true",
         "tail_budget_true", "particles_n_true", "particles_seed_false",
@@ -328,6 +366,22 @@ def test_malformed_config_exits_2_with_one_line(tmp_path, monkeypatch, caplog, o
     assert code == 2
     errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
     assert len(errors) == 1 and "\n" not in errors[0]
+
+
+def test_poly_weight_rate_200_ends_in_a_physics_exit_code(tmp_path, monkeypatch, caplog):
+    # finite at t_max = 16 with finite gains (the gain sup is taken in log
+    # space where its linear product is lost), so the config is valid: the
+    # run ends in a solver verdict, not a config refusal or a traceback
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(tmp_path / "cfg.json",
+                       base_config(weight={"kind": "polynomial", "rate": 200.0}))
+    with caplog.at_level("ERROR", logger="kuramoto_dephasing"):
+        code = main(["solve", "--config", cfg, "--output-dir", str(tmp_path / "out")])
+    assert code in (0, 1, 3)
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert all("\n" not in e for e in errors)
+    ledger = json.loads((tmp_path / "out" / "ledger.json").read_text())
+    assert ledger["weight"] == "(1+t^2)^(200/2)"
 
 
 def test_integral_floats_load_as_counts(tmp_path):

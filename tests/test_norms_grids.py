@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy import integrate
 
+from kuramoto_dephasing import norms_grids
 from kuramoto_dephasing.norms_grids import (
     Grid,
     GridError,
@@ -219,6 +220,60 @@ def test_weight_overflow_at_horizon_is_refused():
     assert np.isfinite(spec.deviation_values(1e3))
     with pytest.raises(GridError, match="overflows"):
         spec.check_finite(1e3)
-    # finite at t_max = 16, but the gain sup over t in [0, 400] is inf * 0
-    with pytest.raises(GridError, match="no finite unit gains"):
-        WeightSpec("polynomial", 200.0).check_finite(16.0)
+    # finite at t_max = 16, and its gains are finite too: the gain sup over
+    # t in [0, 400], inf * 0 in linear space, is taken in log space there
+    spec = WeightSpec("polynomial", 200.0)
+    spec.check_finite(16.0)
+    assert math.isfinite(spec.unit_contraction_gain) and math.isfinite(spec.unit_deviation_gain)
+
+
+def _linear_poly_gains(gamma):
+    # the gain sups in linear space only, as they were taken before the log
+    # space fallback; finite up to rates near 119
+    t = np.linspace(0.0, 400.0, 40001)
+    wdev = (1.0 + t * t) ** (0.5 * (gamma - 1.0))
+    contr = float(np.max(wdev * norms_grids._poly_tail(2.0 * gamma - 1.0, t)))
+    dev = float(np.max(wdev * norms_grids._poly_tail(gamma, t)))
+    return contr, max(dev, 1.0 / (gamma - 1.0))
+
+
+@pytest.mark.parametrize("rate", [2.0, 2.5, 3.0, 50.0, 100.0])
+def test_poly_gains_are_unchanged_where_the_linear_sup_is_finite(rate):
+    linear = _linear_poly_gains(rate)
+    assert all(map(math.isfinite, linear))
+    assert norms_grids._poly_gains(rate) == linear
+
+
+def _log_weighted_tails(gamma, p, t):
+    # log(<t>^(gamma-1) Int_t^inf <s>^(-p) ds) by an exp-sinh rule in u = s - t,
+    # Int_t^inf <s>^-p ds = <t>^-p Int_0^inf exp(-(p/2) log1p(u (2t + u) / <t>^2)) du,
+    # with no incomplete beta function and no hypergeometric series
+    h = 1.0 / 32.0
+    x = np.arange(-6.0, 4.0, h)
+    u = np.exp(0.5 * math.pi * np.sinh(x))
+    du = h * 0.5 * math.pi * np.cosh(x) * u
+    out = np.empty(t.shape)
+    for lo in range(0, t.size, 1000):
+        tt = t[lo:lo + 1000, None]
+        inner = np.exp(-0.5 * p * np.log1p(u * (2.0 * tt + u) / (1.0 + tt * tt))) @ du
+        out[lo:lo + 1000] = 0.5 * (gamma - 1.0 - p) * np.log1p(tt[:, 0] ** 2) + np.log(inner)
+    return out
+
+
+def test_poly_gains_at_rate_200_match_a_log_space_quadrature():
+    gamma = 200.0
+    # the linear products are NaN past t ~ 42, so the linear sup is NaN
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert all(map(math.isnan, _linear_poly_gains(gamma)))
+    t = np.linspace(0.0, 400.0, 40001)
+    contr = math.exp(_log_weighted_tails(gamma, 2.0 * gamma - 1.0, t).max())
+    dev = max(math.exp(_log_weighted_tails(gamma, gamma, t).max()), 1.0 / (gamma - 1.0))
+    got = norms_grids._poly_gains(gamma)
+    assert all(map(math.isfinite, got))
+    assert got[0] == pytest.approx(contr, rel=1e-12, abs=0.0)
+    assert got[1] == pytest.approx(dev, rel=1e-12, abs=0.0)
+    # the log-space products themselves, where the linear ones are lost
+    far = np.array([50.0, 120.0, 400.0])
+    for p in (2.0 * gamma - 1.0, gamma):
+        closed = 0.5 * (gamma - 1.0) * np.log1p(far * far) + norms_grids._log_poly_tail(p, far)
+        assert np.max(np.abs(closed - _log_weighted_tails(gamma, p, far))) <= 1e-12

@@ -194,7 +194,8 @@ def test_reconstruct_reports_the_gamma_margin(result, recon):
     # built from, as gamma_field computes it: max |Gamma| / beta over the
     # rows with beta > 0, at most 1 to rounding and above 0 on a real path
     assert 0.0 < recon.gamma_margin <= 1.0 + 1e-12
-    gam = gamma_field(result.field, result.path.values, lambda sl, sin_tile, cos_tile: None)
+    gam = gamma_field(result.field, result.path.values,
+                      lambda sl, angles, sin_tile, cos_tile: None)
     assert recon.gamma_margin == gam.margin
 
 
