@@ -11,6 +11,8 @@ D = mu * Gamma) are asserted at their provable tolerances.
 import functools
 import math
 import re
+import sys
+import time
 import tracemalloc
 
 import numpy as np
@@ -1361,5 +1363,28 @@ def test_split_loops_are_bit_identical_for_any_part_count(name, parts, amplitude
     got = _split_outputs(g, amplitude)
     assert got.pop("report") == ref.pop("report")
     assert np.max(np.abs(ref["swept"])) > 1e-3
+    for key, value in ref.items():
+        assert np.array_equal(got[key], value), key
+
+
+def test_split_loops_hold_under_fast_thread_switching(monkeypatch):
+    # more parts than cores, with the interpreter switching threads every
+    # microsecond: a part writing outside its own block would show here
+    spec, _ = PART_GRIDS["theta16"]
+    g = build_grid(PROFILE, **spec)
+    _force_tile_rows(monkeypatch, g.shape(), 50)
+    monkeypatch.setattr(characteristics, "_PARTS", 1)
+    ref = _split_outputs(g, 0.1)
+    monkeypatch.setattr(characteristics, "_PARTS", 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        start = time.monotonic()
+        got = _split_outputs(g, 0.1)
+        elapsed = time.monotonic() - start
+    finally:
+        sys.setswitchinterval(interval)
+    assert elapsed < 60.0
+    assert got.pop("report") == ref.pop("report")
     for key, value in ref.items():
         assert np.array_equal(got[key], value), key
