@@ -31,10 +31,11 @@ shares no numerical code with the cell-weight quadrature.
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -79,6 +80,11 @@ _PARTS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else o
 # runs parts 1 .. P - 1 of those loops (part 0 runs on the calling thread);
 # its threads start on the first hand-off, so one CPU never starts one
 _POOL = ThreadPoolExecutor(max_workers=max(1, _PARTS - 1), thread_name_prefix="kuramoto-part")
+# the calling thread's current CPU, where the platform gives threads their
+# own affinity masks; in_background keeps its task off that CPU
+_SCHED_GETCPU = (
+    getattr(ctypes.CDLL(None), "sched_getcpu", None) if hasattr(os, "sched_setaffinity") else None
+)
 # elements of numpy's ufunc buffer while a part runs: a broadcasting product
 # allocates one per call, and P parts hold P at once; at numpy's default
 # (8192) that is 128 KB per part beside its slabs, at this size 16 KB
@@ -282,6 +288,45 @@ def in_parts(work, parts):
     finally:
         wait(futures)
     return [first] + [f.result() for f in futures]
+
+
+def in_background(work, *args):
+    """A future of work(*args), run on the module's pool beside the caller.
+
+    While it runs, the pool thread keeps off the CPU the caller is on (by
+    its own affinity mask, restored afterwards): some kernels wake a short
+    task on its waker's CPU and leave it there, where it only takes turns
+    with the caller.  It drops its references to ``work`` and ``args``
+    before the future is done.  With one part to every loop
+    (``part_count(2) == 1``) it runs in place and returns a future that is
+    already done, so no thread starts.  The caller must not write what
+    ``work`` reads until the future is done, and must wait on it before it
+    returns or raises.  Like a part, ``work`` must not call a split loop.
+    """
+    if part_count(2) == 1:
+        done = Future()
+        done.set_result(work(*args))
+        return done
+    cpu = _SCHED_GETCPU() if _SCHED_GETCPU is not None else -1
+    return _POOL.submit(_off_cpu, cpu, [work, args])
+
+
+def _off_cpu(cpu, call):
+    # work(*args) for call = [work, args], barred from CPU ``cpu`` where the
+    # mask leaves another; the list is emptied so the pool's work item no
+    # longer reaches the arguments once this returns
+    work, args = call
+    call.clear()
+    mask = os.sched_getaffinity(0) if cpu >= 0 else set()
+    others = mask - {cpu}
+    pinned = bool(others) and others != mask
+    if pinned:
+        os.sched_setaffinity(0, others)
+    try:
+        return work(*args)
+    finally:
+        if pinned:
+            os.sched_setaffinity(0, mask)
 
 
 def _run_part(work, p):

@@ -18,11 +18,13 @@ integrator, so they are conserved exactly (bit for bit).
 from __future__ import annotations
 
 import math
+import operator
+from concurrent.futures import wait
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .characteristics import CharacteristicField
+from .characteristics import CharacteristicField, in_background
 from .spectral_state import AsymptoticState, sample_labels
 
 __all__ = [
@@ -132,23 +134,56 @@ def simulate(ens: ParticleEnsemble, dt: float, n_steps: int, record_every: int =
     """Integrate n_steps of size dt, recording the empirical order
     parameter every record_every steps (and at both endpoints).
 
+    dt must be finite and > 0; n_steps and record_every must be integers
+    (numpy's included) >= 1.  Every record is taken off the stepping
+    thread: the wrapped phases are copied into one snapshot array (the
+    first record reads the input ensemble's phases, which are never
+    written) and their mean field is computed on the package's thread
+    pool (``characteristics.in_background``) while the next steps run.
+    The pending record is collected before the snapshot is written
+    again, so at most one is in flight and the path keeps its order;
+    with one CPU it is computed in place and no thread starts.  The
+    arithmetic is the same either way, so the output is bit-identical
+    for any CPU count, and no pool thread holds an array of this call
+    once it returns or raises.
+
     Returns (times, z_path, final_ensemble) with z_path complex.
     """
-    if dt <= 0.0 or n_steps < 1:
-        raise ValueError("need dt > 0 and n_steps >= 1")
+    if not (math.isfinite(dt) and dt > 0.0):
+        raise ValueError(f"dt must be finite and > 0, got {dt!r}")
+    n_steps = _count("n_steps", n_steps)
+    record_every = _count("record_every", record_every)
     th = ens.phases.copy()
     freqs, mu = ens.freqs, ens.mu
     scratch = np.empty((3, th.size))
-    times = [ens.t]
-    path = [_mean_field(th)]
-    for j in range(1, n_steps + 1):
-        _rk4_step(th, freqs, mu, dt, *scratch)
-        _wrap_phases(th)
-        if j % record_every == 0 or j == n_steps:
-            times.append(ens.t + j * dt)
-            path.append(_mean_field(th))
+    snapshot = np.empty_like(th)
+    times, path = [ens.t], []
+    pending = in_background(_mean_field, ens.phases)
+    try:
+        for j in range(1, n_steps + 1):
+            _rk4_step(th, freqs, mu, dt, *scratch)
+            _wrap_phases(th)
+            if j % record_every == 0 or j == n_steps:
+                times.append(ens.t + j * dt)
+                path.append(pending.result())
+                snapshot[:] = th
+                pending = in_background(_mean_field, snapshot)
+        path.append(pending.result())
+    finally:
+        wait((pending,))
     final = replace(ens, phases=th, t=ens.t + n_steps * dt)
     return np.asarray(times), np.asarray(path, dtype=complex), final
+
+
+def _count(name, value):
+    # an integer >= 1, numpy integers included; floats and bools are refused
+    try:
+        count = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}") from None
+    if isinstance(value, bool) or count < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+    return count
 
 
 def init_from_solution(

@@ -223,3 +223,50 @@ def test_split_loops_enter_no_span_boundary_from_a_worker(monkeypatch):
     # the recorder saw every call, properly nested
     assert sorted(s.name for s in recorder.spans) == sorted(name for name, _ in calls)
     _check_nesting(recorder.spans)
+
+
+def test_particle_records_enter_no_span_boundary_from_a_worker(monkeypatch):
+    # simulate hands its order-parameter records to the pool, but only the
+    # private _mean_field runs there; its span and its callees' stay put
+    from kuramoto_dephasing import (
+        AsymptoticState, FrequencyProfile, WeightSpec, build_grid, characteristics, particles,
+        scheme,
+    )
+
+    spans = _spans_module(monkeypatch)
+    # three parts whatever the machine, so records go to the pool
+    monkeypatch.setattr(characteristics, "_PARTS", 3)
+    record_threads = set()
+    mean_field = particles._mean_field
+
+    def recorded_mean_field(phases):
+        record_threads.add(threading.get_ident())
+        return mean_field(phases)
+
+    monkeypatch.setattr(particles, "_mean_field", recorded_mean_field)
+    profile = FrequencyProfile("lorentzian", 1.0)
+    state = AsymptoticState(profile, {1: 0.05}, "exponential", 0.9)
+    grid = build_grid(profile, t_max=4.0, dt=0.1, n_theta=10, n_omega=17)
+    result = scheme.outer_solve(state, grid, 0.05, WeightSpec("exponential", 0.9),
+                                tail_budget=1e-2)
+    caller = threading.get_ident()
+    calls = []
+    recorder = spans.SpanRecorder()
+    with recorder.installed(), pytest.MonkeyPatch.context() as mp:
+        for module, attr, name, _ in spans.BOUNDARIES:
+            def checked(*args, _fn=getattr(module, attr), _name=name, **kwargs):
+                calls.append((_name, threading.get_ident()))
+                return _fn(*args, **kwargs)
+
+            mp.setattr(module, attr, checked)
+        ens, _ = particles.init_from_solution(result.field, state, 2000, seed=3)
+        particles.simulate(ens, 0.05, 20, record_every=3)
+    assert record_threads - {caller}
+    names = {name for name, _ in calls}
+    assert {
+        "particles.init_from_solution", "particles.simulate", "spectral_state.sample_labels",
+    } <= names
+    assert all(ident == caller for _, ident in calls)
+    # the recorder saw every call, properly nested
+    assert sorted(s.name for s in recorder.spans) == sorted(name for name, _ in calls)
+    _check_nesting(recorder.spans)

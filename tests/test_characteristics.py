@@ -10,6 +10,7 @@ D = mu * Gamma) are asserted at their provable tolerances.
 
 import functools
 import math
+import os
 import re
 import sys
 import time
@@ -1388,3 +1389,19 @@ def test_split_loops_hold_under_fast_thread_switching(monkeypatch):
     assert got.pop("report") == ref.pop("report")
     for key, value in ref.items():
         assert np.array_equal(got[key], value), key
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no per-thread affinity")
+def test_background_task_keeps_off_the_callers_cpu():
+    # while the task runs its thread may use every CPU of the mask but the
+    # caller's (all of them if that is the only one), and it gets its mask
+    # back afterwards; the call list is emptied before the task returns
+    mask = os.sched_getaffinity(0)
+    cpu = min(mask)
+    call = [os.sched_getaffinity, (0,)]
+    assert characteristics._off_cpu(cpu, call) == (mask - {cpu} or mask)
+    assert os.sched_getaffinity(0) == mask
+    assert call == []
+    # a CPU outside the mask, or none known, leaves the mask alone
+    assert characteristics._off_cpu(-1, [os.sched_getaffinity, (0,)]) == mask
+    assert characteristics._off_cpu(max(mask) + 1, [os.sched_getaffinity, (0,)]) == mask

@@ -1,6 +1,12 @@
 """Finite-ensemble dynamics: exact identities, conservation, and the
 Monte Carlo agreement with the kinetic solver at CLT accuracy."""
 
+import sys
+import threading
+import time
+import warnings
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,7 +22,7 @@ from kuramoto_dephasing import (
     outer_solve,
     simulate,
 )
-from kuramoto_dephasing import particles
+from kuramoto_dephasing import characteristics, particles
 
 TWO_PI = 2.0 * np.pi
 PROFILE = FrequencyProfile("lorentzian", 1.0)
@@ -223,3 +229,161 @@ def test_simulate_path_is_unchanged_by_the_wrap(monkeypatch):
     assert np.array_equal(times, times_ref)
     assert z.tobytes() == z_ref.tobytes()
     assert fin.phases.tobytes() == fin_ref.phases.tobytes()
+
+
+# -- argument checks -----------------------------------------------------------
+
+def _small_ensemble():
+    rng = np.random.default_rng(23)
+    return ParticleEnsemble(rng.uniform(0.0, TWO_PI, 64), rng.normal(0.0, 1.0, 64), mu=0.4)
+
+
+@pytest.mark.parametrize("dt", [np.nan, np.inf, -np.inf, 0.0, -0.01])
+def test_simulate_refuses_a_bad_dt_before_it_steps(dt, monkeypatch):
+    def no_step(*args):
+        raise AssertionError("stepped")
+
+    monkeypatch.setattr(particles, "_rk4_step", no_step)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="dt"):
+            simulate(_small_ensemble(), dt, 10)
+
+
+@pytest.mark.parametrize("name", ["n_steps", "record_every"])
+@pytest.mark.parametrize("value", [0, -1, 2.5, 3.0, True, "3", None])
+def test_simulate_refuses_a_count_that_is_not_an_integer_of_at_least_one(name, value):
+    counts = {"n_steps": 9, "record_every": 2}
+    counts[name] = value
+    with pytest.raises(ValueError, match=name):
+        simulate(_small_ensemble(), 0.01, **counts)
+
+
+def test_simulate_takes_numpy_integer_counts():
+    ens = _small_ensemble()
+    times, z, fin = simulate(ens, 0.01, np.int64(7), record_every=np.int32(3))
+    ref = simulate(ens, 0.01, 7, record_every=3)
+    assert np.array_equal(times, ref[0])
+    assert z.tobytes() == ref[1].tobytes()
+    assert fin.phases.tobytes() == ref[2].phases.tobytes()
+
+
+# -- records beside the steps --------------------------------------------------
+
+_RECORD_RUNS = [(1, 40), (3, 40), (50, 20)]
+
+
+@pytest.fixture(scope="module")
+def record_ensemble():
+    rng = np.random.default_rng(31)
+    return ParticleEnsemble(rng.uniform(0.0, TWO_PI, 2048), rng.normal(0.0, 2.0, 2048), mu=0.6)
+
+
+def _runs(ens):
+    return {every: simulate(ens, 0.02, n_steps, record_every=every)
+            for every, n_steps in _RECORD_RUNS}
+
+
+def _assert_same_runs(got, ref):
+    for every, (times, z, fin) in ref.items():
+        g_times, g_z, g_fin = got[every]
+        assert g_times.tobytes() == times.tobytes(), every
+        assert g_z.tobytes() == z.tobytes(), every
+        assert g_fin.phases.tobytes() == fin.phases.tobytes(), every
+
+
+@pytest.fixture(scope="module")
+def one_part_runs(record_ensemble):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(characteristics, "_PARTS", 1)
+        return _runs(record_ensemble)
+
+
+def test_one_part_records_in_place_and_starts_no_thread(record_ensemble, monkeypatch):
+    monkeypatch.setattr(characteristics, "_PARTS", 1)
+
+    def no_submit(*args):
+        raise AssertionError("handed to the pool")
+
+    monkeypatch.setattr(characteristics._POOL, "submit", no_submit)
+    threads = set()
+    mean_field = particles._mean_field
+
+    def recorded(phases):
+        threads.add(threading.get_ident())
+        return mean_field(phases)
+
+    monkeypatch.setattr(particles, "_mean_field", recorded)
+    simulate(record_ensemble, 0.02, 10, record_every=3)
+    assert threads == {threading.get_ident()}
+
+
+@pytest.mark.parametrize("parts", [1, 2, 3])
+def test_simulate_is_bit_identical_for_any_part_count(parts, record_ensemble, one_part_runs,
+                                                     monkeypatch):
+    monkeypatch.setattr(characteristics, "_PARTS", parts)
+    _assert_same_runs(_runs(record_ensemble), one_part_runs)
+
+
+def test_simulate_holds_under_fast_thread_switching(record_ensemble, one_part_runs, monkeypatch):
+    monkeypatch.setattr(characteristics, "_PARTS", 3)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = _runs(record_ensemble)
+    finally:
+        sys.setswitchinterval(interval)
+    _assert_same_runs(got, one_part_runs)
+
+
+def test_slow_records_keep_their_snapshots(record_ensemble, one_part_runs, monkeypatch):
+    # a record still running when the stepping thread reaches the next
+    # record step must not see that step's phases
+    monkeypatch.setattr(characteristics, "_PARTS", 2)
+    mean_field = particles._mean_field
+    threads = set()
+
+    def slow(phases):
+        threads.add(threading.get_ident())
+        time.sleep(0.002)
+        return mean_field(phases)
+
+    monkeypatch.setattr(particles, "_mean_field", slow)
+    _assert_same_runs(_runs(record_ensemble), one_part_runs)
+    assert threading.get_ident() not in threads
+
+
+def test_no_record_outlives_simulate(record_ensemble, monkeypatch):
+    monkeypatch.setattr(characteristics, "_PARTS", 2)
+    mean_field = particles._mean_field
+    running, refs = [], []
+
+    def slow(phases):
+        running.append(1)
+        refs.append(weakref.ref(phases))
+        time.sleep(0.01)
+        value = mean_field(phases)
+        running.pop()
+        return value
+
+    monkeypatch.setattr(particles, "_mean_field", slow)
+    simulate(record_ensemble, 0.02, 20, record_every=4)
+    assert not running
+    # the first record reads the ensemble's own phases; every other array a
+    # record saw is gone once simulate returns, so no pool thread holds it
+    assert [r() for r in refs[1:]] == [None] * (len(refs) - 1)
+
+    wrap = particles._wrap_phases
+    steps = []
+
+    def failing_wrap(th):
+        steps.append(1)
+        if len(steps) == 9:
+            raise RuntimeError("step failed")
+        wrap(th)
+
+    monkeypatch.setattr(particles, "_wrap_phases", failing_wrap)
+    with pytest.raises(RuntimeError, match="step failed"):
+        simulate(record_ensemble, 0.02, 20, record_every=4)
+    # the record started at step 8 was in flight when step 9 raised
+    assert not running
