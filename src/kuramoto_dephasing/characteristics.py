@@ -39,7 +39,6 @@ from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .norms_grids import Grid, WeightSpec, weighted_norm
 
@@ -264,6 +263,18 @@ def part_count(n):
     most ``n``, so no part is empty.
     """
     return max(1, min(_PARTS, n))
+
+
+def row_shares(shape):
+    """(parts, share) of a loop that splits every tile of ``shape`` by rows.
+
+    The first tile, at t_max, is the largest; each of ``parts`` parts takes
+    at most ``share`` of every tile's rows (``split`` of the tile's rows),
+    so the parts' slabs add up to less than that tile's rows plus one share.
+    """
+    rows = _tile_rows(shape)
+    share = -(-rows // part_count(rows))
+    return -(-rows // share), share
 
 
 def split(lo, hi, parts):
@@ -619,11 +630,21 @@ def _open_report(grid: Grid, z, mu: float, weight: WeightSpec, tol: float):
     )
 
 
-def _zero_gain_field(grid: Grid, mu: float, report, residual: float):
+def _zero_field(grid: Grid, out):
+    # ``out`` zero-filled, or a new zero field when None
+    if out is None:
+        return np.zeros(grid.shape())
+    if out.shape != grid.shape() or out.dtype != np.float64:
+        raise ValueError(f"out must be a float array of shape {grid.shape()}")
+    out.fill(0.0)
+    return out
+
+
+def _zero_gain_field(grid: Grid, mu: float, report, residual: float, out):
     # a zero gain (mu = 0 or z = 0) makes F_z identically zero: no sweep
     report.converged = True
     report.residuals.append(residual)
-    return CharacteristicField(grid, np.zeros(grid.shape()), mu), report
+    return CharacteristicField(grid, _zero_field(grid, out), mu), report
 
 
 def picard_sweep(
@@ -632,6 +653,7 @@ def picard_sweep(
     mu: float,
     weight: WeightSpec,
     field: CharacteristicField | None = None,
+    out=None,
 ):
     """One sweep D |-> F_z(D) of the backward map from an arbitrary field.
 
@@ -641,8 +663,9 @@ def picard_sweep(
     never ``converged``: one sweep does not solve the fixed point.  A zero
     gain (mu = 0 or z = 0) makes F_z identically zero, so the zero field is
     returned without a sweep; that report is ``converged``, since the zero
-    field is then exact.  The swept field is a new array: ``field`` is left
-    as it is.
+    field is then exact.  The swept field goes to ``out``, a float array of
+    the grid's shape other than ``field.deviation`` (a new array when
+    None): ``field`` is left as it is.
 
     Returns (CharacteristicField, ContractionReport).
     """
@@ -651,10 +674,15 @@ def picard_sweep(
     report = _open_report(grid, z, mu, weight, 0.0)
     if report.bound == 0.0:
         residual = field.deviation_norm(weight) if field is not None else 0.0
-        return _zero_gain_field(grid, mu, report, residual)
-    dev = np.zeros(grid.shape()) if field is None else field.deviation
+        return _zero_gain_field(grid, mu, report, residual, out)
+    if field is None:
+        # from D = 0 the sweep runs in place on the zero field
+        dev = out = _zero_field(grid, out)
+    else:
+        dev = field.deviation
     rows = np.empty(grid.n_times)
-    new = deviation_sweep(times, grid.theta(), grid.omega_nodes, z, dev, mu, row_residual=rows)
+    new = deviation_sweep(times, grid.theta(), grid.omega_nodes, z, dev, mu,
+                          row_residual=rows, out=out)
     report.residuals.append(weighted_norm(times, rows, weight, deviation=True))
     report.sweeps = 1
     return CharacteristicField(grid, new, mu), report
@@ -666,6 +694,7 @@ def solve_fixed_point(
     mu: float,
     weight: WeightSpec,
     tol: float = 1e-12,
+    out=None,
 ):
     """Iterate the backward map to its fixed point for a frozen path z.
 
@@ -676,7 +705,8 @@ def solve_fixed_point(
     MaxSweepsExceededError if the residual is above ``tol`` after
     MAX_SWEEPS sweeps.  A zero gain returns the zero field as picard_sweep.
     Every sweep overwrites the solve's one field in place, so the solve
-    holds one field plus the sweep's tile slabs.
+    holds one field plus the sweep's tile slabs; that field is ``out``, a
+    float array of the grid's shape zeroed first, when given.
 
     Returns (CharacteristicField, ContractionReport).
     """
@@ -684,8 +714,8 @@ def solve_fixed_point(
     z = np.asarray(z, dtype=complex)
     report = _open_report(grid, z, mu, weight, tol)
     if report.bound == 0.0:
-        return _zero_gain_field(grid, mu, report, 0.0)
-    dev = np.zeros(grid.shape())
+        return _zero_gain_field(grid, mu, report, 0.0, out)
+    dev = _zero_field(grid, out)
     theta, omega = grid.theta(), grid.omega_nodes
     rows = np.empty(grid.n_times)
     for sweep in range(1, MAX_SWEEPS + 1):
@@ -754,6 +784,10 @@ def _half_step_samples(times, dt, z, m):
     every cell j; returns the (n_times - 1, sum of 2m + 1) samples and,
     for every entry of ``m``, where its block starts.
     """
+    # imported here: only the oracle needs scipy.interpolate, tens of MB
+    # resident that the solve and the particle runs never use
+    from scipy.interpolate import CubicSpline
+
     spline = CubicSpline(times, z)
     counts = np.unique(m)
     blocks = 2 * counts + 1
@@ -825,7 +859,8 @@ def backward_ode_oracle(
     (``_cell_maps``), and the map from t_max back to t_j is
     M_j = C_j M_{j+1}, on (n_times, n_omega) arrays.  From [e^{i theta}, 1]
     at t_max, e^{i psi} = N / conj(N) with N = alpha + beta e^{-i theta},
-    so psi = 2 arg N, written one time tile at a time.
+    so psi = 2 arg N, written one time tile at a time, each tile's rows
+    split into parts that run side by side (``in_parts``).
 
     2 arg N is psi only while |psi| < 2 pi (arg N is continuous from
     N = 1 at t_max).  Every stage rate is at most |mu| |z(sample)|, so
@@ -882,17 +917,28 @@ def backward_ode_oracle(
     to_re = np.stack([one, zero, cos_t, sin_t], axis=1)
     to_im = np.stack([zero, one, -sin_t, cos_t], axis=1)
     dev = np.empty(grid.shape())
-    slab = tile_slab(dev.shape, float)
-    parts = np.empty((len(slab), 4, omega.size))
-    for sl in time_tiles(dev.shape):
-        n = sl.stop - sl.start
-        pairs, re_n, im_n = parts[:n], slab[:n], dev[sl]
-        for k, part in enumerate((alpha.real, alpha.imag, beta.real, beta.imag)):
-            pairs[:, k] = part[sl]
-        np.matmul(to_re, pairs, out=re_n)
-        np.matmul(to_im, pairs, out=im_n)
-        np.arctan2(im_n, re_n, out=im_n)
-        im_n *= 2.0
+    tiles = list(time_tiles(dev.shape))
+    parts, share = row_shares(dev.shape)
+    slab = np.empty((parts, share) + dev.shape[1:])
+    pair_bufs = np.empty((parts, share, 4, omega.size))
+    halves = (alpha.real, alpha.imag, beta.real, beta.imag)
+
+    def arg_n(p):
+        # part p's share of every tile's rows; each row's products keep
+        # their (n_theta, 4) (4, n_omega) shape, so psi does not depend on
+        # the part count
+        for sl in tiles:
+            rows = split(sl.start, sl.stop, parts)[p]
+            n = rows.stop - rows.start
+            pairs, re_n, im_n = pair_bufs[p, :n], slab[p, :n], dev[rows]
+            for k, half in enumerate(halves):
+                pairs[:, k] = half[rows]
+            np.matmul(to_re, pairs, out=re_n)
+            np.matmul(to_im, pairs, out=im_n)
+            np.arctan2(im_n, re_n, out=im_n)
+            im_n *= 2.0
+
+    in_parts(arg_n, parts)
     return CharacteristicField(grid, dev, mu)
 
 

@@ -375,9 +375,16 @@ def _mass_times(grid: Grid):
 
 
 def _solve_and_write(cfg: RunConfig):
-    """Shared solve-certify-write path; returns (exit_code, result|None)."""
+    """Shared solve-certify-write path; returns (exit_code, result|None).
+
+    Raises ConfigError, before the solve, when the output directory cannot
+    be created.
+    """
     outdir = cfg.output_dir
-    outdir.mkdir(parents=True, exist_ok=True)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise ConfigError(f"cannot create output directory {outdir}: {e.strerror or e}") from e
     try:
         result = outer_solve(
             cfg.state,

@@ -30,7 +30,6 @@ import os
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special
 
 from .spectral_state import FrequencyProfile
 
@@ -57,6 +56,9 @@ class GridError(ValueError):
 
 def _poly_tail(p: float, t):
     # Int_t^inf (1+s^2)^(-p/2) ds, exact via the regularized incomplete beta.
+    # scipy.special is imported here: only polynomial weights need it
+    from scipy import special
+
     t = np.asarray(t, dtype=float)
     x = t * t / (1.0 + t * t)
     half = 0.5 * special.beta(0.5, 0.5 * (p - 1.0))
@@ -66,7 +68,10 @@ def _poly_tail(p: float, t):
 def _log_poly_tail(p: float, t):
     # log Int_t^inf (1+s^2)^(-p/2) ds for t > 0, from the closed form
     # t (1+t^2)^(-p/2) 2F1(p/2, 1; (p+1)/2; 1/(1+t^2)) / (p-1), whose
-    # factors neither overflow nor underflow where the tail itself does
+    # factors neither overflow nor underflow where the tail itself does;
+    # scipy.special is imported here: only polynomial weights need it
+    from scipy import special
+
     t = np.asarray(t, dtype=float)
     x = 1.0 / (1.0 + t * t)
     series = special.hyp2f1(0.5 * p, 1.0, 0.5 * (p + 1.0), x)

@@ -56,9 +56,9 @@ from .characteristics import (
     gamma_field,
     in_parts,
     oscillation_table,
-    part_count,
     phase_kernel,
     picard_sweep,
+    row_shares,
     solve_fixed_point,
     split,
     time_tiles,
@@ -189,9 +189,9 @@ def _order_parameter_values(field: CharacteristicField, state: AsymptoticState):
     and each time row then sums over every frequency at once against its
     row of the e^{i omega t} table and the node weights.  The angle sum is
     a matrix product, so the loop is split by rows, not angles:
-    up to ``part_count(tile rows)`` parts run side by side (``in_parts``),
-    each taking its share of every tile's rows into slabs of tile rows /
-    parts (rounded up), allocated here on the calling thread, so the three
+    the ``row_shares`` parts run side by side (``in_parts``), each taking
+    its share of every tile's rows into slabs of tile rows / parts
+    (rounded up), allocated here on the calling thread, so the three
     slabs keep their size.  A row's sum does not depend on the tile or
     part it falls in, so z is bit-identical for any part count.
     """
@@ -207,12 +207,7 @@ def _order_parameter_values(field: CharacteristicField, state: AsymptoticState):
     kernel = phase_kernel(field.sup())
     table = oscillation_table(times, omega)
     tiles = list(time_tiles(g.shape()))
-    # the first tile, at t_max, is the largest; parts of at most ``share``
-    # of its rows, so the parts' slabs add up to less than its rows plus
-    # one share
-    tile_rows = tiles[0].stop - tiles[0].start
-    share = -(-tile_rows // part_count(tile_rows))
-    parts = -(-tile_rows // share)
+    parts, share = row_shares(g.shape())
     scratch = np.empty((parts, 3, share, g.n_theta, g.n_omega))
 
     def quadrature(p):
@@ -287,7 +282,7 @@ def outer_solve(
     tail_unit = weight.tail_integral(grid.t_max)
     z_prev = np.zeros(grid.n_times, dtype=complex)
     r_prev = 0.0
-    fld = None  # D_0 = 0
+    fld = prev_fld = None  # D_0 = 0
     prev_dz = None
     prev_ratio = None
     certifying = False
@@ -300,14 +295,18 @@ def outer_solve(
         if kappa_pred >= 1.0:
             ledger.status = f"non-contractive at n={n}: bound {kappa_pred:.6g} >= 1"
             raise NotConvergingError(ledger.status, ledger)
+        # D_{n-2} is no longer read: its array takes D_n, so the loop holds
+        # two fields from its second iterate on and frees none, and the
+        # allocator has no field-sized hole to place the next one in
+        spare = None if prev_fld is None else prev_fld.deviation
         prev_fld = fld
         try:
             if certifying:
                 # frozen-path pass at the final path, cold so that its
                 # residual trail measures the per-sweep contraction
-                fld, rep = solve_fixed_point(grid, z_prev, mu, weight, tol_picard)
+                fld, rep = solve_fixed_point(grid, z_prev, mu, weight, tol_picard, out=spare)
             else:
-                fld, rep = picard_sweep(grid, z_prev, mu, weight, fld)
+                fld, rep = picard_sweep(grid, z_prev, mu, weight, fld, out=spare)
         except (NonContractiveError, MaxSweepsExceededError) as exc:
             ledger.status = f"inner solve failed at n={n}: {exc}"
             raise NotConvergingError(str(exc), ledger) from exc

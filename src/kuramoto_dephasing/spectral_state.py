@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special
 
 __all__ = [
     "InvalidStateError",
@@ -109,6 +108,9 @@ class FrequencyProfile:
         if self.kind == "lorentzian":
             return s * np.tan(math.pi * (q - 0.5))
         if self.kind == "gaussian":
+            # imported here: only Gaussian sampling needs scipy.special
+            from scipy import special
+
             return s * special.ndtri(q)
         # two-sided exponential, split at the median
         return np.where(q < 0.5, s * np.log(2.0 * q), -s * np.log(2.0 * (1.0 - q)))

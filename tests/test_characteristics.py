@@ -174,6 +174,30 @@ def test_picard_sweep_zero_gain_is_exact_without_a_sweep(grid, zpath, solved):
     assert rep.residuals == [pytest.approx(field.deviation_norm(WEIGHT), rel=1e-15)]
 
 
+def test_sweeps_write_into_a_given_field_bit_for_bit(grid, zpath, solved):
+    # a NaN-filled ``out`` gives the bits of a new array, is the returned
+    # field, and leaves the swept-from field as it is
+    field, _ = solved
+    before = field.deviation.copy()
+    runs = (
+        lambda out: picard_sweep(grid, zpath, MU, WEIGHT, out=out),
+        lambda out: picard_sweep(grid, zpath, MU, WEIGHT, field, out=out),
+        lambda out: picard_sweep(grid, zpath, 0.0, WEIGHT, field, out=out),
+        lambda out: solve_fixed_point(grid, zpath, MU, WEIGHT, out=out),
+        lambda out: solve_fixed_point(grid, zpath, 0.0, WEIGHT, out=out),
+    )
+    for run in runs:
+        fresh, fresh_rep = run(None)
+        out = np.full(grid.shape(), np.nan)
+        into, rep = run(out)
+        assert into.deviation is out
+        assert into.deviation.tobytes() == fresh.deviation.tobytes()
+        assert rep.residuals == fresh_rep.residuals
+    assert field.deviation.tobytes() == before.tobytes()
+    with pytest.raises(ValueError, match="out must be"):
+        picard_sweep(grid, zpath, MU, WEIGHT, out=np.empty(grid.shape(), np.float32))
+
+
 def test_fixed_point_matches_rk4_oracle(grid, zpath, solved):
     field, report = solved
     assert report.converged
@@ -945,6 +969,10 @@ def test_oracle_working_set_is_one_field_and_small_tables(grid, zpath, monkeypat
     z_samples = 16 * (n_t - 1) * int(np.sum(2 * np.unique(_substeps(grid)) + 1))
     slab = 16 * tile_rows * n_th * n_om
     assert pairs + z_samples + slab < 0.7 * field
+    # the oracle's first call imports scipy.interpolate; its module objects
+    # are not the oracle's working set, so it is loaded before the trace
+    import scipy.interpolate  # noqa: F401
+
     peak = _traced_peak(lambda: backward_ode_oracle(grid, zpath, MU))
     assert peak <= field + pairs + z_samples + slab
 
@@ -1341,6 +1369,7 @@ def _split_outputs(g, amplitude):
         "solved": solved.deviation, "report": report,
         "values": recon.values, "mass": recon.mass, "dephasing": recon.dephasing,
         "gamma_margin": np.array(recon.gamma_margin),
+        "oracle": backward_ode_oracle(g, z, 0.5).deviation,
     }
 
 

@@ -280,6 +280,42 @@ def test_flag_beats_env_var(tmp_path, monkeypatch):
     assert cfg.output_dir == tmp_path / "from_flag"
 
 
+@pytest.mark.parametrize("command", ["solve", "simulate"])
+@pytest.mark.parametrize("source", ["config", "flag", "env"])
+@pytest.mark.parametrize("below", ["sub", ""], ids=["under_a_file", "a_file"])
+def test_uncreatable_output_dir_exits_2_with_one_line(tmp_path, monkeypatch, caplog,
+                                                      command, source, below):
+    # a directory under an existing file (NotADirectoryError) or the file
+    # itself (FileExistsError): the refusal names the directory and comes
+    # before the solve, which must not run
+    from kuramoto_dephasing import cli
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the output directory was made")
+
+    monkeypatch.setattr(cli, "outer_solve", no_solve)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("KURAMOTO_DEPHASING_OUTPUT", raising=False)
+    blocker = tmp_path / "a_file"
+    blocker.write_text("")
+    outdir = str(blocker / below) if below else str(blocker)
+    raw = base_config(particles={"n": 100, "dt": 0.05})
+    args = [command, "--config"]
+    if source == "config":
+        raw["output_dir"] = outdir
+    elif source == "env":
+        monkeypatch.setenv("KURAMOTO_DEPHASING_OUTPUT", outdir)
+    args.append(write_config(tmp_path / "cfg.json", raw))
+    if source == "flag":
+        args += ["--output-dir", outdir]
+    with caplog.at_level("ERROR", logger="kuramoto_dephasing"):
+        code = main(args)
+    assert code == 2
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 1 and "\n" not in errors[0]
+    assert outdir in errors[0]
+
+
 def test_weight_mismatch_warns_but_loads(tmp_path, caplog):
     raw = base_config(weight={"kind": "polynomial", "rate": 2.0})
     with caplog.at_level("WARNING", logger="kuramoto_dephasing.cli"):

@@ -1,0 +1,153 @@
+"""Import guard: scipy's interpolate and special load only where they are used.
+
+The exponential (analytic-class) solve, its reconstruction and a particle
+run need neither submodule, and importing the package or its command line
+loads neither.
+Three side paths do: the RK4 oracle's cubic spline of z
+(``scipy.interpolate``), the gains and tails of a polynomial weight and
+Gaussian frequency sampling (``scipy.special``).  Each check runs in a fresh
+interpreter, since this test process may have loaded both already, and
+each side path's result is compared bit for bit with the same call made
+here.
+"""
+
+import ast
+import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import kuramoto_dephasing
+from kuramoto_dephasing import (
+    AsymptoticState,
+    FrequencyProfile,
+    WeightSpec,
+    backward_ode_oracle,
+    build_grid,
+    outer_solve,
+)
+from kuramoto_dephasing.particles import init_from_solution, simulate
+from kuramoto_dephasing.spectral_state import sample_labels
+
+HEAVY = ("scipy.interpolate", "scipy.special")
+
+# the exponential run, then one side path named by argv[1]; prints which
+# heavy modules were loaded after each and digests of what was computed
+_SCRIPT = r"""
+import hashlib, json, sys
+import numpy as np
+
+HEAVY = ("scipy.interpolate", "scipy.special")
+
+def loaded():
+    return [m for m in HEAVY if m in sys.modules]
+
+def digest(a):
+    return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+
+import kuramoto_dephasing.cli
+from kuramoto_dephasing import (AsymptoticState, FrequencyProfile, WeightSpec,
+                                backward_ode_oracle, build_grid, outer_solve, reconstruct)
+from kuramoto_dephasing.particles import init_from_solution, simulate
+from kuramoto_dephasing.spectral_state import sample_labels
+
+out = {"import": loaded()}
+state = AsymptoticState(FrequencyProfile("lorentzian", 1.0), {1: 0.05}, "exponential", 0.9)
+grid = build_grid(state.profile, t_max=16.0, dt=0.05, n_theta=8, n_omega=33)
+result = outer_solve(state, grid, 0.05)
+recon = reconstruct(result, times=(0.0, 4.0, 8.0))
+ens, _ = init_from_solution(result.field, state, 500, seed=3)
+_, z_n, _ = simulate(ens, 0.05, 40, record_every=5)
+out["exponential"] = loaded()
+out["solve"] = [result.converged, digest(result.field.deviation), digest(result.path.values)]
+out["simulate"] = digest(z_n)
+
+side = sys.argv[1]
+if side == "oracle":
+    out["value"] = digest(backward_ode_oracle(grid, result.path.values, 0.05).deviation)
+elif side == "polynomial":
+    weight = WeightSpec("polynomial", 2.0)
+    weight.check_finite(grid.t_max)
+    out["value"] = [weight.unit_contraction_gain, weight.unit_deviation_gain,
+                    weight.tail_integral(3.0)]
+else:
+    gauss = AsymptoticState(FrequencyProfile("gaussian", 1.0), {1: 0.05}, "exponential", 0.9)
+    theta, omega = sample_labels(gauss, 1000, np.random.default_rng(5))
+    out["value"] = [digest(theta), digest(omega)]
+out["side"] = loaded()
+print(json.dumps(out))
+"""
+
+STATE = AsymptoticState(FrequencyProfile("lorentzian", 1.0), {1: 0.05}, "exponential", 0.9)
+
+
+def _digest(a):
+    return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def exp_solve():
+    grid = build_grid(STATE.profile, t_max=16.0, dt=0.05, n_theta=8, n_omega=33)
+    result = outer_solve(STATE, grid, 0.05)
+    ens, _ = init_from_solution(result.field, STATE, 500, seed=3)
+    _, z_n, _ = simulate(ens, 0.05, 40, record_every=5)
+    return grid, result, _digest(z_n)
+
+
+def _expected(side, exp_solve):
+    grid, result, _ = exp_solve
+    if side == "oracle":
+        return _digest(backward_ode_oracle(grid, result.path.values, 0.05).deviation)
+    if side == "polynomial":
+        weight = WeightSpec("polynomial", 2.0)
+        return [weight.unit_contraction_gain, weight.unit_deviation_gain,
+                weight.tail_integral(3.0)]
+    gauss = AsymptoticState(FrequencyProfile("gaussian", 1.0), {1: 0.05}, "exponential", 0.9)
+    theta, omega = sample_labels(gauss, 1000, np.random.default_rng(5))
+    return [_digest(theta), _digest(omega)]
+
+
+@pytest.mark.parametrize("side,needs", [
+    ("oracle", "scipy.interpolate"),
+    ("polynomial", "scipy.special"),
+    ("gaussian", "scipy.special"),
+])
+def test_heavy_scipy_modules_load_only_on_the_paths_that_use_them(side, needs, exp_solve):
+    env = dict(os.environ)
+    package_root = str(Path(kuramoto_dephasing.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", _SCRIPT, side],
+                         env=env, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    out = json.loads(run.stdout)
+    # neither the imports nor the exponential solve, reconstruction and
+    # particle run load them
+    assert out["import"] == [] and out["exponential"] == []
+    _, result, simulated = exp_solve
+    assert out["solve"] == [True, _digest(result.field.deviation), _digest(result.path.values)]
+    assert out["simulate"] == simulated
+    # the side path loads what it needs, on demand, and gives the usual result
+    assert needs in out["side"]
+    if needs == "scipy.special":
+        assert "scipy.interpolate" not in out["side"]
+    assert out["value"] == _expected(side, exp_solve)
+
+
+def test_no_module_imports_the_heavy_scipy_modules_at_module_level():
+    # the same rule read from the source: a top-level import statement of
+    # either submodule anywhere in the package is refused
+    package = Path(kuramoto_dephasing.__file__).resolve().parent
+    for path in sorted(package.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.ImportFrom):
+                names = [f"{node.module}.{a.name}" for a in node.names] + [node.module or ""]
+            elif isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            else:
+                continue
+            assert not any(n in HEAVY for n in names), (path.name, node.lineno)

@@ -111,6 +111,27 @@ def test_joint_loop_matches_nested_reference(state, grid, result):
     assert np.max(np.abs(result.field.deviation - field.deviation)) <= 1e-10
 
 
+def test_joint_loop_holds_two_field_arrays(state, grid, result, monkeypatch):
+    # D_n is written into D_{n-2}'s array, so every iterate, certification
+    # included, returns one of two arrays and the loop frees none
+    fields = []
+
+    def spy(solver):
+        def run(*args, **kwargs):
+            fld, rep = solver(*args, **kwargs)
+            fields.append(fld.deviation)
+            return fld, rep
+        return run
+
+    monkeypatch.setattr(scheme, "picard_sweep", spy(scheme.picard_sweep))
+    monkeypatch.setattr(scheme, "solve_fixed_point", spy(scheme.solve_fixed_point))
+    again = outer_solve(state, grid, MU, WEIGHT)
+    distinct = [a for i, a in enumerate(fields) if not any(a is b for b in fields[:i])]
+    assert len(fields) == len(result.ledger.records) >= 4 and len(distinct) == 2
+    assert again.field.deviation is fields[-1]
+    assert again.field.deviation.tobytes() == result.field.deviation.tobytes()
+
+
 def test_order_parameter_is_second_order_in_dt(state):
     # z self-converges in dt: halving dt from 0.1 twice quarters the gap
     # between successive solves on the coarse times (measured 1.9991)
