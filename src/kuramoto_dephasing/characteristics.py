@@ -140,14 +140,23 @@ class CharacteristicField:
         return float(self._row_gaps(other).max())
 
     def _row_gaps(self, other):
-        # sup over each time row of |D - D_other|, in one tile slab
+        # sup over each time row of |D - D_other|; the row_shares parts take
+        # their share of every tile's rows into a slab each, and a row's sup
+        # does not depend on the part it falls in
         shape = self.deviation.shape
         rows = np.empty(shape[0])
-        slab = tile_slab(shape, float)
-        for sl in time_tiles(shape):
-            gap = slab[: sl.stop - sl.start]
-            np.subtract(self.deviation[sl], other.deviation[sl], out=gap)
-            _row_sup(gap, rows[sl])
+        tiles = list(time_tiles(shape))
+        parts, share = row_shares(shape)
+        slab = np.empty((parts, share) + shape[1:])
+
+        def gaps(p):
+            for sl in tiles:
+                part = split(sl.start, sl.stop, parts)[p]
+                gap = slab[p, : part.stop - part.start]
+                np.subtract(self.deviation[part], other.deviation[part], out=gap)
+                _row_sup(gap, rows[part])
+
+        in_parts(gaps, parts)
         return rows
 
 
@@ -245,15 +254,6 @@ def time_tiles(shape):
 def _tile_rows(shape):
     n_t, n_th, n_omega = shape
     return min(n_t, max(1, _TILE_CELLS // (n_th * n_omega)))
-
-
-def tile_slab(shape, dtype=complex):
-    """One (rows, n_theta, n_omega) buffer for the largest tile of ``shape``.
-
-    A loop over ``time_tiles(shape)`` takes ``slab[:sl.stop - sl.start]``
-    as its scratch, a C-contiguous leading part, so it allocates once.
-    """
-    return np.empty((_tile_rows(shape),) + tuple(shape[1:]), dtype=dtype)
 
 
 def part_count(n):
@@ -777,25 +777,80 @@ def _step_rates(samples, osc, starts, omega_h, q):
     return g
 
 
+def _spline_cells(x, y):
+    """Cells of the not-a-knot cubic spline through (x, y), as coefficients.
+
+    Returns (y_j, s_j, c2_j, c3_j), each of length len(x) - 1: on cell j
+    the spline is y_j + s_j u + c2_j u^2 + c3_j u^3 at u = t - x_j.  The
+    knot slopes s solve the system scipy's CubicSpline builds: the rows
+    dx_i s_{i-1} + 2 (dx_{i-1} + dx_i) s_i + dx_{i-1} s_{i+1}
+    = 3 (dx_i m_{i-1} + dx_{i-1} m_i) inside, m being the chord slopes,
+    and at each end the not-a-knot row (a continuous third derivative at
+    x_1, and at x_{n-2}).  Each end row is subtracted from its neighbour,
+    with multiplier exactly 1, which leaves a strictly diagonally dominant
+    system in s_1 .. s_{n-2}; elimination without pivoting is stable on
+    it, and s_0 and s_{n-1} then follow from the end rows.  ``x`` must
+    increase.  Fewer than 4 knots are refused (ValueError): the two
+    not-a-knot rows would then fall on one cell.
+    """
+    n = len(x)
+    if n < 4:
+        raise ValueError(f"a not-a-knot spline needs at least 4 knots, got {n}")
+    dx = np.diff(x)
+    chord = np.diff(y) / dx
+    # the end rows dx_1 s_0 + d0 s_1 = r0 and d1 s_{n-2} + dx_{n-3} s_{n-1} = r1
+    d0, d1 = x[2] - x[0], x[-1] - x[-3]
+    r0 = ((dx[0] + 2.0 * d0) * dx[1] * chord[0] + dx[0] ** 2 * chord[1]) / d0
+    r1 = (dx[-1] ** 2 * chord[-2] + (2.0 * d1 + dx[-1]) * dx[-2] * chord[-1]) / d1
+    # rows 1 .. n - 2, less the end rows, by elimination in plain floats
+    diag = (2.0 * (dx[:-1] + dx[1:])).tolist()
+    rhs = (3.0 * (dx[1:] * chord[:-1] + dx[:-1] * chord[1:])).tolist()
+    diag[0] -= d0
+    rhs[0] -= r0
+    diag[-1] -= d1
+    rhs[-1] -= r1
+    lower, upper = dx[2:].tolist(), dx[:-2].tolist()
+    for k in range(1, n - 2):
+        w = lower[k - 1] / diag[k - 1]
+        diag[k] -= w * upper[k - 1]
+        rhs[k] -= w * rhs[k - 1]
+    s = [0.0] * n
+    s[n - 2] = rhs[-1] / diag[-1]
+    for k in range(n - 4, -1, -1):
+        s[k + 1] = (rhs[k] - upper[k] * s[k + 2]) / diag[k]
+    s[0] = (r0 - d0 * s[1]) / dx[1]
+    s[-1] = (r1 - d1 * s[-2]) / dx[-2]
+    s = np.array(s)
+    # each cell's Hermite cubic from its end values and slopes
+    bend = (s[:-1] + s[1:] - 2.0 * chord) / dx
+    return y[:-1], s[:-1], (chord - s[:-1]) / dx - bend, bend / dx
+
+
 def _half_step_samples(times, dt, z, m):
     """z by a cubic spline at t_j + q h / 2, q = 0 .. 2m, h = dt / m.
 
     One block of 2m + 1 sample columns per distinct sub-step count m, for
-    every cell j; returns the (n_times - 1, sum of 2m + 1) samples and,
-    for every entry of ``m``, where its block starts.
+    every cell j: the cell's cubic (``_spline_cells``) by Horner's rule at
+    the offsets q h / 2.  Returns the (n_times - 1, sum of 2m + 1) samples
+    and, for every entry of ``m``, where its block starts.
     """
-    # imported here: only the oracle needs scipy.interpolate, tens of MB
-    # resident that the solve and the particle runs never use
-    from scipy.interpolate import CubicSpline
-
-    spline = CubicSpline(times, z)
+    # the spline is built in numpy: scipy's CubicSpline would load
+    # scipy.interpolate and scipy.linalg, about 50 MB resident, for one
+    # tridiagonal solve
+    y0, s0, c2, c3 = (c[:, None] for c in _spline_cells(times, z))
     counts = np.unique(m)
     blocks = 2 * counts + 1
     first = np.cumsum(blocks) - blocks
     samples = np.empty((len(times) - 1, int(blocks.sum())), dtype=complex)
     for mv, lo, size in zip(counts.tolist(), first.tolist(), blocks.tolist()):
         offs = 0.5 * (dt / mv) * np.arange(size)
-        samples[:, lo:lo + size] = spline(times[:-1, None] + offs[None, :])
+        block = samples[:, lo:lo + size]
+        np.multiply(c3, offs, out=block)
+        block += c2
+        block *= offs
+        block += s0
+        block *= offs
+        block += y0
     return samples, first[np.searchsorted(counts, m)]
 
 
@@ -839,7 +894,11 @@ def backward_ode_oracle(
     """Independent deviation solve: classical Runge-Kutta along each column.
 
     Integrates psi' (s) = -mu Im(conj(z(s)) e^{i(theta + omega s + psi)})
-    backward from psi(t_max) = 0, with z interpolated by a cubic spline.
+    backward from psi(t_max) = 0, with z interpolated by the not-a-knot
+    cubic spline of scipy's CubicSpline, built in numpy (``_spline_cells``),
+    so the oracle loads no scipy submodule; the tests hold its samples
+    within 1e-12 of max|z| of CubicSpline's (7.8e-18 on the exponential
+    reference path).
     Each frequency column takes m = ceil(|omega| dt / phase_step_cap)
     sub-steps of h = dt / m per cell, keeping the local error uniformly
     small; columns whose requirement exceeds MAX_SUBSTEPS are rejected

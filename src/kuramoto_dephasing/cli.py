@@ -491,6 +491,16 @@ def run_fit(csv_path, column: str, kind: str, window=None) -> int:
         return 2
     times = data[:, 0]
     values = data[:, names.index(column)]
+    bad = np.flatnonzero(~(np.isfinite(times) & np.isfinite(values)))
+    if bad.size:
+        log.error("CSV %s: data row %d has a t or %s that is not finite",
+                  csv_path, bad[0] + 1, column)
+        return 2
+    bad = np.flatnonzero(np.diff(times) <= 0.0)
+    if bad.size:
+        log.error("CSV %s: t must increase from row to row; data row %d has t = %g after %g",
+                  csv_path, bad[0] + 2, times[bad[0] + 1], times[bad[0]])
+        return 2
     if window is not None and not (times[0] <= window[0] < window[1] <= times[-1] + 1e-12):
         # nan and inf fail the comparison too
         log.error(

@@ -3,12 +3,14 @@
 Expensive solves and particle runs are cached on a session-scoped
 context, so the ten tests together cost one battery run.  Each test
 writes its criterion line to the live terminal (bypassing capture) so
-the pass/fail ledger is visible in every pytest run.
+the pass/fail ledger is visible in every pytest run.  One more test takes
+c07's gaps again with the RK4 oracle's z sampled by scipy's CubicSpline.
 """
 
+import numpy as np
 import pytest
 
-from kuramoto_dephasing import acceptance
+from kuramoto_dephasing import acceptance, characteristics
 
 
 @pytest.fixture(scope="session")
@@ -61,6 +63,31 @@ def test_c06_polynomial_decay_certified(ctx, emit):
 
 def test_c07_dual_method_agreement(ctx, emit):
     _check(acceptance.c07_dual_method, ctx, emit)
+
+
+def _scipy_half_step_samples(times, dt, z, m):
+    # the oracle's samples of z, taken from scipy's not-a-knot CubicSpline
+    from scipy.interpolate import CubicSpline
+
+    spline = CubicSpline(times, z)
+    counts = np.unique(m)
+    blocks = 2 * counts + 1
+    first = np.cumsum(blocks) - blocks
+    samples = np.empty((len(times) - 1, int(blocks.sum())), dtype=complex)
+    for mv, lo, size in zip(counts.tolist(), first.tolist(), blocks.tolist()):
+        samples[:, lo:lo + size] = spline(times[:-1, None] + 0.5 * (dt / mv) * np.arange(size))
+    return samples, first[np.searchsorted(counts, m)]
+
+
+def test_c07_gaps_agree_with_scipys_spline_of_z(ctx, monkeypatch):
+    # the oracle's numpy spline against scipy's on both reference solves:
+    # measured equal on the exponential one and 1.1e-19 apart on the
+    # polynomial one, with gaps near 5e-7
+    gaps = ctx.oracle_gaps()
+    monkeypatch.setattr(characteristics, "_half_step_samples", _scipy_half_step_samples)
+    for gap, res in zip(gaps, (ctx.exp_result(), ctx.poly_result())):
+        oracle = characteristics.backward_ode_oracle(res.grid, res.path.values, res.mu)
+        assert abs(oracle.sup_distance(res.field) - gap) <= 1e-15
 
 
 def test_c08_mass_conservation(ctx, emit):

@@ -640,6 +640,17 @@ def _spline_samples(grid, z, phase_step_cap=0.125):
     }
 
 
+def _cell_samples(grid, z, phase_step_cap=0.125):
+    # the same samples from the oracle's own numpy spline, one sub-step
+    # count at a time
+    times, dt = grid.times(), grid.dt
+    z = np.asarray(z, dtype=complex)
+    return {
+        int(m): characteristics._half_step_samples(times, dt, z, np.array([m]))[0]
+        for m in np.unique(_substeps(grid, phase_step_cap))
+    }
+
+
 def _stage_bound(grid, z, mu, phase_step_cap=0.125):
     # |mu| dt sum over cells of the largest |z| among every sample the cell reads
     samples = _spline_samples(grid, z, phase_step_cap).values()
@@ -746,13 +757,14 @@ def test_oracle_matches_angle_state_rk4(grid, nodes, cap, mu, tol):
 
 # -- references: the Moebius form, one loop per sub-step count ---------------
 
-def _moebius_per_group_maps(grid, z, phase_step_cap, rate):
+def _moebius_per_group_maps(grid, z, phase_step_cap, rate, samples=_spline_samples):
     # the pairs of M_j from one loop over a cell's sub-steps per sub-step
     # count m, in the input's column order and untiled; rate(zc, om, h, q)
-    # is h b at sample q of every cell for the group's columns om
+    # is h b at sample q of every cell for the group's columns om, whose
+    # samples of z come from ``samples``
     need = _substeps(grid, phase_step_cap)
     alpha, beta = np.empty((2, grid.n_times, need.size), dtype=complex)
-    for m, zc in _spline_samples(grid, z, phase_step_cap).items():
+    for m, zc in samples(grid, z, phase_step_cap).items():
         cols = np.flatnonzero(need == m)
         g = functools.partial(rate, zc, grid.omega_nodes[cols], grid.dt / m)
         for i in range(1, m + 1):
@@ -766,9 +778,10 @@ def _moebius_per_group_maps(grid, z, phase_step_cap, rate):
 
 
 def _moebius_per_group_oracle(grid, z, mu, phase_step_cap=0.125):
-    # the oracle's arithmetic entry by entry: h b as the sample times
-    # (mu / 2) h e^{-i omega t_j} times e^{-i omega q h / 2}, and psi from
-    # the real (n_theta, 4) products for (Re N, Im N)
+    # the oracle's arithmetic entry by entry, from its own spline samples:
+    # h b as the sample times (mu / 2) h e^{-i omega t_j} times
+    # e^{-i omega q h / 2}, and psi from the real (n_theta, 4) products for
+    # (Re N, Im N)
     times = grid.times()
 
     def rate(zc, om, h, q):
@@ -776,7 +789,7 @@ def _moebius_per_group_oracle(grid, z, mu, phase_step_cap=0.125):
         osc *= 0.5 * mu * h
         return zc[:, q, None] * osc * np.exp(-0.5j * q * (om * h))
 
-    alpha, beta = _moebius_per_group_maps(grid, z, phase_step_cap, rate)
+    alpha, beta = _moebius_per_group_maps(grid, z, phase_step_cap, rate, _cell_samples)
     theta = grid.theta()
     cos_t, sin_t = np.cos(theta), np.sin(theta)
     zero, one = np.zeros_like(theta), np.ones_like(theta)
@@ -835,7 +848,8 @@ def _vector_rk4_oracle(grid, z, mu, phase_step_cap=0.125):
 @ORACLE_GRIDS
 def test_lockstep_oracle_is_bit_identical_to_per_group_loop(grid, nodes, cap):
     # sorting the columns, one pass per sub-step index over a prefix, row
-    # blocks and time tiles move no bit
+    # blocks and time tiles move no bit; the interpolant is not under test
+    # here, so both sides take the oracle's spline samples
     g, z = _oracle_case(grid, nodes)
     new = backward_ode_oracle(g, z, 0.5, phase_step_cap=cap).deviation
     ref = _moebius_per_group_oracle(g, z, 0.5, phase_step_cap=cap)
@@ -969,12 +983,48 @@ def test_oracle_working_set_is_one_field_and_small_tables(grid, zpath, monkeypat
     z_samples = 16 * (n_t - 1) * int(np.sum(2 * np.unique(_substeps(grid)) + 1))
     slab = 16 * tile_rows * n_th * n_om
     assert pairs + z_samples + slab < 0.7 * field
-    # the oracle's first call imports scipy.interpolate; its module objects
-    # are not the oracle's working set, so it is loaded before the trace
-    import scipy.interpolate  # noqa: F401
-
     peak = _traced_peak(lambda: backward_ode_oracle(grid, zpath, MU))
     assert peak <= field + pairs + z_samples + slab
+
+
+# -- the oracle's numpy spline of z against scipy's CubicSpline ---------------
+
+# on 4 .. 80 knots with cells of width h or h * [0.1, 1], and standard
+# normal complex values: measured at most 1.3e-13 of max|y| over 3 000
+# random cases, most of it scipy's own rounding of x_j + offset (the cell
+# coefficients alone agree to 2.1e-14)
+SPLINE_TOL = 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(4, 80), h=st.floats(0.01, 0.5), m=st.integers(1, 33),
+       uniform=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_oracle_spline_matches_scipys_cubic_spline(n, h, m, uniform, seed):
+    # samples at the oracle's offsets q h_j / 2m, q = 0 .. 2m, of every cell;
+    # on a uniform grid through the oracle's own sampling
+    from scipy.interpolate import CubicSpline
+
+    rng = np.random.default_rng(seed)
+    widths = np.full(n - 1, h) if uniform else h * rng.uniform(0.1, 1.0, n - 1)
+    x = h * np.arange(n) if uniform else np.concatenate([[0.0], np.cumsum(widths)])
+    y = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    offs = 0.5 * (widths / m)[:, None] * np.arange(2 * m + 1)
+    if uniform:
+        ours = characteristics._half_step_samples(x, h, y, np.array([m]))[0]
+    else:
+        y0, s0, c2, c3 = (c[:, None] for c in characteristics._spline_cells(x, y))
+        ours = ((c3 * offs + c2) * offs + s0) * offs + y0
+    ref = CubicSpline(x, y)(x[:-1, None] + offs)
+    assert np.max(np.abs(ours - ref)) <= SPLINE_TOL * np.max(np.abs(y))
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_oracle_spline_refuses_fewer_than_four_knots(n):
+    # the two not-a-knot rows would fall on one cell; a Grid has at least 5
+    # times, so the oracle never asks
+    x = np.arange(float(n))
+    with pytest.raises(ValueError, match=f"at least 4 knots, got {n}"):
+        characteristics._spline_cells(x, x + 0j)
 
 
 # -- the one phase kernel: Taylor terms picked from the exact sup -------------
@@ -1370,6 +1420,8 @@ def _split_outputs(g, amplitude):
         "values": recon.values, "mass": recon.mass, "dephasing": recon.dephasing,
         "gamma_margin": np.array(recon.gamma_margin),
         "oracle": backward_ode_oracle(g, z, 0.5).deviation,
+        "distance": np.array(CharacteristicField(g, swept, 0.5).distance(field, WEIGHT)),
+        "sup_distance": np.array(CharacteristicField(g, swept, 0.5).sup_distance(field)),
     }
 
 

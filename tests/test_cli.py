@@ -264,6 +264,48 @@ def test_fit_csv_without_full_rows_is_a_usage_error(tmp_path, caplog, text):
     assert len(errors) == 1 and "\n" not in errors[0]
 
 
+def _edit_row(column, row, value):
+    def edit(t, r):
+        (t if column == "t" else r)[row] = value
+    return edit
+
+
+def _duplicate_t(t, r):
+    t[11] = t[10]
+
+
+def _reverse(t, r):
+    t[:], r[:] = t[::-1].copy(), r[::-1].copy()
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [_edit_row("r", 10, math.nan), _edit_row("r", 10, math.inf), _edit_row("r", 10, -math.inf),
+     _edit_row("t", 10, math.nan), _edit_row("t", -1, math.inf), _reverse, _duplicate_t],
+    ids=["column_nan", "column_inf", "column_minus_inf", "t_nan", "t_inf", "t_decreasing",
+         "t_duplicate"],
+)
+def test_fit_refuses_a_malformed_csv_before_fitting(tmp_path, caplog, monkeypatch, edit):
+    # these once exited 0, printing NaN or Infinity into the JSON (column
+    # nan and inf, t nan) or a fit over duplicate times, or 1 with "fit
+    # failed" (t inf, decreasing t)
+    t = 0.05 * np.arange(321)
+    r = 0.05 * np.exp(-t)
+    edit(t, r)
+    path = tmp_path / "bad.csv"
+    path.write_text("t,r\n" + "".join(f"{a!r},{b!r}\n" for a, b in zip(t.tolist(), r.tolist())))
+
+    def no_fit(*args, **kwargs):
+        raise AssertionError("a fit ran on a malformed CSV")
+
+    monkeypatch.setattr("kuramoto_dephasing.cli.fit_decay", no_fit)
+    with caplog.at_level("ERROR", logger="kuramoto_dephasing"):
+        got = main(["fit", "--csv", str(path), "--column", "r"])
+    assert got == 2
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 1 and "\n" not in errors[0]
+
+
 def test_env_var_overrides_output_dir(tmp_path, monkeypatch):
     envdir = tmp_path / "from_env"
     monkeypatch.setenv("KURAMOTO_DEPHASING_OUTPUT", str(envdir))

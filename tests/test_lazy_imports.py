@@ -1,14 +1,15 @@
-"""Import guard: scipy's interpolate and special load only where they are used.
+"""Import guard: scipy's heavy submodules load only where they are used.
 
-The exponential (analytic-class) solve, its reconstruction and a particle
-run need neither submodule, and importing the package or its command line
-loads neither.
-Three side paths do: the RK4 oracle's cubic spline of z
-(``scipy.interpolate``), the gains and tails of a polynomial weight and
-Gaussian frequency sampling (``scipy.special``).  Each check runs in a fresh
-interpreter, since this test process may have loaded both already, and
-each side path's result is compared bit for bit with the same call made
-here.
+The exponential (analytic-class) solve, its reconstruction, a particle
+run and the RK4 oracle, whose cubic spline of z is built in numpy, load
+none of ``scipy.interpolate``, ``scipy.linalg``, ``scipy.sparse`` and
+``scipy.special``, and importing the package or its command line loads
+none of them either.
+Two side paths load ``scipy.special``: the gains and tails of a
+polynomial weight and Gaussian frequency sampling.  Each check runs in a
+fresh interpreter, since this test process may have loaded them already,
+and each side path's result is compared bit for bit with the same call
+made here.
 """
 
 import ast
@@ -34,15 +35,19 @@ from kuramoto_dephasing import (
 from kuramoto_dephasing.particles import init_from_solution, simulate
 from kuramoto_dephasing.spectral_state import sample_labels
 
-HEAVY = ("scipy.interpolate", "scipy.special")
+HEAVY = ("scipy.interpolate", "scipy.linalg", "scipy.sparse", "scipy.special")
 
 # the exponential run, then one side path named by argv[1]; prints which
-# heavy modules were loaded after each and digests of what was computed
+# heavy modules were loaded after each, digests of what was computed and
+# how far the side path raised the peak resident size (KB)
 _SCRIPT = r"""
-import hashlib, json, sys
+import hashlib, json, resource, sys
 import numpy as np
 
-HEAVY = ("scipy.interpolate", "scipy.special")
+HEAVY = ("scipy.interpolate", "scipy.linalg", "scipy.sparse", "scipy.special")
+
+def peak_kb():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 
 def loaded():
     return [m for m in HEAVY if m in sys.modules]
@@ -68,6 +73,7 @@ out["solve"] = [result.converged, digest(result.field.deviation), digest(result.
 out["simulate"] = digest(z_n)
 
 side = sys.argv[1]
+before = peak_kb()
 if side == "oracle":
     out["value"] = digest(backward_ode_oracle(grid, result.path.values, 0.05).deviation)
 elif side == "polynomial":
@@ -80,6 +86,7 @@ else:
     theta, omega = sample_labels(gauss, 1000, np.random.default_rng(5))
     out["value"] = [digest(theta), digest(omega)]
 out["side"] = loaded()
+out["side_peak_kb"] = peak_kb() - before
 print(json.dumps(out))
 """
 
@@ -112,10 +119,16 @@ def _expected(side, exp_solve):
     return [_digest(theta), _digest(omega)]
 
 
+# the oracle on the 8 x 33 grid (a 0.7 MB field) raised the peak by
+# 1.25 MB (ru_maxrss, KB on Linux) in three runs; with scipy's CubicSpline,
+# which loads all four heavy modules, it raised it by 43 MB
+ORACLE_PEAK_KB = 8 * 1024
+
+
 @pytest.mark.parametrize("side,needs", [
-    ("oracle", "scipy.interpolate"),
-    ("polynomial", "scipy.special"),
-    ("gaussian", "scipy.special"),
+    pytest.param("oracle", [], id="oracle-none"),
+    pytest.param("polynomial", ["scipy.special"], id="polynomial-scipy.special"),
+    pytest.param("gaussian", ["scipy.special"], id="gaussian-scipy.special"),
 ])
 def test_heavy_scipy_modules_load_only_on_the_paths_that_use_them(side, needs, exp_solve):
     env = dict(os.environ)
@@ -131,11 +144,12 @@ def test_heavy_scipy_modules_load_only_on_the_paths_that_use_them(side, needs, e
     _, result, simulated = exp_solve
     assert out["solve"] == [True, _digest(result.field.deviation), _digest(result.path.values)]
     assert out["simulate"] == simulated
-    # the side path loads what it needs, on demand, and gives the usual result
-    assert needs in out["side"]
-    if needs == "scipy.special":
-        assert "scipy.interpolate" not in out["side"]
+    # the side path loads what it needs and nothing else, on demand, and
+    # gives the usual result
+    assert out["side"] == needs
     assert out["value"] == _expected(side, exp_solve)
+    if side == "oracle":
+        assert out["side_peak_kb"] < ORACLE_PEAK_KB
 
 
 def test_no_module_imports_the_heavy_scipy_modules_at_module_level():
