@@ -126,7 +126,13 @@ class CharacteristicField:
             )
 
     def deviation_norm(self, weight: WeightSpec) -> float:
-        return weighted_norm(self.grid.times(), self.deviation, weight, deviation=True)
+        """||D|| in the deviation weight, from row sups taken in row parts.
+
+        The row sups are the max(max, -min) that ``weighted_norm`` takes of
+        the whole field, so the norm is the same number, zero's sign
+        included.
+        """
+        return float(np.max(weight.deviation_values(self.grid.times()) * self._row_gaps()))
 
     def sup(self) -> float:
         return _sup(self.deviation)
@@ -139,21 +145,23 @@ class CharacteristicField:
         """sup |D - D_other|, one time tile at a time; NaN propagates."""
         return float(self._row_gaps(other).max())
 
-    def _row_gaps(self, other):
-        # sup over each time row of |D - D_other|; the row_shares parts take
-        # their share of every tile's rows into a slab each, and a row's sup
-        # does not depend on the part it falls in
+    def _row_gaps(self, other=None):
+        # sup over each time row of |D - D_other|, or of |D| when other is
+        # None; the row_shares parts take their share of every tile's rows
+        # (into a slab each for a difference), and a row's sup does not
+        # depend on the part it falls in
         shape = self.deviation.shape
         rows = np.empty(shape[0])
         tiles = list(time_tiles(shape))
         parts, share = row_shares(shape)
-        slab = np.empty((parts, share) + shape[1:])
+        slab = None if other is None else np.empty((parts, share) + shape[1:])
 
         def gaps(p):
             for sl in tiles:
                 part = split(sl.start, sl.stop, parts)[p]
-                gap = slab[p, : part.stop - part.start]
-                np.subtract(self.deviation[part], other.deviation[part], out=gap)
+                gap = self.deviation[part]
+                if other is not None:
+                    gap = np.subtract(gap, other.deviation[part], out=slab[p, : len(gap)])
                 _row_sup(gap, rows[part])
 
         in_parts(gaps, parts)
@@ -407,8 +415,8 @@ def phase_kernel(sup):
     D -> 0 and map 0 to 0.  The terms are picked once, here, so a caller
     that applies one bound to many tiles pays for the choice once.  Every
     e^{iD} of the cell-weight route comes from this kernel: the sweep,
-    gamma_field and the order-parameter quadrature.  The RK4 oracle does
-    not use it.
+    gamma_field (whose pair also feeds reconstruct's dephasing) and the
+    order-parameter quadrature.  The RK4 oracle does not use it.
     """
     k = _taylor_terms(sup)
     if k is None:
@@ -466,15 +474,15 @@ def _backward_sum(c):
         np.add(c[j], c[j + 1], out=c[j])
 
 
-def _integral_parts(times, omega, z, deviation):
+def _integral_parts(times, omega, z, deviation, keep_phase=False):
     """Backward integrals of one field, in parts of the angle axis.
 
     Returns one (angles, tiles) pair per part of ``split`` over the angle
-    axis; ``tiles`` yields (sl, integral, spare) for the columns ``angles``
-    of each tile of ``time_tiles(deviation.shape)``, from t_max backward,
-    where integral(t_i) = Int_{t_i}^{t_max} c(s) e^{i omega s} ds with
-    cellwise alpha/beta weights, summed from the far end one time row at a
-    time.  A cell's right node is the first row of the tile above when the
+    axis; ``tiles`` yields (sl, integral, spare, phase) for the columns
+    ``angles`` of each tile of ``time_tiles(deviation.shape)``, from t_max
+    backward, where integral(t_i) = Int_{t_i}^{t_max} c(s) e^{i omega s} ds
+    with cellwise alpha/beta weights, summed from the far end one time row
+    at a time.  A cell's right node is the first row of the tile above when the
     cell straddles a tile boundary, so two rows carry across it: that
     row's right-node term e^{iD} times its weight, and the running integral
     there.  Every cell thus sees the same products and the same additions,
@@ -487,9 +495,13 @@ def _integral_parts(times, omega, z, deviation):
     slabs of the whole field's tile rows over its columns, the carried
     rows and one block of weighted node factors for a tile's rows) is
     allocated here, on the calling thread, so the generators may run on
-    any thread.  Both yielded arrays are views into that scratch: they
+    any thread.  The yielded arrays are views into that scratch: they
     hold only until the part's next tile is drawn, and ``spare`` is free
-    scratch of the tile's shape.
+    scratch of the tile's shape.  With ``keep_phase`` each part keeps one
+    more complex slab, in which the kernel writes the tile's pair
+    (cos D - 1, sin D), and ``phase`` is that pair as two contiguous real
+    arrays of the tile's shape; without it the pair is formed in the
+    memory of the integral, and ``phase`` is None.
     """
     dt = float(times[1] - times[0])
     conj_z = np.conj(z)[:, None]
@@ -506,15 +518,15 @@ def _integral_parts(times, omega, z, deviation):
     tiles = list(time_tiles(shape))
     n_rows = _tile_rows(shape)
 
-    def part_tiles(dev, phases, cells, edge, above, node_rows):
+    def part_tiles(dev, phases, cells, edge, above, node_rows, kept):
         for sl in tiles:
             n = sl.stop - sl.start
             e, c, node = phases[:n], cells[:n], node_rows[:n]
-            # e^{iD} = 1 + (cos D - 1) + i sin D; until the cells form, the
-            # memory of c holds the pair and that of e holds D^2, as
-            # contiguous real arrays (twice as fast for the kernel as
-            # strided .real/.imag)
-            cos_m1, sin_d = _real_halves(c)
+            # e^{iD} = 1 + (cos D - 1) + i sin D; the pair goes to the kept
+            # slab or, until the cells form, to the memory of c, and the
+            # memory of e holds D^2, as contiguous real arrays (twice as
+            # fast for the kernel as strided .real/.imag)
+            cos_m1, sin_d = _real_halves(c if kept is None else kept[:n])
             kernel(dev[sl], cos_m1, sin_d, _real_halves(e)[0])
             np.add(cos_m1, 1.0, out=e.real)
             np.copyto(e.imag, sin_d)
@@ -537,7 +549,7 @@ def _integral_parts(times, omega, z, deviation):
             _backward_sum(c)
             np.copyto(edge, e[0])
             np.copyto(above, c[0])
-            yield sl, c, e
+            yield sl, c, e, None if kept is None else (cos_m1, sin_d)
 
     parts = []
     # parts at least two angles wide: each holds a node-factor block of a
@@ -547,7 +559,8 @@ def _integral_parts(times, omega, z, deviation):
         slabs = np.empty((2, n_rows) + cols, dtype=complex)
         carried = np.empty((2,) + cols, dtype=complex)
         node_rows = np.empty((n_rows, shape[2]), dtype=complex)
-        parts.append((angles, part_tiles(deviation[:, angles], *slabs, *carried, node_rows)))
+        kept = np.empty((n_rows,) + cols, dtype=complex) if keep_phase else None
+        parts.append((angles, part_tiles(deviation[:, angles], *slabs, *carried, node_rows, kept)))
     return parts
 
 
@@ -590,7 +603,7 @@ def deviation_sweep(times, theta, omega, z, deviation, mu, row_residual, out=Non
     def sweep(p):
         angles, tiles = parts[p]
         part_cos, part_sin = mu_cos[:, angles], mu_sin[:, angles]
-        for sl, ib, spare in tiles:
+        for sl, ib, spare, _ in tiles:
             new, scratch = _real_halves(spare)
             np.multiply(ib.imag, part_cos, out=new)
             np.multiply(ib.real, part_sin, out=scratch)
@@ -1005,21 +1018,26 @@ def gamma_field(field: CharacteristicField, z, on_tile) -> GammaField:
     """Coupling integrals of a (converged) field under its driving path.
 
     Recomputes the backward integral once, in the angle parts of
-    ``deviation_sweep``, and hands each block of both projections to
-    ``on_tile(sl, angles, sin_tile, cos_tile)``: the time rows ``sl`` of
-    one tile, the angle columns ``angles`` of one part, from t_max backward
-    within each part.  sin_tile is Gamma on that block, which recovers
-    deviation / mu at a fixed point, and cos_tile is the companion cosine
-    integral whose exponential is the exact angular Jacobian of the
-    transported label map, which feeds the density reconstruction.
+    ``deviation_sweep``, and hands each block of both projections, with
+    the block's phase pair, to
+    ``on_tile(sl, angles, sin_tile, cos_tile, cos_m1, sin_d)``: the time
+    rows ``sl`` of one tile, the angle columns ``angles`` of one part,
+    from t_max backward within each part.  sin_tile is Gamma on that
+    block, which recovers deviation / mu at a fixed point, and cos_tile is
+    the companion cosine integral whose exponential is the exact angular
+    Jacobian of the transported label map, which feeds the density
+    reconstruction.  (cos_m1, sin_d) is (cos D - 1, sin D) on the block,
+    the pair the integral was formed from (``phase_kernel``), so e^{iD} - 1
+    comes with no trig of the consumer's own.
 
     ``on_tile`` is called from the parts' threads, part 0 on the calling
     thread and the others on the pool, on disjoint blocks that together
     cover the field once.  It may write its blocks of shared arrays, but
     anything else it shares needs a lock, and it must not call a split
     loop of the package (a sweep, a quadrature or this function).  The
-    tiles are views into scratch that the part's next tile reuses, so a
-    consumer copies what it keeps; no field-sized array is allocated.
+    four arrays are contiguous views into scratch that the part's next
+    tile reuses, so a consumer may overwrite them and copies what it
+    keeps; no field-sized array is allocated.
     beta is the certified running bound Int_t^{t_max} R via the same cell
     masses plus the weight-free tail (zero here; callers add their own
     certified tail when they have a weight in hand); the margin is taken
@@ -1030,13 +1048,13 @@ def gamma_field(field: CharacteristicField, z, on_tile) -> GammaField:
     z = np.asarray(z, dtype=complex)
     n_t = len(times)
     cos_t, sin_t = np.cos(theta)[None, :, None], np.sin(theta)[None, :, None]
-    parts = _integral_parts(times, omega, z, field.deviation)
+    parts = _integral_parts(times, omega, z, field.deviation, keep_phase=True)
     part_rows = np.empty((len(parts), n_t))
 
     def project(p):
         angles, tiles = parts[p]
         part_cos, part_sin = cos_t[:, angles], sin_t[:, angles]
-        for sl, ib, spare in tiles:
+        for sl, ib, spare, phase in tiles:
             # both projections in the memory of spare; the last product
             # goes into ib.imag, which nothing reads after it
             sp, cp = _real_halves(spare)
@@ -1047,7 +1065,7 @@ def gamma_field(field: CharacteristicField, z, on_tile) -> GammaField:
             np.multiply(ib.imag, part_sin, out=ib.imag)
             cp -= ib.imag
             _row_sup(sp, part_rows[p, sl])
-            on_tile(sl, angles, sp, cp)
+            on_tile(sl, angles, sp, cp, *phase)
 
     in_parts(project, len(parts))
     rows = part_rows.max(axis=0)

@@ -395,7 +395,16 @@ class ReconstructedDensity:
     angular Jacobian 1 + d(theta) D (spectral derivative), an identity that
     only holds if the two integrals the solver never compares directly are
     mutually consistent.  ``dephasing`` is the sup distance to the freely
-    transported profile along characteristics, on the full time grid.
+    transported profile along characteristics, on the full time grid:
+    sup |A(theta + D) - A(theta) e^{-mu Gamma_cos}| g / 2 pi per time row,
+    A the angular factor.  The difference times g is formed as
+    sum_k 2 Re[a_k e^{ik theta} E_k] g - A(theta) g expm1(-mu Gamma_cos),
+    with E_k = e^{ikD} - 1 from the phase kernel's (cos D - 1, sin D), so
+    no two numbers near 1 are subtracted and the rows keep their relative
+    precision as they decay.  The direct form, with float64 cos and sin of
+    theta + D, carries an absolute error of a few eps * max f_inf; the two
+    agree within 4 eps * max f_inf, eps = 2^-52, and the tests hold them
+    to that.
     ``gamma_margin`` is max(|Gamma| / beta) over the rows with beta > 0 of
     the coupling integrals the density is built from: the running bound
     |Gamma(t)| <= beta(t) = Int_t R holds when it is at most 1 + 1e-12.
@@ -422,21 +431,74 @@ def _spectral_jacobian(dev_slice):
     return 1.0 + np.fft.irfft(dh * k[:, None], n=m, axis=0)
 
 
+def _mode_rows(state: AsymptoticState, theta, gdens):
+    # {k: (p_k, q_k)} with p_k + i q_k = 2 a_k e^{ik theta} g(omega) on the
+    # (theta, omega) labels: 2 Re[a_k e^{ik theta} E] g = p_k Re E - q_k Im E
+    rows = {}
+    for k in sorted(state.modes):
+        b = 2.0 * state.modes[k] * np.exp(1j * k * theta)[:, None]
+        rows[k] = (b.real * gdens, b.imag * gdens)
+    return rows
+
+
+def _add_mode_terms(acc, modes, angles, cos_m1, sin_d, tmp):
+    """acc += sum_k 2 Re[a_k e^{ik theta} E_k] g(omega) on one block, in place.
+
+    ``modes`` is ``_mode_rows`` of the state and ``angles`` the block's
+    angle columns.  E_1 = e^{iD} - 1 is (cos_m1, sin_d), and
+    E_k = E_{k-1} + E_1 + E_{k-1} E_1 for the higher modes, so no trig is
+    taken; the terms are added by ascending k.  ``tmp`` is scratch of the
+    block's shape.  E_1 is left as it is, and a state with more than one
+    mode allocates one or two pairs of block scratch for the higher E_k.
+    """
+    kmax = max(modes, default=0)
+    spare = np.empty((min(kmax - 1, 2), 2) + acc.shape) if kmax > 1 else None
+    ck, sk = cos_m1, sin_d
+    for k in range(1, kmax + 1):
+        if k > 1:
+            # E_k into a spare pair other than E_{k-1}'s
+            nc, ns = spare[k % len(spare)]
+            np.multiply(ck, cos_m1, out=nc)
+            np.multiply(sk, sin_d, out=tmp)
+            nc -= tmp
+            nc += ck
+            nc += cos_m1
+            np.multiply(ck, sin_d, out=ns)
+            np.multiply(sk, cos_m1, out=tmp)
+            ns += tmp
+            ns += sk
+            ns += sin_d
+            ck, sk = nc, ns
+        if k in modes:
+            p, q = modes[k]
+            np.multiply(ck, p[angles], out=tmp)
+            acc += tmp
+            np.multiply(sk, q[angles], out=tmp)
+            acc -= tmp
+
+
 def reconstruct(result: SolveResult, times=(0.0, 5.0, 10.0)) -> ReconstructedDensity:
     """Evaluate the constructed density at grid times and certify it.
 
     Each requested time must lie on the grid (the representation is exact
-    there; no interpolation is offered).  Also evaluates the dephasing
-    distance on the whole grid from the same coupling integrals, taken
-    block by block as gamma_field's parts hand them out: only the cosine
-    rows at the requested times and the per-angle row maxima of the
-    distance (n_theta, n_times) are kept, so beside its input field the
-    working set is gamma_field's tile scratch and those rows.
+    there; no interpolation is offered); ``times`` must be a non-empty
+    1-D sequence (or one number), else ValueError before any work.  Also
+    evaluates the dephasing distance on the whole grid from the same
+    coupling integrals, taken block by block as gamma_field's parts hand
+    them out, with each block's phase pair (cos D - 1, sin D): only the
+    cosine rows at the requested times and the per-angle row maxima of
+    the distance (n_theta, n_times) are kept, so beside its input field
+    the working set is gamma_field's tile scratch and those rows.
     """
     g = result.grid
     tgrid = g.times()
+    req = np.atleast_1d(np.asarray(times, dtype=float))
+    if req.ndim != 1 or req.size == 0:
+        raise ValueError(
+            f"times must be a non-empty 1-D sequence of grid times, not shape {req.shape}"
+        )
     idx = []
-    for t in np.atleast_1d(np.asarray(times, dtype=float)):
+    for t in req:
         j = int(round(t / g.dt)) if math.isfinite(t) else -1
         if j < 0 or j >= g.n_times or abs(tgrid[j] - t) > 1e-9 * max(1.0, t):
             raise ValueError(f"t = {t} is not a grid time")
@@ -446,6 +508,10 @@ def reconstruct(result: SolveResult, times=(0.0, 5.0, 10.0)) -> ReconstructedDen
     ang = state.angular_factor(theta)[:, None]
     gdens = state.profile.density(g.omega_nodes)[None, :]
     f_inf = ang * gdens / (2.0 * math.pi)
+    # the weights carry g, so each block product broadcasts over whole
+    # (angle, frequency) planes, and no pass multiplies by g alone
+    neg_f = -(ang * gdens)
+    modes = _mode_rows(state, theta, gdens)
     sel = np.array(idx, dtype=int)
     cos_rows = np.empty((sel.size, g.n_theta, g.n_omega))
     # sup_t |f_inf e^{-mu Gamma_cos} - f_inf(theta + D)| along
@@ -454,22 +520,20 @@ def reconstruct(result: SolveResult, times=(0.0, 5.0, 10.0)) -> ReconstructedDen
     # the sup over each whole row
     dist = np.empty((g.n_theta, g.n_times))
 
-    def on_tile(sl, angles, sin_tile, cos_tile):
-        # called from gamma_field's parts, each on its own block
+    def on_tile(sl, angles, sin_tile, cos_tile, cos_m1, sin_d):
+        # called from gamma_field's parts, each on its own block; the
+        # difference goes into the memory of cos_tile, and sin_tile, which
+        # nothing reads after gamma_field's row sup, is the mode terms'
+        # scratch
         held = np.flatnonzero((sel >= sl.start) & (sel < sl.stop))
         cos_rows[held, angles] = cos_tile[sel[held] - sl.start]
-        # an eighth of the block at a time, so the temporaries of the
-        # angular factor (about five arrays of the eighth) stay near a
-        # third of the block's slab
-        dev, out = result.field.deviation[sl, angles], dist[angles, sl]
-        step = -(-len(dev) // 8)
-        for lo in range(0, len(dev), step):
-            part = slice(lo, lo + step)
-            diff = state.angular_factor(theta[None, angles, None] + dev[part])
-            diff -= ang[angles] * np.exp(-mu * cos_tile[part])
-            np.abs(diff, out=diff)
-            diff *= gdens
-            out[:, part] = diff.max(axis=2).T / (2.0 * math.pi)
+        diff = cos_tile
+        diff *= -mu
+        np.expm1(diff, out=diff)
+        diff *= neg_f[angles]
+        _add_mode_terms(diff, modes, angles, cos_m1, sin_d, sin_tile)
+        np.abs(diff, out=diff)
+        dist[angles, sl] = diff.max(axis=2).T / (2.0 * math.pi)
 
     gam = gamma_field(result.field, result.path.values, on_tile)
 

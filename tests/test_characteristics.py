@@ -79,7 +79,7 @@ def _gamma_parts(field, z):
     # gamma_field with its streamed tiles gathered into two fields
     sin_part, cos_part = np.empty((2,) + field.deviation.shape)
 
-    def keep(sl, angles, sin_tile, cos_tile):
+    def keep(sl, angles, sin_tile, cos_tile, cos_m1, sin_d):
         sin_part[sl, angles], cos_part[sl, angles] = sin_tile, cos_tile
 
     return gamma_field(field, z, keep), sin_part, cos_part
@@ -268,7 +268,7 @@ def test_gamma_running_bound_and_fixed_point_identity(grid, zpath, solved):
     field, _ = solved
     gaps, covered = [], []
 
-    def identity_gap(sl, angles, sin_tile, cos_tile):
+    def identity_gap(sl, angles, sin_tile, cos_tile, cos_m1, sin_d):
         # at the fixed point the deviation IS mu times the sine projection
         gaps.append(np.max(np.abs(MU * sin_tile - field.deviation[sl, angles])))
         if angles.start == 0:
@@ -457,17 +457,18 @@ def _traced_peak(fn):
 
 def test_working_set_is_two_fields_and_block_slabs(grid, zpath, solved, monkeypatch):
     # numpy reports its buffers to tracemalloc; tiles of 20 of the 161 time
-    # rows make three complex tile slabs smaller than one field, so
+    # rows make four complex tile slabs smaller than one field, so
     # field-sized temporaries cannot hide inside the slab allowance (two
-    # slabs are the sweep's, the third covers the two carried rows, the
-    # per-tile weight rows and the parts of reconstruct's dephasing loop)
+    # slabs are the sweep's, the third covers the two carried rows and the
+    # per-tile weight rows; gamma_field adds the slab of phase pairs it
+    # hands to its consumer, whose share the fourth holds)
     _, n_th, n_om = grid.shape()
     tile_rows = 20
     tiles = _force_tile_rows(monkeypatch, grid.shape(), tile_rows)
     assert len(tiles) >= 4 and tiles[-1] < tiles[0]
     field = solved[0].deviation.nbytes
     slab = 16 * tile_rows * n_th * n_om
-    assert 3 * slab < field
+    assert 4 * slab < field
     # reconstruct keeps a cosine row and a density row per requested time
     times = (0.0, 5.0, 7.0)
     requested_rows = 2 * len(times) * 8 * n_th * n_om
@@ -484,7 +485,7 @@ def test_working_set_is_two_fields_and_block_slabs(grid, zpath, solved, monkeypa
 
     def coupling_integrals():
         field = CharacteristicField(grid, solved[0].deviation.copy(), MU)
-        return gamma_field(field, zpath, lambda sl, angles, sin_tile, cos_tile: None)
+        return gamma_field(field, zpath, lambda sl, angles, *blocks: None)
 
     def density():
         field = CharacteristicField(grid, solved[0].deviation.copy(), MU)
@@ -492,8 +493,8 @@ def test_working_set_is_two_fields_and_block_slabs(grid, zpath, solved, monkeypa
         return reconstruct(result, times=times)
 
     assert _traced_peak(certification_solve) <= 2 * field + 3 * slab
-    assert _traced_peak(coupling_integrals) <= field + 3 * slab
-    assert _traced_peak(density) <= field + 3 * slab + requested_rows
+    assert _traced_peak(coupling_integrals) <= field + 4 * slab
+    assert _traced_peak(density) <= field + 4 * slab + requested_rows
 
 
 @AMPLITUDES
@@ -559,7 +560,7 @@ def _cumsum_backward_sum(c):
 def _kernel_outputs(grid, z, dev):
     times, theta, omega = grid.times(), grid.theta(), grid.omega_nodes
     parts = characteristics._integral_parts(times, omega, z, dev)
-    tiles = [np.concatenate([ib for _, ib, _ in blocks], axis=1)
+    tiles = [np.concatenate([ib for _, ib, _, _ in blocks], axis=1)
              for blocks in zip(*(part_tiles for _, part_tiles in parts))]
     rows = np.empty(grid.n_times)
     new = deviation_sweep(times, theta, omega, z, dev, 0.5, row_residual=rows)
@@ -1184,6 +1185,19 @@ def test_sup_distance_equals_the_field_sized_max(grid, zpath, solved, forced_til
     assert math.isnan(CharacteristicField(grid, broken, MU).sup_distance(field))
 
 
+def test_deviation_norm_equals_the_whole_field_norm(grid, solved, forced_tiles):
+    # the row parts' sups give weighted_norm's number of the whole field,
+    # the sign of a zero norm and a NaN included
+    times = grid.times()
+    for dev in (solved[0].deviation, np.zeros(grid.shape()), -solved[0].deviation):
+        norm = CharacteristicField(grid, dev, MU).deviation_norm(WEIGHT)
+        whole = weighted_norm(times, dev, WEIGHT, deviation=True)
+        assert norm == whole and math.copysign(1.0, norm) == math.copysign(1.0, whole)
+    broken = solved[0].deviation.copy()
+    broken[-2, 1, 0] = np.nan
+    assert math.isnan(CharacteristicField(grid, broken, MU).deviation_norm(WEIGHT))
+
+
 # -- the time tiles against the omega-blocked loops they replaced -------------
 
 # cells per omega block of the replaced loops
@@ -1277,17 +1291,28 @@ def _omega_block_outputs(g, z, dev, mu, state, weight):
         s = pc[:, 0] - ps[:, 1] + 1j * (pc[:, 1] + ps[:, 0])
         quad += np.einsum("tk,tk,k->t", table[:, sl], s, g.prob_weights[sl])
     # reconstruct's dephasing distance and density rows, from the
-    # omega-blocked cos_part
+    # omega-blocked cos_part and phase pairs E_1 = (cos D - 1, sin D):
+    # sum_k 2 Re[a_k e^{ik theta} E_k] g - A(theta) g expm1(-mu Gamma_cos)
     ang = state.angular_factor(theta)[:, None]
     gdens = state.profile.density(omega)[None, :]
     f_inf = ang * gdens / (2.0 * math.pi)
     values = np.stack([f_inf * np.exp(-mu * cos_part[j]) for j in _rows_at(g, DENSITY_TIMES)])
+    kernel = phase_kernel(characteristics._sup(dev))
     dist = np.zeros(g.n_times)
     for sl in _omega_blocks(g.shape()):
-        diff = state.angular_factor(theta[None, :, None] + dev[:, :, sl])
-        diff -= ang[None, :, :] * np.exp(-mu * cos_part[:, :, sl])
+        c1, s1, d2 = np.empty((3,) + dev[:, :, sl].shape)
+        kernel(dev[:, :, sl], c1, s1, d2)
+        g_sl = gdens[:, sl]
+        diff = np.expm1(cos_part[:, :, sl] * -mu) * -(ang * g_sl)
+        ck, sk = c1, s1
+        for k in range(1, max(state.modes) + 1):
+            if k > 1:
+                ck, sk = ck * c1 - sk * s1 + ck + c1, ck * s1 + sk * c1 + sk + s1
+            if k in state.modes:
+                b = 2.0 * state.modes[k] * np.exp(1j * k * theta)[:, None]
+                diff += ck * (b.real * g_sl)
+                diff -= sk * (b.imag * g_sl)
         np.abs(diff, out=diff)
-        diff *= gdens[None, :, sl]
         np.maximum(dist, diff.reshape(g.n_times, -1).max(axis=1) / (2.0 * math.pi), out=dist)
     return {
         "sweep": new, "row_residual": residual,
@@ -1412,13 +1437,18 @@ def _split_outputs(g, amplitude):
     path = OrderParameterPath(g, decaying, WEIGHT)
     recon = reconstruct(SolveResult(state, g, MU, WEIGHT, path, solved, None, 0, True),
                         times=(0.0, 2.5, 8.0))
+    # the higher modes' E_k = E_{k-1} + E_1 + E_{k-1} E_1 in block scratch
+    modes = AsymptoticState(PROFILE, {1: 0.1, 2: 0.15j, 3: -0.05 + 0.02j}, "exponential", 0.9)
+    recon_modes = reconstruct(SolveResult(modes, g, MU, WEIGHT, path, solved, None, 0, True),
+                              times=(0.0,))
     return {
         "swept": swept, "rows": rows, "in_place": in_place, "in_place_rows": in_place_rows,
         "sin_part": sin_part, "cos_part": cos_part, "margin": np.array(gam.margin),
         "beta": gam.beta, "quadrature": scheme._order_parameter_values(field, state),
         "solved": solved.deviation, "report": report,
+        "deviation_norm": np.array(field.deviation_norm(WEIGHT)),
         "values": recon.values, "mass": recon.mass, "dephasing": recon.dephasing,
-        "gamma_margin": np.array(recon.gamma_margin),
+        "gamma_margin": np.array(recon.gamma_margin), "dephasing_modes": recon_modes.dephasing,
         "oracle": backward_ode_oracle(g, z, 0.5).deviation,
         "distance": np.array(CharacteristicField(g, swept, 0.5).distance(field, WEIGHT)),
         "sup_distance": np.array(CharacteristicField(g, swept, 0.5).sup_distance(field)),

@@ -216,7 +216,7 @@ def test_reconstruct_reports_the_gamma_margin(result, recon):
     # rows with beta > 0, at most 1 to rounding and above 0 on a real path
     assert 0.0 < recon.gamma_margin <= 1.0 + 1e-12
     gam = gamma_field(result.field, result.path.values,
-                      lambda sl, angles, sin_tile, cos_tile: None)
+                      lambda sl, angles, *blocks: None)
     assert recon.gamma_margin == gam.margin
 
 
@@ -233,6 +233,119 @@ def test_reconstruct_rejects_offgrid_time(result):
     for t in (0.025, math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="is not a grid time"):
             reconstruct(result, times=(t,))
+
+
+def test_reconstruct_refuses_empty_or_nested_times_before_any_work(result, monkeypatch):
+    # refused by name before the coupling integrals are computed, not by a
+    # reduction over an empty selection or a failed float conversion
+    def no_gamma(*args):
+        raise AssertionError("gamma_field ran")
+
+    monkeypatch.setattr(scheme, "gamma_field", no_gamma)
+    for times in ((), [], [[0.0, 5.0]], np.zeros((2, 1))):
+        with pytest.raises(ValueError, match="^times must be a non-empty 1-D sequence"):
+            reconstruct(result, times=times)
+
+
+# -- the dephasing distance, formed without cancellation ---------------------
+
+# |new - direct| allowed, in units of eps * max f_inf on the label grid: the
+# direct form A(theta + D) - A(theta) e^{-mu Gamma_cos} carries a few eps of
+# rounding from its float64 cos, sin and exp (measured 1.1-1.4 on single-mode
+# states and 2.8 with modes {1, 2, 3}); the difference form loses no digits
+DEPHASING_TOL_EPS = 4.0
+
+DEPHASING_STATES = {
+    "weak": (PROFILE, {1: 0.05 * np.exp(0.7j)}, MU),
+    "strong": (PROFILE, {1: 0.3 * np.exp(-2.1j)}, 0.5),
+    "laplace": (FrequencyProfile("laplace", 1.0), {1: 0.05j}, MU),
+    "modes123": (PROFILE, {1: 0.1, 2: 0.15j, 3: -0.05 + 0.02j}, 0.3),
+}
+
+
+@pytest.fixture(scope="module", params=list(DEPHASING_STATES))
+def frozen_path_result(request):
+    # the fixed point of the free path's map, on 16 angles: a solved field
+    # with the decay of a real solve, without the joint loop
+    profile, modes, mu = DEPHASING_STATES[request.param]
+    state = AsymptoticState(profile, modes, "polynomial", 2.0)
+    grid = build_grid(profile, t_max=16.0, dt=0.05, n_theta=16, n_omega=65)
+    weight = WeightSpec("polynomial", 2.0)
+    z = free_order_parameter(state, grid.times())
+    field, _ = solve_fixed_point(grid, z, mu, weight)
+    path = scheme.OrderParameterPath(grid, z, weight)
+    return scheme.SolveResult(state, grid, mu, weight, path, field, None, 0, True)
+
+
+def _angular(state, x):
+    # A(x) = 1 + sum_k 2 (Re a_k cos kx - Im a_k sin kx) in the dtype of x,
+    # with the operations of AsymptoticState.angular_factor
+    out = np.ones_like(x)
+    for k, a in state.modes.items():
+        out = out + 2.0 * (a.real * np.cos(k * x) - a.imag * np.sin(k * x))
+    return out
+
+
+def _direct_dephasing(res, dtype):
+    # the dephasing rows by the direct form, in ``dtype``, from the cosine
+    # integrals gamma_field hands out
+    g, state = res.grid, res.state
+    cos_part = np.empty(g.shape())
+
+    def keep(sl, angles, sin_tile, cos_tile, cos_m1, sin_d):
+        cos_part[sl, angles] = cos_tile
+
+    gamma_field(res.field, res.path.values, keep)
+    theta = g.theta().astype(dtype)
+    gdens = state.profile.density(g.omega_nodes).astype(dtype)
+    diff = _angular(state, theta[None, :, None] + res.field.deviation.astype(dtype))
+    diff -= _angular(state, theta)[:, None] * np.exp(-dtype(res.mu) * cos_part.astype(dtype))
+    rows = (np.abs(diff) * gdens).reshape(g.n_times, -1).max(axis=1)
+    return rows / (2.0 * dtype(math.pi))
+
+
+def _max_f_inf(res):
+    g = res.grid
+    return float(np.max(res.state.density(g.theta()[:, None], g.omega_nodes[None, :])))
+
+
+def test_dephasing_matches_the_direct_form(frozen_path_result):
+    res = frozen_path_result
+    new = reconstruct(res, times=(0.0,)).dephasing
+    old = _direct_dephasing(res, np.float64)
+    # the rows decay over the horizon, so the bound is not met by zeros
+    assert new[0] > 1e-4 and new[-2] < 1e-2 * new[0]
+    gap = float(np.max(np.abs(new - old)))
+    assert gap <= DEPHASING_TOL_EPS * np.finfo(float).eps * _max_f_inf(res)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                    reason="long double is no wider than float64 here")
+def test_dephasing_is_closer_than_the_direct_form_to_long_double(frozen_path_result):
+    # both against the direct form evaluated in long double from the same
+    # float64 D and Gamma_cos
+    res = frozen_path_result
+    new = reconstruct(res, times=(0.0,)).dephasing
+    old = _direct_dephasing(res, np.float64)
+    exact = _direct_dephasing(res, np.longdouble)
+    err_new = float(np.max(np.abs(new - exact)))
+    err_old = float(np.max(np.abs(old - exact)))
+    assert 0.0 < err_new <= 0.25 * err_old
+
+
+def test_reconstruct_takes_no_angular_factor_of_field_sized_input(result, monkeypatch):
+    # per-cell trig in the dephasing loop would show as an angular factor
+    # of a block or a field; only the angle grid may be seen
+    sizes = []
+    factor = AsymptoticState.angular_factor
+
+    def recording(self, theta):
+        sizes.append(np.size(theta))
+        return factor(self, theta)
+
+    monkeypatch.setattr(AsymptoticState, "angular_factor", recording)
+    reconstruct(result, times=(0.0, 5.0))
+    assert sizes and max(sizes) <= result.grid.n_theta
 
 
 def test_mu_zero_is_free_transport(state, grid):
