@@ -34,6 +34,7 @@ from __future__ import annotations
 import ctypes
 import functools
 import math
+import mmap
 import os
 from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
@@ -113,11 +114,22 @@ class StepRejectedError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class CharacteristicField:
-    """Deviation field D on the (time, angle, frequency) grid, plus context."""
+    """Deviation field D on the (time, angle, frequency) grid, plus context.
+
+    A field returned by ``picard_sweep`` or ``solve_fixed_point`` carries
+    the sup over each time row of |D|, taken by the sweep that wrote D
+    while each tile was in cache (for a zero field, the sups of zero
+    rows), so ``sup`` and ``deviation_norm`` read no field.  A field built
+    from an array takes them from the field on every call.  An array
+    passed to a later sweep as ``out`` is rewritten, and a field object
+    that still holds it no longer describes it.
+    """
 
     grid: Grid
     deviation: np.ndarray
     mu: float
+    # the carried row sups, bit for bit those _row_gaps() takes, or None
+    _rows: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.deviation.shape != self.grid.shape():
@@ -126,23 +138,30 @@ class CharacteristicField:
             )
 
     def deviation_norm(self, weight: WeightSpec) -> float:
-        """||D|| in the deviation weight, from row sups taken in row parts.
+        """||D|| in the deviation weight, from the field's row sups.
 
         The row sups are the max(max, -min) that ``weighted_norm`` takes of
         the whole field, so the norm is the same number, zero's sign
         included.
         """
-        return float(np.max(weight.deviation_values(self.grid.times()) * self._row_gaps()))
+        rows = self._row_gaps() if self._rows is None else self._rows
+        return float(np.max(weight.deviation_values(self.grid.times()) * rows))
 
     def sup(self) -> float:
-        return _sup(self.deviation)
+        return _sup(self.deviation) if self._rows is None else float(self._rows.max())
 
     def distance(self, other: "CharacteristicField", weight: WeightSpec) -> float:
-        """||D - D_other|| in the deviation weight, one time tile at a time."""
+        """||D - D_other|| in the deviation weight, one time tile at a time.
+
+        A field on a grid of another shape is refused (ValueError).
+        """
         return weighted_norm(self.grid.times(), self._row_gaps(other), weight, deviation=True)
 
     def sup_distance(self, other: "CharacteristicField") -> float:
-        """sup |D - D_other|, one time tile at a time; NaN propagates."""
+        """sup |D - D_other|, one time tile at a time; NaN propagates.
+
+        A field on a grid of another shape is refused (ValueError).
+        """
         return float(self._row_gaps(other).max())
 
     def _row_gaps(self, other=None):
@@ -151,6 +170,11 @@ class CharacteristicField:
         # (into a slab each for a difference), and a row's sup does not
         # depend on the part it falls in
         shape = self.deviation.shape
+        if other is not None and other.deviation.shape != shape:
+            raise ValueError(
+                f"cannot compare a field of shape {shape} with one of shape "
+                f"{other.deviation.shape}"
+            )
         rows = np.empty(shape[0])
         tiles = list(time_tiles(shape))
         parts, share = row_shares(shape)
@@ -447,7 +471,8 @@ def oscillation_table(times, omega):
     Every time tile of every sweep, quadrature and gamma_field slices
     rows of this one table instead of rebuilding them.  One table is kept,
     keyed on the exact bytes of (times, omega), so a solve reuses it and
-    any other node set replaces it; it is 2 / n_theta of a float64 field.
+    any other node set replaces it; it is 2 / n_theta of a float64 field,
+    mapped on its own, outside the malloc heap.
     """
     times = np.ascontiguousarray(times, dtype=float)
     omega = np.ascontiguousarray(omega, dtype=float)
@@ -456,7 +481,18 @@ def oscillation_table(times, omega):
 
 @functools.lru_cache(maxsize=1)
 def _oscillation_table(times_bytes, omega_bytes):
-    table = np.exp(1j * np.outer(np.frombuffer(times_bytes), np.frombuffer(omega_bytes)))
+    # np.exp(1j * np.outer(times, omega)), bit for bit (0 + x is the
+    # imaginary part 1j * x has), formed in a mapping of its own: the first
+    # solve on a grid builds the table between its fields, and a table kept
+    # in the malloc heap, or its two table-sized temporaries, would move
+    # where the heap places the next fields and raise the peak resident set
+    times, omega = np.frombuffer(times_bytes), np.frombuffer(omega_bytes)
+    table = np.frombuffer(mmap.mmap(-1, 16 * times.size * omega.size), dtype=complex)
+    table = table.reshape(times.size, omega.size)
+    np.multiply.outer(times, omega, out=table.imag)
+    table.imag += 0.0
+    table.real = 0.0
+    np.exp(table, out=table)
     table.flags.writeable = False
     return table
 
@@ -474,7 +510,13 @@ def _backward_sum(c):
         np.add(c[j], c[j + 1], out=c[j])
 
 
-def _integral_parts(times, omega, z, deviation, keep_phase=False):
+def _unit_phase(dev, cos_m1, sin_d, d2):
+    # the pair (cos D - 1, sin D) of a zero field, where e^{iD} = 1
+    cos_m1.fill(0.0)
+    sin_d.fill(0.0)
+
+
+def _integral_parts(times, omega, z, deviation, sup, keep_phase=False):
     """Backward integrals of one field, in parts of the angle axis.
 
     Returns one (angles, tiles) pair per part of ``split`` over the angle
@@ -482,19 +524,20 @@ def _integral_parts(times, omega, z, deviation, keep_phase=False):
     ``angles`` of each tile of ``time_tiles(deviation.shape)``, from t_max
     backward, where integral(t_i) = Int_{t_i}^{t_max} c(s) e^{i omega s} ds
     with cellwise alpha/beta weights, summed from the far end one time row
-    at a time.  A cell's right node is the first row of the tile above when the
-    cell straddles a tile boundary, so two rows carry across it: that
-    row's right-node term e^{iD} times its weight, and the running integral
-    there.  Every cell thus sees the same products and the same additions,
-    in the same order, as one pass over the whole field, whatever the part
-    count: only time carries, and no column depends on another.
+    at a time.  A cell's right node is the first row of the tile above
+    when the cell straddles a tile boundary, so two rows carry across it:
+    that row's right-node term e^{iD} times its weight, and the running
+    integral there.  Every cell thus sees the same products and the same
+    additions, in the same order, as one pass over the whole field,
+    whatever the part count: only time carries, and no column depends on
+    another.
 
-    The kernel is fixed here from the exact sup of the whole field, and
-    the Filon weights are computed once for all omega; each tile slices
-    rows of the e^{i omega t} table.  Each part's scratch (two complex
-    slabs of the whole field's tile rows over its columns, the carried
-    rows and one block of weighted node factors for a tile's rows) is
-    allocated here, on the calling thread, so the generators may run on
+    The kernel is fixed here from ``sup``, the exact sup|D| of the whole
+    field, and the Filon weights are computed once for all omega; each
+    tile slices rows of the e^{i omega t} table.  Each part's scratch (two
+    complex slabs of the whole field's tile rows over its columns, the
+    carried rows and one block of weighted node factors for a tile's rows)
+    is allocated here, on the calling thread, so the generators may run on
     any thread.  The yielded arrays are views into that scratch: they
     hold only until the part's next tile is drawn, and ``spare`` is free
     scratch of the tile's shape.  With ``keep_phase`` each part keeps one
@@ -502,11 +545,20 @@ def _integral_parts(times, omega, z, deviation, keep_phase=False):
     (cos D - 1, sin D), and ``phase`` is that pair as two contiguous real
     arrays of the tile's shape; without it the pair is formed in the
     memory of the integral, and ``phase`` is None.
+
+    At sup = 0 without ``keep_phase``, e^{iD} = 1 on every cell, so the
+    integral is the same for every angle: each part integrates one private
+    read-only zero column instead of its angles, with no kernel and no
+    read of ``deviation``, and ``integral`` has one angle, (rows, 1,
+    n_omega), the value of every angle of the tile, formed by the same
+    products and additions.  ``spare`` is then a real array of the tile's
+    shape.
     """
     dt = float(times[1] - times[0])
     conj_z = np.conj(z)[:, None]
     table = oscillation_table(times, omega)
-    kernel = phase_kernel(_sup(deviation))
+    flat = sup == 0.0 and not keep_phase
+    kernel = _unit_phase if flat else phase_kernel(sup)
     w = omega * dt
     alpha, beta = filon_weights(w)
     # each node carries its cell weight as a left (alpha) or right (beta)
@@ -518,7 +570,7 @@ def _integral_parts(times, omega, z, deviation, keep_phase=False):
     tiles = list(time_tiles(shape))
     n_rows = _tile_rows(shape)
 
-    def part_tiles(dev, phases, cells, edge, above, node_rows, kept):
+    def part_tiles(dev, phases, cells, edge, above, node_rows, kept, spare):
         for sl in tiles:
             n = sl.stop - sl.start
             e, c, node = phases[:n], cells[:n], node_rows[:n]
@@ -549,71 +601,107 @@ def _integral_parts(times, omega, z, deviation, keep_phase=False):
             _backward_sum(c)
             np.copyto(edge, e[0])
             np.copyto(above, c[0])
-            yield sl, c, e, None if kept is None else (cos_m1, sin_d)
+            phase = None if kept is None else (cos_m1, sin_d)
+            yield sl, c, e if spare is None else spare[:n], phase
 
     parts = []
     # parts at least two angles wide: each holds a node-factor block of a
     # tile's rows, so the blocks of all parts stay within half a slab
     for angles in split(0, shape[1], part_count(shape[1] // 2)):
         cols = (angles.stop - angles.start, shape[2])
-        slabs = np.empty((2, n_rows) + cols, dtype=complex)
-        carried = np.empty((2,) + cols, dtype=complex)
+        width = (1, shape[2]) if flat else cols
+        slabs = np.empty((2, n_rows) + width, dtype=complex)
+        carried = np.empty((2,) + width, dtype=complex)
         node_rows = np.empty((n_rows, shape[2]), dtype=complex)
         kept = np.empty((n_rows,) + cols, dtype=complex) if keep_phase else None
-        parts.append((angles, part_tiles(deviation[:, angles], *slabs, *carried, node_rows, kept)))
+        spare = np.empty((n_rows,) + cols) if flat else None
+        # a zero column of the part's own: deviation itself may be the
+        # sweep's output, which the other parts are writing
+        dev = np.broadcast_to(0.0, (shape[0],) + width) if flat else deviation[:, angles]
+        parts.append((angles, part_tiles(dev, *slabs, *carried, node_rows, kept, spare)))
     return parts
 
 
-def deviation_sweep(times, theta, omega, z, deviation, mu, row_residual, out=None):
+def deviation_sweep(times, theta, omega, z, deviation, mu, row_residual, out=None, sup=None,
+                    row_sups=None):
     """One application of the backward-integral map to a deviation field.
 
     Operates on raw arrays so alternative node sets can be pushed through.
     Returns the new deviation, mu * Im(e^{i theta} I), one time tile at a
     time to bound the complex working set; e^{iD} comes from phase_kernel
-    at the exact sup of ``deviation``.  ``row_residual`` (shape (n_times,))
-    receives the sup over each time row of |new - deviation| from the same
-    pass.
+    at ``sup``, the exact sup|D| of ``deviation`` (taken from the field
+    when None).  ``row_residual`` (shape (n_times,)) receives the sup over
+    each time row of |new - deviation| from the same pass, and
+    ``row_sups``, when given, the sup over each time row of |new|, taken
+    while each tile is in cache.
 
     The angle axis is split into ``part_count(n_theta // 2)`` contiguous
-    parts, at least two angles wide, that run side by side (``in_parts``); each walks the whole field's time
-    tiles over its own columns, and the row residual is the max of the
-    parts' row sups.  No product or addition depends on the part count, so
-    the result is bit-identical for any.
+    parts, at least two angles wide, that run side by side
+    (``in_parts``); each walks the whole field's time tiles over its own
+    columns, and each row sup is the max of the parts' row sups.  No
+    product or addition depends on the part count, so the result is
+    bit-identical for any.
 
     The new field goes to ``out`` (a new array when None), which may be
-    ``deviation`` itself.  Each tile's new rows are formed in tile scratch
+    ``deviation`` itself.  Into any other ``out`` each tile's new rows go
+    straight from the projection; in place they are formed in tile scratch
     and copied into ``out`` once the row residual has been taken.  The
     kernel is fixed from sup|D| before the first tile, a part reads and
     writes only its own columns, a tile's rows of D are read before the
     tile is yielded, and only the two carried rows cross a tile boundary,
     so no tile reads a row already overwritten.
+
+    At sup = 0 the integral has no angle dependence: each part integrates
+    one zero column of its own (``_integral_parts``) and projects it
+    straight into ``out``, reading nothing of ``deviation``, so the new
+    field is the residual.  The bits are those of the full sweep.
     """
     times = np.asarray(times, dtype=float)
     z = np.asarray(z, dtype=complex)
     if z.shape != times.shape:
         raise ValueError("z must be sampled on the time grid")
     if out is None:
-        out = np.empty_like(deviation)
+        out = np.empty(deviation.shape)
+    if sup is None:
+        sup = _sup(deviation)
     # mu * Im(e^{i theta} I) = (mu cos theta) Im I + (mu sin theta) Re I
     mu_cos = (mu * np.cos(theta))[None, :, None]
     mu_sin = (mu * np.sin(theta))[None, :, None]
-    parts = _integral_parts(times, omega, z, deviation)
+    parts = _integral_parts(times, omega, z, deviation, sup)
+    flat = sup == 0.0
+    in_place = not flat and np.may_share_memory(out, deviation)
     rows = np.empty((len(parts), len(times)))
+    sups = None if flat or row_sups is None else np.empty_like(rows)
 
     def sweep(p):
         angles, tiles = parts[p]
         part_cos, part_sin = mu_cos[:, angles], mu_sin[:, angles]
         for sl, ib, spare, _ in tiles:
-            new, scratch = _real_halves(spare)
+            target = out[sl, angles]
+            if flat:
+                new, scratch = target, spare
+            elif in_place:
+                new, scratch = _real_halves(spare)
+            else:
+                new, scratch = target, _real_halves(spare)[1]
             np.multiply(ib.imag, part_cos, out=new)
             np.multiply(ib.real, part_sin, out=scratch)
             new += scratch
-            np.subtract(new, deviation[sl, angles], out=scratch)
-            _row_sup(scratch, rows[p, sl])
-            np.copyto(out[sl, angles], new)
+            if flat:
+                # from D = 0 the residual is new itself
+                _row_sup(new, rows[p, sl])
+            else:
+                np.subtract(new, deviation[sl, angles], out=scratch)
+                _row_sup(scratch, rows[p, sl])
+            if sups is not None:
+                _row_sup(new, sups[p, sl])
+            if in_place:
+                np.copyto(target, new)
 
     in_parts(sweep, len(parts))
     np.max(rows, axis=0, out=row_residual)
+    if row_sups is not None:
+        np.max(rows if flat else sups, axis=0, out=row_sups)
     return out
 
 
@@ -643,21 +731,43 @@ def _open_report(grid: Grid, z, mu: float, weight: WeightSpec, tol: float):
     )
 
 
-def _zero_field(grid: Grid, out):
-    # ``out`` zero-filled, or a new zero field when None
+def _field_array(grid: Grid, out):
+    # ``out`` checked, or a new field when None; its contents are not read
     if out is None:
-        return np.zeros(grid.shape())
+        return np.empty(grid.shape())
     if out.shape != grid.shape() or out.dtype != np.float64:
         raise ValueError(f"out must be a float array of shape {grid.shape()}")
-    out.fill(0.0)
     return out
 
 
+def _carrying(grid: Grid, deviation, mu: float, rows) -> CharacteristicField:
+    # a field with the row sups of |D| its writer took, bit for bit those
+    # of _row_gaps()
+    fld = CharacteristicField(grid, deviation, mu)
+    object.__setattr__(fld, "_rows", rows)
+    return fld
+
+
+def _zero_start(grid: Grid):
+    # D = 0 as a read-only array of the grid's shape: a sweep from it at
+    # sup 0 reads none of it
+    return np.broadcast_to(0.0, grid.shape())
+
+
 def _zero_gain_field(grid: Grid, mu: float, report, residual: float, out):
-    # a zero gain (mu = 0 or z = 0) makes F_z identically zero: no sweep
+    # a zero gain (mu = 0 or z = 0) makes F_z identically zero: no sweep;
+    # the zero field's row sups are those of zero rows (max(0, -0) = -0),
+    # so its norm is the -0.0 a pass over it would take
     report.converged = True
     report.residuals.append(residual)
-    return CharacteristicField(grid, _zero_field(grid, out), mu), report
+    if out is None:
+        dev = np.zeros(grid.shape())
+    else:
+        dev = _field_array(grid, out)
+        dev.fill(0.0)
+    rows = np.empty(grid.n_times)
+    _row_sup(np.zeros((grid.n_times, 1, 1)), rows)
+    return _carrying(grid, dev, mu, rows), report
 
 
 def picard_sweep(
@@ -678,7 +788,10 @@ def picard_sweep(
     returned without a sweep; that report is ``converged``, since the zero
     field is then exact.  The swept field goes to ``out``, a float array of
     the grid's shape other than ``field.deviation`` (a new array when
-    None): ``field`` is left as it is.
+    None): ``field`` is left as it is.  The kernel comes from
+    ``field.sup()``, which a swept field carries; from a zero field the
+    sweep integrates one angle column and reads no field.  The returned
+    field carries its row sups.
 
     Returns (CharacteristicField, ContractionReport).
     """
@@ -689,16 +802,15 @@ def picard_sweep(
         residual = field.deviation_norm(weight) if field is not None else 0.0
         return _zero_gain_field(grid, mu, report, residual, out)
     if field is None:
-        # from D = 0 the sweep runs in place on the zero field
-        dev = out = _zero_field(grid, out)
+        dev, sup = _zero_start(grid), 0.0
     else:
-        dev = field.deviation
-    rows = np.empty(grid.n_times)
-    new = deviation_sweep(times, grid.theta(), grid.omega_nodes, z, dev, mu,
-                          row_residual=rows, out=out)
+        dev, sup = field.deviation, field.sup()
+    rows, sups = np.empty((2, grid.n_times))
+    new = deviation_sweep(times, grid.theta(), grid.omega_nodes, z, dev, mu, row_residual=rows,
+                          out=_field_array(grid, out), sup=sup, row_sups=sups)
     report.residuals.append(weighted_norm(times, rows, weight, deviation=True))
     report.sweeps = 1
-    return CharacteristicField(grid, new, mu), report
+    return _carrying(grid, new, mu, sups), report
 
 
 def solve_fixed_point(
@@ -717,9 +829,12 @@ def solve_fixed_point(
     gain mu * ||R||_w * unit_gain is >= 1 (NonContractiveError); raises
     MaxSweepsExceededError if the residual is above ``tol`` after
     MAX_SWEEPS sweeps.  A zero gain returns the zero field as picard_sweep.
-    Every sweep overwrites the solve's one field in place, so the solve
-    holds one field plus the sweep's tile slabs; that field is ``out``, a
-    float array of the grid's shape zeroed first, when given.
+    The first sweep, from D = 0, integrates one angle column and writes
+    every cell of the solve's one field; every later sweep overwrites that
+    field in place, with its kernel from the row sups the sweep before took.
+    So the solve holds one field plus the sweep's tile slabs; that field is
+    ``out``, a float array of the grid's shape, when given, and the
+    returned field carries its row sups.
 
     Returns (CharacteristicField, ContractionReport).
     """
@@ -728,12 +843,15 @@ def solve_fixed_point(
     report = _open_report(grid, z, mu, weight, tol)
     if report.bound == 0.0:
         return _zero_gain_field(grid, mu, report, 0.0, out)
-    dev = _zero_field(grid, out)
+    dev = _field_array(grid, out)
+    start, sup = _zero_start(grid), 0.0
     theta, omega = grid.theta(), grid.omega_nodes
-    rows = np.empty(grid.n_times)
+    rows, sups = np.empty((2, grid.n_times))
     for sweep in range(1, MAX_SWEEPS + 1):
         # the residual ||F(D) - D||_w comes from the sweep's own row sups
-        deviation_sweep(times, theta, omega, z, dev, mu, row_residual=rows, out=dev)
+        deviation_sweep(times, theta, omega, z, start, mu, row_residual=rows, out=dev, sup=sup,
+                        row_sups=sups)
+        start, sup = dev, float(sups.max())
         res = weighted_norm(times, rows, weight, deviation=True)
         if report.residuals and report.residuals[-1] > report.floor:
             report.ratios.append(res / report.residuals[-1])
@@ -747,7 +865,7 @@ def solve_fixed_point(
             f"residual {report.residuals[-1]:.3e} > tol {tol:.1e} "
             f"after {MAX_SWEEPS} sweeps (bound {report.bound:.3g})"
         )
-    return CharacteristicField(grid, dev, mu), report
+    return _carrying(grid, dev, mu, sups), report
 
 
 def _rk4_step(g0, g1, g2):
@@ -1048,7 +1166,7 @@ def gamma_field(field: CharacteristicField, z, on_tile) -> GammaField:
     z = np.asarray(z, dtype=complex)
     n_t = len(times)
     cos_t, sin_t = np.cos(theta)[None, :, None], np.sin(theta)[None, :, None]
-    parts = _integral_parts(times, omega, z, field.deviation, keep_phase=True)
+    parts = _integral_parts(times, omega, z, field.deviation, field.sup(), keep_phase=True)
     part_rows = np.empty((len(parts), n_t))
 
     def project(p):

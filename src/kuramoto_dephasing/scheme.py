@@ -194,17 +194,24 @@ def _order_parameter_values(field: CharacteristicField, state: AsymptoticState):
     (rounded up), allocated here on the calling thread, so the three
     slabs keep their size.  A row's sum does not depend on the tile or
     part it falls in, so z is bit-identical for any part count.
+
+    A zero field (sup|D| = 0, which a swept field knows without a pass)
+    has e^{iD} - 1 = 0 on every cell, so z is the free part exactly: no
+    kernel is built, no scratch allocated and no cell read.
     """
     g = field.grid
     times, theta, omega = g.times(), g.theta(), g.omega_nodes
+    z = free_order_parameter(state, times).astype(complex)
+    sup = field.sup()
+    if sup == 0.0:
+        return z
     # angular weights: trapezoid on the periodic grid is exact for the
     # finite-mode factor, so the only quadrature left is over frequency
     u = state.angular_factor(theta) * np.exp(1j * theta) / g.n_theta
     proj = np.stack([u.real, u.imag])
-    z = free_order_parameter(state, times).astype(complex)
     # e^{iD} - 1 as (cos D - 1, sin D) in contiguous real scratch, at the
     # exact sup of this field
-    kernel = phase_kernel(field.sup())
+    kernel = phase_kernel(sup)
     table = oscillation_table(times, omega)
     tiles = list(time_tiles(g.shape()))
     parts, share = row_shares(g.shape())
@@ -231,7 +238,13 @@ def _order_parameter_values(field: CharacteristicField, state: AsymptoticState):
 def order_parameter_of(
     field: CharacteristicField, state: AsymptoticState, weight: WeightSpec
 ) -> OrderParameterPath:
-    """Order parameter of the transported state, free part in closed form."""
+    """Order parameter of the transported state, free part in closed form.
+
+    The quadrature of e^{iD} - 1 runs on the field's tiles with the phase
+    kernel of its exact sup|D|, which a swept field carries; a zero field
+    (every solve's first iterate, and all of a mu = 0 solve) gives the
+    free part exactly, with no kernel and no cell read.
+    """
     return OrderParameterPath(field.grid, _order_parameter_values(field, state), weight)
 
 

@@ -343,10 +343,14 @@ def _seed_deviation_sweep(times, theta, omega, z, deviation, mu):
     return out
 
 
-def _seed_sweep_with_residual(times, theta, omega, z, deviation, mu, row_residual, out=None):
+def _seed_sweep_with_residual(times, theta, omega, z, deviation, mu, row_residual, out=None,
+                              sup=None, row_sups=None):
     # the seed sweep under the new signature, its residual from new - dev
+    # and its row sups from new; the seed kernel needs no sup
     new = _seed_deviation_sweep(times, theta, omega, z, deviation, mu)
     row_residual[:] = np.abs(new - deviation).reshape(len(times), -1).max(axis=1)
+    if row_sups is not None:
+        row_sups[:] = np.abs(new).reshape(len(times), -1).max(axis=1)
     if out is None:
         return new
     out[...] = new
@@ -532,6 +536,80 @@ def test_in_place_solve_equals_an_out_of_place_loop(grid, zpath, forced_tiles):
     assert np.array_equal(field.deviation, dev)
 
 
+def test_zero_start_sweep_is_the_full_sweep_of_a_zero_field(monkeypatch):
+    # from D = 0 each part integrates one zero column of its own and
+    # projects it into its angles; the bits are those of the omega-blocked
+    # sweep, whose kernel runs on every cell of the zero field
+    g, z, _, mu, state, weight = _benchmark_case("strong_coupling")
+    rows = _force_tile_rows(monkeypatch, g.shape(), 37)
+    assert len(rows) >= 3 and rows[-1] < rows[0]
+    times, theta, omega = g.times(), g.theta(), g.omega_nodes
+    zero = np.zeros(g.shape())
+    ref = _omega_block_outputs(g, z, zero, mu, state, weight)
+    rows, sups, in_place_rows = np.empty((3, g.n_times))
+    fresh = deviation_sweep(times, theta, omega, z, zero, mu, rows, row_sups=sups)
+    in_place = np.zeros(g.shape())
+    assert deviation_sweep(times, theta, omega, z, in_place, mu, in_place_rows,
+                           out=in_place, sup=0.0) is in_place
+    for got in (fresh, in_place):
+        assert got.view(np.uint64).tobytes() == ref["sweep"].view(np.uint64).tobytes()
+    assert np.array_equal(rows, ref["row_residual"]) and np.array_equal(in_place_rows, rows)
+    # from zero the residual is the new field's own row sups
+    assert sups.tobytes() == rows.tobytes()
+    # a zero field's order parameter is the free part, signed zeros included
+    quad = scheme._order_parameter_values(CharacteristicField(g, zero, mu), state)
+    free = free_order_parameter(state, times).astype(complex)
+    assert quad.view(np.uint64).tobytes() == free.view(np.uint64).tobytes()
+    assert np.array_equal(quad, ref["quadrature"])
+
+
+def _carries_its_own_row_sups(field):
+    return field._rows is not None and field._rows.tobytes() == field._row_gaps().tobytes()
+
+
+def test_swept_fields_carry_their_own_row_sups(grid, zpath, solved, forced_tiles):
+    field = solved[0]
+    assert _carries_its_own_row_sups(field)
+    runs = (
+        lambda out: picard_sweep(grid, zpath, MU, WEIGHT, out=out),
+        lambda out: picard_sweep(grid, zpath, MU, WEIGHT, field, out=out),
+        lambda out: picard_sweep(grid, zpath, 0.0, WEIGHT, field, out=out),
+        lambda out: solve_fixed_point(grid, zpath, MU, WEIGHT, out=out),
+        lambda out: solve_fixed_point(grid, zpath, 0.0, WEIGHT, out=out),
+    )
+    for run in runs:
+        for out in (None, np.full(grid.shape(), np.nan)):
+            swept, _ = run(out)
+            assert _carries_its_own_row_sups(swept)
+            assert swept.sup() == characteristics._sup(swept.deviation)
+            norm = weighted_norm(grid.times(), swept.deviation, WEIGHT, deviation=True)
+            assert swept.deviation_norm(WEIGHT) == norm
+            assert math.copysign(1.0, swept.deviation_norm(WEIGHT)) == math.copysign(1.0, norm)
+    # a field built from an array takes its sups from the array on each call
+    built = CharacteristicField(grid, field.deviation.copy(), MU)
+    assert built._rows is None
+    sup = built.sup()
+    built.deviation[...] *= 2.0
+    assert built.sup() == 2.0 * sup
+
+
+def test_fields_on_grids_of_another_shape_are_refused():
+    # rows at different times are not comparable: either order is refused
+    # by name, before any part runs
+    short = build_grid(PROFILE, t_max=10.0, dt=0.05, n_theta=8, n_omega=129)
+    long = build_grid(PROFILE, t_max=20.0, dt=0.05, n_theta=8, n_omega=129)
+    a = CharacteristicField(short, np.zeros(short.shape()), MU)
+    b = CharacteristicField(long, np.ones(long.shape()), MU)
+    assert a.deviation.shape == (201, 8, 129) and b.deviation.shape == (401, 8, 129)
+    for x, y in ((a, b), (b, a)):
+        for compare in (lambda: x.sup_distance(y), lambda: x.distance(y, WEIGHT)):
+            with pytest.raises(ValueError) as info:
+                compare()
+            message = str(info.value)
+            assert "\n" not in message
+            assert str(x.deviation.shape) in message and str(y.deviation.shape) in message
+
+
 def test_quadrature_scratch_fits_in_the_sweep_slabs(grid, solved, monkeypatch):
     # the order-parameter quadrature keeps (cos D - 1, sin D) and D^2 in
     # three real tile slabs, inside the two complex slabs of a sweep; the
@@ -559,7 +637,7 @@ def _cumsum_backward_sum(c):
 
 def _kernel_outputs(grid, z, dev):
     times, theta, omega = grid.times(), grid.theta(), grid.omega_nodes
-    parts = characteristics._integral_parts(times, omega, z, dev)
+    parts = characteristics._integral_parts(times, omega, z, dev, characteristics._sup(dev))
     tiles = [np.concatenate([ib for _, ib, _, _ in blocks], axis=1)
              for blocks in zip(*(part_tiles for _, part_tiles in parts))]
     rows = np.empty(grid.n_times)
@@ -1168,7 +1246,9 @@ def test_table_never_serves_another_node_set(forced_tiles, monkeypatch):
     assert oscillation_table(g1.times(), omega) is before
     omega[0] += 1.0
     after = oscillation_table(g1.times(), omega)
-    assert np.array_equal(after, np.exp(1j * np.outer(g1.times(), omega)))
+    # bit for bit the direct formula, signed zeros of the t = 0 row included
+    direct = np.exp(1j * np.outer(g1.times(), omega))
+    assert after.view(np.uint64).tobytes() == direct.view(np.uint64).tobytes()
     assert not after.flags.writeable
 
 
@@ -1412,11 +1492,11 @@ def test_time_tiles_cover_every_row_once_from_t_max_backward(shape, cells):
 # -- the split loops against one part: bit-identical for any part count ------
 
 # (grid, part counts): the module grid in ragged forced tiles, and ten
-# angles, which split into 5 + 5, 3 + 3 + 4 and, at P = n_theta, the
-# narrowest angle parts, five of two
+# angles, which split into 5 + 5, 3 + 3 + 4, 2 + 3 + 2 + 3 and, at
+# P = n_theta, the narrowest angle parts, five of two
 PART_GRIDS = {
-    "theta16": (dict(t_max=8.0, dt=0.05, n_theta=16, n_omega=65), (1, 2, 3, 16)),
-    "theta10": (dict(t_max=8.0, dt=0.05, n_theta=10, n_omega=33), (1, 2, 3, 10)),
+    "theta16": (dict(t_max=8.0, dt=0.05, n_theta=16, n_omega=65), (1, 2, 3, 4, 16)),
+    "theta10": (dict(t_max=8.0, dt=0.05, n_theta=10, n_omega=33), (1, 2, 3, 4, 10)),
 }
 PART_CASES = [(name, parts) for name, (_, counts) in PART_GRIDS.items() for parts in counts]
 
@@ -1429,6 +1509,12 @@ def _split_outputs(g, amplitude):
     swept = deviation_sweep(times, theta, omega, z, dev, 0.5, row_residual=rows)
     in_place = dev.copy()
     deviation_sweep(times, theta, omega, z, in_place, 0.5, in_place_rows, out=in_place)
+    # the sweep from D = 0, into a new array and in place, as raw bits
+    zero_rows = np.empty(g.n_times)
+    from_zero = deviation_sweep(times, theta, omega, z, np.zeros(g.shape()), 0.5, zero_rows)
+    zero_in_place = np.zeros(g.shape())
+    deviation_sweep(times, theta, omega, z, zero_in_place, 0.5, np.empty(g.n_times),
+                    out=zero_in_place)
     field = CharacteristicField(g, dev, 0.5)
     gam, sin_part, cos_part = _gamma_parts(field, z)
     state = AsymptoticState(PROFILE, {1: 0.05}, "exponential", 0.9)
@@ -1443,6 +1529,8 @@ def _split_outputs(g, amplitude):
                               times=(0.0,))
     return {
         "swept": swept, "rows": rows, "in_place": in_place, "in_place_rows": in_place_rows,
+        "from_zero": from_zero.view(np.uint64), "zero_rows": zero_rows,
+        "zero_in_place": zero_in_place.view(np.uint64),
         "sin_part": sin_part, "cos_part": cos_part, "margin": np.array(gam.margin),
         "beta": gam.beta, "quadrature": scheme._order_parameter_values(field, state),
         "solved": solved.deviation, "report": report,
@@ -1468,7 +1556,7 @@ def test_split_loops_are_bit_identical_for_any_part_count(name, parts, amplitude
     monkeypatch.setattr(characteristics, "_PARTS", parts)
     times = g.times()
     angle_parts = characteristics._integral_parts(times, g.omega_nodes, times + 0j,
-                                                  np.zeros(g.shape()))
+                                                  np.zeros(g.shape()), 0.0)
     widths = [a.stop - a.start for a, _ in angle_parts]
     assert len(widths) == min(parts, g.n_theta // 2) and sum(widths) == g.n_theta
     assert max(widths) - min(widths) <= 1
