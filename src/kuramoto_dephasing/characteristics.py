@@ -36,8 +36,9 @@ import functools
 import math
 import mmap
 import os
+from collections import Counter
 from concurrent.futures import Future, ThreadPoolExecutor, wait
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -144,11 +145,14 @@ class CharacteristicField:
         the whole field, so the norm is the same number, zero's sign
         included.
         """
-        rows = self._row_gaps() if self._rows is None else self._rows
-        return float(np.max(weight.deviation_values(self.grid.times()) * rows))
+        return float(np.max(weight.deviation_values(self.grid.times()) * self.row_sups()))
 
     def sup(self) -> float:
         return _sup(self.deviation) if self._rows is None else float(self._rows.max())
+
+    def row_sups(self) -> np.ndarray:
+        """sup |D| over each time row: the carried sups, or one pass over D."""
+        return self._row_gaps() if self._rows is None else self._rows
 
     def distance(self, other: "CharacteristicField", weight: WeightSpec) -> float:
         """||D - D_other|| in the deviation weight, one time tile at a time.
@@ -166,30 +170,8 @@ class CharacteristicField:
 
     def _row_gaps(self, other=None):
         # sup over each time row of |D - D_other|, or of |D| when other is
-        # None; the row_shares parts take their share of every tile's rows
-        # (into a slab each for a difference), and a row's sup does not
-        # depend on the part it falls in
-        shape = self.deviation.shape
-        if other is not None and other.deviation.shape != shape:
-            raise ValueError(
-                f"cannot compare a field of shape {shape} with one of shape "
-                f"{other.deviation.shape}"
-            )
-        rows = np.empty(shape[0])
-        tiles = list(time_tiles(shape))
-        parts, share = row_shares(shape)
-        slab = None if other is None else np.empty((parts, share) + shape[1:])
-
-        def gaps(p):
-            for sl in tiles:
-                part = split(sl.start, sl.stop, parts)[p]
-                gap = self.deviation[part]
-                if other is not None:
-                    gap = np.subtract(gap, other.deviation[part], out=slab[p, : len(gap)])
-                _row_sup(gap, rows[part])
-
-        in_parts(gaps, parts)
-        return rows
+        # None
+        return _row_gaps(self.deviation, None if other is None else other.deviation)
 
 
 @dataclass
@@ -202,6 +184,12 @@ class ContractionReport:
     mu * ||R|| * unit_contraction_gain that every recorded ratio is checked
     against downstream.  ``tail_remainder`` certifies the truncated
     s-integral beyond t_max.
+
+    ``tile_terms`` counts the tiles the sweeps swept with a kernel, by its
+    Taylor terms (``tile_terms``; a sweep from D = 0 takes none), and
+    ``tiles_skipped`` the tiles, of one angle part each, that a solve's
+    sweeps left out (``deviation_sweep``'s tails).  Both are for the log:
+    they depend on the part count and stay out of the ledger entry.
     """
 
     bound: float
@@ -212,6 +200,14 @@ class ContractionReport:
     tol: float = 0.0
     floor: float = 0.0
     tail_remainder: float = 0.0
+    tile_terms: Counter = field(default_factory=Counter, compare=False, repr=False)
+    tiles_skipped: int = field(default=0, compare=False, repr=False)
+
+    def ledger_entry(self) -> dict:
+        """The report as the ledger records it, without the tile counts."""
+        entry = asdict(self)
+        del entry["tile_terms"], entry["tiles_skipped"]
+        return entry
 
 
 @dataclass(frozen=True, eq=False)
@@ -388,6 +384,31 @@ def _row_sup(tile, out):
     np.maximum(tile.max(axis=(1, 2)), -tile.min(axis=(1, 2)), out=out)
 
 
+def _row_gaps(a, b=None):
+    # sup over each time row of |a - b|, or of |a| when b is None; the
+    # row_shares parts take their share of every tile's rows (into a slab
+    # each for a difference), and a row's sup does not depend on the part
+    # it falls in
+    shape = a.shape
+    if b is not None and b.shape != shape:
+        raise ValueError(f"cannot compare a field of shape {shape} with one of shape {b.shape}")
+    rows = np.empty(shape[0])
+    tiles = list(time_tiles(shape))
+    parts, share = row_shares(shape)
+    slab = None if b is None else np.empty((parts, share) + shape[1:])
+
+    def gaps(p):
+        for sl in tiles:
+            part = split(sl.start, sl.stop, parts)[p]
+            gap = a[part]
+            if b is not None:
+                gap = np.subtract(gap, b[part], out=slab[p, : len(gap)])
+            _row_sup(gap, rows[part])
+
+    in_parts(gaps, parts)
+    return rows
+
+
 def _sup(a) -> float:
     # sup|a| as max and -min over parts of the first axis: the max of the
     # parts' sups is the sup, exact and NaN-propagating, with no |a|
@@ -416,10 +437,8 @@ def _taylor_terms(sup):
 
 
 def _horner(x, coeffs, out):
-    # out <- coeffs[0] + coeffs[1] x + ... + coeffs[-1] x^(n-1), in place
-    if len(coeffs) == 1:
-        out[...] = coeffs[0]
-        return
+    # out <- coeffs[0] + coeffs[1] x + ... + coeffs[-1] x^(n-1), in place,
+    # for n >= 2
     np.multiply(x, coeffs[-1], out=out)
     for c in coeffs[-2:0:-1]:
         out += c
@@ -434,17 +453,30 @@ def phase_kernel(sup):
     ``dev`` into ``cos_m1`` and ``sin_d``.  Up to _POLY_CAP the pair is
     D^2 Q_k(D^2) and D P_k(D^2) by Horner's rule, with k from
     ``_taylor_terms(sup)``, so the truncation stays below the rounding
-    unit; ``d2`` is scratch for D^2.  Above the cap it is
-    (-2 sin^2(D/2), sin D).  Both forms keep full relative precision as
-    D -> 0 and map 0 to 0.  The terms are picked once, here, so a caller
-    that applies one bound to many tiles pays for the choice once.  Every
-    e^{iD} of the cell-weight route comes from this kernel: the sweep,
-    gamma_field (whose pair also feeds reconstruct's dephasing) and the
-    order-parameter quadrature.  The RK4 oracle does not use it.
+    unit; ``d2`` is scratch for D^2.  At k = 1 that is -D^2 / 2 and D, one
+    square, one scaling and one copy, bit for bit what Horner's rule gives
+    there.  Above the cap it is (-2 sin^2(D/2), sin D).  Both forms keep
+    full relative precision as D -> 0 and map 0 to 0.  One kernel is kept
+    per term count, so the same count returns the same object.  Every
+    e^{iD} of the cell-weight route comes from this kernel, picked per
+    time tile (``tile_kernels``): the sweep, gamma_field (whose pair also
+    feeds reconstruct's dephasing) and the order-parameter quadrature.
+    The RK4 oracle does not use it.
     """
     k = _taylor_terms(sup)
-    if k is None:
-        return _trig_phase
+    return _trig_phase if k is None else _taylor_kernel(k)
+
+
+@functools.cache
+def _taylor_kernel(k):
+    # phase_kernel's Taylor form with k terms
+    if k == 1:
+        def first_terms(dev, cos_m1, sin_d, d2):
+            np.multiply(dev, dev, out=cos_m1)
+            cos_m1 *= _COS_M1_OVER_D2[0]
+            np.copyto(sin_d, dev)
+
+        return first_terms
     cos_coeffs, sin_coeffs = _COS_M1_OVER_D2[:k], _SIN_OVER_D[:k]
 
     def taylor_phase(dev, cos_m1, sin_d, d2):
@@ -455,6 +487,34 @@ def phase_kernel(sup):
         sin_d *= dev
 
     return taylor_phase
+
+
+def _tile_sups(shape, rows):
+    # the largest row sup of each tile of time_tiles(shape), NaN
+    # propagating; ``rows`` may be one number, a bound for every row
+    rows = np.broadcast_to(np.asarray(rows, dtype=float), shape[:1])
+    return [float(rows[sl].max()) for sl in time_tiles(shape)]
+
+
+def tile_kernels(shape, rows):
+    """The phase kernel of each tile of ``time_tiles(shape)``, from its rows.
+
+    ``rows`` holds sup|D| over each time row (one number bounds every
+    row).  A tile of zero rows takes ``_unit_phase``, every other tile
+    ``phase_kernel`` of its largest row sup: the trig form where that is
+    NaN, inf or above _POLY_CAP, else the fewest Taylor terms the tile's
+    own rows need.  The choice reads only the tile's rows, so it does not
+    depend on how a loop splits the field into parts.
+    """
+    return [_unit_phase if sup == 0.0 else phase_kernel(sup) for sup in _tile_sups(shape, rows)]
+
+
+def tile_terms(shape, rows):
+    """Taylor terms of each tile's kernel of ``tile_kernels``.
+
+    0 for the unit phase of a tile of zero rows, None for the trig form.
+    """
+    return [0 if sup == 0.0 else _taylor_terms(sup) for sup in _tile_sups(shape, rows)]
 
 
 def _trig_phase(dev, cos_m1, sin_d, d2):
@@ -516,11 +576,66 @@ def _unit_phase(dev, cos_m1, sin_d, d2):
     sin_d.fill(0.0)
 
 
-def _integral_parts(times, omega, z, deviation, sup, keep_phase=False):
+def _angle_parts(shape):
+    # the angle slices of the swept loops: parts at least two angles wide,
+    # each holding a node-factor block of a tile's rows, so the blocks of
+    # all parts stay within half a slab
+    return split(0, shape[1], part_count(shape[1] // 2))
+
+
+# the row sup _row_sup takes of a row of zero differences, max(0, -0) = -0:
+# the residual a tile left as it was would get from a pass
+_UNCHANGED_ROW = float(np.maximum(0.0, -0.0))
+
+
+class _Tail:
+    """One angle part's leading tiles that an in-place sweep left as they were.
+
+    A frozen-path solve keeps one per part from sweep to sweep.  ``tiles``
+    counts the tiles from t_max down whose rows (the part's columns) the
+    last sweep that reached them rewrote bit for bit as they were;
+    ``kernels`` are the kernels they were swept with, ``carried`` the
+    part's two carried rows (right-node term and running integral) at the
+    boundary below them, and ``sups`` the part's sup |D| of every row,
+    which the rows of skipped tiles keep.  A tile's new rows depend only on
+    z, its own rows, its kernel and the rows carried in from above, so the
+    next sweep may start below the tail from ``carried``, unless a tail
+    tile's kernel has changed: only the deepest boundary is kept, so then
+    the sweep starts at t_max.
+    """
+
+    def __init__(self, shape, angles):
+        self.tiles = 0
+        self.kernels = []
+        self.carried = np.empty((2, angles.stop - angles.start, shape[2]), dtype=complex)
+        self.sups = np.empty(shape[0])
+        # tiles the current sweep skips; begin sets it, with the rows they
+        # cover and whether the tail grows by the tile being swept
+        self.start = 0
+
+    def begin(self, kernels, tiles):
+        if self.kernels != kernels[: self.tiles]:
+            self.tiles, self.kernels = 0, []
+        self.start = self.tiles
+        self.rows = slice(tiles[self.start - 1].start if self.start else len(self.sups), None)
+        self.growing = True
+
+
+def _unchanged(residual_rows, new, old, scratch):
+    # new equals old bit for bit: zero row residuals leave only the signs
+    # of zeros open, which the bits settle (in scratch)
+    if residual_rows.any():
+        return False
+    bits = scratch.view(np.uint64)
+    np.bitwise_xor(new.view(np.uint64), old.view(np.uint64), out=bits)
+    return not bits.any()
+
+
+def _integral_parts(times, omega, z, deviation, sup, keep_phase=False, tails=None):
     """Backward integrals of one field, in parts of the angle axis.
 
-    Returns one (angles, tiles) pair per part of ``split`` over the angle
-    axis; ``tiles`` yields (sl, integral, spare, phase) for the columns
+    Returns one (angles, tiles) pair per part of ``_angle_parts``;
+    ``tiles`` yields (sl, integral, spare, phase) for the columns
     ``angles`` of each tile of ``time_tiles(deviation.shape)``, from t_max
     backward, where integral(t_i) = Int_{t_i}^{t_max} c(s) e^{i omega s} ds
     with cellwise alpha/beta weights, summed from the far end one time row
@@ -532,33 +647,41 @@ def _integral_parts(times, omega, z, deviation, sup, keep_phase=False):
     whatever the part count: only time carries, and no column depends on
     another.
 
-    The kernel is fixed here from ``sup``, the exact sup|D| of the whole
-    field, and the Filon weights are computed once for all omega; each
-    tile slices rows of the e^{i omega t} table.  Each part's scratch (two
-    complex slabs of the whole field's tile rows over its columns, the
-    carried rows and one block of weighted node factors for a tile's rows)
-    is allocated here, on the calling thread, so the generators may run on
-    any thread.  The yielded arrays are views into that scratch: they
-    hold only until the part's next tile is drawn, and ``spare`` is free
-    scratch of the tile's shape.  With ``keep_phase`` each part keeps one
-    more complex slab, in which the kernel writes the tile's pair
+    ``sup`` holds sup|D| over each time row of ``deviation`` (one number
+    bounds every row), and each tile takes its own kernel from its rows
+    (``tile_kernels``), so the late rows of a decaying field pay for the
+    few Taylor terms their size needs and not for the field's largest.
+    The Filon weights are computed once for all omega; each tile slices
+    rows of the e^{i omega t} table.  Each part's scratch (two complex
+    slabs of the whole field's tile rows over its columns, the carried
+    rows and one block of weighted node factors for a tile's rows) is
+    allocated here, on the calling thread, so the generators may run on
+    any thread.  The yielded arrays are views into that scratch: they hold
+    only until the part's next tile is drawn, and ``spare`` is free scratch
+    of the tile's shape.  With ``keep_phase`` each part keeps one more
+    complex slab, in which the kernel writes the tile's pair
     (cos D - 1, sin D), and ``phase`` is that pair as two contiguous real
     arrays of the tile's shape; without it the pair is formed in the
     memory of the integral, and ``phase`` is None.
 
-    At sup = 0 without ``keep_phase``, e^{iD} = 1 on every cell, so the
-    integral is the same for every angle: each part integrates one private
-    read-only zero column instead of its angles, with no kernel and no
-    read of ``deviation``, and ``integral`` has one angle, (rows, 1,
-    n_omega), the value of every angle of the tile, formed by the same
-    products and additions.  ``spare`` is then a real array of the tile's
-    shape.
+    ``tails``, one ``_Tail`` per part, skips each part's tail: its tiles
+    are not yielded, and the part starts below them from the carried rows
+    the tail kept.  While ``growing`` stays set after a tile is consumed,
+    the tail takes that tile and the rows carried below it.
+
+    When every row sup is 0 and there is no ``keep_phase``, e^{iD} = 1 on
+    every cell, so the integral is the same for every angle: each part
+    integrates one private read-only zero column instead of its angles,
+    with no kernel, no tail and no read of ``deviation``, and ``integral``
+    has one angle, (rows, 1, n_omega), the value of every angle of the
+    tile, formed by the same products and additions.  ``spare`` is then a
+    real array of the tile's shape.
     """
     dt = float(times[1] - times[0])
     conj_z = np.conj(z)[:, None]
     table = oscillation_table(times, omega)
-    flat = sup == 0.0 and not keep_phase
-    kernel = _unit_phase if flat else phase_kernel(sup)
+    shape = deviation.shape
+    flat = float(np.max(sup)) == 0.0 and not keep_phase
     w = omega * dt
     alpha, beta = filon_weights(w)
     # each node carries its cell weight as a left (alpha) or right (beta)
@@ -566,12 +689,18 @@ def _integral_parts(times, omega, z, deviation, sup, keep_phase=False):
     # loses its e^{i w}
     left_weight = dt * alpha
     right_weight = dt * (beta * np.exp(-1j * w))
-    shape = deviation.shape
     tiles = list(time_tiles(shape))
+    kernels = [_unit_phase] * len(tiles) if flat else tile_kernels(shape, sup)
     n_rows = _tile_rows(shape)
 
-    def part_tiles(dev, phases, cells, edge, above, node_rows, kept, spare):
-        for sl in tiles:
+    def part_tiles(dev, phases, cells, edge, above, node_rows, kept, spare, tail):
+        first = 0
+        if tail is not None:
+            first = tail.start
+            if first:
+                np.copyto(edge, tail.carried[0])
+                np.copyto(above, tail.carried[1])
+        for sl, kernel in zip(tiles[first:], kernels[first:]):
             n = sl.stop - sl.start
             e, c, node = phases[:n], cells[:n], node_rows[:n]
             # e^{iD} = 1 + (cos D - 1) + i sin D; the pair goes to the kept
@@ -603,11 +732,14 @@ def _integral_parts(times, omega, z, deviation, sup, keep_phase=False):
             np.copyto(above, c[0])
             phase = None if kept is None else (cos_m1, sin_d)
             yield sl, c, e if spare is None else spare[:n], phase
+            if tail is not None and tail.growing:
+                tail.tiles += 1
+                tail.kernels.append(kernel)
+                np.copyto(tail.carried[0], edge)
+                np.copyto(tail.carried[1], above)
 
     parts = []
-    # parts at least two angles wide: each holds a node-factor block of a
-    # tile's rows, so the blocks of all parts stay within half a slab
-    for angles in split(0, shape[1], part_count(shape[1] // 2)):
+    for p, angles in enumerate(_angle_parts(shape)):
         cols = (angles.stop - angles.start, shape[2])
         width = (1, shape[2]) if flat else cols
         slabs = np.empty((2, n_rows) + width, dtype=complex)
@@ -615,25 +747,30 @@ def _integral_parts(times, omega, z, deviation, sup, keep_phase=False):
         node_rows = np.empty((n_rows, shape[2]), dtype=complex)
         kept = np.empty((n_rows,) + cols, dtype=complex) if keep_phase else None
         spare = np.empty((n_rows,) + cols) if flat else None
+        tail = None if flat or tails is None else tails[p]
+        if tail is not None:
+            tail.begin(kernels, tiles)
         # a zero column of the part's own: deviation itself may be the
         # sweep's output, which the other parts are writing
         dev = np.broadcast_to(0.0, (shape[0],) + width) if flat else deviation[:, angles]
-        parts.append((angles, part_tiles(dev, *slabs, *carried, node_rows, kept, spare)))
+        parts.append((angles, part_tiles(dev, *slabs, *carried, node_rows, kept, spare, tail)))
     return parts
 
 
 def deviation_sweep(times, theta, omega, z, deviation, mu, row_residual, out=None, sup=None,
-                    row_sups=None):
+                    row_sups=None, tails=None):
     """One application of the backward-integral map to a deviation field.
 
     Operates on raw arrays so alternative node sets can be pushed through.
     Returns the new deviation, mu * Im(e^{i theta} I), one time tile at a
-    time to bound the complex working set; e^{iD} comes from phase_kernel
-    at ``sup``, the exact sup|D| of ``deviation`` (taken from the field
-    when None).  ``row_residual`` (shape (n_times,)) receives the sup over
-    each time row of |new - deviation| from the same pass, and
-    ``row_sups``, when given, the sup over each time row of |new|, taken
-    while each tile is in cache.
+    time to bound the complex working set.  ``sup`` holds sup|D| over each
+    time row of ``deviation`` (taken from the field when None; one number
+    bounds every row), and each tile's e^{iD} comes from the phase kernel
+    its own rows need (``tile_kernels``).  ``row_residual`` (shape
+    (n_times,)) receives the sup over each time row of |new - deviation|
+    from the same pass, and ``row_sups``, when given, the sup over each
+    time row of |new|, taken while each tile is in cache; it may be
+    ``sup`` itself, which is read before the first tile.
 
     The angle axis is split into ``part_count(n_theta // 2)`` contiguous
     parts, at least two angles wide, that run side by side
@@ -646,15 +783,23 @@ def deviation_sweep(times, theta, omega, z, deviation, mu, row_residual, out=Non
     ``deviation`` itself.  Into any other ``out`` each tile's new rows go
     straight from the projection; in place they are formed in tile scratch
     and copied into ``out`` once the row residual has been taken.  The
-    kernel is fixed from sup|D| before the first tile, a part reads and
-    writes only its own columns, a tile's rows of D are read before the
-    tile is yielded, and only the two carried rows cross a tile boundary,
-    so no tile reads a row already overwritten.
+    kernels are fixed from the row sups before the first tile, a part
+    reads and writes only its own columns, a tile's rows of D are read
+    before the tile is yielded, and only the two carried rows cross a tile
+    boundary, so no tile reads a row already overwritten.
 
-    At sup = 0 the integral has no angle dependence: each part integrates
-    one zero column of its own (``_integral_parts``) and projects it
-    straight into ``out``, reading nothing of ``deviation``, so the new
-    field is the residual.  The bits are those of the full sweep.
+    ``tails`` (a ``_Tail`` per angle part, kept by the caller from sweep
+    to sweep with z fixed) is read only by an in-place sweep.  Each part
+    then skips the tiles its tail holds: their rows are what this sweep
+    would write, so they stay as they are, with residual rows of zero
+    differences and the part's row sups kept in the tail.  A tile the
+    part rewrites bit for bit, directly below the tail, joins it.
+
+    When every row sup is 0 the integral has no angle dependence: each
+    part integrates one zero column of its own (``_integral_parts``) and
+    projects it straight into ``out``, reading nothing of ``deviation``,
+    so the new field is the residual.  The bits are those of the full
+    sweep.
     """
     times = np.asarray(times, dtype=float)
     z = np.asarray(z, dtype=complex)
@@ -663,19 +808,29 @@ def deviation_sweep(times, theta, omega, z, deviation, mu, row_residual, out=Non
     if out is None:
         out = np.empty(deviation.shape)
     if sup is None:
-        sup = _sup(deviation)
+        sup = _row_gaps(deviation)
     # mu * Im(e^{i theta} I) = (mu cos theta) Im I + (mu sin theta) Re I
     mu_cos = (mu * np.cos(theta))[None, :, None]
     mu_sin = (mu * np.sin(theta))[None, :, None]
-    parts = _integral_parts(times, omega, z, deviation, sup)
-    flat = sup == 0.0
+    flat = float(np.max(sup)) == 0.0
     in_place = not flat and np.may_share_memory(out, deviation)
+    if not in_place:
+        tails = None
+    parts = _integral_parts(times, omega, z, deviation, sup, tails=tails)
     rows = np.empty((len(parts), len(times)))
-    sups = None if flat or row_sups is None else np.empty_like(rows)
+    if tails is not None:
+        sups = [tail.sups for tail in tails]
+    elif not flat and row_sups is not None:
+        sups = np.empty_like(rows)
+    else:
+        sups = None
 
     def sweep(p):
         angles, tiles = parts[p]
         part_cos, part_sin = mu_cos[:, angles], mu_sin[:, angles]
+        tail = None if tails is None else tails[p]
+        if tail is not None:
+            rows[p, tail.rows] = _UNCHANGED_ROW
         for sl, ib, spare, _ in tiles:
             target = out[sl, angles]
             if flat:
@@ -691,10 +846,13 @@ def deviation_sweep(times, theta, omega, z, deviation, mu, row_residual, out=Non
                 # from D = 0 the residual is new itself
                 _row_sup(new, rows[p, sl])
             else:
-                np.subtract(new, deviation[sl, angles], out=scratch)
+                old = deviation[sl, angles]
+                np.subtract(new, old, out=scratch)
                 _row_sup(scratch, rows[p, sl])
+                if tail is not None and tail.growing:
+                    tail.growing = _unchanged(rows[p, sl], new, old, scratch)
             if sups is not None:
-                _row_sup(new, sups[p, sl])
+                _row_sup(new, sups[p][sl])
             if in_place:
                 np.copyto(target, new)
 
@@ -770,6 +928,13 @@ def _zero_gain_field(grid: Grid, mu: float, report, residual: float, out):
     return _carrying(grid, dev, mu, rows), report
 
 
+def _count_terms(report, shape, sup):
+    # the kernels of a sweep from row sups ``sup``, for the log; a sweep
+    # from a zero field takes none
+    if float(np.max(sup)) != 0.0:
+        report.tile_terms.update(tile_terms(shape, sup))
+
+
 def picard_sweep(
     grid: Grid,
     z,
@@ -804,7 +969,8 @@ def picard_sweep(
     if field is None:
         dev, sup = _zero_start(grid), 0.0
     else:
-        dev, sup = field.deviation, field.sup()
+        dev, sup = field.deviation, field.row_sups()
+        _count_terms(report, grid.shape(), sup)
     rows, sups = np.empty((2, grid.n_times))
     new = deviation_sweep(times, grid.theta(), grid.omega_nodes, z, dev, mu, row_residual=rows,
                           out=_field_array(grid, out), sup=sup, row_sups=sups)
@@ -831,10 +997,20 @@ def solve_fixed_point(
     MAX_SWEEPS sweeps.  A zero gain returns the zero field as picard_sweep.
     The first sweep, from D = 0, integrates one angle column and writes
     every cell of the solve's one field; every later sweep overwrites that
-    field in place, with its kernel from the row sups the sweep before took.
-    So the solve holds one field plus the sweep's tile slabs; that field is
-    ``out``, a float array of the grid's shape, when given, and the
-    returned field carries its row sups.
+    field in place, each tile with the kernel of the row sups the sweep
+    before took.  So the solve holds one field plus the sweep's tile slabs;
+    that field is ``out``, a float array of the grid's shape, when given,
+    and the returned field carries its row sups.
+
+    The map is of Volterra type: row t of a sweep depends only on the rows
+    s >= t, and with z frozen the rows near t_max reach their fixed point
+    first.  From the third sweep on each angle part therefore skips the
+    leading tiles that the sweep before rewrote bit for bit as they were,
+    and resumes below them from the two rows it carried there
+    (``deviation_sweep``'s tails); a tile whose kernel has changed since
+    is not skipped.  The skipped rows are exactly what the sweep would
+    have written, so field, residuals and row sups are bit-identical to
+    sweeping every tile, and the working set grows by two rows per part.
 
     Returns (CharacteristicField, ContractionReport).
     """
@@ -843,15 +1019,20 @@ def solve_fixed_point(
     report = _open_report(grid, z, mu, weight, tol)
     if report.bound == 0.0:
         return _zero_gain_field(grid, mu, report, 0.0, out)
+    shape = grid.shape()
     dev = _field_array(grid, out)
     start, sup = _zero_start(grid), 0.0
     theta, omega = grid.theta(), grid.omega_nodes
+    tails = [_Tail(shape, angles) for angles in _angle_parts(shape)]
     rows, sups = np.empty((2, grid.n_times))
     for sweep in range(1, MAX_SWEEPS + 1):
-        # the residual ||F(D) - D||_w comes from the sweep's own row sups
+        _count_terms(report, shape, sup)
+        # the residual ||F(D) - D||_w comes from the sweep's own row sups,
+        # which overwrite those its kernels were picked from
         deviation_sweep(times, theta, omega, z, start, mu, row_residual=rows, out=dev, sup=sup,
-                        row_sups=sups)
-        start, sup = dev, float(sups.max())
+                        row_sups=sups, tails=tails)
+        report.tiles_skipped += sum(tail.start for tail in tails)
+        start, sup = dev, sups
         res = weighted_norm(times, rows, weight, deviation=True)
         if report.residuals and report.residuals[-1] > report.floor:
             report.ratios.append(res / report.residuals[-1])
@@ -1145,7 +1326,8 @@ def gamma_field(field: CharacteristicField, z, on_tile) -> GammaField:
     the companion cosine integral whose exponential is the exact angular
     Jacobian of the transported label map, which feeds the density
     reconstruction.  (cos_m1, sin_d) is (cos D - 1, sin D) on the block,
-    the pair the integral was formed from (``phase_kernel``), so e^{iD} - 1
+    the pair the integral was formed from (the tile's own kernel of
+    ``tile_kernels``, picked from the field's row sups), so e^{iD} - 1
     comes with no trig of the consumer's own.
 
     ``on_tile`` is called from the parts' threads, part 0 on the calling
@@ -1166,7 +1348,7 @@ def gamma_field(field: CharacteristicField, z, on_tile) -> GammaField:
     z = np.asarray(z, dtype=complex)
     n_t = len(times)
     cos_t, sin_t = np.cos(theta)[None, :, None], np.sin(theta)[None, :, None]
-    parts = _integral_parts(times, omega, z, field.deviation, field.sup(), keep_phase=True)
+    parts = _integral_parts(times, omega, z, field.deviation, field.row_sups(), keep_phase=True)
     part_rows = np.empty((len(parts), n_t))
 
     def project(p):

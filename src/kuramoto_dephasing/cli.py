@@ -141,6 +141,30 @@ def _as_complex(v) -> complex:
     raise ConfigError(f"mode amplitude must be a number or [re, im], got {v!r}")
 
 
+def _unique_keys(pairs) -> dict:
+    # a JSON object as a dict; json.loads would keep the last of two equal
+    # keys and drop the other's value without a word
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ConfigError(f"config key {key!r} appears twice in one object")
+        obj[key] = value
+    return obj
+
+
+def _mode_index(key: str) -> int:
+    # int() also reads "01", " 1", "1_0" and the digits of other scripts,
+    # so two keys could name one mode and one amplitude be dropped: a mode
+    # key must be the canonical decimal of its integer
+    try:
+        k = int(key)
+    except ValueError:
+        k = None
+    if k is None or str(k) != key:
+        raise ConfigError(f"mode key {key!r} is not a canonical decimal integer")
+    return k
+
+
 def _refuse_oversized_ensemble(n: int):
     # an ensemble that cannot fit in memory cannot be run: refuse it before
     # the solve, from the particle count alone
@@ -167,7 +191,7 @@ def load_config(path, output_dir_override=None) -> RunConfig:
     the state's declared decay class is legal but logged as a warning.
     """
     try:
-        raw = json.loads(Path(path).read_text())
+        raw = json.loads(Path(path).read_text(), object_pairs_hook=_unique_keys)
     except OSError as e:
         raise ConfigError(f"cannot read config {path}: {e}") from e
     except json.JSONDecodeError as e:
@@ -180,7 +204,7 @@ def load_config(path, output_dir_override=None) -> RunConfig:
             kind=str(_require(pspec, "kind")),
             scale=_number("profile scale", _require(pspec, "scale")),
         )
-        modes = {int(k): _as_complex(v) for k, v in _section(raw, "modes").items()}
+        modes = {_mode_index(k): _as_complex(v) for k, v in _section(raw, "modes").items()}
         dspec = _section(raw, "decay")
         state = AsymptoticState(
             profile=profile,

@@ -286,9 +286,14 @@ class Grid:
         weights = np.asarray(self.omega_weights, dtype=float)
         if nodes.shape != weights.shape or nodes.ndim != 1 or nodes.size < 2:
             raise GridError("omega nodes/weights must be matching 1-d arrays")
+        if not (np.all(np.isfinite(nodes)) and np.all(np.isfinite(weights))):
+            raise GridError("omega nodes and weights must be finite")
         object.__setattr__(self, "omega_nodes", nodes)
         object.__setattr__(self, "omega_weights", weights)
-        pw = weights * self.profile.density(nodes)
+        # a profile scale near the float64 range can overflow the density of
+        # finite nodes; the mass check below refuses what that leaves
+        with np.errstate(over="ignore", invalid="ignore"):
+            pw = weights * self.profile.density(nodes)
         object.__setattr__(self, "prob_weights", pw)
         defect = abs(float(pw.sum()) - 1.0)
         if not defect <= _MASS_TOL:
@@ -360,7 +365,10 @@ def build_grid(
     if n_omega < 8:
         raise GridError("need at least 8 frequency nodes")
     _refuse_oversized_field(t_max, dt, n_theta, rule_size(profile.kind, int(n_omega)))
-    nodes, weights = _RULES[profile.kind](profile.scale, int(n_omega))
+    with np.errstate(over="ignore", invalid="ignore"):
+        # a profile scale near the float64 range overflows the rule; Grid
+        # refuses its non-finite nodes and weights in one line
+        nodes, weights = _RULES[profile.kind](profile.scale, int(n_omega))
     return Grid(
         profile=profile,
         t_max=float(t_max),

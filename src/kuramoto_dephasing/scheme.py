@@ -26,10 +26,11 @@ subtraction is evaluated as (cos D - 1, sin D), each with full relative
 precision long after |D| has dropped below the rounding unit, which is what
 lets weighted Cauchy increments be resolved down to 1e-10 and beyond.  The
 pair comes from characteristics.phase_kernel, the one phase kernel the
-sweeps share, built once per quadrature: Taylor polynomials D^2 Q_k(D^2)
-and D P_k(D^2) whose number of terms k is the smallest that puts the
-truncation below the rounding unit at the field's exact sup|D| (a few
-multiply-adds per cell), and (-2 sin^2(D/2), sin D) above sup|D| = 1.
+sweeps share, picked per time tile (characteristics.tile_kernels): Taylor
+polynomials D^2 Q_k(D^2) and D P_k(D^2) whose number of terms k is the
+smallest that puts the truncation below the rounding unit at the exact
+sup|D| of the tile's rows (a few multiply-adds per cell, fewer on the
+decayed late tiles), and (-2 sin^2(D/2), sin D) above sup|D| = 1.
 
 Every iterate, the certification iterate included, appends one record to
 a diagnostics ledger: weighted norms, Cauchy increments and ratios, the
@@ -45,7 +46,7 @@ from __future__ import annotations
 import logging
 import math
 import time
-from dataclasses import asdict, dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
@@ -56,11 +57,11 @@ from .characteristics import (
     gamma_field,
     in_parts,
     oscillation_table,
-    phase_kernel,
     picard_sweep,
     row_shares,
     solve_fixed_point,
     split,
+    tile_kernels,
     time_tiles,
 )
 from .norms_grids import Grid, WeightSpec, weighted_norm
@@ -187,39 +188,41 @@ def _order_parameter_values(field: CharacteristicField, state: AsymptoticState):
     One time tile at a time: (cos D - 1, sin D) and D^2 go into three real
     slabs, are projected onto the angular weights by real matrix products,
     and each time row then sums over every frequency at once against its
-    row of the e^{i omega t} table and the node weights.  The angle sum is
-    a matrix product, so the loop is split by rows, not angles:
-    the ``row_shares`` parts run side by side (``in_parts``), each taking
-    its share of every tile's rows into slabs of tile rows / parts
-    (rounded up), allocated here on the calling thread, so the three
-    slabs keep their size.  A row's sum does not depend on the tile or
-    part it falls in, so z is bit-identical for any part count.
+    row of the e^{i omega t} table and the node weights.  Each tile takes
+    the phase kernel of its own row sups (``tile_kernels``), which a swept
+    field carries.  The angle sum is a matrix product, so the loop is
+    split by rows, not angles: the ``row_shares`` parts run side by side
+    (``in_parts``), each taking its share of every tile's rows, with that
+    tile's kernel, into slabs of tile rows / parts (rounded up), allocated
+    here on the calling thread, so the three slabs keep their size.  A
+    row's sum and its tile's kernel do not depend on the part it falls in,
+    so z is bit-identical for any part count.
 
-    A zero field (sup|D| = 0, which a swept field knows without a pass)
-    has e^{iD} - 1 = 0 on every cell, so z is the free part exactly: no
-    kernel is built, no scratch allocated and no cell read.
+    A zero field (every row sup 0, which a swept field knows without a
+    pass) has e^{iD} - 1 = 0 on every cell, so z is the free part exactly:
+    no kernel is built, no scratch allocated and no cell read.
     """
     g = field.grid
     times, theta, omega = g.times(), g.theta(), g.omega_nodes
     z = free_order_parameter(state, times).astype(complex)
-    sup = field.sup()
-    if sup == 0.0:
+    row_sups = field.row_sups()
+    if float(row_sups.max()) == 0.0:
         return z
     # angular weights: trapezoid on the periodic grid is exact for the
     # finite-mode factor, so the only quadrature left is over frequency
     u = state.angular_factor(theta) * np.exp(1j * theta) / g.n_theta
     proj = np.stack([u.real, u.imag])
-    # e^{iD} - 1 as (cos D - 1, sin D) in contiguous real scratch, at the
-    # exact sup of this field
-    kernel = phase_kernel(sup)
-    table = oscillation_table(times, omega)
+    # e^{iD} - 1 as (cos D - 1, sin D) in contiguous real scratch, each
+    # tile at the exact sups of its rows
     tiles = list(time_tiles(g.shape()))
+    kernels = tile_kernels(g.shape(), row_sups)
+    table = oscillation_table(times, omega)
     parts, share = row_shares(g.shape())
     scratch = np.empty((parts, 3, share, g.n_theta, g.n_omega))
 
     def quadrature(p):
         cos_buf, sin_buf, d2_buf = scratch[p]
-        for sl in tiles:
+        for sl, kernel in zip(tiles, kernels):
             rows = split(sl.start, sl.stop, parts)[p]
             n = rows.stop - rows.start
             cos_m1, sin_d = cos_buf[:n], sin_buf[:n]
@@ -240,12 +243,20 @@ def order_parameter_of(
 ) -> OrderParameterPath:
     """Order parameter of the transported state, free part in closed form.
 
-    The quadrature of e^{iD} - 1 runs on the field's tiles with the phase
-    kernel of its exact sup|D|, which a swept field carries; a zero field
+    The quadrature of e^{iD} - 1 runs on the field's tiles, each with the
+    phase kernel of its own row sups of |D|, which a swept field carries
+    (a field built from an array takes them in one pass); a zero field
     (every solve's first iterate, and all of a mu = 0 solve) gives the
     free part exactly, with no kernel and no cell read.
     """
     return OrderParameterPath(field.grid, _order_parameter_values(field, state), weight)
+
+
+def _terms_histogram(counts) -> str:
+    # "k:tiles" per Taylor term count, ascending, with 0 the unit phase of
+    # zero rows and "trig" the trig form; "-" when no tile took a kernel
+    keys = sorted(counts, key=lambda k: math.inf if k is None else k)
+    return ",".join(f"{'trig' if k is None else k}:{counts[k]}" for k in keys) or "-"
 
 
 def outer_solve(
@@ -351,13 +362,13 @@ def outer_solve(
             "theta_diff_norm": theta_diff,
             "kappa": kappa,
             "tail_bound": mu * r_prev * tail_unit,
-            "contraction": asdict(rep),
+            "contraction": rep.ledger_entry(),
         }
         ledger.add(record)
         log.debug(
-            "outer n=%d%s dz=%.3e kappa=%.3e sweeps=%d %.3fs",
+            "outer n=%d%s dz=%.3e kappa=%.3e sweeps=%d terms=%s skipped=%d %.3fs",
             n, " (certification)" if certifying else "", dz, kappa, rep.sweeps,
-            time.perf_counter() - t0,
+            _terms_histogram(rep.tile_terms), rep.tiles_skipped, time.perf_counter() - t0,
         )
         if certifying:
             ledger.status = "converged"
@@ -454,40 +465,76 @@ def _mode_rows(state: AsymptoticState, theta, gdens):
     return rows
 
 
+def _combine(a, b, out, tmp):
+    # out <- E_{x+y} = E_x + E_y + E_x E_y for the pairs a = E_x, b = E_y
+    # of one block, as (Re, Im); out shares no memory with a or b, and tmp
+    # is scratch of the block's shape
+    (ac, as_), (bc, bs), (oc, os_) = a, b, out
+    np.multiply(ac, bc, out=oc)
+    np.multiply(as_, bs, out=tmp)
+    oc -= tmp
+    oc += ac
+    oc += bc
+    np.multiply(ac, bs, out=os_)
+    np.multiply(as_, bc, out=tmp)
+    os_ += tmp
+    os_ += as_
+    os_ += bs
+
+
 def _add_mode_terms(acc, modes, angles, cos_m1, sin_d, tmp):
     """acc += sum_k 2 Re[a_k e^{ik theta} E_k] g(omega) on one block, in place.
 
     ``modes`` is ``_mode_rows`` of the state and ``angles`` the block's
-    angle columns.  E_1 = e^{iD} - 1 is (cos_m1, sin_d), and
-    E_k = E_{k-1} + E_1 + E_{k-1} E_1 for the higher modes, so no trig is
-    taken; the terms are added by ascending k.  ``tmp`` is scratch of the
-    block's shape.  E_1 is left as it is, and a state with more than one
-    mode allocates one or two pairs of block scratch for the higher E_k.
+    angle columns.  E_1 = e^{iD} - 1 is (cos_m1, sin_d), and only the E_k
+    the modes need are built, by binary powering with
+    E_{a+b} = E_a + E_b + E_a E_b (``_combine``): the powers E_{2^j} by
+    squaring, and each mode's E_k from the powers of its binary digits,
+    lowest first, as E_{2^j} combined with the part already taken.  So a
+    largest mode K costs O(log K) block products, and no trig is taken;
+    for K <= 3 the products are those of E_k = E_{k-1} + E_1 + E_{k-1} E_1.
+    The terms are added by ascending k.  ``tmp`` is scratch of the block's
+    shape.  E_1 is left as it is, and the higher E_k take pairs of block
+    scratch: two, plus one per mode still being built.
     """
-    kmax = max(modes, default=0)
-    spare = np.empty((min(kmax - 1, 2), 2) + acc.shape) if kmax > 1 else None
-    ck, sk = cos_m1, sin_d
-    for k in range(1, kmax + 1):
-        if k > 1:
-            # E_k into a spare pair other than E_{k-1}'s
-            nc, ns = spare[k % len(spare)]
-            np.multiply(ck, cos_m1, out=nc)
-            np.multiply(sk, sin_d, out=tmp)
-            nc -= tmp
-            nc += ck
-            nc += cos_m1
-            np.multiply(ck, sin_d, out=ns)
-            np.multiply(sk, cos_m1, out=tmp)
-            ns += tmp
-            ns += sk
-            ns += sin_d
-            ck, sk = nc, ns
-        if k in modes:
+    e1 = (cos_m1, sin_d)
+    pool, held = [], {}
+    power, bit = e1, 1
+
+    def take():
+        return pool.pop() if pool else np.empty((2,) + acc.shape)
+
+    def drop(e):
+        # back to the pool once neither the power nor a mode holds it
+        if e is not e1 and e is not power and all(e is not h for h in held.values()):
+            pool.append(e)
+
+    pending = sorted(modes)
+    while pending:
+        if bit > 1:
+            square = take()
+            _combine(power, power, square, tmp)
+            power, old = square, power
+            drop(old)
+        for k in pending:
+            if k & bit:
+                part = held.get(k)
+                if part is None:
+                    held[k] = power
+                else:
+                    held[k] = take()
+                    _combine(power, part, held[k], tmp)
+                    drop(part)
+        while pending and pending[0] < 2 * bit:
+            k = pending.pop(0)
+            ek = held.pop(k)
             p, q = modes[k]
-            np.multiply(ck, p[angles], out=tmp)
+            np.multiply(ek[0], p[angles], out=tmp)
             acc += tmp
-            np.multiply(sk, q[angles], out=tmp)
+            np.multiply(ek[1], q[angles], out=tmp)
             acc -= tmp
+            drop(ek)
+        bit <<= 1
 
 
 def reconstruct(result: SolveResult, times=(0.0, 5.0, 10.0)) -> ReconstructedDensity:

@@ -344,9 +344,10 @@ def _seed_deviation_sweep(times, theta, omega, z, deviation, mu):
 
 
 def _seed_sweep_with_residual(times, theta, omega, z, deviation, mu, row_residual, out=None,
-                              sup=None, row_sups=None):
+                              sup=None, row_sups=None, tails=None):
     # the seed sweep under the new signature, its residual from new - dev
-    # and its row sups from new; the seed kernel needs no sup
+    # and its row sups from new; the seed kernel needs no row sups to pick
+    # tile kernels from, and it sweeps every tile, so it keeps no tails
     new = _seed_deviation_sweep(times, theta, omega, z, deviation, mu)
     row_residual[:] = np.abs(new - deviation).reshape(len(times), -1).max(axis=1)
     if row_sups is not None:
@@ -1604,3 +1605,230 @@ def test_background_task_keeps_off_the_callers_cpu():
     # a CPU outside the mask, or none known, leaves the mask alone
     assert characteristics._off_cpu(-1, [os.sched_getaffinity, (0,)]) == mask
     assert characteristics._off_cpu(max(mask) + 1, [os.sched_getaffinity, (0,)]) == mask
+
+
+# -- per-tile kernels: each time tile pays for its own rows -------------------
+
+def _first_terms_by_horner(dev):
+    # Horner's rule at one term: (-1/2) D^2 and 1 * D
+    d2 = dev * dev
+    cos_m1, sin_d = np.full(dev.shape, characteristics._COS_M1_OVER_D2[0]), np.ones(dev.shape)
+    cos_m1 *= d2
+    sin_d *= dev
+    return cos_m1, sin_d
+
+
+def test_one_term_kernel_is_horners_rule_bit_for_bit():
+    sup = _largest_sup_for(1)
+    rng = np.random.default_rng(23)
+    # subnormal, signed zero and the sup itself among ordinary values
+    dev = np.concatenate([rng.uniform(-sup, sup, 200), [sup, -sup, 0.0, -0.0, 5e-324, -1e-300]])
+    kernel = phase_kernel(sup)
+    assert kernel is phase_kernel(0.5 * sup) and kernel is not phase_kernel(2.0 * sup)
+    got = np.empty((3, dev.size))
+    kernel(dev, got[0], got[1], got[2])
+    for g, ref in zip(got[:2], _first_terms_by_horner(dev)):
+        assert g.view(np.uint64).tobytes() == ref.view(np.uint64).tobytes()
+
+
+def _kernel_log(monkeypatch, field):
+    # (terms, first row, rows) of every kernel application to field's rows:
+    # 0 for the unit phase, None for the trig form
+    log = []
+    base = field.__array_interface__["data"][0]
+    phase_kernel_ = characteristics.phase_kernel
+
+    def recording(terms, kernel):
+        def apply(dev, cos_m1, sin_d, d2):
+            first = (dev.__array_interface__["data"][0] - base) // field.strides[0]
+            log.append((terms, first, len(dev)))
+            kernel(dev, cos_m1, sin_d, d2)
+
+        return apply
+
+    monkeypatch.setattr(characteristics, "phase_kernel",
+                        lambda sup: recording(characteristics._taylor_terms(sup),
+                                              phase_kernel_(sup)))
+    monkeypatch.setattr(characteristics, "_unit_phase",
+                        recording(0, characteristics._unit_phase))
+    return log
+
+
+def test_every_tile_takes_the_kernel_of_its_own_rows(grid, monkeypatch):
+    # 20-row tiles over a field decaying from 0.9 to 1e-8: Taylor term
+    # counts up to 9, one tile holding a NaN and one only zeros
+    _force_tile_rows(monkeypatch, grid.shape(), 20)
+    tiles = list(characteristics.time_tiles(grid.shape()))
+    assert len(tiles) == 9
+    times, theta, omega = grid.times(), grid.theta(), grid.omega_nodes
+    rng = np.random.default_rng(29)
+    dev = rng.uniform(-1.0, 1.0, grid.shape()) * (0.9 * 10.0 ** -times)[:, None, None]
+    dev[tiles[3].start + 4, 5, 7] = np.nan
+    dev[tiles[5]] = 0.0
+    rows = np.abs(dev).reshape(grid.n_times, -1).max(axis=1)
+    expected = [characteristics._taylor_terms(rows[sl].max()) for sl in tiles]
+    expected[5] = 0
+    assert expected[3] is None and {2, 3, 5, 8, 9} <= set(expected)
+    assert characteristics.tile_terms(grid.shape(), rows) == expected
+    z = 0.3 * np.exp(-times + 0.4j * times)
+    state = AsymptoticState(PROFILE, {1: 0.05}, "exponential", 0.9)
+    field = CharacteristicField(grid, dev, 0.5)
+    loops = {
+        "sweep": lambda: _sweep(times, theta, omega, z, dev, 0.5),
+        "gamma_field": lambda: gamma_field(field, z, lambda *block: None),
+        "quadrature": lambda: scheme._order_parameter_values(field, state),
+    }
+    for name, loop in loops.items():
+        with monkeypatch.context() as mp:
+            log = _kernel_log(mp, dev)
+            loop()
+        covered = np.zeros(grid.n_times, dtype=int)
+        for terms, first, n in log:
+            # each application lies in one tile and takes that tile's terms
+            tile = next(i for i, sl in enumerate(tiles) if sl.start <= first < sl.stop)
+            assert first + n <= tiles[tile].stop, name
+            assert terms == expected[tile], (name, tile)
+            covered[first:first + n] += 1
+        # every row once per part of the loop
+        assert len(set(covered)) == 1 and covered[0] >= 1, name
+
+
+def _solve_with_and_without_skips(g, z, mu, monkeypatch):
+    skipping = solve_fixed_point(g, z, mu, WEIGHT)
+    sweep = characteristics.deviation_sweep
+
+    def every_tile(*args, tails=None, **kwargs):
+        return sweep(*args, **kwargs)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(characteristics, "deviation_sweep", every_tile)
+        full = solve_fixed_point(g, z, mu, WEIGHT)
+    return skipping, full
+
+
+def _assert_same_solve(skipping, full):
+    (field, report), (ref_field, ref_report) = skipping, full
+    assert report.tiles_skipped > 0 and ref_report.tiles_skipped == 0
+    assert report.tile_terms == ref_report.tile_terms
+    assert field.deviation.view(np.uint64).tobytes() == ref_field.deviation.view(np.uint64).tobytes()
+    assert field._rows.tobytes() == ref_field._rows.tobytes()
+    assert report == ref_report
+    for key in ("residuals", "ratios"):
+        assert np.array(getattr(report, key)).tobytes() == np.array(getattr(ref_report, key)).tobytes()
+
+
+# a strongly coupled frozen path on the module grid in 20-row tiles: the
+# solve takes about a dozen sweeps, and its late tiles settle first
+SKIP_MU = 0.5
+
+
+@pytest.mark.parametrize("parts", [1, 2, 3, 4])
+def test_tile_skip_is_bit_identical_to_sweeping_every_tile(grid, parts, monkeypatch):
+    _force_tile_rows(monkeypatch, grid.shape(), 20)
+    monkeypatch.setattr(characteristics, "_PARTS", parts)
+    times = grid.times()
+    z = 0.3 * np.exp(-times + 0.4j * times)
+    _assert_same_solve(*_solve_with_and_without_skips(grid, z, SKIP_MU, monkeypatch))
+
+
+def test_tile_skip_holds_under_fast_thread_switching(grid, monkeypatch):
+    _force_tile_rows(monkeypatch, grid.shape(), 20)
+    monkeypatch.setattr(characteristics, "_PARTS", 8)
+    times = grid.times()
+    z = 0.3 * np.exp(-times + 0.4j * times)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        solves = _solve_with_and_without_skips(grid, z, SKIP_MU, monkeypatch)
+    finally:
+        sys.setswitchinterval(interval)
+    _assert_same_solve(*solves)
+
+
+def _global_kernels(shape, rows):
+    # the kernel of the whole field's sup on every tile
+    rows = np.broadcast_to(np.asarray(rows, dtype=float), shape[:1])
+    sup = float(rows.max())
+    kernel = characteristics._unit_phase if sup == 0.0 else characteristics.phase_kernel(sup)
+    return [kernel] * len(list(characteristics.time_tiles(shape)))
+
+
+# (a1, mu, n_theta): the exponential reference and strong coupling on the
+# 20-time-unit exponential grid
+GLOBAL_KERNEL_CASES = {"exp_ref": (0.05, 0.05, 64), "strong_coupling": (0.3, 0.5, 16)}
+# per-tile kernels against one kernel at the field's sup: within this many
+# eps of sup|D| for the field and of max|z| for the path (measured 0.47 and
+# 0.01 on strong_coupling, 0 on exp_ref)
+GLOBAL_KERNEL_TOL_EPS = 2.0
+
+
+@pytest.mark.parametrize("name", list(GLOBAL_KERNEL_CASES))
+def test_per_tile_kernels_stay_within_rounding_of_one_global_kernel(name, monkeypatch):
+    a1, mu, n_theta = GLOBAL_KERNEL_CASES[name]
+    state = AsymptoticState(PROFILE, {1: a1}, "exponential", 0.9)
+    g = build_grid(PROFILE, t_max=20.0, dt=0.05, n_theta=n_theta)
+    per_tile = outer_solve(state, g, mu)
+    terms = characteristics.tile_terms(g.shape(), per_tile.field.row_sups())
+    assert len(set(terms)) > 1
+    with monkeypatch.context() as mp:
+        mp.setattr(characteristics, "tile_kernels", _global_kernels)
+        mp.setattr(scheme, "tile_kernels", _global_kernels)
+        single = outer_solve(state, g, mu)
+    assert [r["contraction"]["sweeps"] for r in per_tile.ledger.records] == [
+        r["contraction"]["sweeps"] for r in single.ledger.records
+    ]
+    eps = np.finfo(float).eps
+    dev_gap = np.max(np.abs(per_tile.field.deviation - single.field.deviation))
+    assert dev_gap <= GLOBAL_KERNEL_TOL_EPS * eps * single.field.sup()
+    z_gap = np.max(np.abs(per_tile.path.values - single.path.values))
+    assert z_gap <= GLOBAL_KERNEL_TOL_EPS * eps * np.max(np.abs(single.path.values))
+
+
+def _rescaled_phase(dev, cos_m1, sin_d, d2):
+    # the trig form with sin D off by a part in 2^40: another kernel, whose
+    # rows differ in their last bits from every Taylor kernel's
+    characteristics._trig_phase(dev, cos_m1, sin_d, d2)
+    sin_d *= 1.0 + 2.0**-40
+
+
+def test_a_tail_whose_kernel_changed_is_swept_again(grid, monkeypatch):
+    # from the sixth sweep on the top tile takes another kernel: its rows,
+    # left as they were by the old one, are no longer what a sweep writes,
+    # so every part must sweep from t_max again
+    _force_tile_rows(monkeypatch, grid.shape(), 20)
+    times = grid.times()
+    z = 0.3 * np.exp(-times + 0.4j * times)
+    tile_kernels = characteristics.tile_kernels
+
+    def switching(shape, rows):
+        calls.append(1)
+        kernels = tile_kernels(shape, rows)
+        if len(calls) >= 6:
+            kernels[0] = _rescaled_phase
+        return kernels
+
+    monkeypatch.setattr(characteristics, "tile_kernels", switching)
+    calls = []
+    field, report = solve_fixed_point(grid, z, SKIP_MU, WEIGHT)
+    calls = []
+    sweep = characteristics.deviation_sweep
+    with monkeypatch.context() as mp:
+        mp.setattr(characteristics, "deviation_sweep",
+                   lambda *args, tails=None, **kwargs: sweep(*args, **kwargs))
+        ref_field, ref_report = solve_fixed_point(grid, z, SKIP_MU, WEIGHT)
+    assert report.sweeps > 6 and report.tiles_skipped > 0
+    assert field.deviation.tobytes() == ref_field.deviation.tobytes()
+    assert np.array(report.residuals).tobytes() == np.array(ref_report.residuals).tobytes()
+
+
+def test_a_tail_is_kept_only_while_its_kernels_stay():
+    shape = (7, 4, 3)
+    tiles = [slice(5, 7), slice(3, 5), slice(1, 3), slice(0, 1)]
+    a, b, c = (characteristics.phase_kernel(s) for s in (1e-9, 1e-3, 0.5))
+    tail = characteristics._Tail(shape, slice(0, 2))
+    tail.tiles, tail.kernels = 2, [a, b]
+    tail.begin([a, b, c, c], tiles)
+    assert (tail.start, tail.rows, tail.growing) == (2, slice(3, None), True)
+    tail.begin([a, c, c, c], tiles)
+    assert (tail.start, tail.tiles, tail.kernels) == (0, 0, [])
+    assert np.arange(7)[tail.rows].size == 0

@@ -6,6 +6,9 @@ import filecmp
 import json
 import math
 import os
+import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -419,6 +422,12 @@ def test_negative_mu_rejected(tmp_path):
         {"particles": {"n": 2000, "dt": 0.02, "seed": "1"}},
         # the sampler's generator takes no negative seed: a traceback after the solve
         {"particles": {"n": 2000, "dt": 0.02, "seed": -1}},
+        # int() read these mode keys: "01" and "1" collided, and one
+        # amplitude was dropped without a word
+        {"modes": {"1": 0.05, "01": 0.2}},
+        {"modes": {"1_0": 0.05}},
+        {"modes": {" 1": 0.05}},
+        {"modes": {"\u0661": 0.05}},
     ],
     ids=[
         "modes_list", "tolerances_list", "mode_nan", "profile_list", "decay_string",
@@ -432,6 +441,7 @@ def test_negative_mu_rejected(tmp_path):
         "mu_string", "scale_string", "mode_part_string", "n_omega_string",
         "n_theta_fraction", "n_omega_fraction", "particles_n_fraction",
         "particles_seed_fraction", "particles_seed_string", "particles_seed_negative",
+        "mode_key_leading_zero", "mode_key_underscore", "mode_key_space", "mode_key_arabic_one",
     ],
 )
 def test_malformed_config_exits_2_with_one_line(tmp_path, monkeypatch, caplog, overrides):
@@ -444,6 +454,45 @@ def test_malformed_config_exits_2_with_one_line(tmp_path, monkeypatch, caplog, o
     assert code == 2
     errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
     assert len(errors) == 1 and "\n" not in errors[0]
+
+
+@pytest.mark.parametrize("key", ["01", "1_0", " 1", "\u0661", "+1", "one"])
+def test_a_mode_key_that_is_not_canonical_decimal_is_named(tmp_path, key):
+    with pytest.raises(ConfigError, match=re.escape(f"mode key {key!r} is not a canonical")):
+        load_config(write_config(tmp_path / "cfg.json", base_config(modes={key: 0.05})))
+
+
+def test_a_key_given_twice_is_refused_by_name(tmp_path, monkeypatch, caplog):
+    # json.loads keeps the last of two equal keys; the first amplitude
+    # would be dropped
+    monkeypatch.chdir(tmp_path)
+    text = json.dumps(base_config()).replace('{"1": [0.05, 0.0]}', '{"1": 0.05, "1": 0.2}')
+    assert text.count('"1"') == 2
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    with caplog.at_level("ERROR", logger="kuramoto_dephasing"):
+        assert main(["solve", "--config", str(cfg)]) == 2
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert errors == ["config key '1' appears twice in one object"]
+
+
+@pytest.mark.parametrize("kind", ["lorentzian", "gaussian"])
+def test_a_frequency_rule_that_overflows_exits_2_with_one_stderr_line(tmp_path, kind):
+    # the rule's overflow used to print four numpy warnings (eight lines)
+    # before the error; stderr is the one line of the error
+    cfg = write_config(tmp_path / "cfg.json",
+                       base_config(profile={"kind": kind, "scale": 1e308}))
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    run = subprocess.run(
+        [sys.executable, "-m", "kuramoto_dephasing.cli", "solve", "--config", cfg,
+         "--output-dir", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert run.returncode == 2
+    assert run.stderr.splitlines() == [
+        "ERROR invalid config: omega nodes and weights must be finite"
+    ]
 
 
 def test_poly_weight_rate_200_ends_in_a_physics_exit_code(tmp_path, monkeypatch, caplog):
@@ -500,7 +549,14 @@ def test_verbose_logs_one_line_per_outer_iterate(solve_run, tmp_path, caplog):
     for line, rec in zip(lines, ledger["records"]):
         assert line.startswith(f"outer n={rec['n']}")
         assert f"sweeps={rec['contraction']['sweeps']}" in line
+        # the tiles swept, by Taylor terms of their kernel, and those skipped
+        assert re.search(r" terms=(-|(\d+|trig):\d+(,(\d+|trig):\d+)*) skipped=\d+ ", line)
     assert "certification" in lines[-1]
+    # the first iterate sweeps nothing, and one joint sweep skips no tile
+    assert " terms=- skipped=0 " in lines[0]
+    assert all(" skipped=0 " in line for line in lines[:-1])
+    # the log's counts stay out of the ledger
+    assert "tile_terms" not in json.dumps(ledger) and "tiles_skipped" not in json.dumps(ledger)
 
 
 @pytest.mark.parametrize(

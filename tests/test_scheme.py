@@ -164,7 +164,7 @@ KERNELS_PER_SOLVE = 13
 def test_solves_build_kernels_only_for_nonzero_fields(state, monkeypatch):
     g = build_grid(PROFILE, **KERNEL_GRID)
     kernels, sup_passes = [], []
-    phase_kernel, sup, row_gaps = scheme.phase_kernel, characteristics._sup, \
+    phase_kernel, sup, row_gaps = characteristics.phase_kernel, characteristics._sup, \
         CharacteristicField._row_gaps
 
     def counted_kernel(bound):
@@ -180,7 +180,8 @@ def test_solves_build_kernels_only_for_nonzero_fields(state, monkeypatch):
             sup_passes.append(self.deviation.shape)
         return row_gaps(self, other)
 
-    monkeypatch.setattr(scheme, "phase_kernel", counted_kernel)
+    # the sweeps, gamma_field and the quadrature all pick their tile
+    # kernels through characteristics.tile_kernels
     monkeypatch.setattr(characteristics, "phase_kernel", counted_kernel)
     monkeypatch.setattr(characteristics, "_sup", counted_sup)
     monkeypatch.setattr(CharacteristicField, "_row_gaps", counted_gaps)
@@ -409,6 +410,52 @@ def test_reconstruct_takes_no_angular_factor_of_field_sized_input(result, monkey
     assert sizes and max(sizes) <= result.grid.n_theta
 
 
+def test_a_high_mode_builds_only_the_powers_of_its_binary_digits(monkeypatch):
+    # modes {1, 10^6}: E_{2^j} by 19 squarings up to 2^19, and E_{10^6}
+    # from its 7 binary digits by 6 more products, on every block; E_1
+    # needs none
+    state = AsymptoticState(PROFILE, {1: 0.05, 10**6: 0.01}, "exponential", 0.9)
+    g = build_grid(PROFILE, t_max=4.0, dt=0.05, n_theta=8, n_omega=17)
+    weight = WeightSpec("exponential", 0.9)
+    z = 0.05 * np.exp(-g.times()) + 0.0j
+    field, _ = solve_fixed_point(g, z, MU, weight)
+    result = scheme.SolveResult(state, g, MU, weight, scheme.OrderParameterPath(g, z, weight),
+                                field, None, 0, True)
+    products, blocks = [], []
+    combine, add_terms = scheme._combine, scheme._add_mode_terms
+
+    def counted_combine(*args):
+        products.append(1)
+        combine(*args)
+
+    def counted_terms(*args):
+        blocks.append(1)
+        add_terms(*args)
+
+    monkeypatch.setattr(scheme, "_combine", counted_combine)
+    monkeypatch.setattr(scheme, "_add_mode_terms", counted_terms)
+    assert bin(10**6).count("1") == 7 and 2**19 < 10**6 < 2**20
+    recon = reconstruct(result, times=(0.0,))
+    assert blocks and len(products) == (19 + 6) * len(blocks)
+    assert np.all(np.isfinite(recon.dephasing))
+
+
+def test_binary_powered_modes_stay_within_the_direct_form_bound():
+    # modes 5 and 7 take E_4 = E_2 + E_2 + E_2 E_2, where the sequential
+    # recurrence took E_3 + E_1 + E_3 E_1: other roundings, the same bound
+    state = AsymptoticState(PROFILE, {1: 0.1, 5: 0.04j, 7: -0.03 + 0.01j}, "polynomial", 2.0)
+    grid = build_grid(PROFILE, t_max=16.0, dt=0.05, n_theta=16, n_omega=65)
+    weight = WeightSpec("polynomial", 2.0)
+    z = free_order_parameter(state, grid.times())
+    field, _ = solve_fixed_point(grid, z, 0.3, weight)
+    res = scheme.SolveResult(state, grid, 0.3, weight, scheme.OrderParameterPath(grid, z, weight),
+                             field, None, 0, True)
+    new = reconstruct(res, times=(0.0,)).dephasing
+    gap = float(np.max(np.abs(new - _direct_dephasing(res, np.float64))))
+    assert new[0] > 1e-4
+    assert gap <= DEPHASING_TOL_EPS * np.finfo(float).eps * _max_f_inf(res)
+
+
 def test_mu_zero_is_free_transport(state, grid):
     res = outer_solve(state, grid, 0.0, WEIGHT)
     assert res.converged and res.n_outer == 1
@@ -475,8 +522,8 @@ def test_polynomial_phase_minus_one_matches_the_trig_form(values):
     assert _taylor_terms(sup) is not None
     poly, trig = np.empty((2, dev.size)), np.empty((2, dev.size))
     scratch = np.empty(dev.size)
-    scheme.phase_kernel(sup)(dev, poly[0], poly[1], scratch)
-    scheme.phase_kernel(np.inf)(dev, trig[0], trig[1], scratch)
+    characteristics.phase_kernel(sup)(dev, poly[0], poly[1], scratch)
+    characteristics.phase_kernel(np.inf)(dev, trig[0], trig[1], scratch)
     # four units in the last place of the trig value (np.spacing is the
     # subnormal step near zero)
     assert np.all(np.abs(poly - trig) <= 4.0 * np.abs(np.spacing(trig)))
@@ -486,19 +533,25 @@ def test_polynomial_phase_minus_one_matches_the_trig_form(values):
 
 
 def _quadrature_routes(field, state, monkeypatch):
-    # the Taylor terms of every kernel built (None: the trig form), and the
-    # path; one quadrature builds one kernel for all its tiles
+    # the Taylor terms of every kernel built (None: the trig form), in tile
+    # order, and the path; one quadrature builds one kernel per tile, at
+    # the largest |D| of that tile's rows, taken here from the whole field
     routes = []
-    phase_kernel = scheme.phase_kernel
+    phase_kernel = characteristics.phase_kernel
+    rows = np.abs(field.deviation).reshape(field.grid.n_times, -1).max(axis=1)
+    tiles = list(characteristics.time_tiles(field.grid.shape()))
+    assert len(tiles) > 1
+    tile_sups = iter([rows[sl].max() for sl in tiles])
 
     def spy(sup):
-        assert sup == field.sup()
+        assert sup == next(tile_sups)
         routes.append(characteristics._taylor_terms(sup))
         return phase_kernel(sup)
 
     with monkeypatch.context() as mp:
-        mp.setattr(scheme, "phase_kernel", spy)
+        mp.setattr(characteristics, "phase_kernel", spy)
         z = scheme._order_parameter_values(field, state)
+    assert next(tile_sups, None) is None
     return routes, z
 
 
@@ -516,19 +569,22 @@ def test_polynomial_route_solve_matches_the_trig_route(state, grid, result, monk
 
 
 def test_quadrature_route_follows_the_exact_sup(state, grid, result, monkeypatch):
+    # each tile's terms follow the exact sup of its own rows: fewer on the
+    # decayed late tiles than where the field peaks, all 9 on the tile at
+    # the cap, and the trig form on the tiles above it
     dev = result.field.deviation
     at = CharacteristicField(grid, dev * (_POLY_CAP / result.field.sup()), MU)
     above = CharacteristicField(grid, dev * (1.5 / result.field.sup()), MU)
     assert at.sup() <= _POLY_CAP < above.sup()
-    assert _quadrature_routes(result.field, state, monkeypatch)[0] == [
-        _taylor_terms(result.field.sup())
-    ]
+    routes, _ = _quadrature_routes(result.field, state, monkeypatch)
+    assert max(routes) == _taylor_terms(result.field.sup()) and min(routes) < max(routes)
     routes, z_poly = _quadrature_routes(at, state, monkeypatch)
-    assert routes == [9]
-    assert _quadrature_routes(above, state, monkeypatch)[0] == [None]
+    assert None not in routes and max(routes) == 9 and min(routes) < 9
+    routes = _quadrature_routes(above, state, monkeypatch)[0]
+    assert None in routes and set(routes) != {None}
     # at the cap, where the polynomials are longest, they still agree with
     # the trig route
     monkeypatch.setattr(characteristics, "_POLY_CAP", -1.0)
     routes, z_trig = _quadrature_routes(at, state, monkeypatch)
-    assert routes == [None]
+    assert set(routes) == {None}
     assert np.max(np.abs(z_poly - z_trig)) <= ROUTE_TOL
