@@ -184,7 +184,8 @@ def load_config(path, output_dir_override=None) -> RunConfig:
     syntax, missing keys, a section that is not an object, a boolean or a
     string where a number belongs, a fraction where a count or seed
     belongs, non-finite numbers, invalid state or grid
-    parameters, a float64 field or a particle ensemble larger than physical
+    parameters, a mode k >= n_theta/2 (the angle grid aliases it), a
+    float64 field or a particle ensemble larger than physical
     memory, a particle time step below grid dt / MAX_SUBSTEPS, a weight
     that overflows at t_max or has no finite gains, tolerances that are
     not positive.  A weight class that disagrees with
@@ -218,6 +219,14 @@ def load_config(path, output_dir_override=None) -> RunConfig:
         n_theta = _number("grid n_theta", _require(gspec, "n_theta"), int)
         n_omega = _number("grid n_omega", gspec["n_omega"], int) if "n_omega" in gspec else None
         grid = build_grid(profile, t_max=t_max, dt=dt, n_theta=n_theta, n_omega=n_omega)
+        # on n_theta angles a mode k >= n_theta/2 aliases onto a lower one,
+        # so the angle sums (mass, order parameter) would read another state
+        top = max(state.modes, default=0)
+        if top >= grid.n_theta // 2:
+            raise ConfigError(
+                f"mode {top} is not resolved by n_theta = {grid.n_theta}: "
+                f"modes must be below n_theta/2 = {grid.n_theta // 2}"
+            )
         mu = _number("mu", _require(raw, "mu"))
         if not (mu >= 0.0 and math.isfinite(mu)):
             raise ConfigError("mu must be finite and >= 0")

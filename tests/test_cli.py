@@ -17,7 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from kuramoto_dephasing import WeightSpec
+from kuramoto_dephasing import WeightSpec, outer_solve, reconstruct
 from kuramoto_dephasing.cli import ConfigError, load_config, main
 
 SUMMARY_KEYS = {
@@ -474,6 +474,31 @@ def test_a_key_given_twice_is_refused_by_name(tmp_path, monkeypatch, caplog):
         assert main(["solve", "--config", str(cfg)]) == 2
     errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
     assert errors == ["config key '1' appears twice in one object"]
+
+
+EIGHT_ANGLES = {"t_max": 16.0, "dt": 0.05, "n_theta": 8}
+
+
+@pytest.mark.parametrize("k", [4, 8], ids=["half_n_theta", "n_theta"])
+def test_a_mode_the_angle_grid_aliases_exits_2_naming_k_and_n_theta(tmp_path, monkeypatch,
+                                                                     caplog, k):
+    # on 8 angles mode 8 reads as mode 0: it used to solve, read mass 1.1
+    # at every probe time and exit 1 as if certification had failed
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(tmp_path / "cfg.json",
+                       base_config(modes={str(k): 0.05}, grid=EIGHT_ANGLES))
+    with caplog.at_level("ERROR", logger="kuramoto_dephasing"):
+        assert main(["solve", "--config", cfg, "--output-dir", str(tmp_path / "out")]) == 2
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert errors == [f"mode {k} is not resolved by n_theta = 8: modes must be below n_theta/2 = 4"]
+
+
+def test_the_highest_resolved_mode_loads_with_unit_mass(tmp_path):
+    cfg = load_config(write_config(tmp_path / "cfg.json",
+                                   base_config(modes={"3": 0.05}, mu=0.0, grid=EIGHT_ANGLES)))
+    result = outer_solve(cfg.state, cfg.grid, cfg.mu, weight=cfg.weight)
+    mass = np.asarray(reconstruct(result, times=(0.0, 5.0, 10.0)).mass)
+    assert np.max(np.abs(mass - 1.0)) <= 1e-12
 
 
 @pytest.mark.parametrize("kind", ["lorentzian", "gaussian"])

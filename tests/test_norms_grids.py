@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
-from scipy import integrate
+from scipy import integrate, special
 
 from kuramoto_dephasing import norms_grids
 from kuramoto_dephasing.norms_grids import (
@@ -52,6 +52,74 @@ def test_tail_integral_vs_quadrature(gamma, T):
     p = WeightSpec("polynomial", gamma)
     want = integrate.quad(lambda s: (1.0 + s * s) ** (-gamma / 2.0), T, np.inf)[0]
     assert p.tail_integral(T) == pytest.approx(want, rel=1e-10)
+
+
+def _closed_tail(p, t):
+    # Int_t^inf (1+s^2)^(-p/2) ds in forms free of cancellation: atan2(1, t)
+    # for p = 2; with r = hypot(1, t), u = 1 - t/r = 1/(r (r + t)) for p = 3
+    # and u^2 (1 - u/3) for p = 5
+    if p == 2.0:
+        return math.atan2(1.0, t)
+    r = math.hypot(1.0, t)
+    u = 1.0 / (r * (r + t))
+    return u if p == 3.0 else u * u * (1.0 - u / 3.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=st.sampled_from([2.0, 3.0, 5.0]), t=st.floats(0.0, 1e150))
+def test_polynomial_tail_matches_closed_forms_up_to_1e150(p, t):
+    # abs: past t ~ 1e77 the p = 5 tail is subnormal, where only an
+    # absolute accuracy of a few units of 5e-324 is left
+    got = WeightSpec("polynomial", p).tail_integral(t)
+    assert got == pytest.approx(_closed_tail(p, t), rel=1e-14, abs=1e-321)
+
+
+def test_polynomial_tail_keeps_its_accuracy_far_out():
+    p2 = WeightSpec("polynomial", 2.0)
+    # atan(1e-8) = 1e-8 - 3.3e-25; x = t^2/(1+t^2) rounds to 1 here, so a
+    # tail taken as 1 - I_x(...) reads 0
+    assert p2.tail_integral(1e8) == pytest.approx(1e-8, rel=1e-14)
+    for rate in (2.0, 3.0, 5.0, 200.0):
+        w = WeightSpec("polynomial", rate)
+        # t^2 overflows at t = 1e160; the tail is finite (0 once it
+        # underflows) and its log keeps the leading term t^(1-p)/(p-1)
+        assert math.isfinite(w.tail_integral(1e160))
+        assert w.tail_integral(math.inf) == 0.0
+        log_tail = norms_grids._log_poly_tail(rate, 1e160)
+        lead = (1.0 - rate) * math.log(1e160) - math.log(rate - 1.0)
+        assert log_tail == pytest.approx(lead, rel=1e-15)
+        assert norms_grids._log_poly_tail(rate, math.inf) == -math.inf
+
+
+def _scipy_tail(p, t):
+    # scipy's regularized incomplete beta in the argument that does not
+    # round away: I_x(b, 1/2) at x = 1/(1+t^2) for t > 1, 1 - I_{1-x}(1/2, b)
+    # at 1 - x = t^2/(1+t^2) for t <= 1
+    b = 0.5 * (p - 1.0)
+    big = t > 1.0
+    reg = np.where(big, special.betainc(b, 0.5, 1.0 / (1.0 + t * t)),
+                   special.betaincc(0.5, b, t * t / (1.0 + t * t)))
+    return 0.5 * special.beta(b, 0.5) * reg
+
+
+@pytest.mark.parametrize("rate", [2.0, 2.5, 3.0, 7.5, 50.0, 200.0, 1e4])
+def test_polynomial_tails_agree_with_scipys_incomplete_beta(rate):
+    t = np.concatenate([np.linspace(0.0, 400.0, 4001), np.geomspace(400.0, 1e150, 300)])
+    for p in (rate, 2.0 * rate - 1.0):
+        want = _scipy_tail(p, t)
+        normal = want >= np.finfo(float).tiny
+        got = norms_grids._poly_tail(p, t)
+        np.testing.assert_allclose(got[normal], want[normal], rtol=1e-10, atol=0.0)
+        assert np.all(got[~normal] < 2.0 * np.finfo(float).tiny)
+
+
+@pytest.mark.parametrize("kind,rate", [("polynomial", 2.0), ("exponential", 0.9)])
+@pytest.mark.parametrize("t_from", [-1.0, -1e-300, -math.inf, math.nan])
+def test_tail_integral_refuses_a_nan_or_negative_start(kind, rate, t_from):
+    # Int_{-1}^inf <s>^-2 ds is 3 pi/4; the incomplete beta form read pi/4
+    with pytest.raises(ValueError, match=r"tail_integral needs t_from >= 0") as err:
+        WeightSpec(kind, rate).tail_integral(t_from)
+    assert "\n" not in str(err.value)
 
 
 def test_unit_gains():
