@@ -130,16 +130,17 @@ def _poly_tail(p: float, t, log: bool = False):
             lead = power * np.log(t) + shrink
     else:
         lead = np.power(t, power) * np.exp(shrink)
+    # the complement holds only t <= 1 (x >= 1/2 there), where 1 - x =
+    # t^2/(1+t^2) and T_p is of order B(b, 1/2)/2
     comp = x >= (b + 1.0) / (b + 2.5)
     frac = np.empty_like(x)
     frac[~comp] = _beta_fraction(b, 0.5, x[~comp])
-    frac[comp] = _beta_fraction(0.5, b, (np.where(big, 1.0, s2) / (1.0 + s2))[comp])
+    frac[comp] = _beta_fraction(0.5, b, s2[comp] / (1.0 + s2[comp]))
     if log:
         tail = lead + np.log(frac) - math.log(p - 1.0)
         lead = np.exp(lead)  # the complement below takes it linear
     else:
         tail = lead * frac / (p - 1.0)
-    # the complement holds only t <= 1, where T_p is of order B(b, 1/2)/2
     near = _half_beta(b) - lead[comp] * frac[comp]
     tail[comp] = np.log(near) if log else near
     return tail.reshape(shape)
