@@ -409,6 +409,83 @@ def _row_gaps(a, b=None):
     return rows
 
 
+@functools.cache
+def _trig_interpolation(n_from, n_to):
+    """The real (n_to, n_from) matrix of trigonometric interpolation.
+
+    Row i evaluates at angle 2 pi i / n_to the interpolant of samples at
+    the n_from angles 2 pi j / n_from (n_from even): the periodic sinc
+    S(x) = (1 + 2 sum_{m < n_from/2} cos(m x) + cos(n_from x / 2)) / n_from,
+    which reproduces every mode below n_from / 2 exactly.  The cosines take
+    their angles modulo 2 pi in integers, and a row whose angle is a sample
+    angle is that sample's unit row exactly, so the interpolant keeps the
+    samples bit for bit.  Read-only, one per pair of counts.
+    """
+    period = n_from * n_to
+    # x = 2 pi (i n_from - j n_to) / period
+    steps = np.subtract.outer(np.arange(n_to) * n_from, np.arange(n_from) * n_to)
+    half = n_from // 2
+    sinc = np.ones((n_to, n_from))
+    for m in range(1, half + 1):
+        cos_mx = np.cos((2.0 * math.pi / period) * ((m * steps) % period))
+        sinc += cos_mx if m == half else 2.0 * cos_mx
+    sinc /= n_from
+    on_sample = np.flatnonzero(np.arange(n_to) * n_from % n_to == 0)
+    sinc[on_sample] = 0.0
+    sinc[on_sample, on_sample * n_from // n_to] = 1.0
+    sinc.flags.writeable = False
+    return sinc
+
+
+def interpolated_row_gaps(n_theta, a, b=None, fine=None):
+    """sup over each time row of |P(a - b) - fine| on ``n_theta`` angles.
+
+    ``a`` and ``b`` (zero when None) are fields on a coarser angle grid,
+    P their trigonometric interpolant (``_trig_interpolation``) at the
+    ``n_theta`` angles of the finer grid, and ``fine`` (zero when None) a
+    field on that grid.  So a band-limited coarse field gives the θ-sups of
+    the fine grid without a fine field being held: the row_shares parts of
+    the fine shape take their share of every tile's rows, interpolate
+    them by one real (n_theta, n_coarse) matrix product per row into a
+    slab, and take each row's sup there, as ``_row_gaps`` does.  NaN
+    propagates.
+    """
+    coarse = a.shape
+    shape = (coarse[0], n_theta, coarse[2])
+    for other, want in ((b, coarse), (fine, shape)):
+        if other is not None and other.shape != want:
+            raise ValueError(f"cannot compare a field of shape {want} with one of shape {other.shape}")
+    interp = _trig_interpolation(coarse[1], n_theta)
+    rows = np.empty(shape[0])
+    tiles = list(time_tiles(shape))
+    parts, share = row_shares(shape)
+    slab = np.empty((parts, share) + shape[1:])
+    diff = None if b is None else np.empty((parts, share) + coarse[1:])
+
+    def gaps(p):
+        for sl in tiles:
+            part = split(sl.start, sl.stop, parts)[p]
+            n = part.stop - part.start
+            src = a[part] if b is None else np.subtract(a[part], b[part], out=diff[p, :n])
+            gap = np.matmul(interp, src, out=slab[p, :n])
+            if fine is not None:
+                gap -= fine[part]
+            _row_sup(gap, rows[part])
+
+    in_parts(gaps, parts)
+    return rows
+
+
+def resample_angles(deviation, n_theta):
+    """A field on a coarser angle grid, interpolated onto ``n_theta`` angles.
+
+    One real (n_theta, n_coarse) matrix product per time row
+    (``_trig_interpolation``): exact to rounding for a field whose angular
+    modes lie below half the coarse count.
+    """
+    return np.matmul(_trig_interpolation(deviation.shape[1], n_theta), deviation)
+
+
 def _sup(a) -> float:
     # sup|a| as max and -min over parts of the first axis: the max of the
     # parts' sups is the sup, exact and NaN-propagating, with no |a|

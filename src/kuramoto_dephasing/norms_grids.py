@@ -104,7 +104,7 @@ def _half_beta(b: float) -> float:
     return 0.5 * math.sqrt(math.pi / b) * math.exp(series)
 
 
-def _poly_tail(p: float, t, log: bool = False):
+def _poly_tail(p: float, t, log: bool = False, lift: float = 0.0):
     """T_p(t) = Int_t^inf (1+s^2)^(-p/2) ds for p > 1 and t in [0, inf], or its log.
 
     With x = 1/(1+t^2) and b = (p-1)/2, T_p(t) = B_x(b, 1/2) / 2 =
@@ -115,6 +115,13 @@ def _poly_tail(p: float, t, log: bool = False):
     so t^2 is never formed: T_p(inf) = 0, and the linear value holds its
     relative accuracy down to where it underflows.  ``log=True`` gives
     log T_p, finite wherever T_p is positive, in and past that underflow.
+
+    ``lift`` gives (1+t^2)^(lift/2) T_p(t) instead: the lead factor takes
+    the net power p - lift of <t> = (1+t^2)^(1/2) before any log is
+    taken, so a weighted tail whose weight and tail are both huge keeps
+    its digits where the sum of their two logs would cancel (the
+    complement, at t <= 1, takes <t>^lift apart, which stays below e^1.5
+    there).  ``lift = 0`` is T_p bit for bit.
     """
     shape = np.shape(t)
     t = np.asarray(t, dtype=float).ravel()
@@ -123,8 +130,9 @@ def _poly_tail(p: float, t, log: bool = False):
     s = np.divide(1.0, t, out=t.copy(), where=big)
     s2 = s * s
     x = np.where(big, s2, 1.0) / (1.0 + s2)
-    shrink = -0.5 * p * np.log1p(s2)
-    power = np.where(big, 1.0 - p, 1.0)
+    net = p - lift
+    shrink = -0.5 * net * np.log1p(s2)
+    power = np.where(big, 1.0 - net, 1.0)
     if log:
         with np.errstate(divide="ignore"):
             lead = power * np.log(t) + shrink
@@ -141,14 +149,9 @@ def _poly_tail(p: float, t, log: bool = False):
         lead = np.exp(lead)  # the complement below takes it linear
     else:
         tail = lead * frac / (p - 1.0)
-    near = _half_beta(b) - lead[comp] * frac[comp]
+    near = _half_beta(b) * np.exp(0.5 * lift * np.log1p(s2[comp])) - lead[comp] * frac[comp]
     tail[comp] = np.log(near) if log else near
     return tail.reshape(shape)
-
-
-def _log_poly_tail(p: float, t):
-    # log Int_t^inf (1+s^2)^(-p/2) ds: finite where the tail underflows
-    return _poly_tail(p, t, log=True)
 
 
 @functools.lru_cache(maxsize=64)
@@ -160,13 +163,13 @@ def _poly_tail_at(p: float, t: float) -> float:
 def _weighted_tail_sup(gamma: float, p: float, t, wdev) -> float:
     # sup over t of <t>^(gamma-1) * Int_t^inf <s>^(-p) ds; where the linear
     # product is not finite (the weight overflows, or inf * 0 once the tail
-    # underflows too) the product is taken in log space instead
+    # underflows too) the product is taken in log space instead, with the
+    # weight's power of <t> combined into the tail's lead factor first
     with np.errstate(invalid="ignore"):
         prod = wdev * _poly_tail(p, t)
     lost = ~np.isfinite(prod)
     if lost.any():
-        tl = t[lost]
-        prod[lost] = np.exp(0.5 * (gamma - 1.0) * np.log1p(tl * tl) + _log_poly_tail(p, tl))
+        prod[lost] = np.exp(_poly_tail(p, t[lost], log=True, lift=gamma - 1.0))
     return float(np.max(prod))
 
 
@@ -227,13 +230,16 @@ class WeightSpec:
 
         Both weights grow with t, so finite values at t_max keep every
         weighted norm of finite data on [0, t_max] finite; an overflow
-        would turn the bounds into inf * 0 = NaN.
+        would turn the bounds into inf * 0 = NaN.  The weights are checked
+        first, so an overflow is refused before the gains, whose sups take
+        about 20 ms for a new polynomial rate, are computed.
         """
         with np.errstate(over="ignore", invalid="ignore"):
             top = max(self.values(t_max), self.deviation_values(t_max))
-            gains = (self.unit_contraction_gain, self.unit_deviation_gain)
         if not np.isfinite(top):
             raise GridError(f"weight {self.label()} overflows at t_max = {t_max:g}")
+        with np.errstate(over="ignore", invalid="ignore"):
+            gains = (self.unit_contraction_gain, self.unit_deviation_gain)
         if not all(map(math.isfinite, gains)):
             raise GridError(f"weight {self.label()} has no finite unit gains")
 

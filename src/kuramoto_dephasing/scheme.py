@@ -32,6 +32,24 @@ smallest that puts the truncation below the rounding unit at the exact
 sup|D| of the tile's rows (a few multiply-adds per cell, fewer on the
 decayed late tiles), and (-2 sin^2(D/2), sin D) above sup|D| = 1.
 
+The joint iterates run on the coarsest angle grid that loses nothing to
+rounding, n_c of the user's n_theta angles (``_coarse_angles``), and the
+certification runs cold on the user's grid.  Each characteristic is its own
+ODE once z is given, so the angle grid enters a joint iterate only through
+the trapezoid sum for z; and each is a Moebius image of e^{i theta}
+(Watanabe & Strogatz, Physica D 74, 1994), so D's angular modes fall by at
+least s/2 each, s = mu g_dev r_prev the a priori bound on sup|D|.  With m*
+the last mode above 2^-53 s and K the state's largest mode, n_c is the
+smallest even divisor of n_theta, at least 8, with n_c >= 2 m* + 2 and
+n_c >= K + m* + 2: on exp_ref (a1 = 0.05, mu = 0.05) 16 of 64 angles, and
+n_theta itself where the modes fall slowly or the grid is small.  The
+ledger's theta-sups (``dev_norm``, the sweep residual and the
+certification's ``theta_diff_norm``) stay sups over the user's angles: a
+coarse iterate's come from its trigonometric interpolant onto them, row by
+row (``interpolated_row_gaps``), since a coarse grid's sup of |D| can read
+0.998 of the fine one.  The certification's distance to the interpolant of
+the last joint field measures any aliasing of the coarse loop directly.
+
 Every iterate, the certification iterate included, appends one record to
 a diagnostics ledger: weighted norms, Cauchy increments and ratios, the
 contraction report of its sweep or solve, the measured deviation-bound
@@ -43,6 +61,7 @@ finite (no NaN/Inf) even on refused or diverging runs.
 
 from __future__ import annotations
 
+import dataclasses
 import logging
 import math
 import time
@@ -56,8 +75,10 @@ from .characteristics import (
     NonContractiveError,
     gamma_field,
     in_parts,
+    interpolated_row_gaps,
     oscillation_table,
     picard_sweep,
+    resample_angles,
     row_shares,
     solve_fixed_point,
     split,
@@ -259,6 +280,71 @@ def _terms_histogram(counts) -> str:
     return ",".join(f"{'trig' if k is None else k}:{counts[k]}" for k in keys) or "-"
 
 
+def _coarse_angles(grid: Grid, state: AsymptoticState, bound: float) -> int:
+    """Angles of a joint iterate: the fewest on which it loses nothing.
+
+    ``bound`` bounds sup|D| of the field the iterate makes: it is
+    mu g_dev r_prev, the ledger's ``estimrn_bound``, since the deviation
+    weight is at least 1.  Each characteristic is a Moebius image of
+    e^{i theta} (Watanabe & Strogatz, Physica D 74, 1994), so D's angular
+    modes fall by a factor of at least bound / 2 each,
+    |D_m| <= bound (bound / 2)^(m - 1), and m* is the last mode above
+    2^-53 bound.  Two angle sums are then exact to rounding on n angles:
+    the trapezoid of A(theta) e^{i theta} (e^{iD} - 1) for z, exact for
+    modes below n, needs n >= K + m* + 2, K the state's largest mode; the
+    interpolation of the field onto the user's angles for the ledger's
+    sups needs every mode up to m* below n / 2, n >= 2 m* + 2.  Returns the
+    smallest even divisor of n_theta, at least 8 (a Grid's least), that
+    meets both.  It is n_theta when none smaller does, when the bound is
+    not below 2 (NaN included), where the modes need not fall, and when it
+    is 0 (mu = 0 or a uniform state), where no field work is left to save
+    and the loop's exact exit returns its field.
+    """
+    n_theta = grid.n_theta
+    if not 0.0 < bound < 2.0:
+        return n_theta
+    # (bound / 2)^(m - 1) > 2^-53 for m <= m*
+    m_star = math.ceil(53.0 * math.log(2.0) / math.log(2.0 / bound))
+    need = max(8, 2 * m_star + 2, max(state.modes, default=0) + m_star + 2)
+    return next((n for n in range(need, n_theta) if n % 2 == 0 and n_theta % n == 0), n_theta)
+
+
+def _angle_grid(grid: Grid, n_theta: int) -> Grid:
+    # the grid on n_theta angles, the same object when nothing changes
+    return grid if n_theta == grid.n_theta else dataclasses.replace(grid, n_theta=n_theta)
+
+
+def _user_grid_norms(grid: Grid, weight: WeightSpec, fld, prev, rep, certifying):
+    """(dev_norm, theta_diff_norm) of an iterate, as sups over the user's angles.
+
+    A field on the user's grid gives them as its own sups: the sweep's
+    residual, or at the certification its distance to the field before.
+    A joint iterate on the coarse grid takes them from its trigonometric
+    interpolant onto the user's angles (``interpolated_row_gaps``), and
+    the residual in ``rep`` is replaced by that of the interpolants: a
+    coarse grid's sup of |D| can read 0.998 of the fine one, so no coarse
+    sup reaches the ledger.  The certification after a coarse loop is
+    compared with the interpolant of the last joint field, which measures
+    any aliasing of the coarse loop directly.  A zero field's interpolant
+    is zero, so its own row sups serve.
+    """
+    times, n_theta = grid.times(), grid.n_theta
+    if fld.grid is not grid:
+        sups = fld.row_sups() if fld.sup() == 0.0 else interpolated_row_gaps(n_theta, fld.deviation)
+        if prev is not None:
+            gaps = sups if prev.sup() == 0.0 else interpolated_row_gaps(
+                n_theta, fld.deviation, prev.deviation)
+            rep.residuals[-1] = weighted_norm(times, gaps, weight, deviation=True)
+        return float(np.max(weight.deviation_values(times) * sups)), rep.residuals[-1]
+    dev_norm = fld.deviation_norm(weight)
+    if not certifying:
+        return dev_norm, rep.residuals[-1]
+    if prev.grid is grid:
+        return dev_norm, fld.distance(prev, weight)
+    gaps = interpolated_row_gaps(n_theta, prev.deviation, fine=fld.deviation)
+    return dev_norm, weighted_norm(times, gaps, weight, deviation=True)
+
+
 def outer_solve(
     state: AsymptoticState,
     grid: Grid,
@@ -272,12 +358,16 @@ def outer_solve(
     fall below tol_outer, then certify the final path.
 
     Each of at most MAX_OUTER joint iterates advances the field by one
-    sweep under the previous path and re-integrates the order parameter.
-    The certification iterate then solves the inner fixed point at the
-    final path from zero to ``tol_picard`` (within solve_fixed_point's
-    sweep budget); its field and path are returned.  The weight defaults
-    to the decay class the state declares.  Raises GridError when the weight overflows at
-    t_max or has no finite gains, TailBudgetError when the certified
+    sweep under the previous path and re-integrates the order parameter,
+    on the coarse angle grid of ``_coarse_angles`` (the user's grid where
+    that is n_theta), which grows if a later iterate's bound needs more
+    angles.  The certification iterate then solves the inner fixed point
+    at the final path from zero to ``tol_picard`` on the user's grid
+    (within solve_fixed_point's sweep budget); its field and path are
+    returned, and the ledger's theta-sups are sups over the user's
+    angles.  The weight defaults to the decay class the state declares.
+    Raises GridError when the weight overflows at t_max or has no finite
+    gains, TailBudgetError when the certified
     truncation tail at t_max exceeds the budget, and NotConvergingError
     (with the partial ledger attached) when an iterate refuses, stalls,
     or the budget runs out.
@@ -304,6 +394,16 @@ def outer_solve(
         free_norm=free_norm,
     )
     tail_unit = weight.tail_integral(grid.t_max)
+    dev_gain = abs(mu) * weight.unit_deviation_gain
+    # the joint iterates' grid, from the bound of the loop's first nonzero
+    # field (iterate 2's, at r_prev = ||z_free||); it grows, never shrinks,
+    # when a later iterate's bound needs more angles
+    joint = _angle_grid(grid, _coarse_angles(grid, state, dev_gain * free_norm))
+    # after a coarse loop the certification writes a user-grid array taken
+    # here, before the loop's two coarse ones: it lies below them, so once
+    # they are freed the caller's next field can take their place, and it
+    # is not resident until the certification writes it
+    cert_out = None if joint is grid else np.empty(grid.shape())
     z_prev = np.zeros(grid.n_times, dtype=complex)
     r_prev = 0.0
     fld = prev_fld = None  # D_0 = 0
@@ -319,18 +419,29 @@ def outer_solve(
         if kappa_pred >= 1.0:
             ledger.status = f"non-contractive at n={n}: bound {kappa_pred:.6g} >= 1"
             raise NotConvergingError(ledger.status, ledger)
+        # a zero bound makes the zero field, which any grid holds
+        if not certifying and r_prev > 0.0:
+            wanted = _coarse_angles(grid, state, dev_gain * r_prev)
+            if wanted > joint.n_theta:
+                # D_{n-1} is band-limited on its grid, so its interpolant
+                # on the finer one is exact to rounding
+                joint = _angle_grid(grid, wanted)
+                fld = CharacteristicField(joint, resample_angles(fld.deviation, wanted), mu)
+                prev_fld = None
+        on = grid if certifying else joint
         # D_{n-2} is no longer read: its array takes D_n, so the loop holds
         # two fields from its second iterate on and frees none, and the
         # allocator has no field-sized hole to place the next one in
-        spare = None if prev_fld is None else prev_fld.deviation
+        spare = prev_fld.deviation if prev_fld is not None and prev_fld.grid is on else None
         prev_fld = fld
         try:
             if certifying:
                 # frozen-path pass at the final path, cold so that its
                 # residual trail measures the per-sweep contraction
-                fld, rep = solve_fixed_point(grid, z_prev, mu, weight, tol_picard, out=spare)
+                out = cert_out if spare is None else spare
+                fld, rep = solve_fixed_point(grid, z_prev, mu, weight, tol_picard, out=out)
             else:
-                fld, rep = picard_sweep(grid, z_prev, mu, weight, fld, out=spare)
+                fld, rep = picard_sweep(joint, z_prev, mu, weight, fld, out=spare)
         except (NonContractiveError, MaxSweepsExceededError) as exc:
             ledger.status = f"inner solve failed at n={n}: {exc}"
             raise NotConvergingError(str(exc), ledger) from exc
@@ -339,11 +450,7 @@ def outer_solve(
             ledger.status = f"nonfinite order parameter at n={n}"
             raise NotConvergingError("nonfinite order parameter", ledger)
         dz = weighted_norm(times, path.values - z_prev, weight)
-        dev_norm = fld.deviation_norm(weight)
-        if certifying:
-            theta_diff = fld.distance(prev_fld, weight)
-        else:
-            theta_diff = rep.residuals[-1]
+        dev_norm, theta_diff = _user_grid_norms(grid, weight, fld, prev_fld, rep, certifying)
         kappa = rep.bound
         floor = 1e-14 * max(1.0, path.norm)
         denom = mu * weight.unit_deviation_gain * r_prev
@@ -366,8 +473,8 @@ def outer_solve(
         }
         ledger.add(record)
         log.debug(
-            "outer n=%d%s dz=%.3e kappa=%.3e sweeps=%d terms=%s skipped=%d %.3fs",
-            n, " (certification)" if certifying else "", dz, kappa, rep.sweeps,
+            "outer n=%d%s n_c=%d dz=%.3e kappa=%.3e sweeps=%d terms=%s skipped=%d %.3fs",
+            n, " (certification)" if certifying else "", fld.grid.n_theta, dz, kappa, rep.sweeps,
             _terms_histogram(rep.tile_terms), rep.tiles_skipped, time.perf_counter() - t0,
         )
         if certifying:

@@ -1279,6 +1279,63 @@ def test_deviation_norm_equals_the_whole_field_norm(grid, solved, forced_tiles):
     assert math.isnan(CharacteristicField(grid, broken, MU).deviation_norm(WEIGHT))
 
 
+# -- trigonometric interpolation onto a finer angle grid ---------------------
+
+def _fft_interpolant(coarse, n_theta):
+    # zero-padding the angular spectrum, the Nyquist term split between
+    # +-n_c / 2: an independent route to the trigonometric interpolant
+    n_c = coarse.shape[1]
+    spec = np.fft.rfft(coarse, axis=1)
+    spec[:, -1] *= 0.5
+    padded = np.zeros((coarse.shape[0], n_theta // 2 + 1, coarse.shape[2]), dtype=complex)
+    padded[:, : n_c // 2 + 1] = spec
+    return np.fft.irfft(padded, n=n_theta, axis=1) * (n_theta / n_c)
+
+
+@pytest.mark.parametrize("n_c, n_theta", [(8, 32), (16, 64), (12, 16)])
+def test_interpolated_row_gaps_are_the_sups_of_the_trig_interpolant(n_c, n_theta, monkeypatch):
+    # a coarse field with every mode, the Nyquist one included, in tiles of
+    # 5 rows and parts of each: the row sups of P(a), P(a - b) and
+    # P(a) - fine against the FFT interpolant's
+    rng = np.random.default_rng(n_c * n_theta)
+    a, b = rng.standard_normal((2, 23, n_c, 7))
+    fine = rng.standard_normal((23, n_theta, 7))
+    assert len(_force_tile_rows(monkeypatch, fine.shape, 5)) == 5
+    cases = (((a,), _fft_interpolant(a, n_theta)),
+             ((a, b), _fft_interpolant(a - b, n_theta)),
+             ((a, None, fine), _fft_interpolant(a, n_theta) - fine))
+    for args, want in cases:
+        got = characteristics.interpolated_row_gaps(n_theta, *args)
+        ref = np.abs(want).max(axis=(1, 2))
+        assert np.max(np.abs(got - ref) / ref) <= 1e-14
+    full = characteristics.resample_angles(a, n_theta)
+    assert np.max(np.abs(full - cases[0][1])) <= 1e-14 * np.max(np.abs(a))
+    # the interpolant keeps the samples bit for bit where the angles meet
+    on = [i for i in range(n_theta) if i * n_c % n_theta == 0]
+    assert full[:, on].tobytes() == a[:, [i * n_c // n_theta for i in on]].tobytes()
+    broken = a.copy()
+    broken[4, 1, 2] = np.nan
+    assert np.isnan(characteristics.interpolated_row_gaps(n_theta, broken)[4])
+    with pytest.raises(ValueError):
+        characteristics.interpolated_row_gaps(n_theta, a, fine=a)
+
+
+def test_a_band_limited_field_is_interpolated_exactly():
+    # modes below n_c / 2 come back at the fine angles to rounding
+    n_c, n_theta = 16, 64
+    rng = np.random.default_rng(3)
+    coef = rng.standard_normal((n_c // 2, 2)) / 2.0 ** np.arange(n_c // 2)[:, None]
+
+    def field(n):
+        th = 2.0 * math.pi * np.arange(n) / n
+        m = np.arange(n_c // 2)[:, None]
+        return (coef[:, :1] * np.cos(m * th) + coef[:, 1:] * np.sin(m * th)).sum(axis=0)
+
+    coarse = np.broadcast_to(field(n_c)[None, :, None], (3, n_c, 2))
+    full = characteristics.resample_angles(np.ascontiguousarray(coarse), n_theta)
+    assert np.max(np.abs(full - field(n_theta)[None, :, None])) <= 4e-15
+
+
 # -- the time tiles against the omega-blocked loops they replaced -------------
 
 # cells per omega block of the replaced loops

@@ -580,8 +580,13 @@ def test_verbose_logs_one_line_per_outer_iterate(solve_run, tmp_path, caplog):
     # the first iterate sweeps nothing, and one joint sweep skips no tile
     assert " terms=- skipped=0 " in lines[0]
     assert all(" skipped=0 " in line for line in lines[:-1])
-    # the log's counts stay out of the ledger
-    assert "tile_terms" not in json.dumps(ledger) and "tiles_skipped" not in json.dumps(ledger)
+    # the joint iterates run on 16 of the config's 32 angles, the
+    # certification on all of them
+    assert all(" n_c=16 " in line for line in lines[:-1]) and " n_c=32 " in lines[-1]
+    # the log's counts stay out of the ledger and the summary
+    summary = (solve_run[1] / "summary.json").read_text()
+    for key in ('"tile_terms"', '"tiles_skipped"', '"n_c"'):
+        assert key not in json.dumps(ledger) and key not in summary
 
 
 @pytest.mark.parametrize(

@@ -85,10 +85,10 @@ def test_polynomial_tail_keeps_its_accuracy_far_out():
         # underflows) and its log keeps the leading term t^(1-p)/(p-1)
         assert math.isfinite(w.tail_integral(1e160))
         assert w.tail_integral(math.inf) == 0.0
-        log_tail = norms_grids._log_poly_tail(rate, 1e160)
+        log_tail = norms_grids._poly_tail(rate, 1e160, log=True)
         lead = (1.0 - rate) * math.log(1e160) - math.log(rate - 1.0)
         assert log_tail == pytest.approx(lead, rel=1e-15)
-        assert norms_grids._log_poly_tail(rate, math.inf) == -math.inf
+        assert norms_grids._poly_tail(rate, math.inf, log=True) == -math.inf
 
 
 def _scipy_tail(p, t):
@@ -295,6 +295,52 @@ def test_weight_overflow_at_horizon_is_refused():
     assert math.isfinite(spec.unit_contraction_gain) and math.isfinite(spec.unit_deviation_gain)
 
 
+def test_an_overflowing_weight_is_refused_before_its_gains(monkeypatch):
+    # <t>^103.2 overflows at t = 1e3: the refusal names the overflow without
+    # computing a gain sup (about 20 ms for a new rate)
+    def no_gains(gamma):
+        raise AssertionError("gains computed for a weight that overflows")
+
+    monkeypatch.setattr(norms_grids, "_poly_gains", no_gains)
+    with pytest.raises(GridError, match="overflows"):
+        WeightSpec("polynomial", 103.2).check_finite(1e3)
+
+
+HUGE_RATES = [1e3, 1e4, 1e6, 1e10, 1e16, 1e18, 1e30, 1e50, 1e100]
+
+
+@pytest.mark.parametrize("rate", HUGE_RATES)
+def test_poly_gains_stay_finite_at_huge_rates(rate):
+    # the log-space products combine the weight's power of <t> with the
+    # tail's lead factor, where the sum of two logs of order rate * log(t)
+    # cancelled (1e18 read (8.9e-10, inf)); the gains are then the t = 0
+    # values B(b, 1/2)/2, about sqrt(pi / rate) / 2 and sqrt(pi / (2 rate))
+    contr, dev = norms_grids._poly_gains(rate)
+    assert math.isfinite(contr) and math.isfinite(dev)
+    assert contr == pytest.approx(0.5 * math.sqrt(math.pi / rate), rel=1e-3)
+    assert dev == pytest.approx(0.5 * math.sqrt(2.0 * math.pi / rate), rel=1e-3)
+
+
+@pytest.mark.parametrize("rate", HUGE_RATES)
+def test_log_space_weighted_tails_match_the_linear_products(rate):
+    # wherever the linear product <t>^(rate-1) T_p(t) is finite and both
+    # factors normal, the log-space form agrees with it; the linear one
+    # carries the rounding of 1 + t^2 raised to (rate - 1) / 2, up to about
+    # rate * eps relative, so the tolerance grows with the rate
+    t = np.linspace(0.0, 400.0, 40001)
+    tiny = np.finfo(float).tiny
+    tol = 1e-12 + 2.0 * rate * np.finfo(float).eps
+    for p in (rate, 2.0 * rate - 1.0):
+        tail = norms_grids._poly_tail(p, t)
+        with np.errstate(over="ignore", invalid="ignore"):
+            linear = (1.0 + t * t) ** (0.5 * (rate - 1.0)) * tail
+        logged = norms_grids._poly_tail(p, t, log=True, lift=rate - 1.0)
+        assert np.all(np.isfinite(logged))
+        kept = np.isfinite(linear) & (linear > tiny) & (tail > tiny)
+        assert kept[0]
+        assert np.max(np.abs(np.exp(logged[kept]) / linear[kept] - 1.0)) <= tol
+
+
 def _linear_poly_gains(gamma):
     # the gain sups in linear space only, as they were taken before the log
     # space fallback; finite up to rates near 119
@@ -343,5 +389,5 @@ def test_poly_gains_at_rate_200_match_a_log_space_quadrature():
     # the log-space products themselves, where the linear ones are lost
     far = np.array([50.0, 120.0, 400.0])
     for p in (2.0 * gamma - 1.0, gamma):
-        closed = 0.5 * (gamma - 1.0) * np.log1p(far * far) + norms_grids._log_poly_tail(p, far)
+        closed = norms_grids._poly_tail(p, far, log=True, lift=gamma - 1.0)
         assert np.max(np.abs(closed - _log_weighted_tails(gamma, p, far))) <= 1e-12

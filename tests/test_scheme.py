@@ -5,6 +5,7 @@ Lorentzian profile, mu = 0.05) is shared module-wide; the remaining
 cases exercise degenerate inputs and the documented failure modes.
 """
 
+import json
 import math
 
 import numpy as np
@@ -112,8 +113,9 @@ def test_joint_loop_matches_nested_reference(state, grid, result):
 
 
 def test_joint_loop_holds_two_field_arrays(state, grid, result, monkeypatch):
-    # D_n is written into D_{n-2}'s array, so every iterate, certification
-    # included, returns one of two arrays and the loop frees none
+    # D_n is written into D_{n-2}'s array, so every joint iterate returns
+    # one of two arrays of the coarse grid and the loop frees none; the
+    # certification, on the user's grid, takes one array of its own
     fields = []
 
     def spy(solver):
@@ -126,16 +128,19 @@ def test_joint_loop_holds_two_field_arrays(state, grid, result, monkeypatch):
     monkeypatch.setattr(scheme, "picard_sweep", spy(scheme.picard_sweep))
     monkeypatch.setattr(scheme, "solve_fixed_point", spy(scheme.solve_fixed_point))
     again = outer_solve(state, grid, MU, WEIGHT)
-    distinct = [a for i, a in enumerate(fields) if not any(a is b for b in fields[:i])]
+    joint = fields[:-1]
+    distinct = [a for i, a in enumerate(joint) if not any(a is b for b in joint[:i])]
     assert len(fields) == len(result.ledger.records) >= 4 and len(distinct) == 2
-    assert again.field.deviation is fields[-1]
+    assert {a.shape for a in distinct} == {(grid.n_times, COARSE_ANGLES, grid.n_omega)}
+    assert again.field.deviation is fields[-1] and fields[-1].shape == grid.shape()
+    assert not any(fields[-1] is a for a in joint)
     assert again.field.deviation.tobytes() == result.field.deviation.tobytes()
 
 
 def test_joint_loop_fields_carry_their_own_row_sups(state, grid, result, monkeypatch):
     # every field the loop makes carries the row sups of its own array when
-    # it is made, and the returned one, written into a reused array, still
-    # does when the loop ends
+    # it is made, and the last joint one, written into a reused array, and
+    # the returned one still do when the loop ends
     fields = []
 
     def spy(solver):
@@ -149,9 +154,193 @@ def test_joint_loop_fields_carry_their_own_row_sups(state, grid, result, monkeyp
     monkeypatch.setattr(scheme, "picard_sweep", spy(scheme.picard_sweep))
     monkeypatch.setattr(scheme, "solve_fixed_point", spy(scheme.solve_fixed_point))
     again = outer_solve(state, grid, MU, WEIGHT)
-    assert again.field is fields[-1] and any(again.field.deviation is f.deviation
-                                             for f in fields[:-2])
-    assert again.field._rows.tobytes() == again.field._row_gaps().tobytes()
+    last = fields[-2]
+    assert again.field is fields[-1] and any(last.deviation is f.deviation for f in fields[:-3])
+    for fld in (last, again.field):
+        assert fld._rows.tobytes() == fld._row_gaps().tobytes()
+
+
+# -- the coarse joint loop ----------------------------------------------------
+
+# angles the joint iterates of the module's solve run on: D's modes fall
+# by about sup|D| / 2 ~ 1.4e-3 each, so m* = 6 and 2 m* + 2 = 14 -> 16
+COARSE_ANGLES = 16
+EPS = np.finfo(float).eps
+# the coarse loop against the full-grid loop: z within 2 eps max|z|, D within
+# 4 eps sup|D| (measured 0.0015 and 0.79), every ledger float within 1e-12
+# relative, and the theta-sups (dev_norm, theta_diff_norm, the residuals)
+# also within 4 eps times the ledger's largest dev_norm in absolute terms
+# (measured 2.4): the fine grid's rounding noise off the coarse angles is
+# not band-limited, so an interpolant does not reproduce it
+Z_TOL_EPS, D_TOL_EPS, LEDGER_REL, SUP_TOL_EPS = 2.0, 4.0, 1e-12, 4.0
+THETA_SUP_KEYS = {"dev_norm", "theta_diff_norm", "residuals"}
+
+
+def _full_grid_solve(state, grid, mu, monkeypatch, **kwargs):
+    with monkeypatch.context() as m:
+        m.setattr(scheme, "_coarse_angles", lambda g, s, bound: g.n_theta)
+        return outer_solve(state, grid, mu, **kwargs)
+
+
+def _ledger_floats(entry, key=""):
+    # (key, value) of every number in a ledger dict, lists flattened
+    if isinstance(entry, dict):
+        for k, v in entry.items():
+            yield from _ledger_floats(v, k)
+    elif isinstance(entry, list):
+        for v in entry:
+            yield from _ledger_floats(v, key)
+    elif isinstance(entry, float):
+        yield key, entry
+
+
+def test_joint_loop_angles_follow_the_mode_bound(state, grid):
+    # exp_ref's bound mu g_dev ||z_free|| = 2.78e-3: m* = 6 -> 16 of 64 angles
+    g64 = build_grid(PROFILE, t_max=16.0, dt=0.05, n_theta=64)
+    assert scheme._coarse_angles(g64, state, 2.78e-3) == 16
+    assert scheme._coarse_angles(grid, state, 2.78e-3) == COARSE_ANGLES
+    # m* by brute force: the last m with bound (bound / 2)^(m - 1) above
+    # 2^-53 bound
+    for bound in (1e-9, 1e-4, 2.78e-3, 0.05, 0.1667, 0.5, 1.0, 1.9):
+        m = 1
+        while (bound / 2.0) ** m > 2.0**-53:
+            m += 1
+        need = max(8, 2 * m + 2, 1 + m + 2)
+        want = next((n for n in (8, 16, 32) if n >= need), 64)
+        assert scheme._coarse_angles(g64, state, bound) == want
+    # a high mode needs more angles for the z trapezoid: K + m* + 2
+    high = AsymptoticState(PROFILE, {1: 0.05, 12: 0.01}, "exponential", 0.9)
+    assert scheme._coarse_angles(g64, high, 2.78e-3) == 32
+    # a zero bound (mu = 0), one not below 2 and NaN keep the user's grid
+    for bound in (0.0, 2.0, math.inf, math.nan):
+        assert scheme._coarse_angles(g64, state, bound) == 64
+    # a divisor of n_theta: 48 angles have none between 14 and 24
+    g48 = build_grid(PROFILE, t_max=16.0, dt=0.05, n_theta=48)
+    assert scheme._coarse_angles(g48, state, 2.78e-3) == 16
+    g40 = build_grid(PROFILE, t_max=16.0, dt=0.05, n_theta=40)
+    assert scheme._coarse_angles(g40, state, 2.78e-3) == 20
+
+
+@pytest.mark.parametrize("config", ["test32", "exp_ref64"])
+def test_coarse_loop_matches_the_full_grid_loop(state, grid, result, config, monkeypatch):
+    # on exp_ref's grid, at a1's phase 0.7 rad, the weighted sup|D| of the
+    # joint fields on 16 angles reads 0.998 of that on 64
+    if config == "exp_ref64":
+        state = AsymptoticState(PROFILE, {1: 0.05 * np.exp(0.7j)}, "exponential", 0.9)
+        grid = build_grid(PROFILE, t_max=20.0, dt=0.05, n_theta=64)
+        result = outer_solve(state, grid, MU, WEIGHT)
+    full = _full_grid_solve(state, grid, MU, monkeypatch, weight=WEIGHT)
+    assert result.n_outer == full.n_outer
+    sweeps = [[r["contraction"]["sweeps"] for r in res.ledger.records] for res in (result, full)]
+    assert sweeps[0] == sweeps[1]
+    assert result.field.grid is grid and result.path.grid is grid
+    z, zf = result.path.values, full.path.values
+    assert np.max(np.abs(z - zf)) <= Z_TOL_EPS * EPS * np.max(np.abs(zf))
+    dev, devf = result.field.deviation, full.field.deviation
+    assert np.max(np.abs(dev - devf)) <= D_TOL_EPS * EPS * np.max(np.abs(devf))
+    coarse, fine = (list(_ledger_floats(r.ledger.to_dict())) for r in (result, full))
+    assert [k for k, _ in coarse] == [k for k, _ in fine]
+    sup_scale = max(r["dev_norm"] for r in full.ledger.records)
+    for (key, a), (_, b) in zip(coarse, fine):
+        tol = LEDGER_REL * abs(b)
+        if key in THETA_SUP_KEYS:
+            tol = max(tol, SUP_TOL_EPS * EPS * sup_scale)
+        assert abs(a - b) <= tol, key
+
+
+@pytest.mark.parametrize("config", ["kernel_grid", "strong16"])
+def test_loops_already_on_their_coarsest_grid_are_byte_identical(state, config, monkeypatch):
+    # n_c = n_theta: 8 angles are a Grid's least, and the strong state's
+    # modes fall by only ~1/12 each, so its 16 angles are all needed
+    if config == "kernel_grid":
+        g, st, mu, kwargs = build_grid(PROFILE, **KERNEL_GRID), state, MU, {"tail_budget": 1e-3}
+    else:
+        g = build_grid(PROFILE, t_max=20.0, dt=0.05, n_theta=16)
+        st, mu, kwargs = AsymptoticState(PROFILE, {1: 0.3}, "exponential", 0.9), 0.5, {}
+    calls = []
+    rule = scheme._coarse_angles
+    monkeypatch.setattr(scheme, "_coarse_angles", lambda *a: calls.append(rule(*a)) or calls[-1])
+    res = outer_solve(st, g, mu, **kwargs)
+    assert calls and set(calls) == {g.n_theta}
+    full = _full_grid_solve(st, g, mu, monkeypatch, **kwargs)
+    assert json.dumps(res.ledger.to_dict()) == json.dumps(full.ledger.to_dict())
+    assert res.path.values.tobytes() == full.path.values.tobytes()
+    assert res.field.deviation.tobytes() == full.field.deviation.tobytes()
+
+
+def _weighted_sup(times, a):
+    return float(np.max(WEIGHT.deviation_values(times) * np.abs(a).max(axis=(1, 2))))
+
+
+def test_too_few_joint_angles_show_in_the_certification_distance(monkeypatch):
+    # the tripwire: at a1 = 0.3, mu = 0.5 D's modes fall by ~1/12 each, and
+    # 8 of 32 angles alias them; the certification, cold on the user's
+    # grid, lands away from the interpolant of the last joint field
+    st = AsymptoticState(PROFILE, {1: 0.3}, "exponential", 0.9)
+    g = build_grid(PROFILE, t_max=20.0, dt=0.05, n_theta=32)
+    times = g.times()
+    full = outer_solve(st, g, 0.5)
+    joint = []
+
+    def spy(*args, **kwargs):
+        fld, rep = characteristics.picard_sweep(*args, **kwargs)
+        joint.append(fld.deviation.copy())
+        return fld, rep
+
+    monkeypatch.setattr(scheme, "_coarse_angles", lambda grid, s, bound: 8)
+    monkeypatch.setattr(scheme, "picard_sweep", spy)
+    res = outer_solve(st, g, 0.5)
+    recs = res.ledger.records
+    assert res.converged and res.ledger.all_finite()
+    assert {a.shape[1] for a in joint} == {8} and res.field.grid is g
+    moved = np.max(np.abs(res.path.values - full.path.values))
+    assert 1e-13 < moved < 1e-9
+    assert recs[-1]["theta_diff_norm"] > 1e3 * full.ledger.records[-1]["theta_diff_norm"]
+    # every theta-sup in the ledger is a sup over the 32 angles of the
+    # interpolant (held to an FFT route in test_characteristics); the
+    # coarse sups differ from them
+    fine = [characteristics.resample_angles(a, 32) for a in joint]
+    differs = 0
+    for k, rec in enumerate(recs[:-1]):
+        want = _weighted_sup(times, fine[k])
+        step = _weighted_sup(times, fine[k] - (fine[k - 1] if k else 0.0))
+        for got, ref, own in ((rec["dev_norm"], want, _weighted_sup(times, joint[k])),
+                              (rec["theta_diff_norm"], step, None)):
+            assert abs(got - ref) <= 8 * EPS * max(want, 1e-300)
+            differs += own is not None and abs(own - ref) > 1e-6 * ref
+        assert rec["contraction"]["residuals"] == [rec["theta_diff_norm"]]
+    assert differs >= 1
+    gap = _weighted_sup(times, res.field.deviation - fine[-1])
+    assert abs(recs[-1]["theta_diff_norm"] - gap) <= 8 * EPS * recs[-2]["dev_norm"]
+
+
+def test_a_grown_joint_grid_resamples_the_field_before_it(state, grid, monkeypatch):
+    # the loop's grid grows when a later bound asks for more angles: D_2,
+    # swept on 16 angles, is interpolated onto 32 before iterate 3
+    asked = []
+
+    def rule(g, s, bound):
+        asked.append(bound)
+        return 16 if len(asked) <= 2 else 32
+
+    full = _full_grid_solve(state, grid, MU, monkeypatch, weight=WEIGHT)
+    monkeypatch.setattr(scheme, "_coarse_angles", rule)
+    shapes = []
+    sweep = scheme.picard_sweep
+
+    def spy(*args, **kwargs):
+        fld, rep = sweep(*args, **kwargs)
+        shapes.append(fld.deviation.shape[1])
+        return fld, rep
+
+    monkeypatch.setattr(scheme, "picard_sweep", spy)
+    res = outer_solve(state, grid, MU, WEIGHT)
+    assert shapes[:3] == [16, 16, 32] and set(shapes[3:]) == {32}
+    assert res.n_outer == full.n_outer
+    assert np.max(np.abs(res.path.values - full.path.values)) <= (
+        Z_TOL_EPS * EPS * np.max(np.abs(full.path.values)))
+    assert np.max(np.abs(res.field.deviation - full.field.deviation)) <= (
+        D_TOL_EPS * EPS * np.max(np.abs(full.field.deviation)))
 
 
 # kernels one mu = 0.05 solve on KERNEL_GRID builds: one per sweep and one
