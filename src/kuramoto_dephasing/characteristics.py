@@ -27,6 +27,26 @@ Moebius form of the flow: e^{i(theta + omega t + D)} is a Moebius image of
 e^{i theta}, whose 2x2 matrix obeys a linear equation that does not
 depend on theta, so the route steps one matrix per frequency column and
 shares no numerical code with the cell-weight quadrature.
+
+Every e^{iD} of the cell-weight route is 1 + (cos D - 1) + i sin D, each
+part with full relative precision long after |D| has dropped below the
+rounding unit, which is what lets weighted Cauchy increments be resolved
+down to 1e-10 and beyond.  The pair comes from one phase kernel
+(``phase_kernel``), picked per time tile from the sup|D| of the tile's
+rows (``tile_kernels``): Taylor polynomials D^2 Q_k(D^2) and D P_k(D^2)
+whose number of terms k is the smallest that puts the truncation below
+the rounding unit (a few multiply-adds per cell, fewer on the decayed
+late tiles), and (-2 sin^2(D/2), sin D) above sup|D| = 1.  The sweep,
+gamma_field and the order-parameter quadrature (``phase_quadrature``)
+share that kernel and one e^{i omega t} table (``oscillation_table``).
+
+Every loop over a field walks the same time tiles (``time_tiles``) and
+splits into parts that run side by side, with one walker per split
+axis: ``_integral_parts`` splits the angle axis of the backward
+integral (the sweep and gamma_field), whose columns are independent, and
+``in_row_parts`` splits every tile's rows for the loops that reduce over
+angles (``row_gaps``, ``phase_quadrature``, the oracle's 2 arg N).  No
+other module cuts tiles or parts.
 """
 
 from __future__ import annotations
@@ -129,7 +149,7 @@ class CharacteristicField:
     grid: Grid
     deviation: np.ndarray
     mu: float
-    # the carried row sups, bit for bit those _row_gaps() takes, or None
+    # the carried row sups, bit for bit those row_gaps() takes, or None
     _rows: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
@@ -148,30 +168,26 @@ class CharacteristicField:
         return float(np.max(weight.deviation_values(self.grid.times()) * self.row_sups()))
 
     def sup(self) -> float:
-        return _sup(self.deviation) if self._rows is None else float(self._rows.max())
+        return float(self.row_sups().max())
 
     def row_sups(self) -> np.ndarray:
         """sup |D| over each time row: the carried sups, or one pass over D."""
-        return self._row_gaps() if self._rows is None else self._rows
+        return row_gaps(self.deviation) if self._rows is None else self._rows
 
     def distance(self, other: "CharacteristicField", weight: WeightSpec) -> float:
         """||D - D_other|| in the deviation weight, one time tile at a time.
 
         A field on a grid of another shape is refused (ValueError).
         """
-        return weighted_norm(self.grid.times(), self._row_gaps(other), weight, deviation=True)
+        gaps = row_gaps(self.deviation, other.deviation)
+        return weighted_norm(self.grid.times(), gaps, weight, deviation=True)
 
     def sup_distance(self, other: "CharacteristicField") -> float:
         """sup |D - D_other|, one time tile at a time; NaN propagates.
 
         A field on a grid of another shape is refused (ValueError).
         """
-        return float(self._row_gaps(other).max())
-
-    def _row_gaps(self, other=None):
-        # sup over each time row of |D - D_other|, or of |D| when other is
-        # None
-        return _row_gaps(self.deviation, None if other is None else other.deviation)
+        return float(row_gaps(self.deviation, other.deviation).max())
 
 
 @dataclass
@@ -268,10 +284,9 @@ def time_tiles(shape):
     shorter.  Every tiled loop over a field walks these slices, so one
     constant bounds all per-tile working sets, and the backward integral
     carries its running sum from one tile to the next.  A loop split into
-    parts (``in_parts``) still walks the whole field's tiles: a part of
-    the angle axis takes its columns of every tile, a part of the rows its
-    share of every tile's rows, so the slabs of all parts together are the
-    size of one loop's.
+    parts still walks the whole field's tiles, each part its columns or
+    its share of the rows of every tile, so the slabs of all parts
+    together are the size of one loop's.
     """
     n_t = shape[0]
     rows = _tile_rows(shape)
@@ -378,35 +393,34 @@ def _run_part(work, p):
         np.setbufsize(saved)
 
 
+def in_row_parts(shape, work, *scratch_shapes):
+    """work(i, rows, *scratch) over every tile's rows, in row parts side by side.
+
+    Each tile i of ``time_tiles(shape)`` is cut into the
+    ``row_shares(shape)`` parts, and part p walks its share ``rows`` of
+    every tile from t_max backward, with ``scratch`` the first len(rows)
+    rows of its own float slabs, one of shape (share,) + s per entry s of
+    ``scratch_shapes``, allocated here on the calling thread.  Where a
+    row's work depends only on the row and its tile, the result is
+    bit-identical for any part count.
+    """
+    tiles = list(time_tiles(shape))
+    parts, share = row_shares(shape)
+    slabs = [np.empty((parts, share) + tuple(s)) for s in scratch_shapes]
+
+    def walk(p):
+        for i, sl in enumerate(tiles):
+            rows = split(sl.start, sl.stop, parts)[p]
+            n = rows.stop - rows.start
+            work(i, rows, *(slab[p, :n] for slab in slabs))
+
+    in_parts(walk, parts)
+
+
 def _row_sup(tile, out):
     # out[i] <- sup_i |tile[i]| through max and -min: exact, NaN-propagating,
     # and free of a tile-sized |tile| temporary
     np.maximum(tile.max(axis=(1, 2)), -tile.min(axis=(1, 2)), out=out)
-
-
-def _row_gaps(a, b=None):
-    # sup over each time row of |a - b|, or of |a| when b is None; the
-    # row_shares parts take their share of every tile's rows (into a slab
-    # each for a difference), and a row's sup does not depend on the part
-    # it falls in
-    shape = a.shape
-    if b is not None and b.shape != shape:
-        raise ValueError(f"cannot compare a field of shape {shape} with one of shape {b.shape}")
-    rows = np.empty(shape[0])
-    tiles = list(time_tiles(shape))
-    parts, share = row_shares(shape)
-    slab = None if b is None else np.empty((parts, share) + shape[1:])
-
-    def gaps(p):
-        for sl in tiles:
-            part = split(sl.start, sl.stop, parts)[p]
-            gap = a[part]
-            if b is not None:
-                gap = np.subtract(gap, b[part], out=slab[p, : len(gap)])
-            _row_sup(gap, rows[part])
-
-    in_parts(gaps, parts)
-    return rows
 
 
 @functools.cache
@@ -437,42 +451,45 @@ def _trig_interpolation(n_from, n_to):
     return sinc
 
 
-def interpolated_row_gaps(n_theta, a, b=None, fine=None):
-    """sup over each time row of |P(a - b) - fine| on ``n_theta`` angles.
+def row_gaps(a, b=None, n_theta=None, fine=None):
+    """sup over each time row of |P(a - b) - fine|; NaN propagates.
 
-    ``a`` and ``b`` (zero when None) are fields on a coarser angle grid,
-    P their trigonometric interpolant (``_trig_interpolation``) at the
-    ``n_theta`` angles of the finer grid, and ``fine`` (zero when None) a
-    field on that grid.  So a band-limited coarse field gives the θ-sups of
-    the fine grid without a fine field being held: the row_shares parts of
-    the fine shape take their share of every tile's rows, interpolate
-    them by one real (n_theta, n_coarse) matrix product per row into a
-    slab, and take each row's sup there, as ``_row_gaps`` does.  NaN
-    propagates.
+    ``b`` (zero when None) is a field of a's shape, P the trigonometric
+    interpolant (``_trig_interpolation``) from a's angles onto
+    ``n_theta`` angles, and ``fine`` (zero when None) a field on those
+    angles.  Where ``n_theta`` is None or a's own count, P is the identity
+    and no product is taken: the row sups of |a|, |a - b| or |a - fine|.
+    Otherwise a band-limited field on a coarser grid gives the theta-sups
+    of the finer one without a finer field being held: each row is
+    interpolated by one real (n_theta, n_coarse) matrix product into
+    scratch.  The rows are walked by ``in_row_parts`` over the tiles of
+    the finer shape, and a row's sup does not depend on its part.  A
+    field of another shape is refused (ValueError).
     """
     coarse = a.shape
-    shape = (coarse[0], n_theta, coarse[2])
+    shape = coarse if n_theta is None else (coarse[0], n_theta, coarse[2])
     for other, want in ((b, coarse), (fine, shape)):
         if other is not None and other.shape != want:
             raise ValueError(f"cannot compare a field of shape {want} with one of shape {other.shape}")
-    interp = _trig_interpolation(coarse[1], n_theta)
+    interp = None if shape == coarse else _trig_interpolation(coarse[1], shape[1])
+    # a - b goes to scratch of a's shape, P and - fine to one of the finer
+    # shape; with P the identity both are one
+    slabs = [coarse[1:]] if b is not None and interp is not None else []
+    if b is not None or interp is not None or fine is not None:
+        slabs.append(shape[1:])
     rows = np.empty(shape[0])
-    tiles = list(time_tiles(shape))
-    parts, share = row_shares(shape)
-    slab = np.empty((parts, share) + shape[1:])
-    diff = None if b is None else np.empty((parts, share) + coarse[1:])
 
-    def gaps(p):
-        for sl in tiles:
-            part = split(sl.start, sl.stop, parts)[p]
-            n = part.stop - part.start
-            src = a[part] if b is None else np.subtract(a[part], b[part], out=diff[p, :n])
-            gap = np.matmul(interp, src, out=slab[p, :n])
-            if fine is not None:
-                gap -= fine[part]
-            _row_sup(gap, rows[part])
+    def gaps(i, part, *scratch):
+        gap = a[part]
+        if b is not None:
+            gap = np.subtract(gap, b[part], out=scratch[0])
+        if interp is not None:
+            gap = np.matmul(interp, gap, out=scratch[-1])
+        if fine is not None:
+            gap = np.subtract(gap, fine[part], out=scratch[-1])
+        _row_sup(gap, rows[part])
 
-    in_parts(gaps, parts)
+    in_row_parts(shape, gaps, *slabs)
     return rows
 
 
@@ -484,15 +501,6 @@ def resample_angles(deviation, n_theta):
     modes lie below half the coarse count.
     """
     return np.matmul(_trig_interpolation(deviation.shape[1], n_theta), deviation)
-
-
-def _sup(a) -> float:
-    # sup|a| as max and -min over parts of the first axis: the max of the
-    # parts' sups is the sup, exact and NaN-propagating, with no |a|
-    # temporary
-    rows = split(0, len(a), part_count(len(a)))
-    sups = in_parts(lambda p: np.maximum(a[rows[p]].max(), -a[rows[p]].min()), len(rows))
-    return float(np.max(sups))
 
 
 def _taylor_terms(sup):
@@ -534,11 +542,8 @@ def phase_kernel(sup):
     square, one scaling and one copy, bit for bit what Horner's rule gives
     there.  Above the cap it is (-2 sin^2(D/2), sin D).  Both forms keep
     full relative precision as D -> 0 and map 0 to 0.  One kernel is kept
-    per term count, so the same count returns the same object.  Every
-    e^{iD} of the cell-weight route comes from this kernel, picked per
-    time tile (``tile_kernels``): the sweep, gamma_field (whose pair also
-    feeds reconstruct's dephasing) and the order-parameter quadrature.
-    The RK4 oracle does not use it.
+    per term count, so the same count returns the same object.  The RK4
+    oracle does not use it.
     """
     k = _taylor_terms(sup)
     return _trig_phase if k is None else _taylor_kernel(k)
@@ -885,7 +890,7 @@ def deviation_sweep(times, theta, omega, z, deviation, mu, row_residual, out=Non
     if out is None:
         out = np.empty(deviation.shape)
     if sup is None:
-        sup = _row_gaps(deviation)
+        sup = row_gaps(deviation)
     # mu * Im(e^{i theta} I) = (mu cos theta) Im I + (mu sin theta) Re I
     mu_cos = (mu * np.cos(theta))[None, :, None]
     mu_sin = (mu * np.sin(theta))[None, :, None]
@@ -977,7 +982,7 @@ def _field_array(grid: Grid, out):
 
 def _carrying(grid: Grid, deviation, mu: float, rows) -> CharacteristicField:
     # a field with the row sups of |D| its writer took, bit for bit those
-    # of _row_gaps()
+    # of row_gaps()
     fld = CharacteristicField(grid, deviation, mu)
     object.__setattr__(fld, "_rows", rows)
     return fld
@@ -1308,7 +1313,7 @@ def backward_ode_oracle(
     M_j = C_j M_{j+1}, on (n_times, n_omega) arrays.  From [e^{i theta}, 1]
     at t_max, e^{i psi} = N / conj(N) with N = alpha + beta e^{-i theta},
     so psi = 2 arg N, written one time tile at a time, each tile's rows
-    split into parts that run side by side (``in_parts``).
+    split into parts that run side by side (``in_row_parts``).
 
     2 arg N is psi only while |psi| < 2 pi (arg N is continuous from
     N = 1 at t_max).  Every stage rate is at most |mu| |z(sample)|, so
@@ -1365,28 +1370,20 @@ def backward_ode_oracle(
     to_re = np.stack([one, zero, cos_t, sin_t], axis=1)
     to_im = np.stack([zero, one, -sin_t, cos_t], axis=1)
     dev = np.empty(grid.shape())
-    tiles = list(time_tiles(dev.shape))
-    parts, share = row_shares(dev.shape)
-    slab = np.empty((parts, share) + dev.shape[1:])
-    pair_bufs = np.empty((parts, share, 4, omega.size))
     halves = (alpha.real, alpha.imag, beta.real, beta.imag)
 
-    def arg_n(p):
-        # part p's share of every tile's rows; each row's products keep
-        # their (n_theta, 4) (4, n_omega) shape, so psi does not depend on
-        # the part count
-        for sl in tiles:
-            rows = split(sl.start, sl.stop, parts)[p]
-            n = rows.stop - rows.start
-            pairs, re_n, im_n = pair_bufs[p, :n], slab[p, :n], dev[rows]
-            for k, half in enumerate(halves):
-                pairs[:, k] = half[rows]
-            np.matmul(to_re, pairs, out=re_n)
-            np.matmul(to_im, pairs, out=im_n)
-            np.arctan2(im_n, re_n, out=im_n)
-            im_n *= 2.0
+    def arg_n(i, rows, re_n, pairs):
+        # each row's products keep their (n_theta, 4) (4, n_omega) shape, so
+        # psi does not depend on the part count
+        im_n = dev[rows]
+        for k, half in enumerate(halves):
+            pairs[:, k] = half[rows]
+        np.matmul(to_re, pairs, out=re_n)
+        np.matmul(to_im, pairs, out=im_n)
+        np.arctan2(im_n, re_n, out=im_n)
+        im_n *= 2.0
 
-    in_parts(arg_n, parts)
+    in_row_parts(dev.shape, arg_n, dev.shape[1:], (4, omega.size))
     return CharacteristicField(grid, dev, mu)
 
 
@@ -1453,3 +1450,32 @@ def gamma_field(field: CharacteristicField, z, on_tile) -> GammaField:
     held = beta > 0.0
     margin = float(np.max(rows[held] / beta[held], initial=0.0))
     return GammaField(beta, margin)
+
+
+def phase_quadrature(field: CharacteristicField, weights, z):
+    """z(t) += sum over (theta_j, omega_k) of weights_j (e^{iD} - 1) e^{i omega_k t} g_k.
+
+    In place, and z is returned; ``weights`` are complex, one per angle,
+    and g_k the grid's prob_weights.  Each tile's (cos D - 1, sin D) and
+    D^2 go into three real slabs from the tile's own kernel (the field's
+    row sups, which a swept field carries, pick it), are projected onto
+    the weights by real matrix products, and each time row sums over
+    every frequency at once against its row of the e^{i omega t} table.
+    The angle sum is a matrix product, so the loop splits rows.
+    """
+    g = field.grid
+    proj = np.stack([weights.real, weights.imag])
+    kernels = tile_kernels(g.shape(), field.row_sups())
+    table = oscillation_table(g.times(), g.omega_nodes)
+
+    def quadrature(i, rows, cos_m1, sin_d, d2):
+        kernels[i](field.deviation[rows], cos_m1, sin_d, d2)
+        # weights (cos D - 1 + i sin D) summed over angles, by real
+        # matmuls: rows (Re, Im) of each projection
+        pc = np.matmul(proj, cos_m1)
+        ps = np.matmul(proj, sin_d)
+        s = pc[:, 0] - ps[:, 1] + 1j * (pc[:, 1] + ps[:, 0])
+        z[rows] += np.einsum("tk,tk,k->t", table[rows], s, g.prob_weights)
+
+    in_row_parts(g.shape(), quadrature, *[g.shape()[1:]] * 3)
+    return z

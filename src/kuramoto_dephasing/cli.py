@@ -219,14 +219,10 @@ def load_config(path, output_dir_override=None) -> RunConfig:
         n_theta = _number("grid n_theta", _require(gspec, "n_theta"), int)
         n_omega = _number("grid n_omega", gspec["n_omega"], int) if "n_omega" in gspec else None
         grid = build_grid(profile, t_max=t_max, dt=dt, n_theta=n_theta, n_omega=n_omega)
-        # on n_theta angles a mode k >= n_theta/2 aliases onto a lower one,
-        # so the angle sums (mass, order parameter) would read another state
-        top = max(state.modes, default=0)
-        if top >= grid.n_theta // 2:
-            raise ConfigError(
-                f"mode {top} is not resolved by n_theta = {grid.n_theta}: "
-                f"modes must be below n_theta/2 = {grid.n_theta // 2}"
-            )
+        try:
+            grid.check_modes(state.modes)
+        except GridError as e:
+            raise ConfigError(str(e)) from e
         mu = _number("mu", _require(raw, "mu"))
         if not (mu >= 0.0 and math.isfinite(mu)):
             raise ConfigError("mu must be finite and >= 0")

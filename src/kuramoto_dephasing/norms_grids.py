@@ -411,6 +411,18 @@ class Grid:
     def shape(self):
         return (self.n_times, self.n_theta, self.n_omega)
 
+    def check_modes(self, modes):
+        """Raise GridError for a mode k >= n_theta / 2, which the angles alias.
+
+        The angle sums (mass, order parameter) would read another state.
+        """
+        top = max(modes, default=0)
+        if top >= self.n_theta // 2:
+            raise GridError(
+                f"mode {top} is not resolved by n_theta = {self.n_theta}: "
+                f"modes must be below n_theta/2 = {self.n_theta // 2}"
+            )
+
 
 def physical_memory() -> int | None:
     """Bytes of physical memory, or None where the platform does not say."""

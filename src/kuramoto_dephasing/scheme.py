@@ -21,16 +21,10 @@ deviation field,
 The first term is the closed-form transform (no quadrature error at all);
 the second carries the factor e^{iD} - 1, which decays in time like the
 coupling integral itself, so the oscillatory frequency quadrature only ever
-sees amplitudes that vanish where the oscillation gets fast.  The
-subtraction is evaluated as (cos D - 1, sin D), each with full relative
-precision long after |D| has dropped below the rounding unit, which is what
-lets weighted Cauchy increments be resolved down to 1e-10 and beyond.  The
-pair comes from characteristics.phase_kernel, the one phase kernel the
-sweeps share, picked per time tile (characteristics.tile_kernels): Taylor
-polynomials D^2 Q_k(D^2) and D P_k(D^2) whose number of terms k is the
-smallest that puts the truncation below the rounding unit at the exact
-sup|D| of the tile's rows (a few multiply-adds per cell, fewer on the
-decayed late tiles), and (-2 sin^2(D/2), sin D) above sup|D| = 1.
+sees amplitudes that vanish where the oscillation gets fast.  That
+quadrature is characteristics.phase_quadrature, which forms e^{iD} - 1 with
+the sweeps' per-tile phase kernels; this module supplies the free part and
+the angular weights.
 
 The joint iterates run on the coarsest angle grid that loses nothing to
 rounding, n_c of the user's n_theta angles (``_coarse_angles``), and the
@@ -46,7 +40,7 @@ n_theta itself where the modes fall slowly or the grid is small.  The
 ledger's theta-sups (``dev_norm``, the sweep residual and the
 certification's ``theta_diff_norm``) stay sups over the user's angles: a
 coarse iterate's come from its trigonometric interpolant onto them, row by
-row (``interpolated_row_gaps``), since a coarse grid's sup of |D| can read
+row (``row_gaps``), since a coarse grid's sup of |D| can read
 0.998 of the fine one.  The certification's distance to the interpolant of
 the last joint field measures any aliasing of the coarse loop directly.
 
@@ -74,16 +68,11 @@ from .characteristics import (
     MaxSweepsExceededError,
     NonContractiveError,
     gamma_field,
-    in_parts,
-    interpolated_row_gaps,
-    oscillation_table,
+    phase_quadrature,
     picard_sweep,
     resample_angles,
-    row_shares,
+    row_gaps,
     solve_fixed_point,
-    split,
-    tile_kernels,
-    time_tiles,
 )
 from .norms_grids import Grid, WeightSpec, weighted_norm
 from .spectral_state import AsymptoticState, free_order_parameter
@@ -206,57 +195,20 @@ class SolveResult:
 def _order_parameter_values(field: CharacteristicField, state: AsymptoticState):
     """z(t) on the grid: the free part plus the quadrature of e^{iD} - 1.
 
-    One time tile at a time: (cos D - 1, sin D) and D^2 go into three real
-    slabs, are projected onto the angular weights by real matrix products,
-    and each time row then sums over every frequency at once against its
-    row of the e^{i omega t} table and the node weights.  Each tile takes
-    the phase kernel of its own row sups (``tile_kernels``), which a swept
-    field carries.  The angle sum is a matrix product, so the loop is
-    split by rows, not angles: the ``row_shares`` parts run side by side
-    (``in_parts``), each taking its share of every tile's rows, with that
-    tile's kernel, into slabs of tile rows / parts (rounded up), allocated
-    here on the calling thread, so the three slabs keep their size.  A
-    row's sum and its tile's kernel do not depend on the part it falls in,
-    so z is bit-identical for any part count.
-
-    A zero field (every row sup 0, which a swept field knows without a
-    pass) has e^{iD} - 1 = 0 on every cell, so z is the free part exactly:
-    no kernel is built, no scratch allocated and no cell read.
+    The quadrature is ``phase_quadrature``.  A zero field (every row sup
+    0, which a swept field knows without a pass) has e^{iD} - 1 = 0 on
+    every cell, so z is the free part exactly: no kernel is built and no
+    cell read.
     """
     g = field.grid
-    times, theta, omega = g.times(), g.theta(), g.omega_nodes
-    z = free_order_parameter(state, times).astype(complex)
-    row_sups = field.row_sups()
-    if float(row_sups.max()) == 0.0:
+    theta = g.theta()
+    z = free_order_parameter(state, g.times()).astype(complex)
+    if field.sup() == 0.0:
         return z
     # angular weights: trapezoid on the periodic grid is exact for the
     # finite-mode factor, so the only quadrature left is over frequency
     u = state.angular_factor(theta) * np.exp(1j * theta) / g.n_theta
-    proj = np.stack([u.real, u.imag])
-    # e^{iD} - 1 as (cos D - 1, sin D) in contiguous real scratch, each
-    # tile at the exact sups of its rows
-    tiles = list(time_tiles(g.shape()))
-    kernels = tile_kernels(g.shape(), row_sups)
-    table = oscillation_table(times, omega)
-    parts, share = row_shares(g.shape())
-    scratch = np.empty((parts, 3, share, g.n_theta, g.n_omega))
-
-    def quadrature(p):
-        cos_buf, sin_buf, d2_buf = scratch[p]
-        for sl, kernel in zip(tiles, kernels):
-            rows = split(sl.start, sl.stop, parts)[p]
-            n = rows.stop - rows.start
-            cos_m1, sin_d = cos_buf[:n], sin_buf[:n]
-            kernel(field.deviation[rows], cos_m1, sin_d, d2_buf[:n])
-            # u (cos D - 1 + i sin D) summed over angles, by real matmuls:
-            # rows (Re u, Im u) of each projection
-            pc = np.matmul(proj, cos_m1)
-            ps = np.matmul(proj, sin_d)
-            s = pc[:, 0] - ps[:, 1] + 1j * (pc[:, 1] + ps[:, 0])
-            z[rows] += np.einsum("tk,tk,k->t", table[rows], s, g.prob_weights)
-
-    in_parts(quadrature, parts)
-    return z
+    return phase_quadrature(field, u, z)
 
 
 def order_parameter_of(
@@ -320,28 +272,25 @@ def _user_grid_norms(grid: Grid, weight: WeightSpec, fld, prev, rep, certifying)
     A field on the user's grid gives them as its own sups: the sweep's
     residual, or at the certification its distance to the field before.
     A joint iterate on the coarse grid takes them from its trigonometric
-    interpolant onto the user's angles (``interpolated_row_gaps``), and
-    the residual in ``rep`` is replaced by that of the interpolants: a
-    coarse grid's sup of |D| can read 0.998 of the fine one, so no coarse
-    sup reaches the ledger.  The certification after a coarse loop is
-    compared with the interpolant of the last joint field, which measures
-    any aliasing of the coarse loop directly.  A zero field's interpolant
-    is zero, so its own row sups serve.
+    interpolant onto the user's angles (``row_gaps``), and the residual in
+    ``rep`` is replaced by that of the interpolants: a coarse grid's sup of
+    |D| can read 0.998 of the fine one, so no coarse sup reaches the
+    ledger.  The certification is compared with the interpolant of the
+    last joint field (the field itself when that is on the user's grid),
+    which after a coarse loop measures any aliasing of it directly.  A
+    zero field's interpolant is zero, so its own row sups serve.
     """
     times, n_theta = grid.times(), grid.n_theta
     if fld.grid is not grid:
-        sups = fld.row_sups() if fld.sup() == 0.0 else interpolated_row_gaps(n_theta, fld.deviation)
+        sups = fld.row_sups() if fld.sup() == 0.0 else row_gaps(fld.deviation, n_theta=n_theta)
         if prev is not None:
-            gaps = sups if prev.sup() == 0.0 else interpolated_row_gaps(
-                n_theta, fld.deviation, prev.deviation)
+            gaps = sups if prev.sup() == 0.0 else row_gaps(fld.deviation, prev.deviation, n_theta)
             rep.residuals[-1] = weighted_norm(times, gaps, weight, deviation=True)
         return float(np.max(weight.deviation_values(times) * sups)), rep.residuals[-1]
     dev_norm = fld.deviation_norm(weight)
     if not certifying:
         return dev_norm, rep.residuals[-1]
-    if prev.grid is grid:
-        return dev_norm, fld.distance(prev, weight)
-    gaps = interpolated_row_gaps(n_theta, prev.deviation, fine=fld.deviation)
+    gaps = row_gaps(prev.deviation, n_theta=n_theta, fine=fld.deviation)
     return dev_norm, weighted_norm(times, gaps, weight, deviation=True)
 
 
@@ -366,12 +315,14 @@ def outer_solve(
     (within solve_fixed_point's sweep budget); its field and path are
     returned, and the ledger's theta-sups are sups over the user's
     angles.  The weight defaults to the decay class the state declares.
-    Raises GridError when the weight overflows at t_max or has no finite
-    gains, TailBudgetError when the certified
+    Raises GridError, before any sweep, when a mode of the state is not
+    below n_theta / 2 (``Grid.check_modes``) or the weight overflows at
+    t_max or has no finite gains, TailBudgetError when the certified
     truncation tail at t_max exceeds the budget, and NotConvergingError
     (with the partial ledger attached) when an iterate refuses, stalls,
     or the budget runs out.
     """
+    grid.check_modes(state.modes)
     if weight is None:
         weight = WeightSpec(state.decay_kind, state.decay_rate)
     weight.check_finite(grid.t_max)

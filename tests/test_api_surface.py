@@ -103,6 +103,34 @@ def test_every_exported_name_has_a_caller():
     assert not orphans, f"exported but never used by the package or perfbench: {orphans}"
 
 
+# how characteristics cuts its loops: the time tiles, the parts and their
+# hand-off, the per-tile phase kernels, the e^{i omega t} table and the row
+# sup; every other module calls the loops that use them
+LOOP_POLICY = {"time_tiles", "row_shares", "split", "in_parts", "tile_kernels",
+               "oscillation_table", "_row_sup"}
+
+
+def _names_read_from_characteristics(tree):
+    # names imported from characteristics, and attributes read off it
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("characteristics"):
+            yield from (alias.name for alias in node.names)
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id == "characteristics"):
+            yield node.attr
+
+
+def test_only_characteristics_reads_its_loop_policy():
+    readers = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem == "characteristics":
+            continue
+        read = LOOP_POLICY & set(_names_read_from_characteristics(ast.parse(path.read_text())))
+        if read:
+            readers[path.stem] = sorted(read)
+    assert not readers, f"modules that cut characteristics' loops themselves: {readers}"
+
+
 def _spans_module(monkeypatch):
     spec = importlib.util.spec_from_file_location("perfbench_spans", ROOT / "perfbench" / "spans.py")
     module = importlib.util.module_from_spec(spec)

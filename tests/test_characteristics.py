@@ -70,6 +70,11 @@ def solved(grid, zpath):
     return solve_fixed_point(grid, zpath, MU, WEIGHT)
 
 
+def _abs_max(a):
+    # sup |a| over the whole array, by a field-sized |a|
+    return float(np.abs(a).max())
+
+
 def _sweep(times, theta, omega, z, deviation, mu):
     # one sweep whose row residual is not looked at
     return deviation_sweep(times, theta, omega, z, deviation, mu, np.empty(len(times)))
@@ -286,7 +291,7 @@ def test_polynomial_phase_fast_path_consistent(grid, zpath, monkeypatch):
     times, theta, omega = grid.times(), grid.theta(), grid.omega_nodes
     dev0 = np.zeros(grid.shape())
     exact = _sweep(times, theta, omega, zpath, dev0, MU)
-    assert characteristics._taylor_terms(characteristics._sup(exact)) is not None
+    assert characteristics._taylor_terms(_abs_max(exact)) is not None
     fast = _sweep(times, theta, omega, zpath, exact, MU)
     # no sup lies below -1: the trig form serves every tile
     monkeypatch.setattr(characteristics, "_POLY_CAP", -1.0)
@@ -565,7 +570,8 @@ def test_zero_start_sweep_is_the_full_sweep_of_a_zero_field(monkeypatch):
 
 
 def _carries_its_own_row_sups(field):
-    return field._rows is not None and field._rows.tobytes() == field._row_gaps().tobytes()
+    rows = characteristics.row_gaps(field.deviation)
+    return field._rows is not None and field._rows.tobytes() == rows.tobytes()
 
 
 def test_swept_fields_carry_their_own_row_sups(grid, zpath, solved, forced_tiles):
@@ -582,7 +588,7 @@ def test_swept_fields_carry_their_own_row_sups(grid, zpath, solved, forced_tiles
         for out in (None, np.full(grid.shape(), np.nan)):
             swept, _ = run(out)
             assert _carries_its_own_row_sups(swept)
-            assert swept.sup() == characteristics._sup(swept.deviation)
+            assert swept.sup() == _abs_max(swept.deviation)
             norm = weighted_norm(grid.times(), swept.deviation, WEIGHT, deviation=True)
             assert swept.deviation_norm(WEIGHT) == norm
             assert math.copysign(1.0, swept.deviation_norm(WEIGHT)) == math.copysign(1.0, norm)
@@ -638,7 +644,7 @@ def _cumsum_backward_sum(c):
 
 def _kernel_outputs(grid, z, dev):
     times, theta, omega = grid.times(), grid.theta(), grid.omega_nodes
-    parts = characteristics._integral_parts(times, omega, z, dev, characteristics._sup(dev))
+    parts = characteristics._integral_parts(times, omega, z, dev, _abs_max(dev))
     tiles = [np.concatenate([ib for _, ib, _, _ in blocks], axis=1)
              for blocks in zip(*(part_tiles for _, part_tiles in parts))]
     rows = np.empty(grid.n_times)
@@ -990,7 +996,7 @@ def test_oracle_branch_holds_below_two_pi(case):
     bound = _stage_bound(g, z, mu)
     assert math.pi < bound < 2.0 * math.pi
     new = backward_ode_oracle(g, z, mu).deviation
-    assert floor < characteristics._sup(new) <= bound
+    assert floor < _abs_max(new) <= bound
     assert np.max(np.abs(new - _trig_per_group_oracle(g, z, mu))) <= tol
 
 
@@ -1197,7 +1203,6 @@ def _table_outputs(grid, z, dev, state):
 def _per_tile_outputs(grid, z, dev, state, monkeypatch):
     with monkeypatch.context() as mp:
         mp.setattr(characteristics, "oscillation_table", _PerTileTable)
-        mp.setattr(scheme, "oscillation_table", _PerTileTable)
         return _table_outputs(grid, z, dev, state)
 
 
@@ -1295,29 +1300,57 @@ def _fft_interpolant(coarse, n_theta):
 @pytest.mark.parametrize("n_c, n_theta", [(8, 32), (16, 64), (12, 16)])
 def test_interpolated_row_gaps_are_the_sups_of_the_trig_interpolant(n_c, n_theta, monkeypatch):
     # a coarse field with every mode, the Nyquist one included, in tiles of
-    # 5 rows and parts of each: the row sups of P(a), P(a - b) and
-    # P(a) - fine against the FFT interpolant's
+    # 5 rows and parts of each: the row sups of P(a), P(a - b), P(a) - fine
+    # and P(a - b) - fine against the FFT interpolant's
     rng = np.random.default_rng(n_c * n_theta)
-    a, b = rng.standard_normal((2, 23, n_c, 7))
+    a, b, same = rng.standard_normal((3, 23, n_c, 7))
     fine = rng.standard_normal((23, n_theta, 7))
     assert len(_force_tile_rows(monkeypatch, fine.shape, 5)) == 5
-    cases = (((a,), _fft_interpolant(a, n_theta)),
-             ((a, b), _fft_interpolant(a - b, n_theta)),
-             ((a, None, fine), _fft_interpolant(a, n_theta) - fine))
-    for args, want in cases:
-        got = characteristics.interpolated_row_gaps(n_theta, *args)
+    row_gaps = characteristics.row_gaps
+    cases = ((None, None, _fft_interpolant(a, n_theta)),
+             (b, None, _fft_interpolant(a - b, n_theta)),
+             (None, fine, _fft_interpolant(a, n_theta) - fine),
+             (b, fine, _fft_interpolant(a - b, n_theta) - fine))
+    for other, on_fine, want in cases:
+        got = row_gaps(a, other, n_theta, on_fine)
         ref = np.abs(want).max(axis=(1, 2))
         assert np.max(np.abs(got - ref) / ref) <= 1e-14
+    # with P the identity (no n_theta, or a's own count) no product is
+    # taken: each row's max and -min of a, a - b, a - fine or a - b - fine
+    identity = ((None, None, a), (b, None, a - b), (None, same, a - same), (b, same, a - b - same))
+    for other, on_fine, want in identity:
+        ref = np.maximum(want.max(axis=(1, 2)), -want.min(axis=(1, 2)))
+        for n in (None, n_c):
+            assert row_gaps(a, other, n, on_fine).tobytes() == ref.tobytes()
+    # every form bit for bit alike for any part count and tile height
+    forms = [(other, n_theta, on_fine) for other, on_fine, _ in cases]
+    forms += [(other, None, on_fine) for other, on_fine, _ in identity]
+    monkeypatch.setattr(characteristics, "_PARTS", 1)
+    monkeypatch.setattr(characteristics, "_TILE_CELLS", fine.size)
+    refs = [row_gaps(a, *form).tobytes() for form in forms]
+    for parts in (1, 2, 3, 4):
+        monkeypatch.setattr(characteristics, "_PARTS", parts)
+        for rows in (1, 3, 5):
+            monkeypatch.setattr(characteristics, "_TILE_CELLS", rows * n_theta * 7)
+            assert [row_gaps(a, *form).tobytes() for form in forms] == refs, (parts, rows)
     full = characteristics.resample_angles(a, n_theta)
-    assert np.max(np.abs(full - cases[0][1])) <= 1e-14 * np.max(np.abs(a))
+    assert np.max(np.abs(full - cases[0][2])) <= 1e-14 * np.max(np.abs(a))
     # the interpolant keeps the samples bit for bit where the angles meet
     on = [i for i in range(n_theta) if i * n_c % n_theta == 0]
     assert full[:, on].tobytes() == a[:, [i * n_c // n_theta for i in on]].tobytes()
-    broken = a.copy()
-    broken[4, 1, 2] = np.nan
-    assert np.isnan(characteristics.interpolated_row_gaps(n_theta, broken)[4])
-    with pytest.raises(ValueError):
-        characteristics.interpolated_row_gaps(n_theta, a, fine=a)
+    # a NaN in any input reaches its row's sup, and only that row's
+    broken = [array.copy() for array in (a, b, same, fine)]
+    for row, array in zip((4, 9, 14, 19), broken):
+        array[row, 1, 2] = np.nan
+    nan_a, nan_b, nan_same, nan_fine = broken
+    for got, row in ((row_gaps(nan_a, n_theta=n_theta), 4), (row_gaps(nan_a), 4),
+                     (row_gaps(a, nan_b, n_theta), 9), (row_gaps(a, nan_b), 9),
+                     (row_gaps(a, fine=nan_same), 14), (row_gaps(a, b, n_theta, nan_fine), 19)):
+        assert np.flatnonzero(np.isnan(got)).tolist() == [row]
+    for bad in (dict(n_theta=n_theta, fine=a), dict(fine=fine), dict(b=fine),
+                dict(b=fine, n_theta=n_theta)):
+        with pytest.raises(ValueError):
+            row_gaps(a, **bad)
 
 
 def test_a_band_limited_field_is_interpolated_exactly():
@@ -1364,7 +1397,7 @@ def _omega_block_integrals(times, omega, z, deviation):
     dt = float(times[1] - times[0])
     conj_z = np.conj(z)[:, None]
     table = oscillation_table(times, omega)
-    kernel = characteristics.phase_kernel(characteristics._sup(deviation))
+    kernel = characteristics.phase_kernel(_abs_max(deviation))
     for sl in _omega_blocks(deviation.shape):
         w = omega[sl] * dt
         alpha, beta = filon_weights(w)
@@ -1424,7 +1457,7 @@ def _omega_block_outputs(g, z, dev, mu, state, weight):
     table = oscillation_table(times, omega)
     for sl in _omega_blocks(g.shape()):
         cos_m1, sin_d, d2 = np.empty((3,) + dev[:, :, sl].shape)
-        phase_kernel(characteristics._sup(dev))(dev[:, :, sl], cos_m1, sin_d, d2)
+        phase_kernel(_abs_max(dev))(dev[:, :, sl], cos_m1, sin_d, d2)
         pc, ps = np.matmul(proj, cos_m1), np.matmul(proj, sin_d)
         s = pc[:, 0] - ps[:, 1] + 1j * (pc[:, 1] + ps[:, 0])
         quad += np.einsum("tk,tk,k->t", table[:, sl], s, g.prob_weights[sl])
@@ -1435,7 +1468,7 @@ def _omega_block_outputs(g, z, dev, mu, state, weight):
     gdens = state.profile.density(omega)[None, :]
     f_inf = ang * gdens / (2.0 * math.pi)
     values = np.stack([f_inf * np.exp(-mu * cos_part[j]) for j in _rows_at(g, DENSITY_TIMES)])
-    kernel = phase_kernel(characteristics._sup(dev))
+    kernel = phase_kernel(_abs_max(dev))
     dist = np.zeros(g.n_times)
     for sl in _omega_blocks(g.shape()):
         c1, s1, d2 = np.empty((3,) + dev[:, :, sl].shape)
@@ -1829,7 +1862,6 @@ def test_per_tile_kernels_stay_within_rounding_of_one_global_kernel(name, monkey
     assert len(set(terms)) > 1
     with monkeypatch.context() as mp:
         mp.setattr(characteristics, "tile_kernels", _global_kernels)
-        mp.setattr(scheme, "tile_kernels", _global_kernels)
         single = outer_solve(state, g, mu)
     assert [r["contraction"]["sweeps"] for r in per_tile.ledger.records] == [
         r["contraction"]["sweeps"] for r in single.ledger.records

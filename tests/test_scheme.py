@@ -146,7 +146,7 @@ def test_joint_loop_fields_carry_their_own_row_sups(state, grid, result, monkeyp
     def spy(solver):
         def run(*args, **kwargs):
             fld, rep = solver(*args, **kwargs)
-            assert fld._rows.tobytes() == fld._row_gaps().tobytes()
+            assert fld._rows.tobytes() == characteristics.row_gaps(fld.deviation).tobytes()
             fields.append(fld)
             return fld, rep
         return run
@@ -157,7 +157,7 @@ def test_joint_loop_fields_carry_their_own_row_sups(state, grid, result, monkeyp
     last = fields[-2]
     assert again.field is fields[-1] and any(last.deviation is f.deviation for f in fields[:-3])
     for fld in (last, again.field):
-        assert fld._rows.tobytes() == fld._row_gaps().tobytes()
+        assert fld._rows.tobytes() == characteristics.row_gaps(fld.deviation).tobytes()
 
 
 # -- the coarse joint loop ----------------------------------------------------
@@ -353,27 +353,24 @@ KERNELS_PER_SOLVE = 13
 def test_solves_build_kernels_only_for_nonzero_fields(state, monkeypatch):
     g = build_grid(PROFILE, **KERNEL_GRID)
     kernels, sup_passes = [], []
-    phase_kernel, sup, row_gaps = characteristics.phase_kernel, characteristics._sup, \
-        CharacteristicField._row_gaps
+    phase_kernel, row_gaps = characteristics.phase_kernel, characteristics.row_gaps
 
     def counted_kernel(bound):
         kernels.append(bound)
         return phase_kernel(bound)
 
-    def counted_sup(a):
-        sup_passes.append(a.shape)
-        return sup(a)
-
-    def counted_gaps(self, other=None):
-        if other is None:
-            sup_passes.append(self.deviation.shape)
-        return row_gaps(self, other)
+    def counted_gaps(a, b=None, n_theta=None, fine=None):
+        # a pass for the row sups of |D| alone, which a swept field carries
+        if b is None and fine is None and n_theta in (None, a.shape[1]):
+            sup_passes.append(a.shape)
+        return row_gaps(a, b, n_theta, fine)
 
     # the sweeps, gamma_field and the quadrature all pick their tile
-    # kernels through characteristics.tile_kernels
+    # kernels through characteristics.tile_kernels, and every row sup of a
+    # field comes from row_gaps
     monkeypatch.setattr(characteristics, "phase_kernel", counted_kernel)
-    monkeypatch.setattr(characteristics, "_sup", counted_sup)
-    monkeypatch.setattr(CharacteristicField, "_row_gaps", counted_gaps)
+    monkeypatch.setattr(characteristics, "row_gaps", counted_gaps)
+    monkeypatch.setattr(scheme, "row_gaps", counted_gaps)
     free = outer_solve(state, g, 0.0, WEIGHT, tail_budget=1e-3)
     assert free.n_outer == 1 and kernels == [] and sup_passes == []
     res = outer_solve(state, g, MU, WEIGHT, tail_budget=1e-3)
@@ -695,6 +692,27 @@ def test_weight_overflowing_at_t_max_is_a_grid_error():
         outer_solve(state, grid, MU)
 
 
+@pytest.mark.parametrize("k", [4, 8], ids=["half_n_theta", "n_theta"])
+def test_a_mode_the_angle_grid_aliases_is_refused_before_any_sweep(k, monkeypatch):
+    # on 8 angles mode 8 reads as mode 0: the solve used to return
+    # converged with r = 0, and reconstruct then read mass 1.1
+    from kuramoto_dephasing import GridError
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("a sweep ran")
+
+    monkeypatch.setattr(scheme, "picard_sweep", no_sweep)
+    monkeypatch.setattr(scheme, "solve_fixed_point", no_sweep)
+    grid = build_grid(PROFILE, t_max=16.0, dt=0.05, n_theta=8)
+    state = AsymptoticState(PROFILE, {1: 0.05, k: 0.05}, "exponential", 0.9)
+    message = f"mode {k} is not resolved by n_theta = 8: modes must be below n_theta/2 = 4"
+    with pytest.raises(GridError) as info:
+        outer_solve(state, grid, MU, WEIGHT)
+    assert str(info.value) == message
+    # the highest resolved mode passes the same rule
+    grid.check_modes({3: 0.05})
+
+
 # -- the two routes of the phase kernel to e^{iD} - 1 ------------------------
 
 # sup distance allowed between the polynomial and the trig route of a solve:
@@ -707,7 +725,7 @@ ROUTE_TOL = 1e-14
 def test_polynomial_phase_minus_one_matches_the_trig_form(values):
     # the number of Taylor terms follows from the data's own sup
     dev = np.array(values)
-    sup = characteristics._sup(dev)
+    sup = float(np.abs(dev).max())
     assert _taylor_terms(sup) is not None
     poly, trig = np.empty((2, dev.size)), np.empty((2, dev.size))
     scratch = np.empty(dev.size)
