@@ -174,14 +174,6 @@ class CharacteristicField:
         """sup |D| over each time row: the carried sups, or one pass over D."""
         return row_gaps(self.deviation) if self._rows is None else self._rows
 
-    def distance(self, other: "CharacteristicField", weight: WeightSpec) -> float:
-        """||D - D_other|| in the deviation weight, one time tile at a time.
-
-        A field on a grid of another shape is refused (ValueError).
-        """
-        gaps = row_gaps(self.deviation, other.deviation)
-        return weighted_norm(self.grid.times(), gaps, weight, deviation=True)
-
     def sup_distance(self, other: "CharacteristicField") -> float:
         """sup |D - D_other|, one time tile at a time; NaN propagates.
 
@@ -665,8 +657,8 @@ def _angle_parts(shape):
     return split(0, shape[1], part_count(shape[1] // 2))
 
 
-# the row sup _row_sup takes of a row of zero differences, max(0, -0) = -0:
-# the residual a tile left as it was would get from a pass
+# the row sup _row_sup takes of a row of zeros, max(0, -0) = -0: the
+# residual a tile left as it was would get from a pass, and a zero field's
 _UNCHANGED_ROW = float(np.maximum(0.0, -0.0))
 
 
@@ -754,7 +746,8 @@ def _integral_parts(times, omega, z, deviation, sup, keep_phase=False, tails=Non
     When every row sup is 0 and there is no ``keep_phase``, e^{iD} = 1 on
     every cell, so the integral is the same for every angle: each part
     integrates one private read-only zero column instead of its angles,
-    with no kernel, no tail and no read of ``deviation``, and ``integral``
+    with the unit phase ``tile_kernels`` gives zero rows, no tail and no
+    read of ``deviation``, and ``integral``
     has one angle, (rows, 1, n_omega), the value of every angle of the
     tile, formed by the same products and additions.  ``spare`` is then a
     real array of the tile's shape.
@@ -772,7 +765,7 @@ def _integral_parts(times, omega, z, deviation, sup, keep_phase=False, tails=Non
     left_weight = dt * alpha
     right_weight = dt * (beta * np.exp(-1j * w))
     tiles = list(time_tiles(shape))
-    kernels = [_unit_phase] * len(tiles) if flat else tile_kernels(shape, sup)
+    kernels = tile_kernels(shape, sup)
     n_rows = _tile_rows(shape)
 
     def part_tiles(dev, phases, cells, edge, above, node_rows, kept, spare, tail):
@@ -996,8 +989,8 @@ def _zero_start(grid: Grid):
 
 def _zero_gain_field(grid: Grid, mu: float, report, residual: float, out):
     # a zero gain (mu = 0 or z = 0) makes F_z identically zero: no sweep;
-    # the zero field's row sups are those of zero rows (max(0, -0) = -0),
-    # so its norm is the -0.0 a pass over it would take
+    # the zero field's row sups are those of zero rows, so its norm is the
+    # -0.0 a pass over it would take
     report.converged = True
     report.residuals.append(residual)
     if out is None:
@@ -1005,16 +998,33 @@ def _zero_gain_field(grid: Grid, mu: float, report, residual: float, out):
     else:
         dev = _field_array(grid, out)
         dev.fill(0.0)
-    rows = np.empty(grid.n_times)
-    _row_sup(np.zeros((grid.n_times, 1, 1)), rows)
-    return _carrying(grid, dev, mu, rows), report
+    return _carrying(grid, dev, mu, np.full(grid.n_times, _UNCHANGED_ROW)), report
 
 
-def _count_terms(report, shape, sup):
-    # the kernels of a sweep from row sups ``sup``, for the log; a sweep
-    # from a zero field takes none
+def _sweep(report, grid: Grid, z, mu: float, weight: WeightSpec, start, sup, out, rows,
+           tails=None):
+    # one sweep of F_z from ``start`` (row sups ``sup``) into ``out``, and
+    # its entry in the report: the residual ||F(D) - D||_w from the sweep's
+    # own row residuals, its quotient by the last residual above the floor,
+    # the sweep, its kernels (none from a zero field) and the tiles the
+    # tails skipped.  ``rows`` (2, n_times) takes the row residuals and the
+    # swept field's row sups, which are returned; they may overwrite
+    # ``sup``, which the sweep reads first.  A solve allocates it once:
+    # a pair allocated per sweep lands among the freed fields on the heap
+    # and raised exp_ref's peak RSS from 154 to 163 MB
+    times = grid.times()
     if float(np.max(sup)) != 0.0:
-        report.tile_terms.update(tile_terms(shape, sup))
+        report.tile_terms.update(tile_terms(grid.shape(), sup))
+    residuals, sups = rows
+    deviation_sweep(times, grid.theta(), grid.omega_nodes, z, start, mu, row_residual=residuals,
+                    out=out, sup=sup, row_sups=sups, tails=tails)
+    report.tiles_skipped += sum(tail.start for tail in tails or ())
+    res = weighted_norm(times, residuals, weight, deviation=True)
+    if report.residuals and report.residuals[-1] > report.floor:
+        report.ratios.append(res / report.residuals[-1])
+    report.residuals.append(res)
+    report.sweeps += 1
+    return sups
 
 
 def picard_sweep(
@@ -1036,28 +1046,22 @@ def picard_sweep(
     field is then exact.  The swept field goes to ``out``, a float array of
     the grid's shape other than ``field.deviation`` (a new array when
     None): ``field`` is left as it is.  The kernel comes from
-    ``field.sup()``, which a swept field carries; from a zero field the
-    sweep integrates one angle column and reads no field.  The returned
-    field carries its row sups.
+    ``field.row_sups()``, which a swept field carries; from a zero field
+    the sweep integrates one angle column and reads no field.  The sweep
+    and its report entry are the one step ``solve_fixed_point`` repeats,
+    and the returned field carries its row sups.
 
     Returns (CharacteristicField, ContractionReport).
     """
-    times = grid.times()
     z = np.asarray(z, dtype=complex)
     report = _open_report(grid, z, mu, weight, 0.0)
     if report.bound == 0.0:
         residual = field.deviation_norm(weight) if field is not None else 0.0
         return _zero_gain_field(grid, mu, report, residual, out)
-    if field is None:
-        dev, sup = _zero_start(grid), 0.0
-    else:
-        dev, sup = field.deviation, field.row_sups()
-        _count_terms(report, grid.shape(), sup)
-    rows, sups = np.empty((2, grid.n_times))
-    new = deviation_sweep(times, grid.theta(), grid.omega_nodes, z, dev, mu, row_residual=rows,
-                          out=_field_array(grid, out), sup=sup, row_sups=sups)
-    report.residuals.append(weighted_norm(times, rows, weight, deviation=True))
-    report.sweeps = 1
+    start, sup = (_zero_start(grid), 0.0) if field is None else (field.deviation, field.row_sups())
+    rows = np.empty((2, grid.n_times))
+    new = _field_array(grid, out)
+    sups = _sweep(report, grid, z, mu, weight, start, sup, new, rows)
     return _carrying(grid, new, mu, sups), report
 
 
@@ -1077,6 +1081,8 @@ def solve_fixed_point(
     gain mu * ||R||_w * unit_gain is >= 1 (NonContractiveError); raises
     MaxSweepsExceededError if the residual is above ``tol`` after
     MAX_SWEEPS sweeps.  A zero gain returns the zero field as picard_sweep.
+    Each sweep is ``picard_sweep``'s step, which records the residual and,
+    while the last residual sits above the report's floor, the ratio.
     The first sweep, from D = 0, integrates one angle column and writes
     every cell of the solve's one field; every later sweep overwrites that
     field in place, each tile with the kernel of the row sups the sweep
@@ -1096,39 +1102,25 @@ def solve_fixed_point(
 
     Returns (CharacteristicField, ContractionReport).
     """
-    times = grid.times()
     z = np.asarray(z, dtype=complex)
     report = _open_report(grid, z, mu, weight, tol)
     if report.bound == 0.0:
         return _zero_gain_field(grid, mu, report, 0.0, out)
     shape = grid.shape()
     dev = _field_array(grid, out)
-    start, sup = _zero_start(grid), 0.0
-    theta, omega = grid.theta(), grid.omega_nodes
     tails = [_Tail(shape, angles) for angles in _angle_parts(shape)]
-    rows, sups = np.empty((2, grid.n_times))
-    for sweep in range(1, MAX_SWEEPS + 1):
-        _count_terms(report, shape, sup)
-        # the residual ||F(D) - D||_w comes from the sweep's own row sups,
-        # which overwrite those its kernels were picked from
-        deviation_sweep(times, theta, omega, z, start, mu, row_residual=rows, out=dev, sup=sup,
-                        row_sups=sups, tails=tails)
-        report.tiles_skipped += sum(tail.start for tail in tails)
-        start, sup = dev, sups
-        res = weighted_norm(times, rows, weight, deviation=True)
-        if report.residuals and report.residuals[-1] > report.floor:
-            report.ratios.append(res / report.residuals[-1])
-        report.residuals.append(res)
-        report.sweeps = sweep
-        if res <= tol:
+    rows = np.empty((2, grid.n_times))
+    start, sup = _zero_start(grid), 0.0
+    while report.sweeps < MAX_SWEEPS:
+        sup = _sweep(report, grid, z, mu, weight, start, sup, dev, rows, tails)
+        start = dev
+        if report.residuals[-1] <= tol:
             report.converged = True
-            break
-    else:
-        raise MaxSweepsExceededError(
-            f"residual {report.residuals[-1]:.3e} > tol {tol:.1e} "
-            f"after {MAX_SWEEPS} sweeps (bound {report.bound:.3g})"
-        )
-    return _carrying(grid, dev, mu, sups), report
+            return _carrying(grid, dev, mu, sup), report
+    raise MaxSweepsExceededError(
+        f"residual {report.residuals[-1]:.3e} > tol {tol:.1e} "
+        f"after {MAX_SWEEPS} sweeps (bound {report.bound:.3g})"
+    )
 
 
 def _rk4_step(g0, g1, g2):
@@ -1452,20 +1444,21 @@ def gamma_field(field: CharacteristicField, z, on_tile) -> GammaField:
     return GammaField(beta, margin)
 
 
-def phase_quadrature(field: CharacteristicField, weights, z):
+def phase_quadrature(field: CharacteristicField, sups, weights, z):
     """z(t) += sum over (theta_j, omega_k) of weights_j (e^{iD} - 1) e^{i omega_k t} g_k.
 
-    In place, and z is returned; ``weights`` are complex, one per angle,
-    and g_k the grid's prob_weights.  Each tile's (cos D - 1, sin D) and
-    D^2 go into three real slabs from the tile's own kernel (the field's
-    row sups, which a swept field carries, pick it), are projected onto
-    the weights by real matrix products, and each time row sums over
-    every frequency at once against its row of the e^{i omega t} table.
-    The angle sum is a matrix product, so the loop splits rows.
+    In place, and z is returned; ``sups`` are the field's row sups
+    (``field.row_sups()``, which the caller has read), ``weights`` are
+    complex, one per angle, and g_k the grid's prob_weights.  Each tile's
+    (cos D - 1, sin D) and D^2 go into three real slabs from the tile's
+    own kernel (``sups`` pick it), are projected onto the weights by real
+    matrix products, and each time row sums over every frequency at once
+    against its row of the e^{i omega t} table.  The angle sum is a
+    matrix product, so the loop splits rows.
     """
     g = field.grid
     proj = np.stack([weights.real, weights.imag])
-    kernels = tile_kernels(g.shape(), field.row_sups())
+    kernels = tile_kernels(g.shape(), sups)
     table = oscillation_table(g.times(), g.omega_nodes)
 
     def quadrature(i, rows, cos_m1, sin_d, d2):

@@ -186,15 +186,18 @@ def load_config(path, output_dir_override=None) -> RunConfig:
     belongs, non-finite numbers, invalid state or grid
     parameters, a mode k >= n_theta/2 (the angle grid aliases it), a
     float64 field or a particle ensemble larger than physical
-    memory, a particle time step below grid dt / MAX_SUBSTEPS, a weight
+    memory, a particle time step above grid t_max or below grid
+    dt / MAX_SUBSTEPS, a config file that is not UTF-8 text, a weight
     that overflows at t_max or has no finite gains, tolerances that are
     not positive.  A weight class that disagrees with
     the state's declared decay class is legal but logged as a warning.
     """
     try:
-        raw = json.loads(Path(path).read_text(), object_pairs_hook=_unique_keys)
+        raw = json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=_unique_keys)
     except OSError as e:
         raise ConfigError(f"cannot read config {path}: {e}") from e
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"config {path} is not UTF-8 text: {e}") from e
     except json.JSONDecodeError as e:
         raise ConfigError(f"config {path} is not valid JSON: {e}") from e
     if not isinstance(raw, dict):
@@ -268,7 +271,12 @@ def load_config(path, output_dir_override=None) -> RunConfig:
             if particles["n"] < 1 or particles["dt"] <= 0.0 or particles["seed"] < 0:
                 raise ConfigError("particles need n >= 1, dt > 0 and seed >= 0")
             _refuse_oversized_ensemble(particles["n"])
-            # t_max / dt RK4 steps: no finer than the oracle's finest sub-step
+            # t_max / dt RK4 steps: at least one, within the horizon, and no
+            # finer than the oracle's finest sub-step
+            if particles["dt"] > grid.t_max:
+                raise ConfigError(
+                    f"particles dt {particles['dt']:.3g} is above grid t_max {grid.t_max:.3g}"
+                )
             if particles["dt"] < grid.dt / MAX_SUBSTEPS:
                 raise ConfigError(
                     f"particles dt {particles['dt']:.3g} is below grid dt / {MAX_SUBSTEPS} "

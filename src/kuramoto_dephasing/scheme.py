@@ -195,20 +195,21 @@ class SolveResult:
 def _order_parameter_values(field: CharacteristicField, state: AsymptoticState):
     """z(t) on the grid: the free part plus the quadrature of e^{iD} - 1.
 
-    The quadrature is ``phase_quadrature``.  A zero field (every row sup
-    0, which a swept field knows without a pass) has e^{iD} - 1 = 0 on
-    every cell, so z is the free part exactly: no kernel is built and no
-    cell read.
+    The quadrature is ``phase_quadrature``, with the kernels of the
+    field's row sups, read once (a swept field carries them).  A zero
+    field (every row sup 0) has e^{iD} - 1 = 0 on every cell, so z is the
+    free part exactly: no kernel is built and no cell read.
     """
     g = field.grid
     theta = g.theta()
     z = free_order_parameter(state, g.times()).astype(complex)
-    if field.sup() == 0.0:
+    rows = field.row_sups()
+    if rows.max() == 0.0:
         return z
     # angular weights: trapezoid on the periodic grid is exact for the
     # finite-mode factor, so the only quadrature left is over frequency
     u = state.angular_factor(theta) * np.exp(1j * theta) / g.n_theta
-    return phase_quadrature(field, u, z)
+    return phase_quadrature(field, rows, u, z)
 
 
 def order_parameter_of(
@@ -547,52 +548,37 @@ def _add_mode_terms(acc, modes, angles, cos_m1, sin_d, tmp):
     angle columns.  E_1 = e^{iD} - 1 is (cos_m1, sin_d), and only the E_k
     the modes need are built, by binary powering with
     E_{a+b} = E_a + E_b + E_a E_b (``_combine``): the powers E_{2^j} by
-    squaring, and each mode's E_k from the powers of its binary digits,
-    lowest first, as E_{2^j} combined with the part already taken.  So a
-    largest mode K costs O(log K) block products, and no trig is taken;
-    for K <= 3 the products are those of E_k = E_{k-1} + E_1 + E_{k-1} E_1.
-    The terms are added by ascending k.  ``tmp`` is scratch of the block's
-    shape.  E_1 is left as it is, and the higher E_k take pairs of block
-    scratch: two, plus one per mode still being built.
+    squaring, up to the top bit of the largest mode K, and each mode's E_k
+    from the powers of its binary digits, lowest first, as E_{2^j}
+    combined with the part already taken.  So K costs O(log K) block
+    products, and no trig is taken; for K <= 3 the products are those of
+    E_k = E_{k-1} + E_1 + E_{k-1} E_1.  The terms are added by ascending
+    k.  ``tmp`` is scratch of the block's shape.  E_1 is left as it is;
+    the scratch is one pair of block arrays per higher power, floor(log2 K),
+    and two pairs the parts of a mode with several binary digits
+    alternate between: none for K = 1, at most three for K <= 3, and for
+    a large K more than freeing each power after its last use would hold.
     """
-    e1 = (cos_m1, sin_d)
-    pool, held = [], {}
-    power, bit = e1, 1
-
-    def take():
-        return pool.pop() if pool else np.empty((2,) + acc.shape)
-
-    def drop(e):
-        # back to the pool once neither the power nor a mode holds it
-        if e is not e1 and e is not power and all(e is not h for h in held.values()):
-            pool.append(e)
-
-    pending = sorted(modes)
-    while pending:
-        if bit > 1:
-            square = take()
-            _combine(power, power, square, tmp)
-            power, old = square, power
-            drop(old)
-        for k in pending:
-            if k & bit:
-                part = held.get(k)
-                if part is None:
-                    held[k] = power
-                else:
-                    held[k] = take()
-                    _combine(power, part, held[k], tmp)
-                    drop(part)
-        while pending and pending[0] < 2 * bit:
-            k = pending.pop(0)
-            ek = held.pop(k)
-            p, q = modes[k]
-            np.multiply(ek[0], p[angles], out=tmp)
-            acc += tmp
-            np.multiply(ek[1], q[angles], out=tmp)
-            acc -= tmp
-            drop(ek)
-        bit <<= 1
+    powers = [(cos_m1, sin_d)]
+    for _ in range(max(modes).bit_length() - 1):
+        square = np.empty((2,) + acc.shape)
+        _combine(powers[-1], powers[-1], square, tmp)
+        powers.append(square)
+    parts = None
+    for k in sorted(modes):
+        digits = [power for j, power in enumerate(powers) if k >> j & 1]
+        ek = digits[0]
+        for power in digits[1:]:
+            if parts is None:
+                parts = list(np.empty((2, 2) + acc.shape))
+            out = parts[1] if ek is parts[0] else parts[0]
+            _combine(power, ek, out, tmp)
+            ek = out
+        p, q = modes[k]
+        np.multiply(ek[0], p[angles], out=tmp)
+        acc += tmp
+        np.multiply(ek[1], q[angles], out=tmp)
+        acc -= tmp
 
 
 def reconstruct(result: SolveResult, times=(0.0, 5.0, 10.0)) -> ReconstructedDensity:
@@ -606,7 +592,8 @@ def reconstruct(result: SolveResult, times=(0.0, 5.0, 10.0)) -> ReconstructedDen
     them out, with each block's phase pair (cos D - 1, sin D): only the
     cosine rows at the requested times and the per-angle row maxima of
     the distance (n_theta, n_times) are kept, so beside its input field
-    the working set is gamma_field's tile scratch and those rows.
+    the working set is gamma_field's tile scratch, those rows and each
+    block's E_k scratch (``_add_mode_terms``).
     """
     g = result.grid
     tgrid = g.times()

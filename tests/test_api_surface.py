@@ -1,4 +1,5 @@
-"""API-surface guard: every name a module exports has a caller.
+"""API-surface guard: every name a module exports has a caller, and so
+does every public method or property of an exported class.
 
 Each module under ``src/kuramoto_dephasing`` lists its public names in
 ``__all__``.  A name counts as used when the package or the benchmark
@@ -82,7 +83,9 @@ def _uses(tree):
         stack.extend(ast.iter_child_nodes(node))
 
 
-def test_every_exported_name_has_a_caller():
+def _trees_and_uses():
+    # every parsed source, and name -> [(path, line)] of its reads outside
+    # the re-exports of __init__.py
     trees = {path: ast.parse(path.read_text(), str(path)) for path in SOURCES}
     uses = {}
     for path, tree in trees.items():
@@ -90,6 +93,16 @@ def test_every_exported_name_has_a_caller():
             continue
         for name, line in _uses(tree):
             uses.setdefault(name, []).append((path, line))
+    return trees, uses
+
+
+def _read_elsewhere(uses, name, path, span):
+    lo, hi = span
+    return any(p != path or not lo <= line <= hi for p, line in uses.get(name, ()))
+
+
+def test_every_exported_name_has_a_caller():
+    trees, uses = _trees_and_uses()
     orphans = []
     for path, tree in trees.items():
         if path.parent != PACKAGE:
@@ -97,10 +110,28 @@ def test_every_exported_name_has_a_caller():
         exported = [ast.literal_eval(n.value) for n in tree.body if _is_all(n)]
         spans = _definitions(tree)
         for name in (n for names in exported for n in names):
-            lo, hi = spans.get(name, (0, -1))
-            if not any(p != path or not lo <= line <= hi for p, line in uses.get(name, ())):
+            if not _read_elsewhere(uses, name, path, spans.get(name, (0, -1))):
                 orphans.append(f"{path.stem}.{name}")
     assert not orphans, f"exported but never used by the package or perfbench: {orphans}"
+
+
+def test_every_public_method_of_an_exported_class_has_a_reader():
+    # a method or property counts as read when its name is read as an
+    # attribute (or a name) anywhere in the package or perfbench outside
+    # its own definition; a method only tests call is surface to no one
+    trees, uses = _trees_and_uses()
+    orphans = []
+    for path, tree in trees.items():
+        if path.parent != PACKAGE:
+            continue
+        exported = {n for node in tree.body if _is_all(node) for n in ast.literal_eval(node.value)}
+        classes = (c for c in tree.body if isinstance(c, ast.ClassDef) and c.name in exported)
+        for cls in classes:
+            for fn in cls.body:
+                public = isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_")
+                if public and not _read_elsewhere(uses, fn.name, path, (fn.lineno, fn.end_lineno)):
+                    orphans.append(f"{path.stem}.{cls.name}.{fn.name}")
+    assert not orphans, f"public methods no package or perfbench code reads: {orphans}"
 
 
 # how characteristics cuts its loops: the time tiles, the parts and their

@@ -18,7 +18,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kuramoto_dephasing import (
@@ -90,18 +90,31 @@ def _gamma_parts(field, z):
     return gamma_field(field, z, keep), sin_part, cos_part
 
 
-def test_filon_weights_bounded_by_half():
-    w = np.concatenate(
-        [
-            np.array([0.0]),
-            np.logspace(-6, 3, 400),
-            -np.logspace(-6, 3, 400),
-            np.linspace(0.75, 0.85, 101),
-        ]
-    )
-    alpha, beta = filon_weights(w)
-    assert np.all(np.abs(alpha) <= 0.5 + 1e-12)
-    assert np.all(np.abs(beta) <= 0.5 + 1e-12)
+# finite w up to 1e150, where iw * iw is still finite, with the 0.8 seam of
+# the series and the closed form drawn often
+_SEAM = 0.8
+_filon_w = (
+    st.floats(-1e150, 1e150, allow_nan=False)
+    | st.floats(_SEAM - 0.05, _SEAM + 0.05)
+    | st.floats(-_SEAM - 0.05, -_SEAM + 0.05)
+    | st.sampled_from([0.0, _SEAM, -_SEAM, math.nextafter(_SEAM, 0.0), math.nextafter(-_SEAM, 0.0)])
+)
+_FILON_SWEEP = np.concatenate(
+    [[0.0], np.logspace(-6, 3, 400), -np.logspace(-6, 3, 400), np.linspace(0.75, 0.85, 101)]
+)
+
+
+@settings(max_examples=300, deadline=None)
+@example(w=_FILON_SWEEP.tolist())
+@given(w=st.lists(_filon_w, min_size=1, max_size=64))
+def test_filon_weights_bounded_by_half(w):
+    # each weight averages unit phases against a hat mass 1/2, and
+    # |alpha| + |beta| <= 1 is the per-cell bound GammaField.beta and the
+    # deviation bound rest on; no slack beyond rounding
+    alpha, beta = filon_weights(np.array(w))
+    assert np.all(np.abs(alpha) <= 0.5 + 1e-15)
+    assert np.all(np.abs(beta) <= 0.5 + 1e-15)
+    assert np.all(np.abs(alpha) + np.abs(beta) <= 1.0 + 1e-15)
 
 
 def test_filon_weights_zero_frequency_is_trapezoid():
@@ -431,7 +444,8 @@ def test_fused_residual_equals_the_difference_norm(grid, zpath, solved, forced_t
     field = CharacteristicField(grid, dev, MU)
     swept, rep = picard_sweep(grid, zpath, MU, WEIGHT, field)
     assert rep.residuals == [weighted_norm(times, swept.deviation - dev, WEIGHT, deviation=True)]
-    assert swept.distance(field, WEIGHT) == rep.residuals[0]
+    gaps = characteristics.row_gaps(swept.deviation, field.deviation)
+    assert weighted_norm(times, gaps, WEIGHT, deviation=True) == rep.residuals[0]
 
 
 def test_gamma_field_blocked_margin_is_exact(grid, zpath, solved, forced_tiles):
@@ -609,7 +623,11 @@ def test_fields_on_grids_of_another_shape_are_refused():
     b = CharacteristicField(long, np.ones(long.shape()), MU)
     assert a.deviation.shape == (201, 8, 129) and b.deviation.shape == (401, 8, 129)
     for x, y in ((a, b), (b, a)):
-        for compare in (lambda: x.sup_distance(y), lambda: x.distance(y, WEIGHT)):
+        for compare in (
+            lambda: x.sup_distance(y),
+            lambda: weighted_norm(x.grid.times(), characteristics.row_gaps(x.deviation, y.deviation),
+                                  WEIGHT, deviation=True),
+        ):
             with pytest.raises(ValueError) as info:
                 compare()
             message = str(info.value)
@@ -1509,7 +1527,8 @@ def _tiled_outputs(g, z, dev, mu, state, weight):
         "sweep": new, "row_residual": rows,
         "sin_part": sin_part, "cos_part": cos_part,
         "margin": np.array(gam.margin),
-        "distance": np.array(swept.distance(field, weight)),
+        "distance": np.array(weighted_norm(times, characteristics.row_gaps(new, dev), weight,
+                                           deviation=True)),
         "sup_distance": np.array(swept.sup_distance(field)),
         "dephasing": recon.dephasing, "values": recon.values,
         "quadrature": scheme._order_parameter_values(field, state),
@@ -1629,7 +1648,8 @@ def _split_outputs(g, amplitude):
         "values": recon.values, "mass": recon.mass, "dephasing": recon.dephasing,
         "gamma_margin": np.array(recon.gamma_margin), "dephasing_modes": recon_modes.dephasing,
         "oracle": backward_ode_oracle(g, z, 0.5).deviation,
-        "distance": np.array(CharacteristicField(g, swept, 0.5).distance(field, WEIGHT)),
+        "distance": np.array(weighted_norm(g.times(), characteristics.row_gaps(swept, field.deviation),
+                                           WEIGHT, deviation=True)),
         "sup_distance": np.array(CharacteristicField(g, swept, 0.5).sup_distance(field)),
     }
 

@@ -557,6 +557,51 @@ def test_particle_step_at_the_oracle_cap_still_loads(tmp_path):
         load_config(write_config(tmp_path / "cfg.json", raw))
 
 
+HORIZON_20 = {"t_max": 20.0, "dt": 0.05, "n_theta": 32}
+
+
+@pytest.mark.parametrize("dt", [45.0, 30.0], ids=["no_step", "past_the_horizon"])
+def test_a_particle_step_longer_than_the_horizon_exits_2_before_the_solve(tmp_path, monkeypatch,
+                                                                          caplog, dt):
+    # simulate runs t_max / dt steps: dt = 45 rounded that to 0 and ended in
+    # a traceback after the solve, dt = 30 took one step to t = 30
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(tmp_path / "cfg.json",
+                       base_config(grid=HORIZON_20, particles={"n": 100, "dt": dt}))
+    out = tmp_path / "out"
+    with caplog.at_level("ERROR", logger="kuramoto_dephasing"):
+        assert main(["simulate", "--config", cfg, "--output-dir", str(out)]) == 2
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert errors == [f"particles dt {dt:.3g} is above grid t_max 20"]
+    assert not out.exists()
+
+
+def test_a_particle_step_of_the_whole_horizon_still_loads(tmp_path):
+    raw = base_config(grid=HORIZON_20, particles={"n": 100, "dt": 20.0})
+    assert load_config(write_config(tmp_path / "cfg.json", raw)).particles["dt"] == 20.0
+
+
+@pytest.mark.parametrize("command", ["solve", "simulate", "verify"])
+def test_a_config_that_is_not_utf8_exits_2_naming_the_file(tmp_path, monkeypatch, caplog, capsys,
+                                                            command):
+    # a UTF-16 byte order mark, ff fe, used to end in a UnicodeDecodeError
+    # traceback; verify refuses before the acceptance battery
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    text = json.dumps(base_config(particles={"n": 100, "dt": 0.02}))
+    cfg.write_bytes(b"\xff\xfe" + text.encode("utf-16-le"))
+    args = [command, "--config", str(cfg)]
+    if command != "verify":
+        args += ["--output-dir", str(tmp_path / "out")]
+    with caplog.at_level("ERROR", logger="kuramoto_dephasing"):
+        assert main(args) == 2
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 1 and "\n" not in errors[0]
+    assert f"config {cfg} is not UTF-8 text" in errors[0]
+    assert "Traceback" not in "".join(capsys.readouterr())
+    assert not (tmp_path / "out").exists()
+
+
 def test_null_optional_sections_take_defaults(tmp_path):
     raw = base_config(weight=None, tolerances=None, particles=None)
     cfg = load_config(write_config(tmp_path / "cfg.json", raw))

@@ -380,6 +380,26 @@ def test_solves_build_kernels_only_for_nonzero_fields(state, monkeypatch):
     assert all(bound > 0.0 for bound in kernels) and sup_passes == []
 
 
+def test_order_parameter_of_a_built_field_reads_its_row_sups_once(state, result, monkeypatch):
+    # a field built from an array carries no row sups: one pass serves the
+    # zero-field exit and the quadrature's kernels, and z is that of the
+    # swept field, which carries them
+    passes = []
+    row_gaps = characteristics.row_gaps
+
+    def counted_gaps(a, b=None, n_theta=None, fine=None):
+        passes.append(a.shape)
+        return row_gaps(a, b, n_theta, fine)
+
+    monkeypatch.setattr(characteristics, "row_gaps", counted_gaps)
+    built = CharacteristicField(result.grid, result.field.deviation.copy(), result.mu)
+    z = order_parameter_of(built, state, WEIGHT).values
+    assert passes == [result.grid.shape()]
+    carried = order_parameter_of(result.field, state, WEIGHT).values
+    assert passes == [result.grid.shape()]
+    assert z.view(np.uint64).tobytes() == carried.view(np.uint64).tobytes()
+
+
 def test_order_parameter_is_second_order_in_dt(state):
     # z self-converges in dt: halving dt from 0.1 twice quarters the gap
     # between successive solves on the coarse times (measured 1.9991)
