@@ -271,7 +271,7 @@ def load_config(path, output_dir_override=None) -> RunConfig:
             if particles["n"] < 1 or particles["dt"] <= 0.0 or particles["seed"] < 0:
                 raise ConfigError("particles need n >= 1, dt > 0 and seed >= 0")
             _refuse_oversized_ensemble(particles["n"])
-            # t_max / dt RK4 steps: at least one, within the horizon, and no
+            # at least one RK4 step within the horizon (run_simulate), and no
             # finer than the oracle's finest sub-step
             if particles["dt"] > grid.t_max:
                 raise ConfigError(
@@ -482,7 +482,10 @@ def run_simulate(cfg: RunConfig) -> int:
     ens, n_resampled = init_from_solution(result.field, cfg.state, n, seed=seed)
     if n_resampled:
         log.info("resampled %d labels outside the frequency rule", n_resampled)
-    n_steps = int(round(cfg.grid.t_max / dt_p))
+    # the whole steps that fit in the horizon, to rounding: a dt that does
+    # not divide t_max stops short of it rather than stepping past the
+    # kinetic grid, where r_kinetic would be np.interp's clamp
+    n_steps = int(cfg.grid.t_max / dt_p * (1.0 + 1e-9))
     stride = max(1, int(round(cfg.grid.dt / dt_p)))
     times_p, z_p, _ = simulate(ens, dt_p, n_steps, record_every=stride)
 

@@ -545,40 +545,42 @@ def _add_mode_terms(acc, modes, angles, cos_m1, sin_d, tmp):
     """acc += sum_k 2 Re[a_k e^{ik theta} E_k] g(omega) on one block, in place.
 
     ``modes`` is ``_mode_rows`` of the state and ``angles`` the block's
-    angle columns.  E_1 = e^{iD} - 1 is (cos_m1, sin_d), and only the E_k
-    the modes need are built, by binary powering with
-    E_{a+b} = E_a + E_b + E_a E_b (``_combine``): the powers E_{2^j} by
-    squaring, up to the top bit of the largest mode K, and each mode's E_k
-    from the powers of its binary digits, lowest first, as E_{2^j}
-    combined with the part already taken.  So K costs O(log K) block
-    products, and no trig is taken; for K <= 3 the products are those of
-    E_k = E_{k-1} + E_1 + E_{k-1} E_1.  The terms are added by ascending
-    k.  ``tmp`` is scratch of the block's shape.  E_1 is left as it is;
-    the scratch is one pair of block arrays per higher power, floor(log2 K),
-    and two pairs the parts of a mode with several binary digits
-    alternate between: none for K = 1, at most three for K <= 3, and for
-    a large K more than freeing each power after its last use would hold.
+    angle columns; a state with no modes adds nothing.  E_1 = e^{iD} - 1
+    is (cos_m1, sin_d), and only the E_k the modes need are built, by
+    binary powering with E_{a+b} = E_a + E_b + E_a E_b (``_combine``):
+    the powers E_{2^j} by squaring, up to the top bit of the largest mode
+    K, and each mode's E_k from the powers of its binary digits, lowest
+    first, as E_{2^j} combined with the part already taken.  So K costs
+    O(log K) block products, and no trig is taken; for K <= 3 the
+    products are those of E_k = E_{k-1} + E_1 + E_{k-1} E_1.  A mode's
+    term is added once its top bit is reached, so the terms are added by
+    ascending k.  ``tmp`` is scratch of the block's shape.  E_1 is left
+    as it is; each product takes a fresh pair of block arrays, freed once
+    nothing holds it, so beside E_1 the live pairs are the current power,
+    one part per mode still being built and the product being taken.
     """
-    powers = [(cos_m1, sin_d)]
-    for _ in range(max(modes).bit_length() - 1):
-        square = np.empty((2,) + acc.shape)
-        _combine(powers[-1], powers[-1], square, tmp)
-        powers.append(square)
-    parts = None
-    for k in sorted(modes):
-        digits = [power for j, power in enumerate(powers) if k >> j & 1]
-        ek = digits[0]
-        for power in digits[1:]:
-            if parts is None:
-                parts = list(np.empty((2, 2) + acc.shape))
-            out = parts[1] if ek is parts[0] else parts[0]
-            _combine(power, ek, out, tmp)
-            ek = out
-        p, q = modes[k]
-        np.multiply(ek[0], p[angles], out=tmp)
-        acc += tmp
-        np.multiply(ek[1], q[angles], out=tmp)
-        acc -= tmp
+    power, parts = (cos_m1, sin_d), {}
+    for j in range(max(modes, default=0).bit_length()):
+        if j:
+            square = np.empty((2,) + acc.shape)
+            _combine(power, power, square, tmp)
+            power = square
+        for k in sorted(modes):
+            if k >> j & 1:
+                if k in parts:
+                    part = np.empty((2,) + acc.shape)
+                    _combine(power, parts[k], part, tmp)
+                    parts[k] = part
+                else:
+                    parts[k] = power
+            if k.bit_length() == j + 1:
+                ek = parts.pop(k)
+                p, q = modes[k]
+                np.multiply(ek[0], p[angles], out=tmp)
+                acc += tmp
+                np.multiply(ek[1], q[angles], out=tmp)
+                acc -= tmp
+            part = ek = None  # no name holds a pair past its last use
 
 
 def reconstruct(result: SolveResult, times=(0.0, 5.0, 10.0)) -> ReconstructedDensity:

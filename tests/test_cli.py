@@ -581,6 +581,26 @@ def test_a_particle_step_of_the_whole_horizon_still_loads(tmp_path):
     assert load_config(write_config(tmp_path / "cfg.json", raw)).particles["dt"] == 20.0
 
 
+def test_a_particle_step_that_does_not_divide_the_horizon_stops_short_of_it(tmp_path):
+    # t_max / dt = 5/3 used to round to 2 steps, ending at t = 24 where
+    # r_kinetic is np.interp's clamp of the t = 20 value
+    cfg = write_config(tmp_path / "cfg.json",
+                       base_config(grid=HORIZON_20, particles={"n": 100, "dt": 12.0}))
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--output-dir", str(out)]) == 0
+    for name in ("particles.csv", "comparison.csv"):
+        t = np.loadtxt(out / name, delimiter=",", skiprows=1, ndmin=2)[:, 0]
+        assert list(t) == [0.0, 12.0], name
+
+
+def test_a_state_with_no_modes_solves_to_zero_dephasing(tmp_path):
+    cfg = write_config(tmp_path / "cfg.json", base_config(modes={}))
+    out = tmp_path / "out"
+    assert main(["solve", "--config", cfg, "--output-dir", str(out)]) == 0
+    deph = np.loadtxt(out / "dephasing.csv", delimiter=",", skiprows=1, ndmin=2)
+    assert deph.shape[0] > 1 and np.all(deph[:, 1] == 0.0)
+
+
 @pytest.mark.parametrize("command", ["solve", "simulate", "verify"])
 def test_a_config_that_is_not_utf8_exits_2_naming_the_file(tmp_path, monkeypatch, caplog, capsys,
                                                             command):

@@ -678,6 +678,9 @@ def test_uniform_state_stays_uniform(grid):
     assert res.n_outer == 1
     assert res.ledger.records[0]["contraction"]["sweeps"] == 0
     assert np.max(res.path.r()) == 0.0
+    # a state with no modes builds no E_k and adds no mode term
+    recon = reconstruct(res)
+    assert np.max(recon.dephasing) == 0.0
 
 
 def test_large_mu_refused_with_ledger(state, grid):
