@@ -71,9 +71,11 @@ __all__ = [
 SCHEMA_VERSION = 1
 OUTPUT_DIR_ENV = "KURAMOTO_DEPHASING_OUTPUT"
 _CSV_FMT = "%.16e"
-# float64 arrays of length n a particle run holds at once: labels, phases,
-# frequencies and the RK4 scratch
-_ENSEMBLE_ARRAYS = 6
+# float64 arrays of length n a particle run holds at its peak, rounded up:
+# tracemalloc reads 9.1 x 8n in init_from_solution (the label sampling) and
+# 9.7 x 8n in simulate (the ensemble's phases and frequencies, the stepper's
+# four float64 and five float32 rows, and the final phases)
+_ENSEMBLE_ARRAYS = 10
 
 log = logging.getLogger("kuramoto_dephasing")
 

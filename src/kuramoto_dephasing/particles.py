@@ -13,6 +13,15 @@ sampling noise O(1/sqrt(N)).
 
 Frequencies are constants of motion here and are never touched by the
 integrator, so they are conserved exactly (bit for bit).
+
+Precision: the phases are float64 and take the free rotation dt omega
+exactly; the coupling torque of every RK4 stage is computed in float32
+(see ``_step``).  Against a float64 RK4 with complex float64 mean fields
+(N = 4000, 500 steps of 0.01, Cauchy omega clipped to +-80), z agrees to
+6e-11 at mu = 0.05 and 1e-9 at mu = 0.5, and the final phases to 6e-10
+and 1e-8; the tests hold them to 2e-9 and 2e-8.  That is four orders
+below the sampling noise the ensemble is run to measure.  The recorded
+order parameter is the float64 mean of the wrapped phases.
 """
 
 from __future__ import annotations
@@ -34,6 +43,8 @@ __all__ = [
 ]
 
 _TWO_PI = 2.0 * math.pi
+# labels per chunk of the initial-phase interpolation
+_CHUNK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -65,51 +76,56 @@ def _mean_field(phases: np.ndarray) -> complex:
     return complex(np.mean(np.cos(phases)), np.mean(np.sin(phases)))
 
 
-def _stage_rates(phases, freqs, mu, out):
-    """theta' = omega - mu * Im(e^{i theta} conj(z_N)) at one RK4 stage.
+def _torque(x, s, c, out):
+    """out <- Im(e^{i x} conj(z)) = zr sin x - zi cos x, z the mean of e^{i x}.
 
-    The trig and the projection run in single precision: numpy's f32
-    sin/cos are SIMD-vectorized (~30x the f64 libm loops) and the 2e-7
-    field error sits four orders below the O(1/sqrt N) sampling noise
-    this simulator exists to measure.  Phase state and the mean-field
-    accumulation stay double; at mu = 0 the field term vanishes exactly
-    and the stage rate is the double-precision frequency, bit for bit.
+    All float32, with s and c as scratch.  The two sums are numpy's
+    pairwise ``sum`` (no BLAS, so nothing depends on the thread count).
+    zr and zi multiply sin and cos unscaled, so a lone particle's
+    self-torque cos x sin x - sin x cos x is exactly 0.
     """
-    th32 = phases.astype(np.float32)
-    s = np.sin(th32)
-    c = np.cos(th32)
-    zr = np.float32(c.mean(dtype=np.float64))
-    zi = np.float32(s.mean(dtype=np.float64))
+    np.sin(x, out=s)
+    np.cos(x, out=c)
+    zr = c.sum() / x.size
+    zi = s.sum() / x.size
     s *= zr
     c *= zi
-    s -= c
-    out[:] = s
-    out *= -mu
-    out += freqs
-    return out
+    np.subtract(s, c, out=out)
 
 
-def _rk4_step(th, freqs, mu, dt, k, arg, acc):
-    # classical RK4 on the phase vector, all scratch preallocated;
-    # the caller owns wrapping th back into [0, 2 pi)
-    _stage_rates(th, freqs, mu, out=k)
-    acc[:] = k
-    np.multiply(k, 0.5 * dt, out=arg)
-    arg += th
-    _stage_rates(arg, freqs, mu, out=k)
-    acc += k
-    acc += k
-    np.multiply(k, 0.5 * dt, out=arg)
-    arg += th
-    _stage_rates(arg, freqs, mu, out=k)
-    acc += k
-    acc += k
-    np.multiply(k, dt, out=arg)
-    arg += th
-    _stage_rates(arg, freqs, mu, out=k)
-    acc += k
-    acc *= dt / 6.0
-    th += acc
+def _step(th, dw, hdw, mu, dt, fh, x, s, c, acc):
+    """One classical RK4 step of theta' = omega - mu tau(theta), in place.
+
+    tau(theta) = Im(e^{i theta} conj(z_N)).  omega is constant, so RK4 is
+    exactly theta + dt omega - (mu dt / 6)(tau1 + 2 tau2 + 2 tau3 + tau4),
+    with stage arguments theta + c dt omega - c dt mu tau_prev.  The
+    float64 state th takes the free rotation dw = dt omega once (hdw is
+    dt omega / 2).  The free parts theta + c dt omega are formed in
+    float64 and cast once; the stage arguments, sin/cos, the mean-field
+    sums, tau and the weighted torque sum are float32 (fh, x, s, c and
+    acc are float32 rows), and that sum joins th in one cast and one
+    multiply-add.  At mu = 0 the step is theta + dw bit for bit, and a
+    lone particle rotates freely at any mu.  The caller wraps th back
+    into [0, 2 pi).
+    """
+    half, whole = np.float32(0.5 * dt * mu), np.float32(dt * mu)
+    np.add(th, hdw, out=fh, casting="same_kind")
+    x[...] = th
+    th += dw
+    _torque(x, s, c, acc)
+    np.multiply(acc, half, out=s)
+    for scale in (half, whole):
+        np.subtract(fh, s, out=x)
+        _torque(x, s, c, s)
+        acc += s
+        acc += s
+        s *= scale
+    x[...] = th
+    x -= s
+    _torque(x, s, c, s)
+    acc += s
+    acc *= np.float32(dt * mu / 6.0)
+    np.subtract(th, acc, out=th)
 
 
 def _wrap_phases(th):
@@ -153,15 +169,15 @@ def simulate(ens: ParticleEnsemble, dt: float, n_steps: int, record_every: int =
         raise ValueError(f"dt must be finite and > 0, got {dt!r}")
     n_steps = _count("n_steps", n_steps)
     record_every = _count("record_every", record_every)
-    th = ens.phases.copy()
-    freqs, mu = ens.freqs, ens.mu
-    scratch = np.empty((3, th.size))
-    snapshot = np.empty_like(th)
+    (th, dw, hdw, snapshot), narrow = _work_rows(ens.n)
+    th[...] = ens.phases
+    np.multiply(ens.freqs, dt, out=dw)
+    np.multiply(ens.freqs, 0.5 * dt, out=hdw)
     times, path = [ens.t], []
     pending = in_background(_mean_field, ens.phases)
     try:
         for j in range(1, n_steps + 1):
-            _rk4_step(th, freqs, mu, dt, *scratch)
+            _step(th, dw, hdw, ens.mu, dt, *narrow)
             _wrap_phases(th)
             if j % record_every == 0 or j == n_steps:
                 times.append(ens.t + j * dt)
@@ -173,6 +189,21 @@ def simulate(ens: ParticleEnsemble, dt: float, n_steps: int, record_every: int =
         wait((pending,))
     final = replace(ens, phases=th, t=ens.t + n_steps * dt)
     return np.asarray(times), np.asarray(path, dtype=complex), final
+
+
+def _work_rows(n):
+    """The stepper's arrays of length n, cut from one block: four float64
+    rows (phases, dt omega, dt omega / 2, record snapshot) and the five
+    float32 rows of ``_step``.  Each row starts on a 64-byte line, so the
+    rows' relative placement is the same in every call, wherever the
+    heap puts the block, and no two rows share a cache line.
+    """
+    row = -(-n // 16) * 16
+    block = np.empty(64 + 52 * row, dtype=np.uint8)
+    start = -block.ctypes.data % 64
+    wide = block[start:start + 32 * row].view(np.float64).reshape(4, row)
+    narrow = block[start + 32 * row:start + 52 * row].view(np.float32).reshape(5, row)
+    return wide[:, :n], narrow[:, :n]
 
 
 def _count(name, value):
@@ -199,15 +230,15 @@ def init_from_solution(
     uniform interpolation in theta, piecewise linear in omega between
     quadrature nodes.  Labels whose omega falls outside the node range
     are redrawn (the count is returned); the quadrature already carries
-    all but O(1e-9) of the frequency mass, so redraws are rare.
+    all but O(1e-9) of the frequency mass, so redraws are rare.  n must
+    be an integer >= 1 (numpy's included); anything else raises a
+    ValueError naming it.
 
     Returns (ensemble, n_resampled).
     """
-    if n < 1:
-        raise ValueError("need n >= 1 particles")
+    n = _count("n", n)
     rng = np.random.Generator(np.random.PCG64(seed))
-    grid = field.grid
-    nodes = grid.omega_nodes
+    nodes = field.grid.omega_nodes
     theta, omega = sample_labels(state, n, rng=rng)
     n_resampled = 0
     while True:
@@ -218,8 +249,19 @@ def init_from_solution(
         n_resampled += k
         theta[out], omega[out] = sample_labels(state, k, rng=rng)
 
+    # a chunk at a time, so the interpolation's temporaries stay a fixed
+    # size beside the labels
     dev0 = field.deviation[0]
-    m_theta = grid.n_theta
+    for lo in range(0, n, _CHUNK):
+        part = slice(lo, lo + _CHUNK)
+        theta[part] += _initial_deviation(dev0, nodes, theta[part], omega[part])
+    ens = ParticleEnsemble(phases=theta, freqs=omega, mu=field.mu, t=0.0)
+    return ens, n_resampled
+
+
+def _initial_deviation(dev0, nodes, theta, omega):
+    # D(0) at the labels, bilinear on the (theta, omega) grid
+    m_theta = dev0.shape[0]
     h = _TWO_PI / m_theta
     j = np.floor(theta / h).astype(np.intp) % m_theta
     ft = theta / h - np.floor(theta / h)
@@ -228,9 +270,7 @@ def init_from_solution(
     k = np.clip(np.searchsorted(nodes, omega) - 1, 0, nodes.size - 2)
     fw = (omega - nodes[k]) / (nodes[k + 1] - nodes[k])
 
-    d0 = (
+    return (
         (1.0 - ft) * ((1.0 - fw) * dev0[j, k] + fw * dev0[j, k + 1])
         + ft * ((1.0 - fw) * dev0[j1, k] + fw * dev0[j1, k + 1])
     )
-    ens = ParticleEnsemble(phases=theta + d0, freqs=omega, mu=field.mu, t=0.0)
-    return ens, n_resampled

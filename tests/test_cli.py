@@ -17,7 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from kuramoto_dephasing import WeightSpec, outer_solve, reconstruct
+from kuramoto_dephasing import WeightSpec, cli, outer_solve, reconstruct
 from kuramoto_dephasing.cli import ConfigError, load_config, main
 
 SUMMARY_KEYS = {
@@ -684,6 +684,7 @@ TINY_CONFIG = {
 # the field-size refusal reads physical memory; a 16 MB machine keeps every
 # grid a mutation can produce small enough to solve here in moments
 FUZZ_MEMORY = 16 << 20
+ENSEMBLE_BYTES = 8 * cli._ENSEMBLE_ARRAYS
 
 
 def _leaf_paths(node, prefix=()):
@@ -740,12 +741,14 @@ def test_fuzzed_config_never_crashes(caplog, capsys, path, value):
 
 @pytest.mark.parametrize(
     "n, refused",
-    [(3.59e16, True), (FUZZ_MEMORY // 48 + 1, True), (FUZZ_MEMORY // 48, False)],
+    [(3.59e16, True), (FUZZ_MEMORY // ENSEMBLE_BYTES + 1, True),
+     (FUZZ_MEMORY // ENSEMBLE_BYTES, False)],
     ids=["fuzz_find", "one_over", "at_limit"],
 )
 def test_particle_ensemble_larger_than_memory_is_refused(tmp_path, monkeypatch, caplog,
                                                           n, refused):
-    # six float64 arrays of length n must fit in (faked) physical memory
+    # the run's peak of float64 arrays of length n must fit in (faked)
+    # physical memory
     monkeypatch.setattr(os, "sysconf", _fake_sysconf)
     cfg = write_config(tmp_path / "cfg.json", dict(TINY_CONFIG, particles={"n": n, "dt": 0.1}))
     if not refused:
@@ -759,3 +762,20 @@ def test_particle_ensemble_larger_than_memory_is_refused(tmp_path, monkeypatch, 
     assert not (tmp_path / "out").exists()
     errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
     assert len(errors) == 1 and "\n" not in errors[0]
+
+
+def test_an_ensemble_between_six_arrays_and_its_peak_exits_2_before_the_solve(tmp_path,
+                                                                               monkeypatch):
+    # 8 float64 arrays of length n fit the old six-array estimate, but not
+    # the run's measured peak: such a run used to solve, then fail on memory
+    n = 100_000
+    monkeypatch.setattr(cli, "physical_memory", lambda: 8 * 8 * n)
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved")
+
+    monkeypatch.setattr(cli, "outer_solve", no_solve)
+    cfg = write_config(tmp_path / "cfg.json", dict(TINY_CONFIG, particles={"n": n, "dt": 0.1}))
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--output-dir", str(out)]) == 2
+    assert not out.exists()

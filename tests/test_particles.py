@@ -4,6 +4,7 @@ Monte Carlo agreement with the kinetic solver at CLT accuracy."""
 import sys
 import threading
 import time
+import tracemalloc
 import warnings
 import weakref
 
@@ -22,7 +23,7 @@ from kuramoto_dephasing import (
     outer_solve,
     simulate,
 )
-from kuramoto_dephasing import characteristics, particles
+from kuramoto_dephasing import characteristics, cli, particles
 
 TWO_PI = 2.0 * np.pi
 PROFILE = FrequencyProfile("lorentzian", 1.0)
@@ -153,10 +154,97 @@ def test_step_matches_single_simulate_step():
     )
     # one RK4 step of the phase vector, then the wrap into [0, 2 pi)
     th = ens.phases.copy()
-    particles._rk4_step(th, ens.freqs, ens.mu, 0.02, *np.empty((3, th.size)))
+    particles._step(th, 0.02 * ens.freqs, 0.01 * ens.freqs, ens.mu, 0.02,
+                    *np.empty((5, th.size), dtype=np.float32))
     _, _, fin = simulate(ens, 0.02, 1)
     assert np.array_equal(np.mod(th, TWO_PI), fin.phases)
     assert fin.t == ens.t + 0.02
+
+
+def test_mu_zero_step_is_the_free_rotation_bit_for_bit():
+    rng = np.random.default_rng(13)
+    ens = ParticleEnsemble(rng.uniform(0.0, TWO_PI, 300), rng.normal(0.0, 5.0, 300), mu=0.0)
+    _, _, fin = simulate(ens, 0.03, 40)
+    th = ens.phases
+    for _ in range(40):
+        th = np.mod(th + 0.03 * ens.freqs, TWO_PI)
+    assert fin.phases.tobytes() == th.tobytes()
+
+
+def _circular_gap(a, b):
+    return np.abs(np.mod(a - b + np.pi, TWO_PI) - np.pi)
+
+
+def test_step_is_fourth_order_in_dt():
+    # above dt = 0.05 the float32 torque's floor does not show
+    rng = np.random.default_rng(7)
+    ens = ParticleEnsemble(rng.uniform(0.0, TWO_PI, 64), rng.normal(0.0, 1.0, 64), mu=1.0)
+    ref = simulate(ens, 0.0025, 1600)[2].phases
+    errors = [_circular_gap(simulate(ens, dt, round(4.0 / dt))[2].phases, ref).max()
+              for dt in (0.4, 0.2, 0.1)]
+    orders = np.log2(np.array(errors[:-1]) / errors[1:])
+    assert np.all((3.6 <= orders) & (orders <= 4.3)), orders
+
+
+def _rk4_float64(th, freqs, mu, dt, n_steps):
+    # the reference: classical RK4 with complex float64 mean fields
+    def rate(x):
+        e = np.exp(1j * x)
+        return freqs - mu * np.imag(e * np.conj(e.mean()))
+
+    path = [np.exp(1j * th).mean()]
+    for _ in range(n_steps):
+        k1 = rate(th)
+        k2 = rate(th + 0.5 * dt * k1)
+        k3 = rate(th + 0.5 * dt * k2)
+        k4 = rate(th + dt * k3)
+        th = th + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        path.append(np.exp(1j * th).mean())
+    return np.array(path), th
+
+
+@pytest.mark.parametrize("mu", [0.05, 0.5])
+def test_float32_torque_stays_within_the_stated_tolerance_of_float64_rk4(mu):
+    rng = np.random.default_rng(19)
+    th = rng.uniform(0.0, TWO_PI, 4000)
+    freqs = np.clip(rng.standard_cauchy(4000), -80.0, 80.0)
+    _, z, fin = simulate(ParticleEnsemble(th, freqs, mu=mu), 0.01, 500)
+    z_ref, th_ref = _rk4_float64(th, freqs, mu, 0.01, 500)
+    assert np.max(np.abs(z - z_ref)) <= 2e-9
+    assert np.max(_circular_gap(fin.phases, th_ref)) <= 2e-8
+
+
+def test_a_particle_run_peaks_within_the_cli_memory_estimate(state, coupled_result):
+    # load_config refuses an n whose 8 * _ENSEMBLE_ARRAYS * n bytes exceed
+    # physical memory; the sampling and the steps, with the ensemble held,
+    # must both peak below that
+    n = 200_000
+    init_from_solution(coupled_result.field, state, 16, seed=1)
+    bound = 8 * cli._ENSEMBLE_ARRAYS * n + (1 << 20)
+    tracemalloc.start()
+    try:
+        ens, _ = init_from_solution(coupled_result.field, state, n, seed=1)
+        init_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        simulate(ens, 0.01, 3)
+        step_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert init_peak <= bound
+    assert step_peak <= bound
+
+
+@pytest.mark.parametrize("n", [0, -1, 2.5, True, np.nan, "5", None])
+def test_init_from_solution_refuses_a_count_that_is_not_an_integer_of_at_least_one(
+        n, state, coupled_result):
+    with pytest.raises(ValueError, match="^n must be an integer >= 1"):
+        init_from_solution(coupled_result.field, state, n, seed=1)
+
+
+def test_init_from_solution_takes_a_numpy_integer_count(state, coupled_result):
+    a, _ = init_from_solution(coupled_result.field, state, np.int64(300), seed=4)
+    b, _ = init_from_solution(coupled_result.field, state, 300, seed=4)
+    assert a.phases.tobytes() == b.phases.tobytes()
 
 
 def test_phases_wrapped_on_construction():
@@ -243,7 +331,7 @@ def test_simulate_refuses_a_bad_dt_before_it_steps(dt, monkeypatch):
     def no_step(*args):
         raise AssertionError("stepped")
 
-    monkeypatch.setattr(particles, "_rk4_step", no_step)
+    monkeypatch.setattr(particles, "_step", no_step)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="dt"):
