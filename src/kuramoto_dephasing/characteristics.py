@@ -42,16 +42,16 @@ share that kernel and one e^{i omega t} table (``oscillation_table``).
 
 Every loop over a field walks the same time tiles (``time_tiles``) and
 splits into parts that run side by side, with one walker per split
-axis: ``_integral_parts`` splits the angle axis of the backward
-integral (the sweep and gamma_field), whose columns are independent, and
-``in_row_parts`` splits every tile's rows for the loops that reduce over
-angles (``row_gaps``, ``phase_quadrature``, the oracle's 2 arg N).  No
-other module cuts tiles or parts.
+axis, which allocates every part's scratch, runs the parts and calls
+one function per tile: ``_integral_parts`` splits the angle axis of the
+backward integral (the sweep and gamma_field), whose columns are
+independent, and ``in_row_parts`` splits every tile's rows for the loops
+that reduce over angles (``row_gaps``, ``phase_quadrature``, the
+oracle's 2 arg N).  No other module cuts tiles or parts.
 """
 
 from __future__ import annotations
 
-import ctypes
 import functools
 import math
 import mmap
@@ -101,11 +101,6 @@ _PARTS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else o
 # runs parts 1 .. P - 1 of those loops (part 0 runs on the calling thread);
 # its threads start on the first hand-off, so one CPU never starts one
 _POOL = ThreadPoolExecutor(max_workers=max(1, _PARTS - 1), thread_name_prefix="kuramoto-part")
-# the calling thread's current CPU, where the platform gives threads their
-# own affinity masks; in_background keeps its task off that CPU
-_SCHED_GETCPU = (
-    getattr(ctypes.CDLL(None), "sched_getcpu", None) if hasattr(os, "sched_setaffinity") else None
-)
 # elements of numpy's ufunc buffer while a part runs: a broadcasting product
 # allocates one per call, and P parts hold P at once; at numpy's default
 # (8192) that is 128 KB per part beside its slabs, at this size 16 KB
@@ -319,7 +314,7 @@ def split(lo, hi, parts):
 
 
 def in_parts(work, parts):
-    """work(p) for every p in range(parts), side by side; results in order.
+    """work(p) for every p in range(parts), side by side.
 
     Part 0 runs on the calling thread, the others on the module's pool,
     overlapping wherever numpy releases the interpreter lock.  Every part
@@ -330,20 +325,18 @@ def in_parts(work, parts):
     """
     futures = [_POOL.submit(_run_part, work, p) for p in range(1, parts)]
     try:
-        first = _run_part(work, 0)
+        _run_part(work, 0)
     finally:
         wait(futures)
-    return [first] + [f.result() for f in futures]
+    for f in futures:
+        f.result()
 
 
 def in_background(work, *args):
     """A future of work(*args), run on the module's pool beside the caller.
 
-    While it runs, the pool thread keeps off the CPU the caller is on (by
-    its own affinity mask, restored afterwards): some kernels wake a short
-    task on its waker's CPU and leave it there, where it only takes turns
-    with the caller.  It drops its references to ``work`` and ``args``
-    before the future is done.  With one part to every loop
+    The pool thread drops its references to ``work`` and ``args`` before
+    the future is done.  With one part to every loop
     (``part_count(2) == 1``) it runs in place and returns a future that is
     already done, so no thread starts.  The caller must not write what
     ``work`` reads until the future is done, and must wait on it before it
@@ -353,26 +346,15 @@ def in_background(work, *args):
         done = Future()
         done.set_result(work(*args))
         return done
-    cpu = _SCHED_GETCPU() if _SCHED_GETCPU is not None else -1
-    return _POOL.submit(_off_cpu, cpu, [work, args])
+    return _POOL.submit(_call_emptied, [work, args])
 
 
-def _off_cpu(cpu, call):
-    # work(*args) for call = [work, args], barred from CPU ``cpu`` where the
-    # mask leaves another; the list is emptied so the pool's work item no
-    # longer reaches the arguments once this returns
+def _call_emptied(call):
+    # work(*args) for call = [work, args]; the list is emptied so the pool's
+    # work item no longer reaches the arguments once this returns
     work, args = call
     call.clear()
-    mask = os.sched_getaffinity(0) if cpu >= 0 else set()
-    others = mask - {cpu}
-    pinned = bool(others) and others != mask
-    if pinned:
-        os.sched_setaffinity(0, others)
-    try:
-        return work(*args)
-    finally:
-        if pinned:
-            os.sched_setaffinity(0, mask)
+    return work(*args)
 
 
 def _run_part(work, p):
@@ -683,16 +665,12 @@ class _Tail:
         self.kernels = []
         self.carried = np.empty((2, angles.stop - angles.start, shape[2]), dtype=complex)
         self.sups = np.empty(shape[0])
-        # tiles the current sweep skips; begin sets it, with the rows they
-        # cover and whether the tail grows by the tile being swept
-        self.start = 0
 
-    def begin(self, kernels, tiles):
+    def skip(self, kernels):
+        """Tiles a sweep with these tile kernels leaves out; clears a stale tail."""
         if self.kernels != kernels[: self.tiles]:
             self.tiles, self.kernels = 0, []
-        self.start = self.tiles
-        self.rows = slice(tiles[self.start - 1].start if self.start else len(self.sups), None)
-        self.growing = True
+        return self.tiles
 
 
 def _unchanged(residual_rows, new, old, scratch):
@@ -705,21 +683,22 @@ def _unchanged(residual_rows, new, old, scratch):
     return not bits.any()
 
 
-def _integral_parts(times, omega, z, deviation, sup, keep_phase=False, tails=None):
-    """Backward integrals of one field, in parts of the angle axis.
+def _integral_parts(times, omega, z, deviation, sup, on_tile, keep_phase=False, tails=None):
+    """Backward integrals of one field, walked in parts of the angle axis.
 
-    Returns one (angles, tiles) pair per part of ``_angle_parts``;
-    ``tiles`` yields (sl, integral, spare, phase) for the columns
-    ``angles`` of each tile of ``time_tiles(deviation.shape)``, from t_max
-    backward, where integral(t_i) = Int_{t_i}^{t_max} c(s) e^{i omega s} ds
+    Part p of ``_angle_parts`` walks its columns ``angles`` of each tile
+    of ``time_tiles(deviation.shape)`` from t_max backward and calls
+    ``on_tile(p, angles, sl, integral, spare, phase)`` for the time rows
+    ``sl``, where integral(t_i) = Int_{t_i}^{t_max} c(s) e^{i omega s} ds
     with cellwise alpha/beta weights, summed from the far end one time row
-    at a time.  A cell's right node is the first row of the tile above
-    when the cell straddles a tile boundary, so two rows carry across it:
-    that row's right-node term e^{iD} times its weight, and the running
-    integral there.  Every cell thus sees the same products and the same
-    additions, in the same order, as one pass over the whole field,
-    whatever the part count: only time carries, and no column depends on
-    another.
+    at a time.  The parts run side by side (``in_parts``), so ``on_tile``
+    is called from their threads, each part on its own columns.  A cell's
+    right node is the first row of the tile above when the cell straddles
+    a tile boundary, so two rows carry across it: that row's right-node
+    term e^{iD} times its weight, and the running integral there.  Every
+    cell thus sees the same products and the same additions, in the same
+    order, as one pass over the whole field, whatever the part count: only
+    time carries, and no column depends on another.
 
     ``sup`` holds sup|D| over each time row of ``deviation`` (one number
     bounds every row), and each tile takes its own kernel from its rows
@@ -729,28 +708,30 @@ def _integral_parts(times, omega, z, deviation, sup, keep_phase=False, tails=Non
     rows of the e^{i omega t} table.  Each part's scratch (two complex
     slabs of the whole field's tile rows over its columns, the carried
     rows and one block of weighted node factors for a tile's rows) is
-    allocated here, on the calling thread, so the generators may run on
-    any thread.  The yielded arrays are views into that scratch: they hold
-    only until the part's next tile is drawn, and ``spare`` is free scratch
-    of the tile's shape.  With ``keep_phase`` each part keeps one more
-    complex slab, in which the kernel writes the tile's pair
-    (cos D - 1, sin D), and ``phase`` is that pair as two contiguous real
-    arrays of the tile's shape; without it the pair is formed in the
-    memory of the integral, and ``phase`` is None.
+    allocated here, on the calling thread.  The arrays passed to
+    ``on_tile`` are views into that scratch: they hold only until it
+    returns, and ``spare`` is free scratch of the tile's shape.  With
+    ``keep_phase`` each part keeps one more complex slab, in which the
+    kernel writes the tile's pair (cos D - 1, sin D), and ``phase`` is
+    that pair as two contiguous real arrays of the tile's shape; without
+    it the pair is formed in the memory of the integral, and ``phase`` is
+    None.
 
-    ``tails``, one ``_Tail`` per part, skips each part's tail: its tiles
-    are not yielded, and the part starts below them from the carried rows
-    the tail kept.  While ``growing`` stays set after a tile is consumed,
-    the tail takes that tile and the rows carried below it.
+    ``tails``, one ``_Tail`` per part, skips each part's tail: part p
+    leaves out the tiles ``tails[p].skip`` counts, and starts below them
+    from the carried rows the tail kept.  While ``on_tile`` returns true
+    (the tile's rows were rewritten bit for bit), from the first tile the
+    part walks on, the tail takes each such tile and the rows carried
+    below it.
 
     When every row sup is 0 and there is no ``keep_phase``, e^{iD} = 1 on
     every cell, so the integral is the same for every angle: each part
     integrates one private read-only zero column instead of its angles,
     with the unit phase ``tile_kernels`` gives zero rows, no tail and no
-    read of ``deviation``, and ``integral``
-    has one angle, (rows, 1, n_omega), the value of every angle of the
-    tile, formed by the same products and additions.  ``spare`` is then a
-    real array of the tile's shape.
+    read of ``deviation``, and ``integral`` has one angle,
+    (rows, 1, n_omega), the value of every angle of the tile, formed by
+    the same products and additions.  ``spare`` is then a real array of
+    the tile's shape.
     """
     dt = float(times[1] - times[0])
     conj_z = np.conj(z)[:, None]
@@ -767,14 +748,29 @@ def _integral_parts(times, omega, z, deviation, sup, keep_phase=False, tails=Non
     tiles = list(time_tiles(shape))
     kernels = tile_kernels(shape, sup)
     n_rows = _tile_rows(shape)
+    parts = _angle_parts(shape)
+    scratch = []
+    for p, angles in enumerate(parts):
+        cols = (angles.stop - angles.start, shape[2])
+        width = (1, shape[2]) if flat else cols
+        slabs = np.empty((2, n_rows) + width, dtype=complex)
+        carried = np.empty((2,) + width, dtype=complex)
+        node_rows = np.empty((n_rows, shape[2]), dtype=complex)
+        kept = np.empty((n_rows,) + cols, dtype=complex) if keep_phase else None
+        spare = np.empty((n_rows,) + cols) if flat else None
+        tail = None if flat or tails is None else tails[p]
+        first = 0 if tail is None else tail.skip(kernels)
+        if first:
+            np.copyto(carried, tail.carried)
+        # a zero column of the part's own: deviation itself may be the
+        # sweep's output, which the other parts are writing
+        dev = np.broadcast_to(0.0, (shape[0],) + width) if flat else deviation[:, angles]
+        scratch.append((first, tail, dev, *slabs, carried, node_rows, kept, spare))
 
-    def part_tiles(dev, phases, cells, edge, above, node_rows, kept, spare, tail):
-        first = 0
-        if tail is not None:
-            first = tail.start
-            if first:
-                np.copyto(edge, tail.carried[0])
-                np.copyto(above, tail.carried[1])
+    def walk(p):
+        first, tail, dev, phases, cells, carried, node_rows, kept, spare = scratch[p]
+        edge, above = carried
+        growing = tail is not None
         for sl, kernel in zip(tiles[first:], kernels[first:]):
             n = sl.stop - sl.start
             e, c, node = phases[:n], cells[:n], node_rows[:n]
@@ -806,30 +802,14 @@ def _integral_parts(times, omega, z, deviation, sup, keep_phase=False, tails=Non
             np.copyto(edge, e[0])
             np.copyto(above, c[0])
             phase = None if kept is None else (cos_m1, sin_d)
-            yield sl, c, e if spare is None else spare[:n], phase
-            if tail is not None and tail.growing:
+            rewritten = on_tile(p, parts[p], sl, c, e if spare is None else spare[:n], phase)
+            growing = growing and rewritten
+            if growing:
                 tail.tiles += 1
                 tail.kernels.append(kernel)
-                np.copyto(tail.carried[0], edge)
-                np.copyto(tail.carried[1], above)
+                np.copyto(tail.carried, carried)
 
-    parts = []
-    for p, angles in enumerate(_angle_parts(shape)):
-        cols = (angles.stop - angles.start, shape[2])
-        width = (1, shape[2]) if flat else cols
-        slabs = np.empty((2, n_rows) + width, dtype=complex)
-        carried = np.empty((2,) + width, dtype=complex)
-        node_rows = np.empty((n_rows, shape[2]), dtype=complex)
-        kept = np.empty((n_rows,) + cols, dtype=complex) if keep_phase else None
-        spare = np.empty((n_rows,) + cols) if flat else None
-        tail = None if flat or tails is None else tails[p]
-        if tail is not None:
-            tail.begin(kernels, tiles)
-        # a zero column of the part's own: deviation itself may be the
-        # sweep's output, which the other parts are writing
-        dev = np.broadcast_to(0.0, (shape[0],) + width) if flat else deviation[:, angles]
-        parts.append((angles, part_tiles(dev, *slabs, *carried, node_rows, kept, spare, tail)))
-    return parts
+    in_parts(walk, len(parts))
 
 
 def deviation_sweep(times, theta, omega, z, deviation, mu, row_residual, out=None, sup=None,
@@ -849,8 +829,9 @@ def deviation_sweep(times, theta, omega, z, deviation, mu, row_residual, out=Non
 
     The angle axis is split into ``part_count(n_theta // 2)`` contiguous
     parts, at least two angles wide, that run side by side
-    (``in_parts``); each walks the whole field's time tiles over its own
-    columns, and each row sup is the max of the parts' row sups.  No
+    (``_integral_parts``, which calls this sweep's projection once per
+    tile of each part); each walks the whole field's time tiles over its
+    own columns, and each row sup is the max of the parts' row sups.  No
     product or addition depends on the part count, so the result is
     bit-identical for any.
 
@@ -860,15 +841,16 @@ def deviation_sweep(times, theta, omega, z, deviation, mu, row_residual, out=Non
     and copied into ``out`` once the row residual has been taken.  The
     kernels are fixed from the row sups before the first tile, a part
     reads and writes only its own columns, a tile's rows of D are read
-    before the tile is yielded, and only the two carried rows cross a tile
-    boundary, so no tile reads a row already overwritten.
+    before the tile is projected, and only the two carried rows cross a
+    tile boundary, so no tile reads a row already overwritten.
 
     ``tails`` (a ``_Tail`` per angle part, kept by the caller from sweep
     to sweep with z fixed) is read only by an in-place sweep.  Each part
     then skips the tiles its tail holds: their rows are what this sweep
-    would write, so they stay as they are, with residual rows of zero
-    differences and the part's row sups kept in the tail.  A tile the
-    part rewrites bit for bit, directly below the tail, joins it.
+    would write, so they stay as they are, with the residual rows of zero
+    differences the row residuals start at and the part's row sups kept
+    in the tail.  The projection reports each tile it rewrites bit for
+    bit, and such a tile directly below the tail joins it.
 
     When every row sup is 0 the integral has no angle dependence: each
     part integrates one zero column of its own (``_integral_parts``) and
@@ -891,8 +873,9 @@ def deviation_sweep(times, theta, omega, z, deviation, mu, row_residual, out=Non
     in_place = not flat and np.may_share_memory(out, deviation)
     if not in_place:
         tails = None
-    parts = _integral_parts(times, omega, z, deviation, sup, tails=tails)
-    rows = np.empty((len(parts), len(times)))
+    trig = [(mu_cos[:, angles], mu_sin[:, angles]) for angles in _angle_parts(deviation.shape)]
+    # skipped rows keep the residual of a tile left as it was
+    rows = np.full((len(trig), len(times)), _UNCHANGED_ROW)
     if tails is not None:
         sups = [tail.sups for tail in tails]
     elif not flat and row_sups is not None:
@@ -900,38 +883,35 @@ def deviation_sweep(times, theta, omega, z, deviation, mu, row_residual, out=Non
     else:
         sups = None
 
-    def sweep(p):
-        angles, tiles = parts[p]
-        part_cos, part_sin = mu_cos[:, angles], mu_sin[:, angles]
-        tail = None if tails is None else tails[p]
-        if tail is not None:
-            rows[p, tail.rows] = _UNCHANGED_ROW
-        for sl, ib, spare, _ in tiles:
-            target = out[sl, angles]
-            if flat:
-                new, scratch = target, spare
-            elif in_place:
-                new, scratch = _real_halves(spare)
-            else:
-                new, scratch = target, _real_halves(spare)[1]
-            np.multiply(ib.imag, part_cos, out=new)
-            np.multiply(ib.real, part_sin, out=scratch)
-            new += scratch
-            if flat:
-                # from D = 0 the residual is new itself
-                _row_sup(new, rows[p, sl])
-            else:
-                old = deviation[sl, angles]
-                np.subtract(new, old, out=scratch)
-                _row_sup(scratch, rows[p, sl])
-                if tail is not None and tail.growing:
-                    tail.growing = _unchanged(rows[p, sl], new, old, scratch)
-            if sups is not None:
-                _row_sup(new, sups[p][sl])
-            if in_place:
-                np.copyto(target, new)
+    def sweep(p, angles, sl, ib, spare, _):
+        # the tile's new rows, its row sups and whether it was rewritten
+        # bit for bit (read only while a tail grows)
+        part_cos, part_sin = trig[p]
+        target = out[sl, angles]
+        if flat:
+            new, scratch = target, spare
+        elif in_place:
+            new, scratch = _real_halves(spare)
+        else:
+            new, scratch = target, _real_halves(spare)[1]
+        np.multiply(ib.imag, part_cos, out=new)
+        np.multiply(ib.real, part_sin, out=scratch)
+        new += scratch
+        if sups is not None:
+            _row_sup(new, sups[p][sl])
+        if flat:
+            # from D = 0 the residual is new itself
+            _row_sup(new, rows[p, sl])
+            return False
+        old = deviation[sl, angles]
+        np.subtract(new, old, out=scratch)
+        _row_sup(scratch, rows[p, sl])
+        rewritten = tails is not None and _unchanged(rows[p, sl], new, old, scratch)
+        if in_place:
+            np.copyto(target, new)
+        return rewritten
 
-    in_parts(sweep, len(parts))
+    _integral_parts(times, omega, z, deviation, sup, sweep, tails=tails)
     np.max(rows, axis=0, out=row_residual)
     if row_sups is not None:
         np.max(rows if flat else sups, axis=0, out=row_sups)
@@ -939,17 +919,18 @@ def deviation_sweep(times, theta, omega, z, deviation, mu, row_residual, out=Non
 
 
 def _refuse_nonfinite(z, mu):
-    # NaN or inf in the path or the coupling is bad input, to be named as
-    # such rather than reported as a gain >= 1 or a NaN field
-    if not math.isfinite(mu):
-        raise ValueError(f"mu must be finite, got {mu!r}")
+    # NaN or inf in the path or the coupling, or a negative coupling (whose
+    # gain would certify as negative), is bad input, to be named as such
+    # rather than reported as a gain >= 1, a NaN field or a contraction
+    if not (mu >= 0.0 and math.isfinite(mu)):
+        raise ValueError(f"mu must be finite and >= 0, got {mu!r}")
     if not np.all(np.isfinite(z)):
         raise ValueError("z must be finite at every grid time")
 
 
 def _open_report(grid: Grid, z, mu: float, weight: WeightSpec, tol: float):
     # an empty report for the map F_z with its certified gain; refuses
-    # non-finite input and kappa >= 1
+    # non-finite input, a negative mu and kappa >= 1
     _refuse_nonfinite(z, mu)
     r_norm = weighted_norm(grid.times(), z, weight)
     bound = mu * r_norm * weight.unit_contraction_gain
@@ -1016,9 +997,13 @@ def _sweep(report, grid: Grid, z, mu: float, weight: WeightSpec, start, sup, out
     if float(np.max(sup)) != 0.0:
         report.tile_terms.update(tile_terms(grid.shape(), sup))
     residuals, sups = rows
+    held = [(tail.tiles, tail.kernels[:]) for tail in tails or ()]
     deviation_sweep(times, grid.theta(), grid.omega_nodes, z, start, mu, row_residual=residuals,
                     out=out, sup=sup, row_sups=sups, tails=tails)
-    report.tiles_skipped += sum(tail.start for tail in tails or ())
+    # a part skipped the tiles its tail held, unless their kernels changed,
+    # which emptied the tail before the part swept from t_max
+    report.tiles_skipped += sum(n for tail, (n, kernels) in zip(tails or (), held)
+                                if tail.kernels[:n] == kernels)
     res = weighted_norm(times, residuals, weight, deviation=True)
     if report.residuals and report.residuals[-1] > report.floor:
         report.ratios.append(res / report.residuals[-1])
@@ -1037,8 +1022,9 @@ def picard_sweep(
 ):
     """One sweep D |-> F_z(D) of the backward map from an arbitrary field.
 
-    ``field`` defaults to D = 0.  Refuses non-finite ``z`` or ``mu``
-    (ValueError) and a gain >= 1 like ``solve_fixed_point``.  The report
+    ``field`` defaults to D = 0.  Refuses non-finite ``z``, a ``mu`` that
+    is non-finite or negative (ValueError) and a gain >= 1 like
+    ``solve_fixed_point``.  The report
     carries the single residual ||F_z(D) - D||_w and no ratios, and is
     never ``converged``: one sweep does not solve the fixed point.  A zero
     gain (mu = 0 or z = 0) makes F_z identically zero, so the zero field is
@@ -1077,10 +1063,11 @@ def solve_fixed_point(
 
     Starts from D = 0, so every iterate obeys the deviation bound and the
     residual trail certifies the per-sweep contraction.  Refuses non-finite
-    ``z`` or ``mu`` (ValueError), and refuses to start when the certified
-    gain mu * ||R||_w * unit_gain is >= 1 (NonContractiveError); raises
-    MaxSweepsExceededError if the residual is above ``tol`` after
-    MAX_SWEEPS sweeps.  A zero gain returns the zero field as picard_sweep.
+    ``z``, a ``mu`` that is non-finite or negative (ValueError), and
+    refuses to start when the certified gain mu * ||R||_w * unit_gain is
+    >= 1 (NonContractiveError); raises MaxSweepsExceededError if the
+    residual is above ``tol`` after MAX_SWEEPS sweeps.  A zero gain
+    returns the zero field as picard_sweep.
     Each sweep is ``picard_sweep``'s step, which records the residual and,
     while the last residual sits above the report's floor, the ratio.
     The first sweep, from D = 0, integrates one angle column and writes
@@ -1288,8 +1275,9 @@ def backward_ode_oracle(
     Each frequency column takes m = ceil(|omega| dt / phase_step_cap)
     sub-steps of h = dt / m per cell, keeping the local error uniformly
     small; columns whose requirement exceeds MAX_SUBSTEPS are rejected
-    rather than silently degraded.  Non-finite ``z`` or ``mu`` and a
-    ``phase_step_cap`` that is not positive are refused (ValueError).
+    rather than silently degraded.  Non-finite ``z``, a non-finite or
+    negative ``mu`` and a ``phase_step_cap`` that is not positive are
+    refused (ValueError).
 
     The steps act on the Moebius form of the flow, which has no angle
     axis.  With Psi = theta + psi and a(s) = -mu conj(z(s)) e^{i omega s},
@@ -1383,8 +1371,9 @@ def gamma_field(field: CharacteristicField, z, on_tile) -> GammaField:
     """Coupling integrals of a (converged) field under its driving path.
 
     Recomputes the backward integral once, in the angle parts of
-    ``deviation_sweep``, and hands each block of both projections, with
-    the block's phase pair, to
+    ``deviation_sweep`` (``_integral_parts``, which calls this function's
+    projection once per tile of each part), and hands each block of both
+    projections, with the block's phase pair, to
     ``on_tile(sl, angles, sin_tile, cos_tile, cos_m1, sin_d)``: the time
     rows ``sl`` of one tile, the angle columns ``angles`` of one part,
     from t_max backward within each part.  sin_tile is Gamma on that
@@ -1414,26 +1403,24 @@ def gamma_field(field: CharacteristicField, z, on_tile) -> GammaField:
     z = np.asarray(z, dtype=complex)
     n_t = len(times)
     cos_t, sin_t = np.cos(theta)[None, :, None], np.sin(theta)[None, :, None]
-    parts = _integral_parts(times, omega, z, field.deviation, field.row_sups(), keep_phase=True)
-    part_rows = np.empty((len(parts), n_t))
+    trig = [(cos_t[:, angles], sin_t[:, angles]) for angles in _angle_parts(field.deviation.shape)]
+    part_rows = np.empty((len(trig), n_t))
 
-    def project(p):
-        angles, tiles = parts[p]
-        part_cos, part_sin = cos_t[:, angles], sin_t[:, angles]
-        for sl, ib, spare, phase in tiles:
-            # both projections in the memory of spare; the last product
-            # goes into ib.imag, which nothing reads after it
-            sp, cp = _real_halves(spare)
-            np.multiply(ib.imag, part_cos, out=sp)
-            np.multiply(ib.real, part_sin, out=cp)
-            sp += cp
-            np.multiply(ib.real, part_cos, out=cp)
-            np.multiply(ib.imag, part_sin, out=ib.imag)
-            cp -= ib.imag
-            _row_sup(sp, part_rows[p, sl])
-            on_tile(sl, angles, sp, cp, *phase)
+    def project(p, angles, sl, ib, spare, phase):
+        # both projections in the memory of spare; the last product goes
+        # into ib.imag, which nothing reads after it
+        part_cos, part_sin = trig[p]
+        sp, cp = _real_halves(spare)
+        np.multiply(ib.imag, part_cos, out=sp)
+        np.multiply(ib.real, part_sin, out=cp)
+        sp += cp
+        np.multiply(ib.real, part_cos, out=cp)
+        np.multiply(ib.imag, part_sin, out=ib.imag)
+        cp -= ib.imag
+        _row_sup(sp, part_rows[p, sl])
+        on_tile(sl, angles, sp, cp, *phase)
 
-    in_parts(project, len(parts))
+    _integral_parts(times, omega, z, field.deviation, field.row_sups(), project, keep_phase=True)
     rows = part_rows.max(axis=0)
     r = np.abs(z)
     dt = g.dt

@@ -83,7 +83,9 @@ def fit_decay(
     The default window starts after the burn-in (t = 2), where envelope
     constants rather than rates dominate.  Points at or below
     DEFAULT_FLOOR are dropped; negative points in the window, or fewer
-    than MIN_POINTS usable ones, are an error.
+    than MIN_POINTS usable ones, are an error.  A non-finite time, or a
+    non-finite value in the window, is refused (ValueError): an inf would
+    make the rate NaN, and a NaN would be dropped as if below the floor.
     """
     if kind not in _KINDS:
         raise ValueError(f"unknown decay kind {kind!r}")
@@ -91,12 +93,17 @@ def fit_decay(
     values = np.asarray(values, dtype=float)
     if times.shape != values.shape or times.ndim != 1:
         raise ValueError("times and values must be matching 1-d arrays")
+    if not np.all(np.isfinite(times)):
+        raise ValueError("times must be finite")
     if window is None:
         window = (min(DEFAULT_BURN_IN, 0.5 * times[-1]), float(times[-1]))
     lo, hi = float(window[0]), float(window[1])
     if not (times[0] <= lo < hi <= times[-1] + 1e-12):
         raise ValueError(f"window {window} not inside the grid [{times[0]}, {times[-1]}]")
     mask = (times >= lo) & (times <= hi)
+    bad = int(np.sum(~np.isfinite(values[mask])))
+    if bad:
+        raise ValueError(f"{bad} non-finite values in window")
     if np.any(values[mask] < 0.0):
         raise NonPositiveValuesError(
             f"{int(np.sum(values[mask] < 0))} negative values in window"

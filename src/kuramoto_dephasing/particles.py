@@ -27,6 +27,7 @@ order parameter is the float64 mean of the wrapped phases.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from concurrent.futures import wait
 from dataclasses import dataclass, replace
@@ -49,7 +50,12 @@ _CHUNK = 1 << 14
 
 @dataclass(frozen=True)
 class ParticleEnsemble:
-    """Immutable snapshot of N oscillators at time t."""
+    """Immutable snapshot of N oscillators at time t.
+
+    ``mu`` may be any finite real number, numpy's and negative ones
+    included; anything else (a bool, a string, None, a complex number, NaN
+    or inf) is refused with a ValueError before a step is taken.
+    """
 
     phases: np.ndarray
     freqs: np.ndarray
@@ -57,6 +63,9 @@ class ParticleEnsemble:
     t: float = 0.0
 
     def __post_init__(self):
+        mu = self.mu
+        if isinstance(mu, bool) or not isinstance(mu, numbers.Real) or not math.isfinite(mu):
+            raise ValueError(f"mu must be a finite real number, got {mu!r}")
         phases = np.asarray(self.phases, dtype=float)
         freqs = np.asarray(self.freqs, dtype=float)
         if phases.ndim != 1 or phases.shape != freqs.shape or phases.size == 0:

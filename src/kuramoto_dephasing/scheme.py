@@ -316,12 +316,13 @@ def outer_solve(
     (within solve_fixed_point's sweep budget); its field and path are
     returned, and the ledger's theta-sups are sups over the user's
     angles.  The weight defaults to the decay class the state declares.
-    Raises GridError, before any sweep, when a mode of the state is not
-    below n_theta / 2 (``Grid.check_modes``) or the weight overflows at
-    t_max or has no finite gains, TailBudgetError when the certified
-    truncation tail at t_max exceeds the budget, and NotConvergingError
-    (with the partial ledger attached) when an iterate refuses, stalls,
-    or the budget runs out.
+    Raises, before any sweep, ValueError for a ``mu`` that is non-finite
+    or negative (``picard_sweep``'s refusal) and GridError when a mode of
+    the state is not below n_theta / 2 (``Grid.check_modes``) or the
+    weight overflows at t_max or has no finite gains; TailBudgetError when
+    the certified truncation tail at t_max exceeds the budget, and
+    NotConvergingError (with the partial ledger attached) when an iterate
+    refuses, stalls, or the budget runs out.
     """
     grid.check_modes(state.modes)
     if weight is None:

@@ -126,7 +126,9 @@ class AsymptoticState:
     modes : dict[int, complex]
         Angular Fourier amplitudes a_k for k > 0; negative modes are
         implied by realness (a_{-k} = conj(a_k)).  The k = 0 amplitude is
-        fixed to 1 by normalization and must not appear here.
+        fixed to 1 by normalization and must not appear here.  A key must
+        be an int or a numpy integer (not a bool): a float or a string is
+        refused rather than rounded onto a mode another key may name.
     decay_kind : str
         ``"exponential"`` or ``"polynomial"``: the class of time decay the
         order parameter is expected to exhibit, which must be compatible
@@ -143,6 +145,8 @@ class AsymptoticState:
     def __post_init__(self):
         clean = {}
         for k, a in self.modes.items():
+            if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
+                raise InvalidStateError(f"mode key {k!r} is not an integer")
             k = int(k)
             if k == 0:
                 raise InvalidStateError("mode k=0 is fixed by normalization")

@@ -134,11 +134,12 @@ def test_every_public_method_of_an_exported_class_has_a_reader():
     assert not orphans, f"public methods no package or perfbench code reads: {orphans}"
 
 
-# how characteristics cuts its loops: the time tiles, the parts and their
-# hand-off, the per-tile phase kernels, the e^{i omega t} table and the row
-# sup; every other module calls the loops that use them
-LOOP_POLICY = {"time_tiles", "row_shares", "split", "in_parts", "tile_kernels",
-               "oscillation_table", "_row_sup"}
+# how characteristics cuts its loops: the time tiles, the parts, their
+# hand-off and the two walkers, the per-tile phase kernels, the e^{i omega t}
+# table and the row sup; every other module calls the loops that use them
+LOOP_POLICY = {"time_tiles", "row_shares", "split", "in_parts", "in_row_parts",
+               "_integral_parts", "_angle_parts", "tile_kernels", "oscillation_table",
+               "_row_sup"}
 
 
 def _names_read_from_characteristics(tree):

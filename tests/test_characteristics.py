@@ -10,7 +10,6 @@ D = mu * Gamma) are asserted at their provable tolerances.
 
 import functools
 import math
-import os
 import re
 import sys
 import time
@@ -662,9 +661,15 @@ def _cumsum_backward_sum(c):
 
 def _kernel_outputs(grid, z, dev):
     times, theta, omega = grid.times(), grid.theta(), grid.omega_nodes
-    parts = characteristics._integral_parts(times, omega, z, dev, _abs_max(dev))
-    tiles = [np.concatenate([ib for _, ib, _, _ in blocks], axis=1)
-             for blocks in zip(*(part_tiles for _, part_tiles in parts))]
+    blocks = {}
+
+    def keep(p, angles, sl, ib, spare, phase):
+        blocks.setdefault(sl.start, {})[p] = ib.copy()
+
+    characteristics._integral_parts(times, omega, z, dev, _abs_max(dev), keep)
+    # each tile's parts side by side, tiles from t_max backward
+    tiles = [np.concatenate([parts[p] for p in sorted(parts)], axis=1)
+             for _, parts in sorted(blocks.items(), reverse=True)]
     rows = np.empty(grid.n_times)
     new = deviation_sweep(times, theta, omega, z, dev, 0.5, row_residual=rows)
     gam, sin_part, cos_part = _gamma_parts(CharacteristicField(grid, dev, 0.5), z)
@@ -1064,6 +1069,20 @@ def test_nonfinite_inputs_are_refused_by_name(grid, zpath, bad):
             call(zpath, bad)
         with pytest.raises(ValueError, match="z must be finite"):
             call(broken, MU)
+
+
+@pytest.mark.parametrize("mu", [-0.05, -40.0])
+def test_a_negative_coupling_is_refused_by_name(grid, zpath, mu):
+    # a negative mu used to certify a negative gain: solve_fixed_point at
+    # mu = -40 returned converged with bound -2.2, where +40 is refused
+    calls = [
+        lambda: backward_ode_oracle(grid, zpath, mu),
+        lambda: picard_sweep(grid, zpath, mu, WEIGHT),
+        lambda: solve_fixed_point(grid, zpath, mu, WEIGHT),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=r"^mu must be finite and >= 0, got -"):
+            call()
 
 
 @pytest.mark.parametrize("cap", [0.0, -0.125, math.nan])
@@ -1666,9 +1685,10 @@ def test_split_loops_are_bit_identical_for_any_part_count(name, parts, amplitude
     ref = _split_outputs(g, amplitude)
     monkeypatch.setattr(characteristics, "_PARTS", parts)
     times = g.times()
-    angle_parts = characteristics._integral_parts(times, g.omega_nodes, times + 0j,
-                                                  np.zeros(g.shape()), 0.0)
-    widths = [a.stop - a.start for a, _ in angle_parts]
+    angle_parts = {}
+    characteristics._integral_parts(times, g.omega_nodes, times + 0j, np.zeros(g.shape()), 0.0,
+                                    lambda p, angles, *tile: angle_parts.setdefault(p, angles))
+    widths = [a.stop - a.start for _, a in sorted(angle_parts.items())]
     assert len(widths) == min(parts, g.n_theta // 2) and sum(widths) == g.n_theta
     assert max(widths) - min(widths) <= 1
     got = _split_outputs(g, amplitude)
@@ -1699,22 +1719,6 @@ def test_split_loops_hold_under_fast_thread_switching(monkeypatch):
     assert got.pop("report") == ref.pop("report")
     for key, value in ref.items():
         assert np.array_equal(got[key], value), key
-
-
-@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no per-thread affinity")
-def test_background_task_keeps_off_the_callers_cpu():
-    # while the task runs its thread may use every CPU of the mask but the
-    # caller's (all of them if that is the only one), and it gets its mask
-    # back afterwards; the call list is emptied before the task returns
-    mask = os.sched_getaffinity(0)
-    cpu = min(mask)
-    call = [os.sched_getaffinity, (0,)]
-    assert characteristics._off_cpu(cpu, call) == (mask - {cpu} or mask)
-    assert os.sched_getaffinity(0) == mask
-    assert call == []
-    # a CPU outside the mask, or none known, leaves the mask alone
-    assert characteristics._off_cpu(-1, [os.sched_getaffinity, (0,)]) == mask
-    assert characteristics._off_cpu(max(mask) + 1, [os.sched_getaffinity, (0,)]) == mask
 
 
 # -- per-tile kernels: each time tile pays for its own rows -------------------
@@ -1932,12 +1936,10 @@ def test_a_tail_whose_kernel_changed_is_swept_again(grid, monkeypatch):
 
 def test_a_tail_is_kept_only_while_its_kernels_stay():
     shape = (7, 4, 3)
-    tiles = [slice(5, 7), slice(3, 5), slice(1, 3), slice(0, 1)]
     a, b, c = (characteristics.phase_kernel(s) for s in (1e-9, 1e-3, 0.5))
     tail = characteristics._Tail(shape, slice(0, 2))
     tail.tiles, tail.kernels = 2, [a, b]
-    tail.begin([a, b, c, c], tiles)
-    assert (tail.start, tail.rows, tail.growing) == (2, slice(3, None), True)
-    tail.begin([a, c, c, c], tiles)
-    assert (tail.start, tail.tiles, tail.kernels) == (0, 0, [])
-    assert np.arange(7)[tail.rows].size == 0
+    assert tail.skip([a, b, c, c]) == 2
+    assert (tail.tiles, tail.kernels) == (2, [a, b])
+    assert tail.skip([a, c, c, c]) == 0
+    assert (tail.tiles, tail.kernels) == (0, [])

@@ -134,6 +134,28 @@ def test_negative_values_rejected():
         fit_decay(T, vals, "exponential")
 
 
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_a_non_finite_value_in_the_window_is_refused(bad):
+    # e^{-t} at 101 points on [0, 10]: an inf used to make the rate NaN and
+    # a NaN was dropped as if it were below the floor
+    t = np.linspace(0.0, 10.0, 101)
+    vals = np.exp(-t)
+    vals[50] = bad
+    with pytest.raises(ValueError, match="^1 non-finite values in window$"):
+        fit_decay(t, vals, "exponential")
+    # outside the window the value is not read
+    assert fit_decay(t, vals, "exponential", window=(6.0, 10.0)).rate == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_a_non_finite_time_is_refused(bad):
+    t = np.linspace(0.0, 10.0, 101)
+    vals = np.exp(-t)
+    t[-1] = bad
+    with pytest.raises(ValueError, match="^times must be finite$"):
+        fit_decay(t, vals, "exponential", window=(2.0, 9.0))
+
+
 def test_noise_floor_starves_the_fit():
     with pytest.raises(InsufficientDataError):
         fit_decay(T, np.full(T.size, 1e-15), "exponential")

@@ -347,6 +347,23 @@ def test_simulate_refuses_a_count_that_is_not_an_integer_of_at_least_one(name, v
         simulate(_small_ensemble(), 0.01, **counts)
 
 
+@pytest.mark.parametrize("mu", [np.nan, np.inf, -np.inf, True, "0.5", None, 0.5 + 0j])
+def test_an_ensemble_refuses_a_coupling_that_is_not_a_finite_real(mu):
+    # NaN and inf used to step the whole run with RuntimeWarnings before
+    # replace() failed, a string or None to fail inside _step; now no
+    # ensemble is built to step
+    with pytest.raises(ValueError, match=r"^mu must be a finite real number, got "):
+        ParticleEnsemble(np.array([0.1, 0.2]), np.array([1.0, -1.0]), mu=mu)
+
+
+@pytest.mark.parametrize("mu", [np.float64(0.5), np.float32(0.5), np.int64(1), -0.5])
+def test_an_ensemble_takes_numpy_and_negative_couplings(mu):
+    # the finite-N model is defined for any real mu
+    ens = ParticleEnsemble(np.array([0.1, 0.2]), np.array([1.0, -1.0]), mu=mu)
+    _, z, _ = simulate(ens, 0.01, 3)
+    assert np.all(np.isfinite(z))
+
+
 def test_simulate_takes_numpy_integer_counts():
     ens = _small_ensemble()
     times, z, fin = simulate(ens, 0.01, np.int64(7), record_every=np.int32(3))

@@ -692,6 +692,23 @@ def test_large_mu_refused_with_ledger(state, grid):
     assert ledger.status != "converged"
 
 
+def test_a_negative_coupling_is_refused_before_any_sweep(state, grid, monkeypatch):
+    # mu = -0.05 used to return converged with a negative contraction bound,
+    # which verify_lemmas then reported as a failed contraction check
+    sweep = scheme.picard_sweep
+    swept = []
+
+    def counted(*args, **kwargs):
+        swept.append(1)
+        return sweep(*args, **kwargs)
+
+    monkeypatch.setattr(scheme, "picard_sweep", counted)
+    with pytest.raises(ValueError, match=r"^mu must be finite and >= 0, got -0.05$"):
+        outer_solve(state, grid, -0.05, WEIGHT)
+    # the refusal comes from the first iterate's sweep, before it sweeps
+    assert len(swept) == 1
+
+
 def test_tail_budget_guards_small_horizon(state):
     short = build_grid(PROFILE, t_max=12.0, dt=0.05, n_theta=16)
     with pytest.raises(TailBudgetError, match="increase t_max"):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -102,6 +103,22 @@ def test_state_validation():
         FrequencyProfile("cauchy", 1.0)
     with pytest.raises(InvalidStateError):
         FrequencyProfile("gaussian", -1.0)
+
+
+@pytest.mark.parametrize("modes", [{1.5: 0.1}, {"2": 0.1}, {True: 0.1}, {np.True_: 0.1},
+                                   {1: 0.1, 1.5: 0.2}, {2.0: 0.1}])
+def test_a_mode_key_that_is_not_an_integer_is_refused(modes):
+    # int() used to round 1.5 onto mode 1, so {1: 0.1, 1.5: 0.2} became
+    # {1: 0.2} and dropped an amplitude
+    key = [k for k in modes if type(k) is not int][0]
+    with pytest.raises(InvalidStateError, match=f"^mode key {re.escape(repr(key))} is not an integer$"):
+        AsymptoticState(FrequencyProfile("lorentzian", 1.0), modes)
+
+
+def test_a_numpy_integer_mode_key_is_taken():
+    state = AsymptoticState(FrequencyProfile("lorentzian", 1.0), {np.int64(2): 0.1})
+    assert state.modes == {2: 0.1 + 0j}
+    assert type(next(iter(state.modes))) is int
 
 
 def test_profile_inverse_cdf_roundtrip():
