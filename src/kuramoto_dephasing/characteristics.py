@@ -63,6 +63,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .norms_grids import Grid, WeightSpec, weighted_norm
+from .spectral_state import real
 
 __all__ = [
     "NonContractiveError",
@@ -859,9 +860,7 @@ def deviation_sweep(times, theta, omega, z, deviation, mu, row_residual, out=Non
     sweep.
     """
     times = np.asarray(times, dtype=float)
-    z = np.asarray(z, dtype=complex)
-    if z.shape != times.shape:
-        raise ValueError("z must be sampled on the time grid")
+    z = _path(times, z)
     if out is None:
         out = np.empty(deviation.shape)
     if sup is None:
@@ -918,12 +917,19 @@ def deviation_sweep(times, theta, omega, z, deviation, mu, row_residual, out=Non
     return out
 
 
+def _path(times, z):
+    # z as a complex array, refused unless it holds one sample per grid time
+    z = np.asarray(z, dtype=complex)
+    if z.shape != times.shape:
+        raise ValueError("z must be sampled on the time grid")
+    return z
+
+
 def _refuse_nonfinite(z, mu):
     # NaN or inf in the path or the coupling, or a negative coupling (whose
     # gain would certify as negative), is bad input, to be named as such
     # rather than reported as a gain >= 1, a NaN field or a contraction
-    if not (mu >= 0.0 and math.isfinite(mu)):
-        raise ValueError(f"mu must be finite and >= 0, got {mu!r}")
+    real("mu", mu, lo=0.0)
     if not np.all(np.isfinite(z)):
         raise ValueError("z must be finite at every grid time")
 
@@ -1039,7 +1045,7 @@ def picard_sweep(
 
     Returns (CharacteristicField, ContractionReport).
     """
-    z = np.asarray(z, dtype=complex)
+    z = _path(grid.times(), z)
     report = _open_report(grid, z, mu, weight, 0.0)
     if report.bound == 0.0:
         residual = field.deviation_norm(weight) if field is not None else 0.0
@@ -1066,8 +1072,8 @@ def solve_fixed_point(
     ``z``, a ``mu`` that is non-finite or negative (ValueError), and
     refuses to start when the certified gain mu * ||R||_w * unit_gain is
     >= 1 (NonContractiveError); raises MaxSweepsExceededError if the
-    residual is above ``tol`` after MAX_SWEEPS sweeps.  A zero gain
-    returns the zero field as picard_sweep.
+    residual is above ``tol`` (finite and > 0, else ValueError) after
+    MAX_SWEEPS sweeps.  A zero gain returns the zero field as picard_sweep.
     Each sweep is ``picard_sweep``'s step, which records the residual and,
     while the last residual sits above the report's floor, the ratio.
     The first sweep, from D = 0, integrates one angle column and writes
@@ -1089,7 +1095,8 @@ def solve_fixed_point(
 
     Returns (CharacteristicField, ContractionReport).
     """
-    z = np.asarray(z, dtype=complex)
+    real("tol", tol, lo=0.0, above=True)
+    z = _path(grid.times(), z)
     report = _open_report(grid, z, mu, weight, tol)
     if report.bound == 0.0:
         return _zero_gain_field(grid, mu, report, 0.0, out)
@@ -1311,9 +1318,7 @@ def backward_ode_oracle(
     (2 arg N against the phase kernel) are separate.
     """
     times = grid.times()
-    z = np.asarray(z, dtype=complex)
-    if z.shape != times.shape:
-        raise ValueError("z must be sampled on the time grid")
+    z = _path(times, z)
     _refuse_nonfinite(z, mu)
     if not phase_step_cap > 0.0:
         # 0, a negative cap or NaN would make every column one sub-step
@@ -1396,11 +1401,12 @@ def gamma_field(field: CharacteristicField, z, on_tile) -> GammaField:
     beta is the certified running bound Int_t^{t_max} R via the same cell
     masses plus the weight-free tail (zero here; callers add their own
     certified tail when they have a weight in hand); the margin is taken
-    from the max of the parts' row sups of |Gamma|.
+    from the max of the parts' row sups of |Gamma|.  A z not sampled on
+    the time grid raises ValueError.
     """
     g = field.grid
     times, theta, omega = g.times(), g.theta(), g.omega_nodes
-    z = np.asarray(z, dtype=complex)
+    z = _path(times, z)
     n_t = len(times)
     cos_t, sin_t = np.cos(theta)[None, :, None], np.sin(theta)[None, :, None]
     trig = [(cos_t[:, angles], sin_t[:, angles]) for angles in _angle_parts(field.deviation.shape)]

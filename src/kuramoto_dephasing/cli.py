@@ -28,7 +28,6 @@ import argparse
 import dataclasses
 import json
 import logging
-import math
 import os
 import sys
 import warnings
@@ -45,7 +44,7 @@ from .decay import (
     certify_envelope,
     fit_decay,
 )
-from .norms_grids import Grid, GridError, WeightSpec, build_grid, physical_memory
+from .norms_grids import Grid, WeightSpec, build_grid, physical_memory
 from .particles import init_from_solution, simulate
 from .scheme import (
     NotConvergingError,
@@ -53,9 +52,10 @@ from .scheme import (
     TailBudgetError,
     outer_solve,
     reconstruct,
+    solve_inputs,
     verify_lemmas,
 )
-from .spectral_state import AsymptoticState, FrequencyProfile, InvalidStateError
+from .spectral_state import AsymptoticState, FrequencyProfile, integer, real
 
 __all__ = [
     "ConfigError",
@@ -118,29 +118,16 @@ def _section(cfg: dict, key: str, required: bool = True):
     return sec
 
 
-def _number(name: str, v, cast=float):
-    # JSON true/false would pass float() and int() as 1 and 0, a JSON string
-    # would pass them as its parsed value, and int() truncates a fraction
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"{name} must be a number, got {json.dumps(v)}")
-    if cast is int and isinstance(v, float) and not v.is_integer():
-        raise ConfigError(f"{name} must be an integer, got {v!r}")
-    return cast(v)
+def _as_complex(v):
+    # [re, im] as a complex number; AsymptoticState refuses the rest
+    if isinstance(v, list) and len(v) == 2:
+        return complex(real("mode amplitude", v[0]), real("mode amplitude", v[1]))
+    return v
 
 
-def _finite(name: str, v) -> float:
-    x = _number(name, v)
-    if not math.isfinite(x):
-        raise ConfigError(f"{name} must be finite, got {v!r}")
-    return x
-
-
-def _as_complex(v) -> complex:
-    if isinstance(v, (int, float)) and not isinstance(v, bool):
-        return complex(v)
-    if isinstance(v, (list, tuple)) and len(v) == 2:
-        return complex(_number("mode amplitude", v[0]), _number("mode amplitude", v[1]))
-    raise ConfigError(f"mode amplitude must be a number or [re, im], got {v!r}")
+def _whole(v):
+    # a JSON count may be written as an integral float: 16.0 for 16
+    return int(v) if isinstance(v, float) and v.is_integer() else v
 
 
 def _unique_keys(pairs) -> dict:
@@ -180,19 +167,18 @@ def _refuse_oversized_ensemble(n: int):
 
 
 def load_config(path, output_dir_override=None) -> RunConfig:
-    """Parse and validate a JSON run config.
+    """Parse a JSON run config into the arguments of a run.
 
-    Raises ConfigError for anything the run cannot start from: JSON
-    syntax, missing keys, a section that is not an object, a boolean or a
-    string where a number belongs, a fraction where a count or seed
-    belongs, non-finite numbers, invalid state or grid
-    parameters, a mode k >= n_theta/2 (the angle grid aliases it), a
-    float64 field or a particle ensemble larger than physical
-    memory, a particle time step above grid t_max or below grid
-    dt / MAX_SUBSTEPS, a config file that is not UTF-8 text, a weight
-    that overflows at t_max or has no finite gains, tolerances that are
-    not positive.  A weight class that disagrees with
-    the state's declared decay class is legal but logged as a warning.
+    Each value goes to the library call that takes it, and a refusal there
+    is re-raised as the ConfigError "invalid config: <reason>".  The JSON
+    adds its own ConfigErrors: a file that cannot be read, is not UTF-8 or
+    not JSON, a key given twice in one object, a missing key or section, a
+    section that is not an object, a mode key that is not a canonical
+    decimal, an output_dir that is not a string, a particle ensemble
+    larger than physical memory, and a particle step above grid t_max or
+    below grid dt / MAX_SUBSTEPS.  An amplitude may be [re, im] and a count
+    an integral float (16.0).  A weight class other than the state's decay
+    class is legal but logged as a warning.
     """
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=_unique_keys)
@@ -206,39 +192,22 @@ def load_config(path, output_dir_override=None) -> RunConfig:
         raise ConfigError("config root must be a JSON object")
     try:
         pspec = _section(raw, "profile")
-        profile = FrequencyProfile(
-            kind=str(_require(pspec, "kind")),
-            scale=_number("profile scale", _require(pspec, "scale")),
-        )
+        profile = FrequencyProfile(str(_require(pspec, "kind")), _require(pspec, "scale"))
         modes = {_mode_index(k): _as_complex(v) for k, v in _section(raw, "modes").items()}
         dspec = _section(raw, "decay")
-        state = AsymptoticState(
-            profile=profile,
-            modes=modes,
-            decay_kind=str(_require(dspec, "kind")),
-            decay_rate=_number("decay rate", _require(dspec, "rate")),
-        )
+        state = AsymptoticState(profile, modes, str(_require(dspec, "kind")),
+                                _require(dspec, "rate"))
         gspec = _section(raw, "grid")
-        t_max = _finite("grid t_max", _require(gspec, "t_max"))
-        dt = _finite("grid dt", _require(gspec, "dt"))
-        n_theta = _number("grid n_theta", _require(gspec, "n_theta"), int)
-        n_omega = _number("grid n_omega", gspec["n_omega"], int) if "n_omega" in gspec else None
-        grid = build_grid(profile, t_max=t_max, dt=dt, n_theta=n_theta, n_omega=n_omega)
-        try:
-            grid.check_modes(state.modes)
-        except GridError as e:
-            raise ConfigError(str(e)) from e
-        mu = _number("mu", _require(raw, "mu"))
-        if not (mu >= 0.0 and math.isfinite(mu)):
-            raise ConfigError("mu must be finite and >= 0")
-
-        wspec = _section(raw, "weight", required=False)
-        if wspec is None:
-            weight = WeightSpec(state.decay_kind, state.decay_rate)
-        else:
-            weight = WeightSpec(
-                str(_require(wspec, "kind")), _number("weight rate", _require(wspec, "rate"))
-            )
+        grid = build_grid(profile, _require(gspec, "t_max"), _require(gspec, "dt"),
+                          _whole(_require(gspec, "n_theta")), _whole(gspec.get("n_omega")))
+        weight = _section(raw, "weight", required=False)
+        if weight is not None:
+            weight = WeightSpec(str(_require(weight, "kind")), _require(weight, "rate"))
+        tols = _section(raw, "tolerances", required=False) or {}
+        mu, weight, tol_outer, tol_picard, tail_budget = solve_inputs(
+            state, grid, _require(raw, "mu"), weight,
+            **{k: tols[k] for k in ("tol_outer", "tol_picard", "tail_budget") if k in tols},
+        )
         if weight.kind != state.decay_kind:
             log.warning(
                 "weight class %r does not match the state's declared decay %r; "
@@ -246,32 +215,15 @@ def load_config(path, output_dir_override=None) -> RunConfig:
                 weight.kind,
                 state.decay_kind,
             )
-        weight.check_finite(grid.t_max)
-
-        tols = _section(raw, "tolerances", required=False) or {}
-        tol_picard = _number("tol_picard", tols.get("tol_picard", 1e-12))
-        tol_outer = _number("tol_outer", tols.get("tol_outer", 1e-10))
-        tail_budget = tols.get("tail_budget")
-        if tail_budget is not None:
-            tail_budget = _number("tail_budget", tail_budget)
-        for name, val in (
-            ("tol_picard", tol_picard),
-            ("tol_outer", tol_outer),
-            ("tail_budget", tail_budget),
-        ):
-            if val is not None and not (val > 0.0 and math.isfinite(val)):
-                raise ConfigError(f"tolerance {name} must be finite and > 0")
 
         particles = _section(raw, "particles", required=False)
         if particles is not None:
             particles = {
-                "n": _number("particles n", _require(particles, "n"), int),
-                "dt": _finite("particles dt", _require(particles, "dt")),
+                "n": integer("particles n", _whole(_require(particles, "n"))),
+                "dt": real("particles dt", _require(particles, "dt"), lo=0.0, above=True),
                 # default matches the pinned acceptance realization
-                "seed": _number("particles seed", particles.get("seed", 1), int),
+                "seed": integer("particles seed", _whole(particles.get("seed", 1)), lo=0),
             }
-            if particles["n"] < 1 or particles["dt"] <= 0.0 or particles["seed"] < 0:
-                raise ConfigError("particles need n >= 1, dt > 0 and seed >= 0")
             _refuse_oversized_ensemble(particles["n"])
             # at least one RK4 step within the horizon (run_simulate), and no
             # finer than the oracle's finest sub-step
@@ -292,7 +244,7 @@ def load_config(path, output_dir_override=None) -> RunConfig:
             raise ConfigError(f"output_dir must be a string, got {out!r}")
     except ConfigError:
         raise
-    except (InvalidStateError, GridError, ValueError, TypeError, OverflowError) as e:
+    except (ValueError, TypeError, OverflowError) as e:
         raise ConfigError(f"invalid config: {e}") from e
     return RunConfig(
         state=state,
@@ -425,15 +377,8 @@ def _solve_and_write(cfg: RunConfig):
     except OSError as e:
         raise ConfigError(f"cannot create output directory {outdir}: {e.strerror or e}") from e
     try:
-        result = outer_solve(
-            cfg.state,
-            cfg.grid,
-            cfg.mu,
-            weight=cfg.weight,
-            tol_outer=cfg.tol_outer,
-            tol_picard=cfg.tol_picard,
-            tail_budget=cfg.tail_budget,
-        )
+        result = outer_solve(cfg.state, cfg.grid, cfg.mu, cfg.weight, cfg.tol_outer,
+                             cfg.tol_picard, cfg.tail_budget)
     except NotConvergingError as e:
         log.error("solver refused: %s", e.reason)
         _dump_json(outdir / "ledger.json", e.ledger.to_dict())

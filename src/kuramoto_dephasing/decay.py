@@ -72,6 +72,13 @@ class EnvelopeCertificate:
     passed: bool
 
 
+def _series(times, values):
+    times, values = np.asarray(times, dtype=float), np.asarray(values, dtype=float)
+    if times.shape != values.shape or times.ndim != 1 or times.size == 0:
+        raise ValueError("times and values must be matching non-empty 1-d arrays")
+    return times, values
+
+
 def fit_decay(
     times,
     values,
@@ -89,10 +96,7 @@ def fit_decay(
     """
     if kind not in _KINDS:
         raise ValueError(f"unknown decay kind {kind!r}")
-    times = np.asarray(times, dtype=float)
-    values = np.asarray(values, dtype=float)
-    if times.shape != values.shape or times.ndim != 1:
-        raise ValueError("times and values must be matching 1-d arrays")
+    times, values = _series(times, values)
     if not np.all(np.isfinite(times)):
         raise ValueError("times must be finite")
     if window is None:
@@ -144,10 +148,10 @@ def certify_envelope(
     early EARLY_FRACTION of the grid: the envelope constant is then set by
     small times and stable under extending the horizon.  Shrinking the
     claimed rate only shifts weight toward early times, so a passing
-    certificate cannot fail for any smaller rate.
+    certificate cannot fail for any smaller rate.  ``times`` and
+    ``values`` must be matching non-empty 1-d arrays, else ValueError.
     """
-    times = np.asarray(times, dtype=float)
-    values = np.asarray(values, dtype=float)
+    times, values = _series(times, values)
     prods = np.abs(values) * model.weight_values(times)
     i_max = int(np.argmax(prods))
     c_full = float(prods[i_max])

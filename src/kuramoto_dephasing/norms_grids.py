@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spectral_state import FrequencyProfile
+from .spectral_state import FrequencyProfile, integer, real
 
 __all__ = [
     "GridError",
@@ -196,7 +196,7 @@ class WeightSpec:
     ``"polynomial"`` gives w(t) = (1 + t^2)^{rate/2} with rate >= 2.
     Deviation fields are measured against the companion weight: the same
     exponential, or one polynomial degree lower, matching how a weighted
-    tail integral loses one power of decay.
+    tail integral loses one power of decay.  Anything else raises GridError.
     """
 
     kind: str
@@ -205,12 +205,10 @@ class WeightSpec:
     def __post_init__(self):
         if self.kind not in ("exponential", "polynomial"):
             raise GridError(f"unknown weight kind {self.kind!r}")
-        if not math.isfinite(self.rate):
-            raise GridError("weight rate must be finite")
-        if self.kind == "exponential" and self.rate <= 0.0:
-            raise GridError("exponential weight needs rate > 0")
-        if self.kind == "polynomial" and self.rate < 2.0:
-            raise GridError("polynomial weight needs rate >= 2")
+        exponential = self.kind == "exponential"
+        rate = real(f"{self.kind} weight rate", self.rate,
+                    lo=0.0 if exponential else 2.0, above=exponential, error=GridError)
+        object.__setattr__(self, "rate", rate)
 
     def values(self, t):
         t = np.asarray(t, dtype=float)
@@ -315,7 +313,7 @@ def rule_size(kind: str, n_omega: int) -> int:
     """Node count of the frequency rule ``build_grid`` makes for a target."""
     if kind == "laplace":
         return 2 * _LAPLACE_PANELS * _laplace_order(n_omega)
-    return int(n_omega)
+    return n_omega
 
 
 def _laplace_rule(scale: float, n: int):
@@ -433,11 +431,7 @@ def physical_memory() -> int | None:
 
 
 def _refuse_oversized_field(t_max: float, dt: float, n_theta: int, n_omega: int):
-    # a field that cannot fit in memory cannot be solved: refuse it from the
-    # grid numbers alone (Grid itself reports steps that are not positive
-    # and finite)
-    if not (0.0 < dt < math.inf and 0.0 < t_max < math.inf):
-        return
+    # a field that cannot fit in memory cannot be solved: refuse it first
     memory = physical_memory()
     if memory is None:
         return
@@ -462,23 +456,27 @@ def build_grid(
     ``n_omega`` is a target: the laplace rule rounds it to a whole number
     of Gauss panels.  Omitting it picks a per-family default that resolves
     oscillations e^{i omega t} accurately through t ~ 40.  Raises
-    GridError before anything is allocated when one float64 field of the
-    grid would exceed physical memory.
+    GridError before anything is allocated for a t_max or dt that is not
+    finite and > 0, an n_theta or n_omega that is not an integer >= 8 (a
+    fraction is refused, not truncated; n_theta must also be even), and
+    when one float64 field of the grid would exceed physical memory.
     """
+    t_max = real("grid t_max", t_max, lo=0.0, above=True, error=GridError)
+    dt = real("grid dt", dt, lo=0.0, above=True, error=GridError)
+    n_theta = integer("grid n_theta", n_theta, lo=8, error=GridError)
     if n_omega is None:
         n_omega = DEFAULT_N_OMEGA[profile.kind]
-    if n_omega < 8:
-        raise GridError("need at least 8 frequency nodes")
-    _refuse_oversized_field(t_max, dt, n_theta, rule_size(profile.kind, int(n_omega)))
+    n_omega = integer("grid n_omega", n_omega, lo=8, error=GridError)
+    _refuse_oversized_field(t_max, dt, n_theta, rule_size(profile.kind, n_omega))
     with np.errstate(over="ignore", invalid="ignore"):
         # a profile scale near the float64 range overflows the rule; Grid
         # refuses its non-finite nodes and weights in one line
-        nodes, weights = _RULES[profile.kind](profile.scale, int(n_omega))
+        nodes, weights = _RULES[profile.kind](profile.scale, n_omega)
     return Grid(
         profile=profile,
-        t_max=float(t_max),
-        dt=float(dt),
-        n_theta=int(n_theta),
+        t_max=t_max,
+        dt=dt,
+        n_theta=n_theta,
         omega_nodes=nodes,
         omega_weights=weights,
     )

@@ -27,15 +27,13 @@ order parameter is the float64 mean of the wrapped phases.
 from __future__ import annotations
 
 import math
-import numbers
-import operator
 from concurrent.futures import wait
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .characteristics import CharacteristicField, in_background
-from .spectral_state import AsymptoticState, sample_labels
+from .spectral_state import AsymptoticState, integer, real, sample_labels
 
 __all__ = [
     "ParticleEnsemble",
@@ -53,8 +51,7 @@ class ParticleEnsemble:
     """Immutable snapshot of N oscillators at time t.
 
     ``mu`` may be any finite real number, numpy's and negative ones
-    included; anything else (a bool, a string, None, a complex number, NaN
-    or inf) is refused with a ValueError before a step is taken.
+    included; anything else is refused with a ValueError before a step.
     """
 
     phases: np.ndarray
@@ -63,9 +60,7 @@ class ParticleEnsemble:
     t: float = 0.0
 
     def __post_init__(self):
-        mu = self.mu
-        if isinstance(mu, bool) or not isinstance(mu, numbers.Real) or not math.isfinite(mu):
-            raise ValueError(f"mu must be a finite real number, got {mu!r}")
+        real("mu", self.mu)
         phases = np.asarray(self.phases, dtype=float)
         freqs = np.asarray(self.freqs, dtype=float)
         if phases.ndim != 1 or phases.shape != freqs.shape or phases.size == 0:
@@ -174,10 +169,9 @@ def simulate(ens: ParticleEnsemble, dt: float, n_steps: int, record_every: int =
 
     Returns (times, z_path, final_ensemble) with z_path complex.
     """
-    if not (math.isfinite(dt) and dt > 0.0):
-        raise ValueError(f"dt must be finite and > 0, got {dt!r}")
-    n_steps = _count("n_steps", n_steps)
-    record_every = _count("record_every", record_every)
+    real("dt", dt, lo=0.0, above=True)
+    n_steps = integer("n_steps", n_steps)
+    record_every = integer("record_every", record_every)
     (th, dw, hdw, snapshot), narrow = _work_rows(ens.n)
     th[...] = ens.phases
     np.multiply(ens.freqs, dt, out=dw)
@@ -215,17 +209,6 @@ def _work_rows(n):
     return wide[:, :n], narrow[:, :n]
 
 
-def _count(name, value):
-    # an integer >= 1, numpy integers included; floats and bools are refused
-    try:
-        count = operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer >= 1, got {value!r}") from None
-    if isinstance(value, bool) or count < 1:
-        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-    return count
-
-
 def init_from_solution(
     field: CharacteristicField,
     state: AsymptoticState,
@@ -240,12 +223,14 @@ def init_from_solution(
     quadrature nodes.  Labels whose omega falls outside the node range
     are redrawn (the count is returned); the quadrature already carries
     all but O(1e-9) of the frequency mass, so redraws are rare.  n must
-    be an integer >= 1 (numpy's included); anything else raises a
-    ValueError naming it.
+    be an integer >= 1 and ``seed`` None or an integer >= 0 (numpy's
+    included); anything else raises a ValueError naming it.
 
     Returns (ensemble, n_resampled).
     """
-    n = _count("n", n)
+    n = integer("n", n)
+    if seed is not None:
+        seed = integer("seed", seed, lo=0)
     rng = np.random.Generator(np.random.PCG64(seed))
     nodes = field.grid.omega_nodes
     theta, omega = sample_labels(state, n, rng=rng)

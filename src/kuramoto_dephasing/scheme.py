@@ -34,14 +34,14 @@ the trapezoid sum for z; and each is a Moebius image of e^{i theta}
 (Watanabe & Strogatz, Physica D 74, 1994), so D's angular modes fall by at
 least s/2 each, s = mu g_dev r_prev the a priori bound on sup|D|.  With m*
 the last mode above 2^-53 s and K the state's largest mode, n_c is the
-smallest even divisor of n_theta, at least 8, with n_c >= 2 m* + 2 and
-n_c >= K + m* + 2: on exp_ref (a1 = 0.05, mu = 0.05) 16 of 64 angles, and
-n_theta itself where the modes fall slowly or the grid is small.  The
-ledger's theta-sups (``dev_norm``, the sweep residual and the
-certification's ``theta_diff_norm``) stay sups over the user's angles: a
-coarse iterate's come from its trigonometric interpolant onto them, row by
-row (``row_gaps``), since a coarse grid's sup of |D| can read
-0.998 of the fine one.  The certification's distance to the interpolant of
+smallest even divisor of n_theta, at least 8, with n_c >= 2 m* + 2,
+n_c >= K + m* + 2 and n_c >= 2 K + 2: on exp_ref (a1 = 0.05, mu = 0.05)
+16 of 64 angles, and n_theta itself where the modes fall slowly or the
+grid is small.  The ledger's theta-sups (``dev_norm``, the sweep residual
+and the certification's ``theta_diff_norm``) stay sups over the user's
+angles: a coarse iterate's come from its trigonometric interpolant onto
+them, row by row (``row_gaps``), since a coarse grid's sup of |D| can
+read 0.998 of the fine one.  The certification's distance to the interpolant of
 the last joint field measures any aliasing of the coarse loop directly.
 
 Every iterate, the certification iterate included, appends one record to
@@ -75,7 +75,7 @@ from .characteristics import (
     solve_fixed_point,
 )
 from .norms_grids import Grid, WeightSpec, weighted_norm
-from .spectral_state import AsymptoticState, free_order_parameter
+from .spectral_state import AsymptoticState, free_order_parameter, real
 
 __all__ = [
     "NotConvergingError",
@@ -85,6 +85,7 @@ __all__ = [
     "SolveResult",
     "ReconstructedDensity",
     "order_parameter_of",
+    "solve_inputs",
     "outer_solve",
     "reconstruct",
     "verify_lemmas",
@@ -168,7 +169,7 @@ class DiagnosticsLedger:
 
     def all_finite(self) -> bool:
         def ok(x):
-            if x is None or isinstance(x, (str, bool)):
+            if x is None or isinstance(x, str):
                 return True
             if isinstance(x, dict):
                 return all(ok(v) for v in x.values())
@@ -221,8 +222,10 @@ def order_parameter_of(
     phase kernel of its own row sups of |D|, which a swept field carries
     (a field built from an array takes them in one pass); a zero field
     (every solve's first iterate, and all of a mu = 0 solve) gives the
-    free part exactly, with no kernel and no cell read.
+    free part exactly, with no kernel and no cell read.  Raises GridError
+    when the field's grid aliases a mode of the state (``Grid.check_modes``).
     """
+    field.grid.check_modes(state.modes)
     return OrderParameterPath(field.grid, _order_parameter_values(field, state), weight)
 
 
@@ -246,19 +249,21 @@ def _coarse_angles(grid: Grid, state: AsymptoticState, bound: float) -> int:
     the trapezoid of A(theta) e^{i theta} (e^{iD} - 1) for z, exact for
     modes below n, needs n >= K + m* + 2, K the state's largest mode; the
     interpolation of the field onto the user's angles for the ledger's
-    sups needs every mode up to m* below n / 2, n >= 2 m* + 2.  Returns the
-    smallest even divisor of n_theta, at least 8 (a Grid's least), that
-    meets both.  It is n_theta when none smaller does, when the bound is
-    not below 2 (NaN included), where the modes need not fall, and when it
-    is 0 (mu = 0 or a uniform state), where no field work is left to save
-    and the loop's exact exit returns its field.
+    sups needs every mode up to m* below n / 2, n >= 2 m* + 2; and
+    ``order_parameter_of`` needs n >= 2 K + 2 (binding only when K > m*).
+    Returns the smallest even divisor of n_theta, at least 8 (a Grid's
+    least), that meets all three.  It is n_theta when none smaller does,
+    when the bound is not below 2 (NaN included), where the modes need not
+    fall, and when it is 0 (mu = 0 or a uniform state), where no field
+    work is left to save and the loop's exact exit returns its field.
     """
     n_theta = grid.n_theta
     if not 0.0 < bound < 2.0:
         return n_theta
     # (bound / 2)^(m - 1) > 2^-53 for m <= m*
     m_star = math.ceil(53.0 * math.log(2.0) / math.log(2.0 / bound))
-    need = max(8, 2 * m_star + 2, max(state.modes, default=0) + m_star + 2)
+    top = max(state.modes, default=0)
+    need = max(8, 2 * m_star + 2, top + m_star + 2, 2 * top + 2)
     return next((n for n in range(need, n_theta) if n % 2 == 0 and n_theta % n == 0), n_theta)
 
 
@@ -295,6 +300,29 @@ def _user_grid_norms(grid: Grid, weight: WeightSpec, fld, prev, rep, certifying)
     return dev_norm, weighted_norm(times, gaps, weight, deviation=True)
 
 
+def solve_inputs(state: AsymptoticState, grid: Grid, mu: float, weight: WeightSpec | None = None,
+                 tol_outer: float = 1e-10, tol_picard: float = 1e-12,
+                 tail_budget: float | None = None):
+    """``outer_solve``'s arguments, checked, as (mu, weight, tol_outer,
+    tol_picard, tail_budget) with the defaults filled in (the state's decay
+    class, DEFAULT_TAIL_BUDGET).  Raises ValueError naming a ``mu`` that is
+    not finite and >= 0 or a tolerance that is not finite and > 0, and
+    GridError when the grid aliases a mode of the state or the weight is
+    not finite on it (``Grid.check_modes``, ``WeightSpec.check_finite``).
+    """
+    mu = real("mu", mu, lo=0.0)
+    tol_outer = real("tol_outer", tol_outer, lo=0.0, above=True)
+    tol_picard = real("tol_picard", tol_picard, lo=0.0, above=True)
+    if weight is None:
+        weight = WeightSpec(state.decay_kind, state.decay_rate)
+    if tail_budget is None:
+        tail_budget = DEFAULT_TAIL_BUDGET[weight.kind]
+    tail_budget = real("tail_budget", tail_budget, lo=0.0, above=True)
+    grid.check_modes(state.modes)
+    weight.check_finite(grid.t_max)
+    return mu, weight, tol_outer, tol_picard, tail_budget
+
+
 def outer_solve(
     state: AsymptoticState,
     grid: Grid,
@@ -316,20 +344,15 @@ def outer_solve(
     (within solve_fixed_point's sweep budget); its field and path are
     returned, and the ledger's theta-sups are sups over the user's
     angles.  The weight defaults to the decay class the state declares.
-    Raises, before any sweep, ValueError for a ``mu`` that is non-finite
-    or negative (``picard_sweep``'s refusal) and GridError when a mode of
-    the state is not below n_theta / 2 (``Grid.check_modes``) or the
-    weight overflows at t_max or has no finite gains; TailBudgetError when
-    the certified truncation tail at t_max exceeds the budget, and
+    Raises, before any sweep, the ValueError or GridError of
+    ``solve_inputs`` for a malformed argument; TailBudgetError when the
+    certified truncation tail at t_max exceeds the budget, and
     NotConvergingError (with the partial ledger attached) when an iterate
     refuses, stalls, or the budget runs out.
     """
-    grid.check_modes(state.modes)
-    if weight is None:
-        weight = WeightSpec(state.decay_kind, state.decay_rate)
-    weight.check_finite(grid.t_max)
-    if tail_budget is None:
-        tail_budget = DEFAULT_TAIL_BUDGET[weight.kind]
+    mu, weight, tol_outer, tol_picard, tail_budget = solve_inputs(
+        state, grid, mu, weight, tol_outer, tol_picard, tail_budget
+    )
     times = grid.times()
     free_norm = weighted_norm(times, free_order_parameter(state, times), weight)
     ledger = DiagnosticsLedger(
@@ -690,9 +713,12 @@ def verify_lemmas(ledger: DiagnosticsLedger, weight: WeightSpec, mu: float) -> d
     constants the analysis leaves generic are reported as measured ratio
     sequences and flagged only when they trend upward: least-squares slope
     above 0.01, scaled by the sequence level when that level exceeds one
-    so the flag is insensitive to the units of the generic constant.
+    so the flag is insensitive to the units of the generic constant.  An
+    empty ledger, which no check could fail, raises ValueError.
     """
     recs = ledger.records
+    if not recs:
+        raise ValueError("verify_lemmas needs a ledger with at least one record")
     slack = 1.05
     report = {"explicit": {}, "generic": {}, "n_records": len(recs)}
 

@@ -19,6 +19,8 @@ c_k = a_k otherwise.
 from __future__ import annotations
 
 import math
+import numbers
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,6 +32,8 @@ __all__ = [
     "spectral_transform",
     "free_order_parameter",
     "sample_labels",
+    "real",
+    "integer",
 ]
 
 _PROFILE_KINDS = ("lorentzian", "gaussian", "laplace")
@@ -38,6 +42,36 @@ _DECAY_KINDS = ("exponential", "polynomial")
 
 class InvalidStateError(ValueError):
     """Raised when asymptotic data fails a structural invariant."""
+
+
+def real(name, v, lo=-math.inf, above=False, error=ValueError) -> float:
+    """The package's rule for a scalar argument: ``v`` as a float if it is a
+    finite real number (numpy's included, not a bool) >= ``lo``, or > ``lo``
+    with ``above``; else ``error`` naming ``name``."""
+    try:
+        x = float(v) if isinstance(v, numbers.Real) and not isinstance(v, bool) else math.nan
+    except OverflowError:  # an int beyond the float range
+        x = math.inf
+    if not (math.isfinite(x) and (x > lo if above else x >= lo)):
+        sign = ">" if above else ">="
+        rule = f"finite and {sign} {lo:g}" if lo > -math.inf else "a finite real number"
+        raise error(f"{name} must be {rule}, got {v!r}")
+    return x
+
+
+def integer(name, v, lo=1, error=ValueError) -> int:
+    """The package's rule for a count or an index: ``v`` as an int if it is
+    an integer (numpy's included; not a bool, a float or a string) >= ``lo``;
+    else ``error`` naming ``name``."""
+    try:
+        n = operator.index(v)
+    except TypeError:
+        n = None
+    if n is None or isinstance(v, bool) or n < lo:
+        bounded = lo > -math.inf
+        raise error(f"{name} must be an integer >= {lo}, got {v!r}" if bounded
+                    else f"{name} {v!r} is not an integer")
+    return n
 
 
 @dataclass(frozen=True)
@@ -49,7 +83,7 @@ class FrequencyProfile:
     kind : str
         One of ``"lorentzian"``, ``"gaussian"``, ``"laplace"``.
     scale : float
-        Positive width parameter: half-width for the Lorentzian, standard
+        Positive finite width: half-width for the Lorentzian, standard
         deviation for the Gaussian, exponential scale for the Laplace.
 
     Notes
@@ -73,8 +107,8 @@ class FrequencyProfile:
     def __post_init__(self):
         if self.kind not in _PROFILE_KINDS:
             raise InvalidStateError(f"unknown frequency profile kind {self.kind!r}")
-        if not (self.scale > 0.0 and math.isfinite(self.scale)):
-            raise InvalidStateError(f"profile scale must be positive, got {self.scale}")
+        scale = real("profile scale", self.scale, lo=0.0, above=True, error=InvalidStateError)
+        object.__setattr__(self, "scale", scale)
 
     def density(self, omega):
         """Evaluate g(omega) elementwise."""
@@ -129,6 +163,7 @@ class AsymptoticState:
         fixed to 1 by normalization and must not appear here.  A key must
         be an int or a numpy integer (not a bool): a float or a string is
         refused rather than rounded onto a mode another key may name.
+        Amplitudes are finite numbers (not bools or strings).
     decay_kind : str
         ``"exponential"`` or ``"polynomial"``: the class of time decay the
         order parameter is expected to exhibit, which must be compatible
@@ -145,13 +180,13 @@ class AsymptoticState:
     def __post_init__(self):
         clean = {}
         for k, a in self.modes.items():
-            if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
-                raise InvalidStateError(f"mode key {k!r} is not an integer")
-            k = int(k)
+            k = integer("mode key", k, lo=-math.inf, error=InvalidStateError)
             if k == 0:
                 raise InvalidStateError("mode k=0 is fixed by normalization")
             if k < 0:
                 raise InvalidStateError("specify only k > 0 modes; k < 0 follows by conjugation")
+            if isinstance(a, numbers.Real) or not isinstance(a, numbers.Complex):
+                a = real(f"mode amplitude a_{k}", a, error=InvalidStateError)
             a = complex(a)
             if not (math.isfinite(a.real) and math.isfinite(a.imag)):
                 raise InvalidStateError(f"mode amplitude a_{k} = {a} is not finite")
@@ -165,11 +200,11 @@ class AsymptoticState:
             )
         if self.decay_kind not in _DECAY_KINDS:
             raise InvalidStateError(f"unknown decay kind {self.decay_kind!r}")
-        if not math.isfinite(self.decay_rate):
-            raise InvalidStateError(f"decay rate {self.decay_rate} is not finite")
-        if self.decay_kind == "exponential":
-            if not (0.0 < self.decay_rate):
-                raise InvalidStateError("exponential decay rate must be positive")
+        exponential = self.decay_kind == "exponential"
+        rate = real(f"{self.decay_kind} decay rate", self.decay_rate,
+                    lo=0.0 if exponential else 2.0, above=exponential, error=InvalidStateError)
+        object.__setattr__(self, "decay_rate", rate)
+        if exponential:
             if self.profile.kind == "laplace":
                 raise InvalidStateError(
                     "laplace profile has only polynomial transform decay; "
@@ -181,8 +216,6 @@ class AsymptoticState:
                     f"{self.profile.scale}"
                 )
         else:
-            if not (self.decay_rate >= 2.0):
-                raise InvalidStateError("polynomial decay degree must be >= 2")
             if self.profile.kind == "laplace" and self.decay_rate > 2.0:
                 raise InvalidStateError(
                     "laplace transform decays like eta^-2; degree > 2 is unattainable"
@@ -214,9 +247,9 @@ def spectral_transform(state: AsymptoticState, k: int, eta):
 
     Separates as c_k * ghat(eta).  Complex-valued in general (the angular
     amplitudes may be complex); exactly zero for angular modes the state
-    does not carry.
+    does not carry.  A ``k`` that is not an integer raises ValueError.
     """
-    c = state.mode_amplitude(int(k))
+    c = state.mode_amplitude(integer("k", k, lo=-math.inf))
     return c * state.profile.transform(eta)
 
 
@@ -235,10 +268,9 @@ def sample_labels(state: AsymptoticState, n: int, rng: np.random.Generator):
 
     omega by inverse CDF of the profile, theta by rejection against the
     flat envelope of the angular factor.  Returns (theta, omega) float
-    arrays of shape (n,).
+    arrays of shape (n,); n must be an integer >= 1, else ValueError.
     """
-    if n <= 0:
-        raise ValueError("need n >= 1 samples")
+    n = integer("n", n)
     omega = state.profile.inverse_cdf(rng.uniform(1e-300, 1.0 - 1e-16, size=n))
     bound = 1.0 + 2.0 * sum(abs(a) for a in state.modes.values())
     theta = np.empty(n, dtype=float)

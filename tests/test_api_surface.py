@@ -330,3 +330,48 @@ def test_particle_records_enter_no_span_boundary_from_a_worker(monkeypatch):
     # the recorder saw every call, properly nested
     assert sorted(s.name for s in recorder.spans) == sorted(name for name, _ in calls)
     _check_nesting(recorder.spans)
+
+
+# each input rule has one definition: spectral_state's two helpers read a
+# scalar (``real``) or a count (``integer``), and every other module calls
+# them; cli._jsonable's bool check converts output, not input
+RULE_HELPERS = {("spectral_state", "real"), ("spectral_state", "integer")}
+BOOL_CHECK_EXCEPTIONS = RULE_HELPERS | {("cli", "_jsonable")}
+
+
+def _rule_checks(tree):
+    # (enclosing top-level name, "operator.index" | "bool") for each call of
+    # operator.index (or import from operator) and each isinstance(..., bool)
+    for top in tree.body:
+        owner = getattr(top, "name", None)
+        for node in ast.walk(top):
+            if isinstance(node, ast.ImportFrom) and node.module == "operator":
+                yield owner, "operator.index"
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if (isinstance(func, ast.Attribute) and func.attr == "index"
+                    and isinstance(func.value, ast.Name) and func.value.id == "operator"):
+                yield owner, "operator.index"
+            if isinstance(func, ast.Name) and func.id == "isinstance" and len(node.args) == 2:
+                kinds = node.args[1].elts if isinstance(node.args[1], ast.Tuple) else [node.args[1]]
+                if any(isinstance(k, ast.Name) and k.id == "bool" for k in kinds):
+                    yield owner, "bool"
+
+
+def test_each_input_rule_is_written_once():
+    cli_tree = ast.parse((PACKAGE / "cli.py").read_text())
+    imported = {alias.name.split(".")[0] for node in ast.walk(cli_tree)
+                if isinstance(node, ast.Import) for alias in node.names}
+    imported |= {node.module for node in ast.walk(cli_tree)
+                 if isinstance(node, ast.ImportFrom) and node.level == 0}
+    assert not imported & {"math", "operator"}, "cli.py checks numbers itself"
+    defined = {node.name for node in cli_tree.body if isinstance(node, ast.FunctionDef)}
+    assert not defined & {"_number", "_finite"}
+    stray = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for owner, check in _rule_checks(ast.parse(path.read_text())):
+            allowed = RULE_HELPERS if check == "operator.index" else BOOL_CHECK_EXCEPTIONS
+            if (path.stem, owner) not in allowed:
+                stray.append(f"{path.stem}.{owner}: {check}")
+    assert not stray, f"input rules written outside spectral_state.real/integer: {stray}"

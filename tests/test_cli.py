@@ -490,7 +490,9 @@ def test_a_mode_the_angle_grid_aliases_exits_2_naming_k_and_n_theta(tmp_path, mo
     with caplog.at_level("ERROR", logger="kuramoto_dephasing"):
         assert main(["solve", "--config", cfg, "--output-dir", str(tmp_path / "out")]) == 2
     errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
-    assert errors == [f"mode {k} is not resolved by n_theta = 8: modes must be below n_theta/2 = 4"]
+    assert errors == [
+        f"invalid config: mode {k} is not resolved by n_theta = 8: modes must be below n_theta/2 = 4"
+    ]
 
 
 def test_the_highest_resolved_mode_loads_with_unit_mass(tmp_path):
@@ -652,6 +654,43 @@ def test_verbose_logs_one_line_per_outer_iterate(solve_run, tmp_path, caplog):
     summary = (solve_run[1] / "summary.json").read_text()
     for key in ('"tile_terms"', '"tiles_skipped"', '"n_c"'):
         assert key not in json.dumps(ledger) and key not in summary
+
+
+@pytest.mark.parametrize(
+    "overrides, named",
+    [
+        ({"mu": -0.1}, "mu"),
+        ({"tolerances": {"tol_outer": 0}}, "tol_outer"),
+        ({"tolerances": {"tail_budget": math.nan}}, "tail_budget"),
+        # n_theta = 32 aliases mode 16
+        ({"modes": {"16": 0.05}}, "n_theta"),
+    ],
+    ids=["mu_negative", "tol_outer_zero", "tail_budget_nan", "mode_half_n_theta"],
+)
+def test_a_config_the_library_refuses_fails_verify_and_solve_in_one_line(
+        tmp_path, monkeypatch, caplog, capsys, overrides, named):
+    # these rules live in the library (scheme.solve_inputs), and load_config
+    # still applies them: verify --config fails before the battery, and
+    # solve before any output file is written
+    from kuramoto_dephasing import acceptance
+
+    def no_battery(*args, **kwargs):
+        raise AssertionError("the acceptance battery ran")
+
+    monkeypatch.setattr(acceptance, "run_all", no_battery)
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(tmp_path / "cfg.json", base_config(**overrides))
+    assert main(["verify", "--config", cfg]) == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config check: FAIL (invalid config: ")
+    assert named in lines[0]
+    out = tmp_path / "out"
+    caplog.clear()
+    with caplog.at_level("ERROR", logger="kuramoto_dephasing"):
+        assert main(["solve", "--config", cfg, "--output-dir", str(out)]) == 2
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 1 and "\n" not in errors[0] and named in errors[0]
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -211,6 +211,13 @@ def test_joint_loop_angles_follow_the_mode_bound(state, grid):
     # a high mode needs more angles for the z trapezoid: K + m* + 2
     high = AsymptoticState(PROFILE, {1: 0.05, 12: 0.01}, "exponential", 0.9)
     assert scheme._coarse_angles(g64, high, 2.78e-3) == 32
+    # and the state's own modes, 2 K + 2 (order_parameter_of's rule): K =
+    # 20 needs 42, where K + m* + 2 = 28 would take 32 angles, which alias it
+    higher = AsymptoticState(PROFILE, {1: 0.05, 20: 0.01}, "exponential", 0.9)
+    assert scheme._coarse_angles(g64, higher, 2.78e-3) == 64
+    result = outer_solve(higher, build_grid(PROFILE, t_max=4.0, dt=0.1, n_theta=64, n_omega=17),
+                         MU, WEIGHT, tail_budget=1e-2)
+    assert result.converged
     # a zero bound (mu = 0), one not below 2 and NaN keep the user's grid
     for bound in (0.0, 2.0, math.inf, math.nan):
         assert scheme._coarse_angles(g64, state, bound) == 64
@@ -705,8 +712,8 @@ def test_a_negative_coupling_is_refused_before_any_sweep(state, grid, monkeypatc
     monkeypatch.setattr(scheme, "picard_sweep", counted)
     with pytest.raises(ValueError, match=r"^mu must be finite and >= 0, got -0.05$"):
         outer_solve(state, grid, -0.05, WEIGHT)
-    # the refusal comes from the first iterate's sweep, before it sweeps
-    assert len(swept) == 1
+    # the refusal comes before the first iterate's sweep is called
+    assert swept == []
 
 
 def test_tail_budget_guards_small_horizon(state):
