@@ -1283,8 +1283,8 @@ def backward_ode_oracle(
     sub-steps of h = dt / m per cell, keeping the local error uniformly
     small; columns whose requirement exceeds MAX_SUBSTEPS are rejected
     rather than silently degraded.  Non-finite ``z``, a non-finite or
-    negative ``mu`` and a ``phase_step_cap`` that is not positive are
-    refused (ValueError).
+    negative ``mu`` and a ``phase_step_cap`` that is not a finite number
+    > 0 are refused (ValueError).
 
     The steps act on the Moebius form of the flow, which has no angle
     axis.  With Psi = theta + psi and a(s) = -mu conj(z(s)) e^{i omega s},
@@ -1320,9 +1320,8 @@ def backward_ode_oracle(
     times = grid.times()
     z = _path(times, z)
     _refuse_nonfinite(z, mu)
-    if not phase_step_cap > 0.0:
-        # 0, a negative cap or NaN would make every column one sub-step
-        raise ValueError(f"phase_step_cap must be positive, got {phase_step_cap!r}")
+    # 0, a negative cap or NaN would make every column one sub-step
+    phase_step_cap = real("phase_step_cap", phase_step_cap, lo=0.0, above=True)
     dt, theta, omega = grid.dt, grid.theta(), grid.omega_nodes
     need = np.maximum(np.ceil(np.abs(omega) * dt / phase_step_cap).astype(int), 1)
     if int(need.max()) > MAX_SUBSTEPS:

@@ -44,7 +44,7 @@ from .decay import (
     certify_envelope,
     fit_decay,
 )
-from .norms_grids import Grid, WeightSpec, build_grid, physical_memory
+from .norms_grids import Grid, WeightSpec, build_grid, refuse_oversized
 from .particles import init_from_solution, simulate
 from .scheme import (
     NotConvergingError,
@@ -154,18 +154,6 @@ def _mode_index(key: str) -> int:
     return k
 
 
-def _refuse_oversized_ensemble(n: int):
-    # an ensemble that cannot fit in memory cannot be run: refuse it before
-    # the solve, from the particle count alone
-    memory = physical_memory()
-    need = 8 * _ENSEMBLE_ARRAYS * n
-    if memory is not None and need > memory:
-        raise ConfigError(
-            f"particle ensemble of {need / 1e9:.3g} GB exceeds physical memory "
-            f"({memory / 1e9:.3g} GB)"
-        )
-
-
 def load_config(path, output_dir_override=None) -> RunConfig:
     """Parse a JSON run config into the arguments of a run.
 
@@ -224,7 +212,9 @@ def load_config(path, output_dir_override=None) -> RunConfig:
                 # default matches the pinned acceptance realization
                 "seed": integer("particles seed", _whole(particles.get("seed", 1)), lo=0),
             }
-            _refuse_oversized_ensemble(particles["n"])
+            # a run that cannot fit in memory is refused before the solve
+            refuse_oversized("particle ensemble", 8 * _ENSEMBLE_ARRAYS * particles["n"],
+                             ConfigError)
             # at least one RK4 step within the horizon (run_simulate), and no
             # finer than the oracle's finest sub-step
             if particles["dt"] > grid.t_max:

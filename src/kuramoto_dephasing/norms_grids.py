@@ -351,8 +351,10 @@ class Grid:
 
     ``omega_weights`` are plain d-omega weights; ``prob_weights`` fold in
     the profile density, so sum(prob_weights * h(nodes)) approximates the
-    g-average of h.  Construction validates step compatibility, angular
-    resolution, and the quadrature mass defect against ``_MASS_TOL``.
+    g-average of h.  Construction applies the package's input rules to
+    t_max and dt (finite, > 0) and n_theta (an even integer >= 8), then
+    validates step compatibility and the quadrature mass defect against
+    ``_MASS_TOL``; a failure raises GridError.
     """
 
     profile: FrequencyProfile
@@ -364,15 +366,21 @@ class Grid:
     prob_weights: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if not (0.0 < self.dt < math.inf and 0.0 < self.t_max < math.inf):
-            raise GridError("need finite dt > 0 and t_max > 0")
-        steps = self.t_max / self.dt
+        t_max = real("grid t_max", self.t_max, lo=0.0, above=True, error=GridError)
+        dt = real("grid dt", self.dt, lo=0.0, above=True, error=GridError)
+        n_theta = integer("grid n_theta", self.n_theta, lo=8, error=GridError)
+        if n_theta % 2:
+            raise GridError(f"grid n_theta must be even, got {n_theta}")
+        steps = t_max / dt
+        if not math.isfinite(steps):
+            raise GridError(f"grid t_max / dt = {t_max:g} / {dt:g} is beyond the float range")
         if abs(steps - round(steps)) > 1e-9 * max(1.0, steps):
-            raise GridError(f"t_max = {self.t_max} is not a multiple of dt = {self.dt}")
+            raise GridError(f"t_max = {t_max} is not a multiple of dt = {dt}")
         if round(steps) < 4:
             raise GridError("need at least 4 time steps")
-        if self.n_theta < 8 or self.n_theta % 2:
-            raise GridError("n_theta must be even and >= 8")
+        object.__setattr__(self, "t_max", t_max)
+        object.__setattr__(self, "dt", dt)
+        object.__setattr__(self, "n_theta", n_theta)
         nodes = np.asarray(self.omega_nodes, dtype=float)
         weights = np.asarray(self.omega_weights, dtype=float)
         if nodes.shape != weights.shape or nodes.ndim != 1 or nodes.size < 2:
@@ -430,18 +438,18 @@ def physical_memory() -> int | None:
         return None
 
 
-def _refuse_oversized_field(t_max: float, dt: float, n_theta: int, n_omega: int):
-    # a field that cannot fit in memory cannot be solved: refuse it first
+def refuse_oversized(what: str, need: int, error=GridError):
+    """Raise ``error`` when ``need`` bytes exceed physical memory.
+
+    ``need`` is an exact int, compared and printed without a float: a count
+    can pass the float range (an n_theta of 10**400 is an integer >= 8).
+    """
     memory = physical_memory()
-    if memory is None:
-        return
-    steps = t_max / dt
-    need = 8 * (round(steps) + 1) * n_theta * n_omega if math.isfinite(steps) else math.inf
-    if need > memory:
-        raise GridError(
-            f"grid field of {need / 1e9:.3g} GB exceeds physical memory "
-            f"({memory / 1e9:.3g} GB)"
-        )
+    if memory is not None and need > memory:
+        from decimal import Decimal  # only a refusal prints a byte count
+
+        gb = [format(Decimal(n).scaleb(-9), ".3g") for n in (need, memory)]
+        raise error(f"{what} of {gb[0]} GB exceeds physical memory ({gb[1]} GB)")
 
 
 def build_grid(
@@ -467,7 +475,11 @@ def build_grid(
     if n_omega is None:
         n_omega = DEFAULT_N_OMEGA[profile.kind]
     n_omega = integer("grid n_omega", n_omega, lo=8, error=GridError)
-    _refuse_oversized_field(t_max, dt, n_theta, rule_size(profile.kind, n_omega))
+    # a field that cannot fit in memory cannot be solved: refuse it first.
+    # t_max / dt is rounded in integers, since the float quotient can overflow
+    (a, b), (c, d) = t_max.as_integer_ratio(), dt.as_integer_ratio()
+    n_times = (2 * a * d + b * c) // (2 * b * c) + 1
+    refuse_oversized("grid field", 8 * n_times * n_theta * rule_size(profile.kind, n_omega))
     with np.errstate(over="ignore", invalid="ignore"):
         # a profile scale near the float64 range overflows the rule; Grid
         # refuses its non-finite nodes and weights in one line

@@ -134,18 +134,23 @@ class FrequencyProfile:
         return 1.0 / (1.0 + (s * e) ** 2)
 
     def inverse_cdf(self, p):
-        """Quantile function, used for inverse-CDF frequency sampling."""
+        """Quantile function, used for inverse-CDF frequency sampling.
+
+        Every entry of ``p`` must lie strictly in (0, 1), NaN refused, else
+        ValueError.  The Gaussian quantile is the standard library's
+        ``NormalDist.inv_cdf`` (Wichura's AS241), taken entry by entry.
+        """
         q = np.asarray(p, dtype=float)
-        if np.any((q <= 0.0) | (q >= 1.0)):
+        if not np.all((q > 0.0) & (q < 1.0)):
             raise ValueError("quantile argument must lie strictly in (0, 1)")
         s = self.scale
         if self.kind == "lorentzian":
             return s * np.tan(math.pi * (q - 0.5))
         if self.kind == "gaussian":
-            # imported here: only Gaussian sampling needs scipy.special
-            from scipy import special
+            # imported here: only Gaussian sampling needs it
+            from statistics import NormalDist
 
-            return s * special.ndtri(q)
+            return s * np.fromiter(map(NormalDist().inv_cdf, q.flat), float, q.size).reshape(q.shape)
         # two-sided exponential, split at the median
         return np.where(q < 0.5, s * np.log(2.0 * q), -s * np.log(2.0 * (1.0 - q)))
 

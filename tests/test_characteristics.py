@@ -1088,7 +1088,7 @@ def test_a_negative_coupling_is_refused_by_name(grid, zpath, mu):
 @pytest.mark.parametrize("cap", [0.0, -0.125, math.nan])
 def test_oracle_refuses_a_step_cap_that_is_not_positive(grid, zpath, cap):
     # each of these once ran every column at one sub-step per cell
-    with pytest.raises(ValueError, match="phase_step_cap must be positive"):
+    with pytest.raises(ValueError, match="phase_step_cap must be finite and > 0"):
         backward_ode_oracle(grid, zpath, MU, phase_step_cap=cap)
 
 

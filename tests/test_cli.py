@@ -17,7 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from kuramoto_dephasing import WeightSpec, cli, outer_solve, reconstruct
+from kuramoto_dephasing import WeightSpec, cli, norms_grids, outer_solve, reconstruct
 from kuramoto_dephasing.cli import ConfigError, load_config, main
 
 SUMMARY_KEYS = {
@@ -781,8 +781,8 @@ def test_fuzzed_config_never_crashes(caplog, capsys, path, value):
 @pytest.mark.parametrize(
     "n, refused",
     [(3.59e16, True), (FUZZ_MEMORY // ENSEMBLE_BYTES + 1, True),
-     (FUZZ_MEMORY // ENSEMBLE_BYTES, False)],
-    ids=["fuzz_find", "one_over", "at_limit"],
+     (FUZZ_MEMORY // ENSEMBLE_BYTES, False), (10**400, True)],
+    ids=["fuzz_find", "one_over", "at_limit", "past_the_float_range"],
 )
 def test_particle_ensemble_larger_than_memory_is_refused(tmp_path, monkeypatch, caplog,
                                                           n, refused):
@@ -808,7 +808,7 @@ def test_an_ensemble_between_six_arrays_and_its_peak_exits_2_before_the_solve(tm
     # 8 float64 arrays of length n fit the old six-array estimate, but not
     # the run's measured peak: such a run used to solve, then fail on memory
     n = 100_000
-    monkeypatch.setattr(cli, "physical_memory", lambda: 8 * 8 * n)
+    monkeypatch.setattr(norms_grids, "physical_memory", lambda: 8 * 8 * n)
 
     def no_solve(*args, **kwargs):
         raise AssertionError("solved")

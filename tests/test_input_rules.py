@@ -19,11 +19,10 @@ behaviour:
 * a mode key <= 0 is refused by a message of its own (k = 0 is fixed by
   normalization, k < 0 follows by conjugation);
 * None is the default of ``build_grid``'s n_omega, ``outer_solve``'s
-  weight and tail_budget, and ``init_from_solution``'s seed;
-* ``backward_ode_oracle``'s phase_step_cap keeps the comparison that
-  test_characteristics pins ("phase_step_cap must be positive").
+  weight and tail_budget, and ``init_from_solution``'s seed.
 """
 
+import dataclasses
 import math
 import warnings
 from types import SimpleNamespace
@@ -96,6 +95,9 @@ CASES = [
     ("build_grid", lambda c, v: build_grid(PROFILE, 4.0, 0.1, v, 17), "n_theta", COUNT),
     ("build_grid", lambda c, v: build_grid(PROFILE, 4.0, 0.1, 8, v), "n_omega",
      [v for v in COUNT if v is not None]),
+    ("Grid", lambda c, v: dataclasses.replace(c.grid, t_max=v), "t_max", ABOVE_0),
+    ("Grid", lambda c, v: dataclasses.replace(c.grid, dt=v), "dt", ABOVE_0),
+    ("Grid", lambda c, v: dataclasses.replace(c.grid, n_theta=v), "n_theta", COUNT + [8.0, 9]),
     ("deviation_sweep", lambda c, v: deviation_sweep(
         c.times, c.grid.theta(), c.grid.omega_nodes, v, c.result.field.deviation, MU,
         np.empty(c.times.size)), "z", [WRONG_LENGTH]),
@@ -110,6 +112,8 @@ CASES = [
     ("backward_ode_oracle", lambda c, v: backward_ode_oracle(c.grid, c.z, v), "mu", AT_LEAST_0),
     ("backward_ode_oracle", lambda c, v: backward_ode_oracle(c.grid, v, MU), "z",
      [WRONG_LENGTH]),
+    ("backward_ode_oracle", lambda c, v: backward_ode_oracle(c.grid, c.z, MU, phase_step_cap=v),
+     "phase_step_cap", ABOVE_0),
     ("gamma_field", lambda c, v: gamma_field(c.result.field, v, _no_tile), "z", [WRONG_LENGTH]),
     ("order_parameter_of", lambda c, v: order_parameter_of(c.result.field, v, WEIGHT), "n_theta",
      ["aliased"]),

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -240,6 +241,24 @@ def test_build_grid_refuses_a_field_larger_than_memory(kind, t_max, dt, n_omega)
     # (which raised its own ValueError) or the frequency rule is built
     with pytest.raises(GridError, match="exceeds physical memory"):
         build_grid(FrequencyProfile(kind, 1.0), t_max=t_max, dt=dt, n_omega=n_omega)
+
+
+@pytest.mark.parametrize("n_theta, n_omega", [(10**400, 17), (8, 10**400)])
+def test_a_count_past_the_float_range_is_refused_by_the_memory_guard(n_theta, n_omega):
+    # the byte count is an exact int, compared and printed without a float
+    # (both once ended in "int too large to convert to float")
+    with pytest.raises(GridError, match=r"grid field of .*e\+39\d GB exceeds physical memory"):
+        build_grid(FrequencyProfile("lorentzian", 1.0), 4.0, 0.25, n_theta, n_omega)
+
+
+def test_a_grid_built_directly_takes_its_numbers_by_the_input_rules():
+    # the refusals are rows of tests/test_input_rules.py; here, a step count
+    # past the float range (once an OverflowError) and numpy scalars
+    g = build_grid(FrequencyProfile("lorentzian", 1.0), 4.0, 0.25, 8, 17)
+    with pytest.raises(GridError, match="beyond the float range"):
+        dataclasses.replace(g, t_max=1e300, dt=1e-10)
+    h = dataclasses.replace(g, t_max=np.float64(4.0), n_theta=np.int64(16))
+    assert type(h.t_max) is float and type(h.n_theta) is int and h.shape() == (17, 16, 17)
 
 
 def test_corrupted_weights_fail_mass_check():

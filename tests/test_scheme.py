@@ -5,8 +5,11 @@ Lorentzian profile, mu = 0.05) is shared module-wide; the remaining
 cases exercise degenerate inputs and the documented failure modes.
 """
 
+import copy
+import dataclasses
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -29,7 +32,7 @@ from kuramoto_dephasing import (
     verify_lemmas,
     weighted_norm,
 )
-from kuramoto_dephasing import CharacteristicField, characteristics, scheme
+from kuramoto_dephasing import CharacteristicField, acceptance, characteristics, scheme
 from kuramoto_dephasing.characteristics import _POLY_CAP, _taylor_terms
 from kuramoto_dephasing.scheme import order_parameter_of
 
@@ -476,6 +479,90 @@ def test_verify_lemmas_reports_pass(result):
     assert out["explicit"]["contraction"]["worst_quotient"] < 1.0
     for block in out["generic"].values():
         assert block["bounded"]
+
+
+# -- each certificate fails on the defect it exists to catch ------------------
+# doctored copies of the shared solve's ledger and reconstruction, fed to the
+# checking code and to the acceptance criteria that read it, so no solve runs
+
+
+def _criterion(check, result=None, recon=None):
+    ctx = SimpleNamespace(exp_result=lambda: result, exp_recon=lambda: recon,
+                          seconds=lambda key: 0.0)
+    return check(ctx).passed
+
+
+def _doctored(result, edit):
+    ledger = copy.deepcopy(result.ledger)
+    edit(ledger.records[-1])
+    return SimpleNamespace(ledger=ledger, weight=result.weight, mu=result.mu)
+
+
+def _set_contraction_ratio(quotient):
+    def edit(record):
+        record["contraction"]["ratios"][0] = quotient * record["contraction"]["bound"]
+    return edit
+
+
+def _set_estimrn_ratio(ratio):
+    def edit(record):
+        record["estimrn_ratio"] = ratio
+    return edit
+
+
+@pytest.mark.parametrize("edit, block, check", [
+    (_set_contraction_ratio(1.1), "contraction", acceptance.c02_contraction),
+    (_set_estimrn_ratio(1.06), "deviation_bound", acceptance.c03_deviation_bound),
+], ids=["c02-ratio-1.1x-bound", "c03-estimrn-1.06"])
+def test_an_explicit_bound_broken_past_its_slack_fails(result, edit, block, check):
+    assert _criterion(check, result)
+    bad = _doctored(result, edit)
+    out = verify_lemmas(bad.ledger, bad.weight, bad.mu)
+    assert not out["explicit"][block]["pass"] and not out["all_explicit_pass"]
+    assert not _criterion(check, bad)
+
+
+@pytest.mark.parametrize("edit", [_set_contraction_ratio(1.04), _set_estimrn_ratio(1.04)],
+                         ids=["contraction", "estimrn"])
+def test_an_explicit_bound_within_its_slack_passes(result, edit):
+    bad = _doctored(result, edit)
+    assert verify_lemmas(bad.ledger, bad.weight, bad.mu)["all_explicit_pass"]
+
+
+def test_a_path_lipschitz_quotient_above_its_slack_fails(result):
+    # the last field's step scaled so that its quotient reads 1.06
+    quotients = verify_lemmas(result.ledger, result.weight, result.mu)[
+        "explicit"]["path_lipschitz"]["ratios"]
+    assert len(quotients) == len(result.ledger.records) - 1 and quotients[-1] < 1.0
+
+    def edit(record):
+        record["theta_diff_norm"] *= 1.06 / quotients[-1]
+
+    bad = _doctored(result, edit)
+    out = verify_lemmas(bad.ledger, bad.weight, bad.mu)["explicit"]["path_lipschitz"]
+    assert out["ratios"][-1] == pytest.approx(1.06) and not out["pass"]
+
+
+def test_a_mass_off_by_2e_6_fails(recon):
+    assert _criterion(acceptance.c08_mass, recon=recon)
+    mass = recon.mass.copy()
+    mass[1] = 1.0 + 2e-6
+    bad = dataclasses.replace(recon, mass=mass)
+    assert not bad.mass_ok() and not _criterion(acceptance.c08_mass, recon=bad)
+    mass[1] = 1.0 + 0.5e-6
+    assert dataclasses.replace(recon, mass=mass).mass_ok()
+
+
+@pytest.mark.parametrize("edit", [
+    lambda ledger: setattr(ledger, "free_norm", math.nan),
+    lambda ledger: ledger.records[-1].update(kappa=math.nan),
+    lambda ledger: ledger.records[-1]["contraction"]["ratios"].__setitem__(1, math.nan),
+], ids=["top-level", "record", "nested-list"])
+def test_one_nan_anywhere_in_a_ledger_makes_it_not_finite(result, edit):
+    ledger = copy.deepcopy(result.ledger)
+    assert ledger.all_finite()
+    edit(ledger)
+    assert not ledger.all_finite()
 
 
 def test_mass_jacobian_positivity(recon):

@@ -3,7 +3,7 @@ import re
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 
 from kuramoto_dephasing.spectral_state import (
     AsymptoticState,
@@ -129,8 +129,30 @@ def test_profile_inverse_cdf_roundtrip():
         # numeric CDF at the quantiles recovers p
         cdf = np.array([integrate.quad(prof.density, -np.inf, x)[0] for x in w])
         assert np.allclose(cdf, p, atol=1e-8)
-    with pytest.raises(ValueError):
-        FrequencyProfile("gaussian", 1.0).inverse_cdf(0.0)
+
+
+@pytest.mark.parametrize("kind", ["lorentzian", "gaussian", "laplace"])
+@pytest.mark.parametrize("p", [0.0, 1.0, -0.5, math.inf, math.nan, [0.3, math.nan]],
+                         ids=["0", "1", "negative", "inf", "nan", "nan-among-valid"])
+def test_inverse_cdf_refuses_an_argument_outside_the_open_unit_interval(kind, p):
+    # a NaN once passed the check and came back as a NaN frequency
+    with pytest.raises(ValueError, match=r"strictly in \(0, 1\)"):
+        FrequencyProfile(kind, 1.0).inverse_cdf(p)
+
+
+def test_gaussian_quantiles_lie_within_8_ulp_of_scipys_ndtri():
+    # the standard library's AS241 against scipy's ndtri, on the uniforms
+    # sample_labels draws and on both tails down to 1e-300
+    rng = np.random.default_rng(11)
+    q = np.concatenate([rng.uniform(1e-300, 1.0 - 1e-16, size=100_000),
+                        10.0 ** -np.arange(1, 301), 1.0 - 10.0 ** -np.arange(1, 17)])
+    want = special.ndtri(q)
+    got = FrequencyProfile("gaussian", 1.0).inverse_cdf(q)
+    assert np.all(np.abs(got - want) <= 8 * np.spacing(np.abs(want)))
+    # shape and scale carry through
+    block = FrequencyProfile("gaussian", 2.5).inverse_cdf(q[:12].reshape(3, 4))
+    assert np.array_equal(block, 2.5 * got[:12].reshape(3, 4))
+    assert np.shape(FrequencyProfile("gaussian", 1.0).inverse_cdf(0.3)) == ()
 
 
 def _pcg(seed):
