@@ -48,6 +48,7 @@ from .decay import (
 )
 from .particles import (
     ParticleEnsemble,
+    compare_to_kinetic,
     init_from_solution,
     simulate,
 )

@@ -5,7 +5,11 @@ builds and caches the expensive runs (the two reference solves, their
 backward-integration oracles, the particle ensembles), so the battery
 and the test suite can both execute every criterion without repeating
 work.  Criteria return a CriterionResult and never raise: a failure is
-reported, not thrown.
+reported, not thrown.  A criterion reads the library's own verdict where
+one exists (``verify_lemmas``, ``ReconstructedDensity.mass_ok``) and runs
+the particle comparison the command line writes
+(``particles.compare_to_kinetic``); its own bounds reduce with numpy, so
+a NaN fails them.
 
 The two reference setups, fixed across the battery:
 
@@ -26,14 +30,13 @@ import numpy as np
 from .characteristics import backward_ode_oracle
 from .decay import certify_envelope, fit_decay
 from .norms_grids import build_grid
-from .particles import init_from_solution, simulate
-from .scheme import NotConvergingError, outer_solve, reconstruct, verify_lemmas
-from .spectral_state import AsymptoticState, FrequencyProfile, free_order_parameter
+from .particles import compare_to_kinetic
+from .scheme import LEMMA_SLACK, NotConvergingError, outer_solve, reconstruct, verify_lemmas
+from .spectral_state import AsymptoticState, FrequencyProfile
 
 __all__ = ["CriterionResult", "AcceptanceContext", "run_all", "CRITERIA"]
 
 MU = 0.05
-SLACK = 1.05
 # pinned realization for the single-run particle check: the 0.02 budget
 # is ~2.8 sigma of the late-time Rayleigh noise floor at N = 1e4, which
 # the median iid realization exceeds; the canonical seed keeps the gate
@@ -120,21 +123,12 @@ class AcceptanceContext:
 
     @_cached
     def particle_runs(self):
-        """sup_t |R_N - R| for seeds 0..7 at N = 1e4 and 4e4, t <= 20."""
+        """sup_t |R_N - R| for seeds 0..7 at N = 1e4 and 4e4, dt = 0.01."""
         res = self.exp_result()
-        r_kin = res.path.r()
-        t_kin = res.grid.times()
-        dt_p = 0.01
-        n_steps = int(round(res.grid.t_max / dt_p))
-        sups = {10_000: [], 40_000: []}
-        for n in sups:
-            for seed in range(8):
-                ens, _ = init_from_solution(res.field, res.state, n, seed=seed)
-                tp, zp, _ = simulate(ens, dt_p, n_steps, record_every=5)
-                sups[n].append(
-                    float(np.max(np.abs(np.abs(zp) - np.interp(tp, t_kin, r_kin))))
-                )
-        return sups
+        return {
+            n: [float(compare_to_kinetic(res, n, 0.01, seed).gap.max()) for seed in range(8)]
+            for n in (10_000, 40_000)
+        }
 
 
 def _result(cid, name, passed, detail, seconds) -> CriterionResult:
@@ -163,17 +157,17 @@ def c02_contraction(ctx: AcceptanceContext) -> CriterionResult:
     ok = con["pass"] and secs < 60.0
     return _result(
         2, "per-sweep contraction", ok,
-        f"worst_ratio/bound={con['worst_quotient']:.3f} (slack {SLACK})", secs,
+        f"worst_ratio/bound={con['worst_quotient']:.3f} (slack {LEMMA_SLACK})", secs,
     )
 
 
 def c03_deviation_bound(ctx: AcceptanceContext) -> CriterionResult:
     res = ctx.exp_result()
-    ratios = [r["estimrn_ratio"] for r in res.ledger.records]
-    worst = max(ratios)
+    dev = verify_lemmas(res.ledger, res.weight, res.mu)["explicit"]["deviation_bound"]
     return _result(
-        3, "fixed-point deviation bound", worst <= SLACK,
-        f"max dev_norm/bound={worst:.4f} over {len(ratios)} iterates", 0.0,
+        3, "fixed-point deviation bound", dev["pass"],
+        f"max dev_norm/bound={np.max(dev['ratios']):.4f} over {len(dev['ratios'])} iterates",
+        0.0,
     )
 
 
@@ -184,7 +178,7 @@ def c04_outer_cauchy(ctx: AcceptanceContext) -> CriterionResult:
         for r in res.ledger.records
         if r["n"] >= 3 and r["cauchy_ratio"] is not None
     ]
-    worst = max(late) if late else 0.0
+    worst = float(np.max(late, initial=0.0))
     ok = worst <= 0.55 and res.converged and res.n_outer <= 10
     return _result(
         4, "outer Cauchy ratio", ok,
@@ -236,10 +230,10 @@ def c07_dual_method(ctx: AcceptanceContext) -> CriterionResult:
 
 def c08_mass(ctx: AcceptanceContext) -> CriterionResult:
     recon = ctx.exp_recon()
-    worst = float(np.max(np.abs(recon.mass - 1.0)))
+    worst = np.max(np.abs(recon.mass - 1.0))
     return _result(
-        8, "mass conservation", worst <= 1e-6,
-        f"max|mass-1|={worst:.2e} at t=(0,5,10) (tol 1e-6)", 0.0,
+        8, "mass conservation", recon.mass_ok(),
+        f"max|mass-1|={worst:.2e} at t=(0,5,10)", 0.0,
     )
 
 

@@ -71,7 +71,6 @@ __all__ = [
     "StepRejectedError",
     "CharacteristicField",
     "ContractionReport",
-    "GammaField",
     "filon_weights",
     "deviation_sweep",
     "picard_sweep",
@@ -212,23 +211,6 @@ class ContractionReport:
         entry = asdict(self)
         del entry["tile_terms"], entry["tiles_skipped"]
         return entry
-
-
-@dataclass(frozen=True, eq=False)
-class GammaField:
-    """Running bound of the coupling integrals and the headroom it had.
-
-    ``beta`` bounds |Gamma(t)| pointwise by Int_t^inf R, discretized with
-    the same cell weights (|alpha| + |beta| <= 1 per cell makes the bound
-    provable on the grid, not merely asymptotic).  ``margin`` is
-    max(|Gamma| / beta) over the rows with beta > 0 (0 when there are
-    none): the bound holds when it is at most 1 + 1e-12, and its distance
-    below 1 is the headroom the bound had.  The integrals themselves are
-    handed out tile by tile by ``gamma_field`` and not kept.
-    """
-
-    beta: np.ndarray
-    margin: float
 
 
 def filon_weights(w):
@@ -813,20 +795,20 @@ def _integral_parts(times, omega, z, deviation, sup, on_tile, keep_phase=False, 
     in_parts(walk, len(parts))
 
 
-def deviation_sweep(times, theta, omega, z, deviation, mu, row_residual, out=None, sup=None,
-                    row_sups=None, tails=None):
+def deviation_sweep(times, theta, omega, z, deviation, mu, row_residual, out, sup, row_sups,
+                    tails=None):
     """One application of the backward-integral map to a deviation field.
 
     Operates on raw arrays so alternative node sets can be pushed through.
     Returns the new deviation, mu * Im(e^{i theta} I), one time tile at a
     time to bound the complex working set.  ``sup`` holds sup|D| over each
-    time row of ``deviation`` (taken from the field when None; one number
-    bounds every row), and each tile's e^{iD} comes from the phase kernel
-    its own rows need (``tile_kernels``).  ``row_residual`` (shape
-    (n_times,)) receives the sup over each time row of |new - deviation|
-    from the same pass, and ``row_sups``, when given, the sup over each
-    time row of |new|, taken while each tile is in cache; it may be
-    ``sup`` itself, which is read before the first tile.
+    time row of ``deviation`` (one number bounds every row), and each
+    tile's e^{iD} comes from the phase kernel its own rows need
+    (``tile_kernels``).  ``row_residual`` (shape (n_times,)) receives the
+    sup over each time row of |new - deviation| from the same pass, and
+    ``row_sups`` the sup over each time row of |new|, taken while each
+    tile is in cache; it may be ``sup`` itself, which is read before the
+    first tile.
 
     The angle axis is split into ``part_count(n_theta // 2)`` contiguous
     parts, at least two angles wide, that run side by side
@@ -836,8 +818,7 @@ def deviation_sweep(times, theta, omega, z, deviation, mu, row_residual, out=Non
     product or addition depends on the part count, so the result is
     bit-identical for any.
 
-    The new field goes to ``out`` (a new array when None), which may be
-    ``deviation`` itself.  Into any other ``out`` each tile's new rows go
+    The new field goes to ``out``, which may be ``deviation`` itself.  Into any other ``out`` each tile's new rows go
     straight from the projection; in place they are formed in tile scratch
     and copied into ``out`` once the row residual has been taken.  The
     kernels are fixed from the row sups before the first tile, a part
@@ -861,10 +842,6 @@ def deviation_sweep(times, theta, omega, z, deviation, mu, row_residual, out=Non
     """
     times = np.asarray(times, dtype=float)
     z = _path(times, z)
-    if out is None:
-        out = np.empty(deviation.shape)
-    if sup is None:
-        sup = row_gaps(deviation)
     # mu * Im(e^{i theta} I) = (mu cos theta) Im I + (mu sin theta) Re I
     mu_cos = (mu * np.cos(theta))[None, :, None]
     mu_sin = (mu * np.sin(theta))[None, :, None]
@@ -877,7 +854,7 @@ def deviation_sweep(times, theta, omega, z, deviation, mu, row_residual, out=Non
     rows = np.full((len(trig), len(times)), _UNCHANGED_ROW)
     if tails is not None:
         sups = [tail.sups for tail in tails]
-    elif not flat and row_sups is not None:
+    elif not flat:
         sups = np.empty_like(rows)
     else:
         sups = None
@@ -912,8 +889,7 @@ def deviation_sweep(times, theta, omega, z, deviation, mu, row_residual, out=Non
 
     _integral_parts(times, omega, z, deviation, sup, sweep, tails=tails)
     np.max(rows, axis=0, out=row_residual)
-    if row_sups is not None:
-        np.max(rows if flat else sups, axis=0, out=row_sups)
+    np.max(rows if flat else sups, axis=0, out=row_sups)
     return out
 
 
@@ -1371,7 +1347,7 @@ def backward_ode_oracle(
     return CharacteristicField(grid, dev, mu)
 
 
-def gamma_field(field: CharacteristicField, z, on_tile) -> GammaField:
+def gamma_field(field: CharacteristicField, z, on_tile) -> float:
     """Coupling integrals of a (converged) field under its driving path.
 
     Recomputes the backward integral once, in the angle parts of
@@ -1397,10 +1373,15 @@ def gamma_field(field: CharacteristicField, z, on_tile) -> GammaField:
     four arrays are contiguous views into scratch that the part's next
     tile reuses, so a consumer may overwrite them and copies what it
     keeps; no field-sized array is allocated.
-    beta is the certified running bound Int_t^{t_max} R via the same cell
-    masses plus the weight-free tail (zero here; callers add their own
-    certified tail when they have a weight in hand); the margin is taken
-    from the max of the parts' row sups of |Gamma|.  A z not sampled on
+
+    Returns the margin max(|Gamma| / beta) over the rows with beta > 0 (0
+    when there are none), from the max of the parts' row sups of |Gamma|.
+    beta(t) = Int_t^{t_max} R bounds |Gamma(t)|, discretized with the same
+    cell weights (|alpha| + |beta| <= 1 per cell makes the bound provable
+    on the grid, not merely asymptotic), plus the weight-free tail (zero
+    here; callers add their own certified tail when they have a weight in
+    hand).  The bound holds when the margin is at most 1 + 1e-12, and its
+    distance below 1 is the headroom the bound had.  A z not sampled on
     the time grid raises ValueError.
     """
     g = field.grid
@@ -1432,8 +1413,7 @@ def gamma_field(field: CharacteristicField, z, on_tile) -> GammaField:
     beta = np.zeros(n_t)
     beta[:-1] = np.cumsum((0.5 * dt * (r[:-1] + r[1:]))[::-1])[::-1]
     held = beta > 0.0
-    margin = float(np.max(rows[held] / beta[held], initial=0.0))
-    return GammaField(beta, margin)
+    return float(np.max(rows[held] / beta[held], initial=0.0))
 
 
 def phase_quadrature(field: CharacteristicField, sups, weights, z):

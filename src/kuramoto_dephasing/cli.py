@@ -37,15 +37,9 @@ from pathlib import Path
 import numpy as np
 
 from .characteristics import MAX_SUBSTEPS
-from .decay import (
-    DecayModel,
-    InsufficientDataError,
-    NonPositiveValuesError,
-    certify_envelope,
-    fit_decay,
-)
+from .decay import InsufficientDataError, NonPositiveValuesError, certify_envelope, fit_decay
 from .norms_grids import Grid, WeightSpec, build_grid, refuse_oversized
-from .particles import init_from_solution, simulate
+from .particles import compare_to_kinetic, peak_bytes
 from .scheme import (
     NotConvergingError,
     SolveResult,
@@ -71,11 +65,6 @@ __all__ = [
 SCHEMA_VERSION = 1
 OUTPUT_DIR_ENV = "KURAMOTO_DEPHASING_OUTPUT"
 _CSV_FMT = "%.16e"
-# float64 arrays of length n a particle run holds at its peak, rounded up:
-# tracemalloc reads 9.1 x 8n in init_from_solution (the label sampling) and
-# 9.7 x 8n in simulate (the ensemble's phases and frequencies, the stepper's
-# four float64 and five float32 rows, and the final phases)
-_ENSEMBLE_ARRAYS = 10
 
 log = logging.getLogger("kuramoto_dephasing")
 
@@ -213,9 +202,8 @@ def load_config(path, output_dir_override=None) -> RunConfig:
                 "seed": integer("particles seed", _whole(particles.get("seed", 1)), lo=0),
             }
             # a run that cannot fit in memory is refused before the solve
-            refuse_oversized("particle ensemble", 8 * _ENSEMBLE_ARRAYS * particles["n"],
-                             ConfigError)
-            # at least one RK4 step within the horizon (run_simulate), and no
+            refuse_oversized("particle ensemble", peak_bytes(particles["n"]), ConfigError)
+            # at least one RK4 step within the horizon (compare_to_kinetic), and no
             # finer than the oracle's finest sub-step
             if particles["dt"] > grid.t_max:
                 raise ConfigError(
@@ -416,31 +404,20 @@ def run_simulate(cfg: RunConfig) -> int:
     if result is None:
         return code
     n, dt_p, seed = (cfg.particles[k] for k in ("n", "dt", "seed"))
-    ens, n_resampled = init_from_solution(result.field, cfg.state, n, seed=seed)
-    if n_resampled:
-        log.info("resampled %d labels outside the frequency rule", n_resampled)
-    # the whole steps that fit in the horizon, to rounding: a dt that does
-    # not divide t_max stops short of it rather than stepping past the
-    # kinetic grid, where r_kinetic would be np.interp's clamp
-    n_steps = int(cfg.grid.t_max / dt_p * (1.0 + 1e-9))
-    stride = max(1, int(round(cfg.grid.dt / dt_p)))
-    times_p, z_p, _ = simulate(ens, dt_p, n_steps, record_every=stride)
+    run = compare_to_kinetic(result, n, dt_p, seed)
+    if run.n_resampled:
+        log.info("resampled %d labels outside the frequency rule", run.n_resampled)
 
     outdir = cfg.output_dir
-    _write_csv(
-        outdir / "particles.csv",
-        "t,r_n,phi_n",
-        (times_p, np.abs(z_p), np.angle(z_p)),
-    )
-    r_kin = np.interp(times_p, cfg.grid.times(), result.path.r())
-    diff = np.abs(np.abs(z_p) - r_kin)
+    r_n = np.abs(run.z)
+    _write_csv(outdir / "particles.csv", "t,r_n,phi_n", (run.times, r_n, np.angle(run.z)))
     _write_csv(
         outdir / "comparison.csv",
         "t,r_kinetic,r_n,abs_diff",
-        (times_p, r_kin, np.abs(z_p), diff),
+        (run.times, run.r_kinetic, r_n, run.gap),
     )
     log.info(
-        "particle run: N=%d dt=%g sup|R_N - R|=%.4g", n, dt_p, float(diff.max())
+        "particle run: N=%d dt=%g sup|R_N - R|=%.4g", n, dt_p, float(run.gap.max())
     )
     return 0
 

@@ -309,11 +309,15 @@ def _laplace_order(n: int) -> int:
     return max(4, int(round(n / (2 * _LAPLACE_PANELS))))
 
 
-def rule_size(kind: str, n_omega: int) -> int:
-    """Node count of the frequency rule ``build_grid`` makes for a target."""
-    if kind == "laplace":
-        return 2 * _LAPLACE_PANELS * _laplace_order(n_omega)
-    return n_omega
+def _rule_bytes(kind: str, n_omega: int) -> int:
+    # the peak of building the frequency rule for a target: leggauss(q)
+    # builds a (q, q) float64 companion matrix, q the points per panel of
+    # the laplace rule and n_omega itself for the gaussian; the lorentzian
+    # rule holds three float64 rows of n_omega
+    if kind == "lorentzian":
+        return 24 * n_omega
+    q = _laplace_order(n_omega) if kind == "laplace" else n_omega
+    return 8 * q * q
 
 
 def _laplace_rule(scale: float, n: int):
@@ -352,7 +356,8 @@ class Grid:
     ``omega_weights`` are plain d-omega weights; ``prob_weights`` fold in
     the profile density, so sum(prob_weights * h(nodes)) approximates the
     g-average of h.  Construction applies the package's input rules to
-    t_max and dt (finite, > 0) and n_theta (an even integer >= 8), then
+    t_max and dt (finite, > 0) and n_theta (an even integer >= 8), refuses
+    a grid one float64 field of which exceeds physical memory, then
     validates step compatibility and the quadrature mass defect against
     ``_MASS_TOL``; a failure raises GridError.
     """
@@ -371,6 +376,15 @@ class Grid:
         n_theta = integer("grid n_theta", self.n_theta, lo=8, error=GridError)
         if n_theta % 2:
             raise GridError(f"grid n_theta must be even, got {n_theta}")
+        nodes = np.asarray(self.omega_nodes, dtype=float)
+        weights = np.asarray(self.omega_weights, dtype=float)
+        if nodes.shape != weights.shape or nodes.ndim != 1 or nodes.size < 2:
+            raise GridError("omega nodes/weights must be matching 1-d arrays")
+        # a field that cannot fit in memory cannot be solved: refuse it first.
+        # t_max / dt is rounded in integers, since the float quotient can overflow
+        (a, b), (c, d) = t_max.as_integer_ratio(), dt.as_integer_ratio()
+        n_times = (2 * a * d + b * c) // (2 * b * c) + 1
+        refuse_oversized("grid field", 8 * n_times * n_theta * nodes.size)
         steps = t_max / dt
         if not math.isfinite(steps):
             raise GridError(f"grid t_max / dt = {t_max:g} / {dt:g} is beyond the float range")
@@ -381,10 +395,6 @@ class Grid:
         object.__setattr__(self, "t_max", t_max)
         object.__setattr__(self, "dt", dt)
         object.__setattr__(self, "n_theta", n_theta)
-        nodes = np.asarray(self.omega_nodes, dtype=float)
-        weights = np.asarray(self.omega_weights, dtype=float)
-        if nodes.shape != weights.shape or nodes.ndim != 1 or nodes.size < 2:
-            raise GridError("omega nodes/weights must be matching 1-d arrays")
         if not (np.all(np.isfinite(nodes)) and np.all(np.isfinite(weights))):
             raise GridError("omega nodes and weights must be finite")
         object.__setattr__(self, "omega_nodes", nodes)
@@ -464,22 +474,16 @@ def build_grid(
     ``n_omega`` is a target: the laplace rule rounds it to a whole number
     of Gauss panels.  Omitting it picks a per-family default that resolves
     oscillations e^{i omega t} accurately through t ~ 40.  Raises
-    GridError before anything is allocated for a t_max or dt that is not
-    finite and > 0, an n_theta or n_omega that is not an integer >= 8 (a
-    fraction is refused, not truncated; n_theta must also be even), and
-    when one float64 field of the grid would exceed physical memory.
+    GridError for an n_omega that is not an integer >= 8 (a fraction is
+    refused, not truncated) and when building the frequency rule would
+    exceed physical memory, both before the rule is built; ``Grid`` then
+    applies its own rules to t_max, dt and n_theta and its memory guard to
+    the field.
     """
-    t_max = real("grid t_max", t_max, lo=0.0, above=True, error=GridError)
-    dt = real("grid dt", dt, lo=0.0, above=True, error=GridError)
-    n_theta = integer("grid n_theta", n_theta, lo=8, error=GridError)
     if n_omega is None:
         n_omega = DEFAULT_N_OMEGA[profile.kind]
     n_omega = integer("grid n_omega", n_omega, lo=8, error=GridError)
-    # a field that cannot fit in memory cannot be solved: refuse it first.
-    # t_max / dt is rounded in integers, since the float quotient can overflow
-    (a, b), (c, d) = t_max.as_integer_ratio(), dt.as_integer_ratio()
-    n_times = (2 * a * d + b * c) // (2 * b * c) + 1
-    refuse_oversized("grid field", 8 * n_times * n_theta * rule_size(profile.kind, n_omega))
+    refuse_oversized("frequency rule", _rule_bytes(profile.kind, n_omega))
     with np.errstate(over="ignore", invalid="ignore"):
         # a profile scale near the float64 range overflows the rule; Grid
         # refuses its non-finite nodes and weights in one line

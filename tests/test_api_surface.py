@@ -375,3 +375,22 @@ def test_each_input_rule_is_written_once():
             if (path.stem, owner) not in allowed:
                 stray.append(f"{path.stem}.{owner}: {check}")
     assert not stray, f"input rules written outside spectral_state.real/integer: {stray}"
+
+
+def _builtin_reductions(node):
+    # the lines of every call of the builtin max or min under ``node``
+    return [call.lineno for call in ast.walk(node)
+            if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+            and call.func.id in {"max", "min"}]
+
+
+def test_the_run_checks_reduce_with_numpy():
+    # Python's max and min skip a NaN unless it comes first, so a check
+    # that reduces with them passes a ratio that is NaN
+    acceptance = ast.parse((PACKAGE / "acceptance.py").read_text())
+    scheme = ast.parse((PACKAGE / "scheme.py").read_text())
+    (verify,) = [node for node in scheme.body
+                 if isinstance(node, ast.FunctionDef) and node.name == "verify_lemmas"]
+    found = {"acceptance": _builtin_reductions(acceptance),
+             "scheme.verify_lemmas": _builtin_reductions(verify)}
+    assert found == {"acceptance": [], "scheme.verify_lemmas": []}, found

@@ -74,9 +74,15 @@ def _abs_max(a):
     return float(np.abs(a).max())
 
 
-def _sweep(times, theta, omega, z, deviation, mu):
-    # one sweep whose row residual is not looked at
-    return deviation_sweep(times, theta, omega, z, deviation, mu, np.empty(len(times)))
+def _sweep(times, theta, omega, z, deviation, mu, rows=None, out=None):
+    # one sweep into ``out`` (a new field when None) from the row sups of
+    # ``deviation``, with the row residuals in ``rows`` (not looked at when
+    # None) and the new field's row sups in a row no test reads
+    n = len(times)
+    return deviation_sweep(times, theta, omega, z, deviation, mu,
+                           np.empty(n) if rows is None else rows,
+                           np.empty(deviation.shape) if out is None else out,
+                           characteristics.row_gaps(deviation), np.empty(n))
 
 
 def _gamma_parts(field, z):
@@ -108,8 +114,8 @@ _FILON_SWEEP = np.concatenate(
 @given(w=st.lists(_filon_w, min_size=1, max_size=64))
 def test_filon_weights_bounded_by_half(w):
     # each weight averages unit phases against a hat mass 1/2, and
-    # |alpha| + |beta| <= 1 is the per-cell bound GammaField.beta and the
-    # deviation bound rest on; no slack beyond rounding
+    # |alpha| + |beta| <= 1 is the per-cell bound gamma_field's running
+    # bound and the deviation bound rest on; no slack beyond rounding
     alpha, beta = filon_weights(np.array(w))
     assert np.all(np.abs(alpha) <= 0.5 + 1e-15)
     assert np.all(np.abs(beta) <= 0.5 + 1e-15)
@@ -291,10 +297,10 @@ def test_gamma_running_bound_and_fixed_point_identity(grid, zpath, solved):
         if angles.start == 0:
             covered.append(sl)
 
-    gam = gamma_field(field, zpath, identity_gap)
+    margin = gamma_field(field, zpath, identity_gap)
     # max |Gamma| / beta over the rows with beta > 0: at most 1 while the
     # bound holds, and far from 0, so its headroom shows
-    assert 0.5 < gam.margin <= 1.0 + 1e-12
+    assert 0.5 < margin <= 1.0 + 1e-12
     assert covered == list(characteristics.time_tiles(grid.shape()))
     assert max(gaps) < 1e-9
 
@@ -435,7 +441,7 @@ def test_fused_residual_equals_the_difference_norm(grid, zpath, solved, forced_t
     times, theta, omega = grid.times(), grid.theta(), grid.omega_nodes
     dev = solved[0].deviation * 3.0
     rows = np.empty(grid.n_times)
-    new = deviation_sweep(times, theta, omega, zpath, dev, MU, row_residual=rows)
+    new = _sweep(times, theta, omega, zpath, dev, MU, rows)
     assert np.array_equal(rows, np.abs(new - dev).reshape(grid.n_times, -1).max(axis=1))
     fused = weighted_norm(times, rows, WEIGHT, deviation=True)
     assert fused == weighted_norm(times, new - dev, WEIGHT, deviation=True)
@@ -448,10 +454,13 @@ def test_fused_residual_equals_the_difference_norm(grid, zpath, solved, forced_t
 
 
 def test_gamma_field_blocked_margin_is_exact(grid, zpath, solved, forced_tiles):
-    gam, sin_part, _ = _gamma_parts(solved[0], zpath)
+    margin, sin_part, _ = _gamma_parts(solved[0], zpath)
     rows = np.abs(sin_part).reshape(grid.n_times, -1).max(axis=1)
-    assert gam.beta[-1] == 0.0 and np.all(gam.beta[:-1] > 0.0)
-    assert gam.margin == float(np.max(rows[:-1] / gam.beta[:-1]))
+    # beta = Int_t^{t_max} |z| by the trapezoid rule: 0 only at t_max
+    r = np.abs(zpath)
+    beta = np.cumsum((0.5 * grid.dt * (r[:-1] + r[1:]))[::-1])[::-1]
+    assert np.all(beta > 0.0)
+    assert margin == float(np.max(rows[:-1] / beta))
 
 
 def test_kinetic_answer_matches_seed_kernel(grid, forced_tiles, monkeypatch):
@@ -527,9 +536,9 @@ def test_in_place_sweep_equals_the_out_of_place_sweep(grid, forced_tiles, amplit
     z = 0.3 * np.exp(-0.5 * times + 0.4j * times)
     dev = rng.uniform(-amplitude, amplitude, grid.shape())
     rows, in_place_rows = np.empty((2, grid.n_times))
-    new = deviation_sweep(times, theta, omega, z, dev, 0.5, row_residual=rows)
+    new = _sweep(times, theta, omega, z, dev, 0.5, rows)
     swept = dev.copy()
-    assert deviation_sweep(times, theta, omega, z, swept, 0.5, in_place_rows, out=swept) is swept
+    assert _sweep(times, theta, omega, z, swept, 0.5, in_place_rows, out=swept) is swept
     assert np.array_equal(swept, new)
     assert np.array_equal(in_place_rows, rows)
 
@@ -541,7 +550,7 @@ def test_in_place_solve_equals_an_out_of_place_loop(grid, zpath, forced_tiles):
     dev, rows = np.zeros(grid.shape()), np.empty(grid.n_times)
     residuals, ratios = [], []
     for _ in range(characteristics.MAX_SWEEPS):
-        dev = deviation_sweep(times, theta, omega, zpath, dev, MU, row_residual=rows)
+        dev = _sweep(times, theta, omega, zpath, dev, MU, rows)
         res = weighted_norm(times, rows, WEIGHT, deviation=True)
         if residuals and residuals[-1] > report.floor:
             ratios.append(res / residuals[-1])
@@ -566,10 +575,11 @@ def test_zero_start_sweep_is_the_full_sweep_of_a_zero_field(monkeypatch):
     zero = np.zeros(g.shape())
     ref = _omega_block_outputs(g, z, zero, mu, state, weight)
     rows, sups, in_place_rows = np.empty((3, g.n_times))
-    fresh = deviation_sweep(times, theta, omega, z, zero, mu, rows, row_sups=sups)
+    fresh = deviation_sweep(times, theta, omega, z, zero, mu, rows, np.empty(g.shape()),
+                            characteristics.row_gaps(zero), sups)
     in_place = np.zeros(g.shape())
-    assert deviation_sweep(times, theta, omega, z, in_place, mu, in_place_rows,
-                           out=in_place, sup=0.0) is in_place
+    assert deviation_sweep(times, theta, omega, z, in_place, mu, in_place_rows, in_place, 0.0,
+                           np.empty(g.n_times)) is in_place
     for got in (fresh, in_place):
         assert got.view(np.uint64).tobytes() == ref["sweep"].view(np.uint64).tobytes()
     assert np.array_equal(rows, ref["row_residual"]) and np.array_equal(in_place_rows, rows)
@@ -671,9 +681,9 @@ def _kernel_outputs(grid, z, dev):
     tiles = [np.concatenate([parts[p] for p in sorted(parts)], axis=1)
              for _, parts in sorted(blocks.items(), reverse=True)]
     rows = np.empty(grid.n_times)
-    new = deviation_sweep(times, theta, omega, z, dev, 0.5, row_residual=rows)
-    gam, sin_part, cos_part = _gamma_parts(CharacteristicField(grid, dev, 0.5), z)
-    return tiles, [new, rows, sin_part, cos_part, np.array(gam.margin)]
+    new = _sweep(times, theta, omega, z, dev, 0.5, rows)
+    margin, sin_part, cos_part = _gamma_parts(CharacteristicField(grid, dev, 0.5), z)
+    return tiles, [new, rows, sin_part, cos_part, np.array(margin)]
 
 
 @AMPLITUDES
@@ -1230,11 +1240,11 @@ class _PerTileTable:
 def _table_outputs(grid, z, dev, state):
     times, theta, omega = grid.times(), grid.theta(), grid.omega_nodes
     rows = np.empty(grid.n_times)
-    new = deviation_sweep(times, theta, omega, z, dev, 0.5, row_residual=rows)
+    new = _sweep(times, theta, omega, z, dev, 0.5, rows)
     field = CharacteristicField(grid, dev, 0.5)
-    gam, sin_part, cos_part = _gamma_parts(field, z)
+    margin, sin_part, cos_part = _gamma_parts(field, z)
     quad = scheme._order_parameter_values(field, state)
-    return [new, rows, sin_part, cos_part, np.array(gam.margin), quad]
+    return [new, rows, sin_part, cos_part, np.array(margin), quad]
 
 
 def _per_tile_outputs(grid, z, dev, state, monkeypatch):
@@ -1535,9 +1545,9 @@ def _omega_block_outputs(g, z, dev, mu, state, weight):
 def _tiled_outputs(g, z, dev, mu, state, weight):
     times, theta, omega = g.times(), g.theta(), g.omega_nodes
     rows = np.empty(g.n_times)
-    new = deviation_sweep(times, theta, omega, z, dev, mu, row_residual=rows)
+    new = _sweep(times, theta, omega, z, dev, mu, rows)
     field = CharacteristicField(g, dev, mu)
-    gam, sin_part, cos_part = _gamma_parts(field, z)
+    margin, sin_part, cos_part = _gamma_parts(field, z)
     swept = CharacteristicField(g, new, mu)
     path = OrderParameterPath(g, z, weight)
     result = SolveResult(state, g, mu, weight, path, field, None, 0, True)
@@ -1545,7 +1555,7 @@ def _tiled_outputs(g, z, dev, mu, state, weight):
     return {
         "sweep": new, "row_residual": rows,
         "sin_part": sin_part, "cos_part": cos_part,
-        "margin": np.array(gam.margin),
+        "margin": np.array(margin),
         "distance": np.array(weighted_norm(times, characteristics.row_gaps(new, dev), weight,
                                            deviation=True)),
         "sup_distance": np.array(swept.sup_distance(field)),
@@ -1635,17 +1645,16 @@ def _split_outputs(g, amplitude):
     z = 0.3 * np.exp(-0.5 * times + 0.4j * times)
     dev = np.random.default_rng(17).uniform(-amplitude, amplitude, g.shape())
     rows, in_place_rows = np.empty((2, g.n_times))
-    swept = deviation_sweep(times, theta, omega, z, dev, 0.5, row_residual=rows)
+    swept = _sweep(times, theta, omega, z, dev, 0.5, rows)
     in_place = dev.copy()
-    deviation_sweep(times, theta, omega, z, in_place, 0.5, in_place_rows, out=in_place)
+    _sweep(times, theta, omega, z, in_place, 0.5, in_place_rows, out=in_place)
     # the sweep from D = 0, into a new array and in place, as raw bits
     zero_rows = np.empty(g.n_times)
-    from_zero = deviation_sweep(times, theta, omega, z, np.zeros(g.shape()), 0.5, zero_rows)
+    from_zero = _sweep(times, theta, omega, z, np.zeros(g.shape()), 0.5, zero_rows)
     zero_in_place = np.zeros(g.shape())
-    deviation_sweep(times, theta, omega, z, zero_in_place, 0.5, np.empty(g.n_times),
-                    out=zero_in_place)
+    _sweep(times, theta, omega, z, zero_in_place, 0.5, out=zero_in_place)
     field = CharacteristicField(g, dev, 0.5)
-    gam, sin_part, cos_part = _gamma_parts(field, z)
+    margin, sin_part, cos_part = _gamma_parts(field, z)
     state = AsymptoticState(PROFILE, {1: 0.05}, "exponential", 0.9)
     decaying = 0.05 * np.exp(-times) + 0.0j
     solved, report = solve_fixed_point(g, decaying, MU, WEIGHT)
@@ -1660,8 +1669,8 @@ def _split_outputs(g, amplitude):
         "swept": swept, "rows": rows, "in_place": in_place, "in_place_rows": in_place_rows,
         "from_zero": from_zero.view(np.uint64), "zero_rows": zero_rows,
         "zero_in_place": zero_in_place.view(np.uint64),
-        "sin_part": sin_part, "cos_part": cos_part, "margin": np.array(gam.margin),
-        "beta": gam.beta, "quadrature": scheme._order_parameter_values(field, state),
+        "sin_part": sin_part, "cos_part": cos_part, "margin": np.array(margin),
+        "quadrature": scheme._order_parameter_values(field, state),
         "solved": solved.deviation, "report": report,
         "deviation_norm": np.array(field.deviation_norm(WEIGHT)),
         "values": recon.values, "mass": recon.mass, "dephasing": recon.dephasing,

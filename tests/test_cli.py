@@ -17,7 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from kuramoto_dephasing import WeightSpec, cli, norms_grids, outer_solve, reconstruct
+from kuramoto_dephasing import WeightSpec, cli, norms_grids, outer_solve, particles, reconstruct
 from kuramoto_dephasing.cli import ConfigError, load_config, main
 
 SUMMARY_KEYS = {
@@ -723,7 +723,7 @@ TINY_CONFIG = {
 # the field-size refusal reads physical memory; a 16 MB machine keeps every
 # grid a mutation can produce small enough to solve here in moments
 FUZZ_MEMORY = 16 << 20
-ENSEMBLE_BYTES = 8 * cli._ENSEMBLE_ARRAYS
+ENSEMBLE_BYTES = particles.peak_bytes(1)
 
 
 def _leaf_paths(node, prefix=()):

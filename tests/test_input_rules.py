@@ -100,6 +100,7 @@ CASES = [
     ("Grid", lambda c, v: dataclasses.replace(c.grid, n_theta=v), "n_theta", COUNT + [8.0, 9]),
     ("deviation_sweep", lambda c, v: deviation_sweep(
         c.times, c.grid.theta(), c.grid.omega_nodes, v, c.result.field.deviation, MU,
+        np.empty(c.times.size), np.empty(c.grid.shape()), c.result.field.row_sups(),
         np.empty(c.times.size)), "z", [WRONG_LENGTH]),
     ("picard_sweep", lambda c, v: picard_sweep(c.grid, c.z, v, WEIGHT), "mu", AT_LEAST_0),
     ("picard_sweep", lambda c, v: picard_sweep(c.grid, v, MU, WEIGHT), "z", [WRONG_LENGTH]),

@@ -246,19 +246,68 @@ def test_build_grid_refuses_a_field_larger_than_memory(kind, t_max, dt, n_omega)
 @pytest.mark.parametrize("n_theta, n_omega", [(10**400, 17), (8, 10**400)])
 def test_a_count_past_the_float_range_is_refused_by_the_memory_guard(n_theta, n_omega):
     # the byte count is an exact int, compared and printed without a float
-    # (both once ended in "int too large to convert to float")
-    with pytest.raises(GridError, match=r"grid field of .*e\+39\d GB exceeds physical memory"):
+    # (both once ended in "int too large to convert to float"); build_grid
+    # refuses the frequency rule, and Grid the field
+    what = "grid field" if n_omega == 17 else "frequency rule"
+    with pytest.raises(GridError, match=rf"{what} of .*e\+39\d GB exceeds physical memory"):
         build_grid(FrequencyProfile("lorentzian", 1.0), 4.0, 0.25, n_theta, n_omega)
 
 
-def test_a_grid_built_directly_takes_its_numbers_by_the_input_rules():
+def test_a_grid_built_directly_takes_its_numbers_by_the_input_rules(monkeypatch):
     # the refusals are rows of tests/test_input_rules.py; here, a step count
-    # past the float range (once an OverflowError) and numpy scalars
+    # past the float range (once an OverflowError), which the memory guard
+    # refuses first where physical memory is known, and numpy scalars
     g = build_grid(FrequencyProfile("lorentzian", 1.0), 4.0, 0.25, 8, 17)
-    with pytest.raises(GridError, match="beyond the float range"):
+    with pytest.raises(GridError, match="exceeds physical memory"):
         dataclasses.replace(g, t_max=1e300, dt=1e-10)
+    with monkeypatch.context() as mp:
+        mp.setattr(norms_grids, "physical_memory", lambda: None)
+        with pytest.raises(GridError, match="beyond the float range"):
+            dataclasses.replace(g, t_max=1e300, dt=1e-10)
     h = dataclasses.replace(g, t_max=np.float64(4.0), n_theta=np.int64(16))
     assert type(h.t_max) is float and type(h.n_theta) is int and h.shape() == (17, 16, 17)
+
+
+# physical memory of an 8.4 GB machine, patched in so the guards do not
+# depend on the host
+PATCHED_MEMORY = 8_400_000_000
+
+
+def test_a_grid_built_directly_is_refused_when_its_field_exceeds_memory(monkeypatch):
+    # 17 times, 2e7 angles and 17 nodes make a 46 GB field: refused by Grid
+    # itself, so dataclasses.replace cannot go around build_grid's guard
+    g = build_grid(FrequencyProfile("lorentzian", 1.0), 4.0, 0.25, 8, 17)
+    monkeypatch.setattr(norms_grids, "physical_memory", lambda: PATCHED_MEMORY)
+    with pytest.raises(GridError, match="grid field of 46.2 GB exceeds physical memory"):
+        dataclasses.replace(g, n_theta=2 * 10**7)
+    assert dataclasses.replace(g, n_theta=2 * 10**6).n_theta == 2 * 10**6
+
+
+@pytest.mark.parametrize("kind, n_omega, q", [("gaussian", 33_000, 33_000),
+                                              ("laplace", 1_320_000, 33_000)])
+def test_build_grid_refuses_a_frequency_rule_larger_than_memory(monkeypatch, kind, n_omega, q):
+    # leggauss(q) builds a (q, q) float64 companion matrix: 8.7 GB at
+    # q = 33 000, for a field of 10.6 MB on the gaussian grid; refused
+    # before the rule is built
+    def no_rule(*args):
+        raise AssertionError("the rule was built")
+
+    monkeypatch.setattr(norms_grids, "physical_memory", lambda: PATCHED_MEMORY)
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", no_rule)
+    assert 8 * q * q > PATCHED_MEMORY
+    with pytest.raises(GridError, match="frequency rule of 8.71 GB exceeds physical memory"):
+        build_grid(FrequencyProfile(kind, 1.0), 0.4, 0.1, 8, n_omega)
+
+
+@pytest.mark.parametrize("spare, refused", [(0, False), (-1, True)])
+def test_the_frequency_rule_guard_counts_8_q_squared_bytes(monkeypatch, spare, refused):
+    monkeypatch.setattr(norms_grids, "physical_memory", lambda: 8 * 193**2 + spare)
+    profile = FrequencyProfile("gaussian", 1.0)
+    if refused:
+        with pytest.raises(GridError, match="frequency rule"):
+            build_grid(profile, 0.4, 0.1, 8, 193)
+    else:
+        assert build_grid(profile, 0.4, 0.1, 8, 193).n_omega == 193
 
 
 def test_corrupted_weights_fail_mass_check():

@@ -23,7 +23,7 @@ from kuramoto_dephasing import (
     outer_solve,
     simulate,
 )
-from kuramoto_dephasing import characteristics, cli, particles
+from kuramoto_dephasing import characteristics, particles
 
 TWO_PI = 2.0 * np.pi
 PROFILE = FrequencyProfile("lorentzian", 1.0)
@@ -112,6 +112,22 @@ def test_sampling_matches_coupled_solution_at_t0(state, coupled_result):
     ens, _ = init_from_solution(coupled_result.field, state, 10_000, seed=1)
     gap = abs(particles._mean_field(ens.phases) - coupled_result.path.values[0])
     assert gap < 3.0 / np.sqrt(10_000)
+
+
+@pytest.mark.parametrize("dt, n_steps, stride", [(0.01, 1600, 5), (0.03, 533, 2), (12.0, 1, 1)],
+                         ids=["divides", "stops-short", "one-step"])
+def test_kinetic_comparison_runs_the_whole_steps_of_the_horizon(state, coupled_result, dt,
+                                                                 n_steps, stride):
+    # the steps of dt that fit in t_max = 16, recorded every round(0.05 /
+    # dt) of them, and the gap to the interpolated kinetic r, bit for bit
+    run = particles.compare_to_kinetic(coupled_result, 400, dt, 3)
+    ens, n_resampled = init_from_solution(coupled_result.field, state, 400, seed=3)
+    times, z, _ = simulate(ens, dt, n_steps, record_every=stride)
+    r_kin = np.interp(times, coupled_result.grid.times(), coupled_result.path.r())
+    assert run.n_resampled == n_resampled and times[-1] <= 16.0
+    assert np.array_equal(run.times, times) and np.array_equal(run.z, z)
+    assert np.array_equal(run.r_kinetic, r_kin)
+    assert np.array_equal(run.gap, np.abs(np.abs(z) - r_kin))
 
 
 def test_heavy_tail_resampling_is_reported(state, coupled_result):
@@ -215,12 +231,12 @@ def test_float32_torque_stays_within_the_stated_tolerance_of_float64_rk4(mu):
 
 
 def test_a_particle_run_peaks_within_the_cli_memory_estimate(state, coupled_result):
-    # load_config refuses an n whose 8 * _ENSEMBLE_ARRAYS * n bytes exceed
-    # physical memory; the sampling and the steps, with the ensemble held,
-    # must both peak below that
+    # load_config refuses an n whose peak_bytes(n) exceed physical memory;
+    # the sampling and the steps, with the ensemble held, must both peak
+    # below that
     n = 200_000
     init_from_solution(coupled_result.field, state, 16, seed=1)
-    bound = 8 * cli._ENSEMBLE_ARRAYS * n + (1 << 20)
+    bound = particles.peak_bytes(n) + (1 << 20)
     tracemalloc.start()
     try:
         ens, _ = init_from_solution(coupled_result.field, state, n, seed=1)

@@ -492,10 +492,11 @@ def _criterion(check, result=None, recon=None):
     return check(ctx).passed
 
 
-def _doctored(result, edit):
+def _doctored(result, edit, index=-1):
     ledger = copy.deepcopy(result.ledger)
-    edit(ledger.records[-1])
-    return SimpleNamespace(ledger=ledger, weight=result.weight, mu=result.mu)
+    edit(ledger.records[index])
+    return SimpleNamespace(ledger=ledger, weight=result.weight, mu=result.mu,
+                           converged=result.converged, n_outer=result.n_outer)
 
 
 def _set_contraction_ratio(quotient):
@@ -553,6 +554,97 @@ def test_a_mass_off_by_2e_6_fails(recon):
     assert dataclasses.replace(recon, mass=mass).mass_ok()
 
 
+def test_a_nan_deviation_bound_ratio_before_the_last_record_fails_c03(result):
+    # in record 2, where Python's max, which skips a NaN unless it comes
+    # first, would pass it
+    bad = _doctored(result, _set_estimrn_ratio(math.nan), index=1)
+    out = verify_lemmas(bad.ledger, bad.weight, bad.mu)
+    assert not out["explicit"]["deviation_bound"]["pass"]
+    assert not _criterion(acceptance.c03_deviation_bound, bad)
+
+
+def test_a_nan_contraction_ratio_makes_the_worst_quotient_nan(result):
+    good = verify_lemmas(result.ledger, result.weight, result.mu)["explicit"]["contraction"]
+    # for finite ratios the quotient is the one Python's max gave
+    quotients = [q / r["contraction"]["bound"] for r in result.ledger.records
+                 for q in r["contraction"]["ratios"]]
+    assert len(quotients) >= 3 and good["worst_quotient"] == max([0.0] + quotients)
+
+    def edit(record):
+        record["contraction"]["ratios"][1] = math.nan
+
+    bad = _doctored(result, edit)
+    out = verify_lemmas(bad.ledger, bad.weight, bad.mu)["explicit"]["contraction"]
+    assert math.isnan(out["worst_quotient"]) and not out["pass"]
+    assert not _criterion(acceptance.c02_contraction, bad)
+
+
+@pytest.mark.parametrize("ratio", [0.6, math.nan], ids=["0.6", "nan"])
+def test_an_outer_cauchy_ratio_above_its_bound_or_nan_fails_c04(result, ratio):
+    # in the last record, after the first ratio at n >= 3, where Python's
+    # max would skip a NaN
+    late = [r["cauchy_ratio"] for r in result.ledger.records if r["n"] >= 3]
+    assert len(late) >= 2 and result.ledger.records[-1]["n"] >= 3
+    assert _criterion(acceptance.c04_outer_cauchy, result)
+    bad = _doctored(result, lambda record: record.update(cauchy_ratio=ratio))
+    assert not _criterion(acceptance.c04_outer_cauchy, bad)
+
+
+def _decay_context(kind, t_max, bump_after=None):
+    # an exact decay path, 0.05 e^{-t} or 0.05 <t>^-2 on a dt = 0.05 grid,
+    # as both reference solves' r(t) and the exponential dephasing, with a
+    # 1.2x bump after ``bump_after``
+    t = 0.05 * np.arange(round(t_max / 0.05) + 1)
+    r = 0.05 * (np.exp(-t) if kind == "exponential" else 1.0 / (1.0 + t * t))
+    if bump_after is not None:
+        r = np.where(t > bump_after, 1.2 * r, r)
+    res = SimpleNamespace(grid=SimpleNamespace(times=lambda: t), path=SimpleNamespace(r=lambda: r))
+    return SimpleNamespace(exp_result=lambda: res, poly_result=lambda: res,
+                           exp_recon=lambda: SimpleNamespace(dephasing=r),
+                           seconds=lambda key: 0.0)
+
+
+@pytest.mark.parametrize("check, kind, t_max, window_end", [
+    (acceptance.c05_exponential_decay, "exponential", 20.0, 15.0),
+    (acceptance.c06_polynomial_decay, "polynomial", 50.0, 40.0),
+], ids=["c05", "c06"])
+def test_a_bump_after_the_fit_window_fails_the_decay_criteria(check, kind, t_max, window_end):
+    assert check(_decay_context(kind, t_max)).passed
+    assert not check(_decay_context(kind, t_max, bump_after=window_end)).passed
+
+
+def test_a_field_row_moved_by_1e_5_against_the_oracle_fails_c07(result):
+    oracle = characteristics.backward_ode_oracle(result.grid, result.path.values, result.mu)
+    moved = result.field.deviation.copy()
+    moved[result.grid.n_times // 2] += 1e-5
+    good = oracle.sup_distance(result.field)
+    bad = oracle.sup_distance(CharacteristicField(result.grid, moved, result.mu))
+    assert bad >= 9e-6
+
+    def c07(gaps):
+        ctx = SimpleNamespace(oracle_gaps=lambda: gaps, exp_result=lambda: result,
+                              poly_result=lambda: result, seconds=lambda key: 0.0)
+        return acceptance.c07_dual_method(ctx).passed
+
+    assert c07([good, good])
+    assert not c07([good, bad]) and not c07([bad, good])
+
+
+def _particle_sups(canonical, shrink):
+    # sup gaps of eight seeds at N = 1e4 and 4e4, medians 0.015 and
+    # 0.015 / shrink, with the canonical seed's replaced
+    sups = {10_000: [0.015] * 8, 40_000: [0.015 / shrink] * 8}
+    sups[10_000][acceptance.CANONICAL_PARTICLE_SEED] = canonical
+    return SimpleNamespace(particle_runs=lambda: sups, seconds=lambda key: 0.0)
+
+
+@pytest.mark.parametrize("canonical, shrink, passed", [
+    (0.015, 1.875, True), (0.03, 1.875, False), (0.015, 1.35, False),
+], ids=["good", "canonical-0.03", "shrink-1.35"])
+def test_c09_fails_a_canonical_path_0_03_off_or_a_small_shrink(canonical, shrink, passed):
+    assert acceptance.c09_particles(_particle_sups(canonical, shrink)).passed is passed
+
+
 @pytest.mark.parametrize("edit", [
     lambda ledger: setattr(ledger, "free_norm", math.nan),
     lambda ledger: ledger.records[-1].update(kappa=math.nan),
@@ -577,9 +669,9 @@ def test_reconstruct_reports_the_gamma_margin(result, recon):
     # built from, as gamma_field computes it: max |Gamma| / beta over the
     # rows with beta > 0, at most 1 to rounding and above 0 on a real path
     assert 0.0 < recon.gamma_margin <= 1.0 + 1e-12
-    gam = gamma_field(result.field, result.path.values,
-                      lambda sl, angles, *blocks: None)
-    assert recon.gamma_margin == gam.margin
+    margin = gamma_field(result.field, result.path.values,
+                         lambda sl, angles, *blocks: None)
+    assert recon.gamma_margin == margin
 
 
 def test_dephasing_decays_by_fitted_factor(result, recon, grid):
