@@ -43,6 +43,7 @@ from .decay import (
     EnvelopeCertificate,
     InsufficientDataError,
     NonPositiveValuesError,
+    SeriesError,
     certify_envelope,
     fit_decay,
 )

@@ -189,7 +189,7 @@ class ContractionReport:
     s-integral beyond t_max.
 
     ``tile_terms`` counts the tiles the sweeps swept with a kernel, by its
-    Taylor terms (``tile_terms``; a sweep from D = 0 takes none), and
+    Taylor terms (the kernel's ``terms``; a sweep from D = 0 takes none), and
     ``tiles_skipped`` the tiles, of one angle part each, that a solve's
     sweeps left out (``deviation_sweep``'s tails).  Both are for the log:
     they depend on the part count and stay out of the ledger entry.
@@ -499,8 +499,9 @@ def phase_kernel(sup):
     square, one scaling and one copy, bit for bit what Horner's rule gives
     there.  Above the cap it is (-2 sin^2(D/2), sin D).  Both forms keep
     full relative precision as D -> 0 and map 0 to 0.  One kernel is kept
-    per term count, so the same count returns the same object.  The RK4
-    oracle does not use it.
+    per term count, so the same count returns the same object, and the
+    kernel carries that count as ``terms`` (None for the trig form).  The
+    RK4 oracle does not use it.
     """
     k = _taylor_terms(sup)
     return _trig_phase if k is None else _taylor_kernel(k)
@@ -510,21 +511,21 @@ def phase_kernel(sup):
 def _taylor_kernel(k):
     # phase_kernel's Taylor form with k terms
     if k == 1:
-        def first_terms(dev, cos_m1, sin_d, d2):
+        def taylor_phase(dev, cos_m1, sin_d, d2):
             np.multiply(dev, dev, out=cos_m1)
             cos_m1 *= _COS_M1_OVER_D2[0]
             np.copyto(sin_d, dev)
+    else:
+        cos_coeffs, sin_coeffs = _COS_M1_OVER_D2[:k], _SIN_OVER_D[:k]
 
-        return first_terms
-    cos_coeffs, sin_coeffs = _COS_M1_OVER_D2[:k], _SIN_OVER_D[:k]
+        def taylor_phase(dev, cos_m1, sin_d, d2):
+            np.multiply(dev, dev, out=d2)
+            _horner(d2, cos_coeffs, cos_m1)
+            cos_m1 *= d2
+            _horner(d2, sin_coeffs, sin_d)
+            sin_d *= dev
 
-    def taylor_phase(dev, cos_m1, sin_d, d2):
-        np.multiply(dev, dev, out=d2)
-        _horner(d2, cos_coeffs, cos_m1)
-        cos_m1 *= d2
-        _horner(d2, sin_coeffs, sin_d)
-        sin_d *= dev
-
+    taylor_phase.terms = k
     return taylor_phase
 
 
@@ -543,17 +544,11 @@ def tile_kernels(shape, rows):
     ``phase_kernel`` of its largest row sup: the trig form where that is
     NaN, inf or above _POLY_CAP, else the fewest Taylor terms the tile's
     own rows need.  The choice reads only the tile's rows, so it does not
-    depend on how a loop splits the field into parts.
+    depend on how a loop splits the field into parts.  Each kernel's
+    ``terms`` counts its Taylor terms: 0 for the unit phase, None for the
+    trig form.
     """
     return [_unit_phase if sup == 0.0 else phase_kernel(sup) for sup in _tile_sups(shape, rows)]
-
-
-def tile_terms(shape, rows):
-    """Taylor terms of each tile's kernel of ``tile_kernels``.
-
-    0 for the unit phase of a tile of zero rows, None for the trig form.
-    """
-    return [0 if sup == 0.0 else _taylor_terms(sup) for sup in _tile_sups(shape, rows)]
 
 
 def _trig_phase(dev, cos_m1, sin_d, d2):
@@ -562,6 +557,9 @@ def _trig_phase(dev, cos_m1, sin_d, d2):
     np.multiply(cos_m1, cos_m1, out=cos_m1)
     cos_m1 *= -2.0
     np.sin(dev, out=sin_d)
+
+
+_trig_phase.terms = None
 
 
 def oscillation_table(times, omega):
@@ -613,6 +611,9 @@ def _unit_phase(dev, cos_m1, sin_d, d2):
     # the pair (cos D - 1, sin D) of a zero field, where e^{iD} = 1
     cos_m1.fill(0.0)
     sin_d.fill(0.0)
+
+
+_unit_phase.terms = 0
 
 
 def _angle_parts(shape):
@@ -977,7 +978,7 @@ def _sweep(report, grid: Grid, z, mu: float, weight: WeightSpec, start, sup, out
     # and raised exp_ref's peak RSS from 154 to 163 MB
     times = grid.times()
     if float(np.max(sup)) != 0.0:
-        report.tile_terms.update(tile_terms(grid.shape(), sup))
+        report.tile_terms.update(kernel.terms for kernel in tile_kernels(grid.shape(), sup))
     residuals, sups = rows
     held = [(tail.tiles, tail.kernels[:]) for tail in tails or ()]
     deviation_sweep(times, grid.theta(), grid.omega_nodes, z, start, mu, row_residual=residuals,

@@ -36,10 +36,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .characteristics import MAX_SUBSTEPS
-from .decay import InsufficientDataError, NonPositiveValuesError, certify_envelope, fit_decay
-from .norms_grids import Grid, WeightSpec, build_grid, refuse_oversized
-from .particles import compare_to_kinetic, peak_bytes
+from .decay import SeriesError, certify_envelope, fit_decay
+from .norms_grids import Grid, WeightSpec, build_grid
+from .particles import compare_to_kinetic, comparison_inputs
 from .scheme import (
     NotConvergingError,
     SolveResult,
@@ -49,7 +48,7 @@ from .scheme import (
     solve_inputs,
     verify_lemmas,
 )
-from .spectral_state import AsymptoticState, FrequencyProfile, integer, real
+from .spectral_state import AsymptoticState, FrequencyProfile, real
 
 __all__ = [
     "ConfigError",
@@ -147,15 +146,16 @@ def load_config(path, output_dir_override=None) -> RunConfig:
     """Parse a JSON run config into the arguments of a run.
 
     Each value goes to the library call that takes it, and a refusal there
-    is re-raised as the ConfigError "invalid config: <reason>".  The JSON
-    adds its own ConfigErrors: a file that cannot be read, is not UTF-8 or
-    not JSON, a key given twice in one object, a missing key or section, a
-    section that is not an object, a mode key that is not a canonical
-    decimal, an output_dir that is not a string, a particle ensemble
-    larger than physical memory, and a particle step above grid t_max or
-    below grid dt / MAX_SUBSTEPS.  An amplitude may be [re, im] and a count
-    an integral float (16.0).  A weight class other than the state's decay
-    class is legal but logged as a warning.
+    is re-raised as the ConfigError "invalid config: <reason>": the solve's
+    arguments are checked by ``scheme.solve_inputs`` and the particle
+    section by ``particles.comparison_inputs``, both before the solve.
+    The JSON adds its own ConfigErrors: a file that cannot be read, is not
+    UTF-8 or not JSON, a key given twice in one object, a missing key or
+    section, a section that is not an object, a mode key that is not a
+    canonical decimal and an output_dir that is not a string.  An
+    amplitude may be [re, im], a count an integral float (16.0), and the
+    particle seed defaults to 1.  A weight class other than the state's
+    decay class is legal but logged as a warning.
     """
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=_unique_keys)
@@ -195,25 +195,11 @@ def load_config(path, output_dir_override=None) -> RunConfig:
 
         particles = _section(raw, "particles", required=False)
         if particles is not None:
-            particles = {
-                "n": integer("particles n", _whole(_require(particles, "n"))),
-                "dt": real("particles dt", _require(particles, "dt"), lo=0.0, above=True),
-                # default matches the pinned acceptance realization
-                "seed": integer("particles seed", _whole(particles.get("seed", 1)), lo=0),
-            }
-            # a run that cannot fit in memory is refused before the solve
-            refuse_oversized("particle ensemble", peak_bytes(particles["n"]), ConfigError)
-            # at least one RK4 step within the horizon (compare_to_kinetic), and no
-            # finer than the oracle's finest sub-step
-            if particles["dt"] > grid.t_max:
-                raise ConfigError(
-                    f"particles dt {particles['dt']:.3g} is above grid t_max {grid.t_max:.3g}"
-                )
-            if particles["dt"] < grid.dt / MAX_SUBSTEPS:
-                raise ConfigError(
-                    f"particles dt {particles['dt']:.3g} is below grid dt / {MAX_SUBSTEPS} "
-                    f"= {grid.dt / MAX_SUBSTEPS:.3g}"
-                )
+            # the default seed is the pinned acceptance realization
+            n, dt, seed = comparison_inputs(grid, _whole(_require(particles, "n")),
+                                            _require(particles, "dt"),
+                                            _whole(particles.get("seed", 1)))
+            particles = {"n": n, "dt": dt, "seed": seed}
 
         out = output_dir_override or os.environ.get(OUTPUT_DIR_ENV) or raw.get(
             "output_dir", "."
@@ -263,31 +249,24 @@ def _write_csv(path: Path, header: str, columns):
     np.savetxt(path, data, fmt=_CSV_FMT, delimiter=",", header=header, comments="")
 
 
-def _try_fit(times, values, kind, window):
+def _try_fit(times, values, kind):
     """Fit + certify, degrading to None when the path carries no signal
     (all below floor, too short a window) instead of failing the run."""
     try:
-        model = fit_decay(times, values, kind, window=window)
-    except (InsufficientDataError, NonPositiveValuesError, ValueError) as e:
+        model = fit_decay(times, values, kind)
+    except ValueError as e:
         log.info("decay fit (%s) skipped: %s", kind, e)
         return None, None
     cert = certify_envelope(times, values, model)
     return model, cert
 
 
-def _fit_window(kind: str, t_max: float):
-    if kind == "exponential":
-        return (min(2.0, 0.25 * t_max), min(15.0, t_max))
-    return (min(5.0, 0.25 * t_max), t_max)
-
-
 def _summarize(cfg: RunConfig, result: SolveResult, recon, checks) -> dict:
     times = result.grid.times()
     recs = result.ledger.records
     r_path = result.path.r()
-    window = _fit_window(cfg.weight.kind, result.grid.t_max)
-    fit_r, cert_r = _try_fit(times, r_path, cfg.weight.kind, window)
-    fit_d, cert_d = _try_fit(times, recon.dephasing, cfg.weight.kind, window)
+    fit_r, cert_r = _try_fit(times, r_path, cfg.weight.kind)
+    fit_d, cert_d = _try_fit(times, recon.dephasing, cfg.weight.kind)
 
     def model_dict(m):
         return None if m is None else dataclasses.asdict(m)
@@ -336,13 +315,6 @@ def _summarize(cfg: RunConfig, result: SolveResult, recon, checks) -> dict:
     }
 
 
-def _mass_times(grid: Grid):
-    wanted = [t for t in (0.0, 5.0, 10.0) if t <= grid.t_max + 1e-12]
-    if len(wanted) < 3:
-        wanted = [0.0, round(0.5 * grid.t_max / grid.dt) * grid.dt, grid.t_max]
-    return tuple(dict.fromkeys(wanted))
-
-
 def _solve_and_write(cfg: RunConfig):
     """Shared solve-certify-write path; returns (exit_code, result|None).
 
@@ -366,7 +338,7 @@ def _solve_and_write(cfg: RunConfig):
         return 1, None
 
     times = cfg.grid.times()
-    recon = reconstruct(result, times=_mass_times(cfg.grid))
+    recon = reconstruct(result)
     checks = verify_lemmas(result.ledger, cfg.weight, cfg.mu)
     summary = _summarize(cfg, result, recon, checks)
 
@@ -423,7 +395,12 @@ def run_simulate(cfg: RunConfig) -> int:
 
 
 def run_fit(csv_path, column: str, kind: str, window=None) -> int:
-    """Standalone decay fit of one CSV column; prints JSON to stdout."""
+    """Standalone decay fit of one CSV column; prints JSON to stdout.
+
+    Returns 2 for a CSV that cannot be read as a header and full rows, or
+    a series or window ``fit_decay`` refuses (SeriesError), 1 when the fit
+    fails on its data, else 0.
+    """
     try:
         with open(csv_path) as fh:
             names = [c.strip() for c in fh.readline().split(",")]
@@ -445,26 +422,13 @@ def run_fit(csv_path, column: str, kind: str, window=None) -> int:
         return 2
     times = data[:, 0]
     values = data[:, names.index(column)]
-    bad = np.flatnonzero(~(np.isfinite(times) & np.isfinite(values)))
-    if bad.size:
-        log.error("CSV %s: data row %d has a t or %s that is not finite",
-                  csv_path, bad[0] + 1, column)
-        return 2
-    bad = np.flatnonzero(np.diff(times) <= 0.0)
-    if bad.size:
-        log.error("CSV %s: t must increase from row to row; data row %d has t = %g after %g",
-                  csv_path, bad[0] + 2, times[bad[0] + 1], times[bad[0]])
-        return 2
-    if window is not None and not (times[0] <= window[0] < window[1] <= times[-1] + 1e-12):
-        # nan and inf fail the comparison too
-        log.error(
-            "window %g %g is not an increasing pair inside the CSV's times [%g, %g]",
-            *window, times[0], times[-1],
-        )
-        return 2
     try:
         model = fit_decay(times, values, kind, window=window)
-    except (InsufficientDataError, NonPositiveValuesError, ValueError) as e:
+    except SeriesError as e:
+        log.error("CSV %s, columns t and %s: %s", csv_path, column, e)
+        return 2
+    except ValueError as e:
+        # too few usable points, negative values or a path that does not decay
         log.error("fit failed: %s", e)
         return 1
     cert = certify_envelope(times, values, model)

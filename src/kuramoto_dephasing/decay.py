@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
+    "SeriesError",
     "InsufficientDataError",
     "NonPositiveValuesError",
     "DecayModel",
@@ -32,10 +33,14 @@ __all__ = [
 
 _KINDS = ("exponential", "polynomial")
 DEFAULT_FLOOR = 1e-12
-DEFAULT_BURN_IN = 2.0
 MIN_POINTS = 10
 EARLY_FRACTION = 0.75
 ENVELOPE_SLACK = 1.05
+
+
+class SeriesError(ValueError):
+    """Times and values that are not one finite series on increasing
+    times, or a fit window outside its times."""
 
 
 class InsufficientDataError(ValueError):
@@ -73,9 +78,19 @@ class EnvelopeCertificate:
 
 
 def _series(times, values):
+    # the one rule for a series, refused as SeriesError: matching non-empty
+    # 1-d arrays of finite numbers on strictly increasing times
     times, values = np.asarray(times, dtype=float), np.asarray(values, dtype=float)
     if times.shape != values.shape or times.ndim != 1 or times.size == 0:
-        raise ValueError("times and values must be matching non-empty 1-d arrays")
+        raise SeriesError("times and values must be matching non-empty 1-d arrays")
+    for name, a in (("times", times), ("values", values)):
+        bad = np.flatnonzero(~np.isfinite(a))
+        if bad.size:
+            raise SeriesError(f"{name} must be finite; entry {bad[0]} is {a[bad[0]]}")
+    bad = np.flatnonzero(np.diff(times) <= 0.0)
+    if bad.size:
+        i = bad[0] + 1
+        raise SeriesError(f"times must increase; entry {i} is {times[i]:g} after {times[i - 1]:g}")
     return times, values
 
 
@@ -87,27 +102,29 @@ def fit_decay(
 ) -> DecayModel:
     """Least-squares decay fit of a positive path on a time window.
 
-    The default window starts after the burn-in (t = 2), where envelope
-    constants rather than rates dominate.  Points at or below
-    DEFAULT_FLOOR are dropped; negative points in the window, or fewer
-    than MIN_POINTS usable ones, are an error.  A non-finite time, or a
-    non-finite value in the window, is refused (ValueError): an inf would
-    make the rate NaN, and a NaN would be dropped as if below the floor.
+    ``times`` and ``values`` must be one series (``_series``: matching
+    non-empty 1-d arrays, finite, on strictly increasing times) and
+    ``window`` an increasing pair inside the times, else SeriesError.  The
+    default window, from the last time t, is (min(2, t/4), min(15, t))
+    for an exponential fit and (min(5, t/4), t) for a polynomial one.
+    Points at or below DEFAULT_FLOOR are dropped; negative points in the
+    window, or fewer than MIN_POINTS usable ones, are an error.
     """
     if kind not in _KINDS:
         raise ValueError(f"unknown decay kind {kind!r}")
     times, values = _series(times, values)
-    if not np.all(np.isfinite(times)):
-        raise ValueError("times must be finite")
     if window is None:
-        window = (min(DEFAULT_BURN_IN, 0.5 * times[-1]), float(times[-1]))
+        # after the burn-in, where envelope constants rather than rates
+        # dominate; an exponential path up to t = 15, before it meets the
+        # rounding floor, a polynomial one to the end
+        t = float(times[-1])
+        window = ((min(2.0, 0.25 * t), min(15.0, t)) if kind == "exponential"
+                  else (min(5.0, 0.25 * t), t))
     lo, hi = float(window[0]), float(window[1])
     if not (times[0] <= lo < hi <= times[-1] + 1e-12):
-        raise ValueError(f"window {window} not inside the grid [{times[0]}, {times[-1]}]")
+        # nan and inf fail the comparison too
+        raise SeriesError(f"window {window} not inside the grid [{times[0]}, {times[-1]}]")
     mask = (times >= lo) & (times <= hi)
-    bad = int(np.sum(~np.isfinite(values[mask])))
-    if bad:
-        raise ValueError(f"{bad} non-finite values in window")
     if np.any(values[mask] < 0.0):
         raise NonPositiveValuesError(
             f"{int(np.sum(values[mask] < 0))} negative values in window"
@@ -149,7 +166,7 @@ def certify_envelope(
     small times and stable under extending the horizon.  Shrinking the
     claimed rate only shifts weight toward early times, so a passing
     certificate cannot fail for any smaller rate.  ``times`` and
-    ``values`` must be matching non-empty 1-d arrays, else ValueError.
+    ``values`` must be one series, as for ``fit_decay``, else SeriesError.
     """
     times, values = _series(times, values)
     prods = np.abs(values) * model.weight_values(times)

@@ -369,6 +369,7 @@ class Grid:
     omega_nodes: np.ndarray
     omega_weights: np.ndarray
     prob_weights: np.ndarray = field(init=False, repr=False)
+    n_times: int = field(init=False, repr=False)
 
     def __post_init__(self):
         t_max = real("grid t_max", self.t_max, lo=0.0, above=True, error=GridError)
@@ -381,17 +382,19 @@ class Grid:
         if nodes.shape != weights.shape or nodes.ndim != 1 or nodes.size < 2:
             raise GridError("omega nodes/weights must be matching 1-d arrays")
         # a field that cannot fit in memory cannot be solved: refuse it first.
-        # t_max / dt is rounded in integers, since the float quotient can overflow
+        # t_max / dt is rounded in integers, since the float quotient can
+        # overflow, and that count is the grid's
         (a, b), (c, d) = t_max.as_integer_ratio(), dt.as_integer_ratio()
         n_times = (2 * a * d + b * c) // (2 * b * c) + 1
         refuse_oversized("grid field", 8 * n_times * n_theta * nodes.size)
         steps = t_max / dt
         if not math.isfinite(steps):
             raise GridError(f"grid t_max / dt = {t_max:g} / {dt:g} is beyond the float range")
-        if abs(steps - round(steps)) > 1e-9 * max(1.0, steps):
+        if abs(steps - (n_times - 1)) > 1e-9 * max(1.0, steps):
             raise GridError(f"t_max = {t_max} is not a multiple of dt = {dt}")
-        if round(steps) < 4:
+        if n_times < 5:
             raise GridError("need at least 4 time steps")
+        object.__setattr__(self, "n_times", n_times)
         object.__setattr__(self, "t_max", t_max)
         object.__setattr__(self, "dt", dt)
         object.__setattr__(self, "n_theta", n_theta)
@@ -409,10 +412,6 @@ class Grid:
             raise GridError(
                 f"frequency rule mass defect {defect:.3e} exceeds tol {_MASS_TOL:.1e}"
             )
-
-    @property
-    def n_times(self) -> int:
-        return int(round(self.t_max / self.dt)) + 1
 
     @property
     def n_omega(self) -> int:

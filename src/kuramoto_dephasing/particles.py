@@ -32,7 +32,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .characteristics import CharacteristicField, in_background
+from .characteristics import MAX_SUBSTEPS, CharacteristicField, in_background
+from .norms_grids import Grid, refuse_oversized
 from .spectral_state import AsymptoticState, integer, real, sample_labels
 
 __all__ = [
@@ -40,8 +41,8 @@ __all__ = [
     "KineticComparison",
     "simulate",
     "init_from_solution",
+    "comparison_inputs",
     "compare_to_kinetic",
-    "peak_bytes",
 ]
 
 _TWO_PI = 2.0 * math.pi
@@ -140,7 +141,7 @@ def _step(th, dw, hdw, mu, dt, fh, x, s, c, acc):
     np.subtract(th, acc, out=th)
 
 
-def _wrap_phases(th):
+def _wrap_phases(th, near=False):
     """th <- np.mod(th, 2 pi) in place, with the same result.
 
     On [-2 pi, 4 pi) the remainder is th - 2 pi, th or th + 2 pi, and
@@ -148,10 +149,11 @@ def _wrap_phases(th):
     (Sterbenz), and th + 2 pi is the same single rounding np.mod applies
     to a negative remainder.  One RK4 step moves a wrapped phase far less
     than 2 pi, so two masked passes replace the division; anything else
-    (including inf and NaN) goes through np.mod.  A -0.0 input stays
-    -0.0 where np.mod gives +0.0; the two compare equal.
+    (including inf and NaN) goes through np.mod.  ``near`` vouches that th
+    lies in [-2 pi, 4 pi) and skips the min and max that check it.  A -0.0
+    input stays -0.0 where np.mod gives +0.0; the two compare equal.
     """
-    if -_TWO_PI <= th.min() and th.max() < 2.0 * _TWO_PI:
+    if near or (-_TWO_PI <= th.min() and th.max() < 2.0 * _TWO_PI):
         np.subtract(th, _TWO_PI, out=th, where=th >= _TWO_PI)
         np.add(th, _TWO_PI, out=th, where=th < 0.0)
     else:
@@ -184,12 +186,16 @@ def simulate(ens: ParticleEnsemble, dt: float, n_steps: int, record_every: int =
     th[...] = ens.phases
     np.multiply(ens.freqs, dt, out=dw)
     np.multiply(ens.freqs, 0.5 * dt, out=hdw)
+    # a step moves a phase by at most |dt omega| + |mu| dt |tau|, and
+    # |tau| <= |z_N| <= 1 up to float32 rounding: with that at most pi,
+    # a wrapped phase in [0, 2 pi] stays inside [-2 pi, 4 pi)
+    near = max(float(dw.max()), -float(dw.min())) + abs(ens.mu) * dt <= math.pi
     times, path = [ens.t], []
     pending = in_background(_mean_field, ens.phases)
     try:
         for j in range(1, n_steps + 1):
             _step(th, dw, hdw, ens.mu, dt, *narrow)
-            _wrap_phases(th)
+            _wrap_phases(th, near)
             if j % record_every == 0 or j == n_steps:
                 times.append(ens.t + j * dt)
                 path.append(pending.result())
@@ -283,6 +289,28 @@ def peak_bytes(n: int) -> int:
     return 8 * _PEAK_ARRAYS * n
 
 
+def comparison_inputs(grid: Grid, n: int, dt: float, seed):
+    """``compare_to_kinetic``'s arguments on ``grid``, checked, as (n, dt,
+    seed).  Raises ValueError naming an n that is not an integer >= 1, a dt
+    that is not finite or lies outside [grid dt / MAX_SUBSTEPS, grid
+    t_max] (at least one step within the horizon, and none finer than the
+    oracle's finest sub-step), a seed that is neither None nor an integer
+    >= 0, and an ensemble whose peak (``peak_bytes``) exceeds physical
+    memory.
+    """
+    n = integer("particles n", n)
+    dt = real("particles dt", dt, lo=0.0, above=True)
+    if dt > grid.t_max:
+        raise ValueError(f"particles dt {dt:.3g} is above grid t_max {grid.t_max:.3g}")
+    if dt < grid.dt / MAX_SUBSTEPS:
+        raise ValueError(f"particles dt {dt:.3g} is below grid dt / {MAX_SUBSTEPS} "
+                         f"= {grid.dt / MAX_SUBSTEPS:.3g}")
+    if seed is not None:
+        seed = integer("particles seed", seed, lo=0)
+    refuse_oversized("particle ensemble", peak_bytes(n), ValueError)
+    return n, dt, seed
+
+
 @dataclass(frozen=True, eq=False)
 class KineticComparison:
     """A finite-N run beside the kinetic solution it was sampled from.
@@ -310,9 +338,11 @@ def compare_to_kinetic(result, n: int, dt: float, seed) -> KineticComparison:
     divide t_max stops short of it rather than stepping past the kinetic
     grid, where the interpolated r would be np.interp's clamp.  It records
     every round(grid dt / dt) steps (at least every step), so records fall
-    near the kinetic grid times.
+    near the kinetic grid times.  The arguments are refused, before any
+    sampling, by ``comparison_inputs``.
     """
     grid = result.grid
+    n, dt, seed = comparison_inputs(grid, n, dt, seed)
     ens, n_resampled = init_from_solution(result.field, result.state, n, seed=seed)
     n_steps = int(grid.t_max / dt * (1.0 + 1e-9))
     stride = max(1, int(round(grid.dt / dt)))

@@ -607,12 +607,14 @@ def _add_mode_terms(acc, modes, angles, cos_m1, sin_d, tmp):
             part = ek = None  # no name holds a pair past its last use
 
 
-def reconstruct(result: SolveResult, times=(0.0, 5.0, 10.0)) -> ReconstructedDensity:
+def reconstruct(result: SolveResult, times=None) -> ReconstructedDensity:
     """Evaluate the constructed density at grid times and certify it.
 
     Each requested time must lie on the grid (the representation is exact
     there; no interpolation is offered); ``times`` must be a non-empty
-    1-D sequence (or one number), else ValueError before any work.  Also
+    1-D sequence (or one number), else ValueError before any work.  The
+    default is t = 0, 5 and 10, or on a grid shorter than 10 its first,
+    middle and last time, so it holds on every grid.  Also
     evaluates the dephasing distance on the whole grid from the same
     coupling integrals, taken block by block as gamma_field's parts hand
     them out, with each block's phase pair (cos D - 1, sin D): only the
@@ -623,6 +625,9 @@ def reconstruct(result: SolveResult, times=(0.0, 5.0, 10.0)) -> ReconstructedDen
     """
     g = result.grid
     tgrid = g.times()
+    if times is None:
+        times = ((0.0, 5.0, 10.0) if g.t_max + 1e-12 >= 10.0
+                 else (0.0, round(0.5 * g.t_max / g.dt) * g.dt, g.t_max))
     req = np.atleast_1d(np.asarray(times, dtype=float))
     if req.ndim != 1 or req.size == 0:
         raise ValueError(

@@ -394,3 +394,23 @@ def test_the_run_checks_reduce_with_numpy():
     found = {"acceptance": _builtin_reductions(acceptance),
              "scheme.verify_lemmas": _builtin_reductions(verify)}
     assert found == {"acceptance": [], "scheme.verify_lemmas": []}, found
+
+
+def test_the_command_line_holds_no_rule_of_its_own():
+    # a bound, a range or a finiteness test in cli.py is a rule the library
+    # also writes, or should: cli.py parses and maps errors to exit codes
+    cli = ast.parse((PACKAGE / "cli.py").read_text())
+    ordering = (ast.Lt, ast.LtE, ast.Gt, ast.GtE)
+    found = [f"comparison at line {node.lineno}" for node in ast.walk(cli)
+             if isinstance(node, ast.Compare) and any(isinstance(op, ordering) for op in node.ops)]
+    for node in ast.walk(cli):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Name) and func.id in {"min", "max", "isfinite"}:
+            found.append(f"{func.id}() at line {node.lineno}")
+        elif isinstance(func, ast.Attribute) and func.attr == "isfinite":
+            found.append(f"isfinite() at line {node.lineno}")
+    found += [f"import from characteristics at line {node.lineno}" for node in ast.walk(cli)
+              if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("characteristics")]
+    assert not found, found

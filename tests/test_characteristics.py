@@ -1792,7 +1792,7 @@ def test_every_tile_takes_the_kernel_of_its_own_rows(grid, monkeypatch):
     expected = [characteristics._taylor_terms(rows[sl].max()) for sl in tiles]
     expected[5] = 0
     assert expected[3] is None and {2, 3, 5, 8, 9} <= set(expected)
-    assert characteristics.tile_terms(grid.shape(), rows) == expected
+    assert [k.terms for k in characteristics.tile_kernels(grid.shape(), rows)] == expected
     z = 0.3 * np.exp(-times + 0.4j * times)
     state = AsymptoticState(PROFILE, {1: 0.05}, "exponential", 0.9)
     field = CharacteristicField(grid, dev, 0.5)
@@ -1891,7 +1891,7 @@ def test_per_tile_kernels_stay_within_rounding_of_one_global_kernel(name, monkey
     state = AsymptoticState(PROFILE, {1: a1}, "exponential", 0.9)
     g = build_grid(PROFILE, t_max=20.0, dt=0.05, n_theta=n_theta)
     per_tile = outer_solve(state, g, mu)
-    terms = characteristics.tile_terms(g.shape(), per_tile.field.row_sups())
+    terms = [k.terms for k in characteristics.tile_kernels(g.shape(), per_tile.field.row_sups())]
     assert len(set(terms)) > 1
     with monkeypatch.context() as mp:
         mp.setattr(characteristics, "tile_kernels", _global_kernels)
@@ -1913,6 +1913,9 @@ def _rescaled_phase(dev, cos_m1, sin_d, d2):
     sin_d *= 1.0 + 2.0**-40
 
 
+_rescaled_phase.terms = None
+
+
 def test_a_tail_whose_kernel_changed_is_swept_again(grid, monkeypatch):
     # from the sixth sweep on the top tile takes another kernel: its rows,
     # left as they were by the old one, are no longer what a sweep writes,
@@ -1923,9 +1926,12 @@ def test_a_tail_whose_kernel_changed_is_swept_again(grid, monkeypatch):
     tile_kernels = characteristics.tile_kernels
 
     def switching(shape, rows):
+        # the first sweep, from D = 0, reads the kernels once (its walk),
+        # each later sweep twice (its report's term count, then its walk),
+        # so the tenth call is the sixth sweep's first
         calls.append(1)
         kernels = tile_kernels(shape, rows)
-        if len(calls) >= 6:
+        if len(calls) >= 10:
             kernels[0] = _rescaled_phase
         return kernels
 

@@ -242,6 +242,48 @@ def test_fit_window_misuse_is_a_usage_error(solve_run, caplog, column, window, c
     assert len(errors) == 1 and "\n" not in errors[0]
 
 
+README_CONFIG = base_config(grid={"t_max": 20.0, "dt": 0.05, "n_theta": 64})
+SMALL_POLYNOMIAL_CONFIG = base_config(
+    profile={"kind": "laplace", "scale": 1.0},
+    decay={"kind": "polynomial", "rate": 2.0},
+    grid={"t_max": 16.0, "dt": 0.1, "n_theta": 8, "n_omega": 80},
+    tolerances={"tol_picard": 1e-12, "tol_outer": 1e-10, "tail_budget": 0.1},
+)
+
+
+@pytest.fixture(scope="module")
+def summary_runs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("summaries")
+    runs = {}
+    for name, raw in (("readme", README_CONFIG), ("polynomial", SMALL_POLYNOMIAL_CONFIG)):
+        out = root / name
+        assert main(["solve", "--config", write_config(root / f"{name}.json", raw),
+                     "--output-dir", str(out)]) == 0
+        runs[name] = (out, raw["decay"]["kind"])
+    return runs
+
+
+@pytest.mark.parametrize(
+    "run, csv, column, entry",
+    [("readme", "order_parameter.csv", "r", "order_parameter"),
+     ("readme", "dephasing.csv", "distance", "dephasing"),
+     ("polynomial", "order_parameter.csv", "r", "order_parameter"),
+     ("polynomial", "dephasing.csv", "distance", "dephasing")],
+)
+def test_fit_without_a_window_reproduces_the_summary_fit(summary_runs, capsys, run, csv, column,
+                                                         entry):
+    # fit used to default to [2, t_max] (exponential) where summary.json
+    # fits on [2, 15]: on the README run, rate 0.99988737 against 0.99999999
+    out, kind = summary_runs[run]
+    capsys.readouterr()
+    assert main(["fit", "--csv", str(out / csv), "--column", column, "--kind", kind]) == 0
+    fit = json.loads(capsys.readouterr().out)["fit"]
+    want = json.loads((out / "summary.json").read_text())["decay_fit"][entry]
+    assert want is not None
+    assert [fit[k] for k in ("window", "rate", "amplitude")] == [
+        want[k] for k in ("window", "rate", "amplitude")]
+
+
 def test_fit_unknown_column_is_config_error(solve_run):
     _, out = solve_run
     code = main(
@@ -301,7 +343,7 @@ def test_fit_refuses_a_malformed_csv_before_fitting(tmp_path, caplog, monkeypatc
     def no_fit(*args, **kwargs):
         raise AssertionError("a fit ran on a malformed CSV")
 
-    monkeypatch.setattr("kuramoto_dephasing.cli.fit_decay", no_fit)
+    monkeypatch.setattr("kuramoto_dephasing.decay.np.polyfit", no_fit)
     with caplog.at_level("ERROR", logger="kuramoto_dephasing"):
         got = main(["fit", "--csv", str(path), "--column", "r"])
     assert got == 2
@@ -574,7 +616,7 @@ def test_a_particle_step_longer_than_the_horizon_exits_2_before_the_solve(tmp_pa
     with caplog.at_level("ERROR", logger="kuramoto_dephasing"):
         assert main(["simulate", "--config", cfg, "--output-dir", str(out)]) == 2
     errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
-    assert errors == [f"particles dt {dt:.3g} is above grid t_max 20"]
+    assert errors == [f"invalid config: particles dt {dt:.3g} is above grid t_max 20"]
     assert not out.exists()
 
 

@@ -9,6 +9,7 @@ from kuramoto_dephasing import (
     DecayModel,
     InsufficientDataError,
     NonPositiveValuesError,
+    SeriesError,
     certify_envelope,
     fit_decay,
 )
@@ -135,16 +136,16 @@ def test_negative_values_rejected():
 
 
 @pytest.mark.parametrize("bad", [np.inf, np.nan])
-def test_a_non_finite_value_in_the_window_is_refused(bad):
-    # e^{-t} at 101 points on [0, 10]: an inf used to make the rate NaN and
-    # a NaN was dropped as if it were below the floor
+@pytest.mark.parametrize("window", [None, (6.0, 10.0)], ids=["inside", "outside"])
+def test_a_non_finite_value_is_refused_inside_or_outside_the_window(bad, window):
+    # e^{-t} at 101 points on [0, 10]: an inf used to make the rate NaN, a
+    # NaN in the window was dropped as if it were below the floor, and one
+    # outside it was not read
     t = np.linspace(0.0, 10.0, 101)
     vals = np.exp(-t)
     vals[50] = bad
-    with pytest.raises(ValueError, match="^1 non-finite values in window$"):
-        fit_decay(t, vals, "exponential")
-    # outside the window the value is not read
-    assert fit_decay(t, vals, "exponential", window=(6.0, 10.0)).rate == pytest.approx(1.0)
+    with pytest.raises(SeriesError, match=f"^values must be finite; entry 50 is {bad}$"):
+        fit_decay(t, vals, "exponential", window=window)
 
 
 @pytest.mark.parametrize("bad", [np.inf, np.nan])
@@ -152,8 +153,36 @@ def test_a_non_finite_time_is_refused(bad):
     t = np.linspace(0.0, 10.0, 101)
     vals = np.exp(-t)
     t[-1] = bad
-    with pytest.raises(ValueError, match="^times must be finite$"):
+    with pytest.raises(SeriesError, match=f"^times must be finite; entry 100 is {bad}$"):
         fit_decay(t, vals, "exponential", window=(2.0, 9.0))
+
+
+@pytest.mark.parametrize("row", [10, 11], ids=["repeated", "decreasing"])
+def test_times_that_do_not_increase_are_refused(row):
+    # a repeated time used to enter the fit as two points
+    t = np.linspace(0.0, 10.0, 101)
+    t[row] = t[row - 1] if row == 10 else t[row - 2]
+    with pytest.raises(SeriesError, match=f"^times must increase; entry {row} is "):
+        fit_decay(t, np.exp(-t), "exponential", window=(2.0, 9.0))
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_certify_envelope_refuses_a_non_finite_value(bad):
+    vals = np.exp(-T)
+    vals[300] = bad
+    with pytest.raises(SeriesError, match="^values must be finite; entry 300 "):
+        certify_envelope(T, vals, fit_decay(T, np.exp(-T), "exponential"))
+
+
+@pytest.mark.parametrize(
+    "kind, t_max, window",
+    [("exponential", 20.0, (2.0, 15.0)), ("exponential", 4.0, (1.0, 4.0)),
+     ("polynomial", 40.0, (5.0, 40.0)), ("polynomial", 12.0, (3.0, 12.0))],
+)
+def test_the_default_window_reads_the_last_time(kind, t_max, window):
+    t = np.linspace(0.0, t_max, 201)
+    vals = np.exp(-t) if kind == "exponential" else 1.0 / (1.0 + t * t)
+    assert fit_decay(t, vals, kind).window == window
 
 
 def test_noise_floor_starves_the_fit():

@@ -55,6 +55,7 @@ from kuramoto_dephasing import (
     weighted_norm,
 )
 from kuramoto_dephasing.characteristics import deviation_sweep, picard_sweep
+from kuramoto_dephasing.particles import comparison_inputs
 from kuramoto_dephasing.scheme import DiagnosticsLedger, solve_inputs
 
 MU = 0.05
@@ -132,9 +133,16 @@ CASES = [
     ("reconstruct", lambda c, v: reconstruct(c.result, times=v), "time",
      [NAN, INF, -1.0, 0.05, [], [[0.0]]]),
     ("verify_lemmas", lambda c, v: verify_lemmas(v, WEIGHT, MU), "ledger", ["empty"]),
-    ("fit_decay", lambda c, v: fit_decay(c.times, v, "exponential"), "values", [WRONG_LENGTH]),
+    ("fit_decay", lambda c, v: fit_decay(c.times, v, "exponential"), "values",
+     [WRONG_LENGTH, "nan_values"]),
+    ("fit_decay", lambda c, v: fit_decay(v, c.decaying, "exponential"), "times",
+     ["nan_values", "reversed_times"]),
+    ("fit_decay", lambda c, v: fit_decay(c.times, c.decaying, "exponential", window=v), "window",
+     [(NAN, 3.0), (1.0, INF), (3.0, 1.0), (-1.0, 3.0), (1.0, 5.0)]),
     ("certify_envelope", lambda c, v: certify_envelope(c.times, v, c.model), "values",
-     [WRONG_LENGTH, np.zeros(0)]),
+     [WRONG_LENGTH, np.zeros(0), "nan_values"]),
+    ("certify_envelope", lambda c, v: certify_envelope(v, c.decaying, c.model), "times",
+     ["reversed_times"]),
     ("ParticleEnsemble", lambda c, v: ParticleEnsemble(np.zeros(2), np.ones(2), v), "mu",
      REAL + [0.5 + 0j]),
     ("ParticleEnsemble", lambda c, v: ParticleEnsemble(v, np.ones(2), MU), "phases",
@@ -147,6 +155,12 @@ CASES = [
      "n", COUNT),
     ("init_from_solution", lambda c, v: init_from_solution(c.result.field, c.state, 10, seed=v),
      "seed", [NAN, INF, -1, True, "x", 2.5]),
+    ("comparison_inputs", lambda c, v: comparison_inputs(c.grid, v, 0.1, 1), "n", COUNT),
+    # t_max = 4 and dt = 0.1: a step must lie in [0.1 / 4096, 4]
+    ("comparison_inputs", lambda c, v: comparison_inputs(c.grid, 10, v, 1), "dt",
+     ABOVE_0 + [5.0, 1e-9]),
+    ("comparison_inputs", lambda c, v: comparison_inputs(c.grid, 10, 0.1, v), "seed",
+     [NAN, INF, -1, True, "x", 2.5]),
 ]
 
 
@@ -173,6 +187,9 @@ def ctx():
         grid=grid,
         times=grid.times(),
         z=free_order_parameter(state, grid.times()),
+        decaying=np.exp(-grid.times()),
+        nan_values=np.full(grid.n_times, NAN),
+        reversed_times=grid.times()[::-1],
         result=result,
         model=DecayModel("exponential", 1.0, 1.0, (2.0, 4.0), 0.0, 21),
         ensemble=ParticleEnsemble(rng.uniform(0.0, 6.0, 16), rng.normal(0.0, 1.0, 16), MU),

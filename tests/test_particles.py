@@ -17,13 +17,14 @@ from kuramoto_dephasing import (
     AsymptoticState,
     FrequencyProfile,
     ParticleEnsemble,
+    WeightSpec,
     build_grid,
     free_order_parameter,
     init_from_solution,
     outer_solve,
     simulate,
 )
-from kuramoto_dephasing import characteristics, particles
+from kuramoto_dephasing import characteristics, norms_grids, particles
 
 TWO_PI = 2.0 * np.pi
 PROFILE = FrequencyProfile("lorentzian", 1.0)
@@ -128,6 +129,47 @@ def test_kinetic_comparison_runs_the_whole_steps_of_the_horizon(state, coupled_r
     assert np.array_equal(run.times, times) and np.array_equal(run.z, z)
     assert np.array_equal(run.r_kinetic, r_kin)
     assert np.array_equal(run.gap, np.abs(np.abs(z) - r_kin))
+
+
+@pytest.fixture(scope="module")
+def short_result(state):
+    grid = build_grid(PROFILE, t_max=4.0, dt=0.1, n_theta=8, n_omega=17)
+    return outer_solve(state, grid, 0.05, WeightSpec("exponential", 0.9), tail_budget=1e-2)
+
+
+def _no_sampling(*args, **kwargs):
+    raise AssertionError("particles were sampled")
+
+
+@pytest.mark.parametrize(
+    "dt, message",
+    [(5.0, "^particles dt 5 is above grid t_max 4$"),
+     # dt = 1e-9 would ask for 4e9 RK4 steps
+     (1e-9, r"^particles dt 1e-09 is below grid dt / 4096 = 2\.44e-05$"),
+     (np.nextafter(0.1 / 4096, 0.0), "is below grid dt / 4096")],
+    ids=["above_t_max", "tiny", "just_below_the_oracle_cap"],
+)
+def test_a_kinetic_comparison_refuses_a_step_outside_its_grid_before_sampling(
+        short_result, monkeypatch, dt, message):
+    # dt = 5 used to take 0 steps and be refused by simulate, naming n_steps
+    monkeypatch.setattr(particles, "init_from_solution", _no_sampling)
+    with pytest.raises(ValueError, match=message):
+        particles.compare_to_kinetic(short_result, 100, dt, 1)
+
+
+def test_a_kinetic_comparison_takes_the_steps_at_both_ends_of_its_range(short_result):
+    for dt in (4.0, 0.1 / 4096):
+        assert particles.comparison_inputs(short_result.grid, 10, dt, None) == (10, dt, None)
+    run = particles.compare_to_kinetic(short_result, 10, 4.0, 1)
+    assert list(run.times) == [0.0, 4.0]
+
+
+def test_a_kinetic_comparison_refuses_an_ensemble_larger_than_memory(short_result, monkeypatch):
+    monkeypatch.setattr(norms_grids, "physical_memory", lambda: particles.peak_bytes(1000) - 1)
+    monkeypatch.setattr(particles, "init_from_solution", _no_sampling)
+    assert particles.comparison_inputs(short_result.grid, 999, 0.1, 1) == (999, 0.1, 1)
+    with pytest.raises(ValueError, match="^particle ensemble of .* GB exceeds physical memory"):
+        particles.compare_to_kinetic(short_result, 1000, 0.1, 1)
 
 
 def test_heavy_tail_resampling_is_reported(state, coupled_result):
@@ -319,13 +361,27 @@ def test_wrap_equals_np_mod(values):
         assert got.tobytes() == want.tobytes()
 
 
-def test_simulate_path_is_unchanged_by_the_wrap(monkeypatch):
+@pytest.mark.parametrize("scale, near", [(8.0, True), (25.0, False), (80.0, False)],
+                         ids=["bounded_step", "checked_step", "mod"])
+def test_simulate_path_is_unchanged_by_the_wrap(monkeypatch, scale, near):
+    # fast columns of both signs cross 0 and 2 pi many times.  A step moves
+    # a phase by at most max|dt omega| + |mu| dt: ~1.3 at scale 8, below pi,
+    # so the range check is skipped; ~4.0 at 25, so it is made every step
+    # and passes; ~12.7 at 80, where it fails and np.mod wraps
     rng = np.random.default_rng(17)
-    # fast columns of both signs cross 0 and 2 pi many times
-    ens = ParticleEnsemble(rng.uniform(0.0, TWO_PI, 512), rng.normal(0.0, 8.0, 512), mu=0.4)
-    times, z, fin = simulate(ens, dt=0.05, n_steps=200, record_every=3)
+    ens = ParticleEnsemble(rng.uniform(0.0, TWO_PI, 512), rng.normal(0.0, scale, 512), mu=-0.4)
+    wrap, flags = particles._wrap_phases, set()
 
-    def wrap_by_mod(th):
+    def recorded_wrap(th, near=False):
+        flags.add(near)
+        wrap(th, near)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(particles, "_wrap_phases", recorded_wrap)
+        times, z, fin = simulate(ens, dt=0.05, n_steps=200, record_every=3)
+    assert flags == {near}
+
+    def wrap_by_mod(th, near=False):
         np.mod(th, TWO_PI, out=th)
 
     monkeypatch.setattr(particles, "_wrap_phases", wrap_by_mod)
@@ -497,11 +553,11 @@ def test_no_record_outlives_simulate(record_ensemble, monkeypatch):
     wrap = particles._wrap_phases
     steps = []
 
-    def failing_wrap(th):
+    def failing_wrap(th, near=False):
         steps.append(1)
         if len(steps) == 9:
             raise RuntimeError("step failed")
-        wrap(th)
+        wrap(th, near)
 
     monkeypatch.setattr(particles, "_wrap_phases", failing_wrap)
     with pytest.raises(RuntimeError, match="step failed"):
