@@ -667,7 +667,7 @@ def _unchanged(residual_rows, new, old, scratch):
     return not bits.any()
 
 
-def _integral_parts(times, omega, z, deviation, sup, on_tile, keep_phase=False, tails=None):
+def _integral_parts(grid: Grid, z, deviation, sup, on_tile, keep_phase=False, tails=None):
     """Backward integrals of one field, walked in parts of the angle axis.
 
     Part p of ``_angle_parts`` walks its columns ``angles`` of each tile
@@ -716,19 +716,22 @@ def _integral_parts(times, omega, z, deviation, sup, on_tile, keep_phase=False, 
     (rows, 1, n_omega), the value of every angle of the tile, formed by
     the same products and additions.  ``spare`` is then a real array of
     the tile's shape.
+
+    Returns (kernels, skipped): the kernel of every tile, those the tails
+    skip included (none for the one-column walk), and the tiles, of one
+    part each, that the tails left out.
     """
-    dt = float(times[1] - times[0])
     conj_z = np.conj(z)[:, None]
-    table = oscillation_table(times, omega)
+    table = oscillation_table(grid.times(), grid.omega_nodes)
     shape = deviation.shape
     flat = float(np.max(sup)) == 0.0 and not keep_phase
-    w = omega * dt
+    w = grid.omega_nodes * grid.dt
     alpha, beta = filon_weights(w)
     # each node carries its cell weight as a left (alpha) or right (beta)
     # end; the right node already has phase e^{i omega s_{j+1}}, so beta
     # loses its e^{i w}
-    left_weight = dt * alpha
-    right_weight = dt * (beta * np.exp(-1j * w))
+    left_weight = grid.dt * alpha
+    right_weight = grid.dt * (beta * np.exp(-1j * w))
     tiles = list(time_tiles(shape))
     kernels = tile_kernels(shape, sup)
     n_rows = _tile_rows(shape)
@@ -794,22 +797,27 @@ def _integral_parts(times, omega, z, deviation, sup, on_tile, keep_phase=False, 
                 np.copyto(tail.carried, carried)
 
     in_parts(walk, len(parts))
+    return ([] if flat else kernels), sum(part[0] for part in scratch)
 
 
-def deviation_sweep(times, theta, omega, z, deviation, mu, row_residual, out, sup, row_sups,
-                    tails=None):
-    """One application of the backward-integral map to a deviation field.
+def deviation_sweep(report, grid: Grid, z, mu: float, weight: WeightSpec, deviation, sup, out,
+                    rows, tails=None):
+    """One sweep of F_z from ``deviation`` into ``out``, and its report entry.
 
-    Operates on raw arrays so alternative node sets can be pushed through.
-    Returns the new deviation, mu * Im(e^{i theta} I), one time tile at a
+    The new deviation is mu * Im(e^{i theta} I), formed one time tile at a
     time to bound the complex working set.  ``sup`` holds sup|D| over each
     time row of ``deviation`` (one number bounds every row), and each
     tile's e^{iD} comes from the phase kernel its own rows need
-    (``tile_kernels``).  ``row_residual`` (shape (n_times,)) receives the
-    sup over each time row of |new - deviation| from the same pass, and
-    ``row_sups`` the sup over each time row of |new|, taken while each
-    tile is in cache; it may be ``sup`` itself, which is read before the
-    first tile.
+    (``tile_kernels``).  ``rows`` (2, n_times) receives the sup over each
+    time row of |new - deviation| and of |new|, taken from the same pass
+    while each tile is in cache; the second row is returned.  It may hold
+    ``sup``, which is read before the first tile.
+
+    ``report`` takes the sweep's entry: the residual ||new - deviation||_w
+    from the row residuals, its quotient by the last residual while that
+    sits above the report's floor, the sweep, and, as the walker reports
+    them, the Taylor terms of the kernels it swept with (none from a zero
+    field) and the tiles the tails left out.
 
     The angle axis is split into ``part_count(n_theta // 2)`` contiguous
     parts, at least two angles wide, that run side by side
@@ -819,13 +827,14 @@ def deviation_sweep(times, theta, omega, z, deviation, mu, row_residual, out, su
     product or addition depends on the part count, so the result is
     bit-identical for any.
 
-    The new field goes to ``out``, which may be ``deviation`` itself.  Into any other ``out`` each tile's new rows go
-    straight from the projection; in place they are formed in tile scratch
-    and copied into ``out`` once the row residual has been taken.  The
-    kernels are fixed from the row sups before the first tile, a part
-    reads and writes only its own columns, a tile's rows of D are read
-    before the tile is projected, and only the two carried rows cross a
-    tile boundary, so no tile reads a row already overwritten.
+    The new field goes to ``out``, which may be ``deviation`` itself.  Into
+    any other ``out`` each tile's new rows go straight from the
+    projection; in place they are formed in tile scratch and copied into
+    ``out`` once the row residual has been taken.  The kernels are fixed
+    from the row sups before the first tile, a part reads and writes only
+    its own columns, a tile's rows of D are read before the tile is
+    projected, and only the two carried rows cross a tile boundary, so no
+    tile reads a row already overwritten.
 
     ``tails`` (a ``_Tail`` per angle part, kept by the caller from sweep
     to sweep with z fixed) is read only by an in-place sweep.  Each part
@@ -841,22 +850,22 @@ def deviation_sweep(times, theta, omega, z, deviation, mu, row_residual, out, su
     so the new field is the residual.  The bits are those of the full
     sweep.
     """
-    times = np.asarray(times, dtype=float)
+    times = grid.times()
     z = _path(times, z)
     # mu * Im(e^{i theta} I) = (mu cos theta) Im I + (mu sin theta) Re I
-    mu_cos = (mu * np.cos(theta))[None, :, None]
-    mu_sin = (mu * np.sin(theta))[None, :, None]
+    mu_cos = (mu * np.cos(grid.theta()))[None, :, None]
+    mu_sin = (mu * np.sin(grid.theta()))[None, :, None]
     flat = float(np.max(sup)) == 0.0
     in_place = not flat and np.may_share_memory(out, deviation)
     if not in_place:
         tails = None
     trig = [(mu_cos[:, angles], mu_sin[:, angles]) for angles in _angle_parts(deviation.shape)]
     # skipped rows keep the residual of a tile left as it was
-    rows = np.full((len(trig), len(times)), _UNCHANGED_ROW)
+    part_rows = np.full((len(trig), len(times)), _UNCHANGED_ROW)
     if tails is not None:
         sups = [tail.sups for tail in tails]
     elif not flat:
-        sups = np.empty_like(rows)
+        sups = np.empty_like(part_rows)
     else:
         sups = None
 
@@ -878,20 +887,27 @@ def deviation_sweep(times, theta, omega, z, deviation, mu, row_residual, out, su
             _row_sup(new, sups[p][sl])
         if flat:
             # from D = 0 the residual is new itself
-            _row_sup(new, rows[p, sl])
+            _row_sup(new, part_rows[p, sl])
             return False
         old = deviation[sl, angles]
         np.subtract(new, old, out=scratch)
-        _row_sup(scratch, rows[p, sl])
-        rewritten = tails is not None and _unchanged(rows[p, sl], new, old, scratch)
+        _row_sup(scratch, part_rows[p, sl])
+        rewritten = tails is not None and _unchanged(part_rows[p, sl], new, old, scratch)
         if in_place:
             np.copyto(target, new)
         return rewritten
 
-    _integral_parts(times, omega, z, deviation, sup, sweep, tails=tails)
-    np.max(rows, axis=0, out=row_residual)
-    np.max(rows if flat else sups, axis=0, out=row_sups)
-    return out
+    kernels, skipped = _integral_parts(grid, z, deviation, sup, sweep, tails=tails)
+    np.max(part_rows, axis=0, out=rows[0])
+    np.max(part_rows if flat else sups, axis=0, out=rows[1])
+    report.tile_terms.update(kernel.terms for kernel in kernels)
+    report.tiles_skipped += skipped
+    res = weighted_norm(times, rows[0], weight, deviation=True)
+    if report.residuals and report.residuals[-1] > report.floor:
+        report.ratios.append(res / report.residuals[-1])
+    report.residuals.append(res)
+    report.sweeps += 1
+    return rows[1]
 
 
 def _path(times, z):
@@ -965,36 +981,6 @@ def _zero_gain_field(grid: Grid, mu: float, report, residual: float, out):
     return _carrying(grid, dev, mu, np.full(grid.n_times, _UNCHANGED_ROW)), report
 
 
-def _sweep(report, grid: Grid, z, mu: float, weight: WeightSpec, start, sup, out, rows,
-           tails=None):
-    # one sweep of F_z from ``start`` (row sups ``sup``) into ``out``, and
-    # its entry in the report: the residual ||F(D) - D||_w from the sweep's
-    # own row residuals, its quotient by the last residual above the floor,
-    # the sweep, its kernels (none from a zero field) and the tiles the
-    # tails skipped.  ``rows`` (2, n_times) takes the row residuals and the
-    # swept field's row sups, which are returned; they may overwrite
-    # ``sup``, which the sweep reads first.  A solve allocates it once:
-    # a pair allocated per sweep lands among the freed fields on the heap
-    # and raised exp_ref's peak RSS from 154 to 163 MB
-    times = grid.times()
-    if float(np.max(sup)) != 0.0:
-        report.tile_terms.update(kernel.terms for kernel in tile_kernels(grid.shape(), sup))
-    residuals, sups = rows
-    held = [(tail.tiles, tail.kernels[:]) for tail in tails or ()]
-    deviation_sweep(times, grid.theta(), grid.omega_nodes, z, start, mu, row_residual=residuals,
-                    out=out, sup=sup, row_sups=sups, tails=tails)
-    # a part skipped the tiles its tail held, unless their kernels changed,
-    # which emptied the tail before the part swept from t_max
-    report.tiles_skipped += sum(n for tail, (n, kernels) in zip(tails or (), held)
-                                if tail.kernels[:n] == kernels)
-    res = weighted_norm(times, residuals, weight, deviation=True)
-    if report.residuals and report.residuals[-1] > report.floor:
-        report.ratios.append(res / report.residuals[-1])
-    report.residuals.append(res)
-    report.sweeps += 1
-    return sups
-
-
 def picard_sweep(
     grid: Grid,
     z,
@@ -1017,8 +1003,9 @@ def picard_sweep(
     None): ``field`` is left as it is.  The kernel comes from
     ``field.row_sups()``, which a swept field carries; from a zero field
     the sweep integrates one angle column and reads no field.  The sweep
-    and its report entry are the one step ``solve_fixed_point`` repeats,
-    and the returned field carries its row sups.
+    and its report entry are ``deviation_sweep``, the one step
+    ``solve_fixed_point`` repeats, and the returned field carries its row
+    sups.
 
     Returns (CharacteristicField, ContractionReport).
     """
@@ -1028,9 +1015,9 @@ def picard_sweep(
         residual = field.deviation_norm(weight) if field is not None else 0.0
         return _zero_gain_field(grid, mu, report, residual, out)
     start, sup = (_zero_start(grid), 0.0) if field is None else (field.deviation, field.row_sups())
-    rows = np.empty((2, grid.n_times))
     new = _field_array(grid, out)
-    sups = _sweep(report, grid, z, mu, weight, start, sup, new, rows)
+    sups = deviation_sweep(report, grid, z, mu, weight, start, sup, new,
+                           np.empty((2, grid.n_times)))
     return _carrying(grid, new, mu, sups), report
 
 
@@ -1051,7 +1038,7 @@ def solve_fixed_point(
     >= 1 (NonContractiveError); raises MaxSweepsExceededError if the
     residual is above ``tol`` (finite and > 0, else ValueError) after
     MAX_SWEEPS sweeps.  A zero gain returns the zero field as picard_sweep.
-    Each sweep is ``picard_sweep``'s step, which records the residual and,
+    Each sweep is ``deviation_sweep``, which records the residual and,
     while the last residual sits above the report's floor, the ratio.
     The first sweep, from D = 0, integrates one angle column and writes
     every cell of the solve's one field; every later sweep overwrites that
@@ -1080,10 +1067,13 @@ def solve_fixed_point(
     shape = grid.shape()
     dev = _field_array(grid, out)
     tails = [_Tail(shape, angles) for angles in _angle_parts(shape)]
+    # the sweeps' row residuals and row sups, allocated once: a pair
+    # allocated per sweep lands among the freed fields on the heap and
+    # raised exp_ref's peak RSS from 154 to 163 MB
     rows = np.empty((2, grid.n_times))
     start, sup = _zero_start(grid), 0.0
     while report.sweeps < MAX_SWEEPS:
-        sup = _sweep(report, grid, z, mu, weight, start, sup, dev, rows, tails)
+        sup = deviation_sweep(report, grid, z, mu, weight, start, sup, dev, rows, tails=tails)
         start = dev
         if report.residuals[-1] <= tol:
             report.converged = True
@@ -1386,10 +1376,9 @@ def gamma_field(field: CharacteristicField, z, on_tile) -> float:
     the time grid raises ValueError.
     """
     g = field.grid
-    times, theta, omega = g.times(), g.theta(), g.omega_nodes
-    z = _path(times, z)
-    n_t = len(times)
-    cos_t, sin_t = np.cos(theta)[None, :, None], np.sin(theta)[None, :, None]
+    z = _path(g.times(), z)
+    n_t = g.n_times
+    cos_t, sin_t = np.cos(g.theta())[None, :, None], np.sin(g.theta())[None, :, None]
     trig = [(cos_t[:, angles], sin_t[:, angles]) for angles in _angle_parts(field.deviation.shape)]
     part_rows = np.empty((len(trig), n_t))
 
@@ -1407,7 +1396,7 @@ def gamma_field(field: CharacteristicField, z, on_tile) -> float:
         _row_sup(sp, part_rows[p, sl])
         on_tile(sl, angles, sp, cp, *phase)
 
-    _integral_parts(times, omega, z, field.deviation, field.row_sups(), project, keep_phase=True)
+    _integral_parts(g, z, field.deviation, field.row_sups(), project, keep_phase=True)
     rows = part_rows.max(axis=0)
     r = np.abs(z)
     dt = g.dt

@@ -352,12 +352,14 @@ def _solve_and_write(cfg: RunConfig):
     _dump_json(outdir / "ledger.json", result.ledger.to_dict())
     _dump_json(outdir / "summary.json", summary)
 
-    ok = bool(checks["all_explicit_pass"] and recon.mass_ok() and result.converged)
+    ok = bool(checks["all_explicit_pass"] and recon.mass_ok() and recon.gamma_ok()
+              and result.converged)
     log.info(
-        "solve finished: n_outer=%d explicit_checks=%s mass_ok=%s",
+        "solve finished: n_outer=%d explicit_checks=%s mass_ok=%s gamma_margin=%r",
         result.n_outer,
         checks["all_explicit_pass"],
         recon.mass_ok(),
+        recon.gamma_margin,
     )
     return (0 if ok else 1), result
 
@@ -398,8 +400,8 @@ def run_fit(csv_path, column: str, kind: str, window=None) -> int:
     """Standalone decay fit of one CSV column; prints JSON to stdout.
 
     Returns 2 for a CSV that cannot be read as a header and full rows, or
-    a series or window ``fit_decay`` refuses (SeriesError), 1 when the fit
-    fails on its data, else 0.
+    a series or window that ``fit_decay`` or ``certify_envelope`` refuses
+    (SeriesError), 1 when the fit fails on its data, else 0.
     """
     try:
         with open(csv_path) as fh:
@@ -424,6 +426,7 @@ def run_fit(csv_path, column: str, kind: str, window=None) -> int:
     values = data[:, names.index(column)]
     try:
         model = fit_decay(times, values, kind, window=window)
+        cert = certify_envelope(times, values, model)
     except SeriesError as e:
         log.error("CSV %s, columns t and %s: %s", csv_path, column, e)
         return 2
@@ -431,7 +434,6 @@ def run_fit(csv_path, column: str, kind: str, window=None) -> int:
         # too few usable points, negative values or a path that does not decay
         log.error("fit failed: %s", e)
         return 1
-    cert = certify_envelope(times, values, model)
     print(
         json.dumps(
             _jsonable(

@@ -21,6 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .norms_grids import envelope
+
 __all__ = [
     "SeriesError",
     "InsufficientDataError",
@@ -62,10 +64,7 @@ class DecayModel:
 
     def weight_values(self, t):
         """w(t) with model decay normalized out: e^{rate t} or <t>^rate."""
-        t = np.asarray(t, dtype=float)
-        if self.kind == "exponential":
-            return np.exp(self.rate * t)
-        return (1.0 + t * t) ** (0.5 * self.rate)
+        return envelope(self.kind, self.rate, t)
 
 
 @dataclass(frozen=True)
@@ -106,7 +105,8 @@ def fit_decay(
     non-empty 1-d arrays, finite, on strictly increasing times) and
     ``window`` an increasing pair inside the times, else SeriesError.  The
     default window, from the last time t, is (min(2, t/4), min(15, t))
-    for an exponential fit and (min(5, t/4), t) for a polynomial one.
+    for an exponential fit and (min(5, t/4), t) for a polynomial one,
+    its start moved up to the first time of a series that starts later.
     Points at or below DEFAULT_FLOOR are dropped; negative points in the
     window, or fewer than MIN_POINTS usable ones, are an error.
     """
@@ -120,6 +120,7 @@ def fit_decay(
         t = float(times[-1])
         window = ((min(2.0, 0.25 * t), min(15.0, t)) if kind == "exponential"
                   else (min(5.0, 0.25 * t), t))
+        window = (max(window[0], float(times[0])), window[1])
     lo, hi = float(window[0]), float(window[1])
     if not (times[0] <= lo < hi <= times[-1] + 1e-12):
         # nan and inf fail the comparison too
@@ -166,13 +167,17 @@ def certify_envelope(
     small times and stable under extending the horizon.  Shrinking the
     claimed rate only shifts weight toward early times, so a passing
     certificate cannot fail for any smaller rate.  ``times`` and
-    ``values`` must be one series, as for ``fit_decay``, else SeriesError.
+    ``values`` must be one series, as for ``fit_decay``, with a time in
+    the early fraction, else SeriesError.
     """
     times, values = _series(times, values)
+    early = times <= EARLY_FRACTION * times[-1]
+    if not early.any():
+        raise SeriesError(f"no time lies in the early fraction {EARLY_FRACTION:g} of the series: "
+                          f"the first, {times[0]:g}, is after {EARLY_FRACTION:g} * {times[-1]:g}")
     prods = np.abs(values) * model.weight_values(times)
     i_max = int(np.argmax(prods))
     c_full = float(prods[i_max])
-    early = times <= EARLY_FRACTION * times[-1]
     c_early = float(np.max(prods[early]))
     if c_full == 0.0:
         ratio = 1.0

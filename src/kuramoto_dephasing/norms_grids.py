@@ -188,6 +188,14 @@ def _poly_gains(gamma: float):
     return contr, dev
 
 
+def envelope(kind: str, rate: float, t):
+    """e^{rate t} for kind "exponential", else (1 + t^2)^{rate/2}, at times t."""
+    t = np.asarray(t, dtype=float)
+    if kind == "exponential":
+        return np.exp(rate * t)
+    return (1.0 + t * t) ** (0.5 * rate)
+
+
 @dataclass(frozen=True)
 class WeightSpec:
     """Time weight w(t) defining the norm sup_t w(t) |h(t)|.
@@ -211,17 +219,11 @@ class WeightSpec:
         object.__setattr__(self, "rate", rate)
 
     def values(self, t):
-        t = np.asarray(t, dtype=float)
-        if self.kind == "exponential":
-            return np.exp(self.rate * t)
-        return (1.0 + t * t) ** (0.5 * self.rate)
+        return envelope(self.kind, self.rate, t)
 
     def deviation_values(self, t):
         """Weight for characteristic deviations: e^{rate t} or <t>^{rate-1}."""
-        t = np.asarray(t, dtype=float)
-        if self.kind == "exponential":
-            return np.exp(self.rate * t)
-        return (1.0 + t * t) ** (0.5 * (self.rate - 1.0))
+        return envelope(self.kind, self.rate if self.kind == "exponential" else self.rate - 1.0, t)
 
     def check_finite(self, t_max: float):
         """Raise GridError unless the weights at t_max and the unit gains are finite.

@@ -193,40 +193,31 @@ class SolveResult:
     converged: bool
 
 
-def _order_parameter_values(field: CharacteristicField, state: AsymptoticState):
-    """z(t) on the grid: the free part plus the quadrature of e^{iD} - 1.
-
-    The quadrature is ``phase_quadrature``, with the kernels of the
-    field's row sups, read once (a swept field carries them).  A zero
-    field (every row sup 0) has e^{iD} - 1 = 0 on every cell, so z is the
-    free part exactly: no kernel is built and no cell read.
-    """
-    g = field.grid
-    theta = g.theta()
-    z = free_order_parameter(state, g.times()).astype(complex)
-    rows = field.row_sups()
-    if rows.max() == 0.0:
-        return z
-    # angular weights: trapezoid on the periodic grid is exact for the
-    # finite-mode factor, so the only quadrature left is over frequency
-    u = state.angular_factor(theta) * np.exp(1j * theta) / g.n_theta
-    return phase_quadrature(field, rows, u, z)
-
-
 def order_parameter_of(
     field: CharacteristicField, state: AsymptoticState, weight: WeightSpec
 ) -> OrderParameterPath:
     """Order parameter of the transported state, free part in closed form.
 
-    The quadrature of e^{iD} - 1 runs on the field's tiles, each with the
-    phase kernel of its own row sups of |D|, which a swept field carries
-    (a field built from an array takes them in one pass); a zero field
-    (every solve's first iterate, and all of a mu = 0 solve) gives the
-    free part exactly, with no kernel and no cell read.  Raises GridError
+    z(t) on the grid is the free part plus the quadrature of e^{iD} - 1
+    (``phase_quadrature``), which runs on the field's tiles, each with the
+    phase kernel of its own row sups of |D|, read once (a swept field
+    carries them; a field built from an array takes them in one pass).  A
+    zero field (every row sup 0: every solve's first iterate, and all of a
+    mu = 0 solve) has e^{iD} - 1 = 0 on every cell, so z is the free part
+    exactly, with no kernel built and no cell read.  Raises GridError
     when the field's grid aliases a mode of the state (``Grid.check_modes``).
     """
-    field.grid.check_modes(state.modes)
-    return OrderParameterPath(field.grid, _order_parameter_values(field, state), weight)
+    g = field.grid
+    g.check_modes(state.modes)
+    z = free_order_parameter(state, g.times()).astype(complex)
+    rows = field.row_sups()
+    if rows.max() != 0.0:
+        # angular weights: trapezoid on the periodic grid is exact for the
+        # finite-mode factor, so the only quadrature left is over frequency
+        theta = g.theta()
+        u = state.angular_factor(theta) * np.exp(1j * theta) / g.n_theta
+        phase_quadrature(field, rows, u, z)
+    return OrderParameterPath(g, z, weight)
 
 
 def _terms_histogram(counts) -> str:
@@ -527,6 +518,10 @@ class ReconstructedDensity:
 
     def mass_ok(self, tol: float = 1e-6) -> bool:
         return bool(np.all(np.abs(self.mass - 1.0) <= tol))
+
+    def gamma_ok(self) -> bool:
+        """|Gamma| <= beta held on every row: a margin of at most 1 + 1e-12, not NaN."""
+        return bool(self.gamma_margin <= 1.0 + 1e-12)
 
 
 def _spectral_jacobian(dev_slice):

@@ -242,10 +242,6 @@ class AsymptoticState:
             out = out + 2.0 * (a.real * np.cos(k * th) - a.imag * np.sin(k * th))
         return out
 
-    def density(self, theta, omega):
-        """f_inf on a broadcast (theta, omega) label set."""
-        return self.angular_factor(theta) * self.profile.density(omega) / (2.0 * math.pi)
-
 
 def spectral_transform(state: AsymptoticState, k: int, eta):
     """fhat(k, eta) of the asymptotic density, in closed form.

@@ -163,6 +163,31 @@ def test_only_characteristics_reads_its_loop_policy():
     assert not readers, f"modules that cut characteristics' loops themselves: {readers}"
 
 
+# where the per-tile kernel rule and the tails' bookkeeping may be read:
+# the walkers pick the kernels, and the angle walker alone keeps the tails,
+# so a sweep reports what its walk did instead of working it out again
+TILE_KERNEL_CALLERS = {"_integral_parts", "phase_quadrature"}
+TAIL_READERS = {"_Tail", "_integral_parts"}
+
+
+def test_the_tile_kernels_and_the_tails_have_one_reader_per_walker():
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            if not isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                    if name == "tile_kernels" and top.name not in TILE_KERNEL_CALLERS:
+                        found.append(f"{path.stem}.{top.name} calls tile_kernels")
+                elif (isinstance(node, ast.Attribute) and node.attr in ("tiles", "kernels")
+                      and top.name not in TAIL_READERS):
+                    found.append(f"{path.stem}.{top.name} reads .{node.attr}")
+    assert not found, found
+
+
 def _spans_module(monkeypatch):
     spec = importlib.util.spec_from_file_location("perfbench_spans", ROOT / "perfbench" / "spans.py")
     module = importlib.util.module_from_spec(spec)

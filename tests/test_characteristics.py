@@ -41,6 +41,7 @@ from kuramoto_dephasing import (
 )
 from kuramoto_dephasing import characteristics, scheme
 from kuramoto_dephasing.characteristics import (
+    ContractionReport,
     deviation_sweep,
     filon_weights,
     oscillation_table,
@@ -74,15 +75,17 @@ def _abs_max(a):
     return float(np.abs(a).max())
 
 
-def _sweep(times, theta, omega, z, deviation, mu, rows=None, out=None):
+def _sweep(grid, z, deviation, mu, rows=None, out=None):
     # one sweep into ``out`` (a new field when None) from the row sups of
     # ``deviation``, with the row residuals in ``rows`` (not looked at when
-    # None) and the new field's row sups in a row no test reads
-    n = len(times)
-    return deviation_sweep(times, theta, omega, z, deviation, mu,
-                           np.empty(n) if rows is None else rows,
-                           np.empty(deviation.shape) if out is None else out,
-                           characteristics.row_gaps(deviation), np.empty(n))
+    # None), and the new field's row sups and the report entry where no
+    # test reads them
+    n = grid.n_times
+    out = np.empty(deviation.shape) if out is None else out
+    deviation_sweep(ContractionReport(0.0), grid, z, mu, WEIGHT, deviation,
+                    characteristics.row_gaps(deviation), out,
+                    (np.empty(n) if rows is None else rows, np.empty(n)))
+    return out
 
 
 def _gamma_parts(field, z):
@@ -151,7 +154,7 @@ def test_one_sweep_matches_continuum_closed_form(grid, zpath):
     #   D_new = mu * Im(e^{i theta} int_t^T 0.05 e^{-s} e^{i omega s} ds)
     times, theta, omega = grid.times(), grid.theta(), grid.omega_nodes
     dev0 = np.zeros(grid.shape())
-    swept = _sweep(times, theta, omega, zpath, dev0, MU)
+    swept = _sweep(grid, zpath, dev0, MU)
 
     a = -1.0 + 1j * omega[None, None, :]
     ends = np.exp(a * times[-1])
@@ -259,12 +262,11 @@ def test_sweep_phase_shift_equivariance(zpath):
     g1 = _three_label_grid(nodes)
     g2 = _three_label_grid(nodes + delta)
     spun = zpath * np.exp(1j * delta * g1.times())
-    times, theta = g1.times(), g1.theta()
     d1 = np.zeros(g1.shape())
     d2 = np.zeros(g2.shape())
     for _ in range(8):
-        d1 = _sweep(times, theta, g1.omega_nodes, zpath, d1, MU)
-        d2 = _sweep(times, theta, g2.omega_nodes, spun, d2, MU)
+        d1 = _sweep(g1, zpath, d1, MU)
+        d2 = _sweep(g2, spun, d2, MU)
     assert np.max(np.abs(d1 - d2)) < 5e-6
 
 
@@ -306,14 +308,13 @@ def test_gamma_running_bound_and_fixed_point_identity(grid, zpath, solved):
 
 
 def test_polynomial_phase_fast_path_consistent(grid, zpath, monkeypatch):
-    times, theta, omega = grid.times(), grid.theta(), grid.omega_nodes
     dev0 = np.zeros(grid.shape())
-    exact = _sweep(times, theta, omega, zpath, dev0, MU)
+    exact = _sweep(grid, zpath, dev0, MU)
     assert characteristics._taylor_terms(_abs_max(exact)) is not None
-    fast = _sweep(times, theta, omega, zpath, exact, MU)
+    fast = _sweep(grid, zpath, exact, MU)
     # no sup lies below -1: the trig form serves every tile
     monkeypatch.setattr(characteristics, "_POLY_CAP", -1.0)
-    slow = _sweep(times, theta, omega, zpath, exact, MU)
+    slow = _sweep(grid, zpath, exact, MU)
     assert np.max(np.abs(fast - slow)) < 1e-14
 
 
@@ -366,22 +367,26 @@ def _seed_deviation_sweep(times, theta, omega, z, deviation, mu):
     return out
 
 
-def _seed_sweep_with_residual(times, theta, omega, z, deviation, mu, row_residual, out=None,
-                              sup=None, row_sups=None, tails=None):
-    # the seed sweep under the new signature, its residual from new - dev
-    # and its row sups from new; the seed kernel needs no row sups to pick
-    # tile kernels from, and it sweeps every tile, so it keeps no tails
-    new = _seed_deviation_sweep(times, theta, omega, z, deviation, mu)
-    row_residual[:] = np.abs(new - deviation).reshape(len(times), -1).max(axis=1)
-    if row_sups is not None:
-        row_sups[:] = np.abs(new).reshape(len(times), -1).max(axis=1)
-    if out is None:
-        return new
+def _seed_sweep_with_residual(report, grid, z, mu, weight, deviation, sup, out, rows,
+                              tails=None):
+    # the seed sweep under the new signature, its residual from new - dev,
+    # its row sups from new and its report entry; the seed kernel needs no
+    # row sups to pick tile kernels from, and it sweeps every tile, so it
+    # keeps no tails and reports no kernels
+    times = grid.times()
+    new = _seed_deviation_sweep(times, grid.theta(), grid.omega_nodes, z, deviation, mu)
+    rows[0] = np.abs(new - deviation).reshape(len(times), -1).max(axis=1)
+    rows[1] = np.abs(new).reshape(len(times), -1).max(axis=1)
     out[...] = new
-    return out
+    res = weighted_norm(times, rows[0], weight, deviation=True)
+    if report.residuals and report.residuals[-1] > report.floor:
+        report.ratios.append(res / report.residuals[-1])
+    report.residuals.append(res)
+    report.sweeps += 1
+    return rows[1]
 
 
-def _seed_order_parameter_values(field, state):
+def _seed_order_parameter_of(field, state, weight):
     g = field.grid
     times, theta, omega = g.times(), g.theta(), g.omega_nodes
     u = state.angular_factor(theta) * np.exp(1j * theta) / g.n_theta
@@ -394,7 +399,7 @@ def _seed_order_parameter_values(field, state):
     s = np.einsum("j,tjk->tk", u, em1)
     e = np.exp(1j * np.outer(times, omega))
     z += np.einsum("tk,tk,k->t", e, s, g.prob_weights)
-    return z
+    return OrderParameterPath(g, z, weight)
 
 
 # sup distance allowed between the tiled in-place kernel and the seed's:
@@ -431,17 +436,17 @@ def test_blocked_sweep_matches_seed_kernel(grid, forced_tiles, amplitude):
     times, theta, omega = grid.times(), grid.theta(), grid.omega_nodes
     z = 0.3 * np.exp(-0.5 * times + 0.4j * times)
     dev = rng.uniform(-amplitude, amplitude, grid.shape())
-    new = _sweep(times, theta, omega, z, dev, 0.5)
+    new = _sweep(grid, z, dev, 0.5)
     ref = _seed_deviation_sweep(times, theta, omega, z, dev, 0.5)
     assert np.max(np.abs(ref)) > 1e-3
     assert np.max(np.abs(new - ref)) <= SEED_TOL
 
 
 def test_fused_residual_equals_the_difference_norm(grid, zpath, solved, forced_tiles):
-    times, theta, omega = grid.times(), grid.theta(), grid.omega_nodes
+    times = grid.times()
     dev = solved[0].deviation * 3.0
     rows = np.empty(grid.n_times)
-    new = _sweep(times, theta, omega, zpath, dev, MU, rows)
+    new = _sweep(grid, zpath, dev, MU, rows)
     assert np.array_equal(rows, np.abs(new - dev).reshape(grid.n_times, -1).max(axis=1))
     fused = weighted_norm(times, rows, WEIGHT, deviation=True)
     assert fused == weighted_norm(times, new - dev, WEIGHT, deviation=True)
@@ -469,7 +474,7 @@ def test_kinetic_answer_matches_seed_kernel(grid, forced_tiles, monkeypatch):
     # needs only the iteration
     new = outer_solve(state, grid, MU, tail_budget=1e-3)
     monkeypatch.setattr(characteristics, "deviation_sweep", _seed_sweep_with_residual)
-    monkeypatch.setattr(scheme, "_order_parameter_values", _seed_order_parameter_values)
+    monkeypatch.setattr(scheme, "order_parameter_of", _seed_order_parameter_of)
     ref = outer_solve(state, grid, MU, tail_budget=1e-3)
     assert [r["contraction"]["sweeps"] for r in new.ledger.records] == [
         r["contraction"]["sweeps"] for r in ref.ledger.records
@@ -532,13 +537,13 @@ def test_working_set_is_two_fields_and_block_slabs(grid, zpath, solved, monkeypa
 @AMPLITUDES
 def test_in_place_sweep_equals_the_out_of_place_sweep(grid, forced_tiles, amplitude):
     rng = np.random.default_rng(13)
-    times, theta, omega = grid.times(), grid.theta(), grid.omega_nodes
+    times = grid.times()
     z = 0.3 * np.exp(-0.5 * times + 0.4j * times)
     dev = rng.uniform(-amplitude, amplitude, grid.shape())
     rows, in_place_rows = np.empty((2, grid.n_times))
-    new = _sweep(times, theta, omega, z, dev, 0.5, rows)
+    new = _sweep(grid, z, dev, 0.5, rows)
     swept = dev.copy()
-    assert _sweep(times, theta, omega, z, swept, 0.5, in_place_rows, out=swept) is swept
+    assert _sweep(grid, z, swept, 0.5, in_place_rows, out=swept) is swept
     assert np.array_equal(swept, new)
     assert np.array_equal(in_place_rows, rows)
 
@@ -546,11 +551,11 @@ def test_in_place_sweep_equals_the_out_of_place_sweep(grid, forced_tiles, amplit
 def test_in_place_solve_equals_an_out_of_place_loop(grid, zpath, forced_tiles):
     field, report = solve_fixed_point(grid, zpath, MU, WEIGHT)
     # solve_fixed_point's loop with a new field every sweep
-    times, theta, omega = grid.times(), grid.theta(), grid.omega_nodes
+    times = grid.times()
     dev, rows = np.zeros(grid.shape()), np.empty(grid.n_times)
     residuals, ratios = [], []
     for _ in range(characteristics.MAX_SWEEPS):
-        dev = _sweep(times, theta, omega, zpath, dev, MU, rows)
+        dev = _sweep(grid, zpath, dev, MU, rows)
         res = weighted_norm(times, rows, WEIGHT, deviation=True)
         if residuals and residuals[-1] > report.floor:
             ratios.append(res / residuals[-1])
@@ -571,22 +576,23 @@ def test_zero_start_sweep_is_the_full_sweep_of_a_zero_field(monkeypatch):
     g, z, _, mu, state, weight = _benchmark_case("strong_coupling")
     rows = _force_tile_rows(monkeypatch, g.shape(), 37)
     assert len(rows) >= 3 and rows[-1] < rows[0]
-    times, theta, omega = g.times(), g.theta(), g.omega_nodes
+    times = g.times()
     zero = np.zeros(g.shape())
     ref = _omega_block_outputs(g, z, zero, mu, state, weight)
     rows, sups, in_place_rows = np.empty((3, g.n_times))
-    fresh = deviation_sweep(times, theta, omega, z, zero, mu, rows, np.empty(g.shape()),
-                            characteristics.row_gaps(zero), sups)
+    fresh = np.empty(g.shape())
+    deviation_sweep(ContractionReport(0.0), g, z, mu, weight, zero,
+                    characteristics.row_gaps(zero), fresh, (rows, sups))
     in_place = np.zeros(g.shape())
-    assert deviation_sweep(times, theta, omega, z, in_place, mu, in_place_rows, in_place, 0.0,
-                           np.empty(g.n_times)) is in_place
+    deviation_sweep(ContractionReport(0.0), g, z, mu, weight, in_place, 0.0, in_place,
+                    (in_place_rows, np.empty(g.n_times)))
     for got in (fresh, in_place):
         assert got.view(np.uint64).tobytes() == ref["sweep"].view(np.uint64).tobytes()
     assert np.array_equal(rows, ref["row_residual"]) and np.array_equal(in_place_rows, rows)
     # from zero the residual is the new field's own row sups
     assert sups.tobytes() == rows.tobytes()
     # a zero field's order parameter is the free part, signed zeros included
-    quad = scheme._order_parameter_values(CharacteristicField(g, zero, mu), state)
+    quad = scheme.order_parameter_of(CharacteristicField(g, zero, mu), state, WEIGHT).values
     free = free_order_parameter(state, times).astype(complex)
     assert quad.view(np.uint64).tobytes() == free.view(np.uint64).tobytes()
     assert np.array_equal(quad, ref["quadrature"])
@@ -659,7 +665,7 @@ def test_quadrature_scratch_fits_in_the_sweep_slabs(grid, solved, monkeypatch):
     rows = 16 * (8 * tile_rows * n_om + 4 * n_t)
     # the e^{i omega t} table is a grid constant, built once per grid
     oscillation_table(grid.times(), grid.omega_nodes)
-    peak = _traced_peak(lambda: scheme._order_parameter_values(field, state))
+    peak = _traced_peak(lambda: scheme.order_parameter_of(field, state, WEIGHT).values)
     assert peak <= slabs + rows
 
 
@@ -670,18 +676,17 @@ def _cumsum_backward_sum(c):
 
 
 def _kernel_outputs(grid, z, dev):
-    times, theta, omega = grid.times(), grid.theta(), grid.omega_nodes
     blocks = {}
 
     def keep(p, angles, sl, ib, spare, phase):
         blocks.setdefault(sl.start, {})[p] = ib.copy()
 
-    characteristics._integral_parts(times, omega, z, dev, _abs_max(dev), keep)
+    characteristics._integral_parts(grid, z, dev, _abs_max(dev), keep)
     # each tile's parts side by side, tiles from t_max backward
     tiles = [np.concatenate([parts[p] for p in sorted(parts)], axis=1)
              for _, parts in sorted(blocks.items(), reverse=True)]
     rows = np.empty(grid.n_times)
-    new = _sweep(times, theta, omega, z, dev, 0.5, rows)
+    new = _sweep(grid, z, dev, 0.5, rows)
     margin, sin_part, cos_part = _gamma_parts(CharacteristicField(grid, dev, 0.5), z)
     return tiles, [new, rows, sin_part, cos_part, np.array(margin)]
 
@@ -1238,12 +1243,11 @@ class _PerTileTable:
 
 
 def _table_outputs(grid, z, dev, state):
-    times, theta, omega = grid.times(), grid.theta(), grid.omega_nodes
     rows = np.empty(grid.n_times)
-    new = _sweep(times, theta, omega, z, dev, 0.5, rows)
+    new = _sweep(grid, z, dev, 0.5, rows)
     field = CharacteristicField(grid, dev, 0.5)
     margin, sin_part, cos_part = _gamma_parts(field, z)
-    quad = scheme._order_parameter_values(field, state)
+    quad = scheme.order_parameter_of(field, state, WEIGHT).values
     return [new, rows, sin_part, cos_part, np.array(margin), quad]
 
 
@@ -1543,9 +1547,9 @@ def _omega_block_outputs(g, z, dev, mu, state, weight):
 
 
 def _tiled_outputs(g, z, dev, mu, state, weight):
-    times, theta, omega = g.times(), g.theta(), g.omega_nodes
+    times = g.times()
     rows = np.empty(g.n_times)
-    new = _sweep(times, theta, omega, z, dev, mu, rows)
+    new = _sweep(g, z, dev, mu, rows)
     field = CharacteristicField(g, dev, mu)
     margin, sin_part, cos_part = _gamma_parts(field, z)
     swept = CharacteristicField(g, new, mu)
@@ -1560,7 +1564,7 @@ def _tiled_outputs(g, z, dev, mu, state, weight):
                                            deviation=True)),
         "sup_distance": np.array(swept.sup_distance(field)),
         "dephasing": recon.dephasing, "values": recon.values,
-        "quadrature": scheme._order_parameter_values(field, state),
+        "quadrature": scheme.order_parameter_of(field, state, WEIGHT).values,
     }
 
 
@@ -1599,7 +1603,8 @@ def test_tiled_loops_equal_the_omega_blocked_loops(name, height, monkeypatch):
     assert np.max(np.abs(tiled["quadrature"] - ref["quadrature"])) <= QUADRATURE_TOL
     # a time row's frequency sum does not depend on the tile it falls in
     monkeypatch.setattr(characteristics, "_TILE_CELLS", g.n_times * g.n_theta * g.n_omega)
-    whole = scheme._order_parameter_values(CharacteristicField(g, case[2], case[3]), case[4])
+    whole = scheme.order_parameter_of(CharacteristicField(g, case[2], case[3]), case[4],
+                                      WEIGHT).values
     assert np.array_equal(tiled["quadrature"], whole)
 
 
@@ -1641,18 +1646,18 @@ PART_CASES = [(name, parts) for name, (_, counts) in PART_GRIDS.items() for part
 
 
 def _split_outputs(g, amplitude):
-    times, theta, omega = g.times(), g.theta(), g.omega_nodes
+    times = g.times()
     z = 0.3 * np.exp(-0.5 * times + 0.4j * times)
     dev = np.random.default_rng(17).uniform(-amplitude, amplitude, g.shape())
     rows, in_place_rows = np.empty((2, g.n_times))
-    swept = _sweep(times, theta, omega, z, dev, 0.5, rows)
+    swept = _sweep(g, z, dev, 0.5, rows)
     in_place = dev.copy()
-    _sweep(times, theta, omega, z, in_place, 0.5, in_place_rows, out=in_place)
+    _sweep(g, z, in_place, 0.5, in_place_rows, out=in_place)
     # the sweep from D = 0, into a new array and in place, as raw bits
     zero_rows = np.empty(g.n_times)
-    from_zero = _sweep(times, theta, omega, z, np.zeros(g.shape()), 0.5, zero_rows)
+    from_zero = _sweep(g, z, np.zeros(g.shape()), 0.5, zero_rows)
     zero_in_place = np.zeros(g.shape())
-    _sweep(times, theta, omega, z, zero_in_place, 0.5, out=zero_in_place)
+    _sweep(g, z, zero_in_place, 0.5, out=zero_in_place)
     field = CharacteristicField(g, dev, 0.5)
     margin, sin_part, cos_part = _gamma_parts(field, z)
     state = AsymptoticState(PROFILE, {1: 0.05}, "exponential", 0.9)
@@ -1670,7 +1675,7 @@ def _split_outputs(g, amplitude):
         "from_zero": from_zero.view(np.uint64), "zero_rows": zero_rows,
         "zero_in_place": zero_in_place.view(np.uint64),
         "sin_part": sin_part, "cos_part": cos_part, "margin": np.array(margin),
-        "quadrature": scheme._order_parameter_values(field, state),
+        "quadrature": scheme.order_parameter_of(field, state, WEIGHT).values,
         "solved": solved.deviation, "report": report,
         "deviation_norm": np.array(field.deviation_norm(WEIGHT)),
         "values": recon.values, "mass": recon.mass, "dephasing": recon.dephasing,
@@ -1695,7 +1700,7 @@ def test_split_loops_are_bit_identical_for_any_part_count(name, parts, amplitude
     monkeypatch.setattr(characteristics, "_PARTS", parts)
     times = g.times()
     angle_parts = {}
-    characteristics._integral_parts(times, g.omega_nodes, times + 0j, np.zeros(g.shape()), 0.0,
+    characteristics._integral_parts(g, times + 0j, np.zeros(g.shape()), 0.0,
                                     lambda p, angles, *tile: angle_parts.setdefault(p, angles))
     widths = [a.stop - a.start for _, a in sorted(angle_parts.items())]
     assert len(widths) == min(parts, g.n_theta // 2) and sum(widths) == g.n_theta
@@ -1767,6 +1772,7 @@ def _kernel_log(monkeypatch, field):
             log.append((terms, first, len(dev)))
             kernel(dev, cos_m1, sin_d, d2)
 
+        apply.terms = kernel.terms
         return apply
 
     monkeypatch.setattr(characteristics, "phase_kernel",
@@ -1783,7 +1789,7 @@ def test_every_tile_takes_the_kernel_of_its_own_rows(grid, monkeypatch):
     _force_tile_rows(monkeypatch, grid.shape(), 20)
     tiles = list(characteristics.time_tiles(grid.shape()))
     assert len(tiles) == 9
-    times, theta, omega = grid.times(), grid.theta(), grid.omega_nodes
+    times = grid.times()
     rng = np.random.default_rng(29)
     dev = rng.uniform(-1.0, 1.0, grid.shape()) * (0.9 * 10.0 ** -times)[:, None, None]
     dev[tiles[3].start + 4, 5, 7] = np.nan
@@ -1797,9 +1803,9 @@ def test_every_tile_takes_the_kernel_of_its_own_rows(grid, monkeypatch):
     state = AsymptoticState(PROFILE, {1: 0.05}, "exponential", 0.9)
     field = CharacteristicField(grid, dev, 0.5)
     loops = {
-        "sweep": lambda: _sweep(times, theta, omega, z, dev, 0.5),
+        "sweep": lambda: _sweep(grid, z, dev, 0.5),
         "gamma_field": lambda: gamma_field(field, z, lambda *block: None),
-        "quadrature": lambda: scheme._order_parameter_values(field, state),
+        "quadrature": lambda: scheme.order_parameter_of(field, state, WEIGHT).values,
     }
     for name, loop in loops.items():
         with monkeypatch.context() as mp:
@@ -1926,12 +1932,11 @@ def test_a_tail_whose_kernel_changed_is_swept_again(grid, monkeypatch):
     tile_kernels = characteristics.tile_kernels
 
     def switching(shape, rows):
-        # the first sweep, from D = 0, reads the kernels once (its walk),
-        # each later sweep twice (its report's term count, then its walk),
-        # so the tenth call is the sixth sweep's first
+        # each sweep reads the kernels once, in its walk, so the sixth
+        # call is the sixth sweep's
         calls.append(1)
         kernels = tile_kernels(shape, rows)
-        if len(calls) >= 10:
+        if len(calls) >= 6:
             kernels[0] = _rescaled_phase
         return kernels
 

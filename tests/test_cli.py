@@ -2,6 +2,7 @@
 bit-for-bit reproducibility of the kinetic outputs."""
 
 import copy
+import dataclasses
 import filecmp
 import json
 import math
@@ -349,6 +350,55 @@ def test_fit_refuses_a_malformed_csv_before_fitting(tmp_path, caplog, monkeypatc
     assert got == 2
     errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
     assert len(errors) == 1 and "\n" not in errors[0]
+
+
+def _late_csv(path, start, step):
+    # 0.05 e^-t from t = start to 20
+    t = start + step * np.arange(round((20.0 - start) / step) + 1)
+    r = 0.05 * np.exp(-t)
+    path.write_text("t,r\n" + "".join(f"{a!r},{b!r}\n" for a, b in zip(t.tolist(), r.tolist())))
+    return str(path)
+
+
+def test_fit_of_a_series_with_no_early_part_exits_2_in_one_line(tmp_path, caplog, capsys):
+    # t = 16 .. 20 has no time at or before 0.75 * 20: the envelope
+    # certificate once ended in a traceback of numpy's
+    csv = _late_csv(tmp_path / "late.csv", 16.0, 0.1)
+    with caplog.at_level("ERROR", logger="kuramoto_dephasing"):
+        got = main(["fit", "--csv", csv, "--window", "16", "20"])
+    assert got == 2
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 1 and "\n" not in errors[0] and "early fraction" in errors[0]
+    assert capsys.readouterr().out == ""
+
+
+def test_fit_without_a_window_fits_a_late_series_from_its_first_time(tmp_path, capsys):
+    # the default window (2, 15) once refused a series starting at t = 3
+    csv = _late_csv(tmp_path / "late.csv", 3.0, 0.05)
+    capsys.readouterr()
+    assert main(["fit", "--csv", csv]) == 0
+    fit = json.loads(capsys.readouterr().out)["fit"]
+    assert fit["window"] == [3.0, 15.0]
+    assert fit["rate"] == pytest.approx(1.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("margin", [1.01, math.nan], ids=["above_bound", "nan"])
+def test_a_gamma_margin_above_its_bound_fails_solve(tmp_path, monkeypatch, caplog, margin):
+    # |Gamma| <= beta is the running bound the density is built on: a
+    # margin above 1 + 1e-12, or NaN, fails the run, whose artifacts are
+    # still written
+    def doctored(result):
+        return dataclasses.replace(reconstruct(result), gamma_margin=margin)
+
+    monkeypatch.setattr(cli, "reconstruct", doctored)
+    cfg = write_config(tmp_path / "cfg.json", base_config())
+    out = tmp_path / "out"
+    with caplog.at_level("INFO", logger="kuramoto_dephasing"):
+        assert main(["solve", "--config", cfg, "--output-dir", str(out)]) == 1
+    for name in KINETIC_FILES:
+        assert (out / name).is_file(), name
+    finished = [r.getMessage() for r in caplog.records if "solve finished" in r.getMessage()]
+    assert len(finished) == 1 and f" gamma_margin={margin!r}" in finished[0]
 
 
 def test_env_var_overrides_output_dir(tmp_path, monkeypatch):

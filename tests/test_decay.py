@@ -175,14 +175,34 @@ def test_certify_envelope_refuses_a_non_finite_value(bad):
 
 
 @pytest.mark.parametrize(
-    "kind, t_max, window",
-    [("exponential", 20.0, (2.0, 15.0)), ("exponential", 4.0, (1.0, 4.0)),
-     ("polynomial", 40.0, (5.0, 40.0)), ("polynomial", 12.0, (3.0, 12.0))],
+    "kind, start, t_max, window",
+    [("exponential", 0.0, 20.0, (2.0, 15.0)), ("exponential", 0.0, 4.0, (1.0, 4.0)),
+     ("polynomial", 0.0, 40.0, (5.0, 40.0)), ("polynomial", 0.0, 12.0, (3.0, 12.0)),
+     # a series that starts after the default start was refused: "window
+     # (2.0, 15.0) not inside the grid [3.0, 20.0]"
+     ("exponential", 3.0, 20.0, (3.0, 15.0)), ("polynomial", 7.0, 20.0, (7.0, 20.0))],
 )
-def test_the_default_window_reads_the_last_time(kind, t_max, window):
-    t = np.linspace(0.0, t_max, 201)
+def test_the_default_window_reads_the_first_and_last_times(kind, start, t_max, window):
+    t = np.linspace(start, t_max, 201)
     vals = np.exp(-t) if kind == "exponential" else 1.0 / (1.0 + t * t)
     assert fit_decay(t, vals, kind).window == window
+
+
+def test_a_default_window_left_empty_by_a_late_start_is_refused():
+    t = 16.0 + 0.1 * np.arange(41)
+    with pytest.raises(SeriesError, match="window"):
+        fit_decay(t, 0.05 * np.exp(-t), "exponential")
+
+
+def test_certify_envelope_refuses_a_series_with_no_early_time():
+    # t = 16 .. 20 has no time at or before 0.75 * 20 = 15: np.max over an
+    # empty early part ended in a ValueError of numpy's
+    t = 16.0 + 0.1 * np.arange(41)
+    vals = 0.05 * np.exp(-t)
+    model = fit_decay(t, vals, "exponential", window=(16.0, 20.0))
+    with pytest.raises(SeriesError, match="early fraction 0.75") as info:
+        certify_envelope(t, vals, model)
+    assert "\n" not in str(info.value)
 
 
 def test_noise_floor_starves_the_fit():

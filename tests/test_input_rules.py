@@ -54,7 +54,7 @@ from kuramoto_dephasing import (
     verify_lemmas,
     weighted_norm,
 )
-from kuramoto_dephasing.characteristics import deviation_sweep, picard_sweep
+from kuramoto_dephasing.characteristics import ContractionReport, deviation_sweep, picard_sweep
 from kuramoto_dephasing.particles import comparison_inputs
 from kuramoto_dephasing.scheme import DiagnosticsLedger, solve_inputs
 
@@ -100,9 +100,9 @@ CASES = [
     ("Grid", lambda c, v: dataclasses.replace(c.grid, dt=v), "dt", ABOVE_0),
     ("Grid", lambda c, v: dataclasses.replace(c.grid, n_theta=v), "n_theta", COUNT + [8.0, 9]),
     ("deviation_sweep", lambda c, v: deviation_sweep(
-        c.times, c.grid.theta(), c.grid.omega_nodes, v, c.result.field.deviation, MU,
-        np.empty(c.times.size), np.empty(c.grid.shape()), c.result.field.row_sups(),
-        np.empty(c.times.size)), "z", [WRONG_LENGTH]),
+        ContractionReport(0.0), c.grid, v, MU, WEIGHT, c.result.field.deviation,
+        c.result.field.row_sups(), np.empty(c.grid.shape()), np.empty((2, c.times.size))), "z",
+     [WRONG_LENGTH]),
     ("picard_sweep", lambda c, v: picard_sweep(c.grid, c.z, v, WEIGHT), "mu", AT_LEAST_0),
     ("picard_sweep", lambda c, v: picard_sweep(c.grid, v, MU, WEIGHT), "z", [WRONG_LENGTH]),
     ("solve_fixed_point", lambda c, v: solve_fixed_point(c.grid, c.z, v, WEIGHT), "mu",

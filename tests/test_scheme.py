@@ -353,12 +353,12 @@ def test_a_grown_joint_grid_resamples_the_field_before_it(state, grid, monkeypat
         D_TOL_EPS * EPS * np.max(np.abs(full.field.deviation)))
 
 
-# kernels one mu = 0.05 solve on KERNEL_GRID builds: two per sweep (its
-# report's term count and its walk) and one per quadrature, less iterate
+# kernels one mu = 0.05 solve on KERNEL_GRID builds: one per sweep (its
+# walk, which also reports them) and one per quadrature, less iterate
 # 2's sweep and the certification's first (both from D = 0) and iterate
 # 1's quadrature (of the zero field)
 KERNEL_GRID = dict(t_max=8.0, dt=0.05, n_theta=8, n_omega=33)
-KERNELS_PER_SOLVE = 20
+KERNELS_PER_SOLVE = 13
 
 
 def test_solves_build_kernels_only_for_nonzero_fields(state, monkeypatch):
@@ -387,7 +387,7 @@ def test_solves_build_kernels_only_for_nonzero_fields(state, monkeypatch):
     res = outer_solve(state, g, MU, WEIGHT, tail_budget=1e-3)
     sweeps = [r["contraction"]["sweeps"] for r in res.ledger.records]
     assert sweeps[0] == 0 and len(sweeps) >= 3
-    assert len(kernels) == 2 * (sum(sweeps) - 2) + len(sweeps) - 1 == KERNELS_PER_SOLVE
+    assert len(kernels) == sum(sweeps) - 2 + len(sweeps) - 1 == KERNELS_PER_SOLVE
     assert all(bound > 0.0 for bound in kernels) and sup_passes == []
 
 
@@ -677,6 +677,14 @@ def test_reconstruct_reports_the_gamma_margin(result, recon):
     assert recon.gamma_margin == margin
 
 
+@pytest.mark.parametrize("margin, ok", [(1.0 + 1e-12, True), (1.0000000000000002, True),
+                                        (1.0 + 2e-12, False), (math.nan, False)])
+def test_gamma_ok_holds_up_to_its_rounding_slack(recon, margin, ok):
+    # one ulp above 1 is what the acceptance exponential solve reads
+    assert recon.gamma_ok()
+    assert dataclasses.replace(recon, gamma_margin=margin).gamma_ok() is ok
+
+
 def test_dephasing_decays_by_fitted_factor(result, recon, grid):
     times = grid.times()
     model = fit_decay(times, recon.dephasing, "exponential", window=(2.0, 12.0))
@@ -776,7 +784,9 @@ def _direct_dephasing(res, dtype):
 
 def _max_f_inf(res):
     g = res.grid
-    return float(np.max(res.state.density(g.theta()[:, None], g.omega_nodes[None, :])))
+    # f_inf = A(theta) g(omega) / 2 pi on the labels
+    ang = res.state.angular_factor(g.theta())[:, None]
+    return float(np.max(ang * g.profile.density(g.omega_nodes)[None, :] / (2.0 * math.pi)))
 
 
 def test_dephasing_matches_the_direct_form(frozen_path_result):
@@ -999,7 +1009,7 @@ def _quadrature_routes(field, state, monkeypatch):
 
     with monkeypatch.context() as mp:
         mp.setattr(characteristics, "phase_kernel", spy)
-        z = scheme._order_parameter_values(field, state)
+        z = scheme.order_parameter_of(field, state, WEIGHT).values
     assert next(tile_sups, None) is None
     return routes, z
 

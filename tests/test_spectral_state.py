@@ -73,10 +73,16 @@ def test_free_order_parameter_closed_forms():
     assert np.max(np.abs(z - 0.05 / (1.0 + t * t))) < 1e-15
 
 
+def _f_inf(state, theta, omega):
+    # the asymptotic density A(theta) g(omega) / 2 pi
+    return state.angular_factor(theta) * state.profile.density(omega) / (2.0 * math.pi)
+
+
 def test_density_normalization(eps_state):
     th = np.linspace(0.0, 2 * math.pi, 257)[:-1]
     marg = np.array(
-        [integrate.quad(lambda w, a=a: eps_state.density(a, w), -np.inf, np.inf)[0] for a in th[::16]]
+        [integrate.quad(lambda w, a=a: _f_inf(eps_state, a, w), -np.inf, np.inf)[0]
+         for a in th[::16]]
     )
     total = np.mean(marg) * 2 * math.pi  # uniform theta average x full angle
     assert total == pytest.approx(1.0, abs=1e-9)
