@@ -38,7 +38,10 @@ whose number of terms k is the smallest that puts the truncation below
 the rounding unit (a few multiply-adds per cell, fewer on the decayed
 late tiles), and (-2 sin^2(D/2), sin D) above sup|D| = 1.  The sweep,
 gamma_field and the order-parameter quadrature (``phase_quadrature``)
-share that kernel and one e^{i omega t} table (``oscillation_table``).
+share that kernel and one e^{i omega t} table (``oscillation_table``),
+and it is the package's only map to e^{iX} - 1: the density
+reconstruction takes each higher mode's e^{ikD} - 1 from the kernel of kD
+by the same per-tile rule.
 
 Every loop over a field walks the same time tiles (``time_tiles``) and
 splits into parts that run side by side, with one walker per split
@@ -188,10 +191,12 @@ class ContractionReport:
     against downstream.  ``tail_remainder`` certifies the truncated
     s-integral beyond t_max.
 
-    ``tile_terms`` counts the tiles the sweeps swept with a kernel, by its
-    Taylor terms (the kernel's ``terms``; a sweep from D = 0 takes none), and
-    ``tiles_skipped`` the tiles, of one angle part each, that a solve's
-    sweeps left out (``deviation_sweep``'s tails).  Both are for the log:
+    ``tile_terms`` counts the tiles, of one angle part each, that the
+    sweeps swept with a kernel, by its Taylor terms (the kernel's
+    ``terms``; a sweep from D = 0 reports none), and ``tiles_skipped`` the
+    tiles of one part each that a solve's sweeps left out
+    (``deviation_sweep``'s tails), so the two add up to the part-tiles of
+    every sweep not from zero.  Both are for the log:
     they depend on the part count and stay out of the ledger entry.
     """
 
@@ -540,15 +545,15 @@ def tile_kernels(shape, rows):
     """The phase kernel of each tile of ``time_tiles(shape)``, from its rows.
 
     ``rows`` holds sup|D| over each time row (one number bounds every
-    row).  A tile of zero rows takes ``_unit_phase``, every other tile
-    ``phase_kernel`` of its largest row sup: the trig form where that is
-    NaN, inf or above _POLY_CAP, else the fewest Taylor terms the tile's
-    own rows need.  The choice reads only the tile's rows, so it does not
+    row).  Each tile takes ``phase_kernel`` of its largest row sup: the
+    trig form where that is NaN, inf or above _POLY_CAP, else the fewest
+    Taylor terms the tile's own rows need: one on a tile of zero rows,
+    where it writes cos D - 1 = -0.0 and sin D = D, so e^{iD} = 1
+    exactly.  The choice reads only the tile's rows, so it does not
     depend on how a loop splits the field into parts.  Each kernel's
-    ``terms`` counts its Taylor terms: 0 for the unit phase, None for the
-    trig form.
+    ``terms`` counts its Taylor terms, None for the trig form.
     """
-    return [_unit_phase if sup == 0.0 else phase_kernel(sup) for sup in _tile_sups(shape, rows)]
+    return [phase_kernel(sup) for sup in _tile_sups(shape, rows)]
 
 
 def _trig_phase(dev, cos_m1, sin_d, d2):
@@ -605,15 +610,6 @@ def _backward_sum(c):
     # reversed axis 0, without its slow strided accumulate
     for j in range(len(c) - 2, -1, -1):
         np.add(c[j], c[j + 1], out=c[j])
-
-
-def _unit_phase(dev, cos_m1, sin_d, d2):
-    # the pair (cos D - 1, sin D) of a zero field, where e^{iD} = 1
-    cos_m1.fill(0.0)
-    sin_d.fill(0.0)
-
-
-_unit_phase.terms = 0
 
 
 def _angle_parts(shape):
@@ -711,14 +707,15 @@ def _integral_parts(grid: Grid, z, deviation, sup, on_tile, keep_phase=False, ta
     When every row sup is 0 and there is no ``keep_phase``, e^{iD} = 1 on
     every cell, so the integral is the same for every angle: each part
     integrates one private read-only zero column instead of its angles,
-    with the unit phase ``tile_kernels`` gives zero rows, no tail and no
-    read of ``deviation``, and ``integral`` has one angle,
+    with the one-term kernel ``tile_kernels`` gives zero rows, no tail and
+    no read of ``deviation``, and ``integral`` has one angle,
     (rows, 1, n_omega), the value of every angle of the tile, formed by
     the same products and additions.  ``spare`` is then a real array of
     the tile's shape.
 
-    Returns (kernels, skipped): the kernel of every tile, those the tails
-    skip included (none for the one-column walk), and the tiles, of one
+    Returns (kernels, skipped): the kernel of every tile each part swept,
+    one per part-tile, so the tiles the tails skip are left out (none for
+    the one-column walk, which reports no kernels), and the tiles, of one
     part each, that the tails left out.
     """
     conj_z = np.conj(z)[:, None]
@@ -797,7 +794,8 @@ def _integral_parts(grid: Grid, z, deviation, sup, on_tile, keep_phase=False, ta
                 np.copyto(tail.carried, carried)
 
     in_parts(walk, len(parts))
-    return ([] if flat else kernels), sum(part[0] for part in scratch)
+    swept = [] if flat else [k for part in scratch for k in kernels[part[0]:]]
+    return swept, sum(part[0] for part in scratch)
 
 
 def deviation_sweep(report, grid: Grid, z, mu: float, weight: WeightSpec, deviation, sup, out,

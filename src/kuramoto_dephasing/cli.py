@@ -224,24 +224,18 @@ def load_config(path, output_dir_override=None) -> RunConfig:
     )
 
 
-def _jsonable(x):
-    if isinstance(x, dict):
-        return {str(k): _jsonable(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
+def _json_default(x):
+    # json.dumps's hook for what it cannot write itself: an array as a
+    # list, a numpy scalar as the Python number it holds
     if isinstance(x, np.ndarray):
-        return [_jsonable(v) for v in x.tolist()]
-    if isinstance(x, (np.bool_, bool)):
-        return bool(x)
-    if isinstance(x, (np.integer, int)):
-        return int(x)
-    if isinstance(x, (np.floating, float)):
-        return float(x)
-    return x
+        return x.tolist()
+    if isinstance(x, np.generic):
+        return x.item()
+    raise TypeError(f"{type(x).__name__} is not JSON serializable")
 
 
 def _dump_json(path: Path, obj):
-    path.write_text(json.dumps(_jsonable(obj), indent=1, sort_keys=True) + "\n")
+    path.write_text(json.dumps(obj, indent=1, sort_keys=True, default=_json_default) + "\n")
 
 
 def _write_csv(path: Path, header: str, columns):
@@ -436,14 +430,10 @@ def run_fit(csv_path, column: str, kind: str, window=None) -> int:
         return 1
     print(
         json.dumps(
-            _jsonable(
-                {
-                    "fit": dataclasses.asdict(model),
-                    "envelope": dataclasses.asdict(cert),
-                }
-            ),
+            {"fit": dataclasses.asdict(model), "envelope": dataclasses.asdict(cert)},
             indent=1,
             sort_keys=True,
+            default=_json_default,
         )
     )
     return 0

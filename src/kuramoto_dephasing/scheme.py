@@ -68,6 +68,7 @@ from .characteristics import (
     MaxSweepsExceededError,
     NonContractiveError,
     gamma_field,
+    phase_kernel,
     phase_quadrature,
     picard_sweep,
     resample_angles,
@@ -221,8 +222,8 @@ def order_parameter_of(
 
 
 def _terms_histogram(counts) -> str:
-    # "k:tiles" per Taylor term count, ascending, with 0 the unit phase of
-    # zero rows and "trig" the trig form; "-" when no tile took a kernel
+    # "k:tiles" per Taylor term count, ascending, with "trig" the trig
+    # form; "-" when no tile took a kernel
     keys = sorted(counts, key=lambda k: math.inf if k is None else k)
     return ",".join(f"{'trig' if k is None else k}:{counts[k]}" for k in keys) or "-"
 
@@ -497,7 +498,7 @@ class ReconstructedDensity:
     sup |A(theta + D) - A(theta) e^{-mu Gamma_cos}| g / 2 pi per time row,
     A the angular factor.  The difference times g is formed as
     sum_k 2 Re[a_k e^{ik theta} E_k] g - A(theta) g expm1(-mu Gamma_cos),
-    with E_k = e^{ikD} - 1 from the phase kernel's (cos D - 1, sin D), so
+    with E_k = e^{ikD} - 1 as the phase kernel's (cos kD - 1, sin kD), so
     no two numbers near 1 are subtracted and the rows keep their relative
     precision as they decay.  The direct form, with float64 cos and sin of
     theta + D, carries an absolute error of a few eps * max f_inf; the two
@@ -543,63 +544,31 @@ def _mode_rows(state: AsymptoticState, theta, gdens):
     return rows
 
 
-def _combine(a, b, out, tmp):
-    # out <- E_{x+y} = E_x + E_y + E_x E_y for the pairs a = E_x, b = E_y
-    # of one block, as (Re, Im); out shares no memory with a or b, and tmp
-    # is scratch of the block's shape
-    (ac, as_), (bc, bs), (oc, os_) = a, b, out
-    np.multiply(ac, bc, out=oc)
-    np.multiply(as_, bs, out=tmp)
-    oc -= tmp
-    oc += ac
-    oc += bc
-    np.multiply(ac, bs, out=os_)
-    np.multiply(as_, bc, out=tmp)
-    os_ += tmp
-    os_ += as_
-    os_ += bs
-
-
-def _add_mode_terms(acc, modes, angles, cos_m1, sin_d, tmp):
+def _add_mode_terms(acc, modes, angles, phase, block, sup, tmp):
     """acc += sum_k 2 Re[a_k e^{ik theta} E_k] g(omega) on one block, in place.
 
     ``modes`` is ``_mode_rows`` of the state and ``angles`` the block's
     angle columns; a state with no modes adds nothing.  E_1 = e^{iD} - 1
-    is (cos_m1, sin_d), and only the E_k the modes need are built, by
-    binary powering with E_{a+b} = E_a + E_b + E_a E_b (``_combine``):
-    the powers E_{2^j} by squaring, up to the top bit of the largest mode
-    K, and each mode's E_k from the powers of its binary digits, lowest
-    first, as E_{2^j} combined with the part already taken.  So K costs
-    O(log K) block products, and no trig is taken; for K <= 3 the
-    products are those of E_k = E_{k-1} + E_1 + E_{k-1} E_1.  A mode's
-    term is added once its top bit is reached, so the terms are added by
-    ascending k.  ``tmp`` is scratch of the block's shape.  E_1 is left
-    as it is; each product takes a fresh pair of block arrays, freed once
-    nothing holds it, so beside E_1 the live pairs are the current power,
-    one part per mode still being built and the product being taken.
+    is ``phase``, the block's (cos D - 1, sin D).  Each higher E_k is the
+    pair the phase kernel of kD writes, kD formed from ``block``, D on
+    the block, and the kernel picked by ``phase_kernel(k sup)``, ``sup``
+    the largest row sup of the block's time rows (None when no mode is
+    above 1): the per-tile rule of the walkers.  The terms are added by
+    ascending k.  ``tmp`` is scratch of the block's shape; the higher
+    modes share one pair and its D^2 scratch, allocated for the block.
     """
-    power, parts = (cos_m1, sin_d), {}
-    for j in range(max(modes, default=0).bit_length()):
-        if j:
-            square = np.empty((2,) + acc.shape)
-            _combine(power, power, square, tmp)
-            power = square
-        for k in sorted(modes):
-            if k >> j & 1:
-                if k in parts:
-                    part = np.empty((2,) + acc.shape)
-                    _combine(power, parts[k], part, tmp)
-                    parts[k] = part
-                else:
-                    parts[k] = power
-            if k.bit_length() == j + 1:
-                ek = parts.pop(k)
-                p, q = modes[k]
-                np.multiply(ek[0], p[angles], out=tmp)
-                acc += tmp
-                np.multiply(ek[1], q[angles], out=tmp)
-                acc -= tmp
-            part = ek = None  # no name holds a pair past its last use
+    pair = None if sup is None else np.empty((3,) + acc.shape)
+    for k in sorted(modes):
+        ek = phase
+        if k > 1:
+            np.multiply(block, k, out=tmp)
+            phase_kernel(k * sup)(tmp, *pair)
+            ek = pair[:2]
+        p, q = modes[k]
+        np.multiply(ek[0], p[angles], out=tmp)
+        acc += tmp
+        np.multiply(ek[1], q[angles], out=tmp)
+        acc -= tmp
 
 
 def reconstruct(result: SolveResult, times=None) -> ReconstructedDensity:
@@ -612,11 +581,13 @@ def reconstruct(result: SolveResult, times=None) -> ReconstructedDensity:
     middle and last time, so it holds on every grid.  Also
     evaluates the dephasing distance on the whole grid from the same
     coupling integrals, taken block by block as gamma_field's parts hand
-    them out, with each block's phase pair (cos D - 1, sin D): only the
-    cosine rows at the requested times and the per-angle row maxima of
-    the distance (n_theta, n_times) are kept, so beside its input field
-    the working set is gamma_field's tile scratch, those rows and each
-    block's E_k scratch (``_add_mode_terms``).
+    them out, with each block's phase pair (cos D - 1, sin D), and each
+    higher mode's E_k from the phase kernel of kD (``_add_mode_terms``),
+    picked from the field's row sups, read once and only for a state with
+    a mode above 1.  Only the cosine rows at the requested times and the
+    per-angle row maxima of the distance (n_theta, n_times) are kept, so
+    beside its input field the working set is gamma_field's tile scratch,
+    those rows and, for a mode above 1, each block's E_k pair.
     """
     g = result.grid
     tgrid = g.times()
@@ -643,6 +614,7 @@ def reconstruct(result: SolveResult, times=None) -> ReconstructedDensity:
     # (angle, frequency) planes, and no pass multiplies by g alone
     neg_f = -(ang * gdens)
     modes = _mode_rows(state, theta, gdens)
+    sups = result.field.row_sups() if max(modes, default=0) > 1 else None
     sel = np.array(idx, dtype=int)
     cos_rows = np.empty((sel.size, g.n_theta, g.n_omega))
     # sup_t |f_inf e^{-mu Gamma_cos} - f_inf(theta + D)| along
@@ -662,7 +634,9 @@ def reconstruct(result: SolveResult, times=None) -> ReconstructedDensity:
         diff *= -mu
         np.expm1(diff, out=diff)
         diff *= neg_f[angles]
-        _add_mode_terms(diff, modes, angles, cos_m1, sin_d, sin_tile)
+        sup = None if sups is None else float(sups[sl].max())
+        _add_mode_terms(diff, modes, angles, (cos_m1, sin_d), result.field.deviation[sl, angles],
+                        sup, sin_tile)
         np.abs(diff, out=diff)
         dist[angles, sl] = diff.max(axis=2).T / (2.0 * math.pi)
 

@@ -9,7 +9,11 @@ attribute (``scheme.outer_solve``), or as the attribute string of a
 ``(module, "name")`` pair or a ``getattr``-style call, which is how the
 benchmark's span recorder looks its boundaries up.  An import alone is
 not a use, nor is a string elsewhere (a ledger key may share a name).
-Tests do not count as callers.
+A public method of an exported class counts as read only where it is
+called, ``obj.name(...)``, and a property only where it is read as an
+attribute; no two classes of the package define a public method or
+property of the same name, so a reader names one.  Tests do not count as
+callers.
 
 The benchmark's span recorder (``perfbench/spans.py``) wraps the
 boundaries it lists in ``BOUNDARIES`` and reads work units from the
@@ -115,11 +119,39 @@ def test_every_exported_name_has_a_caller():
     assert not orphans, f"exported but never used by the package or perfbench: {orphans}"
 
 
+def _member_reads(trees):
+    # (calls, reads): name -> [(path, line)] of every call obj.name(...)
+    # and of every attribute read obj.name, outside the re-exports of
+    # __init__.py
+    calls, reads = {}, {}
+    for path, tree in trees.items():
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                calls.setdefault(node.func.attr, []).append((path, node.lineno))
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                reads.setdefault(node.attr, []).append((path, node.lineno))
+    return calls, reads
+
+
+def _is_property(fn):
+    return any(isinstance(d, ast.Name) and d.id == "property" for d in fn.decorator_list)
+
+
+def _public_members(cls):
+    # the public methods and properties a class body defines
+    return [fn for fn in cls.body
+            if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_")]
+
+
 def test_every_public_method_of_an_exported_class_has_a_reader():
-    # a method or property counts as read when its name is read as an
-    # attribute (or a name) anywhere in the package or perfbench outside
-    # its own definition; a method only tests call is surface to no one
-    trees, uses = _trees_and_uses()
+    # a method counts as read only where it is called, obj.name(...), and a
+    # property where it is read, obj.name, in the package or perfbench
+    # outside its own definition: a bare name or numpy's .shape does not
+    # vouch for Grid.shape(); a method only tests call is surface to no one
+    trees, _ = _trees_and_uses()
+    calls, reads = _member_reads(trees)
     orphans = []
     for path, tree in trees.items():
         if path.parent != PACKAGE:
@@ -127,11 +159,25 @@ def test_every_public_method_of_an_exported_class_has_a_reader():
         exported = {n for node in tree.body if _is_all(node) for n in ast.literal_eval(node.value)}
         classes = (c for c in tree.body if isinstance(c, ast.ClassDef) and c.name in exported)
         for cls in classes:
-            for fn in cls.body:
-                public = isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_")
-                if public and not _read_elsewhere(uses, fn.name, path, (fn.lineno, fn.end_lineno)):
+            for fn in _public_members(cls):
+                readers = reads if _is_property(fn) else calls
+                if not _read_elsewhere(readers, fn.name, path, (fn.lineno, fn.end_lineno)):
                     orphans.append(f"{path.stem}.{cls.name}.{fn.name}")
     assert not orphans, f"public methods no package or perfbench code reads: {orphans}"
+
+
+def test_no_public_method_name_is_defined_on_two_classes():
+    # a reader of one class's method would vouch for the other's by name,
+    # as FrequencyProfile.density's readers once did for an unread
+    # AsymptoticState.density
+    owners = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for cls in ast.walk(ast.parse(path.read_text())):
+            if isinstance(cls, ast.ClassDef):
+                for fn in _public_members(cls):
+                    owners.setdefault(fn.name, []).append(f"{path.stem}.{cls.name}")
+    shared = {name: classes for name, classes in owners.items() if len(classes) > 1}
+    assert not shared, f"public method names defined on more than one class: {shared}"
 
 
 # how characteristics cuts its loops: the time tiles, the parts, their
@@ -359,9 +405,8 @@ def test_particle_records_enter_no_span_boundary_from_a_worker(monkeypatch):
 
 # each input rule has one definition: spectral_state's two helpers read a
 # scalar (``real``) or a count (``integer``), and every other module calls
-# them; cli._jsonable's bool check converts output, not input
+# them
 RULE_HELPERS = {("spectral_state", "real"), ("spectral_state", "integer")}
-BOOL_CHECK_EXCEPTIONS = RULE_HELPERS | {("cli", "_jsonable")}
 
 
 def _rule_checks(tree):
@@ -396,8 +441,7 @@ def test_each_input_rule_is_written_once():
     stray = []
     for path in sorted(PACKAGE.glob("*.py")):
         for owner, check in _rule_checks(ast.parse(path.read_text())):
-            allowed = RULE_HELPERS if check == "operator.index" else BOOL_CHECK_EXCEPTIONS
-            if (path.stem, owner) not in allowed:
+            if (path.stem, owner) not in RULE_HELPERS:
                 stray.append(f"{path.stem}.{owner}: {check}")
     assert not stray, f"input rules written outside spectral_state.real/integer: {stray}"
 

@@ -1761,7 +1761,7 @@ def test_one_term_kernel_is_horners_rule_bit_for_bit():
 
 def _kernel_log(monkeypatch, field):
     # (terms, first row, rows) of every kernel application to field's rows:
-    # 0 for the unit phase, None for the trig form
+    # None for the trig form
     log = []
     base = field.__array_interface__["data"][0]
     phase_kernel_ = characteristics.phase_kernel
@@ -1778,8 +1778,6 @@ def _kernel_log(monkeypatch, field):
     monkeypatch.setattr(characteristics, "phase_kernel",
                         lambda sup: recording(characteristics._taylor_terms(sup),
                                               phase_kernel_(sup)))
-    monkeypatch.setattr(characteristics, "_unit_phase",
-                        recording(0, characteristics._unit_phase))
     return log
 
 
@@ -1796,7 +1794,8 @@ def test_every_tile_takes_the_kernel_of_its_own_rows(grid, monkeypatch):
     dev[tiles[5]] = 0.0
     rows = np.abs(dev).reshape(grid.n_times, -1).max(axis=1)
     expected = [characteristics._taylor_terms(rows[sl].max()) for sl in tiles]
-    expected[5] = 0
+    # the zero tile takes the one-term kernel like any other tile
+    assert expected[5] == 1
     assert expected[3] is None and {2, 3, 5, 8, 9} <= set(expected)
     assert [k.terms for k in characteristics.tile_kernels(grid.shape(), rows)] == expected
     z = 0.3 * np.exp(-times + 0.4j * times)
@@ -1838,7 +1837,9 @@ def _solve_with_and_without_skips(g, z, mu, monkeypatch):
 def _assert_same_solve(skipping, full):
     (field, report), (ref_field, ref_report) = skipping, full
     assert report.tiles_skipped > 0 and ref_report.tiles_skipped == 0
-    assert report.tile_terms == ref_report.tile_terms
+    # each skipped part-tile is one the full solve swept with a kernel
+    assert (sum(report.tile_terms.values()) + report.tiles_skipped
+            == sum(ref_report.tile_terms.values()))
     assert field.deviation.view(np.uint64).tobytes() == ref_field.deviation.view(np.uint64).tobytes()
     assert field._rows.tobytes() == ref_field._rows.tobytes()
     assert report == ref_report
@@ -1874,11 +1875,25 @@ def test_tile_skip_holds_under_fast_thread_switching(grid, monkeypatch):
     _assert_same_solve(*solves)
 
 
+@pytest.mark.parametrize("parts", [1, 3])
+def test_the_terms_count_the_part_tiles_swept(grid, parts, monkeypatch):
+    # every sweep after the zero start sweeps or skips each tile of each
+    # angle part once, and the terms count only the part-tiles it swept
+    tiles = _force_tile_rows(monkeypatch, grid.shape(), 20)
+    monkeypatch.setattr(characteristics, "_PARTS", parts)
+    times = grid.times()
+    z = 0.3 * np.exp(-times + 0.4j * times)
+    _, report = solve_fixed_point(grid, z, SKIP_MU, WEIGHT)
+    n_parts = len(characteristics._angle_parts(grid.shape()))
+    assert n_parts == parts and report.tiles_skipped > 0
+    assert (sum(report.tile_terms.values()) + report.tiles_skipped
+            == (report.sweeps - 1) * len(tiles) * n_parts)
+
+
 def _global_kernels(shape, rows):
     # the kernel of the whole field's sup on every tile
     rows = np.broadcast_to(np.asarray(rows, dtype=float), shape[:1])
-    sup = float(rows.max())
-    kernel = characteristics._unit_phase if sup == 0.0 else characteristics.phase_kernel(sup)
+    kernel = characteristics.phase_kernel(float(rows.max()))
     return [kernel] * len(list(characteristics.time_tiles(shape)))
 
 

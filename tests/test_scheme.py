@@ -354,11 +354,11 @@ def test_a_grown_joint_grid_resamples_the_field_before_it(state, grid, monkeypat
 
 
 # kernels one mu = 0.05 solve on KERNEL_GRID builds: one per sweep (its
-# walk, which also reports them) and one per quadrature, less iterate
-# 2's sweep and the certification's first (both from D = 0) and iterate
-# 1's quadrature (of the zero field)
+# walk, which also reports them) and one per quadrature, less iterate 1's
+# quadrature (of the zero field); iterate 2's sweep and the
+# certification's first, both from D = 0, take the kernel of sup 0
 KERNEL_GRID = dict(t_max=8.0, dt=0.05, n_theta=8, n_omega=33)
-KERNELS_PER_SOLVE = 13
+KERNELS_PER_SOLVE = 15
 
 
 def test_solves_build_kernels_only_for_nonzero_fields(state, monkeypatch):
@@ -387,8 +387,9 @@ def test_solves_build_kernels_only_for_nonzero_fields(state, monkeypatch):
     res = outer_solve(state, g, MU, WEIGHT, tail_budget=1e-3)
     sweeps = [r["contraction"]["sweeps"] for r in res.ledger.records]
     assert sweeps[0] == 0 and len(sweeps) >= 3
-    assert len(kernels) == sum(sweeps) - 2 + len(sweeps) - 1 == KERNELS_PER_SOLVE
-    assert all(bound > 0.0 for bound in kernels) and sup_passes == []
+    assert len(kernels) == sum(sweeps) + len(sweeps) - 1 == KERNELS_PER_SOLVE
+    assert kernels.count(0.0) == 2 and all(bound >= 0.0 for bound in kernels)
+    assert sup_passes == []
 
 
 def test_order_parameter_of_a_built_field_reads_its_row_sups_once(state, result, monkeypatch):
@@ -828,9 +829,9 @@ def test_reconstruct_takes_no_angular_factor_of_field_sized_input(result, monkey
     assert sizes and max(sizes) <= result.grid.n_theta
 
 
-def test_a_high_mode_builds_only_the_powers_of_its_binary_digits(monkeypatch):
-    # modes {1, 10^6}: E_{2^j} by 19 squarings up to 2^19, and E_{10^6}
-    # from its 7 binary digits by 6 more products, on every block; E_1
+def test_a_high_mode_takes_one_kernel_per_block(monkeypatch):
+    # modes {1, 10^6}: E_{10^6} from one phase kernel of 10^6 D on every
+    # block, picked from the block's rows; E_1 is gamma_field's pair and
     # needs none
     state = AsymptoticState(PROFILE, {1: 0.05, 10**6: 0.01}, "exponential", 0.9)
     g = build_grid(PROFILE, t_max=4.0, dt=0.05, n_theta=8, n_omega=17)
@@ -839,28 +840,35 @@ def test_a_high_mode_builds_only_the_powers_of_its_binary_digits(monkeypatch):
     field, _ = solve_fixed_point(g, z, MU, weight)
     result = scheme.SolveResult(state, g, MU, weight, scheme.OrderParameterPath(g, z, weight),
                                 field, None, 0, True)
-    products, blocks = [], []
-    combine, add_terms = scheme._combine, scheme._add_mode_terms
+    sups, blocks = [], []
+    phase_kernel, add_terms = scheme.phase_kernel, scheme._add_mode_terms
 
-    def counted_combine(*args):
-        products.append(1)
-        combine(*args)
+    def counted_kernel(sup):
+        sups.append(sup)
+        return phase_kernel(sup)
 
-    def counted_terms(*args):
-        blocks.append(1)
-        add_terms(*args)
+    def counted_terms(acc, modes, angles, phase, block, sup, tmp):
+        # the block's sup comes only with a mode above 1
+        if sup is not None:
+            blocks.append(10**6 * sup)
+        add_terms(acc, modes, angles, phase, block, sup, tmp)
 
-    monkeypatch.setattr(scheme, "_combine", counted_combine)
+    monkeypatch.setattr(scheme, "phase_kernel", counted_kernel)
     monkeypatch.setattr(scheme, "_add_mode_terms", counted_terms)
-    assert bin(10**6).count("1") == 7 and 2**19 < 10**6 < 2**20
     recon = reconstruct(result, times=(0.0,))
-    assert blocks and len(products) == (19 + 6) * len(blocks)
+    assert blocks and sorted(sups) == sorted(blocks)
     assert np.all(np.isfinite(recon.dephasing))
+    # a state with mode 1 alone takes no kernel in reconstruct
+    single = dataclasses.replace(result, state=AsymptoticState(PROFILE, {1: 0.05}, "exponential", 0.9))
+    sups.clear()
+    blocks.clear()
+    reconstruct(single, times=(0.0,))
+    assert sups == [] and blocks == []
 
 
-def test_binary_powered_modes_stay_within_the_direct_form_bound():
-    # modes 5 and 7 take E_4 = E_2 + E_2 + E_2 E_2, where the sequential
-    # recurrence took E_3 + E_1 + E_3 E_1: other roundings, the same bound
+def test_higher_modes_stay_within_the_direct_form_bound():
+    # modes 5 and 7 take the kernels of 5D and 7D, whose roundings differ
+    # from those of the pair of D: the same bound holds
     state = AsymptoticState(PROFILE, {1: 0.1, 5: 0.04j, 7: -0.03 + 0.01j}, "polynomial", 2.0)
     grid = build_grid(PROFILE, t_max=16.0, dt=0.05, n_theta=16, n_omega=65)
     weight = WeightSpec("polynomial", 2.0)
