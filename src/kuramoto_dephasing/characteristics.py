@@ -690,8 +690,9 @@ def _integral_parts(grid: Grid, z, deviation, sup, on_tile, keep_phase=False, ta
     rows and one block of weighted node factors for a tile's rows) is
     allocated here, on the calling thread.  The arrays passed to
     ``on_tile`` are views into that scratch: they hold only until it
-    returns, and ``spare`` is free scratch of the tile's shape.  With
-    ``keep_phase`` each part keeps one more complex slab, in which the
+    returns, and ``spare`` is a pair of free real arrays of the tile's
+    shape (the memory of the part's e^{iD} slab, read before ``on_tile``).
+    With ``keep_phase`` each part keeps one more complex slab, in which the
     kernel writes the tile's pair (cos D - 1, sin D), and ``phase`` is
     that pair as two contiguous real arrays of the tile's shape; without
     it the pair is formed in the memory of the integral, and ``phase`` is
@@ -710,8 +711,8 @@ def _integral_parts(grid: Grid, z, deviation, sup, on_tile, keep_phase=False, ta
     with the one-term kernel ``tile_kernels`` gives zero rows, no tail and
     no read of ``deviation``, and ``integral`` has one angle,
     (rows, 1, n_omega), the value of every angle of the tile, formed by
-    the same products and additions.  ``spare`` is then a real array of
-    the tile's shape.
+    the same products and additions.  ``spare`` is then a pair the part
+    allocates, as its complex slabs are one angle wide.
 
     Returns (kernels, skipped): the kernel of every tile each part swept,
     one per part-tile, so the tiles the tails skip are left out (none for
@@ -741,7 +742,7 @@ def _integral_parts(grid: Grid, z, deviation, sup, on_tile, keep_phase=False, ta
         carried = np.empty((2,) + width, dtype=complex)
         node_rows = np.empty((n_rows, shape[2]), dtype=complex)
         kept = np.empty((n_rows,) + cols, dtype=complex) if keep_phase else None
-        spare = np.empty((n_rows,) + cols) if flat else None
+        spare = np.empty((2, n_rows) + cols) if flat else _real_halves(slabs[0])
         tail = None if flat or tails is None else tails[p]
         first = 0 if tail is None else tail.skip(kernels)
         if first:
@@ -786,7 +787,7 @@ def _integral_parts(grid: Grid, z, deviation, sup, on_tile, keep_phase=False, ta
             np.copyto(edge, e[0])
             np.copyto(above, c[0])
             phase = None if kept is None else (cos_m1, sin_d)
-            rewritten = on_tile(p, parts[p], sl, c, e if spare is None else spare[:n], phase)
+            rewritten = on_tile(p, parts[p], sl, c, spare[:, :n], phase)
             growing = growing and rewritten
             if growing:
                 tail.tiles += 1
@@ -825,13 +826,12 @@ def deviation_sweep(report, grid: Grid, z, mu: float, weight: WeightSpec, deviat
     product or addition depends on the part count, so the result is
     bit-identical for any.
 
-    The new field goes to ``out``, which may be ``deviation`` itself.  Into
-    any other ``out`` each tile's new rows go straight from the
-    projection; in place they are formed in tile scratch and copied into
-    ``out`` once the row residual has been taken.  The kernels are fixed
+    The new field goes to ``out``, which may be ``deviation`` itself.  Each
+    tile's new rows are formed in tile scratch and copied into ``out``
+    once, after the row residual has been taken.  The kernels are fixed
     from the row sups before the first tile, a part reads and writes only
     its own columns, a tile's rows of D are read before the tile is
-    projected, and only the two carried rows cross a tile boundary, so no
+    written, and only the two carried rows cross a tile boundary, so no
     tile reads a row already overwritten.
 
     ``tails`` (a ``_Tail`` per angle part, kept by the caller from sweep
@@ -843,10 +843,9 @@ def deviation_sweep(report, grid: Grid, z, mu: float, weight: WeightSpec, deviat
     bit, and such a tile directly below the tail joins it.
 
     When every row sup is 0 the integral has no angle dependence: each
-    part integrates one zero column of its own (``_integral_parts``) and
-    projects it straight into ``out``, reading nothing of ``deviation``,
-    so the new field is the residual.  The bits are those of the full
-    sweep.
+    part integrates one zero column of its own (``_integral_parts``),
+    reading nothing of ``deviation``, and the residual rows are the new
+    rows' sups.  The bits are those of the full sweep.
     """
     times = grid.times()
     z = _path(times, z)
@@ -854,50 +853,36 @@ def deviation_sweep(report, grid: Grid, z, mu: float, weight: WeightSpec, deviat
     mu_cos = (mu * np.cos(grid.theta()))[None, :, None]
     mu_sin = (mu * np.sin(grid.theta()))[None, :, None]
     flat = float(np.max(sup)) == 0.0
-    in_place = not flat and np.may_share_memory(out, deviation)
-    if not in_place:
+    if flat or not np.may_share_memory(out, deviation):
         tails = None
     trig = [(mu_cos[:, angles], mu_sin[:, angles]) for angles in _angle_parts(deviation.shape)]
     # skipped rows keep the residual of a tile left as it was
     part_rows = np.full((len(trig), len(times)), _UNCHANGED_ROW)
-    if tails is not None:
-        sups = [tail.sups for tail in tails]
-    elif not flat:
-        sups = np.empty_like(part_rows)
-    else:
-        sups = None
+    sups = np.empty_like(part_rows) if tails is None else [tail.sups for tail in tails]
 
     def sweep(p, angles, sl, ib, spare, _):
         # the tile's new rows, its row sups and whether it was rewritten
         # bit for bit (read only while a tail grows)
         part_cos, part_sin = trig[p]
-        target = out[sl, angles]
-        if flat:
-            new, scratch = target, spare
-        elif in_place:
-            new, scratch = _real_halves(spare)
-        else:
-            new, scratch = target, _real_halves(spare)[1]
+        new, scratch = spare
         np.multiply(ib.imag, part_cos, out=new)
         np.multiply(ib.real, part_sin, out=scratch)
         new += scratch
-        if sups is not None:
-            _row_sup(new, sups[p][sl])
+        _row_sup(new, sups[p][sl])
+        old = deviation[sl, angles]
         if flat:
             # from D = 0 the residual is new itself
-            _row_sup(new, part_rows[p, sl])
-            return False
-        old = deviation[sl, angles]
-        np.subtract(new, old, out=scratch)
-        _row_sup(scratch, part_rows[p, sl])
+            part_rows[p, sl] = sups[p][sl]
+        else:
+            np.subtract(new, old, out=scratch)
+            _row_sup(scratch, part_rows[p, sl])
         rewritten = tails is not None and _unchanged(part_rows[p, sl], new, old, scratch)
-        if in_place:
-            np.copyto(target, new)
+        np.copyto(out[sl, angles], new)
         return rewritten
 
     kernels, skipped = _integral_parts(grid, z, deviation, sup, sweep, tails=tails)
     np.max(part_rows, axis=0, out=rows[0])
-    np.max(part_rows if flat else sups, axis=0, out=rows[1])
+    np.max(sups, axis=0, out=rows[1])
     report.tile_terms.update(kernel.terms for kernel in kernels)
     report.tiles_skipped += skipped
     res = weighted_norm(times, rows[0], weight, deviation=True)
@@ -1384,7 +1369,7 @@ def gamma_field(field: CharacteristicField, z, on_tile) -> float:
         # both projections in the memory of spare; the last product goes
         # into ib.imag, which nothing reads after it
         part_cos, part_sin = trig[p]
-        sp, cp = _real_halves(spare)
+        sp, cp = spare
         np.multiply(ib.imag, part_cos, out=sp)
         np.multiply(ib.real, part_sin, out=cp)
         sp += cp

@@ -34,7 +34,7 @@ import numpy as np
 
 from .characteristics import MAX_SUBSTEPS, CharacteristicField, in_background
 from .norms_grids import Grid, refuse_oversized
-from .spectral_state import AsymptoticState, integer, real, sample_labels
+from .spectral_state import _LABEL_CHUNK, AsymptoticState, integer, real, sample_labels
 
 __all__ = [
     "ParticleEnsemble",
@@ -46,12 +46,11 @@ __all__ = [
 ]
 
 _TWO_PI = 2.0 * math.pi
-# labels per chunk of the initial-phase interpolation
-_CHUNK = 1 << 14
 # float64 arrays of length n a particle run holds at its peak, rounded up:
-# tracemalloc reads 9.1 x 8n in init_from_solution (the label sampling) and
-# 9.7 x 8n in simulate (the ensemble's phases and frequencies, the stepper's
-# four float64 and five float32 rows, and the final phases)
+# tracemalloc reads 9.6 x 8n in simulate (the ensemble's phases and
+# frequencies, the stepper's four float64 and five float32 rows, and the
+# final phases), which sets it, and 5.9 x 8n in init_from_solution (the
+# label sampling)
 _PEAK_ARRAYS = 10
 
 
@@ -260,8 +259,8 @@ def init_from_solution(
     # a chunk at a time, so the interpolation's temporaries stay a fixed
     # size beside the labels
     dev0 = field.deviation[0]
-    for lo in range(0, n, _CHUNK):
-        part = slice(lo, lo + _CHUNK)
+    for lo in range(0, n, _LABEL_CHUNK):
+        part = slice(lo, lo + _LABEL_CHUNK)
         theta[part] += _initial_deviation(dev0, nodes, theta[part], omega[part])
     ens = ParticleEnsemble(phases=theta, freqs=omega, mu=field.mu, t=0.0)
     return ens, n_resampled

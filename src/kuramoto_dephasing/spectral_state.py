@@ -38,6 +38,8 @@ __all__ = [
 
 _PROFILE_KINDS = ("lorentzian", "gaussian", "laplace")
 _DECAY_KINDS = ("exponential", "polynomial")
+# labels per chunk of the label sampling and of the initial-phase interpolation
+_LABEL_CHUNK = 1 << 14
 
 
 class InvalidStateError(ValueError):
@@ -278,7 +280,14 @@ def sample_labels(state: AsymptoticState, n: int, rng: np.random.Generator):
     need = np.arange(n)
     while need.size:
         cand = rng.uniform(0.0, 2.0 * math.pi, size=need.size)
-        keep = rng.uniform(0.0, bound, size=need.size) < state.angular_factor(cand)
+        u = rng.uniform(0.0, bound, size=need.size)
+        # the acceptance a chunk at a time, so the angular factor's
+        # temporaries stay a fixed size beside the draws
+        keep = np.empty(need.size, dtype=bool)
+        for lo in range(0, need.size, _LABEL_CHUNK):
+            part = slice(lo, lo + _LABEL_CHUNK)
+            np.less(u[part], state.angular_factor(cand[part]), out=keep[part])
+        del u
         theta[need[keep]] = cand[keep]
         need = need[~keep]
     return theta, omega

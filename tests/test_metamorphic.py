@@ -15,18 +15,26 @@ the reflected states carry complex ones.
 Either way the iteration sees the same numbers in another order: each
 record takes the same sweeps, the ledger's floats agree to 1e-12
 relative, and the dephasing and mass of the reconstruction to 1e-13.
+Besides the fixed cases, states drawn by ``hypothesis`` are turned by one
+angle, and a drawn state and its turn must end the same way: both
+converged and related as above, or both refused at the same iterate.
 """
 
+import cmath
 import functools
 import math
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kuramoto_dephasing import (
     AsymptoticState,
     FrequencyProfile,
+    NotConvergingError,
+    TailBudgetError,
     build_grid,
     outer_solve,
     reconstruct,
@@ -183,3 +191,67 @@ def test_a_mirrored_state_gives_the_mirrored_solution(name):
     assert _gap(res.path.values, np.conj(ref.path.values)) <= FIELD_RTOL
     assert _gap(res.field.deviation, -ref.field.deviation[:, mirror, ::-1]) <= FIELD_RTOL
     _assert_same_run(image, base)
+
+
+# the drawn states: each profile with the decay class of its case above,
+# on the cases' grids (t_max 20 lets a weak field meet the exponential
+# tail budget)
+DRAWN_DECAY = {"lorentzian": ("exponential", 0.9), "gaussian": ("exponential", 0.9),
+               "laplace": ("polynomial", 2.0)}
+DRAWN_GRIDS = {"exponential": dict(t_max=20.0, n_theta=16, n_omega=33),
+               "polynomial": dict(t_max=40.0, n_theta=16, n_omega=33)}
+# a drawn modulus or coupling is 0 or at least this: the relations hold to
+# the relative rounding of normal floats, and a subnormal dephasing (from
+# a_1 ~ 1e-211) carries one ulp of 5e-10 of itself
+DRAWN_MIN = 1e-3
+
+
+@st.composite
+def _drawn_cases(draw):
+    # a profile, 1-3 of the modes k <= 3 with complex amplitudes of
+    # 2 sum |a_k| <= 0.9, and mu in [0, 0.5]
+    kind = draw(st.sampled_from(sorted(DRAWN_DECAY)))
+    ks = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3, unique=True))
+    moduli = [draw(st.just(0.0) | st.floats(DRAWN_MIN, 0.45)) for _ in ks]
+    phases = [draw(st.floats(0.0, 2.0 * math.pi)) for _ in ks]
+    scale = 0.45 / max(0.45, sum(moduli))
+    modes = {k: scale * m * cmath.exp(1j * p) for k, m, p in zip(ks, moduli, phases)}
+    decay = DRAWN_DECAY[kind]
+    mu = draw(st.just(0.0) | st.floats(DRAWN_MIN, 0.5))
+    return kind, modes, decay, mu, DRAWN_GRIDS[decay[0]]
+
+
+def _ending(case, modes):
+    # (result, reconstruction) of a run, or the refusal it ended in
+    kind, _, decay, mu, grid = case
+    state = AsymptoticState(FrequencyProfile(kind, 1.0), modes, *decay)
+    try:
+        res = outer_solve(state, _grid(kind, tuple(sorted(grid.items()))), mu)
+    except (NotConvergingError, TailBudgetError) as exc:
+        return exc
+    return res, reconstruct(res)
+
+
+def _close(a, b):
+    # sup |a - b| within FIELD_RTOL of sup |b|, which may be 0
+    return np.max(np.abs(a - b)) <= FIELD_RTOL * np.max(np.abs(b))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(case=_drawn_cases())
+def test_a_drawn_state_and_its_turn_end_the_same_way(case):
+    modes, n_theta = case[1], case[4]["n_theta"]
+    phi = 2.0 * math.pi / n_theta
+    base = _ending(case, modes)
+    image = _ending(case, _rotated(modes, phi))
+    assert type(image) is type(base)
+    if isinstance(base, NotConvergingError):
+        sweeps = [[r["contraction"]["sweeps"] for r in exc.ledger.records] for exc in (image, base)]
+        assert sweeps[0] == sweeps[1]
+        assert image.ledger.all_finite() and base.ledger.all_finite()
+    elif not isinstance(base, TailBudgetError):
+        (res, _), (ref, _) = image, base
+        turn = complex(math.cos(phi), -math.sin(phi))
+        assert _close(res.path.values, turn * ref.path.values)
+        assert _close(res.field.deviation, np.roll(ref.field.deviation, -1, axis=1))
+        _assert_same_run(image, base)

@@ -1,10 +1,12 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import integrate, special
 
+from kuramoto_dephasing import spectral_state
 from kuramoto_dephasing.spectral_state import (
     AsymptoticState,
     FrequencyProfile,
@@ -180,3 +182,47 @@ def test_sample_labels_moments(eps_state):
     th3, om3 = sample_labels(eps_state, n, _pcg(8))
     assert not np.array_equal(th3, th) and not np.array_equal(om3, om)
 
+
+# a state whose angular factor rejects about two fifths of the draws
+MULTI_MODE = AsymptoticState(FrequencyProfile("gaussian", 1.0), {1: 0.2 + 0.1j, 3: -0.15j},
+                             "exponential", 0.9)
+
+
+def _whole_array_labels(state, n, rng):
+    # sample_labels with the acceptance test over each round's draws at
+    # once; returns the labels and the rounds of rejection
+    omega = state.profile.inverse_cdf(rng.uniform(1e-300, 1.0 - 1e-16, size=n))
+    bound = 1.0 + 2.0 * sum(abs(a) for a in state.modes.values())
+    theta = np.empty(n, dtype=float)
+    need, rounds = np.arange(n), 0
+    while need.size:
+        cand = rng.uniform(0.0, 2.0 * math.pi, size=need.size)
+        keep = rng.uniform(0.0, bound, size=need.size) < state.angular_factor(cand)
+        theta[need[keep]] = cand[keep]
+        need, rounds = need[~keep], rounds + 1
+    return theta, omega, rounds
+
+
+def test_chunked_acceptance_draws_the_labels_of_the_whole_array():
+    # the draws keep their order, so chunking the test moves no label; a
+    # count that is no multiple of the chunk ends on a short one
+    n = 3 * spectral_state._LABEL_CHUNK + 123
+    theta, omega, rounds = _whole_array_labels(MULTI_MODE, n, _pcg(21))
+    assert rounds >= 5
+    got = sample_labels(MULTI_MODE, n, _pcg(21))
+    assert got[0].tobytes() == theta.tobytes() and got[1].tobytes() == omega.tobytes()
+
+
+def test_sampling_holds_the_labels_and_one_round_of_draws_at_its_peak():
+    # the labels, the indices still to draw and a round's two uniforms are
+    # 5 x 8n; the angular factor's temporaries stay the size of a chunk
+    # (over the whole array they took the peak to 9 x 8n)
+    n = 200_000
+    sample_labels(MULTI_MODE, 16, _pcg(3))
+    tracemalloc.start()
+    try:
+        sample_labels(MULTI_MODE, n, _pcg(3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 7.5 * 8 * n
