@@ -12,7 +12,10 @@ the config alone.  Subcommands:
   verify    full acceptance battery (optionally validating a config first)
 
 Exit codes: 0 all checks pass, 1 a certification failed, 2 unusable
-config, 3 the solver refused to converge (ledger.json still written).
+config, 3 the solver refused to converge.  Every refusal of the solve (a
+NotConvergingError, its message the ledger's status) still writes the
+partial ledger.json; a TailBudgetError, the horizon too short to certify
+the truncation tail, exits 1 and any other refusal 3.
 
 The kinetic outputs are bit-identical across runs of the same config;
 seeds enter only the particle side.  CSV: header row, t in the first
@@ -324,12 +327,9 @@ def _solve_and_write(cfg: RunConfig):
         result = outer_solve(cfg.state, cfg.grid, cfg.mu, cfg.weight, cfg.tol_outer,
                              cfg.tol_picard, cfg.tail_budget)
     except NotConvergingError as e:
-        log.error("solver refused: %s", e.reason)
+        log.error("solver refused: %s", e)
         _dump_json(outdir / "ledger.json", e.ledger.to_dict())
-        return 3, None
-    except TailBudgetError as e:
-        log.error("tail certification failed: %s", e)
-        return 1, None
+        return (1 if isinstance(e, TailBudgetError) else 3), None
 
     times = cfg.grid.times()
     recon = reconstruct(result)

@@ -56,6 +56,7 @@ finite (no NaN/Inf) even on refused or diverging runs.
 from __future__ import annotations
 
 import dataclasses
+import json
 import logging
 import math
 import time
@@ -106,21 +107,26 @@ MAX_OUTER = 25
 LEMMA_SLACK = 1.05
 
 
-class TailBudgetError(RuntimeError):
+class NotConvergingError(RuntimeError):
+    """``outer_solve`` refused: the message is the ledger's status.
+
+    Carries the partial ledger, the records of every iterate that finished,
+    so callers (and the command line) can still serialize the diagnostics.
+    """
+
+    def __init__(self, ledger: "DiagnosticsLedger"):
+        super().__init__(ledger.status)
+        self.ledger = ledger
+
+
+class TailBudgetError(NotConvergingError):
     """t_max is too small to certify the truncated tail at this weight."""
 
 
-class NotConvergingError(RuntimeError):
-    """Outer iteration stopped without reaching tol_outer.
-
-    Carries the partial ledger so callers (and the exit-3 path of the
-    command line) can still serialize the diagnostics.
-    """
-
-    def __init__(self, reason: str, ledger: "DiagnosticsLedger"):
-        super().__init__(reason)
-        self.reason = reason
-        self.ledger = ledger
+def _refuse(ledger, status: str, error=NotConvergingError) -> NotConvergingError:
+    # the one way out of a refused solve: the status is the message
+    ledger.status = status
+    return error(ledger)
 
 
 @dataclass(frozen=True, eq=False)
@@ -169,16 +175,12 @@ class DiagnosticsLedger:
         }
 
     def all_finite(self) -> bool:
-        def ok(x):
-            if x is None or isinstance(x, str):
-                return True
-            if isinstance(x, dict):
-                return all(ok(v) for v in x.values())
-            if isinstance(x, (list, tuple)):
-                return all(ok(v) for v in x)
-            return math.isfinite(x)
-
-        return ok(self.to_dict())
+        # JSON has no NaN or inf, so a ledger serializes strictly iff finite
+        try:
+            json.dumps(self.to_dict(), allow_nan=False)
+        except ValueError:
+            return False
+        return True
 
 
 @dataclass(frozen=True, eq=False)
@@ -337,10 +339,13 @@ def outer_solve(
     returned, and the ledger's theta-sups are sups over the user's
     angles.  The weight defaults to the decay class the state declares.
     Raises, before any sweep, the ValueError or GridError of
-    ``solve_inputs`` for a malformed argument; TailBudgetError when the
-    certified truncation tail at t_max exceeds the budget, and
-    NotConvergingError (with the partial ledger attached) when an iterate
-    refuses, stalls, or the budget runs out.
+    ``solve_inputs`` for a malformed argument.  Every later refusal leaves
+    through ``_refuse`` as a NotConvergingError whose message is the
+    ledger's status and which carries the ledger, with the records of
+    every iterate that finished: when an iterate cannot contract, its
+    inner solve fails, its path is not finite, the Cauchy ratios stall or
+    the iterate budget runs out, and as its subclass TailBudgetError when
+    the certified truncation tail at t_max exceeds the budget.
     """
     mu, weight, tol_outer, tol_picard, tail_budget = solve_inputs(
         state, grid, mu, weight, tol_outer, tol_picard, tail_budget
@@ -385,8 +390,7 @@ def outer_solve(
         # refusal to contract dominates: no horizon fixes kappa >= 1
         kappa_pred = mu * r_prev * weight.unit_contraction_gain
         if kappa_pred >= 1.0:
-            ledger.status = f"non-contractive at n={n}: bound {kappa_pred:.6g} >= 1"
-            raise NotConvergingError(ledger.status, ledger)
+            raise _refuse(ledger, f"non-contractive at n={n}: bound {kappa_pred:.6g} >= 1")
         # a zero bound makes the zero field, which any grid holds
         if not certifying and r_prev > 0.0:
             wanted = _coarse_angles(grid, state, dev_gain * r_prev)
@@ -411,12 +415,10 @@ def outer_solve(
             else:
                 fld, rep = picard_sweep(joint, z_prev, mu, weight, fld, out=spare)
         except (NonContractiveError, MaxSweepsExceededError) as exc:
-            ledger.status = f"inner solve failed at n={n}: {exc}"
-            raise NotConvergingError(str(exc), ledger) from exc
+            raise _refuse(ledger, f"inner solve failed at n={n}: {exc}") from exc
         path = order_parameter_of(fld, state, weight)
         if not np.all(np.isfinite(path.values.view(float))):
-            ledger.status = f"nonfinite order parameter at n={n}"
-            raise NotConvergingError("nonfinite order parameter", ledger)
+            raise _refuse(ledger, f"nonfinite order parameter at n={n}")
         dz = weighted_norm(times, path.values - z_prev, weight)
         dev_norm, theta_diff = _user_grid_norms(grid, weight, fld, prev_fld, rep, certifying)
         kappa = rep.bound
@@ -459,11 +461,8 @@ def outer_solve(
             # truncation tail must fit the budget
             tail_next = mu * path.norm * tail_unit
             if tail_next > tail_budget:
-                ledger.status = "tail budget exceeded"
-                raise TailBudgetError(
-                    f"certified tail {tail_next:.3e} rad > budget "
-                    f"{tail_budget:.1e}; increase t_max"
-                )
+                raise _refuse(ledger, f"tail budget exceeded: certified tail {tail_next:.3e} "
+                              f"rad > budget {tail_budget:.1e}; increase t_max", TailBudgetError)
             if exact:
                 ledger.status = "converged"
                 return SolveResult(state, grid, mu, weight, path, fld, ledger, n, True)
@@ -474,14 +473,11 @@ def outer_solve(
             and ratio >= 1.0
             and prev_ratio >= 1.0
         ):
-            ledger.status = (
-                f"Cauchy ratios >= 1 at n={n - 1},{n}: mu too large for this state"
-            )
-            raise NotConvergingError(ledger.status, ledger)
+            raise _refuse(
+                ledger, f"Cauchy ratios >= 1 at n={n - 1},{n}: mu too large for this state")
         prev_ratio = ratio
         z_prev, r_prev, prev_dz = path.values, path.norm, dz
-    ledger.status = f"no convergence in {MAX_OUTER} outer iterations"
-    raise NotConvergingError(ledger.status, ledger)
+    raise _refuse(ledger, f"no convergence in {MAX_OUTER} outer iterations")
 
 
 @dataclass(frozen=True, eq=False)

@@ -202,6 +202,11 @@ def test_short_horizon_fails_tail_certification(tmp_path):
     )
     out = tmp_path / "out"
     assert main(["solve", "--config", cfg, "--output-dir", str(out)]) == 1
+    # a tail refusal leaves its partial ledger, finite, like any other refusal
+    ledger = json.loads((out / "ledger.json").read_text())
+    json.dumps(ledger, allow_nan=False)
+    assert ledger["status"].startswith("tail budget exceeded: ")
+    assert len(ledger["records"]) >= 1
     assert not (out / "summary.json").exists()
 
 

@@ -16,8 +16,10 @@ Either way the iteration sees the same numbers in another order: each
 record takes the same sweeps, the ledger's floats agree to 1e-12
 relative, and the dephasing and mass of the reconstruction to 1e-13.
 Besides the fixed cases, states drawn by ``hypothesis`` are turned by one
-angle, and a drawn state and its turn must end the same way: both
-converged and related as above, or both refused at the same iterate.
+angle and mirrored, and a drawn state and its image must end the same
+way: both converged, related as above and passing the explicit lemma
+checks and the Gamma bound, or both refused with the same status and
+ledgers that agree as above.
 """
 
 import cmath
@@ -27,17 +29,17 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kuramoto_dephasing import (
     AsymptoticState,
     FrequencyProfile,
     NotConvergingError,
-    TailBudgetError,
     build_grid,
     outer_solve,
     reconstruct,
+    verify_lemmas,
 )
 
 LEDGER_RTOL = 1e-12
@@ -173,10 +175,8 @@ def _complex(modes):
             ((k, complex(a)) for k, a in modes.items())}
 
 
-@pytest.mark.parametrize("name", list(CASES))
-def test_a_mirrored_state_gives_the_mirrored_solution(name):
-    case = CASES[name]
-    modes = _complex(case[1])
+def _symmetric_grid(case):
+    # the case's grid, after checking that its frequency rule is symmetric
     g = _grid(case[0], tuple(sorted(case[4].items())))
     nodes, weights = g.omega_nodes, g.omega_weights
     if case[0] == "lorentzian":
@@ -184,6 +184,14 @@ def test_a_mirrored_state_gives_the_mirrored_solution(name):
         assert np.max(np.abs(weights - weights[::-1])) <= LORENTZIAN_WEIGHT_TOL
     else:
         assert np.array_equal(nodes, -nodes[::-1]) and np.array_equal(weights, weights[::-1])
+    return g
+
+
+@pytest.mark.parametrize("name", list(CASES))
+def test_a_mirrored_state_gives_the_mirrored_solution(name):
+    case = CASES[name]
+    modes = _complex(case[1])
+    g = _symmetric_grid(case)
     base = _solve(case, modes)
     image = _solve(case, {k: a.conjugate() for k, a in modes.items()})
     (res, _), (ref, _) = image, base
@@ -204,12 +212,18 @@ DRAWN_GRIDS = {"exponential": dict(t_max=20.0, n_theta=16, n_omega=33),
 # the relative rounding of normal floats, and a subnormal dephasing (from
 # a_1 ~ 1e-211) carries one ulp of 5e-10 of itself
 DRAWN_MIN = 1e-3
+# a drawn real amplitude is turned by this before it is mirrored, so that
+# its image differs and the draw keeps its moduli
+DRAWN_MIRROR_TURN = cmath.exp(0.5j)
+# the draw the tail budget refuses, at iterate 13 of the state and its image
+TAIL_REFUSED = ("laplace", {1: 0.209}, DRAWN_DECAY["laplace"], 0.25, DRAWN_GRIDS["polynomial"])
 
 
 @st.composite
 def _drawn_cases(draw):
     # a profile, 1-3 of the modes k <= 3 with complex amplitudes of
-    # 2 sum |a_k| <= 0.9, and mu in [0, 0.5]
+    # 2 sum |a_k| <= 0.9, and mu in [0, 0.5]; mu = 0, the free flow, only
+    # when a drawn integer in [0, 3] is 0
     kind = draw(st.sampled_from(sorted(DRAWN_DECAY)))
     ks = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3, unique=True))
     moduli = [draw(st.just(0.0) | st.floats(DRAWN_MIN, 0.45)) for _ in ks]
@@ -217,19 +231,23 @@ def _drawn_cases(draw):
     scale = 0.45 / max(0.45, sum(moduli))
     modes = {k: scale * m * cmath.exp(1j * p) for k, m, p in zip(ks, moduli, phases)}
     decay = DRAWN_DECAY[kind]
-    mu = draw(st.just(0.0) | st.floats(DRAWN_MIN, 0.5))
+    mu = draw(st.floats(DRAWN_MIN, 0.5)) if draw(st.integers(0, 3)) else 0.0
     return kind, modes, decay, mu, DRAWN_GRIDS[decay[0]]
 
 
 def _ending(case, modes):
-    # (result, reconstruction) of a run, or the refusal it ended in
+    # (result, reconstruction) of a run that passes its explicit lemma
+    # checks and the Gamma bound, or the refusal it ended in
     kind, _, decay, mu, grid = case
     state = AsymptoticState(FrequencyProfile(kind, 1.0), modes, *decay)
     try:
         res = outer_solve(state, _grid(kind, tuple(sorted(grid.items()))), mu)
-    except (NotConvergingError, TailBudgetError) as exc:
+    except NotConvergingError as exc:
         return exc
-    return res, reconstruct(res)
+    rec = reconstruct(res)
+    assert verify_lemmas(res.ledger, res.weight, res.mu)["all_explicit_pass"]
+    assert rec.gamma_ok()
+    return res, rec
 
 
 def _close(a, b):
@@ -237,21 +255,39 @@ def _close(a, b):
     return np.max(np.abs(a - b)) <= FIELD_RTOL * np.max(np.abs(b))
 
 
-@settings(max_examples=30, deadline=None, derandomize=True)
-@given(case=_drawn_cases())
-def test_a_drawn_state_and_its_turn_end_the_same_way(case):
-    modes, n_theta = case[1], case[4]["n_theta"]
-    phi = 2.0 * math.pi / n_theta
-    base = _ending(case, modes)
-    image = _ending(case, _rotated(modes, phi))
+def _assert_same_ending(image, base, path, deviation):
+    # both refused alike, or both converged with the image's path and
+    # field the maps ``path`` and ``deviation`` of the base's
     assert type(image) is type(base)
     if isinstance(base, NotConvergingError):
+        assert str(image) == image.ledger.status == base.ledger.status
         sweeps = [[r["contraction"]["sweeps"] for r in exc.ledger.records] for exc in (image, base)]
         assert sweeps[0] == sweeps[1]
         assert image.ledger.all_finite() and base.ledger.all_finite()
-    elif not isinstance(base, TailBudgetError):
+        _assert_same_ledger(image.ledger, base.ledger)
+    else:
         (res, _), (ref, _) = image, base
-        turn = complex(math.cos(phi), -math.sin(phi))
-        assert _close(res.path.values, turn * ref.path.values)
-        assert _close(res.field.deviation, np.roll(ref.field.deviation, -1, axis=1))
+        assert _close(res.path.values, path(ref.path.values))
+        assert _close(res.field.deviation, deviation(ref.field.deviation))
         _assert_same_run(image, base)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(case=_drawn_cases())
+@example(case=TAIL_REFUSED)
+def test_a_drawn_state_and_its_turn_end_the_same_way(case):
+    modes, n_theta = case[1], case[4]["n_theta"]
+    phi = 2.0 * math.pi / n_theta
+    turn = complex(math.cos(phi), -math.sin(phi))
+    _assert_same_ending(_ending(case, _rotated(modes, phi)), _ending(case, modes),
+                        lambda z: turn * z, lambda d: np.roll(d, -1, axis=1))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(case=_drawn_cases())
+def test_a_drawn_state_and_its_mirror_end_the_same_way(case):
+    modes = {k: a * DRAWN_MIRROR_TURN if a and not a.imag else a for k, a in case[1].items()}
+    mirror = (-np.arange(case[4]["n_theta"])) % case[4]["n_theta"]
+    _symmetric_grid(case)
+    _assert_same_ending(_ending(case, {k: a.conjugate() for k, a in modes.items()}),
+                        _ending(case, modes), np.conj, lambda d: -d[:, mirror, ::-1])

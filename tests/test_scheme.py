@@ -5,10 +5,13 @@ Lorentzian profile, mu = 0.05) is shared module-wide; the remaining
 cases exercise degenerate inputs and the documented failure modes.
 """
 
+import ast
 import copy
 import dataclasses
+import inspect
 import json
 import math
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -653,7 +656,11 @@ def test_c09_fails_a_canonical_path_0_03_off_or_a_small_shrink(canonical, shrink
     lambda ledger: setattr(ledger, "free_norm", math.nan),
     lambda ledger: ledger.records[-1].update(kappa=math.nan),
     lambda ledger: ledger.records[-1]["contraction"]["ratios"].__setitem__(1, math.nan),
-], ids=["top-level", "record", "nested-list"])
+    lambda ledger: ledger.records[-1].update(kappa=math.inf),
+    lambda ledger: ledger.records[-1]["contraction"]["ratios"].__setitem__(1, -math.inf),
+    lambda ledger: ledger.records[-1]["contraction"]["ratios"].__setitem__(1, np.float64("nan")),
+], ids=["top-level", "record", "nested-list", "record-inf", "nested-list-minus-inf",
+        "nested-list-numpy-nan"])
 def test_one_nan_anywhere_in_a_ledger_makes_it_not_finite(result, edit):
     ledger = copy.deepcopy(result.ledger)
     assert ledger.all_finite()
@@ -939,6 +946,59 @@ def test_inner_refusal_wrapped(state, grid):
     # mu * ||free z|| * gain >= 1 already on the second outer step
     with pytest.raises(NotConvergingError):
         outer_solve(state, grid, 60.0, WEIGHT)
+
+
+def _nan_quadrature(field, rows, u, z, quadrature=scheme.phase_quadrature):
+    # the quadrature, then one NaN in the path it wrote
+    quadrature(field, rows, u, z)
+    z[-1] = math.nan
+
+
+# refusal -> (mu, t_max, dt, n_omega, (module, name, stand-in) or None,
+# error, status pattern, records); every grid has 16 angles
+REFUSALS = {
+    "non_contractive": (60.0, 16.0, 0.1, 33, None, NotConvergingError,
+                        r"non-contractive at n=2: bound \S+ >= 1", 1),
+    "cauchy": (10.0, 16.0, 0.1, 33, None, NotConvergingError,
+               r"Cauchy ratios >= 1 at n=2,3: mu too large for this state", 3),
+    "tail_budget": (MU, 12.0, 0.05, 129, None, TailBudgetError,
+                    r"tail budget exceeded: certified tail \S+ rad > budget 1\.0e-08; "
+                    r"increase t_max", 6),
+    "inner_solve": (MU, 16.0, 0.1, 33, (characteristics, "MAX_SWEEPS", 1), NotConvergingError,
+                    r"inner solve failed at n=7: .*1 sweeps.*", 6),
+    "outer_budget": (MU, 16.0, 0.1, 33, (scheme, "MAX_OUTER", 2), NotConvergingError,
+                     r"no convergence in 2 outer iterations", 2),
+    "nonfinite": (MU, 16.0, 0.1, 33, (scheme, "phase_quadrature", _nan_quadrature),
+                  NotConvergingError, r"nonfinite order parameter at n=2", 1),
+}
+
+
+@pytest.mark.parametrize("name", list(REFUSALS))
+def test_every_refusal_is_its_ledger_status_and_carries_its_ledger(state, name, monkeypatch):
+    # each refusal leaves through scheme._refuse: the message is the status,
+    # and the ledger holds every iterate that finished, all finite
+    mu, t_max, dt, n_omega, patch, error, status, n_records = REFUSALS[name]
+    if patch is not None:
+        monkeypatch.setattr(*patch)
+    small = build_grid(PROFILE, t_max=t_max, dt=dt, n_theta=16, n_omega=n_omega)
+    with pytest.raises(NotConvergingError) as info:
+        outer_solve(state, small, mu, WEIGHT)
+    assert type(info.value) is error
+    ledger = info.value.ledger
+    assert str(info.value) == ledger.status
+    assert re.fullmatch(status, ledger.status)
+    assert [r["n"] for r in ledger.records] == list(range(1, n_records + 1))
+    assert ledger.all_finite()
+
+
+def test_every_raise_in_outer_solve_goes_through_refuse():
+    tree = ast.parse(inspect.getsource(scheme.outer_solve))
+    raises = [node for node in ast.walk(tree) if isinstance(node, ast.Raise)]
+    assert len(raises) == 6
+    for node in raises:
+        call = node.exc
+        assert isinstance(call, ast.Call) and isinstance(call.func, ast.Name), node.lineno
+        assert call.func.id == "_refuse", node.lineno
 
 
 def test_weight_overflowing_at_t_max_is_a_grid_error():
